@@ -1,11 +1,9 @@
 //! The performance-baseline subsystem behind `joinopt perf`.
 //!
 //! Runs a pinned workload matrix — chain/star/clique × DPsize, DPccp,
-//! DPconv and DPsub at each configured thread count — and records, per
-//! cell,
-//! the paper's counters, the DP-table and arena footprint, the optimal
-//! cost's exact bit pattern, the median-of-k wall time and the parallel
-//! engine's worker utilization. The result serializes to
+//! DPconv and DPsub — and records, per cell, the paper's counters, the
+//! DP-table and arena footprint, the optimal cost's exact bit pattern
+//! and the median-of-k wall time. The result serializes to
 //! `BENCH_joinopt.json` (schema `joinopt-perf-v1`, documented in
 //! `docs/observability.md`) and [`PerfBaseline::check`] diffs a fresh
 //! run against a committed baseline:
@@ -44,8 +42,6 @@ pub struct PerfConfig {
     pub reps: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Thread counts the DPsub engine cells run at.
-    pub threads: Vec<usize>,
     /// Allowed relative wall-time regression in full-mode checks
     /// (0.5 = 50% slower still passes).
     pub noise: f64,
@@ -57,7 +53,6 @@ impl Default for PerfConfig {
             n: 10,
             reps: 5,
             seed: 2006,
-            threads: vec![1, 2, 4],
             noise: 0.5,
         }
     }
@@ -70,7 +65,8 @@ pub struct PerfCell {
     pub family: String,
     /// Algorithm name (`"DPsize"`, `"DPsub"`, `"DPccp"`).
     pub algorithm: String,
-    /// Worker threads the cell ran with.
+    /// Worker threads the cell ran with: always 1, since every run is
+    /// single-threaded (kept so baseline files keep their schema).
     pub threads: usize,
     /// `InnerCounter`.
     pub inner: u64,
@@ -86,11 +82,6 @@ pub struct PerfCell {
     pub cost_bits: u64,
     /// Median wall time across the configured repetitions.
     pub wall_ns: u64,
-    /// Run-wide worker utilization of the median rep. `None` for
-    /// sequential algorithms, which synchronize no worker levels —
-    /// utilization is not a property of those runs (omitted from the
-    /// JSON, rendered as `-` in the table).
-    pub utilization: Option<f64>,
 }
 
 impl PerfCell {
@@ -104,23 +95,21 @@ impl PerfCell {
 pub struct PerfBaseline {
     /// The matrix configuration (replayed by `--check`).
     pub config: PerfConfig,
-    /// Cells in matrix order: family-major, then algorithm/threads.
+    /// Cells in matrix order: family-major, then algorithm.
     pub cells: Vec<PerfCell>,
 }
 
-/// The cells of the matrix for `config`, in deterministic order.
-fn matrix(config: &PerfConfig) -> Vec<(GraphKind, Algorithm, &'static str, usize)> {
+/// The cells of the matrix, in deterministic order. DPconv rides the
+/// same workloads (the default model is C_out, the only one it
+/// accepts); its clique cell against DPccp's is the committed crossover
+/// evidence for `Auto`.
+fn matrix() -> Vec<(GraphKind, Algorithm, &'static str)> {
     let mut cells = Vec::new();
     for kind in PERF_FAMILIES {
-        cells.push((kind, Algorithm::DpSize, "DPsize", 1));
-        cells.push((kind, Algorithm::DpCcp, "DPccp", 1));
-        // DPconv rides the same workloads (the default model is C_out,
-        // the only one it accepts); the clique cell against DPccp's is
-        // the committed crossover evidence for `select_auto`.
-        cells.push((kind, Algorithm::DpConv, "DPconv", 1));
-        for &t in &config.threads {
-            cells.push((kind, Algorithm::DpSub, "DPsub", t.max(1)));
-        }
+        cells.push((kind, Algorithm::DpSize, "DPsize"));
+        cells.push((kind, Algorithm::DpCcp, "DPccp"));
+        cells.push((kind, Algorithm::DpConv, "DPconv"));
+        cells.push((kind, Algorithm::DpSub, "DPsub"));
     }
     cells
 }
@@ -150,7 +139,7 @@ pub fn run_matrix_observed(
 ) -> Result<PerfBaseline, String> {
     let reps = config.reps.max(1);
     let mut cells = Vec::new();
-    for (kind, alg, alg_name, threads) in matrix(config) {
+    for (kind, alg, alg_name) in matrix() {
         let w = family_workload(kind, config.n, config.seed);
         let mut walls: Vec<u64> = Vec::with_capacity(reps);
         let mut pinned: Option<PerfCell> = None;
@@ -159,16 +148,15 @@ pub fn run_matrix_observed(
             let fanout = Fanout::new(vec![&collector as &dyn Observer, obs]);
             let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
                 .with_algorithm(alg)
-                .with_threads(threads)
                 .with_observer(&fanout)
                 .run()
-                .map_err(|e| format!("{} {alg_name} t={threads}: {e}", kind.name()))?;
+                .map_err(|e| format!("{} {alg_name}: {e}", kind.name()))?;
             let report = collector.report();
             let result = outcome.into_result();
             let cell = PerfCell {
                 family: kind.name().to_string(),
                 algorithm: alg_name.to_string(),
-                threads,
+                threads: 1,
                 inner: result.counters.inner,
                 csg_cmp_pairs: result.counters.csg_cmp_pairs,
                 ono_lohman: result.counters.ono_lohman,
@@ -176,7 +164,6 @@ pub fn run_matrix_observed(
                 arena_bytes: report.arena_bytes as u64,
                 cost_bits: result.cost.to_bits(),
                 wall_ns: report.total_ns,
-                utilization: report.worker_utilization(),
             };
             walls.push(report.total_ns);
             match &pinned {
@@ -192,7 +179,7 @@ pub fn run_matrix_observed(
                         && first.cost_bits == cell.cost_bits;
                     if !same {
                         return Err(format!(
-                            "{} {alg_name} t={threads}: counters unstable at rep {rep} \
+                            "{} {alg_name}: counters unstable at rep {rep} \
                              (determinism contract broken)",
                             kind.name()
                         ));
@@ -224,7 +211,6 @@ impl Default for PerfCell {
             arena_bytes: 0,
             cost_bits: 0,
             wall_ns: 0,
-            utilization: None,
         }
     }
 }
@@ -239,15 +225,8 @@ impl PerfBaseline {
         let mut s = String::from("{\n  \"schema\": ");
         write_escaped(&mut s, SCHEMA);
         s.push_str(&format!(
-            ",\n  \"config\": {{\"n\": {}, \"reps\": {}, \"seed\": {}, \"threads\": [{}], \"noise\": ",
-            c.n,
-            c.reps,
-            c.seed,
-            c.threads
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
+            ",\n  \"config\": {{\"n\": {}, \"reps\": {}, \"seed\": {}, \"noise\": ",
+            c.n, c.reps, c.seed
         ));
         write_f64(&mut s, c.noise);
         s.push_str("},\n  \"cells\": [\n");
@@ -272,10 +251,6 @@ impl PerfBaseline {
                 cell.cost_bits,
                 cell.wall_ns
             ));
-            if let Some(utilization) = cell.utilization {
-                s.push_str(", \"utilization\": ");
-                write_f64(&mut s, utilization);
-            }
             s.push('}');
         }
         s.push_str("\n  ]\n}\n");
@@ -307,14 +282,6 @@ impl PerfBaseline {
             n: field_u64(cfg, "n")? as usize,
             reps: field_u64(cfg, "reps")? as usize,
             seed: field_u64(cfg, "seed")?,
-            threads: cfg
-                .get("threads")
-                .and_then(JsonValue::as_array)
-                .ok_or("baseline: missing \"threads\"")?
-                .iter()
-                .map(|t| t.as_u64().map(|t| t as usize))
-                .collect::<Option<Vec<_>>>()
-                .ok_or("baseline: non-integer thread count")?,
             noise: cfg
                 .get("noise")
                 .and_then(JsonValue::as_f64)
@@ -345,8 +312,6 @@ impl PerfBaseline {
                 cost_bits: u64::from_str_radix(bits_hex.trim_start_matches("0x"), 16)
                     .map_err(|e| format!("baseline: bad cost_bits {bits_hex:?}: {e}"))?,
                 wall_ns: field_u64(cell, "wall_ns")?,
-                // Optional: sequential cells have no utilization.
-                utilization: cell.get("utilization").and_then(JsonValue::as_f64),
             });
         }
         Ok(PerfBaseline { config, cells })
@@ -423,34 +388,27 @@ impl PerfBaseline {
         }
     }
 
-    /// A rendered summary table (family, algorithm, threads, counters,
-    /// wall time, utilization), for human consumption.
+    /// A rendered summary table (family, algorithm, counters, wall
+    /// time), for human consumption.
     pub fn render_table(&self) -> String {
         let mut t = crate::Table::new(vec![
             "family",
             "algorithm",
-            "threads",
             "inner",
             "ccp",
             "table",
             "arena_bytes",
             "wall",
-            "util",
         ]);
         for c in &self.cells {
             t.row(vec![
                 c.family.clone(),
                 c.algorithm.clone(),
-                c.threads.to_string(),
                 c.inner.to_string(),
                 c.csg_cmp_pairs.to_string(),
                 c.table_entries.to_string(),
                 c.arena_bytes.to_string(),
                 crate::format_seconds(c.wall_ns as f64 / 1e9),
-                match c.utilization {
-                    Some(u) => format!("{u:.2}"),
-                    None => "-".to_string(),
-                },
             ]);
         }
         t.render()
@@ -466,25 +424,24 @@ mod tests {
             n: 7,
             reps: 2,
             seed: 2006,
-            threads: vec![1, 2],
             noise: 0.5,
         }
     }
 
     #[test]
     fn matrix_shape_is_family_major() {
-        let cells = matrix(&small_config());
-        // 3 families × (DPsize + DPccp + DPconv + 2 DPsub threads).
-        assert_eq!(cells.len(), 15);
+        let cells = matrix();
+        // 3 families × (DPsize + DPccp + DPconv + DPsub).
+        assert_eq!(cells.len(), 12);
         assert_eq!(cells[0].2, "DPsize");
         assert_eq!(cells[1].2, "DPccp");
         assert_eq!(cells[2].2, "DPconv");
-        assert_eq!((cells[3].2, cells[3].3), ("DPsub", 1));
-        assert_eq!((cells[4].2, cells[4].3), ("DPsub", 2));
+        assert_eq!(cells[3].2, "DPsub");
+        assert_eq!(cells[4].2, "DPsize");
     }
 
     #[test]
-    fn counters_are_bit_stable_across_runs_and_threads() {
+    fn counters_are_bit_stable_across_runs() {
         let config = small_config();
         let a = run_matrix(&config).unwrap();
         let b = run_matrix(&config).unwrap();
@@ -493,20 +450,6 @@ mod tests {
             assert_eq!(x.inner, y.inner, "{:?}", x.key());
             assert_eq!(x.cost_bits, y.cost_bits, "{:?}", x.key());
             assert_eq!(x.arena_bytes, y.arena_bytes, "{:?}", x.key());
-        }
-        // DPsub cells agree across thread counts on everything
-        // deterministic (the engine's bit-identity contract).
-        for family in ["chain", "star", "clique"] {
-            let dpsub: Vec<&PerfCell> = a
-                .cells
-                .iter()
-                .filter(|c| c.family == family && c.algorithm == "DPsub")
-                .collect();
-            assert_eq!(dpsub.len(), 2);
-            assert_eq!(dpsub[0].inner, dpsub[1].inner);
-            assert_eq!(dpsub[0].cost_bits, dpsub[1].cost_bits);
-            assert_eq!(dpsub[0].table_entries, dpsub[1].table_entries);
-            assert_eq!(dpsub[0].arena_bytes, dpsub[1].arena_bytes);
         }
     }
 
@@ -545,43 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_cells_omit_utilization() {
-        // Regression: sequential algorithms synchronize no worker
-        // levels, so their cells must carry *no* utilization figure —
-        // not a fabricated 1.0 — and the JSON must omit the key while
-        // still round-tripping.
-        let baseline = run_matrix(&PerfConfig {
-            n: 6,
-            reps: 1,
-            seed: 2006,
-            threads: vec![2],
-            noise: 0.5,
-        })
-        .unwrap();
-        for cell in &baseline.cells {
-            if cell.algorithm == "DPsub" {
-                assert!(cell.utilization.is_some(), "{:?}", cell.key());
-            } else {
-                assert_eq!(cell.utilization, None, "{:?}", cell.key());
-            }
-        }
-        let parsed = PerfBaseline::parse(&baseline.to_json()).unwrap();
-        assert_eq!(parsed, baseline);
-        // The table renders `-` in the util column of sequential rows.
-        let table = baseline.render_table();
-        for line in table.lines().filter(|l| l.contains("DPsize")) {
-            assert_eq!(line.trim_end().rsplit(' ').next(), Some("-"), "{line}");
-        }
-    }
-
-    #[test]
     fn observed_matrix_reports_runs_without_changing_cells() {
         use joinopt_telemetry::{MetricsRegistry, RegistryObserver};
         let config = PerfConfig {
             n: 6,
             reps: 1,
             seed: 2006,
-            threads: vec![1],
             noise: 0.5,
         };
         let registry = MetricsRegistry::new();
@@ -619,7 +531,6 @@ mod tests {
             n: 6,
             reps: 1,
             seed: 2006,
-            threads: vec![1],
             noise: 0.5,
         })
         .unwrap();

@@ -115,7 +115,7 @@ joinopt — optimal bushy join trees without cross products (VLDB 2006)
 
 USAGE:
   joinopt optimize <query-file> [--algorithm NAME] [--cost-model NAME]
-                                [--threads N] [--metrics] [--trace-json PATH]
+                                [--metrics] [--trace-json PATH]
                                 [--prom PATH] [--memory-budget BYTES]
                                 [--degrade]
   joinopt optimize <query-file>... --batch [--algorithm NAME]
@@ -124,15 +124,13 @@ USAGE:
   joinopt compare  <query-file> [--cost-model NAME]
                                 [--metrics] [--trace-json PATH] [--prom PATH]
   joinopt explain  <query-file> [--algorithm NAME] [--cost-model NAME]
-                                [--threads N] [--format text|json|dot]
-                                [--compare A,B]
+                                [--format text|json|dot] [--compare A,B]
   joinopt generate <family> <n> [--seed S]
   joinopt counters <family> <max-n> [--metrics] [--trace-json PATH]
                                 [--prom PATH]
   joinopt fuzz     [--seed S] [--iters N] [--max-n N] [--minimize]
                    [--cache] [--metrics] [--trace-json PATH] [--prom PATH]
-  joinopt perf     [--out PATH] [--n N] [--reps K] [--seed S]
-                   [--threads LIST] [--noise F]
+  joinopt perf     [--out PATH] [--n N] [--reps K] [--seed S] [--noise F]
                    [--trace-json PATH] [--prom PATH]
   joinopt perf     --check PATH [--counters-only]
                    [--trace-json PATH] [--prom PATH]
@@ -155,11 +153,10 @@ ALGORITHMS:  dpsize, dpsub, dpccp, dpconv, goo, auto (default),
              other models with a typed error)
 COST MODELS: cout (default), nlj, hash, smj, min
 FAMILIES:    chain, cycle, star, clique
-PARALLELISM: --threads N runs the DPsub family on N worker threads
-             (level-synchronous engine; results are bit-identical to
-             sequential). 0 or omitted = the machine's parallelism.
-             --batch optimizes many query files at once, spreading them
-             across worker threads with pooled per-worker sessions.
+PARALLELISM: every query runs on one thread. --batch optimizes many
+             query files at once, spreading them across --threads N
+             worker threads (0 or omitted = the machine's parallelism)
+             with pooled per-worker sessions.
 ROBUSTNESS:  --memory-budget BYTES (suffixes k/m/g) aborts the run once
              DP tables and plan arenas outgrow the budget; with
              --degrade a tripped budget falls back down the ladder
@@ -178,9 +175,7 @@ TELEMETRY:   --metrics appends a run report (phase timings, DP-table and
              file into collapsed-stack lines (`stack count`) ready for
              a flamegraph renderer.
 PERF:        perf runs the pinned baseline matrix (chain/star/clique ×
-             DPsize, DPccp, DPconv, DPsub at --threads LIST, e.g.
-             1,2,4) and
-             writes BENCH_joinopt.json (override with --out). --check
+             DPsize, DPccp, DPconv, DPsub) and writes BENCH_joinopt.json (override with --out). --check
              re-runs the matrix pinned in PATH and fails on any counter,
              table-size or cost-bit drift; full mode also gates arena
              bytes (exact) and wall time (baseline × (1 + noise)),
@@ -518,19 +513,23 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             out,
         );
     }
+    if threads.is_some() {
+        return Err(CliError::Usage(
+            "--threads applies to --batch only; a single query runs on one thread".into(),
+        ));
+    }
     let [path] = positional.as_slice() else {
         return Err(CliError::Usage("optimize expects one query file".into()));
     };
     let telemetry = Telemetry::new(metrics, trace_path, prom_path)?;
 
     let q = load_query(path)?;
-    let (name, result, used_threads, elapsed, degradation) = match q.graph() {
+    let (name, result, elapsed, degradation) = match q.graph() {
         Some(graph) => {
             let outcome = telemetry.observe(|obs| {
                 let mut request = joinopt_core::OptimizeRequest::new(graph, &q.catalog)
                     .with_algorithm(algorithm)
                     .with_cost_model(model.as_ref())
-                    .with_threads(threads.unwrap_or(0))
                     .with_observer(obs);
                 if let Some(bytes) = memory_budget {
                     request = request.with_memory_budget(bytes);
@@ -543,7 +542,6 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             (
                 outcome.algorithm.orderer(graph).name(),
                 outcome.result,
-                outcome.threads,
                 outcome.elapsed,
                 outcome.degradation,
             )
@@ -566,7 +564,7 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let result = telemetry.observe(|obs| {
                 DpHyp.optimize_observed(&q.hypergraph, &q.catalog, model.as_ref(), obs)
             })?;
-            (DpHyp.name(), result, 1, start.elapsed(), None)
+            (DpHyp.name(), result, start.elapsed(), None)
         }
     };
 
@@ -576,10 +574,6 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "cost:        {:.6e}", result.cost)?;
     writeln!(out, "cardinality: {:.6e}", result.cardinality)?;
     writeln!(out, "counters:    {}", result.counters)?;
-    if threads.is_some() {
-        // Only printed when requested, so default output is unchanged.
-        writeln!(out, "threads:     {used_threads}")?;
-    }
     if let Some(info) = &degradation {
         writeln!(
             out,
@@ -796,7 +790,6 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     let mut algorithm = Algorithm::Auto;
     let mut model: Box<dyn CostModel> = Box::new(Cout);
-    let mut threads: usize = 1;
     let mut format = "text";
     let mut compare_pair: Option<(Algorithm, Algorithm)> = None;
     for (key, value) in options {
@@ -806,11 +799,6 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     .ok_or_else(|| CliError::Usage(format!("unknown algorithm `{value}`")))?;
             }
             "cost-model" => model = parse_cost_model(value)?,
-            "threads" => {
-                threads = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid thread count `{value}`")))?;
-            }
             "format" => {
                 format = match value {
                     "text" | "json" | "dot" => value,
@@ -853,8 +841,8 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "--format dot renders one plan; it does not combine with --compare".into(),
             ));
         }
-        let ea = Explanation::capture(graph, &q.catalog, model.as_ref(), a, threads)?;
-        let eb = Explanation::capture(graph, &q.catalog, model.as_ref(), b, threads)?;
+        let ea = Explanation::capture(graph, &q.catalog, model.as_ref(), a)?;
+        let eb = Explanation::capture(graph, &q.catalog, model.as_ref(), b)?;
         let diff = compare(&ea, &eb);
         match format {
             "json" => writeln!(out, "{}", diff.to_json(&name_of))?,
@@ -863,7 +851,7 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let e = Explanation::capture(graph, &q.catalog, model.as_ref(), algorithm, threads)?;
+    let e = Explanation::capture(graph, &q.catalog, model.as_ref(), algorithm)?;
     match format {
         "json" => writeln!(out, "{}", e.to_json(&name_of))?,
         "dot" => write!(out, "{}", e.render_dot(&name_of))?,
@@ -1082,17 +1070,6 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 config.seed = value
                     .parse()
                     .map_err(|_| CliError::Usage(format!("invalid seed `{value}`")))?;
-            }
-            "threads" => {
-                config.threads = value
-                    .split(',')
-                    .map(|t| t.trim().parse::<usize>().ok().filter(|&t| t >= 1))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "invalid --threads `{value}` (expected e.g. 1,2,4)"
-                        ))
-                    })?;
             }
             "noise" => {
                 config.noise = value

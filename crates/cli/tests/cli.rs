@@ -306,47 +306,21 @@ fn sql_with_leading_comment_detected() {
 }
 
 // ---------------------------------------------------------------------
-// Parallelism flags (--threads / --batch).
+// Batch flags (--batch / --threads).
 // ---------------------------------------------------------------------
 
 #[test]
-fn optimize_threads_is_deterministic_and_reported() {
+fn optimize_threads_applies_to_batches_only() {
+    // A single query runs on one thread; the flag sizes --batch pools.
     let path = write_query_file(CHAIN_QUERY);
-    let sequential = run_ok(&[
-        "optimize",
-        path.to_str().unwrap(),
-        "--algorithm",
-        "dpsub",
-        "--threads",
-        "1",
-    ]);
-    assert!(sequential.contains("threads:     1"), "{sequential}");
-    for t in ["2", "4", "8"] {
-        let parallel = run_ok(&[
-            "optimize",
-            path.to_str().unwrap(),
-            "--algorithm",
-            "dpsub",
-            "--threads",
-            t,
-        ]);
-        assert!(
-            parallel.contains(&format!("threads:     {t}")),
-            "{parallel}"
-        );
-        // Same plan, cost, counters at any thread count: everything but
-        // the threads and wall-clock lines is byte-identical.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("time:") && !l.starts_with("threads:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&sequential), strip(&parallel), "t={t}");
-    }
-    // Without --threads the output keeps its historical shape.
-    let plain = run_ok(&["optimize", path.to_str().unwrap(), "--algorithm", "dpsub"]);
-    assert!(!plain.contains("threads:"), "{plain}");
+    assert!(matches!(
+        run_err(&["optimize", path.to_str().unwrap(), "--threads", "2"]),
+        CliError::Usage(_)
+    ));
+    assert!(matches!(
+        run_err(&["explain", path.to_str().unwrap(), "--threads", "2"]),
+        CliError::Usage(_)
+    ));
 }
 
 #[test]
@@ -982,15 +956,13 @@ fn perf_writes_baseline_and_check_passes_against_itself() {
         "6",
         "--reps",
         "1",
-        "--threads",
-        "1,2",
         "--out",
         baseline_path.to_str().unwrap(),
     ]);
     assert!(out.contains("chain"), "{out}");
     assert!(out.contains("DPsub"), "{out}");
-    // 3 families × (DPsize + DPccp + DPconv + 2 DPsub thread counts).
-    assert!(out.contains("wrote 15 cells"), "{out}");
+    // 3 families × (DPsize + DPccp + DPconv + DPsub).
+    assert!(out.contains("wrote 12 cells"), "{out}");
     let text = std::fs::read_to_string(&*baseline_path).expect("baseline written");
     assert!(text.contains("\"schema\": \"joinopt-perf-v1\""), "{text}");
 
@@ -1001,7 +973,7 @@ fn perf_writes_baseline_and_check_passes_against_itself() {
         "--counters-only",
     ]);
     assert!(
-        check.contains("perf check passed (counters-only): 15 cells"),
+        check.contains("perf check passed (counters-only): 12 cells"),
         "{check}"
     );
 }
@@ -1020,8 +992,6 @@ fn perf_check_fails_on_counter_drift() {
         "--n",
         "6",
         "--reps",
-        "1",
-        "--threads",
         "1",
         "--out",
         baseline_path.to_str().unwrap(),
@@ -1051,7 +1021,7 @@ fn perf_rejects_bad_options_and_garbage_baselines() {
         CliError::Usage(_)
     ));
     assert!(matches!(
-        run_err(&["perf", "--threads", "1,zero"]),
+        run_err(&["perf", "--threads", "1"]),
         CliError::Usage(_)
     ));
     assert!(matches!(
@@ -1259,8 +1229,6 @@ fn perf_streams_telemetry_to_trace_and_prom_files() {
         "--n",
         "6",
         "--reps",
-        "1",
-        "--threads",
         "1",
         "--out",
         baseline.to_str().unwrap(),

@@ -9,11 +9,10 @@
 //!   star, clique, grid, tree) plus random-topology graphs, with random
 //!   or deliberately tie-rich uniform catalogs;
 //! * [`oracle`] — a differential oracle that runs every registered
-//!   optimizer (the DP family, top-down, DPhyp, the parallel engine at
-//!   1–8 threads, and the brute-force exhaustive oracle for small `n`)
-//!   on one instance and cross-checks optimal cost, bit-identical
-//!   engine determinism, cross-product freedom, plan validity and the
-//!   paper's Section 2.3.2 counter formulas;
+//!   optimizer (the DP family, top-down, DPhyp, and the brute-force
+//!   exhaustive oracle for small `n`) on one instance and cross-checks
+//!   optimal cost, cross-product freedom, plan validity and the paper's
+//!   Section 2.3.2 counter formulas;
 //! * [`metamorphic`] — properties that need no oracle at all:
 //!   relation-renumbering invariance, exact cost-model scaling
 //!   invariance and monotonicity under selectivity tightening;

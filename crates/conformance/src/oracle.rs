@@ -8,13 +8,6 @@
 //!   must agree within a `1e-9` relative tolerance. The algorithms sum
 //!   the same per-plan terms in different orders, so the last few bits
 //!   may legitimately differ; anything beyond rounding noise is a bug.
-//! * **Within the DPsub family** the parallel level-synchronous engine
-//!   guarantees results *bit-identical* to the sequential
-//!   implementation at any thread count — cost bits, plan tree,
-//!   counters and table size (see `joinopt_core::parallel`). The
-//!   oracle asserts exactly that, which is also what catches an
-//!   injected tie-break inversion: a flipped tie keeps the cost equal
-//!   but changes the plan.
 //! * **Counters** are deterministic properties of the graph, not the
 //!   statistics: they must *equal* the paper's Section 2.3.2 closed
 //!   forms (for the four closed-form families) and the csg-profile
@@ -24,7 +17,7 @@ use joinopt_core::formulas::{
     dpsize_inner_from_profile, dpsize_naive_inner_from_profile, dpsub_inner_from_profile,
     dpsub_unfiltered_inner,
 };
-use joinopt_core::{exhaustive, Algorithm, DpHyp, DpResult, OptimizeError, OptimizeRequest};
+use joinopt_core::{exhaustive, Algorithm, DpHyp, DpResult, OptimizeError};
 use joinopt_cost::Cout;
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::hypergraph::Hypergraph;
@@ -52,9 +45,6 @@ impl core::fmt::Display for Divergence {
 }
 
 impl std::error::Error for Divergence {}
-
-/// Thread counts the parallel engine is exercised at.
-pub const ENGINE_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Largest instance the brute-force exhaustive oracle runs on.
 pub const EXHAUSTIVE_MAX_N: usize = 9;
@@ -222,13 +212,7 @@ pub fn check_instance_observed(
         ));
     }
 
-    // 5. The parallel engine is bit-identical to sequential DPsub at
-    //    every thread count (and for the sibling variants at 4).
-    check_engine(inst, &results)?;
-    let cp_engine = engine_result(inst, Algorithm::DpSubCrossProducts, 4)?;
-    compare_bit_identical(inst, "DPsub-cp", 4, &cp, &cp_engine)?;
-
-    // 6. The structurally independent exhaustive oracle, for small n.
+    // 5. The structurally independent exhaustive oracle, for small n.
     if n <= EXHAUSTIVE_MAX_N {
         let exact = exhaustive::optimal_cost(g, &inst.catalog, &Cout).map_err(|e| {
             diverge(
@@ -263,7 +247,7 @@ pub fn check_instance_observed(
         }
     }
 
-    // 7. Counter cross-validation against the Section 2.3.2 analysis.
+    // 6. Counter cross-validation against the Section 2.3.2 analysis.
     check_counters(inst, &results)
 }
 
@@ -296,18 +280,6 @@ fn check_singleton(inst: &Instance) -> Result<(), Divergence> {
                 ),
             ));
         }
-    }
-    let engine = engine_result(inst, Algorithm::DpSub, 8)?;
-    if !matches!(engine.tree, JoinTree::Scan { relation: 0, .. }) || engine.cost != 0.0 {
-        return Err(diverge(
-            "singleton",
-            format!(
-                "{}: engine at 8 threads returned {} at cost {:e}",
-                inst.name,
-                shape(&engine.tree),
-                engine.cost
-            ),
-        ));
     }
     Ok(())
 }
@@ -354,106 +326,6 @@ fn check_disconnected(inst: &Instance) -> Result<(), Divergence> {
             )
         })?;
     validate_tree(inst, &cp.tree, "DPsub-cp", false)
-}
-
-/// Asserts the engine's bit-identical-determinism contract for the
-/// whole DPsub family.
-fn check_engine(inst: &Instance, sequential: &[(&str, DpResult)]) -> Result<(), Divergence> {
-    let seq_dpsub = sequential
-        .iter()
-        .find(|(label, _)| *label == "DPsub")
-        .map(|(_, r)| r)
-        .unwrap_or_else(|| unreachable!("DPsub is always in the exact set"));
-    for threads in ENGINE_THREADS {
-        let par = engine_result(inst, Algorithm::DpSub, threads)?;
-        compare_bit_identical(inst, "DPsub", threads, seq_dpsub, &par)?;
-    }
-    let seq_unf = sequential
-        .iter()
-        .find(|(label, _)| *label == "DPsub-nofilter")
-        .map(|(_, r)| r)
-        .unwrap_or_else(|| unreachable!("DPsub-nofilter is always in the exact set"));
-    let par_unf = engine_result(inst, Algorithm::DpSubUnfiltered, 4)?;
-    compare_bit_identical(inst, "DPsub-nofilter", 4, seq_unf, &par_unf)
-}
-
-/// One engine run through the session API.
-fn engine_result(inst: &Instance, alg: Algorithm, threads: usize) -> Result<DpResult, Divergence> {
-    OptimizeRequest::new(&inst.graph, &inst.catalog)
-        .with_algorithm(alg)
-        .with_threads(threads)
-        .run()
-        .map(|outcome| outcome.result)
-        .map_err(|e| {
-            diverge(
-                "engine-vs-sequential",
-                format!(
-                    "{}: engine run ({alg:?}, {threads} threads) failed: {e}",
-                    inst.name
-                ),
-            )
-        })
-}
-
-/// Bit-identity between a sequential result and an engine result:
-/// cost bits, plan tree, counters and table size. (`plans_built` is
-/// excluded by contract — the engine materializes one node per DP
-/// entry, the sequential driver one per improvement.)
-fn compare_bit_identical(
-    inst: &Instance,
-    label: &str,
-    threads: usize,
-    seq: &DpResult,
-    par: &DpResult,
-) -> Result<(), Divergence> {
-    let ctx = format!("{}: {label} at {threads} threads", inst.name);
-    if par.cost.to_bits() != seq.cost.to_bits() {
-        return Err(diverge(
-            "engine-vs-sequential",
-            format!(
-                "{ctx}: engine cost {:e} != sequential {:e} (bitwise)",
-                par.cost, seq.cost
-            ),
-        ));
-    }
-    if par.cardinality.to_bits() != seq.cardinality.to_bits() {
-        return Err(diverge(
-            "engine-vs-sequential",
-            format!(
-                "{ctx}: engine cardinality {:e} != sequential {:e} (bitwise)",
-                par.cardinality, seq.cardinality
-            ),
-        ));
-    }
-    if par.tree != seq.tree {
-        return Err(diverge(
-            "engine-vs-sequential",
-            format!(
-                "{ctx}: engine plan {} != sequential plan {}",
-                shape(&par.tree),
-                shape(&seq.tree)
-            ),
-        ));
-    }
-    if par.counters != seq.counters {
-        return Err(diverge(
-            "engine-vs-sequential",
-            format!(
-                "{ctx}: engine counters {} != sequential {}",
-                par.counters, seq.counters
-            ),
-        ));
-    }
-    if par.table_size != seq.table_size {
-        return Err(diverge(
-            "engine-vs-sequential",
-            format!(
-                "{ctx}: engine table size {} != sequential {}",
-                par.table_size, seq.table_size
-            ),
-        ));
-    }
-    Ok(())
 }
 
 /// Counter cross-validation: instrumented runs ⇔ csg-profile

@@ -14,15 +14,14 @@
 //!   monotonic clock every [`TIME_CHECK_PERIOD`] calls, so the cost per
 //!   inner iteration stays at a couple of predictable branches.
 //!
-//! Memory is accounted by the *consumers* (DP table, plan arena,
-//! worker out-buffers) calling [`CancellationToken::charge`] with byte
-//! deltas as their footprint grows; the token trips once the running
-//! total exceeds the budget.
+//! Memory is accounted by the *consumers* (DP table, plan arena)
+//! calling [`CancellationToken::charge`] with byte deltas as their
+//! footprint grows; the token trips once the running total exceeds the
+//! budget.
 //!
 //! Whichever condition trips first wins: the token latches the trip
-//! reason with a compare-and-swap, and every later check — from any
-//! thread — reports the same error, so a multi-worker run shuts down
-//! with one deterministic cause.
+//! reason with a compare-and-swap, and every later check reports the
+//! same error, so a run stops with one deterministic cause.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,9 +63,8 @@ impl CancelFlag {
     }
 }
 
-/// The per-run bundle of stop conditions threaded through the DP loops,
-/// the parallel engine and batch workers. See the module docs for the
-/// check/checkpoint split.
+/// The per-run bundle of stop conditions threaded through the DP loops.
+/// See the module docs for the check/checkpoint split.
 #[derive(Debug)]
 pub struct CancellationToken {
     flag: Option<CancelFlag>,

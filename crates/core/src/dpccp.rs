@@ -36,7 +36,7 @@ impl JoinOrderer for DpCcp {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, true, self.name(), obs, ctl)?;
+        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
         csg::try_for_each_ccp(g, |s1, s2| {
             d.counters.inner += 1;
             d.counters.ono_lohman += 1;

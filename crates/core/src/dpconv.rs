@@ -55,8 +55,8 @@ use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::parallel::MAX_ENGINE_RELATIONS;
 use crate::result::{DpResult, JoinOrderer};
+use crate::table::DenseDpTable;
 
 /// Relative tolerance for re-deriving `dp(S)` from a witness split
 /// during reconstruction. Loose against summation-order noise, tight
@@ -165,11 +165,11 @@ pub(crate) fn run_pooled(
             model: model.name(),
         });
     }
-    if n > MAX_ENGINE_RELATIONS {
+    if n > DenseDpTable::MAX_RELATIONS {
         return Err(OptimizeError::TooManyRelations {
             algorithm: DpConv.name(),
             relations: n,
-            max: MAX_ENGINE_RELATIONS,
+            max: DenseDpTable::MAX_RELATIONS,
         });
     }
     g.require_connected()?;
@@ -559,7 +559,7 @@ mod tests {
 
     #[test]
     fn size_cap_is_a_typed_error() {
-        let g = joinopt_qgraph::generators::chain(MAX_ENGINE_RELATIONS + 1).unwrap();
+        let g = joinopt_qgraph::generators::chain(DenseDpTable::MAX_RELATIONS + 1).unwrap();
         let cat = Catalog::new(&g);
         let err = DpConv.optimize(&g, &cat, &Cout).unwrap_err();
         assert!(

@@ -34,7 +34,7 @@ use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::result::DpResult;
-use crate::table::{DpTable, PlanTable, TableEntry};
+use crate::table::{DpTable, TableEntry};
 
 /// The DPhyp join orderer for hypergraph workloads.
 #[derive(Debug, Clone, Copy, Default)]

@@ -34,7 +34,7 @@ impl JoinOrderer for DpSize {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, true, self.name(), obs, ctl)?;
+        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
         let n = g.num_relations();
 
         // plans_by_size[k]: the relation sets of size k with a plan.
@@ -109,7 +109,7 @@ impl JoinOrderer for DpSizeNaive {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, true, self.name(), obs, ctl)?;
+        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
         let n = g.num_relations();
 
         let mut plans_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];

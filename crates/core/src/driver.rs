@@ -13,7 +13,7 @@ use crate::counters::Counters;
 use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::result::DpResult;
-use crate::table::{DpTable, PlanTable, TableEntry};
+use crate::table::{DpTable, TableEntry};
 
 /// Lightweight span emitter for the algorithms that do not run on the
 /// [`Driver`] (heuristics, top-down search, DPhyp): produces the same
@@ -90,9 +90,8 @@ impl<'a> Spans<'a> {
     }
 }
 
-/// Mutable state threaded through one optimizer run, generic over the
-/// `BestPlan` storage (sparse hash table by default; DPsub swaps in the
-/// dense direct-addressed table for small `n`).
+/// Mutable state threaded through one optimizer run over the sparse
+/// `BestPlan` hash table.
 ///
 /// The driver owns all telemetry emission for the span skeleton
 /// (`init` → `enumerate` → `extract`) and the end-of-run statistics
@@ -100,12 +99,12 @@ impl<'a> Spans<'a> {
 /// [`Observer::enabled`]: with the no-op observer the whole machinery
 /// reduces to one predictable branch per probe and allocates nothing
 /// (`level_new` stays an empty `Vec`).
-pub(crate) struct Driver<'a, T: PlanTable = DpTable> {
+pub(crate) struct Driver<'a> {
     pub g: &'a QueryGraph,
     pub est: CardinalityEstimator,
     pub model: &'a dyn CostModel,
     pub arena: PlanArena,
-    pub table: T,
+    pub table: DpTable,
     pub counters: Counters,
     obs: &'a dyn Observer,
     observe: bool,
@@ -118,7 +117,7 @@ pub(crate) struct Driver<'a, T: PlanTable = DpTable> {
     pace: u32,
     /// Table + arena bytes already charged against the memory budget.
     charged: usize,
-    /// `BestPlan` lookups performed (union probes + operand fetches).
+    /// `BestPlan` lookups of union sets performed.
     probes: u64,
     /// Probes that found an existing entry.
     hits: u64,
@@ -127,47 +126,17 @@ pub(crate) struct Driver<'a, T: PlanTable = DpTable> {
     level_new: Vec<u64>,
 }
 
-impl<'a> Driver<'a, DpTable> {
-    /// Validates inputs and initializes `BestPlan({R_i}) = R_i` for all
-    /// relations, with the default sparse table.
-    ///
-    /// `require_connected` is lifted only by the cross-product variant.
+impl<'a> Driver<'a> {
+    /// Validates inputs (a non-empty, connected graph) and initializes
+    /// `BestPlan({R_i}) = R_i` for all relations.
     pub fn new(
         g: &'a QueryGraph,
         catalog: &Catalog,
         model: &'a dyn CostModel,
-        require_connected: bool,
         algorithm: &'static str,
         obs: &'a dyn Observer,
         ctl: &'a CancellationToken,
-    ) -> Result<Driver<'a, DpTable>, OptimizeError> {
-        let table = DpTable::with_capacity(4 * g.num_relations());
-        Driver::with_table(
-            g,
-            catalog,
-            model,
-            require_connected,
-            table,
-            algorithm,
-            obs,
-            ctl,
-        )
-    }
-}
-
-impl<'a, T: PlanTable> Driver<'a, T> {
-    /// [`Driver::new`] with caller-supplied `BestPlan` storage.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_table(
-        g: &'a QueryGraph,
-        catalog: &Catalog,
-        model: &'a dyn CostModel,
-        require_connected: bool,
-        mut table: T,
-        algorithm: &'static str,
-        obs: &'a dyn Observer,
-        ctl: &'a CancellationToken,
-    ) -> Result<Driver<'a, T>, OptimizeError> {
+    ) -> Result<Driver<'a>, OptimizeError> {
         let observe = obs.enabled();
         let n = g.num_relations();
         if observe {
@@ -182,12 +151,11 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         if n == 0 {
             return Err(OptimizeError::EmptyQuery);
         }
-        if require_connected {
-            g.require_connected()?;
-        }
+        g.require_connected()?;
         ctl.check()?;
         failpoint::check("estimator")?;
         let est = CardinalityEstimator::new(g, catalog)?;
+        let mut table = DpTable::with_capacity(4 * n);
         let mut arena = PlanArena::with_capacity(4 * n);
         for i in 0..n {
             let card = est.base_cardinality(i);
@@ -255,19 +223,6 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         Ok(self.arena.add_join(left, right, stats))
     }
 
-    /// Counted `BestPlan` lookup: like `table.get`, but feeds the
-    /// probe/hit statistics when observing. DPsub routes its operand
-    /// connectivity-by-membership tests through this.
-    #[inline]
-    pub fn probe(&mut self, s: RelSet) -> Option<TableEntry> {
-        let entry = self.table.get(s).copied();
-        if self.observe {
-            self.probes += 1;
-            self.hits += u64::from(entry.is_some());
-        }
-        entry
-    }
-
     /// Records a probe of the union set and, when the probe missed (a
     /// set reached for the first time), its size-histogram entry.
     #[inline]
@@ -323,16 +278,6 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     /// Both operands must already have table entries. Every call polls
     /// the cancellation token (paced) and charges table/arena growth
     /// against the memory budget.
-    #[inline]
-    pub fn emit_pair_one_order(&mut self, s1: RelSet, s2: RelSet) -> Result<bool, OptimizeError> {
-        let e1 = self.operand(s1)?;
-        let e2 = self.operand(s2)?;
-        self.emit_entries_one_order(e1, e2, s1, s2)
-    }
-
-    /// [`Driver::emit_pair_one_order`] with the operands' table entries
-    /// already fetched — lets DPsub reuse the lookups its connectedness
-    /// tests performed.
     ///
     /// The union's output cardinality is a property of the *set*, not of
     /// the decomposition, so it is computed from the cut selectivities
@@ -340,13 +285,9 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     /// set reuse the cached value (one table probe instead of an
     /// O(cut-size) product).
     #[inline]
-    pub fn emit_entries_one_order(
-        &mut self,
-        e1: TableEntry,
-        e2: TableEntry,
-        s1: RelSet,
-        s2: RelSet,
-    ) -> Result<bool, OptimizeError> {
+    pub fn emit_pair_one_order(&mut self, s1: RelSet, s2: RelSet) -> Result<bool, OptimizeError> {
+        let e1 = self.operand(s1)?;
+        let e2 = self.operand(s2)?;
         self.ctl.checkpoint(&mut self.pace)?;
         let union = s1 | s2;
         match self.table.get(union) {

@@ -50,8 +50,8 @@ pub enum OptimizeError {
         /// The configured ceiling.
         budget: f64,
     },
-    /// The run's DP table, plan arena and worker buffers grew past the
-    /// request's memory budget.
+    /// The run's DP table and plan arena grew past the request's memory
+    /// budget.
     MemoryBudgetExceeded {
         /// Bytes charged when the budget tripped.
         used: usize,

@@ -19,8 +19,8 @@
 //! use joinopt_qgraph::GraphKind;
 //!
 //! let w = workload::family_workload(GraphKind::Star, 5, 0);
-//! let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize, 1).unwrap();
-//! let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp, 1).unwrap();
+//! let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
+//! let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
 //! let diff = compare(&a, &b);
 //! assert!((a.result.cost - b.result.cost).abs() <= 1e-9 * a.result.cost);
 //! println!("{}", diff.render_text());
@@ -64,9 +64,8 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Runs `algorithm` through the session API ([`OptimizeRequest`],
-    /// so the DPsub family uses the parallel engine at `threads`
-    /// workers) with provenance collection attached.
+    /// Runs `algorithm` through the session API ([`OptimizeRequest`])
+    /// with provenance collection attached.
     ///
     /// # Errors
     ///
@@ -76,13 +75,11 @@ impl Explanation {
         catalog: &Catalog,
         model: &dyn CostModel,
         algorithm: Algorithm,
-        threads: usize,
     ) -> Result<Explanation, OptimizeError> {
         let prov = ProvenanceCollector::new();
         let outcome = OptimizeRequest::new(graph, catalog)
             .with_algorithm(algorithm)
             .with_cost_model(model)
-            .with_threads(threads)
             .with_observer(&prov)
             .run()?;
         Ok(Explanation {
@@ -90,32 +87,6 @@ impl Explanation {
             cost_model: model.name(),
             relations: graph.num_relations(),
             result: outcome.result,
-            records: prov.records(),
-        })
-    }
-
-    /// Like [`Explanation::capture`], but always runs the *sequential*
-    /// implementation of `algorithm` — never the parallel engine. The
-    /// conformance harness uses this as the reference side when
-    /// explaining an engine-vs-sequential divergence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`OptimizeError`] from the run itself.
-    pub fn capture_sequential(
-        graph: &QueryGraph,
-        catalog: &Catalog,
-        model: &dyn CostModel,
-        algorithm: Algorithm,
-    ) -> Result<Explanation, OptimizeError> {
-        let prov = ProvenanceCollector::new();
-        let orderer = algorithm.orderer(graph);
-        let result = orderer.optimize_observed(graph, catalog, model, &prov)?;
-        Ok(Explanation {
-            algorithm: orderer.name(),
-            cost_model: model.name(),
-            relations: graph.num_relations(),
-            result,
             records: prov.records(),
         })
     }
@@ -566,7 +537,7 @@ mod tests {
     #[test]
     fn capture_explains_a_run_and_serializes_deterministically() {
         let w = workload::family_workload(GraphKind::Star, 6, 0);
-        let e = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp, 1).unwrap();
+        let e = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
         assert_eq!(e.algorithm, "DPccp");
         assert_eq!(e.relations, 6);
         assert!(!e.records.is_empty());
@@ -583,7 +554,7 @@ mod tests {
             e.records.len()
         );
         // Byte-equal on a second capture: the document is stable.
-        let again = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp, 1).unwrap();
+        let again = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
         assert_eq!(json, again.to_json(&default_namer));
 
         let dot = e.render_dot(&default_namer);
@@ -593,8 +564,8 @@ mod tests {
     #[test]
     fn identical_runs_compare_clean() {
         let w = workload::family_workload(GraphKind::Chain, 6, 1);
-        let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize, 1).unwrap();
-        let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize, 1).unwrap();
+        let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
+        let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
         let diff = compare(&a, &b);
         assert!(diff.same_plan);
         assert!(diff.divergences.is_empty());
@@ -616,8 +587,8 @@ mod tests {
         }
         let q = joinopt_query::parse(&src).unwrap();
         let g = q.graph().unwrap();
-        let a = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpSize, 1).unwrap();
-        let b = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpCcp, 1).unwrap();
+        let a = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpSize).unwrap();
+        let b = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpCcp).unwrap();
         assert!((a.result.cost - b.result.cost).abs() <= 1e-9 * a.result.cost);
         let diff = compare(&a, &b);
         if let Some(d) = diff.first_divergence() {

@@ -15,10 +15,6 @@
 //! | `table-insert`          | DP-table insert path (driver and IDP)      |
 //! | `arena-alloc`           | plan-arena node allocation                 |
 //! | `estimator`             | cardinality-estimator construction         |
-//! | `worker-spawn`          | parallel-engine worker spawn               |
-//! | `engine-tiebreak-invert`| behavioral [`flag`]: the parallel engine's |
-//! |                         | cost tie-break keeps the *last* candidate  |
-//! |                         | instead of the first (conformance harness) |
 //! | `dpconv-rank-skip`      | behavioral [`flag`]: DPconv drops the      |
 //! |                         | balanced convolution layer of its final    |
 //! |                         | rank (`n ≥ 4`) — a silent wrong-cost bug   |
@@ -152,8 +148,8 @@ pub fn check(_site: &'static str) -> Result<(), OptimizeError> {
 /// A *behavioral* failpoint: `true` while `site` is armed (with any
 /// [`FailAction`] — the action is ignored and no trigger is consumed).
 /// Sites branch on it to flip an internal policy rather than fail, so
-/// the conformance harness can prove it detects subtle divergence (the
-/// parallel engine's `engine-tiebreak-invert`).
+/// the conformance harness can prove it detects subtle divergence
+/// (DPconv's `dpconv-rank-skip`).
 #[cfg(failpoints)]
 pub fn flag(site: &'static str) -> bool {
     registry::is_armed(site)

@@ -26,7 +26,7 @@ use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::result::{DpResult, JoinOrderer};
-use crate::table::{DpTable, PlanTable, TableEntry};
+use crate::table::{DpTable, TableEntry};
 
 /// Iterative dynamic programming (IDP-1) with a configurable block size.
 #[derive(Debug, Clone, Copy)]

@@ -41,7 +41,7 @@ impl JoinOrderer for DpSizeLeftDeep {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, true, self.name(), obs, ctl)?;
+        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
         let n = g.num_relations();
 
         let mut plans_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];

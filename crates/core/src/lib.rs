@@ -23,15 +23,14 @@
 //!   with the published typos corrected) plus profile-based predictions
 //!   that work for arbitrary query graphs;
 //! * [`Optimizer`] / [`Algorithm`] — a façade with an `Auto` mode that
-//!   adapts to the query graph *and* to the machine's parallelism (the
-//!   paper's concluding recommendation, extended);
+//!   adapts to the query graph's density (the paper's concluding
+//!   recommendation);
 //! * [`OptimizeRequest`] — the full-control session API: algorithm,
-//!   cost model, thread count, time/cost/memory budgets, cooperative
-//!   cancellation and telemetry in one builder, with pooled
-//!   allocations via [`Session`], a parallel level-synchronous engine
-//!   for the DPsub family ([`parallel`]), and an opt-in degradation
-//!   ladder (exact → IDP → greedy) that turns budget trips into
-//!   cheaper plans instead of errors ([`BudgetAction::Degrade`]);
+//!   cost model, time/cost/memory budgets, cooperative cancellation and
+//!   telemetry in one builder, with pooled allocations via [`Session`]
+//!   and an opt-in degradation ladder (exact → IDP → greedy) that turns
+//!   budget trips into cheaper plans instead of errors
+//!   ([`BudgetAction::Degrade`]);
 //! * [`exhaustive`] — an independent top-down oracle used by the test
 //!   suite, and [`greedy`] — a GOO baseline for plan-quality context;
 //! * [`DpConv`] — the subset-convolution formulation of the DP over the
@@ -77,7 +76,6 @@ mod idp;
 mod ikkbz;
 mod leftdeep;
 mod optimizer;
-pub mod parallel;
 mod request;
 mod result;
 pub mod table;
@@ -92,13 +90,12 @@ pub use dpccp::DpCcp;
 pub use dpconv::DpConv;
 pub use dphyp::DpHyp;
 pub use dpsize::{DpSize, DpSizeNaive};
-pub use dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered};
+pub use dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered, Session};
 pub use error::OptimizeError;
 pub use idp::Idp;
 pub use ikkbz::IkkBz;
 pub use leftdeep::DpSizeLeftDeep;
 pub use optimizer::{Algorithm, Optimizer};
-pub use parallel::Session;
 pub use request::{OptimizeOutcome, OptimizeRequest};
 pub use result::{DpResult, JoinOrderer};
 pub use topdown::TopDown;

@@ -14,6 +14,7 @@ use crate::greedy::Goo;
 use crate::idp::Idp;
 use crate::leftdeep::DpSizeLeftDeep;
 use crate::result::{DpResult, JoinOrderer};
+use crate::table::DenseDpTable;
 use crate::topdown::TopDown;
 
 /// Selects which join-ordering algorithm runs.
@@ -83,73 +84,50 @@ impl Algorithm {
     /// `docs/ALGORITHMS.md` §7 for the measured data).
     pub const DPCONV_MIN_RELATIONS: usize = 12;
 
-    /// Resolves `Auto` for a given graph, assuming this machine's
-    /// [`std::thread::available_parallelism`].
+    /// Resolves `Auto` for a given graph — the same answer on every
+    /// machine.
     ///
-    /// See [`Algorithm::select_auto_with_parallelism`] for the policy.
+    /// See [`Algorithm::select_by_density`] for the policy.
     pub fn select_auto(g: &QueryGraph) -> Algorithm {
-        Algorithm::select_auto_with_parallelism(g, crate::request::available_parallelism())
+        Algorithm::select_by_density(g.num_relations(), g.num_edges())
     }
 
-    /// Resolves `Auto` for a given graph and `threads` available worker
-    /// threads.
+    /// The density rule behind `Auto`, for a graph of `n` relations and
+    /// `edges` join edges.
     ///
     /// The paper's evaluation shows DPccp is the best or near-best choice
     /// everywhere; its only (bounded, ≤ 30 %) loss is against DPsub on
     /// very dense graphs, where the subset enumeration's trivial inner
     /// loop beats the more complex csg machinery. `Auto` therefore picks
-    /// DPsub when the graph is (near-)complete and DPccp otherwise.
+    /// DPsub when at least 90 % of all possible edges are present and
+    /// DPccp otherwise.
     ///
-    /// Parallelism shifts the break-even point: DPsub has a parallel
-    /// level-synchronous path (see [`crate::parallel`]) while DPccp's
-    /// csg-cmp-pair traversal does not, so spare worker threads buy back
-    /// DPsub's wasted inner-loop iterations on graphs that are dense but
-    /// not complete. The density threshold (fraction of all possible
-    /// edges present) is therefore:
-    ///
-    /// | threads | threshold |
-    /// |--------:|----------:|
-    /// | 1       | 90 %      |
-    /// | 2–3     | 80 %      |
-    /// | ≥ 4     | 70 %      |
-    ///
-    /// Queries too large for DPsub's direct-addressed tables
-    /// (`n >` [`crate::table::DenseDpTable::MAX_RELATIONS`]) always
-    /// resolve to DPccp — at that size DPsub's `Θ(3ⁿ)` enumeration is
-    /// hopeless no matter how many threads are available.
-    pub fn select_auto_with_parallelism(g: &QueryGraph, threads: usize) -> Algorithm {
-        let n = g.num_relations();
-        if (2..=crate::parallel::MAX_ENGINE_RELATIONS).contains(&n) {
+    /// Queries too large for DPsub's direct-addressed table
+    /// (`n >` [`DenseDpTable::MAX_RELATIONS`]) always resolve to DPccp —
+    /// at that size DPsub's `Θ(3ⁿ)` enumeration is hopeless.
+    pub fn select_by_density(n: usize, edges: usize) -> Algorithm {
+        if (2..=DenseDpTable::MAX_RELATIONS).contains(&n) {
             let max_edges = n * (n - 1) / 2;
-            let threshold_pct = match threads {
-                0 | 1 => 90,
-                2 | 3 => 80,
-                _ => 70,
-            };
-            if 100 * g.num_edges() >= threshold_pct * max_edges {
+            if 100 * edges >= 90 * max_edges {
                 return Algorithm::DpSub;
             }
         }
         Algorithm::DpCcp
     }
 
-    /// Resolves `Auto` for a given graph, thread count *and* cost model
-    /// — the resolution the request layer uses.
+    /// Resolves `Auto` for a given graph *and* cost model — the
+    /// resolution the request layer uses.
     ///
-    /// Extends [`Algorithm::select_auto_with_parallelism`] with the one
-    /// choice that depends on the cost model: on dense graphs of
+    /// Extends [`Algorithm::select_auto`] with the one choice that
+    /// depends on the cost model: on dense graphs of
     /// [`Algorithm::DPCONV_MIN_RELATIONS`] or more relations where the
     /// model is `C_out`-shaped ([`CostModel::is_cout_shaped`]), the
     /// subset-convolution engine [`DpConv`] replaces the DPsub/DPccp
     /// pair. The guard on the model is load-bearing: DPconv refuses
     /// non-`C_out` models with a typed error, so `Auto` must never route
     /// a `HashJoin`-costed query to it.
-    pub fn select_auto_with_model(
-        g: &QueryGraph,
-        threads: usize,
-        model: &dyn CostModel,
-    ) -> Algorithm {
-        let picked = Algorithm::select_auto_with_parallelism(g, threads);
+    pub fn select_auto_with_model(g: &QueryGraph, model: &dyn CostModel) -> Algorithm {
+        let picked = Algorithm::select_auto(g);
         if picked == Algorithm::DpSub
             && g.num_relations() >= Algorithm::DPCONV_MIN_RELATIONS
             && model.is_cout_shaped()
@@ -238,8 +216,8 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// An optimizer with `Auto` algorithm selection, the `C_out`
-    /// cost model and automatic thread-count selection.
+    /// An optimizer with `Auto` algorithm selection and the `C_out`
+    /// cost model.
     pub fn new() -> Optimizer {
         Optimizer {
             algorithm: Algorithm::Auto,
@@ -269,8 +247,8 @@ impl Optimizer {
     /// Optimizes one query.
     ///
     /// Thin forward to [`OptimizeRequest`](crate::OptimizeRequest) —
-    /// equivalent to building a request with this optimizer's algorithm,
-    /// cost model and thread count, then discarding the execution
+    /// equivalent to building a request with this optimizer's algorithm
+    /// and cost model, then discarding the execution
     /// metadata of its [`OptimizeOutcome`](crate::OptimizeOutcome).
     ///
     /// # Errors
@@ -307,9 +285,7 @@ impl Optimizer {
     /// Each worker owns a pooled [`crate::Session`] and claims queries
     /// from a shared queue, so a batch of mixed sizes load-balances and
     /// every query after a worker's first reuses its table and arena
-    /// allocations. Individual queries run with one intra-query thread —
-    /// for a full batch, query-level parallelism dominates level-level
-    /// parallelism and avoids oversubscription. Results come back in
+    /// allocations. Results come back in
     /// input order, each independently `Ok` or `Err` (one invalid query
     /// does not poison the batch). A query that *panics* is likewise
     /// isolated: the panic is caught, reported as
@@ -342,7 +318,8 @@ impl Optimizer {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
 
-        let workers = crate::request::available_parallelism()
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
             .min(queries.len())
             .max(1);
 
@@ -356,7 +333,6 @@ impl Optimizer {
                 crate::request::OptimizeRequest::new(g, catalog)
                     .with_algorithm(self.algorithm)
                     .with_cost_model(self.model.as_ref())
-                    .with_threads(1)
                     .with_observer(obs)
                     .run_in(&mut s)
                     .map(crate::request::OptimizeOutcome::into_result)
@@ -457,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_accounts_for_available_parallelism() {
+    fn auto_density_rule_is_one_column() {
         // n=8 graphs at controlled densities (28 possible edges). Edges
         // are added in lexicographic pair order, so every graph with
         // ≥ 7 edges contains the star around relation 0 and is connected.
@@ -477,31 +453,27 @@ mod tests {
             g
         }
         use Algorithm::{DpCcp as C, DpSub as S};
-        // (edges, expected algorithm at 1, 2, 3, 4 and 8 threads) — the
-        // documented 90/80/70 % density thresholds.
+        // (edges, expected algorithm) — the documented 90 % threshold.
         let table = [
-            (14, [C, C, C, C, C]), // 50 %: sparse at any parallelism
-            (20, [C, C, C, S, S]), // 71 %: worth DPsub only with ≥ 4 threads
-            (23, [C, S, S, S, S]), // 82 %: 2 threads buy back the waste
-            (26, [S, S, S, S, S]), // 93 %: near-clique, DPsub everywhere
+            (14, C), // 50 %
+            (20, C), // 71 %
+            (23, C), // 82 %
+            (25, C), // 89 %
+            (26, S), // 93 %: near-clique
+            (28, S), // clique
         ];
-        for (edges, expected) in table {
+        for (edges, want) in table {
             let g = graph_with_edges(edges);
-            for (threads, want) in [1, 2, 3, 4, 8].into_iter().zip(expected) {
-                assert_eq!(
-                    Algorithm::select_auto_with_parallelism(&g, threads),
-                    want,
-                    "edges={edges} threads={threads}"
-                );
-            }
+            assert_eq!(Algorithm::select_auto(&g), want, "edges={edges}");
+            assert_eq!(
+                Algorithm::select_by_density(8, edges),
+                want,
+                "edges={edges}"
+            );
         }
-        // Beyond the dense-table cap DPsub has no parallel path: even a
-        // clique resolves to DPccp regardless of thread count.
-        let huge = generators::clique(crate::parallel::MAX_ENGINE_RELATIONS + 1).unwrap();
-        assert_eq!(
-            Algorithm::select_auto_with_parallelism(&huge, 64),
-            Algorithm::DpCcp
-        );
+        // Beyond the dense-table cap even a clique resolves to DPccp.
+        let huge = generators::clique(DenseDpTable::MAX_RELATIONS + 1).unwrap();
+        assert_eq!(Algorithm::select_auto(&huge), Algorithm::DpCcp);
     }
 
     #[test]
@@ -537,31 +509,31 @@ mod tests {
         let big = generators::clique(Algorithm::DPCONV_MIN_RELATIONS).unwrap();
         // C_out-shaped model on a crossover-sized clique: DPconv.
         assert_eq!(
-            Algorithm::select_auto_with_model(&big, 1, &Cout),
+            Algorithm::select_auto_with_model(&big, &Cout),
             Algorithm::DpConv
         );
         // The model guard: DPconv would refuse HashJoin with a typed
         // error, so Auto must fall back to DPsub on the same graph.
         assert_eq!(
-            Algorithm::select_auto_with_model(&big, 1, &HashJoin),
+            Algorithm::select_auto_with_model(&big, &HashJoin),
             Algorithm::DpSub
         );
         // Below the measured crossover the DPsub choice stands even for
         // C_out, and sparse graphs stay with DPccp at any size.
         let small = generators::clique(Algorithm::DPCONV_MIN_RELATIONS - 1).unwrap();
         assert_eq!(
-            Algorithm::select_auto_with_model(&small, 1, &Cout),
+            Algorithm::select_auto_with_model(&small, &Cout),
             Algorithm::DpSub
         );
         let sparse = generators::chain(Algorithm::DPCONV_MIN_RELATIONS + 2).unwrap();
         assert_eq!(
-            Algorithm::select_auto_with_model(&sparse, 1, &Cout),
+            Algorithm::select_auto_with_model(&sparse, &Cout),
             Algorithm::DpCcp
         );
         // Past the dense-table cap nothing dense-table-backed is viable.
-        let huge = generators::clique(crate::parallel::MAX_ENGINE_RELATIONS + 1).unwrap();
+        let huge = generators::clique(DenseDpTable::MAX_RELATIONS + 1).unwrap();
         assert_eq!(
-            Algorithm::select_auto_with_model(&huge, 1, &Cout),
+            Algorithm::select_auto_with_model(&huge, &Cout),
             Algorithm::DpCcp
         );
     }

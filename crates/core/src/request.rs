@@ -3,8 +3,7 @@
 //! [`Optimizer::optimize`](crate::Optimizer::optimize) answers "give me
 //! the best plan" with defaults everywhere. `OptimizeRequest` is the
 //! full-control entry point underneath it: one builder that carries the
-//! algorithm, the cost model, the thread count, optional time, memory
-//! and cost budgets, a cancellation flag, the budget policy, and a
+//! algorithm, the cost model, optional time, memory and cost budgets, a cancellation flag, the budget policy, and a
 //! telemetry observer — and that can run inside a pooled [`Session`] so
 //! repeated queries reuse the DP-table and plan-arena allocations.
 //!
@@ -22,11 +21,9 @@
 //! let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
 //!     .with_algorithm(Algorithm::DpSub)
 //!     .with_cost_model(&HashJoin)
-//!     .with_threads(2)
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(outcome.algorithm, Algorithm::DpSub);
-//! assert_eq!(outcome.threads, 2);
 //! assert_eq!(outcome.result.tree.num_relations(), 8);
 //! ```
 
@@ -40,36 +37,24 @@ use crate::cancel::{CancelFlag, CancellationToken};
 use crate::degrade::{
     BudgetAction, DegradationInfo, DegradationRung, TripKind, DEGRADE_IDP_BLOCK_SIZE,
 };
+use crate::dpsub::{self, Session, Variant};
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
 use crate::idp::Idp;
 use crate::optimizer::Algorithm;
-use crate::parallel::{run_level_synchronous, DpSubVariant, Session, MAX_ENGINE_RELATIONS};
 use crate::result::{DpResult, JoinOrderer};
 
 /// A fully configured optimization run, built incrementally.
 ///
-/// Defaults: [`Algorithm::Auto`], the `C_out` cost model, automatic
-/// thread count ([`std::thread::available_parallelism`]), no budgets,
-/// no telemetry.
-///
-/// The DPsub family ([`Algorithm::DpSub`], [`Algorithm::DpSubUnfiltered`],
-/// [`Algorithm::DpSubCrossProducts`]) runs on the level-synchronous
-/// engine of [`crate::parallel`] whenever the query fits its
-/// direct-addressed tables, and is therefore the only family that
-/// honours `with_threads` beyond 1; every other algorithm runs its
-/// sequential implementation. Engine results are bit-identical to the
-/// sequential algorithms at any thread count (see the module docs of
-/// [`crate::parallel`] for the argument), except for the `plans_built`
-/// statistic: the engine materializes exactly one plan node per DP-table
-/// entry, the sequential driver one per table *improvement*.
+/// Defaults: [`Algorithm::Auto`], the `C_out` cost model, no budgets,
+/// no telemetry. Every run uses the calling thread only; DPsub and
+/// DPconv run on the session's pooled tables.
 #[must_use = "an OptimizeRequest does nothing until run"]
 pub struct OptimizeRequest<'a> {
     graph: &'a QueryGraph,
     catalog: &'a Catalog,
     algorithm: Algorithm,
     model: &'a dyn CostModel,
-    threads: usize,
     time_budget: Option<Duration>,
     cost_budget: Option<f64>,
     memory_budget: Option<usize>,
@@ -86,9 +71,6 @@ pub struct OptimizeOutcome {
     pub result: DpResult,
     /// The concrete algorithm that ran (`Auto` resolved).
     pub algorithm: Algorithm,
-    /// Worker threads the run was configured with (1 for algorithms
-    /// without a parallel path).
-    pub threads: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
     /// `Some` when a budget tripped and [`BudgetAction::Degrade`] let a
@@ -111,7 +93,6 @@ impl<'a> OptimizeRequest<'a> {
             catalog,
             algorithm: Algorithm::Auto,
             model: &Cout,
-            threads: 0,
             time_budget: None,
             cost_budget: None,
             memory_budget: None,
@@ -133,18 +114,17 @@ impl<'a> OptimizeRequest<'a> {
         self
     }
 
-    /// Sets the worker-thread count for algorithms with a parallel
-    /// path. `0` (the default) means [`std::thread::available_parallelism`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Ignored: every run uses the calling thread only. Kept so callers
+    /// written against the earlier multi-threaded DPsub still compile.
+    #[deprecated(note = "runs are single-threaded; the thread count is ignored")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Aborts the run if it exceeds `budget` wall-clock time. Both the
-    /// sequential algorithms and the parallel engine poll the shared
-    /// [`CancellationToken`] inside their inner enumeration loops, so
-    /// even a mid-level run stops within a bounded number of
-    /// iterations.
+    /// Aborts the run if it exceeds `budget` wall-clock time. The
+    /// algorithms poll the shared [`CancellationToken`] inside their
+    /// inner enumeration loops, so even a mid-level run stops within a
+    /// bounded number of iterations.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
         self
@@ -199,39 +179,24 @@ impl<'a> OptimizeRequest<'a> {
     /// and plan-arena allocations.
     pub fn run_in(self, session: &mut Session) -> Result<OptimizeOutcome, OptimizeError> {
         let start = Instant::now();
-        let threads = if self.threads == 0 {
-            available_parallelism()
-        } else {
-            self.threads
-        };
         let algorithm = match self.algorithm {
-            Algorithm::Auto => Algorithm::select_auto_with_model(self.graph, threads, self.model),
+            Algorithm::Auto => Algorithm::select_auto_with_model(self.graph, self.model),
             concrete => concrete,
         };
-        let variant = match algorithm {
-            Algorithm::DpSub => Some(DpSubVariant::Filtered),
-            Algorithm::DpSubUnfiltered => Some(DpSubVariant::Unfiltered),
-            Algorithm::DpSubCrossProducts => Some(DpSubVariant::CrossProducts),
-            _ => None,
-        };
-        let engine_variant = variant.filter(|_| self.graph.num_relations() <= MAX_ENGINE_RELATIONS);
         let ctl = CancellationToken::new(self.cancel.clone(), self.time_budget, self.memory_budget);
-        let attempt = match engine_variant {
-            Some(v) => run_level_synchronous(
+        // DPsub and DPconv run on the session's pooled dense tables.
+        let attempt = if let Some(variant) = Variant::of(algorithm) {
+            dpsub::run_pooled(
                 self.graph,
                 self.catalog,
                 self.model,
-                v,
-                threads,
-                session,
-                algorithm.orderer(self.graph).name(),
+                variant,
                 self.observer,
                 &ctl,
+                session,
             )
-            .map(|r| (r, threads)),
-            // DPconv pools its dense tables and rank lists in the
-            // session, like the level-synchronous engine pools its own.
-            None if algorithm == Algorithm::DpConv => crate::dpconv::run_pooled(
+        } else if algorithm == Algorithm::DpConv {
+            crate::dpconv::run_pooled(
                 self.graph,
                 self.catalog,
                 self.model,
@@ -239,14 +204,17 @@ impl<'a> OptimizeRequest<'a> {
                 &ctl,
                 session.dpconv_scratch(),
             )
-            .map(|r| (r, 1)),
-            None => algorithm
-                .orderer(self.graph)
-                .optimize_controlled(self.graph, self.catalog, self.model, self.observer, &ctl)
-                .map(|r| (r, 1)),
+        } else {
+            algorithm.orderer(self.graph).optimize_controlled(
+                self.graph,
+                self.catalog,
+                self.model,
+                self.observer,
+                &ctl,
+            )
         };
         match attempt {
-            Ok((result, threads)) => {
+            Ok(result) => {
                 if let Some(budget) = self.cost_budget {
                     if result.cost > budget {
                         let err = OptimizeError::CostBudgetExceeded {
@@ -270,7 +238,6 @@ impl<'a> OptimizeRequest<'a> {
                         return Ok(OptimizeOutcome {
                             result,
                             algorithm,
-                            threads,
                             elapsed: start.elapsed(),
                             degradation,
                         });
@@ -279,7 +246,6 @@ impl<'a> OptimizeRequest<'a> {
                 Ok(OptimizeOutcome {
                     result,
                     algorithm,
-                    threads,
                     elapsed: start.elapsed(),
                     degradation: None,
                 })
@@ -343,7 +309,6 @@ impl<'a> OptimizeRequest<'a> {
                     return Ok(OptimizeOutcome {
                         result,
                         algorithm,
-                        threads: 1,
                         elapsed: start.elapsed(),
                         degradation,
                     });
@@ -392,18 +357,10 @@ impl<'a> OptimizeRequest<'a> {
     }
 }
 
-/// This machine's available parallelism, defaulting to 1 when the
-/// system will not say.
-pub(crate) fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpCcp, DpSub};
+    use crate::DpCcp;
     use joinopt_cost::{workload, HashJoin};
     use joinopt_qgraph::GraphKind;
 
@@ -474,27 +431,9 @@ mod tests {
         let w = workload::family_workload(GraphKind::Chain, 7, 0);
         let outcome = OptimizeRequest::new(&w.graph, &w.catalog).run().unwrap();
         assert_ne!(outcome.algorithm, Algorithm::Auto, "Auto must resolve");
-        assert!(outcome.threads >= 1);
         assert_eq!(outcome.result.tree.num_relations(), 7);
         let direct = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
         assert_eq!(outcome.result.cost.to_bits(), direct.cost.to_bits());
-    }
-
-    #[test]
-    fn engine_path_matches_sequential_dpsub() {
-        let w = workload::family_workload(GraphKind::Cycle, 9, 4);
-        let seq = DpSub.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-        for threads in [1, 2, 8] {
-            let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
-                .with_algorithm(Algorithm::DpSub)
-                .with_threads(threads)
-                .run()
-                .unwrap();
-            assert_eq!(outcome.threads, threads);
-            assert_eq!(outcome.result.cost.to_bits(), seq.cost.to_bits());
-            assert_eq!(outcome.result.tree, seq.tree);
-            assert_eq!(outcome.result.counters, seq.counters);
-        }
     }
 
     #[test]
@@ -503,11 +442,8 @@ mod tests {
         let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(Algorithm::DpCcp)
             .with_cost_model(&HashJoin)
-            .with_threads(4)
             .run()
             .unwrap();
-        // DPccp has no parallel path: the outcome reports 1 thread.
-        assert_eq!(outcome.threads, 1);
         let direct = DpCcp.optimize(&w.graph, &w.catalog, &HashJoin).unwrap();
         assert_eq!(outcome.result.cost.to_bits(), direct.cost.to_bits());
     }

@@ -4,7 +4,8 @@
 //! a fast multiplicative hasher written here (the standard-library
 //! SipHash is a poor fit for hot integer keys; see the workspace design
 //! notes). The table stores, per relation set, the best plan found so
-//! far and its statistics.
+//! far and its statistics. DPsub instead indexes a dense array by the
+//! subset integer ([`DenseDpTable`]).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,53 +66,6 @@ pub struct TableEntry {
     pub stats: PlanStats,
 }
 
-/// Storage interface for `BestPlan(S)` — implemented by the sparse
-/// hash-based [`DpTable`] (default) and the dense direct-addressed
-/// [`DenseDpTable`] DPsub uses for small `n` (the Vance/Maier original
-/// indexes an array by the subset integer, which is what makes DPsub's
-/// inner loop so cheap on dense search spaces).
-pub trait PlanTable {
-    /// Looks up `BestPlan(s)`.
-    fn get(&self, s: RelSet) -> Option<&TableEntry>;
-
-    /// Unconditionally registers `entry` as the plan for `s`.
-    fn insert(&mut self, s: RelSet, entry: TableEntry);
-
-    /// Registers lazily-built `entry` if `s` has no plan yet or `cost`
-    /// improves on the registered one. Returns `true` iff `s` was
-    /// previously absent.
-    fn insert_if_better(
-        &mut self,
-        s: RelSet,
-        cost: f64,
-        entry: impl FnOnce() -> TableEntry,
-    ) -> bool;
-
-    /// `true` iff a plan for `s` is registered.
-    fn contains(&self, s: RelSet) -> bool {
-        self.get(s).is_some()
-    }
-
-    /// Number of sets with a registered plan.
-    fn len(&self) -> usize;
-
-    /// Number of entry slots currently allocated (bucket capacity for
-    /// the sparse table, `2ⁿ` slots for the dense one). `len / capacity`
-    /// is the occupancy telemetry reports.
-    fn capacity(&self) -> usize;
-
-    /// Approximate bytes of storage backing the table (based on
-    /// allocated capacity, not occupancy) — what memory budgets charge.
-    fn bytes(&self) -> usize {
-        self.capacity() * std::mem::size_of::<(RelSet, TableEntry)>()
-    }
-
-    /// `true` iff no plan is registered.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The DP table mapping relation sets to their best plans.
 #[derive(Debug, Clone, Default)]
 pub struct DpTable {
@@ -135,11 +89,10 @@ impl DpTable {
     pub fn iter(&self) -> impl Iterator<Item = (RelSet, &TableEntry)> {
         self.map.iter().map(|(k, v)| (*k, v))
     }
-}
 
-impl PlanTable for DpTable {
+    /// Looks up `BestPlan(s)`.
     #[inline]
-    fn get(&self, s: RelSet) -> Option<&TableEntry> {
+    pub fn get(&self, s: RelSet) -> Option<&TableEntry> {
         self.map.get(&s)
     }
 
@@ -148,161 +101,109 @@ impl PlanTable for DpTable {
     /// connectedness test for already-enumerated sets (the standard
     /// DPsub implementation trick).
     #[inline]
-    fn contains(&self, s: RelSet) -> bool {
+    pub fn contains(&self, s: RelSet) -> bool {
         self.map.contains_key(&s)
     }
 
+    /// Unconditionally registers `entry` as the plan for `s`.
     #[inline]
-    fn insert(&mut self, s: RelSet, entry: TableEntry) {
+    pub fn insert(&mut self, s: RelSet, entry: TableEntry) {
         self.map.insert(s, entry);
     }
 
-    #[inline]
-    fn insert_if_better(
-        &mut self,
-        s: RelSet,
-        cost: f64,
-        entry: impl FnOnce() -> TableEntry,
-    ) -> bool {
-        match self.map.entry(s) {
-            std::collections::hash_map::Entry::Occupied(mut occ) => {
-                if cost < occ.get().stats.cost {
-                    *occ.get_mut() = entry();
-                }
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(vac) => {
-                vac.insert(entry());
-                true
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
+    /// Number of sets with a registered plan.
+    pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    fn capacity(&self) -> usize {
+    /// `true` iff no plan is registered.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Number of entry slots currently allocated; `len / capacity` is
+    /// the occupancy telemetry reports.
+    pub fn capacity(&self) -> usize {
         self.map.capacity()
+    }
+
+    /// Approximate bytes of storage backing the table (based on
+    /// allocated capacity, not occupancy) — what memory budgets charge.
+    pub fn bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<(RelSet, TableEntry)>()
     }
 }
 
-/// A dense, direct-addressed DP table: slot `s.bits()` holds the entry
-/// for set `s`. This is the layout of the original Vance/Maier
-/// implementation and what makes DPsub's innermost loop a handful of
-/// instructions on dense search spaces — no hashing, no probing.
+/// The dense, direct-addressed `BestPlan` table DPsub runs on: slot
+/// `s.bits()` holds the entry for set `s`. This is the layout of the
+/// original Vance/Maier implementation and what makes DPsub's innermost
+/// loop a handful of instructions on dense search spaces — no hashing,
+/// no probing.
 ///
-/// Memory is `Θ(2ⁿ)`, so it is only constructed for small `n`
-/// ([`DenseDpTable::MAX_RELATIONS`]); DPsub falls back to the sparse
-/// [`DpTable`] above that size (where DPsub is infeasible anyway).
-#[derive(Debug, Clone)]
+/// The slots are split into a presence bitmap, the statistics the inner
+/// loop reads, and the plan ids only materialization touches. The table
+/// lives in a [`Session`](crate::Session) and is reset, never shrunk,
+/// between runs, so repeated queries reuse its `Θ(2ⁿ)` allocation.
+#[derive(Debug, Default)]
 pub struct DenseDpTable {
-    slots: Vec<TableEntry>,
+    stats: Vec<PlanStats>,
+    plans: Vec<PlanId>,
     present: Vec<u64>,
-    len: usize,
 }
-
-/// Sentinel for empty slots (never read while absent).
-const VACANT: TableEntry = TableEntry {
-    plan: PlanId::SENTINEL,
-    stats: PlanStats {
-        cardinality: 0.0,
-        cost: f64::INFINITY,
-    },
-};
 
 impl DenseDpTable {
     /// Largest `n` for which a dense table is reasonable
-    /// (2²² entries ≈ 100 MiB).
+    /// (2²² entries ≈ 100 MiB) — the size cap of DPsub and DPconv.
     pub const MAX_RELATIONS: usize = 22;
 
-    /// Creates a table for subsets of `n` relations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > Self::MAX_RELATIONS`.
-    pub fn new(n: usize) -> DenseDpTable {
-        assert!(
-            n <= Self::MAX_RELATIONS,
-            "dense DP table limited to {} relations",
-            Self::MAX_RELATIONS
-        );
+    /// Readies the table for subsets of `n ≤` [`Self::MAX_RELATIONS`]
+    /// relations: grows the slots if needed and clears presence.
+    pub(crate) fn reset(&mut self, n: usize) {
+        debug_assert!(n <= Self::MAX_RELATIONS);
         let size = 1usize << n;
-        DenseDpTable {
-            slots: vec![VACANT; size],
-            present: vec![0u64; size.div_ceil(64)],
-            len: 0,
+        if self.stats.len() < size {
+            self.stats.resize(size, PlanStats::base(0.0));
+            self.plans.resize(size, PlanId::SENTINEL);
         }
+        let words = size.div_ceil(64);
+        if self.present.len() < words {
+            self.present.resize(words, 0);
+        }
+        self.present[..words].fill(0);
     }
 
+    /// `true` iff a plan for the set `bits` is registered.
     #[inline]
-    fn is_present(&self, idx: usize) -> bool {
+    pub(crate) fn contains(&self, bits: u64) -> bool {
+        let idx = bits as usize;
         (self.present[idx >> 6] >> (idx & 63)) & 1 == 1
     }
 
+    /// Statistics of the registered plan for `bits`.
     #[inline]
-    fn mark_present(&mut self, idx: usize) {
+    pub(crate) fn stats(&self, bits: u64) -> PlanStats {
+        self.stats[bits as usize]
+    }
+
+    /// Arena id of the registered plan for `bits`.
+    #[inline]
+    pub(crate) fn plan(&self, bits: u64) -> PlanId {
+        self.plans[bits as usize]
+    }
+
+    /// Registers `plan` with `stats` as the plan for `bits`.
+    #[inline]
+    pub(crate) fn insert(&mut self, bits: u64, plan: PlanId, stats: PlanStats) {
+        let idx = bits as usize;
+        self.stats[idx] = stats;
+        self.plans[idx] = plan;
         self.present[idx >> 6] |= 1u64 << (idx & 63);
     }
-}
 
-impl PlanTable for DenseDpTable {
-    #[inline]
-    fn get(&self, s: RelSet) -> Option<&TableEntry> {
-        let idx = s.bits() as usize;
-        if self.is_present(idx) {
-            Some(&self.slots[idx])
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn contains(&self, s: RelSet) -> bool {
-        self.is_present(s.bits() as usize)
-    }
-
-    #[inline]
-    fn insert(&mut self, s: RelSet, entry: TableEntry) {
-        let idx = s.bits() as usize;
-        if !self.is_present(idx) {
-            self.mark_present(idx);
-            self.len += 1;
-        }
-        self.slots[idx] = entry;
-    }
-
-    #[inline]
-    fn insert_if_better(
-        &mut self,
-        s: RelSet,
-        cost: f64,
-        entry: impl FnOnce() -> TableEntry,
-    ) -> bool {
-        let idx = s.bits() as usize;
-        if self.is_present(idx) {
-            if cost < self.slots[idx].stats.cost {
-                self.slots[idx] = entry();
-            }
-            false
-        } else {
-            self.mark_present(idx);
-            self.len += 1;
-            self.slots[idx] = entry();
-            true
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<TableEntry>()
+    /// Bytes of allocated storage (capacity, not occupancy).
+    pub fn bytes(&self) -> usize {
+        self.stats.capacity() * std::mem::size_of::<PlanStats>()
+            + self.plans.capacity() * std::mem::size_of::<PlanId>()
             + self.present.capacity() * std::mem::size_of::<u64>()
     }
 }
@@ -329,46 +230,14 @@ mod tests {
         let mut t = DpTable::new();
         assert!(t.is_empty());
         let s = RelSet::from_indices([0, 1]);
-        assert!(t.insert_if_better(s, 10.0, || entry(10.0)));
+        t.insert(s, entry(10.0));
         assert_eq!(t.len(), 1);
         assert!(t.contains(s));
         assert_eq!(t.get(s).unwrap().stats.cost, 10.0);
-    }
-
-    #[test]
-    fn better_cost_replaces() {
-        let mut t = DpTable::new();
-        let s = RelSet::single(0);
-        t.insert(s, entry(10.0));
-        assert!(!t.insert_if_better(s, 5.0, || entry(5.0)));
+        // A later insert replaces the entry.
+        t.insert(s, entry(5.0));
+        assert_eq!(t.len(), 1);
         assert_eq!(t.get(s).unwrap().stats.cost, 5.0);
-    }
-
-    #[test]
-    fn worse_cost_ignored_and_not_materialized() {
-        let mut t = DpTable::new();
-        let s = RelSet::single(0);
-        t.insert(s, entry(10.0));
-        let mut called = false;
-        assert!(!t.insert_if_better(s, 20.0, || {
-            called = true;
-            entry(20.0)
-        }));
-        assert!(!called, "losing candidate must not be materialized");
-        assert_eq!(t.get(s).unwrap().stats.cost, 10.0);
-    }
-
-    #[test]
-    fn equal_cost_keeps_first() {
-        let mut t = DpTable::new();
-        let s = RelSet::single(0);
-        t.insert(s, entry(10.0));
-        let mut called = false;
-        t.insert_if_better(s, 10.0, || {
-            called = true;
-            entry(10.0)
-        });
-        assert!(!called, "ties must keep the incumbent (strict <)");
     }
 
     #[test]
@@ -397,15 +266,23 @@ mod tests {
     fn bytes_track_allocated_capacity() {
         let t = DpTable::with_capacity(16);
         assert!(t.bytes() >= 16 * std::mem::size_of::<(RelSet, TableEntry)>());
-        let d = DenseDpTable::new(6);
-        assert_eq!(
-            d.bytes(),
-            64 * std::mem::size_of::<TableEntry>() + std::mem::size_of::<u64>()
+        let mut d = DenseDpTable::default();
+        d.reset(6);
+        assert!(
+            d.bytes()
+                >= 64 * (std::mem::size_of::<PlanStats>() + std::mem::size_of::<PlanId>())
+                    + std::mem::size_of::<u64>()
         );
         // Footprint is a function of capacity, not occupancy.
-        let mut d2 = DenseDpTable::new(6);
-        d2.insert(RelSet::single(0), entry(1.0));
-        assert_eq!(d2.bytes(), d.bytes());
+        let bytes = d.bytes();
+        let e = entry(1.0);
+        d.insert(1, e.plan, e.stats);
+        assert!(d.contains(1) && !d.contains(2));
+        assert_eq!(d.bytes(), bytes);
+        // A reset keeps the allocation and forgets every plan.
+        d.reset(6);
+        assert!(!d.contains(1));
+        assert_eq!(d.bytes(), bytes);
     }
 
     #[test]

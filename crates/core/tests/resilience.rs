@@ -7,6 +7,7 @@
 //! affected query alone — it never panics the caller and never returns
 //! a malformed plan.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{
@@ -17,6 +18,16 @@ use joinopt_cost::workload::{self, Workload};
 use joinopt_cost::Catalog;
 use joinopt_qgraph::{GraphKind, QueryGraph};
 
+/// The failpoint registry is process-global, so every test here
+/// serializes on this lock: under `--cfg failpoints` a site armed by one
+/// test must never fire inside another (the ladder's rungs reach
+/// `table-insert`, `arena-alloc` and `estimator` too).
+static FP_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
     assert_eq!(outcome.result.tree.relations(), w.graph.all_relations());
     assert_eq!(outcome.result.tree.num_joins(), w.graph.num_relations() - 1);
@@ -25,6 +36,7 @@ fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
 
 #[test]
 fn every_algorithm_honours_a_zero_time_budget() {
+    let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 10, 0);
     for alg in Algorithm::CONCRETE {
         let err = OptimizeRequest::new(&w.graph, &w.catalog)
@@ -41,6 +53,7 @@ fn every_algorithm_honours_a_zero_time_budget() {
 
 #[test]
 fn every_algorithm_honours_a_preset_cancel_flag() {
+    let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 10, 0);
     for alg in Algorithm::CONCRETE {
         let flag = CancelFlag::new();
@@ -56,6 +69,7 @@ fn every_algorithm_honours_a_preset_cancel_flag() {
 
 #[test]
 fn memory_accounted_algorithms_honour_a_tiny_budget() {
+    let _serial = serial();
     // SimulatedAnnealing's working state is O(n) and unaccounted; every
     // algorithm that builds DP tables or grows an arena charges the
     // shared token and must trip.
@@ -86,6 +100,7 @@ fn memory_accounted_algorithms_honour_a_tiny_budget() {
 
 #[test]
 fn time_trip_degrades_to_a_valid_plan_on_every_graph_kind() {
+    let _serial = serial();
     for kind in GraphKind::ALL {
         let w = workload::family_workload(kind, 9, 7);
         let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
@@ -105,27 +120,26 @@ fn time_trip_degrades_to_a_valid_plan_on_every_graph_kind() {
 }
 
 #[test]
-fn memory_trip_degrades_through_the_engine_path() {
+fn memory_trip_degrades_through_the_pooled_dpsub_path() {
+    let _serial = serial();
     // Clique 13 needs ~2^13 pooled table slots: far beyond 64 KiB, while
     // the IDP rung's bounded per-round tables fit comfortably.
     let w = workload::family_workload(GraphKind::Clique, 13, 0);
-    for threads in [1, 4] {
-        let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(Algorithm::DpSub)
-            .with_threads(threads)
-            .with_memory_budget(64 * 1024)
-            .on_budget_exceeded(BudgetAction::Degrade)
-            .run()
-            .unwrap();
-        let info = outcome.degradation.as_ref().expect("ladder taken");
-        assert_eq!(info.trigger, TripKind::Memory);
-        assert!(info.memory_used > 64 * 1024);
-        assert_complete_plan(&outcome, &w);
-    }
+    let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
+        .with_algorithm(Algorithm::DpSub)
+        .with_memory_budget(64 * 1024)
+        .on_budget_exceeded(BudgetAction::Degrade)
+        .run()
+        .unwrap();
+    let info = outcome.degradation.as_ref().expect("ladder taken");
+    assert_eq!(info.trigger, TripKind::Memory);
+    assert!(info.memory_used > 64 * 1024);
+    assert_complete_plan(&outcome, &w);
 }
 
 #[test]
 fn degradation_info_records_the_original_failure() {
+    let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 11, 0);
     let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
         .with_algorithm(Algorithm::DpSub)
@@ -145,6 +159,7 @@ fn degradation_info_records_the_original_failure() {
 
 #[test]
 fn degraded_plans_cost_no_less_than_the_optimum() {
+    let _serial = serial();
     // The ladder trades optimality for survival — never correctness.
     let w = workload::family_workload(GraphKind::Cycle, 9, 3);
     let exact = OptimizeRequest::new(&w.graph, &w.catalog)
@@ -163,6 +178,7 @@ fn degraded_plans_cost_no_less_than_the_optimum() {
 
 #[test]
 fn ladder_exhausted_when_even_goo_trips() {
+    let _serial = serial();
     // A 16-byte budget is below even GOO's small accounted footprint,
     // so the ladder runs out of rungs: exact trips, IDP trips, GOO
     // trips — and the caller gets the typed error of the *last* rung
@@ -183,6 +199,7 @@ fn ladder_exhausted_when_even_goo_trips() {
 
 #[test]
 fn batch_isolates_invalid_queries_between_valid_ones() {
+    let _serial = serial();
     let good: Vec<_> = (0..4)
         .map(|seed| workload::family_workload(GraphKind::ALL[seed % 4], 6, seed as u64))
         .collect();
@@ -208,6 +225,7 @@ fn batch_isolates_invalid_queries_between_valid_ones() {
 
 #[test]
 fn cancel_flag_shared_across_requests_stops_each() {
+    let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 9, 0);
     let flag = CancelFlag::new();
     // Not yet cancelled: runs complete.
@@ -232,14 +250,10 @@ fn cancel_flag_shared_across_requests_stops_each() {
 mod failpoints {
     use super::*;
     use joinopt_core::failpoint::{self, FailAction};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// The failpoint registry is process-global; tests that arm sites
-    /// serialize on this lock and clear the registry on both sides.
-    static FP_LOCK: Mutex<()> = Mutex::new(());
-
+    /// Takes the shared lock and clears the registry before arming.
     fn armed() -> MutexGuard<'static, ()> {
-        let guard = FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = serial();
         failpoint::clear_all();
         guard
     }
@@ -328,24 +342,6 @@ mod failpoints {
             matches!(err, OptimizeError::Internal(ref m) if m.contains("estimator")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn worker_spawn_fault_degrades_the_parallel_engine() {
-        let _guard = armed();
-        // Clique 13 at 4 threads passes the engine's spawn threshold.
-        let w = workload::family_workload(GraphKind::Clique, 13, 0);
-        failpoint::configure_times("worker-spawn", FailAction::Error, 1);
-        let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(Algorithm::DpSub)
-            .with_threads(4)
-            .on_budget_exceeded(BudgetAction::Degrade)
-            .run()
-            .unwrap();
-        failpoint::clear_all();
-        let info = outcome.degradation.as_ref().expect("ladder taken");
-        assert_eq!(info.trigger, TripKind::Internal);
-        assert_complete_plan(&outcome, &w);
     }
 
     #[test]

@@ -359,169 +359,10 @@ fn trace_writer_round_trips_on_real_run() {
 }
 
 // ---------------------------------------------------------------------
-// Parallel-engine profiling: zero-overhead guard, worker events, batch.
+// Batch workers.
 // ---------------------------------------------------------------------
 
-use std::sync::Mutex;
-
-use joinopt_core::parallel::engine_clock_reads;
-use joinopt_core::{OptimizeRequest, Optimizer};
-
-/// Serializes the tests that observe [`engine_clock_reads`] — the
-/// counter is process-global, so a concurrently running *observed*
-/// engine test would make the zero-delta assertion flaky.
-static ENGINE_CLOCK: Mutex<()> = Mutex::new(());
-
-fn engine_run(
-    w: &workload::Workload,
-    threads: usize,
-    obs: &dyn Observer,
-) -> joinopt_core::DpResult {
-    OptimizeRequest::new(&w.graph, &w.catalog)
-        .with_algorithm(Algorithm::DpSub)
-        .with_threads(threads)
-        .with_observer(obs)
-        .run()
-        .unwrap()
-        .into_result()
-}
-
-#[test]
-fn unobserved_engine_reads_no_clocks_and_stays_bit_identical() {
-    let _serial = ENGINE_CLOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let w = workload::family_workload(GraphKind::Star, 12, 0);
-
-    let metrics = MetricsCollector::new();
-    let observed = engine_run(&w, 4, &metrics);
-
-    // A NoopObserver run must never touch the profiling clock: every
-    // engine clock read funnels through one counter precisely so this
-    // test can pin the unobserved path to zero.
-    let before = engine_clock_reads();
-    let plain = engine_run(&w, 4, &NoopObserver);
-    assert_eq!(
-        engine_clock_reads() - before,
-        0,
-        "unobserved engine run read the profiling clock"
-    );
-
-    // And instrumentation must not change what is computed.
-    assert_eq!(plain.cost.to_bits(), observed.cost.to_bits());
-    assert_eq!(plain.counters, observed.counters);
-    assert_eq!(plain.tree, observed.tree);
-    assert_eq!(plain.table_size, observed.table_size);
-}
-
-/// (level, worker, thread_id, sets, service_ns, inner, pairs)
-type ChunkSample = (usize, usize, u64, usize, u64, u64, u64);
-/// (level, workers, max_service_ns, total_service_ns, idle_ns)
-type SyncSample = (usize, usize, u64, u64, u64);
-
-/// Records every worker-chunk and level-sync payload.
-#[derive(Default)]
-struct WorkerSink {
-    chunks: RefCell<Vec<ChunkSample>>,
-    syncs: RefCell<Vec<SyncSample>>,
-}
-
-impl Observer for WorkerSink {
-    fn on_event(&self, event: Event) {
-        match event {
-            Event::WorkerChunk {
-                level,
-                worker,
-                thread_id,
-                sets,
-                service_ns,
-                inner,
-                pairs,
-            } => self
-                .chunks
-                .borrow_mut()
-                .push((level, worker, thread_id, sets, service_ns, inner, pairs)),
-            Event::LevelSync {
-                level,
-                workers,
-                max_service_ns,
-                total_service_ns,
-                idle_ns,
-                ..
-            } => self.syncs.borrow_mut().push((
-                level,
-                workers,
-                max_service_ns,
-                total_service_ns,
-                idle_ns,
-            )),
-            _ => {}
-        }
-    }
-}
-
-#[test]
-fn engine_emits_per_worker_profile_with_consistent_rollups() {
-    let _serial = ENGINE_CLOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let w = workload::family_workload(GraphKind::Star, 12, 0);
-    let sink = WorkerSink::default();
-    let result = engine_run(&w, 4, &sink);
-
-    let chunks = sink.chunks.borrow();
-    let syncs = sink.syncs.borrow();
-
-    // One level_sync per level 2..=n, in ascending level order.
-    let n = 12;
-    assert_eq!(syncs.len(), n - 1, "{syncs:?}");
-    for (i, s) in syncs.iter().enumerate() {
-        assert_eq!(s.0, i + 2, "levels out of order: {syncs:?}");
-    }
-    // Big middle levels (hundreds of sets) must actually fan out.
-    assert!(
-        syncs.iter().any(|s| s.1 == 4),
-        "no level used all 4 workers: {syncs:?}"
-    );
-
-    for &(level, workers, max_service, total_service, idle) in syncs.iter() {
-        let level_chunks: Vec<_> = chunks.iter().filter(|c| c.0 == level).collect();
-        // One worker_chunk per worker, in worker order.
-        assert_eq!(level_chunks.len(), workers, "level {level}");
-        for (w_idx, c) in level_chunks.iter().enumerate() {
-            assert_eq!(c.1, w_idx, "worker order broken at level {level}");
-        }
-        // The rollup is exactly the fold of its chunks.
-        assert_eq!(
-            max_service,
-            level_chunks.iter().map(|c| c.4).max().unwrap_or(0),
-            "level {level}"
-        );
-        assert_eq!(
-            total_service,
-            level_chunks.iter().map(|c| c.4).sum::<u64>(),
-            "level {level}"
-        );
-        assert_eq!(
-            idle,
-            workers as u64 * max_service - total_service,
-            "level {level}"
-        );
-        // Concurrent workers ran on distinct threads.
-        if workers > 1 {
-            let mut tids: Vec<u64> = level_chunks.iter().map(|c| c.2).collect();
-            tids.sort_unstable();
-            tids.dedup();
-            assert_eq!(tids.len(), workers, "shared thread ids at level {level}");
-        }
-    }
-
-    // Per-chunk counters sum to the run's final counters.
-    assert_eq!(
-        chunks.iter().map(|c| c.5).sum::<u64>(),
-        result.counters.inner
-    );
-    assert_eq!(
-        chunks.iter().map(|c| c.6).sum::<u64>(),
-        result.counters.csg_cmp_pairs
-    );
-}
+use joinopt_core::Optimizer;
 
 #[test]
 fn batch_observed_traces_tag_every_run_with_a_thread_id() {

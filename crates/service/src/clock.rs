@@ -21,13 +21,12 @@ use std::time::{Duration, Instant};
 /// zero-overhead pinning tests.
 static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
 
-/// How many times any [`Clock`] in this process has been read — the
-/// serve-path analog of `joinopt_core`'s `engine_clock_reads()`. The
+/// How many times any [`Clock`] in this process has been read. The
 /// tracing layer's contract is that, with tracing disabled, a gateway
 /// request performs *exactly* the same clock reads as before tracing
 /// existed; the pinned test in `tests/trace_overhead.rs` asserts the
-/// delta. Like its engine counterpart, the counter is monotonic and
-/// shared, so observing tests must run in their own test binary.
+/// delta. The counter is monotonic and shared, so observing tests must
+/// run in their own test binary.
 pub fn clock_reads() -> u64 {
     CLOCK_READS.load(Ordering::Relaxed)
 }

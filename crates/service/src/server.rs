@@ -1335,6 +1335,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_rejected_and_the_server_survives() {
+        let (handle, addr) = start_default();
+        let mut client = LineClient::connect(addr).unwrap();
+        // One line of 1,000,000 `[`: parsed recursively without a depth
+        // cap, it overflows the connection thread's stack and aborts
+        // the whole server.
+        let hostile = client.call(&"[".repeat(1_000_000)).unwrap();
+        assert_eq!(hostile.get("status").unwrap().as_str(), Some("error"));
+        assert_eq!(hostile.get("error_type").unwrap().as_str(), Some("invalid"));
+        let health = client.call("{\"verb\":\"health\"}").unwrap();
+        assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+        client.call("{\"verb\":\"shutdown\"}").unwrap();
+        assert!(handle.join().unwrap().unwrap().drained);
+    }
+
+    #[test]
     fn protocol_rejects_bad_requests_typed() {
         let (handle, addr) = start_default();
         let mut client = LineClient::connect(addr).unwrap();

@@ -538,7 +538,6 @@ impl OptimizerService {
         let mut request = OptimizeRequest::new(&graph, &catalog)
             .with_algorithm(algorithm)
             .with_cost_model(model)
-            .with_threads(1)
             .with_observer(obs);
         if let Some(budget) = req.time_budget {
             request = request.with_time_budget(budget);
@@ -587,18 +586,10 @@ impl OptimizerService {
 }
 
 /// Resolves `Auto` from an owned spec without instantiating the graph:
-/// the same density policy as
-/// [`Algorithm::select_auto_with_parallelism`] at one intra-query
-/// thread (service workers run queries sequentially inside).
+/// [`Algorithm::select_auto`]'s density rule, so the service picks DPsub
+/// or DPccp and never DPconv.
 fn resolve_auto(spec: &QuerySpec) -> Algorithm {
-    let n = spec.num_relations();
-    if (2..=joinopt_core::table::DenseDpTable::MAX_RELATIONS).contains(&n) {
-        let max_edges = n * (n - 1) / 2;
-        if 100 * spec.num_edges() >= 90 * max_edges {
-            return Algorithm::DpSub;
-        }
-    }
-    Algorithm::DpCcp
+    Algorithm::select_by_density(spec.num_relations(), spec.num_edges())
 }
 
 /// Renders a caught panic payload for [`OptimizeError::Internal`].
@@ -621,6 +612,33 @@ mod tests {
     fn spec(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
         let w = workload::family_workload(kind, n, seed);
         QuerySpec::capture(&w.graph, &w.catalog).unwrap()
+    }
+
+    #[test]
+    fn resolve_auto_is_the_core_density_rule() {
+        use joinopt_cost::Catalog;
+        use joinopt_qgraph::QueryGraph;
+        for n in 6..=14 {
+            // A chain backbone keeps every graph connected; the other
+            // pairs follow in lexicographic order.
+            let mut pairs: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+            for i in 0..n {
+                for j in i + 2..n {
+                    pairs.push((i, j));
+                }
+            }
+            let max_edges = pairs.len();
+            for edges in max_edges / 2..=max_edges {
+                let g = QueryGraph::from_edges(n, pairs[..edges].iter().copied()).unwrap();
+                let spec = QuerySpec::capture(&g, &Catalog::new(&g)).unwrap();
+                let picked = resolve_auto(&spec);
+                assert_eq!(picked, Algorithm::select_auto(&g), "n={n} edges={edges}");
+                assert!(
+                    matches!(picked, Algorithm::DpSub | Algorithm::DpCcp),
+                    "n={n} edges={edges}: {picked:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Pinned behavior: with no [`RequestTrace`] attached, the gateway's
 //! request path reads the clock a **fixed, minimal** number of times
 //! and produces bit-identical plans — the zero-overhead promise of the
-//! serve-path tracing, mirroring the core engine's
-//! `engine_clock_reads()` contract for the service layer.
+//! serve-path tracing.
 //!
 //! This lives in its own integration-test binary on purpose: it is the
 //! sole user of the process-global [`clock_reads`] counter, so no

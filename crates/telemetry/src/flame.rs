@@ -3,16 +3,8 @@
 //! format consumed by flamegraph tooling (`flamegraph.pl`, inferno,
 //! speedscope).
 //!
-//! Frames are semantic rather than call frames:
-//!
-//! * completed phase spans become `algorithm;<phase>` weighted by the
-//!   span's wall time,
-//! * parallel-engine chunks become
-//!   `algorithm;enumerate;level<k>;worker<w>` weighted by chunk service
-//!   time (self time — the parent `enumerate` frame also covers it, so
-//!   chunk frames are charged against the enumerate span),
-//! * level merges become `algorithm;enumerate;level<k>;merge` weighted
-//!   by merge time.
+//! Frames are semantic rather than call frames: completed phase spans
+//! become `algorithm;<phase>` weighted by the span's wall time.
 //!
 //! Events are grouped by the trace's `thread_id` field, so interleaved
 //! lines from a batch run fold into per-run stacks. Identical stacks
@@ -108,31 +100,6 @@ pub fn collapse_trace(trace: &str) -> Result<String, FlameError> {
                         now.saturating_sub(start);
                 }
             }
-            "worker_chunk" => {
-                let level = field_u64(&v, lineno, "level")?;
-                let worker = field_u64(&v, lineno, "worker")?;
-                let service = field_u64(&v, lineno, "service_ns")?;
-                let algorithm = if state.algorithm.is_empty() {
-                    "unknown"
-                } else {
-                    &state.algorithm
-                };
-                *stacks
-                    .entry(format!("{algorithm};enumerate;level{level};worker{worker}"))
-                    .or_insert(0) += service;
-            }
-            "level_sync" => {
-                let level = field_u64(&v, lineno, "level")?;
-                let merge = field_u64(&v, lineno, "merge_ns")?;
-                let algorithm = if state.algorithm.is_empty() {
-                    "unknown"
-                } else {
-                    &state.algorithm
-                };
-                *stacks
-                    .entry(format!("{algorithm};enumerate;level{level};merge"))
-                    .or_insert(0) += merge;
-            }
             _ => {}
         }
     }
@@ -150,24 +117,15 @@ mod tests {
     use crate::TraceWriter;
 
     #[test]
-    fn folds_phase_spans_and_worker_frames() {
+    fn folds_phase_spans() {
         let trace = "\
 {\"event\":\"run_start\",\"phase\":\"run\",\"elapsed_ns\":0,\"thread_id\":1,\"algorithm\":\"DPsub\",\"relations\":6}
 {\"event\":\"phase_start\",\"phase\":\"enumerate\",\"elapsed_ns\":100,\"thread_id\":1}
-{\"event\":\"worker_chunk\",\"phase\":\"enumerate\",\"elapsed_ns\":400,\"thread_id\":1,\"level\":2,\"worker\":0,\"worker_thread_id\":2,\"sets\":8,\"service_ns\":120,\"inner\":30,\"pairs\":6}
-{\"event\":\"worker_chunk\",\"phase\":\"enumerate\",\"elapsed_ns\":410,\"thread_id\":1,\"level\":2,\"worker\":1,\"worker_thread_id\":3,\"sets\":7,\"service_ns\":110,\"inner\":28,\"pairs\":5}
-{\"event\":\"level_sync\",\"phase\":\"enumerate\",\"elapsed_ns\":420,\"thread_id\":1,\"level\":2,\"workers\":2,\"merge_ns\":40,\"max_service_ns\":120,\"total_service_ns\":230,\"idle_ns\":10}
 {\"event\":\"phase_end\",\"phase\":\"enumerate\",\"elapsed_ns\":600,\"thread_id\":1}
 {\"event\":\"run_end\",\"phase\":\"run\",\"elapsed_ns\":700,\"thread_id\":1}
 ";
         let folded = collapse_trace(trace).unwrap();
-        let expected = "\
-DPsub;enumerate 500
-DPsub;enumerate;level2;merge 40
-DPsub;enumerate;level2;worker0 120
-DPsub;enumerate;level2;worker1 110
-";
-        assert_eq!(folded, expected);
+        assert_eq!(folded, "DPsub;enumerate 500\n");
     }
 
     #[test]

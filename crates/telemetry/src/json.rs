@@ -153,12 +153,19 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so without a cap one line of `[`s
+/// would overflow the stack of whichever thread parses it.
+pub const MAX_DEPTH: usize = 128;
+
 impl JsonValue {
-    /// Parses a complete JSON document (rejects trailing garbage).
+    /// Parses a complete JSON document (rejects trailing garbage and
+    /// nesting deeper than [`MAX_DEPTH`]).
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -238,6 +245,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -282,12 +291,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser<'a>) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -509,6 +533,23 @@ mod tests {
             "trailing garbage must be rejected"
         );
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
+        let e = JsonValue::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.pos, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        // One hostile line: without the cap this overflows the stack
+        // and aborts the process.
+        assert!(JsonValue::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

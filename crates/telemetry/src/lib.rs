@@ -75,7 +75,7 @@ mod trace;
 pub mod window;
 
 pub use flame::{collapse_trace, FlameError};
-pub use metrics::{LevelCount, MetricsCollector, PhaseSpan, RunReport, WorkerLevel};
+pub use metrics::{LevelCount, MetricsCollector, PhaseSpan, RunReport};
 pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer, SyncFanout, Tee};
 pub use provenance::{DecisionRecord, ProvenanceCollector, SplitChoice};
 pub use registry::{

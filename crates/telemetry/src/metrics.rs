@@ -36,40 +36,6 @@ pub struct LevelCount {
     pub new_entries: u64,
 }
 
-/// Per-level rollup of the parallel engine's worker activity, built
-/// from one `level_sync` event (levels where the engine ran inline
-/// without spawning report `workers == 1` with zero merge/idle time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerLevel {
-    /// Relation-set size of the level.
-    pub level: usize,
-    /// Workers that processed chunks of this level.
-    pub workers: usize,
-    /// Wall time of the deterministic ascending merge at the barrier.
-    pub merge_ns: u64,
-    /// Slowest worker's chunk service time (the level's critical path).
-    pub max_service_ns: u64,
-    /// Sum of every worker's chunk service time.
-    pub total_service_ns: u64,
-    /// Aggregate barrier wait: `workers × max_service_ns −
-    /// total_service_ns`.
-    pub idle_ns: u64,
-}
-
-impl WorkerLevel {
-    /// Worker utilization in `[0, 1]`: total service time over the
-    /// level's `workers × max_service_ns` span (1.0 when perfectly
-    /// balanced, or when no time was measured).
-    pub fn utilization(&self) -> f64 {
-        let span = self.workers as u64 * self.max_service_ns;
-        if span == 0 {
-            1.0
-        } else {
-            self.total_service_ns as f64 / span as f64
-        }
-    }
-}
-
 /// Aggregated metrics of one optimizer run.
 ///
 /// Produced by [`MetricsCollector::report`]. Fields not reported by an
@@ -85,9 +51,6 @@ pub struct RunReport {
     pub phases: Vec<PhaseSpan>,
     /// Per-size DP-table entry counts, smallest size first.
     pub levels: Vec<LevelCount>,
-    /// Parallel-engine worker rollups, one per synchronized level
-    /// (empty for sequential runs).
-    pub worker_levels: Vec<WorkerLevel>,
     /// Sets with a registered plan (final DP-table size).
     pub table_entries: usize,
     /// Allocated table capacity (0 when not reported).
@@ -126,29 +89,6 @@ impl RunReport {
     /// the algorithm reports levels).
     pub fn level_total(&self) -> u64 {
         self.levels.iter().map(|l| l.new_entries).sum()
-    }
-
-    /// Run-wide worker utilization in `[0, 1]`: total service time over
-    /// total `workers × max_service_ns` span across all synchronized
-    /// levels. `None` for sequential runs that reported no
-    /// `level_sync` events at all — utilization is then simply not a
-    /// property of the run, not a perfect `1.0`. Parallel levels whose
-    /// measured span is zero report `Some(1.0)` (nothing waited).
-    pub fn worker_utilization(&self) -> Option<f64> {
-        if self.worker_levels.is_empty() {
-            return None;
-        }
-        let span: u64 = self
-            .worker_levels
-            .iter()
-            .map(|w| w.workers as u64 * w.max_service_ns)
-            .sum();
-        if span == 0 {
-            Some(1.0)
-        } else {
-            let service: u64 = self.worker_levels.iter().map(|w| w.total_service_ns).sum();
-            Some(service as f64 / span as f64)
-        }
     }
 
     /// Table occupancy in `[0, 1]` (0 when capacity was not reported).
@@ -194,22 +134,6 @@ impl RunReport {
             ));
         }
         s.push(']');
-        if !self.worker_levels.is_empty() {
-            s.push_str(",\"worker_levels\":[");
-            for (i, w) in self.worker_levels.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"level\":{},\"workers\":{},\"merge_ns\":{},\"max_service_ns\":{},\
-                     \"total_service_ns\":{},\"idle_ns\":{},\"utilization\":",
-                    w.level, w.workers, w.merge_ns, w.max_service_ns, w.total_service_ns, w.idle_ns
-                ));
-                write_f64(&mut s, w.utilization());
-                s.push('}');
-            }
-            s.push(']');
-        }
         s.push_str(&format!(
             ",\"table\":{{\"entries\":{},\"capacity\":{},\"probes\":{},\"hits\":{},\"occupancy\":",
             self.table_entries, self.table_capacity, self.table_probes, self.table_hits
@@ -297,21 +221,6 @@ impl fmt::Display for RunReport {
                 write!(f, " {}:{}", l.size, l.new_entries)?;
             }
             writeln!(f, "  (total {})", self.level_total())?;
-        }
-        if !self.worker_levels.is_empty() {
-            let max_workers = self
-                .worker_levels
-                .iter()
-                .map(|w| w.workers)
-                .max()
-                .unwrap_or(1);
-            writeln!(
-                f,
-                "workers:    {} levels synchronized, up to {} workers, {:.1}% utilized",
-                self.worker_levels.len(),
-                max_workers,
-                100.0 * self.worker_utilization().unwrap_or(1.0)
-            )?;
         }
         writeln!(
             f,
@@ -445,12 +354,10 @@ impl Observer for MetricsCollector {
             Event::Degraded { rung } => {
                 r.degraded_rung = Some(rung);
             }
-            // Per-chunk and per-candidate detail is for traces, the
-            // registry and the provenance collector; cache and serve
-            // events are cross-run by nature. The per-run report keeps
-            // rollups only.
-            Event::WorkerChunk { .. }
-            | Event::PlanCandidate { .. }
+            // Per-candidate detail is for traces and the provenance
+            // collector; cache and serve events are cross-run by nature.
+            // The per-run report keeps rollups only.
+            Event::PlanCandidate { .. }
             | Event::SearchPruned { .. }
             | Event::CacheLookup { .. }
             | Event::CacheStore { .. }
@@ -460,23 +367,6 @@ impl Observer for MetricsCollector {
             | Event::ServeRetried { .. }
             | Event::ServeBreakerOpen
             | Event::ServeDrained { .. } => {}
-            Event::LevelSync {
-                level,
-                workers,
-                merge_ns,
-                max_service_ns,
-                total_service_ns,
-                idle_ns,
-            } => {
-                r.worker_levels.push(WorkerLevel {
-                    level,
-                    workers,
-                    merge_ns,
-                    max_service_ns,
-                    total_service_ns,
-                    idle_ns,
-                });
-            }
             Event::RunEnd => {
                 r.total_ns = now;
             }
@@ -611,89 +501,6 @@ mod tests {
         let counters = v.get("counters").unwrap();
         assert_eq!(counters.get("ono_lohman").unwrap().as_u64(), Some(9));
         assert!(v.get("total_ns").unwrap().as_u64().is_some());
-    }
-
-    #[test]
-    fn worker_levels_roll_up_and_serialize() {
-        let mc = MetricsCollector::new();
-        mc.on_event(Event::RunStart {
-            algorithm: "DPsub",
-            relations: 6,
-        });
-        mc.on_event(Event::WorkerChunk {
-            level: 3,
-            worker: 0,
-            thread_id: 7,
-            sets: 10,
-            service_ns: 600,
-            inner: 40,
-            pairs: 12,
-        });
-        mc.on_event(Event::LevelSync {
-            level: 3,
-            workers: 2,
-            merge_ns: 100,
-            max_service_ns: 600,
-            total_service_ns: 1000,
-            idle_ns: 200,
-        });
-        mc.on_event(Event::LevelSync {
-            level: 4,
-            workers: 2,
-            merge_ns: 50,
-            max_service_ns: 400,
-            total_service_ns: 800,
-            idle_ns: 0,
-        });
-        mc.on_event(Event::RunEnd);
-        let r = mc.report();
-        assert_eq!(r.worker_levels.len(), 2);
-        assert!((r.worker_levels[0].utilization() - 1000.0 / 1200.0).abs() < 1e-12);
-        assert!((r.worker_levels[1].utilization() - 1.0).abs() < 1e-12);
-        assert!((r.worker_utilization().unwrap() - 1800.0 / 2000.0).abs() < 1e-12);
-        let text = r.to_string();
-        assert!(text.contains("2 levels synchronized"));
-        let v = JsonValue::parse(&r.to_json_line()).unwrap();
-        let wl = v.get("worker_levels").unwrap().as_array().unwrap();
-        assert_eq!(wl.len(), 2);
-        assert_eq!(wl[0].get("level").unwrap().as_u64(), Some(3));
-        assert_eq!(wl[0].get("workers").unwrap().as_u64(), Some(2));
-        assert_eq!(wl[0].get("idle_ns").unwrap().as_u64(), Some(200));
-        // Sequential runs omit the array entirely.
-        let empty = RunReport::default().to_json_line();
-        assert!(!empty.contains("worker_levels"));
-        assert_eq!(RunReport::default().worker_utilization(), None);
-    }
-
-    #[test]
-    fn sequential_runs_report_no_worker_rollup_at_all() {
-        // Regression: a run without worker_chunk/level_sync events must
-        // yield an *absent* rollup — no zeroed stub levels, no
-        // fabricated utilization figure, no "worker_levels" JSON key.
-        let mc = MetricsCollector::new();
-        sample_events(&mc); // a full sequential DPccp run
-        let r = mc.report();
-        assert!(r.worker_levels.is_empty());
-        assert_eq!(r.worker_utilization(), None);
-        assert!(!r.to_json_line().contains("worker_levels"));
-        assert!(!r.to_string().contains("workers:"));
-        // A parallel level whose timing measured zero still reports a
-        // (perfect) utilization: the rollup exists, it just saw no wait.
-        let mc = MetricsCollector::new();
-        mc.on_event(Event::RunStart {
-            algorithm: "DPsub",
-            relations: 3,
-        });
-        mc.on_event(Event::LevelSync {
-            level: 2,
-            workers: 1,
-            merge_ns: 0,
-            max_service_ns: 0,
-            total_service_ns: 0,
-            idle_ns: 0,
-        });
-        mc.on_event(Event::RunEnd);
-        assert_eq!(mc.report().worker_utilization(), Some(1.0));
     }
 
     #[test]

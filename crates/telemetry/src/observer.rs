@@ -112,43 +112,6 @@ pub enum Event {
         /// (the exact plan was kept despite a post-run cost trip).
         rung: &'static str,
     },
-    /// One worker's service summary for one level of the parallel
-    /// engine: the chunk of subsets it owned and what processing them
-    /// cost. Emitted at the level barrier (from the merge thread, in
-    /// worker order), one event per worker per level.
-    WorkerChunk {
-        /// DP level (relation-set size) the chunk belongs to.
-        level: usize,
-        /// Worker slot index within the level (`0..workers`).
-        worker: usize,
-        /// Portable id ([`current_thread_id`]) of the OS thread that
-        /// serviced the chunk — ties trace lines to real threads.
-        thread_id: u64,
-        /// Subsets the worker owned.
-        sets: usize,
-        /// Wall-clock nanoseconds the worker spent inside its chunk.
-        service_ns: u64,
-        /// Inner-loop iterations performed in this chunk.
-        inner: u64,
-        /// Csg-cmp-pairs counted in this chunk.
-        pairs: u64,
-    },
-    /// Per-level rollup emitted after the merge barrier: how well the
-    /// level's workers were utilized and what the merge cost.
-    LevelSync {
-        /// DP level (relation-set size).
-        level: usize,
-        /// Workers the level ran on (1 when it ran inline).
-        workers: usize,
-        /// Nanoseconds the merge (materializing winners) took.
-        merge_ns: u64,
-        /// Slowest worker's service time — the level's critical path.
-        max_service_ns: u64,
-        /// Sum of all workers' service times.
-        total_service_ns: u64,
-        /// Barrier wait: `workers × max_service_ns − total_service_ns`.
-        idle_ns: u64,
-    },
     /// One candidate split considered for a relation set during DP or
     /// memo enumeration — the plan-provenance vocabulary. Relation sets
     /// travel as raw bitmasks so the event stays `Copy` and
@@ -246,8 +209,6 @@ impl Event {
             Event::FinalCounters { .. } => "final_counters",
             Event::BudgetExceeded { .. } => "budget_exceeded",
             Event::Degraded { .. } => "degraded",
-            Event::WorkerChunk { .. } => "worker_chunk",
-            Event::LevelSync { .. } => "level_sync",
             Event::PlanCandidate { .. } => "plan_candidate",
             Event::SearchPruned { .. } => "search_pruned",
             Event::CacheLookup { .. } => "cache_lookup",
@@ -263,18 +224,15 @@ impl Event {
     }
 
     /// The phase this event belongs to: the named phase for span events,
-    /// `"enumerate"` for the parallel engine's worker events (they are
-    /// emitted between that phase's start and end), `"cache"` for the
+    /// `"enumerate"` for the provenance events (they are emitted between
+    /// that phase's start and end), `"cache"` for the
     /// plan-cache events (emitted by the service layer outside any
     /// optimizer run), `"serve"` for the server-gateway lifecycle
     /// events, `"run"` for everything else.
     pub fn phase(&self) -> &'static str {
         match self {
             Event::PhaseStart { phase } | Event::PhaseEnd { phase } => phase,
-            Event::WorkerChunk { .. }
-            | Event::LevelSync { .. }
-            | Event::PlanCandidate { .. }
-            | Event::SearchPruned { .. } => "enumerate",
+            Event::PlanCandidate { .. } | Event::SearchPruned { .. } => "enumerate",
             Event::CacheLookup { .. } | Event::CacheStore { .. } | Event::CacheEvict { .. } => {
                 "cache"
             }
@@ -549,27 +507,6 @@ mod tests {
         );
         assert_eq!(Event::BudgetExceeded { budget: "memory" }.phase(), "run");
         assert_eq!(Event::Degraded { rung: "greedy" }.name(), "degraded");
-        let chunk = Event::WorkerChunk {
-            level: 3,
-            worker: 1,
-            thread_id: 7,
-            sets: 20,
-            service_ns: 1000,
-            inner: 40,
-            pairs: 12,
-        };
-        assert_eq!(chunk.name(), "worker_chunk");
-        assert_eq!(chunk.phase(), "enumerate");
-        let sync = Event::LevelSync {
-            level: 3,
-            workers: 2,
-            merge_ns: 10,
-            max_service_ns: 1000,
-            total_service_ns: 1700,
-            idle_ns: 300,
-        };
-        assert_eq!(sync.name(), "level_sync");
-        assert_eq!(sync.phase(), "enumerate");
         let cand = Event::PlanCandidate {
             set: 0b111,
             left: 0b011,

@@ -63,8 +63,8 @@ fn bucket_lower_bound(i: usize) -> u64 {
 }
 
 /// A log-linear histogram over `u64` samples with ≤ 6.25% relative
-/// bucket error: the workhorse for durations (ns), per-level entry
-/// counts and utilization permilles.
+/// bucket error: the workhorse for durations (ns) and per-level entry
+/// counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -523,10 +523,6 @@ struct RunState {
 /// | `inner_loop_total`, `csg_cmp_pairs_total`, `ono_lohman_total` | counter | `algorithm` |
 /// | `budget_exceeded_total` | counter | `budget` |
 /// | `degraded_total` | counter | `rung` |
-/// | `worker_chunk_service_ns` | histogram | `algorithm` |
-/// | `worker_sets_total`, `worker_inner_total`, `worker_pairs_total` | counter | `worker` |
-/// | `level_merge_ns`, `level_idle_ns` | histogram | `algorithm` |
-/// | `worker_utilization_permille` | histogram | `algorithm` |
 /// | `plan_candidates_total`, `plan_candidates_accepted_total` | counter | `algorithm` |
 /// | `search_pruned_total` | counter | `reason` |
 /// | `cache_hits_total`, `cache_misses_total` | counter | — |
@@ -657,42 +653,6 @@ impl Observer for RegistryObserver<'_> {
             }
             Event::Degraded { rung } => {
                 reg.inc("joinopt_degraded_total", &[("rung", rung)], 1);
-            }
-            Event::WorkerChunk {
-                worker,
-                sets,
-                service_ns,
-                inner,
-                pairs,
-                ..
-            } => {
-                reg.record(
-                    "joinopt_worker_chunk_service_ns",
-                    &[("algorithm", self.algorithm())],
-                    service_ns,
-                );
-                let w = worker.to_string();
-                let labels = [("worker", w.as_str())];
-                reg.inc("joinopt_worker_sets_total", &labels, sets as u64);
-                reg.inc("joinopt_worker_inner_total", &labels, inner);
-                reg.inc("joinopt_worker_pairs_total", &labels, pairs);
-            }
-            Event::LevelSync {
-                workers,
-                merge_ns,
-                max_service_ns,
-                total_service_ns,
-                idle_ns,
-                ..
-            } => {
-                let algorithm = self.algorithm();
-                let labels = [("algorithm", algorithm)];
-                reg.record("joinopt_level_merge_ns", &labels, merge_ns);
-                reg.record("joinopt_level_idle_ns", &labels, idle_ns);
-                let denominator = workers as u64 * max_service_ns;
-                if let Some(permille) = (total_service_ns * 1000).checked_div(denominator) {
-                    reg.record("joinopt_worker_utilization_permille", &labels, permille);
-                }
             }
             Event::PlanCandidate { accepted, .. } => {
                 let labels = [("algorithm", self.algorithm())];
@@ -919,23 +879,6 @@ joinopt_table_entries{algorithm=\"DPccp\"} 10
                 csg_cmp_pairs: 14,
                 ono_lohman: 7,
             });
-            obs.on_event(Event::WorkerChunk {
-                level: 2,
-                worker: 0,
-                thread_id: current_thread_id(),
-                sets: 10,
-                service_ns: 800,
-                inner: 42,
-                pairs: 7,
-            });
-            obs.on_event(Event::LevelSync {
-                level: 2,
-                workers: 2,
-                merge_ns: 50,
-                max_service_ns: 800,
-                total_service_ns: 1200,
-                idle_ns: 400,
-            });
             obs.on_event(Event::BudgetExceeded { budget: "time" });
             obs.on_event(Event::Degraded { rung: "idp" });
             obs.on_event(Event::RunEnd);
@@ -957,19 +900,6 @@ joinopt_table_entries{algorithm=\"DPccp\"} 10
             snap.counter("joinopt_degraded_total", &[("rung", "idp")]),
             Some(2)
         );
-        assert_eq!(
-            snap.counter("joinopt_worker_inner_total", &[("worker", "0")]),
-            Some(84)
-        );
-        assert_eq!(
-            snap.counter("joinopt_worker_sets_total", &[("worker", "0")]),
-            Some(20)
-        );
-        let util = snap
-            .histogram("joinopt_worker_utilization_permille", &alg)
-            .unwrap();
-        assert_eq!(util.count(), 2);
-        assert_eq!(util.max(), 750); // 1200 / (2 × 800) = 0.75
         assert_eq!(
             snap.histogram("joinopt_run_duration_ns", &alg)
                 .unwrap()

@@ -116,37 +116,6 @@ impl<W: Write> TraceWriter<W> {
                 s.push_str(",\"rung\":");
                 write_escaped(&mut s, rung);
             }
-            Event::WorkerChunk {
-                level,
-                worker,
-                thread_id,
-                sets,
-                service_ns,
-                inner,
-                pairs,
-            } => {
-                // `worker_thread_id` is the *worker's* thread; the
-                // common `thread_id` field is the merge thread that
-                // emitted the event at the barrier.
-                s.push_str(&format!(
-                    ",\"level\":{level},\"worker\":{worker},\"worker_thread_id\":{thread_id},\
-                     \"sets\":{sets},\"service_ns\":{service_ns},\"inner\":{inner},\"pairs\":{pairs}"
-                ));
-            }
-            Event::LevelSync {
-                level,
-                workers,
-                merge_ns,
-                max_service_ns,
-                total_service_ns,
-                idle_ns,
-            } => {
-                s.push_str(&format!(
-                    ",\"level\":{level},\"workers\":{workers},\"merge_ns\":{merge_ns},\
-                     \"max_service_ns\":{max_service_ns},\"total_service_ns\":{total_service_ns},\
-                     \"idle_ns\":{idle_ns}"
-                ));
-            }
             Event::PlanCandidate {
                 set,
                 left,
@@ -280,24 +249,18 @@ mod tests {
     }
 
     #[test]
-    fn lines_carry_a_thread_id_and_worker_events_render() {
+    fn lines_carry_a_thread_id() {
         let tw = TraceWriter::new(Vec::new());
-        tw.on_event(Event::WorkerChunk {
-            level: 3,
-            worker: 1,
-            thread_id: 99,
-            sets: 20,
-            service_ns: 5000,
-            inner: 80,
-            pairs: 16,
+        tw.on_event(Event::PlanCandidate {
+            set: 0b11,
+            left: 0b01,
+            right: 0b10,
+            cost: 5.0,
+            accepted: true,
         });
-        tw.on_event(Event::LevelSync {
-            level: 3,
-            workers: 4,
-            merge_ns: 700,
-            max_service_ns: 5000,
-            total_service_ns: 18000,
-            idle_ns: 2000,
+        tw.on_event(Event::SearchPruned {
+            set: 0b11,
+            reason: "bound",
         });
         let text = String::from_utf8(tw.finish().unwrap()).unwrap();
         let lines: Vec<JsonValue> = text.lines().map(|l| JsonValue::parse(l).unwrap()).collect();
@@ -309,13 +272,9 @@ mod tests {
         }
         assert_eq!(
             lines[0].get("event").unwrap().as_str(),
-            Some("worker_chunk")
+            Some("plan_candidate")
         );
-        assert_eq!(lines[0].get("worker_thread_id").unwrap().as_u64(), Some(99));
-        assert_eq!(lines[0].get("service_ns").unwrap().as_u64(), Some(5000));
-        assert_eq!(lines[1].get("event").unwrap().as_str(), Some("level_sync"));
-        assert_eq!(lines[1].get("workers").unwrap().as_u64(), Some(4));
-        assert_eq!(lines[1].get("idle_ns").unwrap().as_u64(), Some(2000));
+        assert_eq!(lines[1].get("reason").unwrap().as_str(), Some("bound"));
     }
 
     #[test]

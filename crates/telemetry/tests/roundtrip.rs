@@ -7,8 +7,7 @@ use joinopt_telemetry::json::JsonValue;
 use joinopt_telemetry::{Event, MetricsCollector, MetricsRegistry, Observer, RegistryObserver};
 
 /// Drives one synthetic-but-complete run through `obs` — the same event
-/// vocabulary a real engine run emits, including the per-worker
-/// profile.
+/// vocabulary a real DPsub run emits.
 fn emit_run(obs: &dyn Observer) {
     obs.on_event(Event::RunStart {
         algorithm: "DPsub",
@@ -17,32 +16,6 @@ fn emit_run(obs: &dyn Observer) {
     obs.on_event(Event::PhaseStart { phase: "init" });
     obs.on_event(Event::PhaseEnd { phase: "init" });
     obs.on_event(Event::PhaseStart { phase: "enumerate" });
-    obs.on_event(Event::WorkerChunk {
-        level: 2,
-        worker: 0,
-        thread_id: 3,
-        sets: 14,
-        service_ns: 700,
-        inner: 21,
-        pairs: 14,
-    });
-    obs.on_event(Event::WorkerChunk {
-        level: 2,
-        worker: 1,
-        thread_id: 4,
-        sets: 14,
-        service_ns: 500,
-        inner: 19,
-        pairs: 12,
-    });
-    obs.on_event(Event::LevelSync {
-        level: 2,
-        workers: 2,
-        merge_ns: 150,
-        max_service_ns: 700,
-        total_service_ns: 1200,
-        idle_ns: 200,
-    });
     obs.on_event(Event::PhaseEnd { phase: "enumerate" });
     obs.on_event(Event::PhaseStart { phase: "extract" });
     obs.on_event(Event::PhaseEnd { phase: "extract" });
@@ -86,31 +59,6 @@ fn run_report_json_line_round_trips() {
     assert_eq!(table.get("probes").and_then(JsonValue::as_u64), Some(99));
     let counters = v.get("counters").expect("counters object");
     assert_eq!(counters.get("inner").and_then(JsonValue::as_u64), Some(40));
-
-    // The per-worker rollup serializes too, with the derived utilization.
-    let levels = v
-        .get("worker_levels")
-        .and_then(JsonValue::as_array)
-        .expect("worker_levels array");
-    assert_eq!(levels.len(), 1);
-    assert_eq!(levels[0].get("level").and_then(JsonValue::as_u64), Some(2));
-    assert_eq!(
-        levels[0].get("workers").and_then(JsonValue::as_u64),
-        Some(2)
-    );
-    assert_eq!(
-        levels[0].get("idle_ns").and_then(JsonValue::as_u64),
-        Some(200)
-    );
-    let utilization = levels[0]
-        .get("utilization")
-        .and_then(JsonValue::as_f64)
-        .expect("utilization");
-    // 1200 busy out of 2 workers × 700 span.
-    assert!(
-        (utilization - 1200.0 / 1400.0).abs() < 1e-9,
-        "{utilization}"
-    );
 }
 
 #[test]
@@ -153,15 +101,15 @@ fn registry_snapshot_json_round_trips() {
     assert_eq!(inner.get("value").and_then(JsonValue::as_u64), Some(80));
 
     // Histograms serialize their full summary, parseable as numbers.
-    let service = find("joinopt_worker_chunk_service_ns");
+    let levels = find("joinopt_dp_level_entries");
     assert_eq!(
-        service.get("type").and_then(JsonValue::as_str),
+        levels.get("type").and_then(JsonValue::as_str),
         Some("histogram")
     );
-    assert_eq!(service.get("count").and_then(JsonValue::as_u64), Some(4));
-    assert_eq!(service.get("sum").and_then(JsonValue::as_u64), Some(2400));
-    assert_eq!(service.get("max").and_then(JsonValue::as_u64), Some(700));
-    assert!(service.get("p50").and_then(JsonValue::as_u64).is_some());
+    assert_eq!(levels.get("count").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(levels.get("sum").and_then(JsonValue::as_u64), Some(14));
+    assert_eq!(levels.get("max").and_then(JsonValue::as_u64), Some(7));
+    assert!(levels.get("p50").and_then(JsonValue::as_u64).is_some());
 
     // Gauges come back signed.
     let entries = find("joinopt_table_entries");

@@ -1,8 +1,8 @@
 //! Adaptive algorithm selection — the paper's concluding recommendation
-//! operationalized: `Algorithm::Auto` inspects the query graph *and the
-//! available parallelism* and picks DPsub for (near-)cliques and DPccp
-//! everywhere else. More worker threads lower the density bar, because
-//! only DPsub has a parallel path.
+//! operationalized: `Algorithm::Auto` inspects the query graph's
+//! density and picks DPsub for (near-)cliques and DPccp everywhere else
+//! (the request layer hands dense `C_out` queries of 12 or more
+//! relations to DPconv instead).
 //!
 //! Run with: `cargo run --release --example adaptive`
 
@@ -11,27 +11,25 @@ use joinopt_cost::workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
-        "{:<8} {:>3} {:>6}..{:<6} {:>12} {:>12}",
-        "graph", "n", "auto@1", "auto@8", "time", "counters"
+        "{:<8} {:>3} {:>8} {:>8} {:>12} {:>12}",
+        "graph", "n", "density", "auto", "time", "counters"
     );
     for kind in GraphKind::ALL {
         let n = 13;
         let w = workload::family_workload(kind, n, 7);
 
-        // The selection is parallelism-aware: DPsub's level-synchronous
-        // engine scales with threads while DPccp is inherently serial,
-        // so the density threshold drops from 90% (1 thread) to 70% (≥4).
-        let at_one = Algorithm::select_auto_with_parallelism(&w.graph, 1);
-        let at_eight = Algorithm::select_auto_with_parallelism(&w.graph, 8);
-
+        // The same rule on every machine: DPsub at ≥ 90% of all
+        // possible edges, DPccp below — and DPconv for a dense C_out
+        // query of 12 or more relations.
+        let density = w.graph.num_edges() as f64 / (n * (n - 1) / 2) as f64;
         let outcome = OptimizeRequest::new(&w.graph, &w.catalog).run()?;
 
         println!(
-            "{:<8} {:>3} {:>6}..{:<6} {:>12} {:>12}",
+            "{:<8} {:>3} {:>7.0}% {:>8} {:>12} {:>12}",
             kind.name(),
             n,
-            format!("{at_one:?}"),
-            format!("{at_eight:?}"),
+            100.0 * density,
+            format!("{:?}", outcome.algorithm),
             format!("{:.2?}", outcome.elapsed),
             outcome.result.counters.inner,
         );
@@ -48,11 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nAuto resolves to DPsub only on dense graphs, where subset \
-         enumeration's trivial inner loop beats the csg machinery — \
-         ≥90% complete on one thread, relaxed to ≥70% once four or more \
-         workers can share the levels; everywhere else DPccp is chosen \
-         (it meets the Ono/Lohman lower bound)."
+        "\nAuto resolves to DPsub only on dense graphs (≥90% complete), \
+         where subset enumeration's trivial inner loop beats the csg \
+         machinery, and hands dense C_out queries of 12+ relations to \
+         DPconv; everywhere else DPccp is chosen (it meets the \
+         Ono/Lohman lower bound)."
     );
     Ok(())
 }

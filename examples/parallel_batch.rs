@@ -1,11 +1,8 @@
-//! The parallel engine and the batch API, end to end:
+//! Pooled sessions and the batch API, end to end:
 //!
-//! 1. one query at several thread counts — bit-identical plans, because
-//!    the level-synchronous engine merges worker results in a
-//!    deterministic order at every level barrier;
-//! 2. a pooled [`Session`] amortizing DP-table and plan-arena
+//! 1. a pooled [`Session`] amortizing DP-table and plan-arena
 //!    allocations across repeated runs;
-//! 3. [`Optimizer::optimize_batch`] spreading a mixed workload across
+//! 2. [`Optimizer::optimize_batch`] spreading a mixed workload across
 //!    workers, one query per thread.
 //!
 //! Run with: `cargo run --release --example parallel_batch`
@@ -14,31 +11,7 @@ use joinopt::prelude::*;
 use joinopt_cost::workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- 1. One clique query, every thread count, one answer. --------
-    let w = workload::family_workload(GraphKind::Clique, 12, 9);
-    println!("clique n=12, DPsub on the level-synchronous engine:\n");
-    let mut reference: Option<DpResult> = None;
-    for threads in [1, 2, 4, 8] {
-        let outcome = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(Algorithm::DpSub)
-            .with_threads(threads)
-            .run()?;
-        println!(
-            "  threads={threads}  time={:>10}  cost={:.6e}",
-            format!("{:.2?}", outcome.elapsed),
-            outcome.result.cost,
-        );
-        let result = outcome.into_result();
-        if let Some(r) = &reference {
-            assert_eq!(r.cost.to_bits(), result.cost.to_bits());
-            assert_eq!(r.tree, result.tree);
-            assert_eq!(r.counters, result.counters);
-        }
-        reference = Some(result);
-    }
-    println!("  → identical plan, cost and counters at every thread count ✓\n");
-
-    // --- 2. Session pooling across repeated optimizations. -----------
+    // --- 1. Session pooling across repeated optimizations. -----------
     let mut session = Session::new();
     for kind in GraphKind::ALL {
         let w = workload::family_workload(kind, 11, 3);
@@ -52,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.pooled_bytes(),
     );
 
-    // --- 3. A batch of queries, one worker thread each. ---------------
+    // --- 2. A batch of queries, one worker thread each. ---------------
     let workloads: Vec<_> = (0..6)
         .map(|i| workload::family_workload(GraphKind::ALL[i % 4], 8 + i % 3, i as u64))
         .collect();

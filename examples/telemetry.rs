@@ -76,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for alg in [Algorithm::DpSize, Algorithm::DpSub, Algorithm::DpCcp] {
         OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
-            .with_threads(4)
             .with_observer(&reg_obs)
             .run()?;
     }

@@ -17,7 +17,7 @@
 //! | [`qgraph`] | query graphs, generators, BFS numbering, `EnumerateCsg`/`EnumerateCmp`, `#csg`/`#ccp` formulas |
 //! | [`cost`] | catalog, cardinality estimator, cost models, workloads |
 //! | [`plan`] | plan arena and join trees |
-//! | [`core`] | DPsize / DPsub / DPccp / DPhyp, counters, counter formulas, oracle, GOO, the [`Optimizer`](crate::prelude::Optimizer) façade, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) session API and the parallel level-synchronous DPsub engine |
+//! | [`core`] | DPsize / DPsub / DPccp / DPhyp, counters, counter formulas, oracle, GOO, the [`Optimizer`](crate::prelude::Optimizer) façade, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) session API with pooled sessions |
 //! | [`query`] | textual query-description format and SQL frontend |
 //! | [`exec`] | toy execution engine: synthesize data, run plans, measure |
 //! | [`telemetry`] | zero-overhead observer API, run metrics, JSONL tracing |
