@@ -21,6 +21,12 @@ echo "==> benchmark package still builds against the workspace API"
 CARGO_TARGET_DIR=target/benchmark \
     cargo check --offline --all-targets --manifest-path servebench/Cargo.toml
 
+echo "==> telemetry allocation pin (steady-state serve telemetry allocates nothing)"
+# Also part of the workspace test run above; a counting global allocator
+# in its own test binary pins the registry and window lookups at zero
+# allocations once a series exists.
+cargo test --offline -q -p joinopt-telemetry --test alloc_pin
+
 echo "==> corpus regression replay"
 # Also part of the workspace test run above; the explicit gate makes a
 # corpus regression fail loudly under its own heading.

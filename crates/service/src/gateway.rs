@@ -34,13 +34,12 @@
 //! [`Event::ServeDrained`]), which the registry folds into the
 //! `joinopt_serve_*_total` series.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{OptimizeError, Session};
-use joinopt_telemetry::{Event, Observer, RequestTrace};
+use joinopt_telemetry::{Event, Observer, RequestTrace, TenantTable};
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 use crate::clock::Clock;
@@ -214,7 +213,7 @@ pub struct Gateway {
     service: OptimizerService,
     config: GatewayConfig,
     clock: Clock,
-    tenants: Mutex<HashMap<String, TenantState>>,
+    tenants: Mutex<TenantTable<TenantState>>,
     policy: Mutex<RetryPolicy>,
     in_flight: Mutex<usize>,
     idle: Condvar,
@@ -242,7 +241,7 @@ impl Gateway {
             service,
             config,
             clock,
-            tenants: Mutex::new(HashMap::new()),
+            tenants: Mutex::new(TenantTable::new()),
             policy: Mutex::new(policy),
             in_flight: Mutex::new(0),
             idle: Condvar::new(),
@@ -424,9 +423,7 @@ impl Gateway {
         // the just-reserved in-flight slot via the guard's drop.
         {
             let mut tenants = lock(&self.tenants);
-            let tenant = tenants
-                .entry(req.tenant.clone())
-                .or_insert_with(|| self.tenant_state());
+            let tenant = tenants.get_or_insert_with(&req.tenant, || self.tenant_state());
             if let BreakerDecision::Reject { retry_after } =
                 tenant.breaker.admit(self.clock.now_ns())
             {
@@ -493,7 +490,7 @@ impl Gateway {
                 Ok(outcome) => {
                     self.completed.fetch_add(1, Ordering::Relaxed);
                     let mut tenants = lock(&self.tenants);
-                    if let Some(t) = tenants.get_mut(req.tenant.as_str()) {
+                    if let Some(t) = tenants.get_mut(&req.tenant) {
                         t.breaker.on_success();
                         t.budget.deposit();
                     }
@@ -538,8 +535,7 @@ impl Gateway {
         }
         let mut tenants = lock(&self.tenants);
         tenants
-            .entry(req.tenant.clone())
-            .or_insert_with(|| self.tenant_state())
+            .get_or_insert_with(&req.tenant, || self.tenant_state())
             .budget
             .try_withdraw()
     }
@@ -558,7 +554,7 @@ impl Gateway {
         self.failed.fetch_add(1, Ordering::Relaxed);
         if counts_for_breaker(&e) {
             let opened = lock(&self.tenants)
-                .get_mut(req.tenant.as_str())
+                .get_mut(&req.tenant)
                 .is_some_and(|t| t.breaker.on_failure(self.clock.now_ns()));
             if opened {
                 self.breaker_opens.fetch_add(1, Ordering::Relaxed);
@@ -566,7 +562,7 @@ impl Gateway {
                     obs.on_event(Event::ServeBreakerOpen);
                 }
             }
-        } else if let Some(t) = lock(&self.tenants).get_mut(req.tenant.as_str()) {
+        } else if let Some(t) = lock(&self.tenants).get_mut(&req.tenant) {
             t.breaker.on_neutral();
         }
         GatewayError::Failed(e)
@@ -836,6 +832,40 @@ mod tests {
         clock.advance(Duration::from_millis(150));
         assert!(gw.handle(&req, None, &mut session, &NoopObserver).is_ok());
         assert_eq!(gw.breaker_state("acme"), BreakerState::Closed);
+    }
+
+    #[test]
+    fn default_and_named_tenants_trip_separate_breakers() {
+        for (tripped, spared) in [("", "acme"), ("acme", "")] {
+            let gw = Gateway::with_clock(
+                OptimizerService::new(ServiceConfig::default()),
+                GatewayConfig {
+                    breaker: BreakerConfig {
+                        failure_threshold: 2,
+                        cooldown: Duration::from_secs(60),
+                        success_threshold: 1,
+                    },
+                    ..GatewayConfig::default()
+                },
+                Clock::manual(),
+            );
+            let mut session = None;
+            let failing = ServiceRequest::new(spec(6, 8)).with_tenant(tripped);
+            for _ in 0..2 {
+                assert!(gw
+                    .handle(&failing, Some(Duration::ZERO), &mut session, &NoopObserver)
+                    .is_err());
+            }
+            assert_eq!(gw.breaker_state(tripped), BreakerState::Open);
+            assert_eq!(gw.breaker_state(spared), BreakerState::Closed);
+            assert!(matches!(
+                gw.handle(&failing, None, &mut session, &NoopObserver),
+                Err(GatewayError::Rejected(Rejection::BreakerOpen { .. }))
+            ));
+            let other = ServiceRequest::new(spec(6, 9)).with_tenant(spared);
+            assert!(gw.handle(&other, None, &mut session, &NoopObserver).is_ok());
+            assert_eq!(gw.breaker_state(spared), BreakerState::Closed);
+        }
     }
 
     #[test]

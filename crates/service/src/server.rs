@@ -27,7 +27,8 @@
 //! `retry_after_ms` hint) or `"error"` (`error_type` ∈ {`timeout`,
 //! `memory`, `panic`, `parse`, `invalid`, …} with a message).
 //! `deadline_ms` above [`MAX_DEADLINE_MS`] is rejected as `invalid`
-//! before any work happens.
+//! before any work happens, and so is a request line longer than
+//! [`MAX_LINE_BYTES`], whose tail is skipped up to the next newline.
 //!
 //! ## Correlation ids
 //!
@@ -197,25 +198,7 @@ impl ServeTelemetry {
     /// `total`) lands in the rolling windows, the trace itself in the
     /// recent/slow log.
     fn record(&self, trace: RequestTrace) {
-        {
-            let mut windows = self.lock_windows();
-            for span in trace.spans() {
-                windows.record(
-                    &trace.tenant,
-                    trace.verb,
-                    span.stage,
-                    span.end_ns,
-                    span.duration_ns(),
-                );
-            }
-            windows.record(
-                &trace.tenant,
-                trace.verb,
-                "total",
-                trace.finished_ns,
-                trace.total_ns(),
-            );
-        }
+        self.lock_windows().record_trace(&trace);
         self.lock_traces().record(trace);
     }
 }
@@ -443,6 +426,64 @@ impl Server {
     }
 }
 
+/// Longest request line the server accepts, in bytes, newline excluded.
+/// A longer line is answered with a typed `invalid` error as soon as it
+/// crosses the cap; the rest of it is skipped up to the next newline,
+/// where reading resyncs.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_capped_line`] found.
+enum LineRead {
+    /// A whole line is in the buffer, newline stripped.
+    Line,
+    /// The line in progress crossed [`MAX_LINE_BYTES`]; it was dropped.
+    Oversized,
+    /// The client closed the connection.
+    Closed,
+}
+
+/// Reads up to the next newline into `line`, never holding more than
+/// [`MAX_LINE_BYTES`]. `skipping` marks that the tail of an oversized
+/// line is being discarded; it and `line` carry over read timeouts, so a
+/// request split across reads is assembled across calls.
+fn read_capped_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    skipping: &mut bool,
+) -> std::io::Result<LineRead> {
+    loop {
+        let available = reader.fill_buf()?;
+        if available.is_empty() {
+            // A final line without a newline is still a request.
+            return Ok(if line.is_empty() {
+                LineRead::Closed
+            } else {
+                LineRead::Line
+            });
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        let oversized = !*skipping && line.len() + chunk.len() > MAX_LINE_BYTES;
+        if oversized {
+            line.clear();
+        } else if !*skipping {
+            line.extend_from_slice(chunk);
+        }
+        let consumed = chunk.len() + usize::from(newline.is_some());
+        reader.consume(consumed);
+        if oversized {
+            *skipping = newline.is_none();
+            return Ok(LineRead::Oversized);
+        }
+        if newline.is_some() {
+            if !*skipping {
+                return Ok(LineRead::Line);
+            }
+            *skipping = false;
+        }
+    }
+}
+
 /// One connection's read → dispatch → respond loop.
 fn serve_connection(
     gateway: &Gateway,
@@ -455,35 +496,62 @@ fn serve_connection(
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     let mut session: Option<Session> = None;
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut skipping = false;
     loop {
         // Close idle connections once draining; a partially read
         // request (non-empty buffer) is always completed and answered.
         if shutdown.load(Ordering::SeqCst) && line.is_empty() {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) => {
-                let text = line.trim().to_string();
+        let (response, is_shutdown) = match read_capped_line(&mut reader, &mut line, &mut skipping)
+        {
+            Ok(LineRead::Closed) => return Ok(()),
+            Ok(LineRead::Oversized) => (
+                error_response(
+                    "?",
+                    Echo::default(),
+                    "invalid",
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                ),
+                false,
+            ),
+            Ok(LineRead::Line) => {
+                // Blank lines get no reply; `is_empty` settles them
+                // without a zero-length `memcmp`.
+                let reply = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok(text) => (!text.is_empty())
+                        .then(|| dispatch(gateway, telemetry, shutdown, text, &mut session, obs)),
+                    Err(_) => Some((
+                        error_response(
+                            "?",
+                            Echo::default(),
+                            "invalid",
+                            "request line is not UTF-8",
+                        ),
+                        false,
+                    )),
+                };
                 line.clear();
-                if text.is_empty() {
-                    continue;
-                }
-                let (response, is_shutdown) =
-                    dispatch(gateway, telemetry, shutdown, &text, &mut session, obs);
-                writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                if is_shutdown {
-                    return Ok(());
+                match reply {
+                    Some(reply) => reply,
+                    None => continue,
                 }
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
+                    || e.kind() == std::io::ErrorKind::Interrupted =>
+            {
+                continue
+            }
             Err(_) => return Ok(()), // connection torn down
+        };
+        writer.write_all(response.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        if is_shutdown {
+            return Ok(());
         }
     }
 }
@@ -1346,6 +1414,55 @@ mod tests {
         assert_eq!(hostile.get("error_type").unwrap().as_str(), Some("invalid"));
         let health = client.call("{\"verb\":\"health\"}").unwrap();
         assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+        client.call("{\"verb\":\"shutdown\"}").unwrap();
+        assert!(handle.join().unwrap().unwrap().drained);
+    }
+
+    #[test]
+    fn oversized_line_is_rejected_and_the_connection_resyncs() {
+        let (handle, addr) = start_default();
+        let mut client = LineClient::connect(addr).unwrap();
+        // Past the cap: answered `invalid` without buffering the rest.
+        let mut huge = String::from("{\"verb\":\"health\",\"pad\":\"");
+        huge.push_str(&"x".repeat(MAX_LINE_BYTES));
+        huge.push_str("\"}");
+        let hostile = client.call(&huge).unwrap();
+        assert_eq!(hostile.get("status").unwrap().as_str(), Some("error"));
+        assert_eq!(hostile.get("error_type").unwrap().as_str(), Some("invalid"));
+        assert!(hostile
+            .get("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("exceeds"));
+        // The tail of the oversized line was skipped: the next line is
+        // the next request.
+        let health = client.call("{\"verb\":\"health\",\"id\":\"h\"}").unwrap();
+        assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+        assert_eq!(health.get("id").unwrap().as_str(), Some("h"));
+        // A line of exactly the cap is still read and parsed.
+        let mut at_cap = String::from("{\"verb\":\"health\",\"pad\":\"");
+        at_cap.push_str(&"x".repeat(MAX_LINE_BYTES - at_cap.len() - 2));
+        at_cap.push_str("\"}");
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+        let ok = client.call(&at_cap).unwrap();
+        assert_eq!(ok.get("status").unwrap().as_str(), Some("ok"));
+        client.call("{\"verb\":\"shutdown\"}").unwrap();
+        assert!(handle.join().unwrap().unwrap().drained);
+    }
+
+    #[test]
+    fn non_utf8_line_is_rejected_typed() {
+        let (handle, addr) = start_default();
+        let mut client = LineClient::connect(addr).unwrap();
+        client.writer.write_all(b"{\"verb\":\"\xff\"}\n").unwrap();
+        let bad = client.call("{\"verb\":\"health\"}");
+        // The first reply read belongs to the non-UTF-8 line.
+        let bad = bad.unwrap();
+        assert_eq!(bad.get("error_type").unwrap().as_str(), Some("invalid"));
+        let mut line = String::new();
+        client.reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"status\":\"ok\""), "{line}");
         client.call("{\"verb\":\"shutdown\"}").unwrap();
         assert!(handle.join().unwrap().unwrap().drained);
     }

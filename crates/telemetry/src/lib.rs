@@ -38,6 +38,9 @@
 //!   fixed-width [`Histogram`] buckets giving windowed p50/p99 and
 //!   rates per (tenant, verb, stage), deterministic under a manual
 //!   clock (timestamps are caller-supplied, never read here).
+//! * [`TenantTable`] — the tenant-keyed table behind the windows and
+//!   the gateway's breakers: lookups never allocate and never compare
+//!   a zero-length string.
 //! * [`collapse_trace`] — folds a JSONL trace into collapsed-stack
 //!   (flamegraph-compatible) lines.
 //! * [`json`] — the dependency-free JSON writer/parser the above use,
@@ -66,6 +69,7 @@
 
 mod flame;
 pub mod json;
+mod keys;
 mod metrics;
 mod observer;
 mod provenance;
@@ -75,6 +79,7 @@ mod trace;
 pub mod window;
 
 pub use flame::{collapse_trace, FlameError};
+pub use keys::TenantTable;
 pub use metrics::{LevelCount, MetricsCollector, PhaseSpan, RunReport};
 pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer, SyncFanout, Tee};
 pub use provenance::{DecisionRecord, ProvenanceCollector, SplitChoice};

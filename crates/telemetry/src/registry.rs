@@ -25,11 +25,12 @@
 //! assert!(snap.to_prometheus().contains("joinopt_runs_total{algorithm=\"DPccp\"} 3"));
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::write_escaped;
+use crate::keys::{str_cmp, str_eq};
 use crate::observer::{current_thread_id, Event, Observer};
 
 /// Number of linear sub-buckets per power-of-two range (and the count
@@ -91,6 +92,15 @@ impl Histogram {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
+    }
+
+    /// Empties the histogram, keeping its bucket storage for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.counts.clear();
+        self.count = 0;
+        self.sum = 0;
+        self.min = 0;
+        self.max = 0;
     }
 
     /// Number of recorded samples.
@@ -183,16 +193,68 @@ impl MetricValue {
     }
 }
 
-/// Metric identity: name plus sorted label pairs.
-type MetricKey = (String, Vec<(String, String)>);
+/// Label sets up to this size are sorted on the stack; only larger ones
+/// allocate to be looked up.
+const INLINE_LABELS: usize = 8;
 
-fn make_key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
-    let mut l: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    l.sort();
-    (name.to_string(), l)
+/// Calls `f` with `labels` sorted by (key, value), the order series
+/// store them in.
+fn with_sorted_labels<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    let by_pair =
+        |a: &(&str, &str), b: &(&str, &str)| str_cmp(a.0, b.0).then_with(|| str_cmp(a.1, b.1));
+    if labels.len() <= INLINE_LABELS {
+        let mut buf = [("", ""); INLINE_LABELS];
+        let sorted = &mut buf[..labels.len()];
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable_by(by_pair);
+        f(sorted)
+    } else {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable_by(by_pair);
+        f(&sorted)
+    }
+}
+
+/// Whether stored sorted labels equal sorted borrowed ones.
+fn same_labels(stored: &[(String, String)], sorted: &[(&str, &str)]) -> bool {
+    stored.len() == sorted.len()
+        && stored
+            .iter()
+            .zip(sorted)
+            .all(|((k, v), (qk, qv))| str_eq(v, qv) && str_eq(k, qk))
+}
+
+/// One labelled series of a metric.
+#[derive(Debug)]
+struct Series {
+    /// Label pairs, sorted.
+    labels: Vec<(String, String)>,
+    value: MetricValue,
+}
+
+/// Applies `update` to the series with `sorted` labels, creating it with
+/// `init` on first touch. Kind mismatches are ignored, never a panic:
+/// metrics code must not take an optimizer down.
+fn touch(
+    series: &mut Vec<Series>,
+    sorted: &[(&str, &str)],
+    init: impl FnOnce() -> MetricValue,
+    update: impl FnOnce(&mut MetricValue),
+) {
+    let i = match series.iter().position(|s| same_labels(&s.labels, sorted)) {
+        Some(i) => i,
+        None => {
+            series.push(Series {
+                labels: sorted
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                value: init(),
+            });
+            series.len() - 1
+        }
+    };
+    update(&mut series[i].value);
 }
 
 /// A thread-safe, dependency-free metrics registry.
@@ -200,11 +262,12 @@ fn make_key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
 /// Metrics are created on first touch; the same name must keep the same
 /// kind (a counter never becomes a gauge — mismatched touches are
 /// ignored rather than panicking, since metrics code must never take an
-/// optimizer down). Iteration order is `(name, labels)`-sorted, so both
-/// exporters are deterministic.
+/// optimizer down). A touch of an existing series looks it up by the
+/// borrowed name and labels and allocates nothing. Snapshots are
+/// `(name, labels)`-sorted, so both exporters are deterministic.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<MetricKey, MetricValue>>,
+    inner: Mutex<HashMap<String, Vec<Series>>>,
 }
 
 impl MetricsRegistry {
@@ -213,7 +276,7 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn with_inner<R>(&self, f: impl FnOnce(&mut BTreeMap<MetricKey, MetricValue>) -> R) -> R {
+    fn with_inner<R>(&self, f: impl FnOnce(&mut HashMap<String, Vec<Series>>) -> R) -> R {
         // A poisoned lock only means another thread panicked mid-update;
         // the map itself is always structurally valid.
         let mut guard = match self.inner.lock() {
@@ -223,57 +286,81 @@ impl MetricsRegistry {
         f(&mut guard)
     }
 
+    /// Applies `update` to the series `name{labels}`, created by `init`.
+    fn apply(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> MetricValue,
+        update: impl FnOnce(&mut MetricValue),
+    ) {
+        with_sorted_labels(labels, |sorted| {
+            self.with_inner(|m| {
+                if let Some(series) = m.get_mut(name) {
+                    return touch(series, sorted, init, update);
+                }
+                touch(m.entry(name.to_string()).or_default(), sorted, init, update);
+            })
+        });
+    }
+
     /// Adds `delta` to the counter `name{labels}` (created at 0).
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        self.with_inner(|m| {
-            // Kind mismatches are ignored, never a panic: metrics code
-            // must not take an optimizer down.
-            if let MetricValue::Counter(v) = m
-                .entry(make_key(name, labels))
-                .or_insert(MetricValue::Counter(0))
-            {
-                *v = v.saturating_add(delta);
-            }
-        });
+        self.apply(
+            name,
+            labels,
+            || MetricValue::Counter(0),
+            |value| {
+                if let MetricValue::Counter(v) = value {
+                    *v = v.saturating_add(delta);
+                }
+            },
+        );
     }
 
     /// Sets the gauge `name{labels}` to `value`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: i64) {
-        self.with_inner(|m| {
-            if let MetricValue::Gauge(v) = m
-                .entry(make_key(name, labels))
-                .or_insert(MetricValue::Gauge(0))
-            {
-                *v = value;
-            }
-        });
+        self.apply(
+            name,
+            labels,
+            || MetricValue::Gauge(0),
+            |current| {
+                if let MetricValue::Gauge(v) = current {
+                    *v = value;
+                }
+            },
+        );
     }
 
     /// Records `value` into the histogram `name{labels}`.
     pub fn record(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.with_inner(|m| {
-            if let MetricValue::Histogram(h) = m
-                .entry(make_key(name, labels))
-                .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-            {
-                h.record(value);
-            }
-        });
+        self.apply(
+            name,
+            labels,
+            || MetricValue::Histogram(Histogram::default()),
+            |current| {
+                if let MetricValue::Histogram(h) = current {
+                    h.record(value);
+                }
+            },
+        );
     }
 
     /// A point-in-time copy of every metric, sorted by `(name, labels)`.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            metrics: self.with_inner(|m| {
-                m.iter()
-                    .map(|((name, labels), value)| SnapshotEntry {
+        let mut metrics: Vec<SnapshotEntry> = self.with_inner(|m| {
+            m.iter()
+                .flat_map(|(name, series)| {
+                    series.iter().map(move |s| SnapshotEntry {
                         name: name.clone(),
-                        labels: labels.clone(),
-                        value: value.clone(),
+                        labels: s.labels.clone(),
+                        value: s.value.clone(),
                     })
-                    .collect()
-            }),
-        }
+                })
+                .collect()
+        });
+        metrics.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.labels.cmp(&b.labels)));
+        Snapshot { metrics }
     }
 }
 
@@ -333,10 +420,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SnapshotEntry> {
-        let (name, labels) = make_key(name, labels);
-        self.metrics
-            .iter()
-            .find(|e| e.name == name && e.labels == labels)
+        with_sorted_labels(labels, |sorted| {
+            self.metrics
+                .iter()
+                .find(|e| e.name == name && same_labels(&e.labels, sorted))
+        })
     }
 
     /// The counter's value, if `name{labels}` is a counter.
@@ -571,11 +659,12 @@ impl<'a> RegistryObserver<'a> {
 
 impl Observer for RegistryObserver<'_> {
     fn on_event(&self, event: Event) {
-        let now = self.now_ns();
-        let tid = current_thread_id();
+        // The clock and the thread id are read only by the arms that
+        // use them: a cache hit's two events need neither.
         let reg = self.registry;
         match event {
             Event::RunStart { algorithm, .. } => {
+                let (now, tid) = (self.now_ns(), current_thread_id());
                 self.with_runs(|r| {
                     r.insert(
                         tid,
@@ -589,6 +678,7 @@ impl Observer for RegistryObserver<'_> {
                 reg.inc("joinopt_runs_started_total", &[("algorithm", algorithm)], 1);
             }
             Event::PhaseStart { phase } => {
+                let (now, tid) = (self.now_ns(), current_thread_id());
                 self.with_runs(|r| {
                     if let Some(s) = r.get_mut(&tid) {
                         s.open_phase = Some((phase, now));
@@ -596,6 +686,7 @@ impl Observer for RegistryObserver<'_> {
                 });
             }
             Event::PhaseEnd { phase } => {
+                let (now, tid) = (self.now_ns(), current_thread_id());
                 let span = self.with_runs(|r| {
                     let s = r.get_mut(&tid)?;
                     match s.open_phase.take() {
@@ -696,6 +787,7 @@ impl Observer for RegistryObserver<'_> {
                 reg.inc("joinopt_serve_drained_total", &[], 1);
             }
             Event::RunEnd => {
+                let (now, tid) = (self.now_ns(), current_thread_id());
                 let state = self.with_runs(|r| r.remove(&tid));
                 if let Some(s) = state {
                     let labels = [("algorithm", s.algorithm)];
@@ -790,6 +882,27 @@ mod tests {
         // Sorted by name: a_gauge, b_counter, c_hist.
         let names: Vec<&str> = snap.metrics.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a_gauge", "b_counter", "c_hist"]);
+
+        // More labels than the stack buffer holds still find one series,
+        // whatever order they come in.
+        let mut wide = [
+            ("a", "0"),
+            ("b", "1"),
+            ("c", "2"),
+            ("d", "3"),
+            ("e", "4"),
+            ("f", "5"),
+            ("g", "6"),
+            ("h", "7"),
+            ("i", "8"),
+            ("j", "9"),
+        ];
+        reg.inc("d_wide", &wide, 1);
+        wide.reverse();
+        reg.inc("d_wide", &wide, 1);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("d_wide", &wide), Some(2));
+        assert_eq!(snap.metrics.last().unwrap().labels.len(), 10);
     }
 
     #[test]

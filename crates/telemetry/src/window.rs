@@ -12,14 +12,21 @@
 //! layer's injectable `Clock`), so the whole aggregator is byte-for-byte
 //! deterministic under a manual clock.
 //!
-//! [`WindowedMetrics`] keys one [`TimeWindow`] per (tenant, verb, stage)
+//! [`WindowedMetrics`] keeps one [`TimeWindow`] per (tenant, verb, stage)
 //! and renders sorted snapshots as JSON or Prometheus text
-//! (`joinopt_serve_stage_*` series).
-
-use std::collections::BTreeMap;
+//! (`joinopt_serve_stage_*` series). It files a finished
+//! [`RequestTrace`] in one call: one tenant lookup, then one slot per
+//! span found by comparing the span's `&'static str` names, so once a
+//! tenant's slots exist recording allocates nothing.
 
 use crate::json::write_escaped;
+use crate::keys::{str_eq, TenantTable};
 use crate::registry::Histogram;
+use crate::span::RequestTrace;
+
+/// The synthetic stage under which [`WindowedMetrics::record_trace`]
+/// files a trace's end-to-end duration.
+const TOTAL_STAGE: &str = "total";
 
 /// Sizing of a rolling window: `buckets` ring slots of
 /// `bucket_width_ns` each; the window covers their product.
@@ -86,7 +93,7 @@ impl TimeWindow {
         let len = self.ring.len() as u64;
         let slot = &mut self.ring[(epoch % len) as usize];
         if slot.epoch != epoch {
-            slot.hist = Histogram::default();
+            slot.hist.clear();
             slot.epoch = epoch;
         }
         slot.hist.record(value);
@@ -197,12 +204,20 @@ impl WindowSnapshot {
     }
 }
 
+/// The window of one (verb, stage) pair under a tenant.
+#[derive(Debug)]
+struct StageSlot {
+    verb: &'static str,
+    stage: &'static str,
+    window: TimeWindow,
+}
+
 /// Rolling windows keyed by (tenant, verb, stage): the serve path's
 /// per-stage latency series behind the `metrics` verb and `joinopt top`.
 #[derive(Debug)]
 pub struct WindowedMetrics {
     config: WindowConfig,
-    series: BTreeMap<(String, String, String), TimeWindow>,
+    tenants: TenantTable<Vec<StageSlot>>,
 }
 
 impl WindowedMetrics {
@@ -210,7 +225,7 @@ impl WindowedMetrics {
     pub fn new(config: WindowConfig) -> WindowedMetrics {
         WindowedMetrics {
             config,
-            series: BTreeMap::new(),
+            tenants: TenantTable::new(),
         }
     }
 
@@ -219,43 +234,78 @@ impl WindowedMetrics {
         self.config
     }
 
-    /// Records one stage duration observed at `now_ns`.
-    pub fn record(&mut self, tenant: &str, verb: &str, stage: &str, now_ns: u64, duration_ns: u64) {
-        let key = (tenant.to_string(), verb.to_string(), stage.to_string());
-        self.series
-            .entry(key)
-            .or_insert_with(|| TimeWindow::new(self.config))
-            .record(now_ns, duration_ns);
+    /// Files a finished trace: each span's duration at its `end_ns`
+    /// under (tenant, verb, span stage), then the trace's total at
+    /// `finished_ns` under [`TOTAL_STAGE`].
+    pub fn record_trace(&mut self, trace: &RequestTrace) {
+        let config = self.config;
+        let slots = self.tenants.get_or_insert_with(&trace.tenant, Vec::new);
+        let mut next = 0;
+        for span in trace.spans() {
+            let i = find_or_add(slots, next, trace.verb, span.stage, config);
+            slots[i].window.record(span.end_ns, span.duration_ns());
+            next = i + 1;
+        }
+        let i = find_or_add(slots, next, trace.verb, TOTAL_STAGE, config);
+        slots[i].window.record(trace.finished_ns, trace.total_ns());
     }
 
     /// Snapshots every series at `now_ns`, dropping series whose window
     /// is empty. Entries come out sorted by (tenant, verb, stage).
     pub fn snapshot(&self, now_ns: u64) -> WindowSnapshot {
         let window_ns = self.config.window_ns();
+        let window_secs = window_ns as f64 / 1e9;
         let mut entries = Vec::new();
-        for ((tenant, verb, stage), window) in &self.series {
-            let merged = window.merged(now_ns);
-            if merged.count() == 0 {
-                continue;
+        for (tenant, slots) in self.tenants.iter() {
+            for slot in slots {
+                let merged = slot.window.merged(now_ns);
+                if merged.count() == 0 {
+                    continue;
+                }
+                entries.push(WindowEntry {
+                    tenant: tenant.to_string(),
+                    verb: slot.verb.to_string(),
+                    stage: slot.stage.to_string(),
+                    count: merged.count(),
+                    rate_per_sec: if window_secs > 0.0 {
+                        merged.count() as f64 / window_secs
+                    } else {
+                        0.0
+                    },
+                    p50_ns: merged.quantile(0.5),
+                    p99_ns: merged.quantile(0.99),
+                    max_ns: merged.max(),
+                });
             }
-            let window_secs = window_ns as f64 / 1e9;
-            entries.push(WindowEntry {
-                tenant: tenant.clone(),
-                verb: verb.clone(),
-                stage: stage.clone(),
-                count: merged.count(),
-                rate_per_sec: if window_secs > 0.0 {
-                    merged.count() as f64 / window_secs
-                } else {
-                    0.0
-                },
-                p50_ns: merged.quantile(0.5),
-                p99_ns: merged.quantile(0.99),
-                max_ns: merged.max(),
-            });
         }
+        entries.sort_by(|a, b| (&a.tenant, &a.verb, &a.stage).cmp(&(&b.tenant, &b.verb, &b.stage)));
         WindowSnapshot { window_ns, entries }
     }
+}
+
+/// The index of the (verb, stage) slot, appending it on first use. The
+/// search starts at `from`, the slot after the previous span's: slots
+/// are created in span order and a tenant's traces mostly repeat one
+/// shape, so the first probe usually matches.
+fn find_or_add(
+    slots: &mut Vec<StageSlot>,
+    from: usize,
+    verb: &'static str,
+    stage: &'static str,
+    config: WindowConfig,
+) -> usize {
+    let n = slots.len();
+    (0..n)
+        .map(|k| (from + k) % n)
+        .find(|&i| str_eq(slots[i].stage, stage) && str_eq(slots[i].verb, verb))
+        .unwrap_or_else(|| {
+            slots.push(StageSlot {
+                verb,
+                stage,
+                window: TimeWindow::new(config),
+            });
+            n
+        })
 }
 
 #[cfg(test)]
@@ -342,18 +392,37 @@ mod tests {
         assert_eq!((m.count(), m.max()), (1, 7));
     }
 
+    /// A finished trace holding one span that ends at `end_ns`.
+    fn one_span(tenant: &str, stage: &'static str, start_ns: u64, end_ns: u64) -> RequestTrace {
+        let mut t = RequestTrace::new("t".into(), tenant, "optimize", start_ns);
+        t.span(stage, start_ns, end_ns);
+        t.finish("ok", end_ns);
+        t
+    }
+
     #[test]
     fn keyed_snapshot_sorts_and_rates() {
         let mut m = WindowedMetrics::new(small());
-        m.record("tb", "optimize", "optimize", 0, 1000);
-        m.record("ta", "optimize", "breaker", 0, 10);
-        m.record("ta", "optimize", "breaker", SEC / 2, 30);
+        m.record_trace(&one_span("tb", "optimize", 0, 1000));
+        m.record_trace(&one_span("ta", "breaker", 0, 10));
+        m.record_trace(&one_span("ta", "breaker", SEC / 2 - 30, SEC / 2));
         let snap = m.snapshot(SEC / 2);
-        assert_eq!(snap.entries.len(), 2);
-        assert_eq!(snap.entries[0].tenant, "ta");
-        assert_eq!(snap.entries[0].count, 2);
+        let keys: Vec<(&str, &str, u64)> = snap
+            .entries
+            .iter()
+            .map(|e| (e.tenant.as_str(), e.stage.as_str(), e.count))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("ta", "breaker", 2),
+                ("ta", "total", 2),
+                ("tb", "optimize", 1),
+                ("tb", "total", 1)
+            ]
+        );
         assert!((snap.entries[0].rate_per_sec - 0.5).abs() < 1e-9);
-        assert_eq!(snap.entries[1].tenant, "tb");
+        assert_eq!(snap.entries[0].max_ns, 30);
         let prom = snap.to_prometheus();
         assert!(prom.contains(
             "joinopt_serve_stage_window_count{tenant=\"ta\",verb=\"optimize\",stage=\"breaker\"} 2"
@@ -361,5 +430,28 @@ mod tests {
         assert!(prom.contains("joinopt_serve_stage_p99_ns{tenant=\"tb\""));
         let json = snap.to_json();
         assert!(json.contains("\"stage\":\"breaker\""));
+    }
+
+    #[test]
+    fn a_stage_seen_again_out_of_order_reuses_its_slot() {
+        let mut m = WindowedMetrics::new(small());
+        let mut first = RequestTrace::new("1".into(), "", "optimize", 0);
+        first.span("accept", 0, 5);
+        first.span("respond", 5, 7);
+        first.finish("ok", 7);
+        let mut second = RequestTrace::new("2".into(), "", "optimize", 10);
+        second.span("respond", 10, 13);
+        second.span("accept", 13, 17);
+        second.span("respond", 17, 18);
+        second.finish("ok", 18);
+        m.record_trace(&first);
+        m.record_trace(&second);
+        let snap = m.snapshot(18);
+        let counts: Vec<(&str, u64)> = snap
+            .entries
+            .iter()
+            .map(|e| (e.stage.as_str(), e.count))
+            .collect();
+        assert_eq!(counts, [("accept", 2), ("respond", 3), ("total", 2)]);
     }
 }

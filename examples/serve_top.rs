@@ -67,14 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 span.start_ns,
                 span.duration_ns()
             );
-            window.record(
-                &trace.tenant,
-                trace.verb,
-                span.stage,
-                span.end_ns,
-                span.duration_ns(),
-            );
         }
+        window.record_trace(&trace);
         log.record(trace);
         gateway.clock().advance(Duration::from_millis(5));
     }
