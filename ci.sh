@@ -103,6 +103,18 @@ echo "==> injected DPconv rank skip is caught and minimized (--cfg failpoints)"
 RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     cargo test -p joinopt-conformance --test rank_skip --offline -q
 
+echo "==> plan-quality results match the committed bench_results/quality.csv"
+# `quality` is seeded and prints its ratios to three decimals, so a
+# rerun must reproduce the committed CSV byte for byte. It writes
+# bench_results/ under its working directory, hence the temp dir.
+manifest="$PWD/Cargo.toml"
+quality_dir="$(mktemp -d)"
+(cd "$quality_dir" && cargo run --offline -q --release --manifest-path "$manifest" \
+    -p joinopt-bench --bin quality > /dev/null)
+diff -u bench_results/quality.csv "$quality_dir/bench_results/quality.csv" \
+    || { echo "quality.csv drifted from the committed results"; exit 1; }
+rm -rf "$quality_dir"
+
 echo "==> performance baseline check (counters-only, hardware-independent)"
 # Replays the matrix pinned in BENCH_joinopt.json and fails on any
 # counter, table-size or cost-bit drift. Wall time and arena bytes are

@@ -6,52 +6,29 @@
 //! each strategy, the distribution of `cost(strategy) / cost(optimal)`:
 //!
 //! * optimal left-deep (Selinger space, exact DP);
-//! * IKKBZ (polynomial; falls back to left-deep DP on cyclic graphs —
-//!   reported only where the graph is a tree);
 //! * IDP with small block sizes;
-//! * seeded simulated annealing;
 //! * GOO greedy.
 //!
 //! Usage: `cargo run --release -p joinopt-bench --bin quality [--trials T] [--n N]`
 
 use joinopt_core::greedy::Goo;
-use joinopt_core::{DpCcp, DpSizeLeftDeep, Idp, IkkBz, JoinOrderer, SimulatedAnnealing};
+use joinopt_core::{DpCcp, DpSizeLeftDeep, Idp, JoinOrderer};
 use joinopt_cost::{workload, Cout};
 
 use joinopt_bench::{write_results, MetaSidecar, Table};
 
-struct Stats {
-    ratios: Vec<f64>,
-}
-
-impl Stats {
-    fn new() -> Stats {
-        Stats { ratios: Vec::new() }
-    }
-
-    fn push(&mut self, ratio: f64) {
-        self.ratios.push(ratio);
-    }
-
-    fn row(&mut self, label: &str, density: f64) -> Vec<String> {
-        self.ratios
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let q = |p: f64| -> f64 {
-            if self.ratios.is_empty() {
-                f64::NAN
-            } else {
-                self.ratios[((self.ratios.len() - 1) as f64 * p) as usize]
-            }
-        };
-        vec![
-            label.to_string(),
-            format!("{density:.1}"),
-            self.ratios.len().to_string(),
-            format!("{:.3}", q(0.5)),
-            format!("{:.3}", q(0.9)),
-            format!("{:.3}", q(1.0)),
-        ]
-    }
+/// One table row: the median, p90 and max of `ratios` (sorted in place).
+fn quantile_row(label: &str, density: f64, ratios: &mut [f64]) -> Vec<String> {
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let q = |p: f64| ratios[((ratios.len() - 1) as f64 * p) as usize];
+    vec![
+        label.to_string(),
+        format!("{density:.1}"),
+        ratios.len().to_string(),
+        format!("{:.3}", q(0.5)),
+        format!("{:.3}", q(0.9)),
+        format!("{:.3}", q(1.0)),
+    ]
 }
 
 fn main() {
@@ -73,6 +50,7 @@ fn main() {
         }
         i += 1;
     }
+    assert!(trials > 0, "--trials must be at least 1");
 
     println!(
         "plan quality vs optimal bushy (DPccp), {trials} random workloads per density, n = {n}\n"
@@ -84,87 +62,36 @@ fn main() {
     meta.push(format!(
         "{{\"event\":\"config\",\"trials\":{trials},\"n\":{n}}}"
     ));
+    let idp3 = Idp::with_block_size(3);
+    let idp6 = Idp::with_block_size(6);
+    let strategies: [(&str, &dyn JoinOrderer); 4] = [
+        ("left-deep (exact)", &DpSizeLeftDeep),
+        ("IDP k=3", &idp3),
+        ("IDP k=6", &idp6),
+        ("GOO greedy", &Goo),
+    ];
     for density in [0.0, 0.3, 0.6] {
-        let mut leftdeep = Stats::new();
-        let mut ikkbz = Stats::new();
-        let mut idp3 = Stats::new();
-        let mut idp6 = Stats::new();
-        let mut sa = Stats::new();
-        let mut goo = Stats::new();
+        let mut ratios = vec![Vec::new(); strategies.len()];
         for seed in 0..trials {
             let w = workload::random_workload(n, density, seed * 7 + 1);
             let optimal = DpCcp
                 .optimize(&w.graph, &w.catalog, &Cout)
                 .expect("valid workload")
                 .cost;
-            let record = |stats: &mut Stats, cost: f64| {
-                stats.push(cost / optimal);
-            };
-            record(
-                &mut leftdeep,
-                DpSizeLeftDeep
+            for ((_, strategy), ratios) in strategies.iter().zip(&mut ratios) {
+                let cost = strategy
                     .optimize(&w.graph, &w.catalog, &Cout)
                     .expect("valid")
-                    .cost,
-            );
-            if let Ok(r) = IkkBz.optimize(&w.graph, &w.catalog) {
-                record(&mut ikkbz, r.cost);
+                    .cost;
+                ratios.push(cost / optimal);
             }
-            record(
-                &mut idp3,
-                Idp::with_block_size(3)
-                    .optimize(&w.graph, &w.catalog, &Cout)
-                    .expect("valid")
-                    .cost,
-            );
-            record(
-                &mut idp6,
-                Idp::with_block_size(6)
-                    .optimize(&w.graph, &w.catalog, &Cout)
-                    .expect("valid")
-                    .cost,
-            );
-            record(
-                &mut sa,
-                SimulatedAnnealing::with_seed(seed)
-                    .optimize(&w.graph, &w.catalog, &Cout)
-                    .expect("valid")
-                    .cost,
-            );
-            record(
-                &mut goo,
-                Goo.optimize(&w.graph, &w.catalog, &Cout)
-                    .expect("valid")
-                    .cost,
-            );
         }
-        for (label, stats) in [
-            ("left-deep (exact)", &mut leftdeep),
-            ("IKKBZ (trees only)", &mut ikkbz),
-            ("IDP k=3", &mut idp3),
-            ("IDP k=6", &mut idp6),
-            ("sim. annealing", &mut sa),
-            ("GOO greedy", &mut goo),
-        ] {
-            let row = stats.row(label, density);
-            // Empty distributions (e.g. IKKBZ with no tree-shaped
-            // graphs) quantize to NaN, which JSON cannot carry.
-            fn json_num(s: &str) -> &str {
-                if s == "NaN" {
-                    "null"
-                } else {
-                    s
-                }
-            }
+        for ((label, _), ratios) in strategies.iter().zip(&mut ratios) {
+            let row = quantile_row(label, density, ratios);
             meta.push(format!(
                 "{{\"event\":\"row\",\"strategy\":\"{}\",\"density\":{},\"cases\":{},\
                  \"median\":{},\"p90\":{},\"max\":{}}}",
-                row[0],
-                row[1],
-                row[2],
-                json_num(&row[3]),
-                json_num(&row[4]),
-                json_num(&row[5])
+                row[0], row[1], row[2], row[3], row[4], row[5]
             ));
             table.row(row);
         }
@@ -180,7 +107,5 @@ fn main() {
         }
         Err(e) => eprintln!("could not write CSV: {e}"),
     }
-    println!(
-        "(ratios: 1.000 = matched the bushy optimum; IKKBZ rows cover tree-shaped graphs only)"
-    );
+    println!("(ratios: 1.000 = matched the bushy optimum)");
 }

@@ -147,10 +147,11 @@ USAGE:
   joinopt flame    <trace.jsonl> [--out PATH]
   joinopt help
 
-ALGORITHMS:  dpsize, dpsub, dpccp, dpconv, goo, auto (default),
-             dpsize-naive, dpsub-nofilter, dpsub-cp
+ALGORITHMS:  auto (default), dpsize, dpsize-naive, dpsub, dpsub-nofilter,
+             dpsub-cp, dpccp, dpconv, topdown, dpsize-leftdeep, idp, goo
              (dpconv is exact for the cout model only and refuses
-             other models with a typed error)
+             other models with a typed error; dpsize-leftdeep, idp and
+             goo are baselines that need not reach the bushy optimum)
 COST MODELS: cout (default), nlj, hash, smj, min
 FAMILIES:    chain, cycle, star, clique
 PARALLELISM: every query runs on one thread. --batch optimizes many

@@ -120,6 +120,22 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_lists_every_algorithm_name() {
+    let out = run_ok(&["help"]);
+    let start = out.find("ALGORITHMS:").expect("ALGORITHMS section");
+    let end = out[start..]
+        .find("COST MODELS:")
+        .expect("COST MODELS section")
+        + start;
+    let listed: Vec<&str> = out[start..end]
+        .split(|c: char| c.is_whitespace() || matches!(c, ',' | '(' | ')' | ';'))
+        .collect();
+    for a in joinopt_core::Algorithm::CONCRETE {
+        assert!(listed.contains(&a.name()), "help omits {}", a.name());
+    }
+}
+
+#[test]
 fn optimize_defaults() {
     let path = write_query_file(CHAIN_QUERY);
     let out = run_ok(&["optimize", path.to_str().unwrap()]);

@@ -119,15 +119,41 @@ mod tests {
 
     #[test]
     fn is_optimal_among_left_deep_trees() {
-        // Exhaustive check on small chains: enumerate all left-deep
-        // orders (permutations) without cross products and compare.
+        // Exhaustive check on small trees — chains, stars and random
+        // trees: enumerate all left-deep orders (permutations) without
+        // cross products and compare.
+        use joinopt_cost::workload::{StatsRanges, Workload};
         use joinopt_cost::{CardinalityEstimator, CostModel as _, PlanStats};
-        for seed in 0..10 {
-            let w = workload::family_workload(GraphKind::Chain, 6, seed);
+        use joinopt_qgraph::generators;
+        use joinopt_relset::XorShift64;
+
+        let mut cases: Vec<(String, Workload)> = (0..10)
+            .map(|seed| {
+                (
+                    format!("chain-6 seed {seed}"),
+                    workload::family_workload(GraphKind::Chain, 6, seed),
+                )
+            })
+            .collect();
+        let mut rng = XorShift64::seed_from_u64(121);
+        for n in 3..=7 {
+            for seed in 0..3 {
+                let star = workload::family_workload(GraphKind::Star, n, seed);
+                cases.push((format!("star-{n} seed {seed}"), star));
+                let graph = generators::random_tree(n, &mut rng).unwrap();
+                let catalog = workload::random_catalog(&graph, StatsRanges::default(), &mut rng);
+                cases.push((
+                    format!("random-tree-{n} #{seed}"),
+                    Workload { graph, catalog },
+                ));
+            }
+        }
+        for (label, w) in &cases {
+            let n = w.graph.num_relations();
             let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
             let mut best = f64::INFINITY;
-            let mut perm: Vec<usize> = (0..6).collect();
-            // Heap's algorithm over all 720 permutations.
+            let mut perm: Vec<usize> = (0..n).collect();
+            // Heap's algorithm over all n! permutations.
             fn heaps(k: usize, arr: &mut Vec<usize>, visit: &mut impl FnMut(&[usize])) {
                 if k == 1 {
                     visit(arr);
@@ -143,7 +169,7 @@ mod tests {
                 }
             }
             let graph = &w.graph;
-            heaps(6, &mut perm, &mut |order: &[usize]| {
+            heaps(n, &mut perm, &mut |order: &[usize]| {
                 let mut set = RelSet::single(order[0]);
                 let mut stats = PlanStats::base(est.base_cardinality(order[0]));
                 for &rel in &order[1..] {
@@ -174,7 +200,7 @@ mod tests {
                 .unwrap();
             assert!(
                 (r.cost - best).abs() <= 1e-9 * best.abs().max(1.0),
-                "seed {seed}: DP {} vs exhaustive {}",
+                "{label}: DP {} vs exhaustive {}",
                 r.cost,
                 best
             );

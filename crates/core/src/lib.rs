@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-mod annealing;
 mod cancel;
 mod counters;
 mod degrade;
@@ -73,7 +72,6 @@ pub mod failpoint;
 pub mod formulas;
 pub mod greedy;
 mod idp;
-mod ikkbz;
 mod leftdeep;
 mod optimizer;
 mod request;
@@ -82,7 +80,6 @@ pub mod table;
 mod topdown;
 pub mod transform;
 
-pub use annealing::SimulatedAnnealing;
 pub use cancel::{CancelFlag, CancellationToken};
 pub use counters::Counters;
 pub use degrade::{BudgetAction, DegradationInfo, DegradationRung, TripKind};
@@ -93,7 +90,6 @@ pub use dpsize::{DpSize, DpSizeNaive};
 pub use dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered, Session};
 pub use error::OptimizeError;
 pub use idp::Idp;
-pub use ikkbz::IkkBz;
 pub use leftdeep::DpSizeLeftDeep;
 pub use optimizer::{Algorithm, Optimizer};
 pub use request::{OptimizeOutcome, OptimizeRequest};

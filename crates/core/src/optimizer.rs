@@ -4,7 +4,6 @@ use joinopt_cost::{Catalog, CostModel, Cout};
 use joinopt_qgraph::QueryGraph;
 use joinopt_telemetry::{NoopObserver, Observer};
 
-use crate::annealing::SimulatedAnnealing;
 use crate::dpccp::DpCcp;
 use crate::dpconv::DpConv;
 use crate::dpsize::{DpSize, DpSizeNaive};
@@ -40,8 +39,6 @@ pub enum Algorithm {
     /// Iterative DP (IDP-1, Kossmann & Stocker): near-optimal plans for
     /// queries too large for exact DP.
     Idp,
-    /// Seeded simulated annealing over bushy trees (randomized baseline).
-    SimulatedAnnealing,
     /// Top-down memoized partitioning with branch-and-bound pruning.
     TopDown,
     /// Greedy Operator Ordering (non-optimal baseline).
@@ -53,7 +50,7 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// All concrete (non-`Auto`) algorithms.
-    pub const CONCRETE: [Algorithm; 12] = [
+    pub const CONCRETE: [Algorithm; 11] = [
         Algorithm::DpSize,
         Algorithm::DpSizeNaive,
         Algorithm::DpSub,
@@ -64,7 +61,6 @@ impl Algorithm {
         Algorithm::TopDown,
         Algorithm::DpSizeLeftDeep,
         Algorithm::Idp,
-        Algorithm::SimulatedAnnealing,
         Algorithm::Goo,
     ];
 
@@ -152,15 +148,6 @@ impl Algorithm {
                 const DEFAULT_IDP: Idp = Idp::with_block_size(10);
                 &DEFAULT_IDP
             }
-            Algorithm::SimulatedAnnealing => {
-                const DEFAULT_SA: SimulatedAnnealing = SimulatedAnnealing {
-                    iterations: 20_000,
-                    initial_temperature: 0.5,
-                    cooling: 0.9995,
-                    seed: 2006,
-                };
-                &DEFAULT_SA
-            }
             Algorithm::TopDown => {
                 const DEFAULT_TD: TopDown = TopDown { pruning: true };
                 &DEFAULT_TD
@@ -170,25 +157,32 @@ impl Algorithm {
         }
     }
 
-    /// Parses an algorithm name (case-insensitive; the names of
-    /// [`JoinOrderer::name`] plus `"auto"`).
-    pub fn parse(s: &str) -> Option<Algorithm> {
-        match s.to_ascii_lowercase().as_str() {
-            "dpsize" => Some(Algorithm::DpSize),
-            "dpsize-naive" => Some(Algorithm::DpSizeNaive),
-            "dpsub" => Some(Algorithm::DpSub),
-            "dpsub-nofilter" => Some(Algorithm::DpSubUnfiltered),
-            "dpsub-cp" => Some(Algorithm::DpSubCrossProducts),
-            "dpccp" => Some(Algorithm::DpCcp),
-            "dpconv" => Some(Algorithm::DpConv),
-            "dpsize-leftdeep" => Some(Algorithm::DpSizeLeftDeep),
-            "idp" => Some(Algorithm::Idp),
-            "simulatedannealing" | "sa" => Some(Algorithm::SimulatedAnnealing),
-            "topdown" => Some(Algorithm::TopDown),
-            "goo" => Some(Algorithm::Goo),
-            "auto" => Some(Algorithm::Auto),
-            _ => None,
+    /// The lower-case name [`Algorithm::parse`] accepts — the CLI and
+    /// wire name of the algorithm.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::DpSize => "dpsize",
+            Algorithm::DpSizeNaive => "dpsize-naive",
+            Algorithm::DpSub => "dpsub",
+            Algorithm::DpSubUnfiltered => "dpsub-nofilter",
+            Algorithm::DpSubCrossProducts => "dpsub-cp",
+            Algorithm::DpCcp => "dpccp",
+            Algorithm::DpConv => "dpconv",
+            Algorithm::DpSizeLeftDeep => "dpsize-leftdeep",
+            Algorithm::Idp => "idp",
+            Algorithm::TopDown => "topdown",
+            Algorithm::Goo => "goo",
+            Algorithm::Auto => "auto",
         }
+    }
+
+    /// Parses an algorithm name: the case-insensitive inverse of
+    /// [`Algorithm::name`] over [`Algorithm::CONCRETE`] plus `Auto`.
+    pub fn parse(s: &str) -> Option<Algorithm> {
+        Algorithm::CONCRETE
+            .into_iter()
+            .chain([Algorithm::Auto])
+            .find(|a| a.name().eq_ignore_ascii_case(s))
     }
 }
 
@@ -578,11 +572,12 @@ mod tests {
     fn parse_roundtrip() {
         for alg in Algorithm::CONCRETE {
             let g = generators::chain(4).unwrap();
+            assert_eq!(Algorithm::parse(alg.name()), Some(alg));
             let name = alg.orderer(&g).name();
             assert_eq!(Algorithm::parse(name), Some(alg), "{name}");
         }
         assert_eq!(Algorithm::parse("AUTO"), Some(Algorithm::Auto));
-        assert_eq!(Algorithm::parse("simulated-annealing"), None);
+        assert_eq!(Algorithm::parse("sa"), None);
     }
 
     #[test]

@@ -70,22 +70,10 @@ fn every_algorithm_honours_a_preset_cancel_flag() {
 #[test]
 fn memory_accounted_algorithms_honour_a_tiny_budget() {
     let _serial = serial();
-    // SimulatedAnnealing's working state is O(n) and unaccounted; every
-    // algorithm that builds DP tables or grows an arena charges the
-    // shared token and must trip.
+    // Every algorithm builds a DP table or grows a plan arena, charges
+    // the shared token and must trip.
     let w = workload::family_workload(GraphKind::Clique, 12, 0);
-    for alg in [
-        Algorithm::DpSize,
-        Algorithm::DpSizeNaive,
-        Algorithm::DpSub,
-        Algorithm::DpSubUnfiltered,
-        Algorithm::DpSubCrossProducts,
-        Algorithm::DpCcp,
-        Algorithm::DpSizeLeftDeep,
-        Algorithm::Idp,
-        Algorithm::TopDown,
-        Algorithm::Goo,
-    ] {
+    for alg in Algorithm::CONCRETE {
         let err = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
             .with_memory_budget(16)

@@ -254,14 +254,6 @@ impl QueryGraph {
         })
     }
 
-    /// Iterates over the edges with **both** endpoints inside `s`.
-    pub fn edges_within<'a>(&'a self, s: RelSet) -> impl Iterator<Item = EdgeId> + 'a {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter_map(move |(id, e)| (s.contains(e.u) && s.contains(e.v)).then_some(id))
-    }
-
     /// Renders the graph in Graphviz DOT syntax (undirected).
     pub fn to_dot(&self) -> String {
         use core::fmt::Write as _;
@@ -402,15 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn cut_and_internal_edges() {
+    fn cut_edges() {
         let g = path4();
         let left = RelSet::from_indices([0, 1]);
         let right = RelSet::from_indices([2, 3]);
         let cut: Vec<_> = g.edges_between_sets(left, right).collect();
         assert_eq!(cut, vec![1]); // the (1,2) edge
-        let within: Vec<_> = g.edges_within(left).collect();
-        assert_eq!(within, vec![0]); // the (0,1) edge
-        assert_eq!(g.edges_within(RelSet::full(4)).count(), 3);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! A minimal deterministic PRNG for workload generation and tests.
 //!
 //! The workspace deliberately has **no external dependencies**, so the
-//! seeded randomness used by the workload generators, the annealing
-//! baseline and the randomized tests lives here instead of in the `rand`
-//! crate. The generator is xorshift64* (Marsaglia; Vigna's `*` output
+//! seeded randomness used by the workload generators and the randomized
+//! tests lives here instead of in the `rand` crate. The generator is xorshift64* (Marsaglia; Vigna's `*` output
 //! scrambler) seeded through one round of SplitMix64 — tiny, fast, and
 //! more than good enough for generating test inputs. It is **not**
 //! cryptographically secure.
@@ -63,17 +62,6 @@ impl XorShift64 {
         let span = (range.end - range.start) as u64;
         // Modulo bias is ≤ span/2^64 — irrelevant for test-input sizes.
         range.start + (self.next_u64() % span) as usize
-    }
-
-    /// A uniform `u32` in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    #[inline]
-    pub fn gen_range_u32(&mut self, bound: u32) -> u32 {
-        assert!(bound > 0, "gen_range_u32 with zero bound");
-        (self.next_u64() % u64::from(bound)) as u32
     }
 
     /// A uniform `f64` in `[lo, hi)` (returns `lo` when `lo == hi`).

@@ -963,24 +963,10 @@ pub fn parse_query_text(text: &str) -> Result<QuerySpec, String> {
     QuerySpec::capture(graph, &parsed.catalog).map_err(|e| e.to_string())
 }
 
-/// The wire name of a concrete algorithm (the same lower-case ids
-/// [`Algorithm::parse`] accepts).
+/// The wire name of an algorithm — [`Algorithm::name`], the lower-case
+/// id [`Algorithm::parse`] accepts.
 pub fn algorithm_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::DpSize => "dpsize",
-        Algorithm::DpSizeNaive => "dpsize-naive",
-        Algorithm::DpSub => "dpsub",
-        Algorithm::DpSubUnfiltered => "dpsub-nofilter",
-        Algorithm::DpSubCrossProducts => "dpsub-cp",
-        Algorithm::DpCcp => "dpccp",
-        Algorithm::DpConv => "dpconv",
-        Algorithm::DpSizeLeftDeep => "dpsize-leftdeep",
-        Algorithm::Idp => "idp",
-        Algorithm::SimulatedAnnealing => "sa",
-        Algorithm::TopDown => "topdown",
-        Algorithm::Goo => "goo",
-        Algorithm::Auto => "auto",
-    }
+    a.name()
 }
 
 /// A scripted client for tests and the `--smoke` self-check: connects,
@@ -1699,6 +1685,24 @@ mod tests {
             r.get("trace_id").and_then(|v| v.as_str()).is_some(),
             "rejections still carry a trace_id: {r:?}"
         );
+    }
+
+    #[test]
+    fn removed_algorithm_name_is_a_typed_invalid_reply() {
+        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let r = call_dispatch(
+            &gateway,
+            &telemetry,
+            &optimize_req(",\"id\":\"req-sa\",\"algorithm\":\"sa\""),
+        );
+        assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
+        assert_eq!(
+            r.get("error_type").and_then(|v| v.as_str()),
+            Some("invalid")
+        );
+        assert_eq!(r.get("id").and_then(|v| v.as_str()), Some("req-sa"));
+        let health = call_dispatch(&gateway, &telemetry, "{\"verb\":\"health\"}");
+        assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! | [`plan`] | plan arena and join trees |
 //! | [`core`] | DPsize / DPsub / DPccp / DPhyp, counters, counter formulas, oracle, GOO, the [`Optimizer`](crate::prelude::Optimizer) façade, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) session API with pooled sessions |
 //! | [`query`] | textual query-description format and SQL frontend |
-//! | [`exec`] | toy execution engine: synthesize data, run plans, measure |
 //! | [`telemetry`] | zero-overhead observer API, run metrics, JSONL tracing |
 //! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache and batched admission |
 //!
@@ -47,7 +46,6 @@
 
 pub use joinopt_core as core;
 pub use joinopt_cost as cost;
-pub use joinopt_exec as exec;
 pub use joinopt_plan as plan;
 pub use joinopt_qgraph as qgraph;
 pub use joinopt_query as query;

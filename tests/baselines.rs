@@ -1,16 +1,15 @@
 //! Integration tests for the baseline strategies and the façade:
-//! left-deep DP, IKKBZ, IDP, GOO and `Algorithm`/`Optimizer` dispatch.
+//! left-deep DP, IDP, GOO and `Algorithm`/`Optimizer` dispatch.
 
 use joinopt::core::greedy::Goo;
-use joinopt::core::{Idp, IkkBz};
+use joinopt::core::Idp;
 use joinopt::prelude::*;
 use joinopt_cost::workload;
 use joinopt_relset::XorShift64;
 
 #[test]
 fn strategy_cost_ordering_holds() {
-    // optimal bushy ≤ IDP(k) ≤ … and optimal bushy ≤ optimal left-deep,
-    // with IKKBZ == optimal left-deep on trees.
+    // optimal bushy ≤ IDP(k) ≤ … and optimal bushy ≤ optimal left-deep.
     let mut rng = XorShift64::seed_from_u64(31);
     for trial in 0..10 {
         let g = joinopt::qgraph::generators::random_tree(9, &mut rng).unwrap();
@@ -18,7 +17,6 @@ fn strategy_cost_ordering_holds() {
             workload::random_catalog(&g, joinopt_cost::workload::StatsRanges::default(), &mut rng);
         let bushy = DpCcp.optimize(&g, &cat, &Cout).unwrap().cost;
         let ld = DpSizeLeftDeep.optimize(&g, &cat, &Cout).unwrap().cost;
-        let ik = IkkBz.optimize(&g, &cat).unwrap().cost;
         let idp = Idp::with_block_size(4)
             .optimize(&g, &cat, &Cout)
             .unwrap()
@@ -26,10 +24,6 @@ fn strategy_cost_ordering_holds() {
         let goo = Goo.optimize(&g, &cat, &Cout).unwrap().cost;
         let tol = 1e-9 * bushy.abs().max(1.0);
         assert!(bushy <= ld + tol, "trial {trial}");
-        assert!(
-            (ik - ld).abs() <= 1e-9 * ld.abs().max(1.0),
-            "trial {trial}: IKKBZ vs LD-DP"
-        );
         assert!(bushy <= idp + tol, "trial {trial}");
         assert!(bushy <= goo + tol, "trial {trial}");
     }
@@ -65,10 +59,7 @@ fn facade_dispatches_every_algorithm() {
                 );
             }
             Algorithm::DpSubCrossProducts => assert!(r.cost <= optimal + 1e-9),
-            Algorithm::DpSizeLeftDeep
-            | Algorithm::Idp
-            | Algorithm::SimulatedAnnealing
-            | Algorithm::Goo => {
+            Algorithm::DpSizeLeftDeep | Algorithm::Idp | Algorithm::Goo => {
                 assert!(r.cost >= optimal - 1e-9 * optimal)
             }
             Algorithm::Auto => unreachable!("CONCRETE excludes Auto"),
@@ -104,33 +95,6 @@ fn idp_interpolates_between_greedy_and_exact() {
         "k ≥ n must be exact, got {}",
         avg[3]
     );
-}
-
-#[test]
-fn ikkbz_handles_every_tree_family_shape() {
-    // Chains and stars are trees; IKKBZ must accept them and match the
-    // left-deep DP; cycles/cliques must be rejected.
-    for n in 2..=12 {
-        for (kind, is_tree) in [
-            (GraphKind::Chain, true),
-            (GraphKind::Star, true),
-            (GraphKind::Cycle, n <= 2),
-            (GraphKind::Clique, n <= 2),
-        ] {
-            let w = workload::family_workload(kind, n, 3);
-            let result = IkkBz.optimize(&w.graph, &w.catalog);
-            assert_eq!(result.is_ok(), is_tree, "{kind} n={n}");
-            if let Ok(r) = result {
-                let dp = DpSizeLeftDeep
-                    .optimize(&w.graph, &w.catalog, &Cout)
-                    .unwrap();
-                assert!(
-                    (r.cost - dp.cost).abs() <= 1e-9 * dp.cost.abs().max(1.0),
-                    "{kind} n={n}"
-                );
-            }
-        }
-    }
 }
 
 #[test]
