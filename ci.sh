@@ -21,6 +21,14 @@ echo "==> benchmark package still builds against the workspace API"
 CARGO_TARGET_DIR=target/benchmark \
     cargo check --offline --all-targets --manifest-path servebench/Cargo.toml
 
+echo "==> benchmark selftest: package tests, a short traced run, report schema"
+# The build check above cannot see a change that breaks the traced
+# replay (a cost-bit drift, a different Auto choice, a wrong answer).
+# The selftest runs the package's tests, a --quick --seconds 2 --trace
+# run of every workload against a live server, and the report schema
+# check; it writes servebench/out/, which is ignored.
+CARGO_TARGET_DIR=target/benchmark servebench/run.sh selftest
+
 echo "==> telemetry allocation pin (steady-state serve telemetry allocates nothing)"
 # Also part of the workspace test run above; a counting global allocator
 # in its own test binary pins the registry and window lookups at zero

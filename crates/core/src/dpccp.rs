@@ -5,9 +5,11 @@ use joinopt_qgraph::{csg, QueryGraph};
 use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
-use crate::driver::Driver;
+use crate::dpsub::Session;
+use crate::driver::{run_pooled, Driver, Enumerator};
 use crate::error::OptimizeError;
 use crate::result::{DpResult, JoinOrderer};
+use crate::table::PlanTable;
 
 /// The paper's new algorithm: iterate **exactly** over the csg-cmp-pairs
 /// of the query graph — the lower bound for any dynamic-programming join
@@ -36,14 +38,20 @@ impl JoinOrderer for DpCcp {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
+        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+    }
+}
+
+impl Enumerator for DpCcp {
+    fn enumerate<T: PlanTable>(&self, d: &mut Driver<'_, T>) -> Result<(), OptimizeError> {
+        let g = d.g;
         csg::try_for_each_ccp(g, |s1, s2| {
             d.counters.inner += 1;
             d.counters.ono_lohman += 1;
             d.emit_pair_both_orders(s1, s2).map(|_| ())
         })?;
         d.counters.csg_cmp_pairs = 2 * d.counters.ono_lohman;
-        d.finish()
+        Ok(())
     }
 }
 

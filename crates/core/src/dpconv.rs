@@ -123,6 +123,15 @@ impl DpConvScratch {
                 .sum::<usize>()
     }
 
+    /// Bytes of the four `2ⁿ`-slot arrays a run over `n` relations
+    /// uses — what it is charged, whatever capacity earlier runs left.
+    fn bytes_for(n: usize) -> usize {
+        (1usize << n)
+            * (std::mem::size_of::<bool>()
+                + 2 * std::mem::size_of::<f64>()
+                + std::mem::size_of::<u64>())
+    }
+
     /// Resets for a query of `n` relations, keeping allocations.
     fn prepare(&mut self, n: usize) {
         let size = 1usize << n;
@@ -203,7 +212,7 @@ pub(crate) fn run_pooled(
 
     let size = 1usize << n;
     scratch.prepare(n);
-    ctl.charge(scratch.bytes())?;
+    ctl.charge(DpConvScratch::bytes_for(n))?;
     let mut pace = 0u32;
 
     // Connectivity bitmap + ranked connected-set lists + per-set
@@ -223,6 +232,8 @@ pub(crate) fn run_pooled(
             csgs += 1;
         }
     }
+    // The rank lists hold one mask per connected set.
+    ctl.charge(csgs * std::mem::size_of::<u64>())?;
     for i in 0..n {
         scratch.dp[1usize << i] = 0.0;
     }

@@ -6,9 +6,11 @@ use joinopt_relset::RelSet;
 use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
-use crate::driver::Driver;
+use crate::dpsub::Session;
+use crate::driver::{run_pooled, Driver, Enumerator};
 use crate::error::OptimizeError;
 use crate::result::{DpResult, JoinOrderer};
+use crate::table::PlanTable;
 
 /// DPsize with the `s₁ = s₂` optimization described in Section 2.1:
 /// plans of each size are kept in a list; sizes are split unordered
@@ -34,8 +36,13 @@ impl JoinOrderer for DpSize {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
-        let n = g.num_relations();
+        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+    }
+}
+
+impl Enumerator for DpSize {
+    fn enumerate<T: PlanTable>(&self, d: &mut Driver<'_, T>) -> Result<(), OptimizeError> {
+        let n = d.g.num_relations();
 
         // plans_by_size[k]: the relation sets of size k with a plan.
         let mut plans_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
@@ -86,7 +93,7 @@ impl JoinOrderer for DpSize {
                 }
             }
         }
-        d.finish()
+        Ok(())
     }
 }
 
@@ -109,8 +116,13 @@ impl JoinOrderer for DpSizeNaive {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
-        let n = g.num_relations();
+        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+    }
+}
+
+impl Enumerator for DpSizeNaive {
+    fn enumerate<T: PlanTable>(&self, d: &mut Driver<'_, T>) -> Result<(), OptimizeError> {
+        let n = d.g.num_relations();
 
         let mut plans_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
         plans_by_size[1] = (0..n).map(RelSet::single).collect();
@@ -138,7 +150,7 @@ impl JoinOrderer for DpSizeNaive {
             }
         }
         d.counters.ono_lohman = d.counters.csg_cmp_pairs / 2;
-        d.finish()
+        Ok(())
     }
 }
 

@@ -26,6 +26,10 @@
 //!   has a valid decomposition), so the lookup is O(1) and equivalent to
 //!   a graph test. The `InnerCounter` semantics are unchanged — it is
 //!   incremented before any test, exactly as in the pseudocode.
+//! * With the `*` check, "`S₁` connected to `S₂`" needs no test: `S` is
+//!   connected, so every split of it into two non-empty parts has an
+//!   edge crossing the cut. Only [`DpSubUnfiltered`], which has no `*`
+//!   check, tests the edge.
 //!
 //! The union's output cardinality is computed once per set, from its
 //! first valid split, and reused for every later split of the set.
@@ -42,7 +46,7 @@ use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::optimizer::Algorithm;
 use crate::result::{DpResult, JoinOrderer};
-use crate::table::DenseDpTable;
+use crate::table::{arena_charge, DenseDpTable};
 
 /// DPsub as in Fig. 2, including the `*` connectedness pre-check on the
 /// outer subset.
@@ -172,11 +176,16 @@ impl Variant {
     }
 }
 
-/// A reusable optimization session: pools DPsub's dense table, the plan
-/// arena and DPconv's dense scratch across repeated
+/// A reusable optimization session: pools the dense `BestPlan` table,
+/// the plan arena and DPconv's dense scratch across repeated
 /// [`OptimizeRequest`](crate::OptimizeRequest) calls, amortizing the
 /// `Θ(2ⁿ)` table initialization and arena growth over a workload
-/// instead of paying them per query.
+/// instead of paying them per query. DPsub and DPconv always run on the
+/// pool; DPsize, its variants and DPccp use the dense table up to
+/// [`DenseDpTable::MAX_DRIVER_RELATIONS`] relations and the arena at
+/// every size. A run is charged against its memory budget only for the
+/// buffers it uses, so the verdict does not depend on what the session
+/// ran before.
 ///
 /// Reuse is observable through the existing telemetry events: on a
 /// fresh session the first run's `arena_stats.bytes` reflects the
@@ -201,7 +210,7 @@ impl Variant {
 /// ```
 #[derive(Debug, Default)]
 pub struct Session {
-    /// DPsub's `BestPlan` table, reset (not shrunk) between runs.
+    /// The dense `BestPlan` table, reset (not shrunk) between runs.
     table: DenseDpTable,
     /// Pooled plan arena, cleared (not shrunk) between runs.
     arena: PlanArena,
@@ -233,6 +242,22 @@ impl Session {
     pub(crate) fn dpconv_scratch(&mut self) -> &mut crate::dpconv::DpConvScratch {
         self.runs += 1;
         &mut self.dpconv
+    }
+
+    /// The dense table reset for `n ≤` [`DenseDpTable::MAX_RELATIONS`]
+    /// relations and the cleared arena, counting a served run.
+    pub(crate) fn dense_run(&mut self, n: usize) -> (&mut DenseDpTable, &mut PlanArena) {
+        self.runs += 1;
+        self.table.reset(n);
+        self.arena.clear();
+        (&mut self.table, &mut self.arena)
+    }
+
+    /// The cleared arena alone, counting a served run.
+    pub(crate) fn arena_run(&mut self) -> &mut PlanArena {
+        self.runs += 1;
+        self.arena.clear();
+        &mut self.arena
     }
 }
 
@@ -296,9 +321,9 @@ fn best_split(
                 if !p2 {
                     continue;
                 }
-                if !cx.g.sets_connected(s1, s2) {
-                    continue;
-                }
+                // No `S₁`–`S₂` edge test: the `*` check proved `S`
+                // connected, and a connected set split into two
+                // non-empty parts always has an edge crossing the cut.
             }
             Variant::Unfiltered => {
                 // The ablation probes both operands unconditionally.
@@ -376,8 +401,9 @@ fn level_sets(n: usize, k: usize) -> impl Iterator<Item = u64> {
 ///
 /// Queries above [`DenseDpTable::MAX_RELATIONS`] are refused with
 /// [`OptimizeError::TooManyRelations`]. `ctl` is checked before every
-/// level and polled inside every inner loop; the session's pooled
-/// footprint is charged against its memory budget.
+/// level and polled inside every inner loop. The run is charged against
+/// its memory budget for the `2ⁿ` slots it uses and the nodes it
+/// stores, not for the session's whole pooled footprint.
 pub(crate) fn run_pooled(
     g: &QueryGraph,
     catalog: &Catalog,
@@ -414,16 +440,14 @@ pub(crate) fn run_pooled(
     ctl.check()?;
     failpoint::check("estimator")?;
     let est = CardinalityEstimator::new(g, catalog)?;
-    session.table.reset(n);
-    session.arena.clear();
-    session.runs += 1;
-    let mut charged = session.pooled_bytes();
+    let (table, arena) = session.dense_run(n);
+    let mut charged = DenseDpTable::bytes_for(n) + arena_charge(n);
     ctl.charge(charged)?;
 
     for i in 0..n {
         let card = est.base_cardinality(i);
-        let plan = session.arena.add_scan(i, card);
-        session.table.insert(1u64 << i, plan, PlanStats::base(card));
+        let plan = arena.add_scan(i, card);
+        table.insert(1u64 << i, plan, PlanStats::base(card));
     }
     let mut table_entries = n;
     let mut level_new: Vec<u64> = Vec::new();
@@ -456,13 +480,10 @@ pub(crate) fn run_pooled(
             if variant == Variant::Filtered && !g.is_connected_set(s) {
                 continue;
             }
-            let Some((stats, s1)) = best_split(&cx, &session.table, s, &mut t)? else {
+            let Some((stats, s1)) = best_split(&cx, table, s, &mut t)? else {
                 continue;
             };
-            let table = &mut session.table;
-            let plan = session
-                .arena
-                .add_join(table.plan(s1), table.plan(bits & !s1), stats);
+            let plan = arena.add_join(table.plan(s1), table.plan(bits & !s1), stats);
             table.insert(bits, plan, stats);
             table_entries += 1;
             if observe {
@@ -470,9 +491,10 @@ pub(crate) fn run_pooled(
             }
         }
         // Charge the arena growth of this level.
-        if session.pooled_bytes() > charged {
-            ctl.charge(session.pooled_bytes() - charged)?;
-            charged = session.pooled_bytes();
+        let now = DenseDpTable::bytes_for(n) + arena_charge(arena.len());
+        if now > charged {
+            ctl.charge(now - charged)?;
+            charged = now;
         }
     }
     let mut counters = t.counters;
@@ -483,13 +505,13 @@ pub(crate) fn run_pooled(
         obs.on_event(Event::PhaseStart { phase: "extract" });
     }
     let full = g.all_relations().bits();
-    if !session.table.contains(full) {
+    if !table.contains(full) {
         return Err(OptimizeError::Internal(
             "enumeration finished without a plan for the full relation set".into(),
         ));
     }
-    let best = session.table.stats(full);
-    let tree = session.arena.extract(session.table.plan(full));
+    let best = table.stats(full);
+    let tree = arena.extract(table.plan(full));
     if observe {
         obs.on_event(Event::PhaseEnd { phase: "extract" });
         for (size, &new_entries) in level_new.iter().enumerate() {
@@ -504,8 +526,8 @@ pub(crate) fn run_pooled(
             hits: t.hits,
         });
         obs.on_event(Event::ArenaStats {
-            nodes: session.arena.len(),
-            bytes: session.arena.bytes(),
+            nodes: arena.len(),
+            bytes: arena.bytes(),
         });
         obs.on_event(Event::FinalCounters {
             inner: counters.inner,
@@ -520,7 +542,7 @@ pub(crate) fn run_pooled(
         tree,
         counters,
         table_size: table_entries,
-        plans_built: session.arena.len(),
+        plans_built: arena.len(),
     })
 }
 
@@ -586,6 +608,29 @@ mod tests {
             .unwrap();
         assert_eq!(a.counters.inner, b.counters.inner);
         assert_eq!(a.cost, b.cost);
+    }
+
+    #[test]
+    fn unfiltered_and_filtered_agree_on_random_graphs() {
+        // Filtered DPsub skips the S₁–S₂ edge test the unfiltered
+        // variant keeps; both must still accept exactly the same splits,
+        // in the same order, on every graph.
+        use joinopt_cost::HashJoin;
+        for seed in 0..12 {
+            let w = workload::random_workload(3 + seed as usize % 8, 0.3, seed);
+            for model in [&Cout as &dyn CostModel, &HashJoin] {
+                let a = DpSub.optimize(&w.graph, &w.catalog, model).unwrap();
+                let b = DpSubUnfiltered
+                    .optimize(&w.graph, &w.catalog, model)
+                    .unwrap();
+                assert_eq!(
+                    a.counters.csg_cmp_pairs, b.counters.csg_cmp_pairs,
+                    "seed {seed}"
+                );
+                assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "seed {seed}");
+                assert_eq!(a.tree, b.tree, "seed {seed}");
+            }
+        }
     }
 
     #[test]

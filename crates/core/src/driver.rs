@@ -10,10 +10,11 @@ use joinopt_telemetry::{Event, Observer};
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
+use crate::dpsub::Session;
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::result::DpResult;
-use crate::table::{DpTable, TableEntry};
+use crate::result::{DpResult, JoinOrderer};
+use crate::table::{arena_charge, DenseDpTable, DenseRun, DpTable, PlanTable, TableEntry};
 
 /// Lightweight span emitter for the algorithms that do not run on the
 /// [`Driver`] (heuristics, top-down search, DPhyp): produces the same
@@ -90,8 +91,57 @@ impl<'a> Spans<'a> {
     }
 }
 
-/// Mutable state threaded through one optimizer run over the sparse
-/// `BestPlan` hash table.
+/// A bottom-up enumerator that runs on the [`Driver`]: DPsize, its
+/// naive and left-deep variants, and DPccp.
+pub(crate) trait Enumerator: JoinOrderer {
+    /// Feeds every pair the algorithm considers to `d` and keeps the
+    /// paper's counters.
+    fn enumerate<T: PlanTable>(&self, d: &mut Driver<'_, T>) -> Result<(), OptimizeError>;
+}
+
+/// Runs `engine` on the pooled buffers of `session`: the dense table up
+/// to [`DenseDpTable::MAX_DRIVER_RELATIONS`] relations, a fresh hash
+/// [`DpTable`] above, and the pooled arena either way. The run is
+/// charged only for the table it uses and the nodes it stores.
+pub(crate) fn run_pooled<E: Enumerator>(
+    engine: &E,
+    g: &QueryGraph,
+    catalog: &Catalog,
+    model: &dyn CostModel,
+    obs: &dyn Observer,
+    ctl: &CancellationToken,
+    session: &mut Session,
+) -> Result<DpResult, OptimizeError> {
+    let observe = obs.enabled();
+    let n = g.num_relations();
+    if observe {
+        // Emitted before validation so failed runs still leave a
+        // `run_start` in the trace (with no matching `run_end`).
+        obs.on_event(Event::RunStart {
+            algorithm: engine.name(),
+            relations: n,
+        });
+        obs.on_event(Event::PhaseStart { phase: "init" });
+    }
+    if n == 0 {
+        return Err(OptimizeError::EmptyQuery);
+    }
+    g.require_connected()?;
+    ctl.check()?;
+    failpoint::check("estimator")?;
+    let est = CardinalityEstimator::new(g, catalog)?;
+    if n <= DenseDpTable::MAX_DRIVER_RELATIONS {
+        let (table, arena) = session.dense_run(n);
+        let table = DenseRun::new(table, n);
+        Driver::new(g, est, model, obs, ctl, arena, table)?.run(engine)
+    } else {
+        let table = DpTable::with_capacity(4 * n);
+        Driver::new(g, est, model, obs, ctl, session.arena_run(), table)?.run(engine)
+    }
+}
+
+/// Mutable state threaded through one optimizer run over a `BestPlan`
+/// table `T` ([`PlanTable`]).
 ///
 /// The driver owns all telemetry emission for the span skeleton
 /// (`init` → `enumerate` → `extract`) and the end-of-run statistics
@@ -99,12 +149,12 @@ impl<'a> Spans<'a> {
 /// [`Observer::enabled`]: with the no-op observer the whole machinery
 /// reduces to one predictable branch per probe and allocates nothing
 /// (`level_new` stays an empty `Vec`).
-pub(crate) struct Driver<'a> {
+pub(crate) struct Driver<'a, T> {
     pub g: &'a QueryGraph,
-    pub est: CardinalityEstimator,
-    pub model: &'a dyn CostModel,
-    pub arena: PlanArena,
-    pub table: DpTable,
+    est: CardinalityEstimator,
+    model: &'a dyn CostModel,
+    arena: &'a mut PlanArena,
+    table: T,
     pub counters: Counters,
     obs: &'a dyn Observer,
     observe: bool,
@@ -126,37 +176,20 @@ pub(crate) struct Driver<'a> {
     level_new: Vec<u64>,
 }
 
-impl<'a> Driver<'a> {
-    /// Validates inputs (a non-empty, connected graph) and initializes
-    /// `BestPlan({R_i}) = R_i` for all relations.
-    pub fn new(
+impl<'a, T: PlanTable> Driver<'a, T> {
+    /// Initializes `BestPlan({R_i}) = R_i` for all relations of the
+    /// validated graph `g`, on an empty `table` and `arena`.
+    fn new(
         g: &'a QueryGraph,
-        catalog: &Catalog,
+        est: CardinalityEstimator,
         model: &'a dyn CostModel,
-        algorithm: &'static str,
         obs: &'a dyn Observer,
         ctl: &'a CancellationToken,
-    ) -> Result<Driver<'a>, OptimizeError> {
+        arena: &'a mut PlanArena,
+        mut table: T,
+    ) -> Result<Driver<'a, T>, OptimizeError> {
         let observe = obs.enabled();
         let n = g.num_relations();
-        if observe {
-            // Emitted before validation so failed runs still leave a
-            // `run_start` in the trace (with no matching `run_end`).
-            obs.on_event(Event::RunStart {
-                algorithm,
-                relations: n,
-            });
-            obs.on_event(Event::PhaseStart { phase: "init" });
-        }
-        if n == 0 {
-            return Err(OptimizeError::EmptyQuery);
-        }
-        g.require_connected()?;
-        ctl.check()?;
-        failpoint::check("estimator")?;
-        let est = CardinalityEstimator::new(g, catalog)?;
-        let mut table = DpTable::with_capacity(4 * n);
-        let mut arena = PlanArena::with_capacity(4 * n);
         for i in 0..n {
             let card = est.base_cardinality(i);
             let id = arena.add_scan(i, card);
@@ -178,7 +211,7 @@ impl<'a> Driver<'a> {
             obs.on_event(Event::PhaseEnd { phase: "init" });
             obs.on_event(Event::PhaseStart { phase: "enumerate" });
         }
-        let charged = table.bytes() + arena.bytes();
+        let charged = table.bytes() + arena_charge(arena.len());
         ctl.charge(charged)?;
         Ok(Driver {
             g,
@@ -199,11 +232,17 @@ impl<'a> Driver<'a> {
         })
     }
 
+    /// Runs `engine`'s enumeration and extracts the result.
+    fn run<E: Enumerator>(mut self, engine: &E) -> Result<DpResult, OptimizeError> {
+        engine.enumerate(&mut self)?;
+        self.finish()
+    }
+
     /// Re-charges the memory budget with any growth of the DP table or
-    /// plan arena since the last call.
+    /// the arena's stored nodes since the last call.
     #[inline]
     fn charge_memory(&mut self) -> Result<(), OptimizeError> {
-        let now = self.table.bytes() + self.arena.bytes();
+        let now = self.table.bytes() + arena_charge(self.arena.len());
         if now > self.charged {
             self.ctl.charge(now - self.charged)?;
             self.charged = now;
@@ -264,7 +303,7 @@ impl<'a> Driver<'a> {
     #[inline]
     fn operand(&self, s: RelSet) -> Result<TableEntry, OptimizeError> {
         match self.table.get(s) {
-            Some(e) => Ok(*e),
+            Some(e) => Ok(e),
             None => Err(OptimizeError::Internal(format!(
                 "BestPlan({s}) missing for an emitted pair"
             ))),
@@ -292,7 +331,6 @@ impl<'a> Driver<'a> {
         let union = s1 | s2;
         match self.table.get(union) {
             Some(existing) => {
-                let existing = *existing;
                 self.note_union_probe(union, true);
                 let out_card = existing.stats.cardinality;
                 let cost =
@@ -390,7 +428,7 @@ impl<'a> Driver<'a> {
     /// (`dp_level` per non-empty size, `table_stats`, `arena_stats`,
     /// `final_counters`) and `run_end` — so the caller must finalize its
     /// counter conventions *before* calling this.
-    pub fn finish(self) -> Result<DpResult, OptimizeError> {
+    fn finish(self) -> Result<DpResult, OptimizeError> {
         if self.observe {
             self.obs.on_event(Event::PhaseEnd { phase: "enumerate" });
             self.obs.on_event(Event::PhaseStart { phase: "extract" });

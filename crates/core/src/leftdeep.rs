@@ -19,9 +19,11 @@ use joinopt_relset::RelSet;
 use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
-use crate::driver::Driver;
+use crate::dpsub::Session;
+use crate::driver::{run_pooled, Driver, Enumerator};
 use crate::error::OptimizeError;
 use crate::result::{DpResult, JoinOrderer};
+use crate::table::PlanTable;
 
 /// Size-driven DP restricted to left-deep trees (Selinger-style,
 /// cross-product-free).
@@ -41,8 +43,13 @@ impl JoinOrderer for DpSizeLeftDeep {
         obs: &dyn Observer,
         ctl: &CancellationToken,
     ) -> Result<DpResult, OptimizeError> {
-        let mut d = Driver::new(g, catalog, model, self.name(), obs, ctl)?;
-        let n = g.num_relations();
+        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+    }
+}
+
+impl Enumerator for DpSizeLeftDeep {
+    fn enumerate<T: PlanTable>(&self, d: &mut Driver<'_, T>) -> Result<(), OptimizeError> {
+        let n = d.g.num_relations();
 
         let mut plans_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
         plans_by_size[1] = (0..n).map(RelSet::single).collect();
@@ -75,7 +82,7 @@ impl JoinOrderer for DpSizeLeftDeep {
         // right-deep join, outside the search space — so the distinct
         // unordered count equals the oriented count (no halving).
         d.counters.ono_lohman = d.counters.csg_cmp_pairs;
-        d.finish()
+        Ok(())
     }
 }
 

@@ -38,17 +38,20 @@ use crate::degrade::{
     BudgetAction, DegradationInfo, DegradationRung, TripKind, DEGRADE_IDP_BLOCK_SIZE,
 };
 use crate::dpsub::{self, Session, Variant};
+use crate::driver::{self, Enumerator};
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
 use crate::idp::Idp;
 use crate::optimizer::Algorithm;
 use crate::result::{DpResult, JoinOrderer};
+use crate::{DpCcp, DpSize, DpSizeLeftDeep, DpSizeNaive};
 
 /// A fully configured optimization run, built incrementally.
 ///
 /// Defaults: [`Algorithm::Auto`], the `C_out` cost model, no budgets,
-/// no telemetry. Every run uses the calling thread only; DPsub and
-/// DPconv run on the session's pooled tables.
+/// no telemetry. Every run uses the calling thread only; the exact
+/// engines (DPsize and its variants, DPsub, DPccp, DPconv) run on the
+/// session's pooled buffers.
 #[must_use = "an OptimizeRequest does nothing until run"]
 pub struct OptimizeRequest<'a> {
     graph: &'a QueryGraph,
@@ -169,7 +172,7 @@ impl<'a> OptimizeRequest<'a> {
         self
     }
 
-    /// Runs the request with one-shot (non-pooled) allocations.
+    /// Runs the request in a fresh [`Session`].
     pub fn run(self) -> Result<OptimizeOutcome, OptimizeError> {
         let mut session = Session::new();
         self.run_in(&mut session)
@@ -184,34 +187,38 @@ impl<'a> OptimizeRequest<'a> {
             concrete => concrete,
         };
         let ctl = CancellationToken::new(self.cancel.clone(), self.time_budget, self.memory_budget);
-        // DPsub and DPconv run on the session's pooled dense tables.
-        let attempt = if let Some(variant) = Variant::of(algorithm) {
-            dpsub::run_pooled(
-                self.graph,
-                self.catalog,
-                self.model,
-                variant,
-                self.observer,
-                &ctl,
-                session,
-            )
-        } else if algorithm == Algorithm::DpConv {
-            crate::dpconv::run_pooled(
+        // The exact engines run on the session's pooled buffers.
+        let attempt = match algorithm {
+            Algorithm::DpSize => self.run_driver(&DpSize, &ctl, session),
+            Algorithm::DpSizeNaive => self.run_driver(&DpSizeNaive, &ctl, session),
+            Algorithm::DpSizeLeftDeep => self.run_driver(&DpSizeLeftDeep, &ctl, session),
+            Algorithm::DpCcp => self.run_driver(&DpCcp, &ctl, session),
+            Algorithm::DpConv => crate::dpconv::run_pooled(
                 self.graph,
                 self.catalog,
                 self.model,
                 self.observer,
                 &ctl,
                 session.dpconv_scratch(),
-            )
-        } else {
-            algorithm.orderer(self.graph).optimize_controlled(
-                self.graph,
-                self.catalog,
-                self.model,
-                self.observer,
-                &ctl,
-            )
+            ),
+            _ => match Variant::of(algorithm) {
+                Some(variant) => dpsub::run_pooled(
+                    self.graph,
+                    self.catalog,
+                    self.model,
+                    variant,
+                    self.observer,
+                    &ctl,
+                    session,
+                ),
+                None => algorithm.orderer(self.graph).optimize_controlled(
+                    self.graph,
+                    self.catalog,
+                    self.model,
+                    self.observer,
+                    &ctl,
+                ),
+            },
         };
         match attempt {
             Ok(result) => {
@@ -260,6 +267,24 @@ impl<'a> OptimizeRequest<'a> {
                 self.degrade(algorithm, trigger, err, &ctl, start)
             }
         }
+    }
+
+    /// Runs a [`Driver`](crate::driver)-based engine on `session`.
+    fn run_driver<E: Enumerator>(
+        &self,
+        engine: &E,
+        ctl: &CancellationToken,
+        session: &mut Session,
+    ) -> Result<DpResult, OptimizeError> {
+        driver::run_pooled(
+            engine,
+            self.graph,
+            self.catalog,
+            self.model,
+            self.observer,
+            ctl,
+            session,
+        )
     }
 
     /// Walks the ladder below the exact attempt: IDP with a small block
@@ -383,6 +408,48 @@ mod tests {
         }
         assert_eq!(session.runs(), 3, "pooled DPconv runs are served runs");
         assert!(session.pooled_bytes() > 0, "scratch stays pooled");
+    }
+
+    #[test]
+    fn driver_engines_pool_sessions_and_match_direct_runs() {
+        // Sizes on both sides of the dense-table bound, interleaved in
+        // one session: the 17-star and the 20-chain run on the hash
+        // table, the others on the pooled dense table left by a larger
+        // or smaller earlier run. (DPsize's pair loop is quadratic in
+        // the star's 2ⁿ⁻¹ connected sets, so it runs on chains.)
+        use crate::table::DenseDpTable;
+        let bound = DenseDpTable::MAX_DRIVER_RELATIONS;
+        let star = |n| workload::family_workload(GraphKind::Star, n, n as u64);
+        let chain = |n| workload::family_workload(GraphKind::Chain, n, n as u64);
+        let cells = [
+            (Algorithm::DpCcp, star(bound - 1)),
+            (Algorithm::DpCcp, star(bound + 1)),
+            (Algorithm::DpCcp, star(bound)),
+            (Algorithm::DpCcp, chain(20)),
+            (Algorithm::DpSize, chain(bound - 1)),
+            (Algorithm::DpSize, chain(20)),
+            (Algorithm::DpSize, chain(bound + 1)),
+            (Algorithm::DpSize, chain(bound)),
+        ];
+        let mut session = Session::new();
+        for (alg, w) in &cells {
+            let pooled = OptimizeRequest::new(&w.graph, &w.catalog)
+                .with_algorithm(*alg)
+                .run_in(&mut session)
+                .unwrap()
+                .into_result();
+            let direct = match alg {
+                Algorithm::DpCcp => DpCcp.optimize(&w.graph, &w.catalog, &Cout),
+                _ => DpSize.optimize(&w.graph, &w.catalog, &Cout),
+            }
+            .unwrap();
+            let n = w.graph.num_relations();
+            assert_eq!(pooled.cost.to_bits(), direct.cost.to_bits(), "{alg:?} {n}");
+            assert_eq!(pooled.tree, direct.tree, "{alg:?} {n}");
+            assert_eq!(pooled.counters, direct.counters, "{alg:?} {n}");
+            assert_eq!(pooled.table_size, direct.table_size, "{alg:?} {n}");
+        }
+        assert_eq!(session.runs(), cells.len() as u64);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! SipHash is a poor fit for hot integer keys; see the workspace design
 //! notes). The table stores, per relation set, the best plan found so
 //! far and its statistics. DPsub instead indexes a dense array by the
-//! subset integer ([`DenseDpTable`]).
+//! subset integer ([`DenseDpTable`]), and the other exact engines run on
+//! that dense array too for queries of up to
+//! [`DenseDpTable::MAX_DRIVER_RELATIONS`] relations.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use joinopt_cost::PlanStats;
-use joinopt_plan::PlanId;
+use joinopt_plan::{PlanArena, PlanId};
 use joinopt_relset::RelSet;
 
 /// A Fibonacci-style multiplicative hasher for `u64` keys.
@@ -64,6 +66,22 @@ pub struct TableEntry {
     pub plan: PlanId,
     /// Cardinality and cost of that plan.
     pub stats: PlanStats,
+}
+
+/// The `BestPlan` operations the driver-based engines (DPsize and its
+/// variants, DPccp) need, so one driver runs over either the hash
+/// [`DpTable`] or a pooled [`DenseDpTable`].
+pub(crate) trait PlanTable {
+    /// `BestPlan(s)`, if registered.
+    fn get(&self, s: RelSet) -> Option<TableEntry>;
+    /// Registers `entry` as the plan for `s`, replacing any earlier one.
+    fn insert(&mut self, s: RelSet, entry: TableEntry);
+    /// Number of sets with a registered plan.
+    fn len(&self) -> usize;
+    /// Entry slots the run has, for the occupancy telemetry reports.
+    fn capacity(&self) -> usize;
+    /// Bytes the run is charged against its memory budget.
+    fn bytes(&self) -> usize;
 }
 
 /// The DP table mapping relation sets to their best plans.
@@ -134,7 +152,32 @@ impl DpTable {
     }
 }
 
-/// The dense, direct-addressed `BestPlan` table DPsub runs on: slot
+impl PlanTable for DpTable {
+    #[inline]
+    fn get(&self, s: RelSet) -> Option<TableEntry> {
+        self.map.get(&s).copied()
+    }
+
+    #[inline]
+    fn insert(&mut self, s: RelSet, entry: TableEntry) {
+        self.map.insert(s, entry);
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn capacity(&self) -> usize {
+        self.map.capacity()
+    }
+
+    fn bytes(&self) -> usize {
+        DpTable::bytes(self)
+    }
+}
+
+/// The dense, direct-addressed `BestPlan` table DPsub runs on, and the
+/// driver engines up to [`Self::MAX_DRIVER_RELATIONS`] relations: slot
 /// `s.bits()` holds the entry for set `s`. This is the layout of the
 /// original Vance/Maier implementation and what makes DPsub's innermost
 /// loop a handful of instructions on dense search spaces — no hashing,
@@ -155,6 +198,24 @@ impl DenseDpTable {
     /// Largest `n` for which a dense table is reasonable
     /// (2²² entries ≈ 100 MiB) — the size cap of DPsub and DPconv.
     pub const MAX_RELATIONS: usize = 22;
+
+    /// Largest `n` for which DPsize, its variants and DPccp run on the
+    /// dense table rather than the hash [`DpTable`]. The dense table
+    /// halves DPccp on stars at every size measured, but a sparse graph
+    /// pays for `2ⁿ` slots to hold a few sets (a 22-relation chain has
+    /// 253). At 16 that is 19–34 µs on a one-shot chain and 1.3 MiB per
+    /// pooled session; at 18 it is 3–5× the hash run and 5 MiB
+    /// (EXPERIMENTS.md, "Exact engines on the serve path").
+    pub const MAX_DRIVER_RELATIONS: usize = 16;
+
+    /// Bytes the slots and presence words for `n` relations occupy —
+    /// what one run on the table is charged, whatever capacity earlier
+    /// runs left behind.
+    pub(crate) fn bytes_for(n: usize) -> usize {
+        let size = 1usize << n;
+        size * (std::mem::size_of::<PlanStats>() + std::mem::size_of::<PlanId>())
+            + size.div_ceil(64) * std::mem::size_of::<u64>()
+    }
 
     /// Readies the table for subsets of `n ≤` [`Self::MAX_RELATIONS`]
     /// relations: grows the slots if needed and clears presence.
@@ -206,6 +267,62 @@ impl DenseDpTable {
             + self.plans.capacity() * std::mem::size_of::<PlanId>()
             + self.present.capacity() * std::mem::size_of::<u64>()
     }
+}
+
+/// A [`DenseDpTable`] readied for one run over `n` relations, counting
+/// the sets it registers: the [`PlanTable`] the driver engines use up
+/// to [`DenseDpTable::MAX_DRIVER_RELATIONS`] relations.
+pub(crate) struct DenseRun<'a> {
+    table: &'a mut DenseDpTable,
+    n: usize,
+    len: usize,
+}
+
+impl<'a> DenseRun<'a> {
+    /// Wraps `table`, which must already be reset for `n` relations.
+    pub(crate) fn new(table: &'a mut DenseDpTable, n: usize) -> DenseRun<'a> {
+        DenseRun { table, n, len: 0 }
+    }
+}
+
+impl PlanTable for DenseRun<'_> {
+    #[inline]
+    fn get(&self, s: RelSet) -> Option<TableEntry> {
+        let bits = s.bits();
+        self.table.contains(bits).then(|| TableEntry {
+            plan: self.table.plan(bits),
+            stats: self.table.stats(bits),
+        })
+    }
+
+    #[inline]
+    fn insert(&mut self, s: RelSet, entry: TableEntry) {
+        let bits = s.bits();
+        self.len += usize::from(!self.table.contains(bits));
+        self.table.insert(bits, entry.plan, entry.stats);
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn capacity(&self) -> usize {
+        1 << self.n
+    }
+
+    fn bytes(&self) -> usize {
+        DenseDpTable::bytes_for(self.n)
+    }
+}
+
+/// Bytes a run is charged for the `nodes` it stored in a pooled arena:
+/// the next power of two, which is what a fresh arena growing by
+/// doubling would hold. Charging whole doublings keeps the budget check
+/// off the per-node path, and leaves the verdict independent of the
+/// capacity earlier runs left in the pool.
+#[inline]
+pub(crate) fn arena_charge(nodes: usize) -> usize {
+    PlanArena::bytes_for(nodes.next_power_of_two())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use joinopt_core::{
     Algorithm, BudgetAction, CancelFlag, DegradationRung, OptimizeError, OptimizeOutcome,
-    OptimizeRequest, Optimizer, TripKind,
+    OptimizeRequest, Optimizer, Session, TripKind,
 };
 use joinopt_cost::workload::{self, Workload};
 use joinopt_cost::Catalog;
@@ -123,6 +123,52 @@ fn memory_trip_degrades_through_the_pooled_dpsub_path() {
     assert_eq!(info.trigger, TripKind::Memory);
     assert!(info.memory_used > 64 * 1024);
     assert_complete_plan(&outcome, &w);
+}
+
+#[test]
+fn memory_budget_verdict_does_not_depend_on_session_history() {
+    let _serial = serial();
+    // `joinopt serve` keeps one session per connection, so a request
+    // must get the verdict a fresh session gives it, whatever larger
+    // queries the session served before and left capacity behind.
+    let budget = 64 * 1024;
+    let small = workload::family_workload(GraphKind::Chain, 4, 0);
+    let engines = [
+        Algorithm::DpSub,
+        Algorithm::DpConv,
+        Algorithm::DpCcp,
+        Algorithm::DpSize,
+    ];
+    let run_small = |alg, session: &mut Session| {
+        OptimizeRequest::new(&small.graph, &small.catalog)
+            .with_algorithm(alg)
+            .with_memory_budget(budget)
+            .run_in(session)
+    };
+    let earlier = [
+        (Algorithm::DpConv, GraphKind::Clique, 12),
+        (Algorithm::DpSub, GraphKind::Clique, 14),
+        (Algorithm::DpCcp, GraphKind::Star, 16),
+    ];
+    for (prior_alg, kind, n) in earlier {
+        let mut session = Session::new();
+        for alg in engines {
+            assert!(run_small(alg, &mut session).is_ok(), "{alg:?} fresh");
+        }
+        let prior = workload::family_workload(kind, n, 0);
+        OptimizeRequest::new(&prior.graph, &prior.catalog)
+            .with_algorithm(prior_alg)
+            .run_in(&mut session)
+            .unwrap();
+        for alg in engines {
+            let verdict = run_small(alg, &mut session);
+            assert!(
+                verdict.is_ok(),
+                "{alg:?} after {prior_alg:?} on {kind} {n}: {:?}",
+                verdict.err()
+            );
+        }
+    }
 }
 
 #[test]

@@ -80,6 +80,11 @@ impl PlanArena {
         self.nodes.capacity() * std::mem::size_of::<Node>()
     }
 
+    /// Bytes of node storage `nodes` nodes occupy.
+    pub fn bytes_for(nodes: usize) -> usize {
+        nodes * std::mem::size_of::<Node>()
+    }
+
     /// Drops every node while keeping the allocation, so a pooled arena
     /// (an optimizer session reused across queries) pays the node
     /// storage only once. Previously issued [`PlanId`]s are invalidated.

@@ -192,6 +192,33 @@ fn sets_connected_iff_cut_edge_exists() {
 }
 
 #[test]
+fn every_split_of_a_connected_set_has_a_cut_edge() {
+    // The fact Filtered DPsub relies on to skip its S₁–S₂ edge test:
+    // once S is known to be connected, every split into two connected
+    // halves is joined by an edge (in fact every split into two
+    // non-empty parts is, which is checked too).
+    let mut rng = XorShift64::seed_from_u64(111);
+    let mut connected_splits = 0u64;
+    for _ in 0..CASES {
+        let n = rng.gen_range(2..11);
+        let density = rng.gen_range(0..11) as f64 / 10.0;
+        let g = generators::random_connected(n, density, &mut rng).unwrap();
+        for bits in 1..1u64 << n {
+            let s = RelSet::from_bits(bits);
+            if !g.is_connected_set(s) {
+                continue;
+            }
+            for s1 in s.non_empty_proper_subsets() {
+                let s2 = s - s1;
+                connected_splits += u64::from(g.is_connected_set(s1) && g.is_connected_set(s2));
+                assert!(g.sets_connected(s1, s2), "{s1} | {s2} of {s}");
+            }
+        }
+    }
+    assert!(connected_splits > 10_000, "{connected_splits}");
+}
+
+#[test]
 fn arbitrary_renumbering_keeps_enumeration_exact() {
     // Shuffle labels (not BFS!) and check the enumeration still matches
     // brute force — the numbering-independence claim in the module docs.
