@@ -10,7 +10,7 @@
 //! nanoseconds-per-iteration factor is estimated. Extrapolated cells are
 //! marked `~`; `--full` runs everything honestly.
 
-pub mod load;
+pub mod chaos;
 pub mod microbench;
 pub mod perf;
 

@@ -8,7 +8,7 @@
 //! Only meaningful under `--cfg failpoints`; the plain-cfg variant
 //! checks that chaos mode refuses to run without fault injection.
 
-use joinopt_bench::load::{run_chaos, ChaosConfig};
+use joinopt_bench::chaos::{run_chaos, ChaosConfig};
 use joinopt_telemetry::NoopObserver;
 
 #[cfg(not(failpoints))]
@@ -21,16 +21,12 @@ fn chaos_refuses_without_failpoints_build() {
 #[cfg(failpoints)]
 #[test]
 fn chaos_run_passes_its_gates() {
-    use joinopt_bench::load::LoadConfig;
     use joinopt_telemetry::json::JsonValue;
 
     let report = run_chaos(
         &ChaosConfig {
-            load: LoadConfig {
-                requests: 120,
-                max_n: 7,
-                ..LoadConfig::default()
-            },
+            requests: 120,
+            max_n: 7,
             ..ChaosConfig::default()
         },
         &NoopObserver,

@@ -20,7 +20,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use joinopt_bench::load::{run_chaos, run_load, run_load_observed, ChaosConfig, LoadConfig};
+use joinopt_bench::chaos::{run_chaos, ChaosConfig};
 use joinopt_bench::perf::{run_matrix_observed, PerfBaseline, PerfConfig};
 use joinopt_core::explain::{compare, Explanation};
 use joinopt_core::formulas::{dpccp_inner, dpsize_inner, dpsub_inner};
@@ -134,11 +134,9 @@ USAGE:
                    [--trace-json PATH] [--prom PATH]
   joinopt perf     --check PATH [--counters-only]
                    [--trace-json PATH] [--prom PATH]
-  joinopt load     [--requests N] [--threads N] [--seed S]
-                   [--repeat-rate F] [--max-n N] [--cache-bytes BYTES]
-                   [--json PATH] [--min-hit-rate F] [--prom PATH]
   joinopt load     --chaos [--requests N] [--seed S] [--drivers N]
-                   [--burst-faults N] [--recheck N] [--json PATH]
+                   [--burst-faults N] [--recheck N] [--repeat-rate F]
+                   [--max-n N] [--cache-bytes BYTES] [--json PATH]
                    [--prom PATH]
   joinopt serve    [--addr HOST:PORT | --unix PATH] [--prom PATH]
                    [--drain-timeout-ms N] [--no-trace]
@@ -202,24 +200,18 @@ FUZZING:     fuzz generates random query-graph instances (seed S, iters
              run. --minimize shrinks each divergent instance to a
              minimal repro and prints it in the query DSL. Exit is
              nonzero on any divergence.
-LOAD:        load replays a seeded mixed chain/star/clique request
-             stream through the optimizer service (joinopt-service):
-             each request repeats an earlier query with probability
-             --repeat-rate, exercising the plan cache's warm path. It
-             reports throughput, p50/p99 latency, the cache hit rate,
-             a per-type error breakdown and the per-stage latency
-             breakdown of the gateway lifecycle (shed-check, breaker,
-             cache-lookup, optimize), writes the joinopt-load-v3 JSON
-             report with --json (v2/v1 reports still parse), and with
-             --min-hit-rate fails unless the run was error-free and the
-             hit rate met the floor (the CI smoke gate). --chaos replays the stream through the server
-             gateway with a seeded worker-panic burst mid-run (needs a
-             --cfg failpoints build): warmup must be clean, the burst
-             must open the per-tenant circuit breaker, recovery must
-             restore the hit rate and p99, a sampled differential
-             re-check against a sequential cold run must find zero
-             wrong plans, and the final drain must complete. Exit is
-             nonzero on any gate violation. See docs/service.md.
+LOAD:        load --chaos replays a seeded mixed chain/star/clique
+             request stream (each request repeats an earlier query with
+             probability --repeat-rate) through the server gateway with
+             a seeded worker-panic burst mid-run (needs a --cfg
+             failpoints build): warmup must be clean, the burst must
+             open the per-tenant circuit breaker, recovery must restore
+             the hit rate and p99, a sampled differential re-check of
+             distinct answers against a sequential cold run must find
+             zero wrong plans, and the final drain must complete. Exit
+             is nonzero on any gate violation. Plain `load` is a usage
+             error: throughput and per-layer latency of `serve` are
+             measured by servebench/run.sh. See docs/service.md.
 SERVE:       serve runs the optimizer as a long-lived server speaking
              newline-delimited JSON over TCP (--addr, default
              127.0.0.1:4006) or a unix socket (--unix). Verbs: health,
@@ -1142,11 +1134,10 @@ fn cmd_perf(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// `joinopt load`: replay a seeded mixed workload through the optimizer
-/// service and report throughput, latency quantiles and the plan-cache
-/// hit rate. `--min-hit-rate F` turns the run into a gate (the CI smoke
-/// check): it fails unless every request completed and the hit rate met
-/// the floor.
+/// `joinopt load --chaos`: replay a seeded mixed workload through the
+/// server gateway with a worker-panic burst mid-run and fail on any
+/// chaos-gate violation. Without `--chaos` it is a usage error: the
+/// serve path is measured by `servebench/run.sh`.
 fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (positional, options) = split_options(args)?;
     if !positional.is_empty() {
@@ -1155,35 +1146,35 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             positional.join(" ")
         )));
     }
-    let mut config = LoadConfig::default();
+    if !options.iter().any(|&(key, _)| key == "chaos") {
+        return Err(CliError::Usage(
+            "`joinopt load` runs only the chaos gate (`load --chaos`); \
+             measure throughput and latency of `joinopt serve` with servebench/run.sh"
+                .into(),
+        ));
+    }
+    let mut config = ChaosConfig::default();
     let mut json_path: Option<&str> = None;
     let mut prom_path: Option<&str> = None;
-    let mut min_hit_rate: Option<f64> = None;
-    let mut chaos = false;
-    let mut chaos_tuned = false;
-    let mut chaos_config = ChaosConfig::default();
     for (key, value) in options {
         match key {
-            "chaos" => chaos = true,
+            "chaos" => {}
             "drivers" => {
-                chaos_tuned = true;
-                chaos_config.drivers = value
+                config.drivers = value
                     .parse::<usize>()
                     .ok()
                     .filter(|&d| d >= 1)
                     .ok_or_else(|| CliError::Usage(format!("invalid driver count `{value}`")))?;
             }
             "burst-faults" => {
-                chaos_tuned = true;
-                chaos_config.burst_faults = value
+                config.burst_faults = value
                     .parse::<usize>()
                     .ok()
                     .filter(|&f| f >= 1)
                     .ok_or_else(|| CliError::Usage(format!("invalid fault count `{value}`")))?;
             }
             "recheck" => {
-                chaos_tuned = true;
-                chaos_config.recheck_samples = value
+                config.recheck_samples = value
                     .parse::<usize>()
                     .ok()
                     .filter(|&s| s >= 1)
@@ -1195,11 +1186,6 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                     .ok()
                     .filter(|&r| r >= 1)
                     .ok_or_else(|| CliError::Usage(format!("invalid request count `{value}`")))?;
-            }
-            "threads" => {
-                config.threads = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("invalid thread count `{value}`")))?;
             }
             "seed" => {
                 config.seed = value
@@ -1230,62 +1216,16 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             }
             "json" => json_path = Some(value),
             "prom" => prom_path = Some(value),
-            "min-hit-rate" => {
-                min_hit_rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|f| (0.0..=1.0).contains(f))
-                        .ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "invalid hit-rate floor `{value}` (expected 0..=1)"
-                            ))
-                        })?,
-                );
-            }
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
         }
     }
-    if !chaos && chaos_tuned {
-        return Err(CliError::Usage(
-            "--drivers/--burst-faults/--recheck require --chaos".into(),
-        ));
-    }
     let registry = prom_path.map(|_| MetricsRegistry::new());
     let registry_obs = registry.as_ref().map(RegistryObserver::new);
-    if chaos {
-        if min_hit_rate.is_some() {
-            return Err(CliError::Usage(
-                "--min-hit-rate applies to the plain load gate; --chaos has its own gates".into(),
-            ));
-        }
-        chaos_config.load = config;
-        let report = match &registry_obs {
-            Some(obs) => run_chaos(&chaos_config, obs),
-            None => run_chaos(&chaos_config, &NoopObserver),
-        }
-        .map_err(CliError::Regression)?;
-        drop(registry_obs);
-        if let (Some(registry), Some(path)) = (registry, prom_path) {
-            std::fs::write(path, registry.snapshot().to_prometheus())?;
-        }
-        write!(out, "{}", report.render())?;
-        if let Some(path) = json_path {
-            std::fs::write(path, report.to_json())?;
-            writeln!(out, "\nwrote {path}")?;
-        }
-        report.verify().map_err(CliError::Regression)?;
-        writeln!(
-            out,
-            "\nchaos gates passed: breaker opened {}x and reclosed, {} answers re-checked, 0 wrong plans",
-            report.breaker_opens, report.rechecked
-        )?;
-        return Ok(());
-    }
     let report = match &registry_obs {
-        Some(obs) => run_load_observed(&config, obs),
-        None => run_load(&config),
-    };
+        Some(obs) => run_chaos(&config, obs),
+        None => run_chaos(&config, &NoopObserver),
+    }
+    .map_err(CliError::Regression)?;
     drop(registry_obs);
     if let (Some(registry), Some(path)) = (registry, prom_path) {
         std::fs::write(path, registry.snapshot().to_prometheus())?;
@@ -1295,25 +1235,12 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         std::fs::write(path, report.to_json())?;
         writeln!(out, "\nwrote {path}")?;
     }
-    if let Some(floor) = min_hit_rate {
-        if report.errors > 0 {
-            return Err(CliError::Regression(format!(
-                "{} of {} load requests errored",
-                report.errors, config.requests
-            )));
-        }
-        if report.hit_rate < floor {
-            return Err(CliError::Regression(format!(
-                "cache hit rate {:.3} is below the {floor:.3} floor",
-                report.hit_rate
-            )));
-        }
-        writeln!(
-            out,
-            "\nload gate passed: {} requests, 0 errors, hit rate {:.3} >= {floor:.3}",
-            report.completed, report.hit_rate
-        )?;
-    }
+    report.verify().map_err(CliError::Regression)?;
+    writeln!(
+        out,
+        "\nchaos gates passed: breaker opened {}x and reclosed, {} answers re-checked, 0 wrong plans",
+        report.breaker_opens, report.rechecked
+    )?;
     Ok(())
 }
 

@@ -440,103 +440,43 @@ fn batch_marks_repeated_query_files_as_cached() {
 }
 
 // ---------------------------------------------------------------------
-// The sustained-load harness (`joinopt load`).
+// The chaos gate (`joinopt load --chaos`).
 // ---------------------------------------------------------------------
 
 #[test]
-fn load_reports_hits_and_gates_on_hit_rate() {
-    use joinopt_telemetry::json::JsonValue;
-
-    let json = tempfile::Builder::new()
-        .suffix(".json")
-        .tempfile()
-        .expect("create json file")
-        .into_temp_path();
-    let out = run_ok(&[
-        "load",
-        "--requests",
-        "40",
-        "--threads",
-        "1",
-        "--seed",
-        "7",
-        "--repeat-rate",
-        "0.5",
-        "--max-n",
-        "6",
-        "--min-hit-rate",
-        "0.05",
-        "--json",
-        json.to_str().unwrap(),
-    ]);
-    assert!(out.contains("load gate passed"), "{out}");
-    assert!(out.contains("hit_rate"), "{out}");
-    let report = JsonValue::parse(&std::fs::read_to_string(&*json).expect("json written"))
-        .expect("parseable report");
-    assert_eq!(
-        report.get("schema").and_then(|s| s.as_str()),
-        Some("joinopt-load-v3")
-    );
-    assert_eq!(report.get("errors").and_then(|e| e.as_u64()), Some(0));
-    let breakdown = report.get("errors_by_type").expect("v2 error breakdown");
-    assert_eq!(breakdown.get("timeout").and_then(|v| v.as_u64()), Some(0));
-    assert!(report.get("hits").and_then(|h| h.as_u64()).unwrap() > 0);
-    // The v3 stage breakdown rides along and reaches the rendered table.
-    let stages = report
-        .get("stages")
-        .and_then(|s| s.as_array())
-        .expect("v3 stage breakdown");
-    assert!(
-        stages
-            .iter()
-            .any(|s| s.get("stage").and_then(|v| v.as_str()) == Some("cache-lookup")),
-        "stage breakdown missing cache-lookup: {stages:?}"
-    );
-    assert!(out.contains("cache-lookup"), "{out}");
-}
-
-#[test]
-fn load_gate_fails_when_the_floor_is_unreachable() {
-    // A repeat rate of 0 keeps every request fresh, so a 0.9 hit-rate
-    // floor cannot be met.
-    assert!(matches!(
-        run_err(&[
-            "load",
-            "--requests",
-            "10",
-            "--threads",
-            "1",
-            "--repeat-rate",
-            "0",
-            "--max-n",
-            "5",
-            "--min-hit-rate",
-            "0.9",
-        ]),
-        CliError::Regression(_)
-    ));
+fn plain_load_is_a_usage_error_naming_servebench() {
+    for args in [
+        &["load"][..],
+        &["load", "--requests", "60", "--seed", "7"][..],
+    ] {
+        let err = run_err(args);
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("servebench")),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
 fn load_rejects_bad_options() {
     assert!(matches!(
-        run_err(&["load", "--requests", "0"]),
+        run_err(&["load", "--chaos", "--requests", "0"]),
         CliError::Usage(_)
     ));
     assert!(matches!(
-        run_err(&["load", "--repeat-rate", "1.5"]),
+        run_err(&["load", "--chaos", "--repeat-rate", "1.5"]),
         CliError::Usage(_)
     ));
     assert!(matches!(
-        run_err(&["load", "--max-n", "99"]),
+        run_err(&["load", "--chaos", "--max-n", "99"]),
         CliError::Usage(_)
     ));
     assert!(matches!(
-        run_err(&["load", "--cache-bytes", "lots"]),
+        run_err(&["load", "--chaos", "--cache-bytes", "lots"]),
         CliError::Usage(_)
     ));
     assert!(matches!(
-        run_err(&["load", "positional"]),
+        run_err(&["load", "--chaos", "positional"]),
         CliError::Usage(_)
     ));
 }
@@ -1270,28 +1210,25 @@ fn perf_streams_telemetry_to_trace_and_prom_files() {
 
 #[test]
 fn load_chaos_rejects_misused_options() {
-    // Chaos-tuning flags are meaningless for the plain load gate.
-    let err = run_err(&["load", "--drivers", "4"]);
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("require --chaos")),
-        "{err}"
-    );
-    assert!(matches!(
-        run_err(&["load", "--burst-faults", "10"]),
-        CliError::Usage(_)
-    ));
-    assert!(matches!(
-        run_err(&["load", "--recheck", "8"]),
-        CliError::Usage(_)
-    ));
-    // The hit-rate floor belongs to the plain gate; chaos has its own.
-    let err = run_err(&["load", "--chaos", "--min-hit-rate", "0.5"]);
-    assert!(
-        matches!(&err, CliError::Usage(m) if m.contains("--chaos")),
-        "{err}"
-    );
+    // `--threads` never reached the chaos run (it has `--drivers`), and
+    // the hit-rate floor belonged to the removed plain load run.
+    for (flag, value) in [("--threads", "2"), ("--min-hit-rate", "0.5")] {
+        let err = run_err(&["load", "--chaos", flag, value]);
+        assert!(
+            matches!(&err, CliError::Usage(m) if *m == format!("unknown option {flag}")),
+            "{flag}: {err}"
+        );
+    }
     assert!(matches!(
         run_err(&["load", "--chaos", "--drivers", "0"]),
+        CliError::Usage(_)
+    ));
+    assert!(matches!(
+        run_err(&["load", "--chaos", "--burst-faults", "0"]),
+        CliError::Usage(_)
+    ));
+    assert!(matches!(
+        run_err(&["load", "--chaos", "--recheck", "0"]),
         CliError::Usage(_)
     ));
 }

@@ -23,7 +23,7 @@
 //! the hypergraph module docs); [`DpHyp::optimize`] reports
 //! [`OptimizeError::NoPlanWithoutCrossProducts`] in that case.
 
-use joinopt_cost::{Catalog, CostModel, HyperCardinalityEstimator, PlanStats};
+use joinopt_cost::{ensure_finite, Catalog, CostModel, HyperCardinalityEstimator, PlanStats};
 use joinopt_plan::PlanArena;
 use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::QueryGraphError;
@@ -53,7 +53,8 @@ impl DpHyp {
     ///
     /// * [`OptimizeError::EmptyQuery`] for zero relations;
     /// * [`OptimizeError::Graph`] for reachability-disconnected inputs;
-    /// * [`OptimizeError::Cost`] for catalogs not matching `h`'s shape;
+    /// * [`OptimizeError::Cost`] for catalogs not matching `h`'s shape and
+    ///   for statistics whose estimates overflow;
     /// * [`OptimizeError::NoPlanWithoutCrossProducts`] when connectivity
     ///   holds but no valid plan exists.
     pub fn optimize(
@@ -122,8 +123,8 @@ impl DpHyp {
         spans.begin("enumerate");
         for i in (0..n).rev() {
             let v = RelSet::single(i);
-            state.emit_csg(v);
-            state.enumerate_csg_rec(v, RelSet::prefix_through(i));
+            state.emit_csg(v)?;
+            state.enumerate_csg_rec(v, RelSet::prefix_through(i))?;
         }
         spans.end("enumerate");
 
@@ -178,73 +179,85 @@ impl HypState<'_> {
     /// `EnumerateCsgRec`: grow the primary set through representative
     /// neighborhoods; emit (as a primary) every grown set that is
     /// buildable (present in the table).
-    fn enumerate_csg_rec(&mut self, s1: RelSet, x: RelSet) {
+    fn enumerate_csg_rec(&mut self, s1: RelSet, x: RelSet) -> Result<(), OptimizeError> {
         let nb = self.h.neighborhood(s1, x);
         if nb.is_empty() {
-            return;
+            return Ok(());
         }
         for sp in nb.non_empty_subsets() {
             let s = s1 | sp;
             if self.table.contains(s) {
-                self.emit_csg(s);
+                self.emit_csg(s)?;
             }
         }
         for sp in nb.non_empty_subsets() {
-            self.enumerate_csg_rec(s1 | sp, x | nb);
+            self.enumerate_csg_rec(s1 | sp, x | nb)?;
         }
+        Ok(())
     }
 
     /// `EmitCsg`: for a buildable primary `s1`, enumerate the complement
     /// components.
-    fn emit_csg(&mut self, s1: RelSet) {
+    fn emit_csg(&mut self, s1: RelSet) -> Result<(), OptimizeError> {
         let Some(min) = s1.min_index() else {
-            return; // unreachable: primary sets are non-empty
+            return Ok(()); // unreachable: primary sets are non-empty
         };
         let x = s1 | RelSet::prefix_through(min);
         let nb = self.h.neighborhood(s1, x);
         for i in nb.iter_descending() {
             let s2 = RelSet::single(i);
             if self.h.connects(s1, s2) {
-                self.emit_csg_cmp(s1, s2);
+                self.emit_csg_cmp(s1, s2)?;
             }
             // Exclude only the already-tried representatives (B_i(N)) —
             // the corrected EnumerateCmp exclusion (see qgraph::csg).
-            self.enumerate_cmp_rec(s1, s2, x | (nb & RelSet::prefix_through(i)));
+            self.enumerate_cmp_rec(s1, s2, x | (nb & RelSet::prefix_through(i)))?;
         }
+        Ok(())
     }
 
     /// `EnumerateCmpRec`: grow the complement; emit every grown set that
     /// is buildable and actually joinable with `s1`.
-    fn enumerate_cmp_rec(&mut self, s1: RelSet, s2: RelSet, x: RelSet) {
+    fn enumerate_cmp_rec(
+        &mut self,
+        s1: RelSet,
+        s2: RelSet,
+        x: RelSet,
+    ) -> Result<(), OptimizeError> {
         let nb = self.h.neighborhood(s2, x);
         if nb.is_empty() {
-            return;
+            return Ok(());
         }
         for sp in nb.non_empty_subsets() {
             let s = s2 | sp;
             if self.table.contains(s) && self.h.connects(s1, s) {
-                self.emit_csg_cmp(s1, s);
+                self.emit_csg_cmp(s1, s)?;
             }
         }
         for sp in nb.non_empty_subsets() {
-            self.enumerate_cmp_rec(s1, s2 | sp, x | nb);
+            self.enumerate_cmp_rec(s1, s2 | sp, x | nb)?;
         }
+        Ok(())
     }
 
     /// `EmitCsgCmp`: the DP step — cost both operand orders, update
-    /// `BestPlan(s1 ∪ s2)`.
-    fn emit_csg_cmp(&mut self, s1: RelSet, s2: RelSet) {
+    /// `BestPlan(s1 ∪ s2)`. An overflowing estimate is a typed
+    /// [`OptimizeError::Cost`], as in every other engine.
+    fn emit_csg_cmp(&mut self, s1: RelSet, s2: RelSet) -> Result<(), OptimizeError> {
         self.counters.inner += 1;
         self.counters.ono_lohman += 1;
         let (Some(&e1), Some(&e2)) = (self.table.get(s1), self.table.get(s2)) else {
-            return; // unreachable: emitted operands are buildable
+            return Ok(()); // unreachable: emitted operands are buildable
         };
         let union = s1 | s2;
         let (out_card, incumbent) = match self.table.get(union) {
             Some(existing) => (existing.stats.cardinality, Some(existing.stats.cost)),
             None => (
-                self.est
-                    .join_cardinality(e1.stats.cardinality, e2.stats.cardinality, s1, s2),
+                ensure_finite(
+                    "cardinality",
+                    self.est
+                        .join_cardinality(e1.stats.cardinality, e2.stats.cardinality, s1, s2),
+                )?,
                 None,
             ),
         };
@@ -256,11 +269,11 @@ impl HypState<'_> {
                 self.level_new[union.len()] += 1;
             }
         }
-        let c12 = self.model.join_cost(&e1.stats, &e2.stats, out_card);
+        let c12 = ensure_finite("cost", self.model.join_cost(&e1.stats, &e2.stats, out_card))?;
         let (cost, left, right) = if self.model.is_symmetric() {
             (c12, &e1, &e2)
         } else {
-            let c21 = self.model.join_cost(&e2.stats, &e1.stats, out_card);
+            let c21 = ensure_finite("cost", self.model.join_cost(&e2.stats, &e1.stats, out_card))?;
             if c21 < c12 {
                 (c21, &e2, &e1)
             } else {
@@ -275,6 +288,7 @@ impl HypState<'_> {
             let plan = self.arena.add_join(left.plan, right.plan, stats);
             self.table.insert(union, TableEntry { plan, stats });
         }
+        Ok(())
     }
 }
 

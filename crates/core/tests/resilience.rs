@@ -11,12 +11,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{
-    Algorithm, BudgetAction, CancelFlag, DegradationRung, OptimizeError, OptimizeOutcome,
+    Algorithm, BudgetAction, CancelFlag, DegradationRung, DpHyp, OptimizeError, OptimizeOutcome,
     OptimizeRequest, Optimizer, Session, TripKind,
 };
 use joinopt_cost::workload::{self, Workload};
-use joinopt_cost::Catalog;
-use joinopt_qgraph::{GraphKind, QueryGraph};
+use joinopt_cost::{Catalog, CostError, Cout};
+use joinopt_qgraph::generators::generate;
+use joinopt_qgraph::{GraphKind, Hypergraph, QueryGraph};
 
 /// The failpoint registry is process-global, so every test here
 /// serializes on this lock: under `--cfg failpoints` a site armed by one
@@ -280,6 +281,45 @@ fn cancel_flag_shared_across_requests_stops_each() {
 
 /// Injected-fault matrix: only meaningful when the crate is compiled
 /// with `RUSTFLAGS="--cfg failpoints"` (see `ci.sh`).
+#[test]
+fn overflowing_statistics_are_a_typed_error_in_every_engine() {
+    let _serial = serial();
+    // 1e200 × 1e200 overflows f64 at the first join; selectivity 1.0
+    // keeps the product from shrinking back. No engine may hand back an
+    // infinite plan cost as a success.
+    for kind in [GraphKind::Chain, GraphKind::Star, GraphKind::Clique] {
+        let g = generate(kind, 4);
+        let mut catalog = Catalog::new(&g);
+        for i in 0..g.num_relations() {
+            catalog.set_cardinality(i, 1e200).unwrap();
+        }
+        for e in 0..g.num_edges() {
+            catalog.set_selectivity(e, 1.0).unwrap();
+        }
+        let mut outcomes: Vec<(String, Result<f64, OptimizeError>)> = Algorithm::CONCRETE
+            .into_iter()
+            .map(|alg| {
+                let r = OptimizeRequest::new(&g, &catalog).with_algorithm(alg).run();
+                (format!("{alg:?}"), r.map(|o| o.result.cost))
+            })
+            .collect();
+        let h = Hypergraph::from_query_graph(&g);
+        outcomes.push((
+            "DpHyp".into(),
+            DpHyp.optimize(&h, &catalog, &Cout).map(|r| r.cost),
+        ));
+        for (name, r) in outcomes {
+            assert!(
+                matches!(
+                    r,
+                    Err(OptimizeError::Cost(CostError::NonFiniteEstimate { .. }))
+                ),
+                "{name} on {kind}: {r:?}"
+            );
+        }
+    }
+}
+
 #[cfg(failpoints)]
 mod failpoints {
     use super::*;
