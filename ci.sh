@@ -42,8 +42,10 @@ cargo test --offline -q --test corpus
 
 echo "==> conformance fuzz smoke (fixed seed; full exact matrix incl. DPconv)"
 # The differential oracle runs every exact algorithm — DPsize, DPsub
-# (+ variants), DPccp, DPconv, top-down — on each instance, so this
-# smoke is also the DPconv-vs-matrix conformance gate.
+# (+ variants), DPccp, DPconv, top-down, DPhyp and the exhaustive
+# oracle — on each instance and requires the same cost bits from all
+# of them (and under the asymmetric hash-join model from all but
+# DPconv), so this smoke is also the DPconv-vs-matrix conformance gate.
 cargo run --offline -q --release -p joinopt-cli --bin joinopt -- \
     fuzz --seed 42 --iters 200 --max-n 10 --minimize
 

@@ -60,15 +60,26 @@ fn connectivity_tests(r: &mut Runner) {
 }
 
 fn cardinality_estimation(r: &mut Runner) {
+    // The set-only fold once per connected set — the work an exact DP
+    // does to fill its table's cardinalities.
+    for (kind, n) in [(GraphKind::Clique, 12), (GraphKind::Star, 14)] {
+        let w = family_workload(kind, n, 3);
+        let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
+        let sets = csg::collect_csgs(&w.graph);
+        r.bench(
+            "substrate_estimator",
+            &format!("set_cardinality/{}{n}_every_csg", kind.name()),
+            || {
+                let mut acc = 0.0;
+                for &s in black_box(&sets) {
+                    acc += est.set_cardinality(s);
+                }
+                black_box(acc)
+            },
+        );
+    }
     let w = family_workload(GraphKind::Clique, 20, 3);
     let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
-    let s1 = RelSet::from_indices(0..=9);
-    let s2 = RelSet::from_indices(10..=19);
-    r.bench(
-        "substrate_estimator",
-        "join_cardinality/clique20_cut",
-        || black_box(est.join_cardinality(1e6, 1e6, black_box(s1), black_box(s2))),
-    );
     r.bench(
         "substrate_estimator",
         "set_cardinality/clique20_full",

@@ -191,15 +191,16 @@ EXPLAIN:     explain re-runs the optimizer with provenance collection:
              out). See docs/observability.md.
 FUZZING:     fuzz generates random query-graph instances (seed S, iters
              N, up to --max-n relations each) and runs the differential
-             conformance oracle on every one: all exact algorithms,
-             the parallel engine at several thread counts, metamorphic
-             properties, counter closed forms and the service layer's
-             canonical-fingerprint invariance. --cache additionally
-             replays each instance cold/warm through a plan cache and
-             fails unless the warm hit is bit-identical to the cold
-             run. --minimize shrinks each divergent instance to a
-             minimal repro and prints it in the query DSL. Exit is
-             nonzero on any divergence.
+             conformance oracle on every one: all exact algorithms
+             must return the same cost bits (also under the hash-join
+             model), every plan must re-cost to its reported cost,
+             plus metamorphic properties, counter closed forms and the
+             service layer's canonical-fingerprint invariance.
+             --cache additionally replays each instance cold/warm
+             through a plan cache and fails unless the warm hit is
+             bit-identical to the cold run. --minimize shrinks each
+             divergent instance to a minimal repro and prints it in
+             the query DSL. Exit is nonzero on any divergence.
 LOAD:        load --chaos replays a seeded mixed chain/star/clique
              request stream (each request repeats an earlier query with
              probability --repeat-rate) through the server gateway with

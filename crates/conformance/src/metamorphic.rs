@@ -2,8 +2,9 @@
 //! effect on the optimum, checked without any reference oracle.
 //!
 //! * **Renumbering invariance** — relabeling the relations by any
-//!   permutation must not change the optimal cost (within rounding:
-//!   the estimator multiplies the same factors in a different order).
+//!   permutation must not change the optimal cost (within
+//!   `RENUMBER_TOLERANCE`: the estimator's fold multiplies the same
+//!   factors in a different order).
 //! * **Scaling invariance** — multiplying every join cost by a power
 //!   of two scales the optimum *exactly* (power-of-two scaling only
 //!   shifts f64 exponents) and must not change the chosen plan shape:
@@ -11,7 +12,8 @@
 //! * **Selectivity tightening** — lowering one selectivity shrinks
 //!   every intermediate result that predicate touches, so under
 //!   `C_out` no plan gets more expensive and the optimum is monotone
-//!   non-increasing.
+//!   non-increasing — exactly, since f64 multiplication and addition
+//!   are monotone and the fold keeps its order.
 
 use joinopt_cost::{Catalog, CostModel, Cout, PlanStats};
 use joinopt_plan::JoinTree;
@@ -21,20 +23,20 @@ use joinopt_relset::XorShift64;
 use crate::generator::Instance;
 use crate::oracle::Divergence;
 
-/// `C_out` with every join's *increment* (the emitted-tuple term)
-/// multiplied by a constant factor. The model returns total plan cost
-/// (subplan costs included), so only the `out_card` term is scaled —
-/// by induction every plan's total is exactly `factor ×` its `C_out`
-/// total. With a power-of-two factor the scaling is bit-exact
-/// (multiplication by a power of two commutes with f64 rounding), so
-/// optimal costs must scale bit-exactly too.
+/// `C_out` with every join's operator term (the emitted-tuple count)
+/// multiplied by a constant factor. The children's costs are added by
+/// [`CostModel::join_cost`] as usual, so by induction every plan's
+/// total is exactly `factor ×` its `C_out` total. With a power-of-two
+/// factor the scaling is bit-exact (multiplication by a power of two
+/// commutes with f64 rounding), so optimal costs must scale bit-exactly
+/// too.
 struct ScaledCout {
     factor: f64,
 }
 
 impl CostModel for ScaledCout {
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
-        self.factor * out_card + left.cost + right.cost
+    fn operator_cost(&self, _left: &PlanStats, _right: &PlanStats, out_card: f64) -> f64 {
+        self.factor * out_card
     }
 
     fn name(&self) -> &'static str {
@@ -48,6 +50,12 @@ impl CostModel for ScaledCout {
 
 /// The power-of-two factor the scaling property uses.
 const SCALE: f64 = 4.0;
+
+/// Relative tolerance of the renumbering property, the one check that
+/// keeps one: relabeling changes the ascending order in which the
+/// cardinality fold multiplies a set's factors, so the relabeled
+/// optimum may differ from the original in its last bits.
+const RENUMBER_TOLERANCE: f64 = 1e-9;
 
 fn diverge(check: &'static str, detail: String) -> Divergence {
     Divergence { check, detail }
@@ -127,7 +135,7 @@ fn check_renumbering(inst: &Instance, base_cost: f64) -> Result<(), Divergence> 
             format!("{}: renumbered instance failed to optimize: {e}", inst.name),
         )
     })?;
-    let tol = crate::oracle::COST_TOLERANCE * base_cost.abs().max(1.0);
+    let tol = RENUMBER_TOLERANCE * base_cost.abs().max(1.0);
     if (renamed.cost - base_cost).abs() > tol {
         return Err(diverge(
             "metamorphic-renumber",
@@ -197,7 +205,7 @@ fn check_tightening(inst: &Instance, base_cost: f64) -> Result<(), Divergence> {
             format!("{}: tightened instance failed to optimize: {e}", inst.name),
         )
     })?;
-    if tightened.cost > base_cost * (1.0 + crate::oracle::COST_TOLERANCE) {
+    if tightened.cost > base_cost {
         return Err(diverge(
             "metamorphic-tighten",
             format!(

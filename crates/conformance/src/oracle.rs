@@ -5,9 +5,23 @@
 //!
 //! * **Across algorithm families** (DPsize vs DPsub vs DPccp vs DPconv
 //!   vs top-down vs DPhyp vs the exhaustive oracle) the optimal *cost*
-//!   must agree within a `1e-9` relative tolerance. The algorithms sum
-//!   the same per-plan terms in different orders, so the last few bits
-//!   may legitimately differ; anything beyond rounding noise is a bug.
+//!   must be the same f64, bit for bit. Every engine prices a set with
+//!   the estimator's set-only cardinality fold and a join with one
+//!   pair-cost kernel, `(left.cost + right.cost) + operator term`, so a
+//!   tree's cost depends on the tree alone; and since f64 addition and
+//!   multiplication are monotone, every exact DP returns the f64
+//!   minimum over all trees. A differing bit is a bug.
+//! * **Ordered bounds** are exact too: the cross-product search space
+//!   contains every cross-product-free tree, so DPsub-cp's optimum is
+//!   `<=` DPccp's; GOO, IDP and left-deep DP return some tree, so their
+//!   cost is `>=` it.
+//! * **Every plan re-costs to itself**: each join's stored cardinality
+//!   and cost equal the fold and [`CostModel::join_cost`] re-derived
+//!   from its children, bit for bit, and the result's cost is the
+//!   root's.
+//! * **Asymmetric models**: the exact engines other than DPconv (which
+//!   refuses non-`C_out` models) also agree bit for bit under
+//!   [`HashJoin`], whose build/probe roles make orientation matter.
 //! * **Counters** are deterministic properties of the graph, not the
 //!   statistics: they must *equal* the paper's Section 2.3.2 closed
 //!   forms (for the four closed-form families) and the csg-profile
@@ -18,7 +32,7 @@ use joinopt_core::formulas::{
     dpsub_unfiltered_inner,
 };
 use joinopt_core::{exhaustive, Algorithm, DpHyp, DpResult, OptimizeError};
-use joinopt_cost::Cout;
+use joinopt_cost::{CardinalityEstimator, CostModel, Cout, HashJoin, PlanStats};
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::profile::CsgProfile;
@@ -49,15 +63,27 @@ impl std::error::Error for Divergence {}
 /// Largest instance the brute-force exhaustive oracle runs on.
 pub const EXHAUSTIVE_MAX_N: usize = 9;
 
-/// Relative tolerance for cost agreement across algorithm *families*.
-pub const COST_TOLERANCE: f64 = 1e-9;
-
 fn diverge(check: &'static str, detail: String) -> Divergence {
     Divergence { check, detail }
 }
 
-fn costs_agree(a: f64, b: f64) -> bool {
-    (a - b).abs() <= COST_TOLERANCE * a.abs().max(b.abs()).max(1.0)
+/// Bit-for-bit cost agreement of `label` with `reference`.
+fn same_cost(
+    check: &'static str,
+    inst: &Instance,
+    (label, cost): (&str, f64),
+    (reference, want): (&str, f64),
+) -> Result<(), Divergence> {
+    if cost.to_bits() == want.to_bits() {
+        return Ok(());
+    }
+    Err(diverge(
+        check,
+        format!(
+            "{}: {label} found cost {cost:e} but {reference} found {want:e}",
+            inst.name
+        ),
+    ))
 }
 
 /// Serializes a join tree to a canonical string so shape differences
@@ -79,6 +105,14 @@ const EXACT: [(Algorithm, &str); 7] = [
     (Algorithm::DpCcp, "DPccp"),
     (Algorithm::DpConv, "DPconv"),
     (Algorithm::TopDown, "top-down"),
+];
+
+/// The heuristics: valid plans that re-cost exactly, never below the
+/// optimum.
+const HEURISTIC: [(Algorithm, &str); 3] = [
+    (Algorithm::Goo, "GOO"),
+    (Algorithm::Idp, "IDP"),
+    (Algorithm::DpSizeLeftDeep, "DPsize-leftdeep"),
 ];
 
 /// Largest instance the `O(2^n · n²)` ranked-subset-convolution counter
@@ -121,9 +155,15 @@ pub fn check_instance_observed(
         return check_disconnected(inst);
     }
 
-    let run = |alg: Algorithm, label: &str| -> Result<DpResult, Divergence> {
+    let est = CardinalityEstimator::new(g, &inst.catalog).map_err(|e| {
+        diverge(
+            "optimizer-error",
+            format!("{}: the estimator rejected the catalog: {e}", inst.name),
+        )
+    })?;
+    let run = |alg: Algorithm, label: &str, model: &dyn CostModel| {
         alg.orderer(g)
-            .optimize(g, &inst.catalog, &Cout)
+            .optimize(g, &inst.catalog, model)
             .map_err(|e| {
                 diverge(
                     "optimizer-error",
@@ -132,8 +172,8 @@ pub fn check_instance_observed(
             })
     };
 
-    // 1. Every exact algorithm agrees on the optimal cost and returns a
-    //    valid, cross-product-free plan of that cost.
+    // 1. Every exact algorithm finds the same optimal cost bits and
+    //    returns a valid, cross-product-free plan of that cost.
     let reference = Algorithm::DpCcp
         .orderer(g)
         .optimize_observed(g, &inst.catalog, &Cout, obs)
@@ -143,23 +183,16 @@ pub fn check_instance_observed(
                 format!("{}: DPccp failed on a connected instance: {e}", inst.name),
             )
         })?;
-    validate_tree(inst, &reference.tree, "DPccp", true)?;
+    validate(inst, &est, &Cout, &reference, "DPccp", true)?;
+    let optimum = ("DPccp", reference.cost);
     let mut results: Vec<(&str, DpResult)> = Vec::new();
     for (alg, label) in EXACT {
         let r = if alg == Algorithm::DpCcp {
             reference.clone()
         } else {
-            let r = run(alg, label)?;
-            validate_tree(inst, &r.tree, label, true)?;
-            if !costs_agree(r.cost, reference.cost) {
-                return Err(diverge(
-                    "optimal-cost",
-                    format!(
-                        "{}: {label} found cost {:e} but DPccp found {:e}",
-                        inst.name, r.cost, reference.cost
-                    ),
-                ));
-            }
+            let r = run(alg, label, &Cout)?;
+            validate(inst, &est, &Cout, &r, label, true)?;
+            same_cost("optimal-cost", inst, (label, r.cost), optimum)?;
             r
         };
         results.push((label, r));
@@ -167,9 +200,9 @@ pub fn check_instance_observed(
 
     // 2. The cross-product variant may only improve on the constrained
     //    optimum, and its plan must still cover every relation.
-    let cp = run(Algorithm::DpSubCrossProducts, "DPsub-cp")?;
-    validate_tree(inst, &cp.tree, "DPsub-cp", false)?;
-    if cp.cost > reference.cost * (1.0 + COST_TOLERANCE) {
+    let cp = run(Algorithm::DpSubCrossProducts, "DPsub-cp", &Cout)?;
+    validate(inst, &est, &Cout, &cp, "DPsub-cp", false)?;
+    if cp.cost > reference.cost {
         return Err(diverge(
             "optimal-cost",
             format!(
@@ -179,17 +212,19 @@ pub fn check_instance_observed(
         ));
     }
 
-    // 3. GOO is heuristic: valid and never better than optimal.
-    let goo = run(Algorithm::Goo, "GOO")?;
-    validate_tree(inst, &goo.tree, "GOO", true)?;
-    if goo.cost < reference.cost * (1.0 - COST_TOLERANCE) {
-        return Err(diverge(
-            "optimal-cost",
-            format!(
-                "{}: GOO (heuristic) found cost {:e} below the optimum {:e}",
-                inst.name, goo.cost, reference.cost
-            ),
-        ));
+    // 3. The heuristics: valid and never better than optimal.
+    for (alg, label) in HEURISTIC {
+        let r = run(alg, label, &Cout)?;
+        validate(inst, &est, &Cout, &r, label, true)?;
+        if r.cost < reference.cost {
+            return Err(diverge(
+                "optimal-cost",
+                format!(
+                    "{}: {label} (heuristic) found cost {:e} below the optimum {:e}",
+                    inst.name, r.cost, reference.cost
+                ),
+            ));
+        }
     }
 
     // 4. DPhyp on the equivalent singleton-edge hypergraph.
@@ -202,15 +237,7 @@ pub fn check_instance_observed(
     let hyp = DpHyp
         .optimize(&hyper, &inst.catalog, &Cout)
         .map_err(|e| diverge("dphyp", format!("{}: DPhyp failed: {e}", inst.name)))?;
-    if !costs_agree(hyp.cost, reference.cost) {
-        return Err(diverge(
-            "dphyp",
-            format!(
-                "{}: DPhyp found cost {:e} but DPccp found {:e}",
-                inst.name, hyp.cost, reference.cost
-            ),
-        ));
-    }
+    same_cost("dphyp", inst, ("DPhyp", hyp.cost), optimum)?;
 
     // 5. The structurally independent exhaustive oracle, for small n.
     if n <= EXHAUSTIVE_MAX_N {
@@ -220,15 +247,12 @@ pub fn check_instance_observed(
                 format!("{}: exhaustive oracle failed: {e}", inst.name),
             )
         })?;
-        if !costs_agree(exact, reference.cost) {
-            return Err(diverge(
-                "exhaustive",
-                format!(
-                    "{}: exhaustive oracle found cost {:e} but DPccp found {:e}",
-                    inst.name, exact, reference.cost
-                ),
-            ));
-        }
+        same_cost(
+            "exhaustive",
+            inst,
+            ("the exhaustive oracle", exact),
+            optimum,
+        )?;
         let exact_cp = exhaustive::optimal_cost_with_cross_products(g, &inst.catalog, &Cout)
             .map_err(|e| {
                 diverge(
@@ -236,18 +260,33 @@ pub fn check_instance_observed(
                     format!("{}: exhaustive cross-product oracle failed: {e}", inst.name),
                 )
             })?;
-        if !costs_agree(exact_cp, cp.cost) {
-            return Err(diverge(
-                "exhaustive",
-                format!(
-                    "{}: exhaustive cross-product optimum {:e} but DPsub-cp found {:e}",
-                    inst.name, exact_cp, cp.cost
-                ),
-            ));
-        }
+        same_cost(
+            "exhaustive",
+            inst,
+            ("the exhaustive cross-product oracle", exact_cp),
+            ("DPsub-cp", cp.cost),
+        )?;
     }
 
-    // 6. Counter cross-validation against the Section 2.3.2 analysis.
+    // 6. Under the asymmetric hash-join model orientation matters; every
+    //    exact engine that accepts the model still agrees bit for bit.
+    let hash_reference = run(Algorithm::DpCcp, "DPccp", &HashJoin)?;
+    validate(inst, &est, &HashJoin, &hash_reference, "DPccp", true)?;
+    for (alg, label) in EXACT {
+        if alg == Algorithm::DpCcp || alg == Algorithm::DpConv {
+            continue;
+        }
+        let r = run(alg, label, &HashJoin)?;
+        validate(inst, &est, &HashJoin, &r, label, true)?;
+        same_cost(
+            "asymmetric-cost",
+            inst,
+            (label, r.cost),
+            ("DPccp", hash_reference.cost),
+        )?;
+    }
+
+    // 7. Counter cross-validation against the Section 2.3.2 analysis.
     check_counters(inst, &results)
 }
 
@@ -325,7 +364,13 @@ fn check_disconnected(inst: &Instance) -> Result<(), Divergence> {
                 ),
             )
         })?;
-    validate_tree(inst, &cp.tree, "DPsub-cp", false)
+    let est = CardinalityEstimator::new(g, &inst.catalog).map_err(|e| {
+        diverge(
+            "disconnected",
+            format!("{}: the estimator rejected the catalog: {e}", inst.name),
+        )
+    })?;
+    validate(inst, &est, &Cout, &cp, "DPsub-cp", false)
 }
 
 /// Counter cross-validation: instrumented runs ⇔ csg-profile
@@ -435,17 +480,23 @@ fn check_counters(inst: &Instance, results: &[(&str, DpResult)]) -> Result<(), D
     Ok(())
 }
 
-/// Validates plan structure: full coverage, n−1 joins, finite stats,
-/// scan cardinalities straight from the catalog, and (for
-/// `require_connected`) cross-product freedom — both operands of every
-/// join connect through an edge of the graph.
-fn validate_tree(
+/// Validates a result's plan: full coverage, n−1 joins, finite stats, scan
+/// cardinalities straight from the catalog, every join's stored
+/// cardinality and cost re-derived from its children (the fold and
+/// `model`'s [`CostModel::join_cost`], bit for bit), the result's cost
+/// equal to the root's, and (for `require_connected`) cross-product
+/// freedom — both operands of every join connect through an edge of
+/// the graph.
+fn validate(
     inst: &Instance,
-    tree: &JoinTree,
+    est: &CardinalityEstimator,
+    model: &dyn CostModel,
+    r: &DpResult,
     label: &str,
     require_connected: bool,
 ) -> Result<(), Divergence> {
     let g = &inst.graph;
+    let tree = &r.tree;
     if tree.relations() != g.all_relations() {
         return Err(diverge(
             "plan-validity",
@@ -474,17 +525,29 @@ fn validate_tree(
             format!("{}: {label} plan has non-finite statistics", inst.name),
         ));
     }
-    walk(inst, g, tree, label, require_connected).map(|_| ())
+    let (_, root) = walk(inst, est, model, tree, label, require_connected)?;
+    if r.cost.to_bits() != root.cost.to_bits() {
+        return Err(diverge(
+            "plan-validity",
+            format!(
+                "{}: {label} reports cost {:e} for a plan that costs {:e}",
+                inst.name, r.cost, root.cost
+            ),
+        ));
+    }
+    Ok(())
 }
 
-/// Recursive walk: returns the subtree's relation set after checking it.
+/// Recursive walk: returns the subtree's relation set and re-derived
+/// stats after checking it.
 fn walk(
     inst: &Instance,
-    g: &QueryGraph,
+    est: &CardinalityEstimator,
+    model: &dyn CostModel,
     tree: &JoinTree,
     label: &str,
     require_connected: bool,
-) -> Result<RelSet, Divergence> {
+) -> Result<(RelSet, PlanStats), Divergence> {
     match tree {
         JoinTree::Scan {
             relation,
@@ -500,11 +563,16 @@ fn walk(
                     ),
                 ));
             }
-            Ok(RelSet::single(*relation))
+            Ok((RelSet::single(*relation), PlanStats::base(want)))
         }
-        JoinTree::Join { left, right, .. } => {
-            let ls = walk(inst, g, left, label, require_connected)?;
-            let rs = walk(inst, g, right, label, require_connected)?;
+        JoinTree::Join {
+            left,
+            right,
+            cardinality,
+            cost,
+        } => {
+            let (ls, lstats) = walk(inst, est, model, left, label, require_connected)?;
+            let (rs, rstats) = walk(inst, est, model, right, label, require_connected)?;
             if ls.overlaps(rs) {
                 return Err(diverge(
                     "plan-validity",
@@ -514,7 +582,7 @@ fn walk(
                     ),
                 ));
             }
-            if require_connected && !g.sets_connected(ls, rs) {
+            if require_connected && !inst.graph.sets_connected(ls, rs) {
                 return Err(diverge(
                     "cross-product-free",
                     format!(
@@ -523,7 +591,26 @@ fn walk(
                     ),
                 ));
             }
-            Ok(ls.union(rs))
+            let set = ls.union(rs);
+            let card = est.set_cardinality(set);
+            let recost = model.join_cost(&lstats, &rstats, card);
+            if card.to_bits() != cardinality.to_bits() || recost.to_bits() != cost.to_bits() {
+                return Err(diverge(
+                    "plan-validity",
+                    format!(
+                        "{}: {label} join {set} stores cardinality {cardinality:e} and cost \
+                         {cost:e}, its children re-derive {card:e} and {recost:e}",
+                        inst.name
+                    ),
+                ));
+            }
+            Ok((
+                set,
+                PlanStats {
+                    cardinality: card,
+                    cost: recost,
+                },
+            ))
         }
     }
 }
@@ -576,7 +663,8 @@ mod tests {
             .catalog
             .set_cardinality(0, 999.0)
             .expect("valid cardinality");
-        let d = validate_tree(&other, &r.tree, "DPccp", true).unwrap_err();
+        let est = CardinalityEstimator::new(&other.graph, &other.catalog).expect("same shape");
+        let d = validate(&other, &est, &Cout, &r, "DPccp", true).unwrap_err();
         assert_eq!(d.check, "plan-validity");
         assert!(d.detail.contains("catalog says"), "{d}");
     }

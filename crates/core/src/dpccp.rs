@@ -48,7 +48,7 @@ impl Enumerator for DpCcp {
         csg::try_for_each_ccp(g, |s1, s2| {
             d.counters.inner += 1;
             d.counters.ono_lohman += 1;
-            d.emit_pair_both_orders(s1, s2).map(|_| ())
+            d.emit_pair(s1, s2, true).map(|_| ())
         })?;
         d.counters.csg_cmp_pairs = 2 * d.counters.ono_lohman;
         Ok(())
@@ -89,9 +89,9 @@ mod tests {
                 let ccp = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
                 let size = DpSize.optimize(&w.graph, &w.catalog, &Cout).unwrap();
                 let sub = DpSub.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-                let tol = 1e-9 * ccp.cost.abs().max(1.0);
-                assert!((ccp.cost - size.cost).abs() <= tol, "{kind} seed {seed}");
-                assert!((ccp.cost - sub.cost).abs() <= tol, "{kind} seed {seed}");
+                let bits = ccp.cost.to_bits();
+                assert_eq!(bits, size.cost.to_bits(), "{kind} seed {seed}");
+                assert_eq!(bits, sub.cost.to_bits(), "{kind} seed {seed}");
                 assert_eq!(ccp.counters.csg_cmp_pairs, size.counters.csg_cmp_pairs);
                 assert_eq!(ccp.counters.csg_cmp_pairs, sub.counters.csg_cmp_pairs);
             }
@@ -108,9 +108,9 @@ mod tests {
             let ccp = DpCcp.optimize(&w.graph, &w.catalog, &HashJoin).unwrap();
             let size = DpSize.optimize(&w.graph, &w.catalog, &HashJoin).unwrap();
             let sub = DpSub.optimize(&w.graph, &w.catalog, &HashJoin).unwrap();
-            let tol = 1e-9 * ccp.cost.abs().max(1.0);
-            assert!((ccp.cost - size.cost).abs() <= tol, "seed {seed}");
-            assert!((ccp.cost - sub.cost).abs() <= tol, "seed {seed}");
+            let bits = ccp.cost.to_bits();
+            assert_eq!(bits, size.cost.to_bits(), "seed {seed}");
+            assert_eq!(bits, sub.cost.to_bits(), "seed {seed}");
         }
     }
 
@@ -124,8 +124,7 @@ mod tests {
             let sub = DpSub
                 .optimize(&w.graph, &w.catalog, &MinOverPhysical)
                 .unwrap();
-            let tol = 1e-9 * ccp.cost.abs().max(1.0);
-            assert!((ccp.cost - sub.cost).abs() <= tol, "seed {seed}");
+            assert_eq!(ccp.cost.to_bits(), sub.cost.to_bits(), "seed {seed}");
         }
     }
 

@@ -37,12 +37,15 @@
 //! instantiation — and the ring transform independently cross-checks
 //! the candidate-count accounting in the conformance oracle.
 //!
-//! Plan reconstruction never trusts the float min-plus alone: each
-//! recorded witness split is re-validated against the DP table
-//! (disjointness, connectivity of both halves, and re-derivation of
-//! `dp(S)` within tolerance) before a join node is materialized, so a
-//! corrupted witness surfaces as [`OptimizeError::Internal`] instead
-//! of a silently wrong tree.
+//! Candidates are summed as `(dp(T) + dp(S \ T)) + card(S)` — the
+//! pair-cost kernel's order — over the estimator's set-only
+//! cardinalities, so DPconv's optimum is the other exact engines' f64
+//! bit for bit. Plan reconstruction never trusts the float min-plus
+//! alone: each recorded witness split is re-validated against the DP
+//! table (disjointness, connectivity of both halves, and an exact
+//! re-derivation of `dp(S)` through the kernel) before a join node is
+//! materialized, so a corrupted witness surfaces as
+//! [`OptimizeError::Internal`] instead of a silently wrong tree.
 
 use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::{PlanArena, PlanId};
@@ -55,14 +58,9 @@ use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::failpoint;
+use crate::kernel::pair_cost;
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::DenseDpTable;
-
-/// Relative tolerance for re-deriving `dp(S)` from a witness split
-/// during reconstruction. Loose against summation-order noise, tight
-/// against genuine corruption (a wrong witness is off by whole
-/// intermediate-result sizes).
-const WITNESS_TOLERANCE: f64 = 1e-6;
 
 /// Subset-convolution DP over the ranked lattice (exact, `C_out`-shaped
 /// cost models only).
@@ -224,11 +222,7 @@ pub(crate) fn run_pooled(
         if g.is_connected_set(set) {
             scratch.conn[s] = true;
             scratch.ranks[set.len()].push(s as u64);
-            scratch.card[s] = if set.is_singleton() {
-                est.base_cardinality(set.min_index().unwrap_or(0))
-            } else {
-                ensure_finite("cardinality", est.set_cardinality(set))?
-            };
+            scratch.card[s] = ensure_finite("cardinality", est.set_cardinality(set))?;
             csgs += 1;
         }
     }
@@ -314,7 +308,7 @@ pub(crate) fn run_pooled(
 
     spans.begin("extract");
     let mut arena = PlanArena::with_capacity(2 * n);
-    let (root, _) = build_tree(full as u64, scratch, &est, model, &mut arena)?;
+    let (root, _) = build_tree(full as u64, scratch, model, &mut arena)?;
     ctl.charge(arena.bytes())?;
     let tree = arena.extract(root);
     spans.end("extract");
@@ -359,7 +353,7 @@ fn relax_half_subsets(
                 let u = s ^ t;
                 if scratch.conn[t] && scratch.conn[u] {
                     counters.ono_lohman += 1;
-                    let cand = base + scratch.dp[t] + scratch.dp[u];
+                    let cand = (scratch.dp[t] + scratch.dp[u]) + base;
                     let accepted = cand < scratch.dp[s];
                     candidate(s as u64, t as u64, u as u64, cand, accepted);
                     if accepted {
@@ -405,7 +399,7 @@ fn relax_rank_pairs(
                     continue;
                 }
                 counters.ono_lohman += 1;
-                let cand = scratch.card[s] + scratch.dp[a] + scratch.dp[b];
+                let cand = (scratch.dp[a] + scratch.dp[b]) + scratch.card[s];
                 let accepted = cand < scratch.dp[s];
                 candidate(s as u64, a as u64, b as u64, cand, accepted);
                 if accepted {
@@ -423,21 +417,18 @@ fn relax_rank_pairs(
 fn build_tree(
     s: u64,
     scratch: &DpConvScratch,
-    est: &CardinalityEstimator,
     model: &dyn CostModel,
     arena: &mut PlanArena,
 ) -> Result<(PlanId, PlanStats), OptimizeError> {
     let set = RelSet::from_bits(s);
+    let idx = s as usize;
     if set.is_singleton() {
-        let i = set.min_index().unwrap_or(0);
-        let card = est.base_cardinality(i);
-        let id = arena.add_scan(i, card);
+        let card = scratch.card[idx];
+        let id = arena.add_scan(set.min_index().unwrap_or(0), card);
         return Ok((id, PlanStats::base(card)));
     }
-    let idx = s as usize;
     let t = scratch.witness[idx];
     let u = s ^ t;
-    let (ti, ui) = (t as usize, u as usize);
     let corrupt = |why: &str| {
         OptimizeError::Internal(format!(
             "DPconv witness for {set} is corrupt ({why}): split {} | {}",
@@ -448,26 +439,18 @@ fn build_tree(
     if t == 0 || u == 0 || t & s != t {
         return Err(corrupt("not a proper split"));
     }
-    if !scratch.conn[ti] || !scratch.conn[ui] {
+    if !scratch.conn[t as usize] || !scratch.conn[u as usize] {
         return Err(corrupt("disconnected half"));
     }
-    let derived = scratch.card[idx] + scratch.dp[ti] + scratch.dp[ui];
-    let table = scratch.dp[idx];
-    if !table.is_finite() || (derived - table).abs() > WITNESS_TOLERANCE * table.abs().max(1.0) {
+    let (left, lstats) = build_tree(t, scratch, model, arena)?;
+    let (right, rstats) = build_tree(u, scratch, model, arena)?;
+    let out_card = scratch.card[idx];
+    // The relaxation summed `(dp(T) + dp(S∖T)) + |S|`, the kernel's
+    // order, so a sound witness re-derives `dp(S)` bit for bit.
+    let (cost, _) = pair_cost(model, &lstats, &rstats, out_card, false)?;
+    if cost.to_bits() != scratch.dp[idx].to_bits() {
         return Err(corrupt("cost does not re-derive from the table"));
     }
-    let (left, lstats) = build_tree(t, scratch, est, model, arena)?;
-    let (right, rstats) = build_tree(u, scratch, est, model, arena)?;
-    let out_card = ensure_finite(
-        "cardinality",
-        est.join_cardinality(
-            lstats.cardinality,
-            rstats.cardinality,
-            RelSet::from_bits(t),
-            RelSet::from_bits(u),
-        ),
-    )?;
-    let cost = ensure_finite("cost", model.join_cost(&lstats, &rstats, out_card))?;
     let stats = PlanStats {
         cardinality: out_card,
         cost,
@@ -493,9 +476,9 @@ mod tests {
                     let w = workload::family_workload(kind, n, seed);
                     let conv = DpConv.optimize(&w.graph, &w.catalog, &Cout).unwrap();
                     let ccp = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-                    let tol = 1e-9 * ccp.cost.abs().max(1.0);
-                    assert!(
-                        (conv.cost - ccp.cost).abs() <= tol,
+                    assert_eq!(
+                        conv.cost.to_bits(),
+                        ccp.cost.to_bits(),
                         "{kind} n={n} seed={seed}: {} vs {}",
                         conv.cost,
                         ccp.cost
@@ -613,8 +596,7 @@ mod tests {
             let w = workload::family_workload(kind, 10, 2);
             let conv = DpConv.optimize(&w.graph, &w.catalog, &Cout).unwrap();
             let sub = DpSub.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-            let tol = 1e-9 * sub.cost.abs().max(1.0);
-            assert!((conv.cost - sub.cost).abs() <= tol, "{kind}");
+            assert_eq!(conv.cost.to_bits(), sub.cost.to_bits(), "{kind}");
             assert_eq!(conv.counters.ono_lohman, sub.counters.ono_lohman, "{kind}");
         }
     }

@@ -23,7 +23,7 @@
 //! the hypergraph module docs); [`DpHyp::optimize`] reports
 //! [`OptimizeError::NoPlanWithoutCrossProducts`] in that case.
 
-use joinopt_cost::{ensure_finite, Catalog, CostModel, HyperCardinalityEstimator, PlanStats};
+use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::PlanArena;
 use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::QueryGraphError;
@@ -33,6 +33,7 @@ use joinopt_telemetry::{Event, NoopObserver, Observer};
 use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
+use crate::kernel::pair_cost;
 use crate::result::DpResult;
 use crate::table::{DpTable, TableEntry};
 
@@ -85,7 +86,7 @@ impl DpHyp {
         if !h.is_connected() {
             return Err(OptimizeError::Graph(QueryGraphError::Disconnected));
         }
-        let est = HyperCardinalityEstimator::new(h, catalog)?;
+        let est = CardinalityEstimator::for_hypergraph(h, catalog)?;
         let observe = obs.enabled();
         let mut state = HypState {
             h,
@@ -164,7 +165,7 @@ impl DpHyp {
 
 struct HypState<'a> {
     h: &'a Hypergraph,
-    est: HyperCardinalityEstimator,
+    est: CardinalityEstimator,
     model: &'a dyn CostModel,
     arena: PlanArena,
     table: DpTable,
@@ -250,17 +251,7 @@ impl HypState<'_> {
             return Ok(()); // unreachable: emitted operands are buildable
         };
         let union = s1 | s2;
-        let (out_card, incumbent) = match self.table.get(union) {
-            Some(existing) => (existing.stats.cardinality, Some(existing.stats.cost)),
-            None => (
-                ensure_finite(
-                    "cardinality",
-                    self.est
-                        .join_cardinality(e1.stats.cardinality, e2.stats.cardinality, s1, s2),
-                )?,
-                None,
-            ),
-        };
+        let incumbent = self.table.get(union).map(|e| e.stats);
         if self.observe {
             self.probes += 1;
             if incumbent.is_some() {
@@ -269,18 +260,13 @@ impl HypState<'_> {
                 self.level_new[union.len()] += 1;
             }
         }
-        let c12 = ensure_finite("cost", self.model.join_cost(&e1.stats, &e2.stats, out_card))?;
-        let (cost, left, right) = if self.model.is_symmetric() {
-            (c12, &e1, &e2)
-        } else {
-            let c21 = ensure_finite("cost", self.model.join_cost(&e2.stats, &e1.stats, out_card))?;
-            if c21 < c12 {
-                (c21, &e2, &e1)
-            } else {
-                (c12, &e1, &e2)
-            }
+        let out_card = match incumbent {
+            Some(existing) => existing.cardinality,
+            None => ensure_finite("cardinality", self.est.set_cardinality(union))?,
         };
-        if incumbent.is_none_or(|best| cost < best) {
+        let (cost, swapped) = pair_cost(self.model, &e1.stats, &e2.stats, out_card, true)?;
+        let (left, right) = if swapped { (e2, e1) } else { (e1, e2) };
+        if incumbent.is_none_or(|best| cost < best.cost) {
             let stats = PlanStats {
                 cardinality: out_card,
                 cost,
@@ -311,8 +297,7 @@ mod tests {
                 let h = Hypergraph::from_query_graph(&w.graph);
                 let hyp = DpHyp.optimize(&h, &w.catalog, &Cout).unwrap();
                 let ccp = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-                let tol = 1e-9 * ccp.cost.abs().max(1.0);
-                assert!((hyp.cost - ccp.cost).abs() <= tol, "{kind} n={n}");
+                assert_eq!(hyp.cost.to_bits(), ccp.cost.to_bits(), "{kind} n={n}");
                 assert_eq!(
                     hyp.counters.inner, ccp.counters.inner,
                     "{kind} n={n}: DPhyp must enumerate exactly the csg-cmp-pairs"

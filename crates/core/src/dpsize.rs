@@ -65,7 +65,7 @@ impl Enumerator for DpSize {
                             }
                             d.counters.csg_cmp_pairs += 2;
                             d.counters.ono_lohman += 1;
-                            if d.emit_pair_both_orders(a, b)? {
+                            if d.emit_pair(a, b, true)? {
                                 plans_by_size[s].push(a | b);
                             }
                         }
@@ -85,7 +85,7 @@ impl Enumerator for DpSize {
                             }
                             d.counters.csg_cmp_pairs += 2;
                             d.counters.ono_lohman += 1;
-                            if d.emit_pair_both_orders(a, b)? {
+                            if d.emit_pair(a, b, true)? {
                                 plans_by_size[s].push(a | b);
                             }
                         }
@@ -142,7 +142,7 @@ impl Enumerator for DpSizeNaive {
                             continue;
                         }
                         d.counters.csg_cmp_pairs += 1;
-                        if d.emit_pair_one_order(a, b)? {
+                        if d.emit_pair(a, b, false)? {
                             plans_by_size[s].push(a | b);
                         }
                     }
@@ -227,10 +227,7 @@ mod tests {
             let w = workload::family_workload(kind, 7, 3);
             let opt = DpSize.optimize(&w.graph, &w.catalog, &Cout).unwrap();
             let naive = DpSizeNaive.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-            // Equally-cheap plans can accumulate the same cost in a
-            // different summation order, so compare up to rounding.
-            let tol = 1e-12 * opt.cost.abs().max(1.0);
-            assert!((opt.cost - naive.cost).abs() <= tol, "{kind}");
+            assert_eq!(opt.cost.to_bits(), naive.cost.to_bits(), "{kind}");
             assert!(naive.counters.inner > opt.counters.inner, "{kind}");
             assert_eq!(
                 opt.counters.csg_cmp_pairs, naive.counters.csg_cmp_pairs,

@@ -13,6 +13,7 @@ use crate::counters::Counters;
 use crate::dpsub::Session;
 use crate::error::OptimizeError;
 use crate::failpoint;
+use crate::kernel::pair_cost;
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{arena_charge, DenseDpTable, DenseRun, DpTable, PlanTable, TableEntry};
 
@@ -310,110 +311,53 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         }
     }
 
-    /// `CreateJoinTree(p1, p2)` + `BestPlan` update for the oriented pair
-    /// `(s1, s2)`: computes the candidate's cost and registers it if it
-    /// improves the table. Returns `true` iff the union set was new.
+    /// `CreateJoinTree(p1, p2)` + `BestPlan` update for the pair
+    /// `(s1, s2)`: prices the candidate with [`pair_cost`] and registers
+    /// it if it improves the table. Returns `true` iff the union set was
+    /// new.
+    ///
+    /// With `commute` both operand orders are considered (DPccp's
+    /// explicit commutativity handling; also the optimized DPsize, which
+    /// enumerates unordered pairs); without it only `s1 ⋈ s2` is (the
+    /// enumerators that visit every ordered pair, or only left-deep
+    /// ones).
     ///
     /// Both operands must already have table entries. Every call polls
     /// the cancellation token (paced) and charges table/arena growth
-    /// against the memory budget.
-    ///
-    /// The union's output cardinality is a property of the *set*, not of
-    /// the decomposition, so it is computed from the cut selectivities
-    /// only the first time the set is reached; later pairs for the same
-    /// set reuse the cached value (one table probe instead of an
-    /// O(cut-size) product).
+    /// against the memory budget. The union's cardinality is the
+    /// estimator's set-only fold, computed the first time the set is
+    /// reached and cached in its table slot.
     #[inline]
-    pub fn emit_pair_one_order(&mut self, s1: RelSet, s2: RelSet) -> Result<bool, OptimizeError> {
-        let e1 = self.operand(s1)?;
-        let e2 = self.operand(s2)?;
-        self.ctl.checkpoint(&mut self.pace)?;
-        let union = s1 | s2;
-        match self.table.get(union) {
-            Some(existing) => {
-                self.note_union_probe(union, true);
-                let out_card = existing.stats.cardinality;
-                let cost =
-                    ensure_finite("cost", self.model.join_cost(&e1.stats, &e2.stats, out_card))?;
-                let accepted = cost < existing.stats.cost;
-                self.note_candidate(union, s1, s2, cost, accepted);
-                if accepted {
-                    let stats = PlanStats {
-                        cardinality: out_card,
-                        cost,
-                    };
-                    let plan = self.add_join(e1.plan, e2.plan, stats)?;
-                    failpoint::check("table-insert")?;
-                    self.table.insert(union, TableEntry { plan, stats });
-                    self.charge_memory()?;
-                }
-                Ok(false)
-            }
-            None => {
-                self.note_union_probe(union, false);
-                let out_card = ensure_finite(
-                    "cardinality",
-                    self.est
-                        .join_cardinality(e1.stats.cardinality, e2.stats.cardinality, s1, s2),
-                )?;
-                let cost =
-                    ensure_finite("cost", self.model.join_cost(&e1.stats, &e2.stats, out_card))?;
-                self.note_candidate(union, s1, s2, cost, true);
-                let stats = PlanStats {
-                    cardinality: out_card,
-                    cost,
-                };
-                let plan = self.add_join(e1.plan, e2.plan, stats)?;
-                failpoint::check("table-insert")?;
-                self.table.insert(union, TableEntry { plan, stats });
-                self.charge_memory()?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Like [`Driver::emit_pair_one_order`] but considers both operand
-    /// orders (DPccp's explicit commutativity handling; also used by the
-    /// optimized DPsize, which enumerates unordered pairs). For symmetric
-    /// cost models the second evaluation is skipped.
-    #[inline]
-    pub fn emit_pair_both_orders(&mut self, s1: RelSet, s2: RelSet) -> Result<bool, OptimizeError> {
+    pub fn emit_pair(
+        &mut self,
+        s1: RelSet,
+        s2: RelSet,
+        commute: bool,
+    ) -> Result<bool, OptimizeError> {
         self.ctl.checkpoint(&mut self.pace)?;
         let e1 = self.operand(s1)?;
         let e2 = self.operand(s2)?;
         let union = s1 | s2;
-        let (out_card, incumbent) = match self.table.get(union) {
-            Some(existing) => (existing.stats.cardinality, Some(existing.stats.cost)),
-            None => (
-                ensure_finite(
-                    "cardinality",
-                    self.est
-                        .join_cardinality(e1.stats.cardinality, e2.stats.cardinality, s1, s2),
-                )?,
-                None,
-            ),
-        };
+        let incumbent = self.table.get(union).map(|e| e.stats);
         self.note_union_probe(union, incumbent.is_some());
-        let c12 = ensure_finite("cost", self.model.join_cost(&e1.stats, &e2.stats, out_card))?;
-        let (cost, left, right, left_set, right_set) = if self.model.is_symmetric() {
-            (c12, &e1, &e2, s1, s2)
-        } else {
-            let c21 = ensure_finite("cost", self.model.join_cost(&e2.stats, &e1.stats, out_card))?;
-            if c21 < c12 {
-                (c21, &e2, &e1, s2, s1)
-            } else {
-                (c12, &e1, &e2, s1, s2)
-            }
+        let out_card = match incumbent {
+            Some(existing) => existing.cardinality,
+            None => ensure_finite("cardinality", self.est.set_cardinality(union))?,
         };
-        let accepted = incumbent.is_none_or(|best| cost < best);
+        let (cost, swapped) = pair_cost(self.model, &e1.stats, &e2.stats, out_card, commute)?;
+        let ((left, left_set), (right, right_set)) = if swapped {
+            ((e2, s2), (e1, s1))
+        } else {
+            ((e1, s1), (e2, s2))
+        };
+        let accepted = incumbent.is_none_or(|best| cost < best.cost);
         self.note_candidate(union, left_set, right_set, cost, accepted);
         if accepted {
             let stats = PlanStats {
                 cardinality: out_card,
                 cost,
             };
-            let (left, right) = (left.plan, right.plan);
-            let plan = self.add_join(left, right, stats)?;
+            let plan = self.add_join(left.plan, right.plan, stats)?;
             failpoint::check("table-insert")?;
             self.table.insert(union, TableEntry { plan, stats });
             self.charge_memory()?;

@@ -3,17 +3,21 @@
 //! The three DP algorithms share the driver plumbing, so a bug there
 //! could make them agree *and* be wrong. This module computes optimal
 //! costs through a structurally different path — top-down memoized
-//! recursion over canonical splits, with connectivity checked directly
+//! recursion over canonical splits, with joinability checked directly
 //! against the graph — and is used by the integration tests as the
-//! ground truth for `n ≤ 10`.
+//! ground truth for `n ≤ 10`. It prices joins with the same set-only
+//! cardinality fold and pair-cost kernel as the engines, so its optimum
+//! is the same f64 bit for bit.
 
 use std::collections::HashMap;
 
-use joinopt_cost::{CardinalityEstimator, Catalog, CostModel, PlanStats};
+use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
+use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
 
 use crate::error::OptimizeError;
+use crate::kernel::pair_cost;
 
 /// Computes the cost of an optimal bushy join tree for `g` without cross
 /// products, by top-down recursion.
@@ -26,7 +30,17 @@ pub fn optimal_cost(
     catalog: &Catalog,
     model: &dyn CostModel,
 ) -> Result<f64, OptimizeError> {
-    optimal_cost_impl(g, catalog, model, false)
+    if g.num_relations() == 0 {
+        return Err(OptimizeError::EmptyQuery);
+    }
+    g.require_connected()?;
+    let est = CardinalityEstimator::new(g, catalog)?;
+    solve(&est, model, g.all_relations(), &|s1, s2| {
+        g.sets_connected(s1, s2)
+    })?
+    .ok_or_else(|| {
+        OptimizeError::Internal("exhaustive search found no plan for a solvable graph".into())
+    })
 }
 
 /// Like [`optimal_cost`] but allowing cross products (any disjoint split
@@ -40,7 +54,13 @@ pub fn optimal_cost_with_cross_products(
     catalog: &Catalog,
     model: &dyn CostModel,
 ) -> Result<f64, OptimizeError> {
-    optimal_cost_impl(g, catalog, model, true)
+    if g.num_relations() == 0 {
+        return Err(OptimizeError::EmptyQuery);
+    }
+    let est = CardinalityEstimator::new(g, catalog)?;
+    solve(&est, model, g.all_relations(), &|_, _| true)?.ok_or_else(|| {
+        OptimizeError::Internal("exhaustive search found no cross-product plan".into())
+    })
 }
 
 /// Brute-force oracle for hypergraph workloads: returns `Ok(None)` when
@@ -51,121 +71,41 @@ pub fn optimal_cost_with_cross_products(
 ///
 /// Fails for empty hypergraphs or mismatched catalogs.
 pub fn optimal_cost_hypergraph(
-    h: &joinopt_qgraph::hypergraph::Hypergraph,
+    h: &Hypergraph,
     catalog: &Catalog,
     model: &dyn CostModel,
 ) -> Result<Option<f64>, OptimizeError> {
-    use joinopt_cost::HyperCardinalityEstimator;
-
     if h.num_relations() == 0 {
         return Err(OptimizeError::EmptyQuery);
     }
-    let est = HyperCardinalityEstimator::new(h, catalog)?;
-
-    fn best_hyper(
-        h: &joinopt_qgraph::hypergraph::Hypergraph,
-        est: &HyperCardinalityEstimator,
-        model: &dyn CostModel,
-        s: RelSet,
-        memo: &mut HashMap<RelSet, PlanStats>,
-    ) -> Option<PlanStats> {
-        if let Some(&hit) = memo.get(&s) {
-            return (hit.cost < f64::INFINITY).then_some(hit);
-        }
-        if s.is_singleton() {
-            let stats = PlanStats::base(est.base_cardinality(s.min_index()?));
-            memo.insert(s, stats);
-            return Some(stats);
-        }
-        let anchor = s.lowest();
-        let rest = s - anchor;
-        let mut best_stats: Option<PlanStats> = None;
-        for sub in rest.subsets() {
-            let s1 = anchor | sub;
-            if s1 == s {
-                continue;
-            }
-            let s2 = s - s1;
-            if !h.connects(s1, s2) {
-                continue;
-            }
-            let Some(p1) = best_hyper(h, est, model, s1, memo) else {
-                continue;
-            };
-            let Some(p2) = best_hyper(h, est, model, s2, memo) else {
-                continue;
-            };
-            let out = est.join_cardinality(p1.cardinality, p2.cardinality, s1, s2);
-            let cost = model
-                .join_cost(&p1, &p2, out)
-                .min(model.join_cost(&p2, &p1, out));
-            if best_stats.is_none_or(|b| cost < b.cost) {
-                best_stats = Some(PlanStats {
-                    cardinality: out,
-                    cost,
-                });
-            }
-        }
-        memo.insert(
-            s,
-            best_stats.unwrap_or(PlanStats {
-                cardinality: 0.0,
-                cost: f64::INFINITY,
-            }),
-        );
-        best_stats
-    }
-
-    let mut memo = HashMap::new();
-    Ok(best_hyper(h, &est, model, h.all_relations(), &mut memo).map(|s| s.cost))
+    let est = CardinalityEstimator::for_hypergraph(h, catalog)?;
+    solve(&est, model, h.all_relations(), &|s1, s2| h.connects(s1, s2))
 }
 
-fn optimal_cost_impl(
-    g: &QueryGraph,
-    catalog: &Catalog,
+/// The optimal cost of `full` when a split `(S₁, S₂)` may be joined iff
+/// `joinable(S₁, S₂)`, or `None` when no tree exists.
+fn solve(
+    est: &CardinalityEstimator,
     model: &dyn CostModel,
-    allow_cross: bool,
-) -> Result<f64, OptimizeError> {
-    if g.num_relations() == 0 {
-        return Err(OptimizeError::EmptyQuery);
-    }
-    if !allow_cross {
-        g.require_connected()?;
-    }
-    let est = CardinalityEstimator::new(g, catalog)?;
-    let mut memo: HashMap<RelSet, PlanStats> = HashMap::new();
-    let full = g.all_relations();
-    let stats = best(g, &est, model, full, allow_cross, &mut memo).ok_or_else(|| {
-        OptimizeError::Internal("exhaustive search found no plan for a solvable graph".into())
-    })?;
-    Ok(stats.cost)
+    full: RelSet,
+    joinable: &dyn Fn(RelSet, RelSet) -> bool,
+) -> Result<Option<f64>, OptimizeError> {
+    let mut memo = HashMap::new();
+    Ok(best(est, model, joinable, full, &mut memo)?.map(|stats| stats.cost))
 }
 
 fn best(
-    g: &QueryGraph,
     est: &CardinalityEstimator,
     model: &dyn CostModel,
+    joinable: &dyn Fn(RelSet, RelSet) -> bool,
     s: RelSet,
-    allow_cross: bool,
-    memo: &mut HashMap<RelSet, PlanStats>,
-) -> Option<PlanStats> {
+    memo: &mut HashMap<RelSet, Option<PlanStats>>,
+) -> Result<Option<PlanStats>, OptimizeError> {
     if let Some(&hit) = memo.get(&s) {
-        return (hit.cost < f64::INFINITY).then_some(hit);
+        return Ok(hit);
     }
     if s.is_singleton() {
-        let stats = PlanStats::base(est.base_cardinality(s.min_index()?));
-        memo.insert(s, stats);
-        return Some(stats);
-    }
-    if !allow_cross && !g.is_connected_set(s) {
-        memo.insert(
-            s,
-            PlanStats {
-                cardinality: 0.0,
-                cost: f64::INFINITY,
-            },
-        );
-        return None;
+        return Ok(Some(PlanStats::base(est.set_cardinality(s))));
     }
     // Canonical split: s1 always contains the minimum element, so every
     // unordered split is tried once; both operand orders are costed.
@@ -178,19 +118,20 @@ fn best(
             continue;
         }
         let s2 = s - s1;
-        if !allow_cross && !g.sets_connected(s1, s2) {
+        if !joinable(s1, s2) {
             continue;
         }
-        let Some(p1) = best(g, est, model, s1, allow_cross, memo) else {
+        let Some(p1) = best(est, model, joinable, s1, memo)? else {
             continue;
         };
-        let Some(p2) = best(g, est, model, s2, allow_cross, memo) else {
+        let Some(p2) = best(est, model, joinable, s2, memo)? else {
             continue;
         };
-        let out = est.join_cardinality(p1.cardinality, p2.cardinality, s1, s2);
-        let cost = model
-            .join_cost(&p1, &p2, out)
-            .min(model.join_cost(&p2, &p1, out));
+        let out = match best_stats {
+            Some(b) => b.cardinality,
+            None => ensure_finite("cardinality", est.set_cardinality(s))?,
+        };
+        let (cost, _) = pair_cost(model, &p1, &p2, out, true)?;
         if best_stats.is_none_or(|b| cost < b.cost) {
             best_stats = Some(PlanStats {
                 cardinality: out,
@@ -198,14 +139,8 @@ fn best(
             });
         }
     }
-    memo.insert(
-        s,
-        best_stats.unwrap_or(PlanStats {
-            cardinality: 0.0,
-            cost: f64::INFINITY,
-        }),
-    );
-    best_stats
+    memo.insert(s, best_stats);
+    Ok(best_stats)
 }
 
 #[cfg(test)]
@@ -223,9 +158,9 @@ mod tests {
                 let want = optimal_cost(&w.graph, &w.catalog, &Cout).unwrap();
                 for alg in [&DpSize as &dyn JoinOrderer, &DpSub, &DpCcp] {
                     let got = alg.optimize(&w.graph, &w.catalog, &Cout).unwrap().cost;
-                    let tol = 1e-9 * want.abs().max(1.0);
-                    assert!(
-                        (got - want).abs() <= tol,
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
                         "{} on {kind} seed {seed}: {got} vs oracle {want}",
                         alg.name()
                     );
@@ -243,10 +178,7 @@ mod tests {
                 .optimize(&w.graph, &w.catalog, &HashJoin)
                 .unwrap()
                 .cost;
-            assert!(
-                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                "seed {seed}"
-            );
+            assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
         }
     }
 
@@ -256,7 +188,7 @@ mod tests {
             let w = workload::random_workload(6, 0.3, seed);
             let without = optimal_cost(&w.graph, &w.catalog, &Cout).unwrap();
             let with = optimal_cost_with_cross_products(&w.graph, &w.catalog, &Cout).unwrap();
-            assert!(with <= without + 1e-9, "seed {seed}");
+            assert!(with <= without, "seed {seed}");
         }
     }
 

@@ -22,7 +22,7 @@
 //! let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
 //! let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
 //! let diff = compare(&a, &b);
-//! assert!((a.result.cost - b.result.cost).abs() <= 1e-9 * a.result.cost);
+//! assert_eq!(a.result.cost.to_bits(), b.result.cost.to_bits());
 //! println!("{}", diff.render_text());
 //! ```
 
@@ -589,7 +589,7 @@ mod tests {
         let g = q.graph().unwrap();
         let a = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpSize).unwrap();
         let b = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpCcp).unwrap();
-        assert!((a.result.cost - b.result.cost).abs() <= 1e-9 * a.result.cost);
+        assert_eq!(a.result.cost.to_bits(), b.result.cost.to_bits());
         let diff = compare(&a, &b);
         if let Some(d) = diff.first_divergence() {
             // The first divergence must be minimal: no smaller shared

@@ -16,6 +16,7 @@ use crate::cancel::CancellationToken;
 use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
+use crate::kernel::pair_cost;
 use crate::result::{DpResult, JoinOrderer};
 
 /// The GOO greedy heuristic (smallest intermediate result first).
@@ -82,12 +83,7 @@ impl JoinOrderer for Goo {
                     }
                     let out = ensure_finite(
                         "cardinality",
-                        est.join_cardinality(
-                            comps[i].stats.cardinality,
-                            comps[j].stats.cardinality,
-                            comps[i].set,
-                            comps[j].set,
-                        ),
+                        est.set_cardinality(comps[i].set | comps[j].set),
                     )?;
                     if best.is_none_or(|(_, _, b)| out < b) {
                         best = Some((i, j, out));
@@ -99,14 +95,8 @@ impl JoinOrderer for Goo {
                     "no joinable component pair in a connected graph".into(),
                 ));
             };
-            let (a, b) = (&comps[i], &comps[j]);
-            let c_ab = ensure_finite("cost", model.join_cost(&a.stats, &b.stats, out))?;
-            let c_ba = ensure_finite("cost", model.join_cost(&b.stats, &a.stats, out))?;
-            let (left, right, cost) = if c_ba < c_ab {
-                (j, i, c_ba)
-            } else {
-                (i, j, c_ab)
-            };
+            let (cost, swapped) = pair_cost(model, &comps[i].stats, &comps[j].stats, out, true)?;
+            let (left, right) = if swapped { (j, i) } else { (i, j) };
             if provenance {
                 // Greedy makes exactly one (always accepted) decision
                 // per merged component: the pair with the smallest

@@ -25,6 +25,7 @@ use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::failpoint;
+use crate::kernel::pair_cost;
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{DpTable, TableEntry};
 
@@ -154,37 +155,19 @@ impl JoinOrderer for Idp {
                                 ));
                             };
                             let union = a | b;
-                            let (out, incumbent) = match table.get(union) {
-                                Some(ex) => (ex.stats.cardinality, Some(ex.stats.cost)),
-                                None => (
-                                    ensure_finite(
-                                        "cardinality",
-                                        est.join_cardinality(
-                                            e1.stats.cardinality,
-                                            e2.stats.cardinality,
-                                            ra,
-                                            rb,
-                                        ),
-                                    )?,
-                                    None,
-                                ),
+                            let incumbent = table.get(union).map(|ex| ex.stats);
+                            let out = match incumbent {
+                                Some(ex) => ex.cardinality,
+                                None => ensure_finite("cardinality", est.set_cardinality(ra | rb))?,
                             };
-                            let c12 =
-                                ensure_finite("cost", model.join_cost(&e1.stats, &e2.stats, out))?;
-                            let (cost, l, r, rl, rr) = if model.is_symmetric() {
-                                (c12, &e1, &e2, ra, rb)
+                            let (cost, swapped) =
+                                pair_cost(model, &e1.stats, &e2.stats, out, true)?;
+                            let (l, r, rl, rr) = if swapped {
+                                (&e2, &e1, rb, ra)
                             } else {
-                                let c21 = ensure_finite(
-                                    "cost",
-                                    model.join_cost(&e2.stats, &e1.stats, out),
-                                )?;
-                                if c21 < c12 {
-                                    (c21, &e2, &e1, rb, ra)
-                                } else {
-                                    (c12, &e1, &e2, ra, rb)
-                                }
+                                (&e1, &e2, ra, rb)
                             };
-                            let accepted = incumbent.is_none_or(|best| cost < best);
+                            let accepted = incumbent.is_none_or(|best| cost < best.cost);
                             if provenance {
                                 // Provenance speaks relation sets, not
                                 // this round's component masks.
@@ -309,9 +292,9 @@ mod tests {
                     .optimize(&w.graph, &w.catalog, &Cout)
                     .unwrap();
                 let opt = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-                let tol = 1e-9 * opt.cost.abs().max(1.0);
-                assert!(
-                    (idp.cost - opt.cost).abs() <= tol,
+                assert_eq!(
+                    idp.cost.to_bits(),
+                    opt.cost.to_bits(),
                     "{kind} seed {seed}: {} vs {}",
                     idp.cost,
                     opt.cost

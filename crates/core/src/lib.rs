@@ -72,6 +72,7 @@ pub mod failpoint;
 pub mod formulas;
 pub mod greedy;
 mod idp;
+mod kernel;
 mod leftdeep;
 mod optimizer;
 mod request;

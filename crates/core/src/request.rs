@@ -489,8 +489,7 @@ mod tests {
             .with_algorithm(Algorithm::DpCcp)
             .run()
             .unwrap();
-        let tol = 1e-9 * pinned.result.cost.abs().max(1.0);
-        assert!((cout.result.cost - pinned.result.cost).abs() <= tol);
+        assert_eq!(cout.result.cost.to_bits(), pinned.result.cost.to_bits());
     }
 
     #[test]

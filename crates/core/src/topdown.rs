@@ -33,6 +33,7 @@ use crate::counters::Counters;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
+use crate::kernel::pair_cost;
 use crate::result::{DpResult, JoinOrderer};
 
 /// Top-down memoized partitioning search.
@@ -228,34 +229,23 @@ impl Search<'_> {
 
         // Enumerate partitions: connected S1 containing min(s), connected
         // adjacent complement. Each carries an admissible lower bound:
-        // the join's own cost with free children (every model adds
-        // children costs on top) plus any lower bounds the memo has
-        // already proven for the children.
-        let mut splits: Vec<(RelSet, RelSet, f64)> = self
-            .partitions(s)
-            .into_iter()
-            .map(|(s1, s2)| {
-                let l0 = PlanStats {
-                    cardinality: self.est.set_cardinality(s1),
-                    cost: 0.0,
-                };
-                let r0 = PlanStats {
-                    cardinality: self.est.set_cardinality(s2),
-                    cost: 0.0,
-                };
-                let lb12 = self.model.join_cost(&l0, &r0, out_card);
-                let join_lb = if self.model.is_symmetric() {
-                    lb12
-                } else {
-                    lb12.min(self.model.join_cost(&r0, &l0, out_card))
-                };
-                (
-                    s1,
-                    s2,
-                    join_lb + self.child_lower(s1) + self.child_lower(s2),
-                )
-            })
-            .collect();
+        // the kernel's cost with the children's costs replaced by the
+        // lower bounds the memo has already proven for them (0 when
+        // unknown). Every total is monotone in the children's costs, so
+        // the bound holds in f64, not just in exact arithmetic.
+        let mut splits = Vec::new();
+        for (s1, s2) in self.partitions(s) {
+            let l0 = PlanStats {
+                cardinality: self.est.set_cardinality(s1),
+                cost: self.child_lower(s1),
+            };
+            let r0 = PlanStats {
+                cardinality: self.est.set_cardinality(s2),
+                cost: self.child_lower(s2),
+            };
+            let (lb, _) = pair_cost(self.model, &l0, &r0, out_card, true)?;
+            splits.push((s1, s2, lb));
+        }
         if self.pruning {
             // Most promising first, so a tight bound forms early. The
             // bounds may be non-finite for degenerate statistics;
@@ -278,8 +268,13 @@ impl Search<'_> {
             self.counters.csg_cmp_pairs += 2;
             self.counters.ono_lohman += 1;
             let lb_other2 = self.child_lower(s2);
+            // Budgets only steer pruning (acceptance compares exact
+            // totals), so each is widened past the few ulps its
+            // subtractions may round away: a child plan whose total
+            // could still beat `bound` is never cut off by rounding.
+            let slack = bound * 1e-12;
             let child_budget1 = if self.pruning {
-                bound - lb + self.child_lower(s1)
+                bound - lb + self.child_lower(s1) + slack
             } else {
                 f64::INFINITY
             };
@@ -287,23 +282,18 @@ impl Search<'_> {
                 continue;
             };
             let child_budget2 = if self.pruning {
-                bound - (lb - self.child_lower(s1) - lb_other2) - st1.cost
+                bound - (lb - self.child_lower(s1) - lb_other2) - st1.cost + slack
             } else {
                 f64::INFINITY
             };
             let Some((p2, st2)) = self.solve(s2, child_budget2)? else {
                 continue;
             };
-            let c12 = ensure_finite("cost", self.model.join_cost(&st1, &st2, out_card))?;
-            let (cost, left, right, left_set, right_set) = if self.model.is_symmetric() {
-                (c12, p1, p2, s1, s2)
+            let (cost, swapped) = pair_cost(self.model, &st1, &st2, out_card, true)?;
+            let (left, right, left_set, right_set) = if swapped {
+                (p2, p1, s2, s1)
             } else {
-                let c21 = ensure_finite("cost", self.model.join_cost(&st2, &st1, out_card))?;
-                if c21 < c12 {
-                    (c21, p2, p1, s2, s1)
-                } else {
-                    (c12, p1, p2, s1, s2)
-                }
+                (p1, p2, s1, s2)
             };
             let accepted =
                 cost < bound || (!self.pruning && best.as_ref().is_none_or(|b| cost < b.1.cost));
@@ -409,9 +399,9 @@ mod tests {
                 let opt = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
                 for td in [TopDown::with_pruning(), TopDown::without_pruning()] {
                     let r = td.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-                    let tol = 1e-6 * opt.cost.abs().max(1.0);
-                    assert!(
-                        (r.cost - opt.cost).abs() <= tol,
+                    assert_eq!(
+                        r.cost.to_bits(),
+                        opt.cost.to_bits(),
                         "{} on {kind} n={n}: {} vs {}",
                         td.name(),
                         r.cost,
@@ -431,9 +421,9 @@ mod tests {
                 let opt = DpCcp.optimize(&w.graph, &w.catalog, model).unwrap();
                 for td in [TopDown::with_pruning(), TopDown::without_pruning()] {
                     let r = td.optimize(&w.graph, &w.catalog, model).unwrap();
-                    let tol = 1e-6 * opt.cost.abs().max(1.0);
-                    assert!(
-                        (r.cost - opt.cost).abs() <= tol,
+                    assert_eq!(
+                        r.cost.to_bits(),
+                        opt.cost.to_bits(),
                         "{} seed {seed} model {}: {} vs {}",
                         td.name(),
                         model.name(),
@@ -457,10 +447,7 @@ mod tests {
             let without = TopDown::without_pruning()
                 .optimize(&w.graph, &w.catalog, &Cout)
                 .unwrap();
-            assert!(
-                (with.cost - without.cost).abs() <= 1e-6 * without.cost.abs().max(1.0),
-                "seed {seed}"
-            );
+            assert_eq!(with.cost.to_bits(), without.cost.to_bits(), "seed {seed}");
             pruned_total += with.counters.inner;
             full_total += without.counters.inner;
         }

@@ -1,5 +1,6 @@
-//! Independence-assumption cardinality estimation.
+//! Independence-assumption cardinality estimation, as one set-only fold.
 
+use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::{RelIdx, RelSet};
 
@@ -19,27 +20,44 @@ pub fn ensure_finite(what: &'static str, value: f64) -> Result<f64, CostError> {
     }
 }
 
-/// The classical System-R cardinality estimator.
+/// The classical System-R cardinality estimator, for simple query
+/// graphs and hypergraphs alike.
 ///
-/// Under the independence assumption the cardinality of a join result is
+/// Under the independence assumption the cardinality of a set `S` is
 ///
 /// ```text
-/// |S₁ ⋈ S₂| = |S₁| · |S₂| · ∏ { f_e : e crosses the (S₁, S₂) cut }
+/// |S| = ∏ { |R| : R ∈ S } · ∏ { f_e : every relation e references is in S }
 /// ```
 ///
-/// which makes the estimate for a set `S` well-defined (independent of
-/// the join order used to build it): it is the product of base
-/// cardinalities of `S`'s members and the selectivities of all predicates
-/// internal to `S`.
+/// a function of the set alone. [`CardinalityEstimator::set_cardinality`]
+/// evaluates it as one fold in a fixed order, so every engine that asks
+/// for the same set gets the same bits, whichever split reached it
+/// first. The order:
 ///
-/// The estimator pre-groups each relation's incident predicates so the
-/// per-DP-step cut product costs `O(|smaller side| · degree)` bitset
-/// probes and no allocation.
+/// 1. the relations `v` of `S` in ascending index order, and for each
+/// 2. `|v|`, then
+/// 3. the selectivities of the simple predicates `(u, v)` with `u < v`
+///    and `u ∈ S`, in ascending `u`, then
+/// 4. the selectivities of the complex predicates whose highest
+///    referenced relation is `v` and which lie inside `S`, in edge-id
+///    order.
+///
+/// A graph and the singleton-edge hypergraph lifted from it therefore
+/// fold to identical bits. Simple predicates are walked as bitmasks of
+/// lower neighbours, so a set costs `O(|S| + predicates inside S)`
+/// multiplications and no allocation.
 #[derive(Debug, Clone)]
 pub struct CardinalityEstimator {
     cards: Vec<f64>,
-    /// Per relation: incident predicates as `(other endpoint, selectivity)`.
-    incident: Vec<Vec<(RelIdx, f64)>>,
+    /// `lower[v]`: the relations `u < v` joined to `v` by a simple
+    /// predicate.
+    lower: Vec<u64>,
+    /// `sel[v · n + u]`: the selectivity of the simple predicate between
+    /// `u < v`.
+    sel: Vec<f64>,
+    /// Complex predicates as `(highest relation, referenced set,
+    /// selectivity)`, sorted by highest relation, then edge id.
+    complex: Vec<(RelIdx, RelSet, f64)>,
 }
 
 impl CardinalityEstimator {
@@ -51,17 +69,67 @@ impl CardinalityEstimator {
     /// different graph shape.
     pub fn new(g: &QueryGraph, cat: &Catalog) -> Result<CardinalityEstimator, CostError> {
         cat.check_shape(g)?;
-        let n = g.num_relations();
-        let mut incident: Vec<Vec<(RelIdx, f64)>> = vec![Vec::new(); n];
-        for (id, e) in g.edges().iter().enumerate() {
-            let f = cat.selectivity(id);
-            incident[e.u].push((e.v, f));
-            incident[e.v].push((e.u, f));
+        let predicates = g.edges().iter().enumerate().map(|(id, e)| {
+            let (u, v) = (RelSet::single(e.u), RelSet::single(e.v));
+            (u, v, cat.selectivity(id))
+        });
+        Ok(CardinalityEstimator::build(cat.cardinalities(), predicates))
+    }
+
+    /// Builds an estimator for the hypergraph `h` with statistics from
+    /// `cat` (one selectivity per hyperedge, in edge-id order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CostError::ShapeMismatch`] if `cat`'s shape does not
+    /// match `h` (one cardinality per relation, one selectivity per
+    /// hyperedge).
+    pub fn for_hypergraph(
+        h: &Hypergraph,
+        cat: &Catalog,
+    ) -> Result<CardinalityEstimator, CostError> {
+        let catalog = (cat.num_relations(), cat.num_edges());
+        let graph = (h.num_relations(), h.num_edges());
+        if catalog != graph {
+            return Err(CostError::ShapeMismatch { catalog, graph });
         }
-        Ok(CardinalityEstimator {
-            cards: cat.cardinalities().to_vec(),
-            incident,
-        })
+        let predicates = h
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(id, e)| (e.u, e.v, cat.selectivity(id)));
+        Ok(CardinalityEstimator::build(cat.cardinalities(), predicates))
+    }
+
+    /// Indexes predicates `(side, side, selectivity)` in edge-id order.
+    fn build(
+        cards: &[f64],
+        predicates: impl Iterator<Item = (RelSet, RelSet, f64)>,
+    ) -> CardinalityEstimator {
+        let n = cards.len();
+        let mut lower = vec![0u64; n];
+        let mut sel = vec![1.0; n * n];
+        let mut complex = Vec::new();
+        for (a, b, f) in predicates {
+            let refs = a | b;
+            let (Some(lo), Some(hi)) = (refs.min_index(), refs.max_index()) else {
+                continue;
+            };
+            if a.is_singleton() && b.is_singleton() {
+                lower[hi] |= 1u64 << lo;
+                sel[hi * n + lo] = f;
+            } else {
+                complex.push((hi, refs, f));
+            }
+        }
+        // Stable: edge-id order within one highest relation.
+        complex.sort_by_key(|&(hi, _, _)| hi);
+        CardinalityEstimator {
+            cards: cards.to_vec(),
+            lower,
+            sel,
+            complex,
+        }
     }
 
     /// Number of relations covered.
@@ -78,51 +146,38 @@ impl CardinalityEstimator {
         self.cards[i]
     }
 
-    /// Estimated cardinality of the join of two disjoint sets whose own
-    /// cardinalities are already known — the hot path of every DP step.
+    /// Estimated cardinality of the set `s`: the fold in the order the
+    /// type documents. A singleton folds to its base cardinality.
     ///
-    /// `s1`/`s2` are only used to locate the cut predicates; the caller
-    /// supplies `card1`/`card2` (from its DP table) to avoid recomputing
-    /// set cardinalities from scratch.
-    #[inline]
-    pub fn join_cardinality(&self, card1: f64, card2: f64, s1: RelSet, s2: RelSet) -> f64 {
-        card1 * card2 * self.cut_selectivity(s1, s2)
-    }
-
-    /// Product of the selectivities of all predicates crossing the
-    /// `(s1, s2)` cut; 1.0 when no predicate crosses (a cross product).
-    pub fn cut_selectivity(&self, s1: RelSet, s2: RelSet) -> f64 {
-        // Iterate the smaller side.
-        let (small, big) = if s1.len() <= s2.len() {
-            (s1, s2)
-        } else {
-            (s2, s1)
-        };
-        let mut factor = 1.0;
-        for v in small.iter() {
-            for &(u, f) in &self.incident[v] {
-                if big.contains(u) {
-                    factor *= f;
-                }
-            }
-        }
-        factor
-    }
-
-    /// Estimated cardinality of an arbitrary set, from scratch: product
-    /// of base cardinalities and internal predicate selectivities.
+    /// # Panics
     ///
-    /// Useful for validation and for seeding DP tables; the DP hot path
-    /// uses [`CardinalityEstimator::join_cardinality`] instead.
+    /// Panics if `s` names a relation out of range.
     pub fn set_cardinality(&self, s: RelSet) -> f64 {
+        let n = self.cards.len();
+        let bits = s.bits();
         let mut card = 1.0;
-        for v in s.iter() {
+        let mut next_complex = 0;
+        let mut rest = bits;
+        while rest != 0 {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
             card *= self.cards[v];
-            for &(u, f) in &self.incident[v] {
-                // Count each internal predicate once (at its smaller endpoint).
-                if u > v && s.contains(u) {
+            let row = &self.sel[v * n..v * n + v];
+            let mut below = self.lower[v] & bits;
+            while below != 0 {
+                card *= row[below.trailing_zeros() as usize];
+                below &= below - 1;
+            }
+            // A predicate whose highest relation is not in `s` cannot
+            // lie inside `s`, so skipped entries never match.
+            while let Some(&(hi, refs, f)) = self.complex.get(next_complex) {
+                if hi > v {
+                    break;
+                }
+                if refs.is_subset(s) {
                     card *= f;
                 }
+                next_complex += 1;
             }
         }
         card
@@ -145,6 +200,24 @@ mod tests {
         (g, cat)
     }
 
+    fn set(ix: impl IntoIterator<Item = usize>) -> RelSet {
+        RelSet::from_indices(ix)
+    }
+
+    /// `R0 — R1` simple, `{R0, R1} — {R2}` complex.
+    fn hyper_sample() -> (Hypergraph, Catalog) {
+        let mut h = Hypergraph::new(3).unwrap();
+        h.add_edge(set([0]), set([1])).unwrap();
+        h.add_edge(set([0, 1]), set([2])).unwrap();
+        let mut cat = Catalog::with_shape(3, 2);
+        cat.set_cardinality(0, 100.0).unwrap();
+        cat.set_cardinality(1, 200.0).unwrap();
+        cat.set_cardinality(2, 50.0).unwrap();
+        cat.set_selectivity(0, 0.01).unwrap();
+        cat.set_selectivity(1, 0.1).unwrap();
+        (h, cat)
+    }
+
     #[test]
     fn base_and_set_cardinalities() {
         let (g, cat) = chain3();
@@ -152,64 +225,73 @@ mod tests {
         assert_eq!(est.base_cardinality(0), 1000.0);
         assert_eq!(est.set_cardinality(RelSet::single(1)), 100.0);
         // {0,1}: 1000·100·0.01 = 1000
-        assert_eq!(est.set_cardinality(RelSet::from_indices([0, 1])), 1000.0);
+        assert_eq!(est.set_cardinality(set([0, 1])), 1000.0);
         // {0,1,2}: 1000·100·10·0.01·0.5 = 5000
         assert_eq!(est.set_cardinality(RelSet::full(3)), 5000.0);
         // {0,2}: no predicate between them → cross product 10000
-        assert_eq!(est.set_cardinality(RelSet::from_indices([0, 2])), 10_000.0);
+        assert_eq!(est.set_cardinality(set([0, 2])), 10_000.0);
     }
 
     #[test]
-    fn join_cardinality_matches_set_cardinality() {
-        let (g, cat) = chain3();
-        let est = CardinalityEstimator::new(&g, &cat).unwrap();
-        let s1 = RelSet::from_indices([0, 1]);
-        let s2 = RelSet::single(2);
-        let joined = est.join_cardinality(est.set_cardinality(s1), est.set_cardinality(s2), s1, s2);
-        assert_eq!(joined, est.set_cardinality(s1 | s2));
-    }
-
-    #[test]
-    fn cut_selectivity_values() {
-        let (g, cat) = chain3();
-        let est = CardinalityEstimator::new(&g, &cat).unwrap();
-        assert_eq!(
-            est.cut_selectivity(RelSet::single(0), RelSet::single(1)),
-            0.01
-        );
-        assert_eq!(
-            est.cut_selectivity(RelSet::single(0), RelSet::single(2)),
-            1.0
-        );
-        // Cut {1} vs {0,2} crosses both predicates: 0.01 · 0.5
-        let f = est.cut_selectivity(RelSet::single(1), RelSet::from_indices([0, 2]));
-        assert!((f - 0.005).abs() < 1e-12);
-    }
-
-    #[test]
-    fn estimator_is_order_independent() {
-        // Cardinality of the full set is the same no matter how it is
-        // decomposed — the property that makes BestPlan(S) well-defined.
-        let g = generators::cycle(5).unwrap();
+    fn fold_order_is_the_documented_one() {
+        // Cardinalities and selectivities whose products round
+        // differently in different orders: the fold must match the
+        // documented order bit for bit.
+        let g = generators::clique(4).unwrap();
         let mut cat = Catalog::new(&g);
-        for i in 0..5 {
-            cat.set_cardinality(i, (i as f64 + 2.0) * 37.0).unwrap();
+        for i in 0..4 {
+            cat.set_cardinality(i, 1.0 + 0.1 * (i as f64 + 1.0) / 3.0)
+                .unwrap();
         }
         for e in 0..g.num_edges() {
-            cat.set_selectivity(e, 0.1 / (e as f64 + 1.0)).unwrap();
+            cat.set_selectivity(e, 0.3 / (e as f64 + 1.7)).unwrap();
         }
         let est = CardinalityEstimator::new(&g, &cat).unwrap();
         let full = g.all_relations();
-        let direct = est.set_cardinality(full);
-        for s1 in full.non_empty_proper_subsets() {
-            let s2 = full - s1;
-            let via_join =
-                est.join_cardinality(est.set_cardinality(s1), est.set_cardinality(s2), s1, s2);
-            assert!(
-                (via_join - direct).abs() <= 1e-9 * direct.abs(),
-                "decomposition {s1} / {s2}: {via_join} vs {direct}"
+        let mut want = 1.0;
+        for v in 0..4 {
+            want *= cat.cardinality(v);
+            for u in 0..v {
+                want *= cat.selectivity(g.edge_between(u, v).unwrap());
+            }
+        }
+        assert_eq!(est.set_cardinality(full).to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn graph_and_lifted_hypergraph_fold_identically() {
+        let g = generators::cycle(6).unwrap();
+        let mut cat = Catalog::new(&g);
+        for i in 0..6 {
+            cat.set_cardinality(i, (i as f64 + 2.0) * 37.3).unwrap();
+        }
+        for e in 0..g.num_edges() {
+            cat.set_selectivity(e, 0.7 / (e as f64 + 3.1)).unwrap();
+        }
+        let simple = CardinalityEstimator::new(&g, &cat).unwrap();
+        let lifted = Hypergraph::from_query_graph(&g);
+        let hyper = CardinalityEstimator::for_hypergraph(&lifted, &cat).unwrap();
+        for s in g.all_relations().non_empty_subsets() {
+            assert_eq!(
+                simple.set_cardinality(s).to_bits(),
+                hyper.set_cardinality(s).to_bits(),
+                "{s}"
             );
         }
+    }
+
+    #[test]
+    fn complex_predicates_apply_only_when_covered() {
+        let (h, cat) = hyper_sample();
+        let est = CardinalityEstimator::for_hypergraph(&h, &cat).unwrap();
+        assert_eq!(est.base_cardinality(2), 50.0);
+        // {0,1}: 100·200·0.01 = 200
+        assert_eq!(est.set_cardinality(set([0, 1])), 200.0);
+        // {1,2} and {0,2}: no fully covered predicate
+        assert_eq!(est.set_cardinality(set([1, 2])), 10_000.0);
+        assert_eq!(est.set_cardinality(set([0, 2])), 5_000.0);
+        // Full: 100·200·50·0.01·0.1 = 1000
+        assert_eq!(est.set_cardinality(set([0, 1, 2])), 1_000.0);
     }
 
     #[test]
@@ -231,5 +313,10 @@ mod tests {
         let g4 = generators::chain(4).unwrap();
         let cat = Catalog::new(&g3);
         assert!(CardinalityEstimator::new(&g4, &cat).is_err());
+        let (h, _) = hyper_sample();
+        assert!(matches!(
+            CardinalityEstimator::for_hypergraph(&h, &Catalog::with_shape(3, 1)),
+            Err(CostError::ShapeMismatch { .. })
+        ));
     }
 }

@@ -8,8 +8,10 @@
 //! * [`Catalog`] — base-table cardinalities and per-join-predicate
 //!   selectivities, validated on construction;
 //! * [`CardinalityEstimator`] — the classical independence-assumption
-//!   estimator: `|S₁ ⋈ S₂| = |S₁| · |S₂| · ∏ f_e` over the predicates
-//!   `e` crossing the cut, computed incrementally so a DP step is O(cut);
+//!   estimator as one set-only fold (`|S|` is the product of `S`'s base
+//!   cardinalities and the selectivities of the predicates inside `S`,
+//!   multiplied in one documented order), for query graphs and
+//!   hypergraphs alike, so every engine gets the same bits for a set;
 //! * [`CostModel`] implementations — [`Cout`] (sum of intermediate result
 //!   sizes, the standard model in the join-ordering literature),
 //!   [`NestedLoopJoin`], [`HashJoin`], [`SortMergeJoin`] and
@@ -33,15 +35,15 @@
 //! cat.set_selectivity(1, 0.5).unwrap();  // R1 ⋈ R2
 //!
 //! let est = CardinalityEstimator::new(&g, &cat).unwrap();
-//! let s01 = est.join_cardinality(
-//!     1000.0, 100.0, RelSet::single(0), RelSet::single(1));
+//! let s01 = est.set_cardinality(RelSet::from_indices([0, 1]));
 //! assert_eq!(s01, 1000.0); // 1000 · 100 · 0.01
+//! // (R0 ⋈ R1) ⋈ R2: the left child already cost its own 1000 rows.
 //! let cost = Cout.join_cost(
-//!     &PlanStats { cardinality: 1000.0, cost: 0.0 },
-//!     &PlanStats { cardinality: 10.0, cost: 0.0 },
-//!     5000.0,
+//!     &PlanStats { cardinality: s01, cost: s01 },
+//!     &PlanStats::base(10.0),
+//!     est.set_cardinality(RelSet::full(3)),
 //! );
-//! assert_eq!(cost, 5000.0);
+//! assert_eq!(cost, 6000.0); // (1000 + 0) + 1000 · 100 · 10 · 0.01 · 0.5
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,14 +52,12 @@
 mod catalog;
 mod error;
 mod estimator;
-pub mod hyper;
 mod models;
 pub mod workload;
 
 pub use catalog::Catalog;
 pub use error::CostError;
 pub use estimator::{ensure_finite, CardinalityEstimator};
-pub use hyper::HyperCardinalityEstimator;
 pub use models::{
     CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin, PlanStats, SortMergeJoin,
 };

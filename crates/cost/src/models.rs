@@ -32,25 +32,41 @@ impl PlanStats {
 
 /// A cost model assigns a total cost to joining two sub-plans.
 ///
-/// Implementations receive the output cardinality pre-computed by the
-/// cardinality estimator, and must include the children's accumulated
-/// costs in the figure they return (costs are totals, not increments).
+/// A model supplies only its operator's own term
+/// ([`CostModel::operator_cost`]); the total is always
+/// [`CostModel::join_cost`]`= (left.cost + right.cost) + operator_cost`,
+/// summed in that order. Because f64 addition is commutative and
+/// monotone, a model whose operator term is symmetric in its operands
+/// is symmetric bit for bit, and every total is non-decreasing in the
+/// children's costs — so an exact DP's minimum over its sub-plans is
+/// the f64 minimum over all trees, whatever order it enumerates them in.
 pub trait CostModel: Send + Sync {
-    /// Total cost of the join `left ⋈ right` with output size `out_card`.
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64;
+    /// The join operator's own cost for `left ⋈ right` with output size
+    /// `out_card`, excluding the children's accumulated costs.
+    fn operator_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64;
+
+    /// Total cost of the join `left ⋈ right` with output size
+    /// `out_card`: `(left.cost + right.cost) + operator_cost(…)`.
+    /// Implementations must not override it: the one sum order is what
+    /// makes exact engines agree bit for bit.
+    #[inline]
+    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
+        (left.cost + right.cost) + self.operator_cost(left, right, out_card)
+    }
 
     /// Human-readable model name for reports.
     fn name(&self) -> &'static str;
 
-    /// Whether `join_cost` is symmetric in its arguments. Symmetric
-    /// models let enumerators skip the commutative partner probe.
+    /// Whether `operator_cost` is symmetric in its operands, bit for
+    /// bit (and so `join_cost` too). Symmetric models let enumerators
+    /// skip the commutative partner probe.
     fn is_symmetric(&self) -> bool {
         false
     }
 
-    /// Whether the model is `C_out`-shaped: the cost of a join is the
-    /// output cardinality plus the children's costs, and therefore a
-    /// function of the relation *set* alone. This is the structural
+    /// Whether the model is `C_out`-shaped: the operator term is the
+    /// output cardinality, so a join's cost is a function of the
+    /// relation *set* plus the children's costs. This is the structural
     /// property that lets the join-ordering DP collapse to subset
     /// convolution over the ranked lattice (DPconv): the per-set term
     /// `|S|` can be added once per set instead of once per split.
@@ -68,8 +84,8 @@ pub trait CostModel: Send + Sync {
 /// `impl CostModel` without an adapter.
 impl<M: CostModel + ?Sized> CostModel for Box<M> {
     #[inline]
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
-        (**self).join_cost(left, right, out_card)
+    fn operator_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
+        (**self).operator_cost(left, right, out_card)
     }
 
     fn name(&self) -> &'static str {
@@ -87,14 +103,14 @@ impl<M: CostModel + ?Sized> CostModel for Box<M> {
 
 /// `C_out`: the sum of the sizes of all intermediate results.
 ///
-/// `cost(p1 ⋈ p2) = |p1 ⋈ p2| + cost(p1) + cost(p2)`, base tables free.
+/// `cost(p1 ⋈ p2) = (cost(p1) + cost(p2)) + |p1 ⋈ p2|`, base tables free.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cout;
 
 impl CostModel for Cout {
     #[inline]
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
-        out_card + left.cost + right.cost
+    fn operator_cost(&self, _left: &PlanStats, _right: &PlanStats, out_card: f64) -> f64 {
+        out_card
     }
 
     fn name(&self) -> &'static str {
@@ -116,8 +132,8 @@ pub struct NestedLoopJoin;
 
 impl CostModel for NestedLoopJoin {
     #[inline]
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, _out_card: f64) -> f64 {
-        left.cardinality * right.cardinality + left.cost + right.cost
+    fn operator_cost(&self, left: &PlanStats, right: &PlanStats, _out_card: f64) -> f64 {
+        left.cardinality * right.cardinality
     }
 
     fn name(&self) -> &'static str {
@@ -139,8 +155,8 @@ pub struct HashJoin;
 
 impl CostModel for HashJoin {
     #[inline]
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
-        1.2 * left.cardinality + right.cardinality + out_card + left.cost + right.cost
+    fn operator_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
+        1.2 * left.cardinality + right.cardinality + out_card
     }
 
     fn name(&self) -> &'static str {
@@ -163,8 +179,8 @@ fn nlogn(x: f64) -> f64 {
 
 impl CostModel for SortMergeJoin {
     #[inline]
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
-        nlogn(left.cardinality) + nlogn(right.cardinality) + out_card + left.cost + right.cost
+    fn operator_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
+        nlogn(left.cardinality) + nlogn(right.cardinality) + out_card
     }
 
     fn name(&self) -> &'static str {
@@ -183,10 +199,10 @@ pub struct MinOverPhysical;
 
 impl CostModel for MinOverPhysical {
     #[inline]
-    fn join_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
-        let nl = NestedLoopJoin.join_cost(left, right, out_card);
-        let hj = HashJoin.join_cost(left, right, out_card);
-        let sm = SortMergeJoin.join_cost(left, right, out_card);
+    fn operator_cost(&self, left: &PlanStats, right: &PlanStats, out_card: f64) -> f64 {
+        let nl = NestedLoopJoin.operator_cost(left, right, out_card);
+        let hj = HashJoin.operator_cost(left, right, out_card);
+        let sm = SortMergeJoin.operator_cost(left, right, out_card);
         nl.min(hj).min(sm)
     }
 

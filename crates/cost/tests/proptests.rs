@@ -46,8 +46,13 @@ fn estimator_is_decomposition_invariant() {
         let direct = est.set_cardinality(full);
         for s1 in full.non_empty_proper_subsets() {
             let s2 = full - s1;
-            let via =
-                est.join_cardinality(est.set_cardinality(s1), est.set_cardinality(s2), s1, s2);
+            // System R's join formula: |S₁| · |S₂| · ∏ f_e over the cut.
+            let mut via = est.set_cardinality(s1) * est.set_cardinality(s2);
+            for (id, e) in w.graph.edges().iter().enumerate() {
+                if s1.contains(e.u) != s1.contains(e.v) {
+                    via *= w.catalog.selectivity(id);
+                }
+            }
             assert!(
                 (via - direct).abs() <= 1e-6 * direct.abs(),
                 "split {s1}/{s2}: {via} vs {direct}"
@@ -127,19 +132,21 @@ fn symmetric_models_really_are_symmetric() {
         let lc = rng.gen_range_f64(1.0, 1e6);
         let rc = rng.gen_range_f64(1.0, 1e6);
         let out = rng.gen_range_f64(1.0, 1e9);
+        // Random child costs: fixed round ones would hide a total that
+        // adds them in an order that depends on the orientation.
         let l = PlanStats {
             cardinality: lc,
-            cost: 17.0,
+            cost: rng.gen_range_f64(0.0, 1e9),
         };
         let r = PlanStats {
             cardinality: rc,
-            cost: 39.0,
+            cost: rng.gen_range_f64(0.0, 1e9),
         };
         for m in models() {
             if m.is_symmetric() {
                 assert_eq!(
-                    m.join_cost(&l, &r, out),
-                    m.join_cost(&r, &l, out),
+                    m.join_cost(&l, &r, out).to_bits(),
+                    m.join_cost(&r, &l, out).to_bits(),
                     "{} claims symmetry but differs",
                     m.name()
                 );

@@ -38,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let reference = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(Algorithm::DpCcp)
             .run()?;
-        assert!(
-            (outcome.result.cost - reference.result.cost).abs()
-                <= 1e-9 * reference.result.cost.abs().max(1.0),
+        assert_eq!(
+            outcome.result.cost.to_bits(),
+            reference.result.cost.to_bits(),
             "auto selection changed the optimum?!"
         );
     }

@@ -51,10 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trees.push(outcome.into_result());
     }
 
-    // All three algorithms find plans of the same (optimal) cost.
+    // All three algorithms find plans of the same (optimal) cost, bit
+    // for bit.
     assert!(trees
         .windows(2)
-        .all(|w| (w[0].cost - w[1].cost).abs() <= 1e-9 * w[0].cost));
+        .all(|w| w[0].cost.to_bits() == w[1].cost.to_bits()));
 
     println!(
         "\noptimal plan (all three agree):\n{}",

@@ -51,14 +51,15 @@ fn facade_dispatches_every_algorithm() {
             | Algorithm::TopDown
             | Algorithm::DpCcp
             | Algorithm::DpConv => {
-                assert!(
-                    (r.cost - optimal).abs() <= 1e-9 * optimal,
+                assert_eq!(
+                    r.cost.to_bits(),
+                    optimal.to_bits(),
                     "{alg:?}: {} vs {}",
                     r.cost,
                     optimal
                 );
             }
-            Algorithm::DpSubCrossProducts => assert!(r.cost <= optimal + 1e-9),
+            Algorithm::DpSubCrossProducts => assert!(r.cost <= optimal),
             Algorithm::DpSizeLeftDeep | Algorithm::Idp | Algorithm::Goo => {
                 assert!(r.cost >= optimal - 1e-9 * optimal)
             }

@@ -62,9 +62,9 @@ fn dphyp_matches_oracle_on_random_hypergraphs() {
                 let want = oracle.unwrap_or_else(|| {
                     panic!("seed {seed}: DPhyp found a plan the oracle says cannot exist")
                 });
-                let tol = 1e-9 * want.abs().max(1.0);
-                assert!(
-                    (r.cost - want).abs() <= tol,
+                assert_eq!(
+                    r.cost.to_bits(),
+                    want.to_bits(),
                     "seed {seed}: DPhyp {} vs oracle {want}",
                     r.cost
                 );
@@ -97,8 +97,9 @@ fn dphyp_matches_oracle_under_asymmetric_model() {
         match DpHyp.optimize(&h, &cat, &HashJoin) {
             Ok(r) => {
                 let want = oracle.expect("DPhyp plan implies oracle plan");
-                assert!(
-                    (r.cost - want).abs() <= 1e-9 * want.abs().max(1.0),
+                assert_eq!(
+                    r.cost.to_bits(),
+                    want.to_bits(),
                     "seed {seed}: {} vs {}",
                     r.cost,
                     want
@@ -117,10 +118,7 @@ fn dphyp_equals_dpccp_on_lifted_simple_graphs() {
         let h = Hypergraph::from_query_graph(&w.graph);
         let hyp = DpHyp.optimize(&h, &w.catalog, &Cout).unwrap();
         let ccp = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-        assert!(
-            (hyp.cost - ccp.cost).abs() <= 1e-9 * ccp.cost.abs().max(1.0),
-            "seed {seed}"
-        );
+        assert_eq!(hyp.cost.to_bits(), ccp.cost.to_bits(), "seed {seed}");
         assert_eq!(hyp.counters.inner, ccp.counters.inner, "seed {seed}");
         assert_eq!(
             hyp.counters.csg_cmp_pairs, ccp.counters.csg_cmp_pairs,

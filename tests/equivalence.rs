@@ -11,9 +11,8 @@ fn exact_algorithms() -> Vec<&'static dyn JoinOrderer> {
     vec![&DpSize, &DpSizeNaive, &DpSub, &DpSubUnfiltered, &DpCcp]
 }
 
-fn assert_close(a: f64, b: f64, ctx: &str) {
-    let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
-    assert!((a - b).abs() <= tol, "{ctx}: {a} vs {b}");
+fn assert_same_cost(a: f64, b: f64, ctx: &str) {
+    assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {a} vs {b}");
 }
 
 #[test]
@@ -25,7 +24,7 @@ fn all_exact_algorithms_agree_on_families() {
                 let reference = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
                 for alg in exact_algorithms() {
                     let r = alg.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-                    assert_close(
+                    assert_same_cost(
                         r.cost,
                         reference.cost,
                         &format!("{} on {kind} n={n} seed={seed}", alg.name()),
@@ -50,7 +49,7 @@ fn agreement_with_oracle_on_random_graphs() {
         let want = exhaustive::optimal_cost(&w.graph, &w.catalog, &Cout).unwrap();
         for alg in exact_algorithms() {
             let r = alg.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-            assert_close(r.cost, want, &format!("{} seed={seed}", alg.name()));
+            assert_same_cost(r.cost, want, &format!("{} seed={seed}", alg.name()));
         }
     }
 }
@@ -70,7 +69,7 @@ fn agreement_under_every_cost_model() {
             let want = exhaustive::optimal_cost(&w.graph, &w.catalog, model).unwrap();
             for alg in exact_algorithms() {
                 let r = alg.optimize(&w.graph, &w.catalog, model).unwrap();
-                assert_close(
+                assert_same_cost(
                     r.cost,
                     want,
                     &format!("{} under {} seed={seed}", alg.name(), model.name()),
@@ -137,7 +136,7 @@ fn grid_and_tree_topologies() {
         let want = exhaustive::optimal_cost(&g, &cat, &Cout).unwrap();
         for alg in exact_algorithms() {
             let r = alg.optimize(&g, &cat, &Cout).unwrap();
-            assert_close(r.cost, want, alg.name());
+            assert_same_cost(r.cost, want, alg.name());
         }
     }
 }
@@ -151,5 +150,45 @@ fn deterministic_across_runs() {
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.tree, b.tree, "{} plan not deterministic", alg.name());
+    }
+}
+
+/// Re-derives a plan's stats from its leaves: the estimator's fold for
+/// every join's cardinality and the model's `join_cost` in the tree's
+/// own orientation.
+fn recost(est: &CardinalityEstimator, model: &dyn CostModel, tree: &JoinTree) -> PlanStats {
+    match tree {
+        JoinTree::Scan { relation, .. } => PlanStats::base(est.base_cardinality(*relation)),
+        JoinTree::Join { left, right, .. } => {
+            let (l, r) = (recost(est, model, left), recost(est, model, right));
+            let card = est.set_cardinality(tree.relations());
+            PlanStats {
+                cardinality: card,
+                cost: model.join_cost(&l, &r, card),
+            }
+        }
+    }
+}
+
+#[test]
+fn every_plan_recosts_to_its_own_cost_bit_for_bit() {
+    // Exact engines and heuristics alike: the reported cost is a
+    // canonical re-cost of the returned tree.
+    let models: [&dyn CostModel; 3] = [&Cout, &HashJoin, &MinOverPhysical];
+    for seed in 0..6 {
+        let w = workload::random_workload(9, 0.3, seed);
+        let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
+        for model in models {
+            for alg in Algorithm::CONCRETE {
+                let Ok(r) = alg.orderer(&w.graph).optimize(&w.graph, &w.catalog, model) else {
+                    assert_eq!(alg, Algorithm::DpConv, "only DPconv refuses a model");
+                    continue;
+                };
+                let re = recost(&est, model, &r.tree);
+                let ctx = format!("{alg:?} under {} seed={seed}", model.name());
+                assert_same_cost(r.cost, re.cost, &ctx);
+                assert_eq!(r.cardinality.to_bits(), re.cardinality.to_bits(), "{ctx}");
+            }
+        }
     }
 }

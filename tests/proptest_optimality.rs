@@ -33,9 +33,9 @@ fn algorithms_agree_with_oracle() {
         let want = exhaustive::optimal_cost(&w.graph, &w.catalog, &Cout).unwrap();
         for alg in [&DpSize as &dyn JoinOrderer, &DpSub, &DpCcp] {
             let r = alg.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-            let tol = 1e-9 * want.abs().max(1.0);
-            assert!(
-                (r.cost - want).abs() <= tol,
+            assert_eq!(
+                r.cost.to_bits(),
+                want.to_bits(),
                 "{}: {} vs oracle {}",
                 alg.name(),
                 r.cost,
@@ -105,7 +105,7 @@ fn costs_are_monotone_in_cardinalities() {
                 .unwrap();
         }
         let scaled = DpCcp.optimize(&w.graph, &bigger, &Cout).unwrap().cost;
-        assert!(scaled >= base - 1e-9 * base.abs().max(1.0));
+        assert!(scaled >= base);
     }
 }
 
@@ -120,9 +120,9 @@ fn estimator_consistency_full_set() {
         let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
         let direct = est.set_cardinality(w.graph.all_relations());
         let r = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-        let tol = 1e-6 * direct.abs().max(1e-300);
-        assert!(
-            (r.cardinality - direct).abs() <= tol,
+        assert_eq!(
+            r.cardinality.to_bits(),
+            direct.to_bits(),
             "{} vs {}",
             r.cardinality,
             direct

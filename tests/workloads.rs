@@ -64,9 +64,9 @@ fn exact_algorithms_agree_on_all_simple_workloads() {
         let ccp = DpCcp.optimize(graph, &q.catalog, &Cout).unwrap();
         for alg in [&DpSize as &dyn JoinOrderer, &DpSub] {
             let r = alg.optimize(graph, &q.catalog, &Cout).unwrap();
-            let tol = 1e-9 * ccp.cost.abs().max(1.0);
-            assert!(
-                (r.cost - ccp.cost).abs() <= tol,
+            assert_eq!(
+                r.cost.to_bits(),
+                ccp.cost.to_bits(),
                 "{name}: {} found {} vs DPccp {}",
                 alg.name(),
                 r.cost,
