@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc (warnings are errors: no dangling or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -31,7 +31,7 @@ use joinopt_cost::{
 };
 use joinopt_qgraph::formulas::{ccp_distinct, csg_count};
 use joinopt_qgraph::GraphKind;
-use joinopt_query::{parse, parse_sql, write as write_query, ParsedQuery};
+use joinopt_query::{looks_like_sql, parse, parse_sql, write as write_query, ParsedQuery};
 use joinopt_service::server::{
     smoke, span_timeline_demo, LineClient, Listen, Server, ServerConfig,
 };
@@ -41,7 +41,7 @@ use joinopt_service::{
 use joinopt_telemetry::json::JsonValue;
 use joinopt_telemetry::{
     collapse_trace, Fanout, MetricsCollector, MetricsRegistry, NoopObserver, Observer,
-    RegistryObserver, RunReport, SyncFanout, TraceWriter,
+    RegistryObserver, RunReport, TraceWriter,
 };
 
 /// Errors surfaced to the CLI user (exit code 1 + message).
@@ -414,14 +414,8 @@ impl Telemetry {
 
 fn load_query(path: &str) -> Result<ParsedQuery, CliError> {
     let text = std::fs::read_to_string(path)?;
-    // Dispatch on content: conjunctive SQL vs the native DSL. SQL files
-    // may lead with `--` comments; DSL files with `#` comments.
-    let looks_like_sql = text
-        .lines()
-        .map(str::trim_start)
-        .find(|l| !l.is_empty() && !l.starts_with("--"))
-        .is_some_and(|l| l.get(..6).is_some_and(|p| p.eq_ignore_ascii_case("select")));
-    if looks_like_sql {
+    // Dispatch on content: conjunctive SQL vs the native DSL.
+    if looks_like_sql(&text) {
         Ok(parse_sql(&text)?)
     } else {
         Ok(parse(&text)?)
@@ -646,7 +640,7 @@ fn cmd_optimize_batch(
     if let Some(r) = &registry_obs {
         sinks.push(r);
     }
-    let fanout = SyncFanout::new(sinks);
+    let fanout = Fanout::new(sinks);
     let start = Instant::now();
     let results = service.submit_batch_observed(&requests, &fanout);
     let elapsed = start.elapsed();

@@ -15,19 +15,7 @@ use joinopt_cost::Cout;
 
 use crate::fuzz::Failure;
 use crate::generator::Instance;
-
-/// Report labels the oracle uses, mapped to their algorithms. Longest
-/// labels first so substring scans of a divergence detail cannot match
-/// a prefix (`DPsize` inside `DPsize-naive`).
-const LABELS: [(&str, Algorithm); 7] = [
-    ("DPsize-naive", Algorithm::DpSizeNaive),
-    ("DPsub-nofilter", Algorithm::DpSubUnfiltered),
-    ("DPsub-cp", Algorithm::DpSubCrossProducts),
-    ("DPsize", Algorithm::DpSize),
-    ("DPsub", Algorithm::DpSub),
-    ("DPccp", Algorithm::DpCcp),
-    ("top-down", Algorithm::TopDown),
-];
+use crate::oracle::EXACT;
 
 /// Renders an explained diff for a fuzz failure, preferring the
 /// minimized repro when shrinking produced one.
@@ -44,12 +32,18 @@ pub fn explain_failure(failure: &Failure) -> Option<String> {
     }
 }
 
-/// Optimal-cost / exhaustive divergences: re-run the algorithm the
-/// detail names against the DPccp reference.
+/// Optimal-cost / exhaustive divergences: re-run the exact algorithm
+/// the detail names against the DPccp reference. The oracle writes
+/// every such detail as `"{instance}: {label} …"`, so the label is the
+/// word after that prefix, matched exactly against the oracle's own
+/// table of exact algorithms; anything else (a heuristic, the
+/// cross-product variant, the exhaustive oracle) is not explained.
 fn explain_vs_reference(inst: &Instance, detail: &str) -> Option<String> {
-    let (label, alg) = LABELS
-        .into_iter()
-        .find(|(label, _)| detail.contains(label))?;
+    let rest = detail
+        .strip_prefix(inst.name.as_str())?
+        .strip_prefix(": ")?;
+    let word = rest.split(' ').next()?;
+    let (alg, label) = EXACT.into_iter().find(|&(_, label)| label == word)?;
     if alg == Algorithm::DpCcp {
         return None;
     }
@@ -84,8 +78,23 @@ mod tests {
             minimized: None,
         };
         assert!(explain_failure(&failure).is_none());
-        // The reference cannot diverge from itself.
-        assert!(explain_vs_reference(&failure.instance, "DPccp found").is_none());
+        let inst = &failure.instance;
+        let name = &inst.name;
+        for detail in [
+            // The reference cannot diverge from itself.
+            format!("{name}: DPccp found cost 1e3 but DPccp found 2e3"),
+            // Heuristics, the cross-product variant and the exhaustive
+            // oracle are not exact engines: nothing to re-run. A
+            // substring scan would have taken the left-deep heuristic
+            // for DPsize.
+            format!("{name}: DPsize-leftdeep (heuristic) found cost 1e2 below the optimum 1e3"),
+            format!("{name}: DPsub-cp (larger search space) found cost 2e3 above DPccp's 1e3"),
+            format!("{name}: the exhaustive oracle found cost 1e3 but DPccp found 2e3"),
+            // A detail about another instance names nothing here.
+            format!("other-{name}: top-down found cost 1e3 but DPccp found 1e3"),
+        ] {
+            assert!(explain_vs_reference(inst, &detail).is_none(), "{detail}");
+        }
     }
 
     #[test]
@@ -93,9 +102,17 @@ mod tests {
         // Top-down search and DPccp break a tie of this tie-rich chain
         // in different enumeration orders: same cost, different plans.
         let inst = generator::tie_rich_chain(6);
-        let text = explain_vs_reference(&inst, "top-down found cost 1e3").expect("plans differ");
+        let name = &inst.name;
+        let detail = format!("{name}: top-down found cost 1e3 but DPccp found 1e3");
+        let text = explain_vs_reference(&inst, &detail).expect("plans differ");
         assert!(text.contains("top-down vs DPccp reference"), "{text}");
         assert!(text.contains("first divergent decision"), "{text}");
         assert!(text.contains("tie broken by enumeration order"), "{text}");
+        // DPconv is an exact engine too. A substring scan matched the
+        // "DPccp" in "… but DPccp found …" and never explained it.
+        let detail = format!("{name}: DPconv found cost 1e3 but DPccp found 1e3");
+        let text = explain_vs_reference(&inst, &detail).expect("plans differ");
+        assert!(text.contains("DPconv vs DPccp reference"), "{text}");
+        assert!(text.contains("first divergent decision"), "{text}");
     }
 }

@@ -97,7 +97,7 @@ fn shape(t: &JoinTree) -> String {
 
 /// The exact cross-product-free algorithms the oracle differentials,
 /// with their report names.
-const EXACT: [(Algorithm, &str); 7] = [
+pub(crate) const EXACT: [(Algorithm, &str); 7] = [
     (Algorithm::DpSize, "DPsize"),
     (Algorithm::DpSizeNaive, "DPsize-naive"),
     (Algorithm::DpSub, "DPsub"),

@@ -176,7 +176,7 @@ impl CancellationToken {
 
     /// The paced check for inner loops. `counter` is caller-local
     /// pacing state (one per loop, initialized to 0); the deadline is
-    /// only consulted every [`TIME_CHECK_PERIOD`] calls.
+    /// only consulted every `TIME_CHECK_PERIOD` (256) calls.
     #[inline]
     pub fn checkpoint(&self, counter: &mut u32) -> Result<(), OptimizeError> {
         if let Some(e) = self.trip_error() {

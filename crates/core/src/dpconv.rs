@@ -55,6 +55,7 @@ use joinopt_telemetry::{Event, Observer};
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
+use crate::dpsub::Session;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::failpoint;
@@ -78,16 +79,16 @@ impl JoinOrderer for DpConv {
         "DPconv"
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        let mut scratch = DpConvScratch::default();
-        run_pooled(g, catalog, model, obs, ctl, &mut scratch)
+        run_pooled(g, catalog, model, obs, ctl, session.dpconv_scratch())
     }
 }
 
@@ -150,9 +151,8 @@ impl DpConvScratch {
     }
 }
 
-/// One DPconv run inside pooled scratch (the [`crate::OptimizeRequest`]
-/// session path; [`DpConv::optimize_controlled`] wraps this with a
-/// one-shot scratch).
+/// One DPconv run inside pooled scratch ([`DpConv::optimize_in`] hands
+/// it the session's).
 pub(crate) fn run_pooled(
     g: &QueryGraph,
     catalog: &Catalog,

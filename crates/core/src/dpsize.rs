@@ -28,15 +28,16 @@ impl JoinOrderer for DpSize {
         "DPsize"
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+        run_pooled(self, g, catalog, model, obs, ctl, session)
     }
 }
 
@@ -108,15 +109,16 @@ impl JoinOrderer for DpSizeNaive {
         "DPsize-naive"
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+        run_pooled(self, g, catalog, model, obs, ctl, session)
     }
 }
 

@@ -46,7 +46,6 @@ use crate::counters::Counters;
 use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::kernel::pair_cost;
-use crate::optimizer::Algorithm;
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{arena_charge, DenseDpTable};
 
@@ -60,23 +59,16 @@ impl JoinOrderer for DpSub {
         Variant::Filtered.name()
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        run_pooled(
-            g,
-            catalog,
-            model,
-            Variant::Filtered,
-            obs,
-            ctl,
-            &mut Session::new(),
-        )
+        run_pooled(g, catalog, model, Variant::Filtered, obs, ctl, session)
     }
 }
 
@@ -92,23 +84,16 @@ impl JoinOrderer for DpSubUnfiltered {
         Variant::Unfiltered.name()
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        run_pooled(
-            g,
-            catalog,
-            model,
-            Variant::Unfiltered,
-            obs,
-            ctl,
-            &mut Session::new(),
-        )
+        run_pooled(g, catalog, model, Variant::Unfiltered, obs, ctl, session)
     }
 }
 
@@ -127,23 +112,16 @@ impl JoinOrderer for DpSubCrossProducts {
         Variant::CrossProducts.name()
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        run_pooled(
-            g,
-            catalog,
-            model,
-            Variant::CrossProducts,
-            obs,
-            ctl,
-            &mut Session::new(),
-        )
+        run_pooled(g, catalog, model, Variant::CrossProducts, obs, ctl, session)
     }
 }
 
@@ -159,16 +137,6 @@ pub(crate) enum Variant {
 }
 
 impl Variant {
-    /// The variant behind `algorithm`, if it is one of the DPsub family.
-    pub(crate) fn of(algorithm: Algorithm) -> Option<Variant> {
-        match algorithm {
-            Algorithm::DpSub => Some(Variant::Filtered),
-            Algorithm::DpSubUnfiltered => Some(Variant::Unfiltered),
-            Algorithm::DpSubCrossProducts => Some(Variant::CrossProducts),
-            _ => None,
-        }
-    }
-
     fn name(self) -> &'static str {
         match self {
             Variant::Filtered => "DPsub",
@@ -548,6 +516,7 @@ pub(crate) fn run_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::Algorithm;
     use joinopt_cost::{workload, Cout};
     use joinopt_qgraph::{formulas, generators, GraphKind};
     use joinopt_telemetry::NoopObserver;

@@ -4,7 +4,7 @@
 //! Optimizer internals call [`check`] at named sites; in normal builds
 //! the call compiles to `Ok(())` and vanishes. Building with
 //! `RUSTFLAGS="--cfg failpoints"` activates a process-global registry
-//! where tests arm sites with [`configure`] to return an error or
+//! where tests arm sites with `configure` to return an error or
 //! panic, proving the degradation ladder and panic isolation handle
 //! every failure mode (see `tests/resilience.rs`).
 //!

@@ -22,6 +22,7 @@ use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
+use crate::dpsub::Session;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::failpoint;
@@ -68,13 +69,14 @@ impl JoinOrderer for Idp {
         "IDP"
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        _session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
         let spans = Spans::start(obs, self.name(), g.num_relations());
         let provenance = obs.enabled() && obs.wants_provenance();

@@ -35,15 +35,16 @@ impl JoinOrderer for DpSizeLeftDeep {
         "DPsize-leftdeep"
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        run_pooled(self, g, catalog, model, obs, ctl, &mut Session::new())
+        run_pooled(self, g, catalog, model, obs, ctl, session)
     }
 }
 

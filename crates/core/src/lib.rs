@@ -22,10 +22,10 @@
 //! * [`formulas`] — closed forms for the counters (Sections 2.1–2.2,
 //!   with the published typos corrected) plus profile-based predictions
 //!   that work for arbitrary query graphs;
-//! * [`Optimizer`] / [`Algorithm`] — a façade with an `Auto` mode that
-//!   adapts to the query graph's density (the paper's concluding
+//! * [`Algorithm`] — one table naming every engine, with an `Auto` mode
+//!   that adapts to the query graph's density (the paper's concluding
 //!   recommendation);
-//! * [`OptimizeRequest`] — the full-control session API: algorithm,
+//! * [`OptimizeRequest`] — the one entry point for a query: algorithm,
 //!   cost model, time/cost/memory budgets, cooperative cancellation and
 //!   telemetry in one builder, with pooled allocations via [`Session`]
 //!   and an opt-in degradation ladder (exact → IDP → greedy) that turns
@@ -92,7 +92,7 @@ pub use dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered, Session};
 pub use error::OptimizeError;
 pub use idp::Idp;
 pub use leftdeep::DpSizeLeftDeep;
-pub use optimizer::{Algorithm, Optimizer};
+pub use optimizer::Algorithm;
 pub use request::{OptimizeOutcome, OptimizeRequest};
 pub use result::{DpResult, JoinOrderer};
 pub use topdown::TopDown;

@@ -1,18 +1,17 @@
-//! The [`Optimizer`] façade and adaptive algorithm selection.
+//! The [`Algorithm`] table: names, the engine behind each algorithm,
+//! and adaptive (`Auto`) selection.
 
-use joinopt_cost::{Catalog, CostModel, Cout};
+use joinopt_cost::CostModel;
 use joinopt_qgraph::QueryGraph;
-use joinopt_telemetry::{NoopObserver, Observer};
 
 use crate::dpccp::DpCcp;
 use crate::dpconv::DpConv;
 use crate::dpsize::{DpSize, DpSizeNaive};
 use crate::dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered};
-use crate::error::OptimizeError;
 use crate::greedy::Goo;
 use crate::idp::Idp;
 use crate::leftdeep::DpSizeLeftDeep;
-use crate::result::{DpResult, JoinOrderer};
+use crate::result::JoinOrderer;
 use crate::table::DenseDpTable;
 use crate::topdown::TopDown;
 
@@ -133,7 +132,10 @@ impl Algorithm {
         picked
     }
 
-    /// The underlying [`JoinOrderer`] (after `Auto` resolution).
+    /// The engine behind `self` — the one table from algorithm to code:
+    /// [`OptimizeRequest`](crate::OptimizeRequest) runs every algorithm
+    /// through it. `Auto` resolves by [`Algorithm::select_auto`] here;
+    /// the request layer resolves it with the cost model first.
     pub fn orderer(self, g: &QueryGraph) -> &'static dyn JoinOrderer {
         match self {
             Algorithm::DpSize => &DpSize,
@@ -186,219 +188,10 @@ impl Algorithm {
     }
 }
 
-/// High-level entry point: pick an algorithm (or let `Auto` adapt) and a
-/// cost model, then optimize queries.
-///
-/// ```
-/// use joinopt_core::Optimizer;
-/// use joinopt_cost::workload;
-/// use joinopt_qgraph::GraphKind;
-///
-/// let w = workload::family_workload(GraphKind::Chain, 6, 0);
-/// let result = Optimizer::new().optimize(&w.graph, &w.catalog).unwrap();
-/// assert_eq!(result.tree.num_relations(), 6);
-/// ```
-pub struct Optimizer {
-    algorithm: Algorithm,
-    model: Box<dyn CostModel>,
-}
-
-impl Default for Optimizer {
-    fn default() -> Self {
-        Optimizer::new()
-    }
-}
-
-impl Optimizer {
-    /// An optimizer with `Auto` algorithm selection and the `C_out`
-    /// cost model.
-    pub fn new() -> Optimizer {
-        Optimizer {
-            algorithm: Algorithm::Auto,
-            model: Box::new(Cout),
-        }
-    }
-
-    /// Chooses a specific algorithm.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Optimizer {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Chooses a cost model.
-    #[must_use]
-    pub fn with_cost_model(mut self, model: impl CostModel + 'static) -> Optimizer {
-        self.model = Box::new(model);
-        self
-    }
-
-    /// The configured algorithm (possibly `Auto`).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Optimizes one query.
-    ///
-    /// Thin forward to [`OptimizeRequest`](crate::OptimizeRequest) —
-    /// equivalent to building a request with this optimizer's algorithm
-    /// and cost model, then discarding the execution
-    /// metadata of its [`OptimizeOutcome`](crate::OptimizeOutcome).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying algorithm's validation errors.
-    pub fn optimize(&self, g: &QueryGraph, catalog: &Catalog) -> Result<DpResult, OptimizeError> {
-        self.optimize_observed(g, catalog, &NoopObserver)
-    }
-
-    /// [`Optimizer::optimize`] with telemetry: the resolved algorithm
-    /// reports phase spans, DP-level progress and table/arena statistics
-    /// to `obs` (see [`joinopt_telemetry::Event`] for the vocabulary).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying algorithm's validation errors.
-    pub fn optimize_observed(
-        &self,
-        g: &QueryGraph,
-        catalog: &Catalog,
-        obs: &dyn Observer,
-    ) -> Result<DpResult, OptimizeError> {
-        crate::request::OptimizeRequest::new(g, catalog)
-            .with_algorithm(self.algorithm)
-            .with_cost_model(self.model.as_ref())
-            .with_observer(obs)
-            .run()
-            .map(crate::request::OptimizeOutcome::into_result)
-    }
-
-    /// Optimizes a batch of queries, spreading them across worker
-    /// threads for throughput.
-    ///
-    /// Each worker owns a pooled [`crate::Session`] and claims queries
-    /// from a shared queue, so a batch of mixed sizes load-balances and
-    /// every query after a worker's first reuses its table and arena
-    /// allocations. Results come back in
-    /// input order, each independently `Ok` or `Err` (one invalid query
-    /// does not poison the batch). A query that *panics* is likewise
-    /// isolated: the panic is caught, reported as
-    /// [`OptimizeError::Internal`] for that query only, and the worker
-    /// continues with a fresh session (the half-mutated one is
-    /// discarded). Telemetry is not threaded through this entry point;
-    /// use [`Optimizer::optimize_batch_observed`] with a `Sync` observer
-    /// (e.g. [`joinopt_telemetry::RegistryObserver`] or a
-    /// [`joinopt_telemetry::TraceWriter`]) to watch a batch.
-    pub fn optimize_batch(
-        &self,
-        queries: &[(&QueryGraph, &Catalog)],
-    ) -> Vec<Result<DpResult, OptimizeError>> {
-        self.optimize_batch_observed(queries, &NoopObserver)
-    }
-
-    /// Like [`Optimizer::optimize_batch`], but every per-query run
-    /// reports its events to `obs`.
-    ///
-    /// The observer must be `Sync`: batch workers emit concurrently,
-    /// each from its own thread for the whole of a query's run, so
-    /// per-thread event streams stay internally ordered and
-    /// attributable (trace lines carry
-    /// [`joinopt_telemetry::current_thread_id`]).
-    pub fn optimize_batch_observed(
-        &self,
-        queries: &[(&QueryGraph, &Catalog)],
-        obs: &(dyn Observer + Sync),
-    ) -> Vec<Result<DpResult, OptimizeError>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::mpsc;
-
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(queries.len())
-            .max(1);
-
-        // `None` means "allocate a fresh session before the next query" —
-        // the state after a panic tore through a pooled session.
-        let run_one = |session: &mut Option<crate::Session>,
-                       (g, catalog): (&QueryGraph, &Catalog)|
-         -> Result<DpResult, OptimizeError> {
-            let mut s = session.take().unwrap_or_default();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::request::OptimizeRequest::new(g, catalog)
-                    .with_algorithm(self.algorithm)
-                    .with_cost_model(self.model.as_ref())
-                    .with_observer(obs)
-                    .run_in(&mut s)
-                    .map(crate::request::OptimizeOutcome::into_result)
-            }));
-            match outcome {
-                Ok(r) => {
-                    *session = Some(s);
-                    r
-                }
-                Err(payload) => Err(OptimizeError::Internal(panic_message(payload.as_ref()))),
-            }
-        };
-
-        if workers == 1 {
-            let mut session = None;
-            return queries.iter().map(|&q| run_one(&mut session, q)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    let mut session = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&q) = queries.get(i) else { break };
-                        if tx.send((i, run_one(&mut session, q))).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut results: Vec<Option<Result<DpResult, OptimizeError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            results[i] = Some(r);
-        }
-        results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(OptimizeError::Internal(
-                        "query was never claimed by a batch worker".into(),
-                    ))
-                })
-            })
-            .collect()
-    }
-}
-
-/// Renders a caught panic payload (the `&str`/`String` cases the panic
-/// machinery produces for message panics) for [`OptimizeError::Internal`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("query panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("query panicked: {s}")
-    } else {
-        "query panicked".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinopt_cost::{workload, HashJoin};
+    use joinopt_cost::{workload, Cout, HashJoin};
     use joinopt_qgraph::{generators, GraphKind};
 
     #[test]
@@ -471,34 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_individual_runs_and_preserves_errors() {
-        let workloads: Vec<_> = (0..6)
-            .map(|seed| {
-                workload::family_workload(GraphKind::ALL[seed % 4], 5 + seed % 3, seed as u64)
-            })
-            .collect();
-        let opt = Optimizer::new();
-        let mut queries: Vec<(&QueryGraph, &Catalog)> =
-            workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-        // A disconnected graph mid-batch must fail alone.
-        let disc = QueryGraph::new(3).unwrap();
-        let disc_cat = Catalog::new(&disc);
-        queries.insert(3, (&disc, &disc_cat));
-        let results = opt.optimize_batch(&queries);
-        assert_eq!(results.len(), 7);
-        assert!(results[3].is_err(), "disconnected query fails in place");
-        for (i, w) in workloads.iter().enumerate() {
-            let idx = if i < 3 { i } else { i + 1 };
-            let batch = results[idx].as_ref().unwrap();
-            let single = opt.optimize(&w.graph, &w.catalog).unwrap();
-            assert_eq!(batch.cost.to_bits(), single.cost.to_bits(), "query {i}");
-            assert_eq!(batch.tree, single.tree, "query {i}");
-        }
-        // Empty batches are fine.
-        assert!(opt.optimize_batch(&[]).is_empty());
-    }
-
-    #[test]
     fn auto_routes_dense_cout_queries_to_dpconv_but_guards_the_model() {
         let big = generators::clique(Algorithm::DPCONV_MIN_RELATIONS).unwrap();
         // C_out-shaped model on a crossover-sized clique: DPconv.
@@ -543,29 +308,6 @@ mod tests {
             Algorithm::select_auto(&generators::chain(2).unwrap()),
             Algorithm::DpSub
         );
-    }
-
-    #[test]
-    fn facade_matches_direct_invocation() {
-        let w = workload::family_workload(GraphKind::Star, 7, 9);
-        let direct = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-        let facade = Optimizer::new()
-            .with_algorithm(Algorithm::DpCcp)
-            .optimize(&w.graph, &w.catalog)
-            .unwrap();
-        assert_eq!(direct.cost, facade.cost);
-        assert_eq!(direct.counters, facade.counters);
-    }
-
-    #[test]
-    fn facade_cost_model_is_respected() {
-        let w = workload::family_workload(GraphKind::Chain, 6, 2);
-        let cout = Optimizer::new().optimize(&w.graph, &w.catalog).unwrap();
-        let hash = Optimizer::new()
-            .with_cost_model(HashJoin)
-            .optimize(&w.graph, &w.catalog)
-            .unwrap();
-        assert_ne!(cout.cost, hash.cost);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! The session API: [`OptimizeRequest`] and [`OptimizeOutcome`].
 //!
-//! [`Optimizer::optimize`](crate::Optimizer::optimize) answers "give me
-//! the best plan" with defaults everywhere. `OptimizeRequest` is the
-//! full-control entry point underneath it: one builder that carries the
-//! algorithm, the cost model, optional time, memory and cost budgets, a cancellation flag, the budget policy, and a
-//! telemetry observer — and that can run inside a pooled [`Session`] so
-//! repeated queries reuse the DP-table and plan-arena allocations.
+//! `OptimizeRequest` is the library's one entry point for a single
+//! query: one builder that carries the algorithm, the cost model,
+//! optional time, memory and cost budgets, a cancellation flag, the
+//! budget policy, and a telemetry observer — and that can run inside a
+//! pooled [`Session`] so repeated queries reuse the DP-table and
+//! plan-arena allocations. With every default,
+//! `OptimizeRequest::new(&graph, &catalog).run()?.into_result()` answers
+//! "give me the best plan". Batches of owned queries go through the
+//! service crate's `OptimizerService`.
 //!
 //! With [`BudgetAction::Degrade`] a tripped budget does not fail the
 //! request: the run falls down the ladder described in
@@ -37,14 +40,12 @@ use crate::cancel::{CancelFlag, CancellationToken};
 use crate::degrade::{
     BudgetAction, DegradationInfo, DegradationRung, TripKind, DEGRADE_IDP_BLOCK_SIZE,
 };
-use crate::dpsub::{self, Session, Variant};
-use crate::driver::{self, Enumerator};
+use crate::dpsub::Session;
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
 use crate::idp::Idp;
 use crate::optimizer::Algorithm;
 use crate::result::{DpResult, JoinOrderer};
-use crate::{DpCcp, DpSize, DpSizeLeftDeep, DpSizeNaive};
 
 /// A fully configured optimization run, built incrementally.
 ///
@@ -188,38 +189,14 @@ impl<'a> OptimizeRequest<'a> {
         };
         let ctl = CancellationToken::new(self.cancel.clone(), self.time_budget, self.memory_budget);
         // The exact engines run on the session's pooled buffers.
-        let attempt = match algorithm {
-            Algorithm::DpSize => self.run_driver(&DpSize, &ctl, session),
-            Algorithm::DpSizeNaive => self.run_driver(&DpSizeNaive, &ctl, session),
-            Algorithm::DpSizeLeftDeep => self.run_driver(&DpSizeLeftDeep, &ctl, session),
-            Algorithm::DpCcp => self.run_driver(&DpCcp, &ctl, session),
-            Algorithm::DpConv => crate::dpconv::run_pooled(
-                self.graph,
-                self.catalog,
-                self.model,
-                self.observer,
-                &ctl,
-                session.dpconv_scratch(),
-            ),
-            _ => match Variant::of(algorithm) {
-                Some(variant) => dpsub::run_pooled(
-                    self.graph,
-                    self.catalog,
-                    self.model,
-                    variant,
-                    self.observer,
-                    &ctl,
-                    session,
-                ),
-                None => algorithm.orderer(self.graph).optimize_controlled(
-                    self.graph,
-                    self.catalog,
-                    self.model,
-                    self.observer,
-                    &ctl,
-                ),
-            },
-        };
+        let attempt = algorithm.orderer(self.graph).optimize_in(
+            self.graph,
+            self.catalog,
+            self.model,
+            self.observer,
+            &ctl,
+            session,
+        );
         match attempt {
             Ok(result) => {
                 if let Some(budget) = self.cost_budget {
@@ -267,24 +244,6 @@ impl<'a> OptimizeRequest<'a> {
                 self.degrade(algorithm, trigger, err, &ctl, start)
             }
         }
-    }
-
-    /// Runs a [`Driver`](crate::driver)-based engine on `session`.
-    fn run_driver<E: Enumerator>(
-        &self,
-        engine: &E,
-        ctl: &CancellationToken,
-        session: &mut Session,
-    ) -> Result<DpResult, OptimizeError> {
-        driver::run_pooled(
-            engine,
-            self.graph,
-            self.catalog,
-            self.model,
-            self.observer,
-            ctl,
-            session,
-        )
     }
 
     /// Walks the ladder below the exact attempt: IDP with a small block
@@ -385,7 +344,7 @@ impl<'a> OptimizeRequest<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DpCcp;
+    use crate::{DpCcp, DpSize};
     use joinopt_cost::{workload, HashJoin};
     use joinopt_qgraph::GraphKind;
 

@@ -7,6 +7,7 @@ use joinopt_telemetry::{NoopObserver, Observer};
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
+use crate::dpsub::Session;
 use crate::error::OptimizeError;
 
 /// The outcome of one optimizer run.
@@ -26,9 +27,12 @@ pub struct DpResult {
     pub plans_built: usize,
 }
 
-/// A join-ordering algorithm: everything the benchmark harness and the
-/// façade need to drive DPsize, DPsub, DPccp and their variants
-/// uniformly.
+/// A join-ordering algorithm: everything the request layer, the
+/// benchmark harness and the conformance oracle need to drive DPsize,
+/// DPsub, DPccp and their variants uniformly. [`crate::Algorithm::orderer`]
+/// maps each algorithm to its implementation, and
+/// [`OptimizeRequest`](crate::OptimizeRequest) runs every algorithm
+/// through [`JoinOrderer::optimize_in`].
 pub trait JoinOrderer {
     /// Short algorithm name as used in the paper's figures
     /// (`"DPsize"`, `"DPsub"`, `"DPccp"`, …).
@@ -38,12 +42,16 @@ pub trait JoinOrderer {
     /// reporting progress and statistics to `obs` and honouring the
     /// stop conditions of `ctl` (cancellation flag, deadline, memory
     /// budget) at whatever granularity the algorithm supports — the DP
-    /// enumerators poll inside their inner loops.
+    /// enumerators poll inside their inner loops. The exact engines run
+    /// on the pooled DP table, plan arena and DPconv scratch of
+    /// `session`; the heuristics (GOO, IDP) and top-down search ignore
+    /// it.
     ///
     /// With a disabled observer ([`Observer::enabled`] returning
     /// `false`, e.g. [`NoopObserver`]) and an unlimited token,
     /// implementations must behave bit-identically to an
-    /// uninstrumented run — same plan, cost, and counters. Failed runs
+    /// uninstrumented run — same plan, cost, and counters — and a
+    /// pooled session must not change the result either. Failed runs
     /// may leave a `run_start` without a matching `run_end` in the
     /// event stream.
     ///
@@ -54,6 +62,17 @@ pub trait JoinOrderer {
     /// matching `g`'s shape. [`crate::DpSubCrossProducts`] lifts the
     /// connectivity requirement. Additionally fails with the budget and
     /// cancellation errors of [`CancellationToken`] when `ctl` trips.
+    fn optimize_in(
+        &self,
+        g: &QueryGraph,
+        catalog: &Catalog,
+        model: &dyn CostModel,
+        obs: &dyn Observer,
+        ctl: &CancellationToken,
+        session: &mut Session,
+    ) -> Result<DpResult, OptimizeError>;
+
+    /// [`JoinOrderer::optimize_in`] on a fresh [`Session`].
     fn optimize_controlled(
         &self,
         g: &QueryGraph,
@@ -61,7 +80,9 @@ pub trait JoinOrderer {
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
-    ) -> Result<DpResult, OptimizeError>;
+    ) -> Result<DpResult, OptimizeError> {
+        self.optimize_in(g, catalog, model, obs, ctl, &mut Session::new())
+    }
 
     /// [`JoinOrderer::optimize_controlled`] with an unlimited token.
     fn optimize_observed(

@@ -30,6 +30,7 @@ use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
+use crate::dpsub::Session;
 use crate::driver::Spans;
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
@@ -96,13 +97,14 @@ impl JoinOrderer for TopDown {
         }
     }
 
-    fn optimize_controlled(
+    fn optimize_in(
         &self,
         g: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
         obs: &dyn Observer,
         ctl: &CancellationToken,
+        _session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
         let spans = Spans::start(obs, self.name(), g.num_relations());
         spans.begin("init");

@@ -1,23 +1,24 @@
-//! The graceful-degradation matrix: budgets, cancellation, panic
-//! isolation and (under `--cfg failpoints`) injected faults.
+//! The graceful-degradation matrix: budgets, cancellation and (under
+//! `--cfg failpoints`) injected faults.
 //!
 //! Every test asserts the pipeline's core promise: a tripped budget or
-//! an isolated fault either degrades to a *valid connected plan* tagged
+//! an injected fault either degrades to a *valid connected plan* tagged
 //! with [`DegradationInfo`], or fails with a typed error for the
-//! affected query alone — it never panics the caller and never returns
-//! a malformed plan.
+//! affected query alone — it never returns a malformed plan. Panic
+//! isolation belongs to the service's worker pool and is tested there
+//! (`crates/service/tests/resilience_matrix.rs`).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{
     Algorithm, BudgetAction, CancelFlag, DegradationRung, DpHyp, OptimizeError, OptimizeOutcome,
-    OptimizeRequest, Optimizer, Session, TripKind,
+    OptimizeRequest, Session, TripKind,
 };
 use joinopt_cost::workload::{self, Workload};
 use joinopt_cost::{Catalog, CostError, Cout};
 use joinopt_qgraph::generators::generate;
-use joinopt_qgraph::{GraphKind, Hypergraph, QueryGraph};
+use joinopt_qgraph::{GraphKind, Hypergraph};
 
 /// The failpoint registry is process-global, so every test here
 /// serializes on this lock: under `--cfg failpoints` a site armed by one
@@ -233,32 +234,6 @@ fn ladder_exhausted_when_even_goo_trips() {
 }
 
 #[test]
-fn batch_isolates_invalid_queries_between_valid_ones() {
-    let _serial = serial();
-    let good: Vec<_> = (0..4)
-        .map(|seed| workload::family_workload(GraphKind::ALL[seed % 4], 6, seed as u64))
-        .collect();
-    let disconnected = QueryGraph::new(3).unwrap();
-    let disc_cat = Catalog::new(&disconnected);
-    let empty = QueryGraph::new(0).unwrap();
-    let empty_cat = Catalog::new(&empty);
-    let mut queries: Vec<(&QueryGraph, &Catalog)> =
-        good.iter().map(|w| (&w.graph, &w.catalog)).collect();
-    queries.insert(1, (&disconnected, &disc_cat));
-    queries.insert(3, (&empty, &empty_cat));
-    // Twice on the same optimizer: worker count is automatic now, and
-    // isolation must hold on a fresh pool and on a reused one alike.
-    for _ in 0..2 {
-        let results = Optimizer::new().optimize_batch(&queries);
-        assert_eq!(results.len(), 6);
-        assert!(results[1].is_err() && results[3].is_err());
-        for i in [0, 2, 4, 5] {
-            assert!(results[i].is_ok(), "query {i} must survive its neighbours");
-        }
-    }
-}
-
-#[test]
 fn cancel_flag_shared_across_requests_stops_each() {
     let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 9, 0);
@@ -419,81 +394,9 @@ mod failpoints {
     }
 
     #[test]
-    fn injected_panic_is_isolated_to_one_batch_query() {
-        let _guard = armed();
-        let workloads: Vec<_> = (0..3)
-            .map(|seed| workload::family_workload(GraphKind::Cycle, 7, seed))
-            .collect();
-        let queries: Vec<(&QueryGraph, &Catalog)> =
-            workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-        // One panic: exactly one query blows up (worker count is
-        // automatic now, so whichever worker reaches a table insert
-        // first consumes the trigger) and the rest must complete on
-        // fresh sessions.
-        failpoint::configure_times("table-insert", FailAction::Panic, 1);
-        let results = Optimizer::new()
-            .with_algorithm(Algorithm::DpCcp)
-            .optimize_batch(&queries);
-        failpoint::clear_all();
-        assert_eq!(results.len(), 3);
-        let mut panicked = 0;
-        for (i, r) in results.iter().enumerate() {
-            match r {
-                Err(e) => {
-                    assert!(
-                        matches!(e, OptimizeError::Internal(m) if m.contains("panic")),
-                        "query {i}: {e}"
-                    );
-                    panicked += 1;
-                }
-                Ok(ok) => {
-                    assert_eq!(ok.tree.relations(), workloads[i].graph.all_relations());
-                }
-            }
-        }
-        assert_eq!(panicked, 1, "exactly one query consumes the trigger");
-    }
-
-    #[test]
-    fn batch_survives_every_query_panicking() {
-        let _guard = armed();
-        // Unlimited panics: every query in the batch blows up its
-        // worker session. Each slot must come back as a typed error —
-        // never a silent drop, a wrong-index shift, or a poisoned pool
-        // corrupting a neighbour — and a follow-up batch on the same
-        // optimizer must work again once the fault is cleared (the pool
-        // discards every panicked session instead of reusing it).
-        let workloads: Vec<_> = (0..4)
-            .map(|seed| workload::family_workload(GraphKind::Chain, 6, seed))
-            .collect();
-        let queries: Vec<(&QueryGraph, &Catalog)> =
-            workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-        failpoint::configure("table-insert", FailAction::Panic);
-        let optimizer = Optimizer::new().with_algorithm(Algorithm::DpCcp);
-        let results = optimizer.optimize_batch(&queries);
-        failpoint::clear_all();
-        assert_eq!(results.len(), 4);
-        for (i, r) in results.iter().enumerate() {
-            let err = r.as_ref().expect_err("every query must fail");
-            assert!(
-                matches!(err, OptimizeError::Internal(m) if m.contains("panic")),
-                "query {i}: {err}"
-            );
-        }
-        // Same optimizer, fault cleared: the pool must be clean.
-        let recovered = optimizer.optimize_batch(&queries);
-        for (i, r) in recovered.iter().enumerate() {
-            let ok = r
-                .as_ref()
-                .unwrap_or_else(|e| panic!("query {i} after recovery: {e}"));
-            assert_eq!(ok.tree.relations(), workloads[i].graph.all_relations());
-        }
-    }
-
-    #[test]
     fn injected_panic_in_a_request_is_catchable_by_the_caller() {
         let _guard = armed();
-        // Outside optimize_batch no isolation is promised — but the
+        // Outside the service's worker pool no isolation is promised — but the
         // panic must stay an unwind (caller-catchable), not an abort.
         let w = workload::family_workload(GraphKind::Chain, 6, 6);
         failpoint::configure_times("arena-alloc", FailAction::Panic, 1);

@@ -357,45 +357,3 @@ fn trace_writer_round_trips_on_real_run() {
     assert!(events.iter().any(|e| e == "dp_level"));
     assert!(events.iter().any(|e| e == "table_stats"));
 }
-
-// ---------------------------------------------------------------------
-// Batch workers.
-// ---------------------------------------------------------------------
-
-use joinopt_core::Optimizer;
-
-#[test]
-fn batch_observed_traces_tag_every_run_with_a_thread_id() {
-    let make = |n: usize, seed: u64| workload::family_workload(GraphKind::Chain, n, seed);
-    let workloads = [make(6, 0), make(7, 1), make(8, 2), make(6, 3)];
-    let pairs: Vec<_> = workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-
-    let optimizer = Optimizer::new();
-    let trace = TraceWriter::new(Vec::new());
-    let results = optimizer.optimize_batch_observed(&pairs, &trace);
-    assert_eq!(results.len(), 4);
-    for r in &results {
-        assert!(r.is_ok());
-    }
-    let text = String::from_utf8(trace.finish().unwrap()).unwrap();
-
-    let mut starts = 0usize;
-    let mut tids = Vec::new();
-    for line in text.lines() {
-        let v = JsonValue::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
-        let tid = v
-            .get("thread_id")
-            .and_then(|t| t.as_u64())
-            .expect("thread_id on every event");
-        tids.push(tid);
-        if v.get("event").and_then(|e| e.as_str()) == Some("run_start") {
-            starts += 1;
-        }
-    }
-    // One run per query, and the events came from the pooled batch
-    // workers, not the coordinating thread alone.
-    assert_eq!(starts, 4, "{text}");
-    tids.sort_unstable();
-    tids.dedup();
-    assert!(!tids.is_empty());
-}

@@ -36,7 +36,7 @@ mod writer;
 
 pub use error::ParseError;
 pub use parser::{parse, ParsedQuery};
-pub use sql::{parse_sql, SqlError};
+pub use sql::{looks_like_sql, parse_sql, SqlError};
 pub use writer::write;
 
 pub use joinopt_cost::Catalog;

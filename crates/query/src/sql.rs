@@ -299,6 +299,17 @@ struct TableDecl {
     at: usize,
 }
 
+/// Whether `text` is conjunctive SQL rather than the native DSL: its
+/// first significant line starts with `select` (case-insensitive).
+/// Blank lines, `--` SQL comments and `#` DSL comments are skipped, so
+/// either kind of file may lead with comments.
+pub fn looks_like_sql(text: &str) -> bool {
+    text.lines()
+        .map(str::trim_start)
+        .find(|l| !l.is_empty() && !l.starts_with("--") && !l.starts_with('#'))
+        .is_some_and(|l| l.get(..6).is_some_and(|p| p.eq_ignore_ascii_case("select")))
+}
+
 /// Parses a conjunctive SQL query into a [`ParsedQuery`].
 ///
 /// # Errors
@@ -662,6 +673,24 @@ mod tests {
         WHERE c.ck = o.ck /*+ sel=6.7e-6 */
           AND o.ok = l.ok /*+ sel=6.7e-7 */
     ";
+
+    #[test]
+    fn sql_is_sniffed_past_both_comment_styles() {
+        let cases = [
+            ("SELECT * FROM a", true),
+            ("  select * from a", true),
+            ("-- a SQL comment\n\nSelect * FROM a", true),
+            ("# a DSL comment\nSELECT * FROM a", true),
+            ("relation a 10", false),
+            ("# select in a comment\nrelation a 10", false),
+            ("-- select in a comment\nrelation a 10", false),
+            ("selec", false),
+            ("", false),
+        ];
+        for (text, sql) in cases {
+            assert_eq!(looks_like_sql(text), sql, "{text:?}");
+        }
+    }
 
     #[test]
     fn parses_simple_join_query() {

@@ -5,7 +5,7 @@
 //! **newline-delimited JSON**: one request object per line, one
 //! response object per line, in order, per connection. Each connection
 //! gets its own thread and its own pooled optimizer
-//! [`Session`](joinopt_core::Session); every optimize request runs the
+//! [`Session`]; every optimize request runs the
 //! gateway's full hardened lifecycle (shedding → breaker → deadline
 //! propagation → retries; see [`crate::gateway`]).
 //!
@@ -947,12 +947,7 @@ fn build_request(
 /// Parses inline query text — conjunctive SQL or the native DSL, the
 /// same content sniffing as the CLI file loader — into a [`QuerySpec`].
 pub fn parse_query_text(text: &str) -> Result<QuerySpec, String> {
-    let looks_like_sql = text
-        .lines()
-        .map(str::trim_start)
-        .find(|l| !l.is_empty() && !l.starts_with("--") && !l.starts_with('#'))
-        .is_some_and(|l| l.get(..6).is_some_and(|p| p.eq_ignore_ascii_case("select")));
-    let parsed = if looks_like_sql {
+    let parsed = if joinopt_query::looks_like_sql(text) {
         joinopt_query::parse_sql(text).map_err(|e| e.to_string())?
     } else {
         joinopt_query::parse(text).map_err(|e| e.to_string())?
@@ -1253,7 +1248,7 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
 /// against `tests/goldens/serve-span-timeline.json`.
 ///
 /// A manual-clock gateway and a seeded trace-id minter drive
-/// [`dispatch`] directly (no sockets, no threads), so every span
+/// `dispatch` directly (no sockets, no threads), so every span
 /// boundary is an exact virtual-clock reading:
 ///
 /// 1. a **cold** optimize with a server-minted trace id,

@@ -5,7 +5,7 @@
 //! priority and per-request budgets, so it can sit in a queue, be
 //! rejected with a typed error, or be answered straight from the plan
 //! cache. Execution rides the core crate end to end: each worker pools
-//! a [`Session`](joinopt_core::Session) across the queries it claims,
+//! a [`Session`] across the queries it claims,
 //! budget trips walk the exact → IDP → GOO degradation ladder when the
 //! request opted in, and panics are isolated per request.
 //!
@@ -723,26 +723,80 @@ mod tests {
                 ServiceRequest::new(spec(GraphKind::ALL[i as usize % 4], 5 + i as usize % 3, i))
             })
             .collect();
-        // A disconnected spec mid-batch must fail alone.
-        let disc_graph = joinopt_qgraph::QueryGraph::new(3).unwrap();
-        let disc_cat = joinopt_cost::Catalog::new(&disc_graph);
-        reqs.insert(
-            2,
-            ServiceRequest::new(QuerySpec::capture(&disc_graph, &disc_cat).unwrap()),
-        );
-        let results = service.submit_batch(&reqs);
-        assert_eq!(results.len(), 6);
-        assert!(results[2].is_err(), "disconnected request fails in place");
-        for (i, req) in reqs.iter().enumerate() {
-            if i == 2 {
-                continue;
+        // A disconnected and an empty spec mid-batch must each fail alone.
+        let invalid = |n| {
+            let g = joinopt_qgraph::QueryGraph::new(n).unwrap();
+            ServiceRequest::new(QuerySpec::capture(&g, &joinopt_cost::Catalog::new(&g)).unwrap())
+        };
+        reqs.insert(2, invalid(3));
+        reqs.insert(4, invalid(0));
+        // Twice on the same service: isolation must hold on a fresh pool
+        // and on a reused one alike.
+        for _ in 0..2 {
+            let results = service.submit_batch(&reqs);
+            assert_eq!(results.len(), 7);
+            assert!(
+                matches!(results[2], Err(OptimizeError::Graph(_))),
+                "disconnected request fails in place: {:?}",
+                results[2]
+            );
+            assert!(
+                matches!(results[4], Err(OptimizeError::EmptyQuery)),
+                "empty request fails in place: {:?}",
+                results[4]
+            );
+            for (i, req) in reqs.iter().enumerate() {
+                if i == 2 || i == 4 {
+                    continue;
+                }
+                let batch = results[i].as_ref().unwrap();
+                let single = &service.submit_batch(std::slice::from_ref(req))[0];
+                let single = single.as_ref().unwrap();
+                assert_eq!(batch.result.cost.to_bits(), single.result.cost.to_bits());
+                assert_eq!(batch.result.tree, single.result.tree);
             }
-            let batch = results[i].as_ref().unwrap();
-            let single = &service.submit_batch(std::slice::from_ref(req))[0];
-            let single = single.as_ref().unwrap();
-            assert_eq!(batch.result.cost.to_bits(), single.result.cost.to_bits());
-            assert_eq!(batch.result.tree, single.result.tree);
         }
+        // Empty batches are fine.
+        assert!(service.submit_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn batch_observed_traces_tag_every_run_with_a_thread_id() {
+        use joinopt_telemetry::json::JsonValue;
+        use joinopt_telemetry::{current_thread_id, TraceWriter};
+        let service = OptimizerService::new(ServiceConfig {
+            cache: None,
+            worker_threads: 2,
+            ..ServiceConfig::default()
+        });
+        let reqs: Vec<_> = [(6, 0), (7, 1), (8, 2), (6, 3)]
+            .into_iter()
+            .map(|(n, seed)| ServiceRequest::new(spec(GraphKind::Chain, n, seed)))
+            .collect();
+        let trace = TraceWriter::new(Vec::new());
+        let results = service.submit_batch_observed(&reqs, &trace);
+        assert_eq!(results.len(), 4);
+        assert!(results.iter().all(Result::is_ok));
+        let text = String::from_utf8(trace.finish().unwrap()).unwrap();
+
+        let mut starts = 0usize;
+        let mut tids = Vec::new();
+        for line in text.lines() {
+            let v = JsonValue::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
+            let tid = v
+                .get("thread_id")
+                .and_then(|t| t.as_u64())
+                .expect("thread_id on every event");
+            tids.push(tid);
+            if v.get("event").and_then(|e| e.as_str()) == Some("run_start") {
+                starts += 1;
+            }
+        }
+        // One run per request, and the events came from the pooled
+        // workers, not the coordinating thread.
+        assert_eq!(starts, 4, "{text}");
+        assert!(!tids.is_empty());
+        assert!(!tids.contains(&current_thread_id()), "{text}");
     }
 
     #[test]

@@ -1,31 +1,63 @@
-//! The service-level resilience-matrix case: a fault burst opens the
-//! tenant's circuit breaker, the breaker recloses after the cooldown,
-//! and a drain started with requests still in flight completes cleanly.
+//! The service-level resilience matrix under injected faults: a fault
+//! burst opens the tenant's circuit breaker, the breaker recloses after
+//! the cooldown, and a drain started with requests still in flight
+//! completes cleanly; and a batch isolates every panicking request to
+//! its own slot, whether one request panics or all of them do.
 //!
-//! Lives in its own integration binary (own process): the burst arms
-//! the process-global `serve-worker-panic` failpoint, which must not
-//! leak into sibling tests running concurrently in the same process.
-//! Only the failpoints build (`RUSTFLAGS="--cfg failpoints"`) can
-//! inject faults, so the whole scenario is gated on that cfg.
+//! Lives in its own integration binary (own process), and its tests
+//! serialize on one lock: the failpoint registry is process-global, so
+//! a site armed by one test must never fire inside another. Only the
+//! failpoints build (`RUSTFLAGS="--cfg failpoints"`) can inject faults,
+//! so the whole file is gated on that cfg.
 
 #![cfg(failpoints)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::failpoint::{self, FailAction};
+use joinopt_core::{Algorithm, OptimizeError};
+use joinopt_qgraph::GraphKind;
 use joinopt_service::{
     BreakerConfig, BreakerState, Clock, Gateway, GatewayConfig, GatewayError, OptimizerService,
-    QuerySpec, RetryConfig, ServiceConfig, ServiceRequest,
+    QuerySpec, RetryConfig, ServiceConfig, ServiceOutcome, ServiceRequest,
 };
 use joinopt_telemetry::NoopObserver;
 
+static FP_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn spec_of(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
+    let w = joinopt_cost::workload::family_workload(kind, n, seed);
+    QuerySpec::capture(&w.graph, &w.catalog).expect("family workloads are connected")
+}
+
 fn spec(n: usize, seed: u64) -> QuerySpec {
-    let w = joinopt_cost::workload::family_workload(joinopt_qgraph::GraphKind::Chain, n, seed);
-    QuerySpec::capture(&w.graph, &w.catalog).expect("chain workload is connected")
+    spec_of(GraphKind::Chain, n, seed)
+}
+
+/// A service without a plan cache, so every request runs the engine.
+fn uncached() -> OptimizerService {
+    OptimizerService::new(ServiceConfig {
+        cache: None,
+        ..ServiceConfig::default()
+    })
+}
+
+fn assert_panicked(r: &Result<ServiceOutcome, OptimizeError>, i: usize) {
+    let err = r.as_ref().expect_err("the request must fail");
+    assert!(
+        matches!(err, OptimizeError::Internal(m) if m.contains("panic")),
+        "request {i}: {err}"
+    );
 }
 
 #[test]
 fn fault_burst_opens_breaker_and_drain_completes() {
+    let _serial = serial();
     let gw = Gateway::with_clock(
         OptimizerService::new(ServiceConfig::default()),
         GatewayConfig {
@@ -117,4 +149,61 @@ fn fault_burst_opens_breaker_and_drain_completes() {
         .expect("background thread exits")
         .expect("in-flight request completes during the drain");
     assert_eq!(gw.stats().in_flight, 0);
+}
+
+#[test]
+fn injected_panic_is_isolated_to_one_batch_query() {
+    let _serial = serial();
+    let reqs: Vec<_> = (0..3)
+        .map(|seed| {
+            ServiceRequest::new(spec_of(GraphKind::Cycle, 7, seed)).with_algorithm(Algorithm::DpCcp)
+        })
+        .collect();
+    // One panic: exactly one request blows up (whichever worker reaches
+    // a table insert first consumes the trigger) and the rest must
+    // complete on their workers' sessions.
+    failpoint::configure_times("table-insert", FailAction::Panic, 1);
+    let results = uncached().submit_batch(&reqs);
+    failpoint::clear_all();
+    assert_eq!(results.len(), 3);
+    let mut panicked = 0;
+    for (i, r) in results.iter().enumerate() {
+        match r {
+            Err(_) => {
+                assert_panicked(r, i);
+                panicked += 1;
+            }
+            Ok(ok) => assert_eq!(ok.result.tree.num_relations(), 7, "request {i}"),
+        }
+    }
+    assert_eq!(panicked, 1, "exactly one request consumes the trigger");
+}
+
+#[test]
+fn batch_survives_every_query_panicking() {
+    let _serial = serial();
+    // Unlimited panics: every request in the batch blows up its
+    // worker's session. Each slot must come back as a typed error —
+    // never a silent drop, a wrong-index shift, or a poisoned session
+    // corrupting a neighbour — and a follow-up batch on the same
+    // service must work again once the fault is cleared (a panicked
+    // session is discarded, never reused).
+    let reqs: Vec<_> = (0..4)
+        .map(|seed| ServiceRequest::new(spec(6, seed)).with_algorithm(Algorithm::DpCcp))
+        .collect();
+    let service = uncached();
+    failpoint::configure("table-insert", FailAction::Panic);
+    let results = service.submit_batch(&reqs);
+    failpoint::clear_all();
+    assert_eq!(results.len(), 4);
+    for (i, r) in results.iter().enumerate() {
+        assert_panicked(r, i);
+    }
+    let recovered = service.submit_batch(&reqs);
+    for (i, r) in recovered.iter().enumerate() {
+        let ok = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("request {i} after recovery: {e}"));
+        assert_eq!(ok.result.tree.num_relations(), 6);
+    }
 }

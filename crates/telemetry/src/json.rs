@@ -2,8 +2,8 @@
 //! small recursive-descent parser.
 //!
 //! The workspace has no serde; telemetry output is hand-written JSON
-//! (objects of strings and numbers — the writer side lives in
-//! [`crate::metrics`] and [`crate::trace`]), and this module provides the
+//! (objects of strings and numbers — the writer side is
+//! [`crate::RunReport`] and [`crate::TraceWriter`]), and this module provides the
 //! matching reader so traces and reports can be *round-tripped* by tests
 //! and tooling rather than grepped.
 

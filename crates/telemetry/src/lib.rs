@@ -23,8 +23,8 @@
 //!   provenance events ([`Observer::wants_provenance`]) into per-subset
 //!   [`DecisionRecord`]s: winning split, runner-up, cost delta,
 //!   candidates considered, pruning reason.
-//! * [`Tee`] — fans events out to two observers; [`Fanout`] /
-//!   [`SyncFanout`] to any number.
+//! * [`Fanout`] — fans events out to any number of observers (a
+//!   `Fanout<dyn Observer + Sync>` for sinks shared across threads).
 //! * [`MetricsRegistry`] — fleet-grade aggregation: Counter / Gauge /
 //!   log-linear Histogram (p50/p90/p99/max) metrics fed across runs,
 //!   sessions and batches by a [`RegistryObserver`], exported as
@@ -81,7 +81,7 @@ pub mod window;
 pub use flame::{collapse_trace, FlameError};
 pub use keys::TenantTable;
 pub use metrics::{LevelCount, MetricsCollector, PhaseSpan, RunReport};
-pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer, SyncFanout, Tee};
+pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer};
 pub use provenance::{DecisionRecord, ProvenanceCollector, SplitChoice};
 pub use registry::{
     Histogram, MetricValue, MetricsRegistry, RegistryObserver, Snapshot, SnapshotEntry,

@@ -291,92 +291,26 @@ impl Observer for NoopObserver {
     fn on_event(&self, _event: Event) {}
 }
 
-/// Fans events out to two observers (compose for more), e.g. a
+/// Fans events out to any number of observers, in push order — e.g. a
 /// [`crate::MetricsCollector`] and a [`crate::TraceWriter`] on the same
-/// run.
-pub struct Tee<'a> {
-    first: &'a dyn Observer,
-    second: &'a dyn Observer,
+/// run, or the sink set a CLI assembles from its flags. Disabled sinks
+/// receive nothing.
+///
+/// The sink type defaults to `dyn Observer`; a `Fanout<dyn Observer +
+/// Sync>` is itself `Sync`, so it can be shared across the worker
+/// threads of a batch.
+pub struct Fanout<'a, O: ?Sized + Observer = dyn Observer> {
+    sinks: Vec<&'a O>,
 }
 
-impl<'a> Tee<'a> {
-    /// Observes with both `first` and `second`, in that order.
-    pub fn new(first: &'a dyn Observer, second: &'a dyn Observer) -> Tee<'a> {
-        Tee { first, second }
-    }
-}
-
-impl Observer for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.first.enabled() || self.second.enabled()
-    }
-
-    fn wants_provenance(&self) -> bool {
-        (self.first.enabled() && self.first.wants_provenance())
-            || (self.second.enabled() && self.second.wants_provenance())
-    }
-
-    fn on_event(&self, event: Event) {
-        if self.first.enabled() {
-            self.first.on_event(event);
-        }
-        if self.second.enabled() {
-            self.second.on_event(event);
-        }
-    }
-}
-
-/// Fans events out to any number of observers, in push order — the
-/// n-ary generalization of [`Tee`] for callers that assemble their sink
-/// set at runtime (e.g. metrics + trace + registry from CLI flags).
-#[derive(Default)]
-pub struct Fanout<'a> {
-    sinks: Vec<&'a dyn Observer>,
-}
-
-impl<'a> Fanout<'a> {
+impl<'a, O: ?Sized + Observer> Fanout<'a, O> {
     /// An observer forwarding to every sink in `sinks`.
-    pub fn new(sinks: Vec<&'a dyn Observer>) -> Fanout<'a> {
+    pub fn new(sinks: Vec<&'a O>) -> Fanout<'a, O> {
         Fanout { sinks }
     }
 }
 
-impl Observer for Fanout<'_> {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn wants_provenance(&self) -> bool {
-        self.sinks
-            .iter()
-            .any(|s| s.enabled() && s.wants_provenance())
-    }
-
-    fn on_event(&self, event: Event) {
-        for sink in &self.sinks {
-            if sink.enabled() {
-                sink.on_event(event);
-            }
-        }
-    }
-}
-
-/// [`Fanout`] over thread-safe observers: usable where a shared
-/// `&(dyn Observer + Sync)` is required (batch optimization spreads one
-/// observer across worker threads).
-#[derive(Default)]
-pub struct SyncFanout<'a> {
-    sinks: Vec<&'a (dyn Observer + Sync)>,
-}
-
-impl<'a> SyncFanout<'a> {
-    /// An observer forwarding to every sink in `sinks`.
-    pub fn new(sinks: Vec<&'a (dyn Observer + Sync)>) -> SyncFanout<'a> {
-        SyncFanout { sinks }
-    }
-}
-
-impl Observer for SyncFanout<'_> {
+impl<O: ?Sized + Observer> Observer for Fanout<'_, O> {
     fn enabled(&self) -> bool {
         self.sinks.iter().any(|s| s.enabled())
     }
@@ -422,33 +356,6 @@ mod tests {
     fn custom_observers_default_to_enabled() {
         let obs = CountingObserver { seen: Cell::new(0) };
         assert!(obs.enabled());
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let a = CountingObserver { seen: Cell::new(0) };
-        let b = CountingObserver { seen: Cell::new(0) };
-        let tee = Tee::new(&a, &b);
-        assert!(tee.enabled());
-        tee.on_event(Event::RunEnd);
-        tee.on_event(Event::PhaseStart { phase: "init" });
-        assert_eq!(a.seen.get(), 2);
-        assert_eq!(b.seen.get(), 2);
-    }
-
-    #[test]
-    fn tee_of_noops_is_disabled() {
-        let tee = Tee::new(&NoopObserver, &NoopObserver);
-        assert!(!tee.enabled());
-    }
-
-    #[test]
-    fn tee_skips_disabled_side() {
-        let a = CountingObserver { seen: Cell::new(0) };
-        let tee = Tee::new(&a, &NoopObserver);
-        assert!(tee.enabled());
-        tee.on_event(Event::RunEnd);
-        assert_eq!(a.seen.get(), 1);
     }
 
     #[test]
@@ -579,30 +486,51 @@ mod tests {
     }
 
     #[test]
-    fn provenance_is_opt_in_and_combinators_require_an_enabled_sink() {
+    fn provenance_is_opt_in_and_fanout_requires_an_enabled_sink() {
         let plain = CountingObserver { seen: Cell::new(0) };
         assert!(!plain.wants_provenance(), "default is off");
         assert!(!NoopObserver.wants_provenance());
-        assert!(Tee::new(&plain, &ProvenanceWanting).wants_provenance());
-        assert!(!Tee::new(&plain, &NoopObserver).wants_provenance());
-        // A disabled sink never receives events, so its provenance wish
-        // must not switch the emitters on.
-        assert!(!Tee::new(&plain, &DisabledButWanting).wants_provenance());
-        assert!(Fanout::new(vec![&NoopObserver, &ProvenanceWanting]).wants_provenance());
-        assert!(!Fanout::new(vec![&plain, &DisabledButWanting]).wants_provenance());
-        assert!(!Fanout::new(Vec::new()).wants_provenance());
+        let cases: [(Vec<&dyn Observer>, bool); 6] = [
+            (vec![&plain, &ProvenanceWanting], true),
+            (vec![&NoopObserver, &ProvenanceWanting], true),
+            (vec![&plain, &NoopObserver], false),
+            // A disabled sink never receives events, so its provenance
+            // wish must not switch the emitters on.
+            (vec![&plain, &DisabledButWanting], false),
+            (vec![&DisabledButWanting], false),
+            (Vec::new(), false),
+        ];
+        for (i, (sinks, want)) in cases.into_iter().enumerate() {
+            assert_eq!(Fanout::new(sinks).wants_provenance(), want, "case {i}");
+        }
     }
 
     #[test]
     fn fanout_forwards_to_all_enabled_sinks() {
         let a = CountingObserver { seen: Cell::new(0) };
         let b = CountingObserver { seen: Cell::new(0) };
-        let fan = Fanout::new(vec![&a, &NoopObserver, &b]);
-        assert!(fan.enabled());
-        fan.on_event(Event::RunEnd);
-        assert_eq!((a.seen.get(), b.seen.get()), (1, 1));
-        assert!(!Fanout::new(vec![&NoopObserver]).enabled());
-        assert!(!Fanout::new(Vec::new()).enabled());
+        // (sinks, whether the fanout is enabled)
+        let cases: [(Vec<&dyn Observer>, bool); 5] = [
+            (vec![&a, &b], true),
+            (vec![&a, &NoopObserver, &b], true),
+            (vec![&a, &NoopObserver], true),
+            (vec![&NoopObserver, &NoopObserver], false),
+            (Vec::new(), false),
+        ];
+        for (i, (sinks, enabled)) in cases.into_iter().enumerate() {
+            let counting = sinks.iter().filter(|s| s.enabled()).count();
+            let before = a.seen.get() + b.seen.get();
+            let fan = Fanout::new(sinks);
+            assert_eq!(fan.enabled(), enabled, "case {i}");
+            fan.on_event(Event::RunEnd);
+            fan.on_event(Event::PhaseStart { phase: "init" });
+            assert_eq!(
+                a.seen.get() + b.seen.get() - before,
+                2 * counting,
+                "case {i}"
+            );
+        }
+        assert_eq!((a.seen.get(), b.seen.get()), (6, 4));
     }
 
     #[test]

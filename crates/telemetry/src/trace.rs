@@ -23,7 +23,8 @@ use crate::observer::{current_thread_id, Event, Observer};
 /// for `dp_level`). Lines parse with [`crate::json::JsonValue::parse`].
 ///
 /// The writer is `Sync` (serialized behind a mutex), so one trace file
-/// can collect events from every worker of an `optimize_batch` run.
+/// can collect events from every worker of a batch
+/// (`OptimizerService::submit_batch_observed` in the service crate).
 ///
 /// I/O errors are sticky: the first failure stops further writing and is
 /// surfaced by [`TraceWriter::finish`].

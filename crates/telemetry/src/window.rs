@@ -236,7 +236,7 @@ impl WindowedMetrics {
 
     /// Files a finished trace: each span's duration at its `end_ns`
     /// under (tenant, verb, span stage), then the trace's total at
-    /// `finished_ns` under [`TOTAL_STAGE`].
+    /// `finished_ns` under the `total` stage.
     pub fn record_trace(&mut self, trace: &RequestTrace) {
         let config = self.config;
         let slots = self.tenants.get_or_insert_with(&trace.tenant, Vec::new);

@@ -2,8 +2,8 @@
 //!
 //! 1. a pooled [`Session`] amortizing DP-table and plan-arena
 //!    allocations across repeated runs;
-//! 2. [`Optimizer::optimize_batch`] spreading a mixed workload across
-//!    workers, one query per thread.
+//! 2. [`OptimizerService::submit_batch`] spreading a mixed workload
+//!    across worker threads, each with its own pooled session.
 //!
 //! Run with: `cargo run --release --example parallel_batch`
 
@@ -25,16 +25,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.pooled_bytes(),
     );
 
-    // --- 2. A batch of queries, one worker thread each. ---------------
-    let workloads: Vec<_> = (0..6)
-        .map(|i| workload::family_workload(GraphKind::ALL[i % 4], 8 + i % 3, i as u64))
-        .collect();
-    let queries: Vec<_> = workloads.iter().map(|w| (&w.graph, &w.catalog)).collect();
-    let results = Optimizer::new().optimize_batch(&queries);
+    // --- 2. A batch of owned requests across the worker pool. ---------
+    let requests = (0..6)
+        .map(|i| {
+            let w = workload::family_workload(GraphKind::ALL[i % 4], 8 + i % 3, i as u64);
+            Ok(ServiceRequest::new(QuerySpec::capture(
+                &w.graph, &w.catalog,
+            )?))
+        })
+        .collect::<Result<Vec<_>, OptimizeError>>()?;
+    let results = OptimizerService::default().submit_batch(&requests);
     println!("batch of {} queries:", results.len());
     for (i, r) in results.iter().enumerate() {
         let r = r.as_ref().expect("connected workloads optimize");
-        println!("  #{i}  cost={:.6e}  {}", r.cost, r.tree);
+        println!("  #{i}  cost={:.6e}  {}", r.result.cost, r.result.tree);
     }
     Ok(())
 }

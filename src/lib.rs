@@ -17,10 +17,10 @@
 //! | [`qgraph`] | query graphs, generators, BFS numbering, `EnumerateCsg`/`EnumerateCmp`, `#csg`/`#ccp` formulas |
 //! | [`cost`] | catalog, cardinality estimator, cost models, workloads |
 //! | [`plan`] | plan arena and join trees |
-//! | [`core`] | DPsize / DPsub / DPccp / DPhyp, counters, counter formulas, oracle, GOO, the [`Optimizer`](crate::prelude::Optimizer) façade, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) session API with pooled sessions |
+//! | [`core`] | DPsize / DPsub / DPccp / DPconv / DPhyp, counters, counter formulas, oracle, GOO, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) entry point with pooled sessions |
 //! | [`query`] | textual query-description format and SQL frontend |
 //! | [`telemetry`] | zero-overhead observer API, run metrics, JSONL tracing |
-//! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache and batched admission |
+//! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache, and [`OptimizerService`](crate::prelude::OptimizerService), the batch entry point with admission and a worker pool |
 //!
 //! # Quickstart
 //!
@@ -36,7 +36,7 @@
 //!     catalog.set_selectivity(dim - 1, 0.01).unwrap();
 //! }
 //!
-//! let result = Optimizer::new().optimize(&graph, &catalog).unwrap();
+//! let result = OptimizeRequest::new(&graph, &catalog).run().unwrap().into_result();
 //! println!("{}", result.tree.explain());
 //! assert_eq!(result.tree.num_relations(), 5);
 //! ```
@@ -57,7 +57,7 @@ pub use joinopt_telemetry as telemetry;
 pub mod prelude {
     pub use joinopt_core::{
         Algorithm, Counters, DpCcp, DpHyp, DpResult, DpSize, DpSizeLeftDeep, DpSub, JoinOrderer,
-        OptimizeError, OptimizeOutcome, OptimizeRequest, Optimizer, Session,
+        OptimizeError, OptimizeOutcome, OptimizeRequest, Session,
     };
     pub use joinopt_cost::{
         CardinalityEstimator, Catalog, CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin,

@@ -1,5 +1,6 @@
-//! Integration tests for the baseline strategies and the façade:
-//! left-deep DP, IDP, GOO and `Algorithm`/`Optimizer` dispatch.
+//! Integration tests for the baseline strategies and the request API:
+//! left-deep DP, IDP, GOO and `Algorithm` dispatch through
+//! `OptimizeRequest`.
 
 use joinopt::core::greedy::Goo;
 use joinopt::core::Idp;
@@ -30,13 +31,14 @@ fn strategy_cost_ordering_holds() {
 }
 
 #[test]
-fn facade_dispatches_every_algorithm() {
+fn request_dispatches_every_algorithm() {
     let w = workload::family_workload(GraphKind::Cycle, 8, 5);
     let optimal = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap().cost;
     for alg in Algorithm::CONCRETE {
-        let r = Optimizer::new()
+        let r = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
-            .optimize(&w.graph, &w.catalog)
+            .run()
+            .map(OptimizeOutcome::into_result)
             .unwrap_or_else(|e| panic!("{alg:?} failed: {e}"));
         assert_eq!(r.tree.relations(), w.graph.all_relations(), "{alg:?}");
         // Exact algorithms hit the optimum; cross-product DP may beat it;

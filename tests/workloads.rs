@@ -38,8 +38,9 @@ fn every_workload_parses_and_optimizes() {
         let q = load(name);
         match q.graph() {
             Some(graph) => {
-                let r = Optimizer::new()
-                    .optimize(graph, &q.catalog)
+                let r = OptimizeRequest::new(graph, &q.catalog)
+                    .run()
+                    .map(OptimizeOutcome::into_result)
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert_eq!(r.tree.num_relations(), q.names().len(), "{name}");
                 assert!(r.cost.is_finite() && r.cost > 0.0, "{name}");
