@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn observed_matrix_reports_runs_without_changing_cells() {
-        use joinopt_telemetry::{MetricsRegistry, RegistryObserver};
+        use joinopt_telemetry::MetricsRegistry;
         let config = PerfConfig {
             n: 6,
             reps: 1,
@@ -497,8 +497,7 @@ mod tests {
             noise: 0.5,
         };
         let registry = MetricsRegistry::new();
-        let obs = RegistryObserver::new(&registry);
-        let observed = run_matrix_observed(&config, &obs).unwrap();
+        let observed = run_matrix_observed(&config, &registry).unwrap();
         let plain = run_matrix(&config).unwrap();
         // The external observer sees every cell run...
         let snap = registry.snapshot();

@@ -40,8 +40,7 @@ use joinopt_service::{
 };
 use joinopt_telemetry::json::JsonValue;
 use joinopt_telemetry::{
-    collapse_trace, Fanout, MetricsCollector, MetricsRegistry, NoopObserver, Observer,
-    RegistryObserver, RunReport, TraceWriter,
+    Fanout, MetricsCollector, MetricsRegistry, NoopObserver, Observer, RunReport, TraceWriter,
 };
 
 /// Errors surfaced to the CLI user (exit code 1 + message).
@@ -142,7 +141,6 @@ USAGE:
                    [--drain-timeout-ms N] [--no-trace]
   joinopt serve    --smoke [--prom PATH] [--span-timeline PATH]
   joinopt top      [--addr HOST:PORT] [--interval-ms N] [--once]
-  joinopt flame    <trace.jsonl> [--out PATH]
   joinopt help
 
 ALGORITHMS:  auto (default), dpsize, dpsize-naive, dpsub, dpsub-nofilter,
@@ -163,16 +161,17 @@ ROBUSTNESS:  --memory-budget BYTES (suffixes k/m/g) aborts the run once
              plan instead of failing (see docs/robustness.md).
 TELEMETRY:   --metrics appends a run report (phase timings, DP-table and
              arena statistics); --trace-json streams every telemetry
-             event to PATH as JSON lines; --prom aggregates every
+             event to PATH as JSON lines, each run-scoped line carrying
+             its run's algorithm and every phase_end its span
+             (start_ns/end_ns since run start); --prom aggregates every
              observed run into a metrics registry and writes a
-             Prometheus text-exposition snapshot to PATH on exit. On
-             `counters` (closed formulas) they additionally run
-             DPsize/DPsub/DPccp on generated workloads, so max-n is
-             capped at 12 there. --batch supports --trace-json/--prom
-             (events from all workers, tagged thread_id) but not the
-             per-run --metrics report. `flame` folds a --trace-json
-             file into collapsed-stack lines (`stack count`) ready for
-             a flamegraph renderer.
+             Prometheus text-exposition snapshot to PATH on exit
+             (joinopt_phase_ns_sum{algorithm,phase} is the per-phase
+             time profile). On `counters` (closed formulas) they
+             additionally run DPsize/DPsub/DPccp on generated
+             workloads, so max-n is capped at 12 there. --batch
+             supports --trace-json/--prom (events from all workers,
+             tagged thread_id) but not the per-run --metrics report.
 PERF:        perf runs the pinned baseline matrix (chain/star/clique ×
              DPsize, DPccp, DPconv, DPsub) and writes BENCH_joinopt.json (override with --out). --check
              re-runs the matrix pinned in PATH and fails on any counter,
@@ -272,7 +271,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "load" => cmd_load(&args[1..], out),
         "serve" => cmd_serve(&args[1..], out),
         "top" => cmd_top(&args[1..], out),
-        "flame" => cmd_flame(&args[1..], out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
@@ -342,13 +340,15 @@ fn split_options(args: &[String]) -> Result<SplitArgs<'_>, CliError> {
 
 /// The telemetry sinks a command was asked for (`--metrics`,
 /// `--trace-json PATH`, `--prom PATH`), bundled so each command can run
-/// its optimizations observed and emit the report afterwards.
+/// its optimizations observed and emit the report afterwards. Every
+/// sink is `Sync`, so one `Telemetry` also serves a batch's workers.
 struct Telemetry {
     metrics: Option<MetricsCollector>,
     trace: Option<TraceWriter<BufWriter<File>>>,
     /// Registry aggregating every observed run, written as a Prometheus
-    /// text-exposition file on [`Telemetry::close`].
-    prom: Option<(MetricsRegistry, String)>,
+    /// text-exposition file to `prom_path` on [`Telemetry::close`].
+    registry: Option<MetricsRegistry>,
+    prom_path: Option<String>,
 }
 
 impl Telemetry {
@@ -363,26 +363,23 @@ impl Telemetry {
                 Some(path) => Some(TraceWriter::new(BufWriter::new(File::create(path)?))),
                 None => None,
             },
-            prom: prom_path.map(|p| (MetricsRegistry::new(), p.to_string())),
+            registry: prom_path.map(|_| MetricsRegistry::new()),
+            prom_path: prom_path.map(String::from),
         })
     }
 
     /// Runs `f` with the observer these sinks add up to ([`NoopObserver`]
     /// when no telemetry was requested, so unobserved invocations stay on
     /// the zero-overhead path).
-    fn observe<R>(&self, f: impl FnOnce(&dyn Observer) -> R) -> R {
-        let registry = self
-            .prom
-            .as_ref()
-            .map(|(registry, _)| RegistryObserver::new(registry));
-        let mut sinks: Vec<&dyn Observer> = Vec::new();
+    fn observe<R>(&self, f: impl FnOnce(&(dyn Observer + Sync)) -> R) -> R {
+        let mut sinks: Vec<&(dyn Observer + Sync)> = Vec::new();
         if let Some(m) = &self.metrics {
             sinks.push(m);
         }
         if let Some(t) = &self.trace {
             sinks.push(t);
         }
-        if let Some(r) = &registry {
+        if let Some(r) = &self.registry {
             sinks.push(r);
         }
         match sinks.as_slice() {
@@ -405,8 +402,8 @@ impl Telemetry {
         if let Some(trace) = self.trace {
             trace.finish()?.flush()?;
         }
-        if let Some((registry, path)) = self.prom {
-            std::fs::write(&path, registry.snapshot().to_prometheus())?;
+        if let (Some(registry), Some(path)) = (self.registry, self.prom_path) {
+            std::fs::write(path, registry.snapshot().to_prometheus())?;
         }
         Ok(())
     }
@@ -589,9 +586,9 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// batch are answered from the cache (their rows are marked `cached`).
 /// Per-query failures (disconnected graphs, …) become rows, not a
 /// command failure — a batch is useful precisely when some inputs are
-/// suspect. Batch telemetry sinks must be `Sync` (workers report
-/// concurrently, tagged by `thread_id`), which the trace writer and the
-/// metrics registry are but the per-run collector is not.
+/// suspect. Workers report telemetry concurrently (trace lines tagged
+/// by `thread_id`); the per-run `--metrics` report is refused, since one
+/// report cannot describe interleaved runs.
 fn cmd_optimize_batch(
     paths: &[&str],
     algorithm: Algorithm,
@@ -627,30 +624,11 @@ fn cmd_optimize_batch(
         tenant_limit: requests.len(),
         cache: Some(CacheConfig::default()),
     });
-    let trace = match trace_path {
-        Some(path) => Some(TraceWriter::new(BufWriter::new(File::create(path)?))),
-        None => None,
-    };
-    let registry = prom_path.map(|_| MetricsRegistry::new());
-    let registry_obs = registry.as_ref().map(RegistryObserver::new);
-    let mut sinks: Vec<&(dyn Observer + Sync)> = Vec::new();
-    if let Some(t) = &trace {
-        sinks.push(t);
-    }
-    if let Some(r) = &registry_obs {
-        sinks.push(r);
-    }
-    let fanout = Fanout::new(sinks);
+    let telemetry = Telemetry::new(false, trace_path, prom_path)?;
     let start = Instant::now();
-    let results = service.submit_batch_observed(&requests, &fanout);
+    let results = telemetry.observe(|obs| service.submit_batch_observed(&requests, obs));
     let elapsed = start.elapsed();
-    drop(registry_obs);
-    if let Some(t) = trace {
-        t.finish()?.flush()?;
-    }
-    if let (Some(registry), Some(path)) = (registry, prom_path) {
-        std::fs::write(path, registry.snapshot().to_prometheus())?;
-    }
+    telemetry.close()?;
     writeln!(
         out,
         "{:<4} {:>14} {:>14}  query",
@@ -944,34 +922,16 @@ fn cmd_fuzz(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // Campaign-scale telemetry: a registry aggregates every reference
     // run (the per-run collector would only ever show the last one), so
     // --metrics here prints the registry's text snapshot.
-    let registry = (metrics || prom_path.is_some()).then(MetricsRegistry::new);
-    let registry_obs = registry.as_ref().map(RegistryObserver::new);
-    let trace = match trace_path {
-        Some(path) => Some(TraceWriter::new(BufWriter::new(File::create(path)?))),
-        None => None,
-    };
-    let mut sinks: Vec<&dyn Observer> = Vec::new();
-    if let Some(t) = &trace {
-        sinks.push(t);
+    let mut telemetry = Telemetry::new(false, trace_path, prom_path)?;
+    if metrics {
+        telemetry.registry.get_or_insert_with(MetricsRegistry::new);
     }
-    if let Some(r) = &registry_obs {
-        sinks.push(r);
-    }
-    let fanout = Fanout::new(sinks);
     let start = Instant::now();
-    let report = joinopt_conformance::run_fuzz_observed(&config, &fanout);
-    drop(registry_obs);
-    if let Some(t) = trace {
-        t.finish()?.flush()?;
+    let report = telemetry.observe(|obs| joinopt_conformance::run_fuzz_observed(&config, obs));
+    if let (true, Some(registry)) = (metrics, &telemetry.registry) {
+        writeln!(out, "{}", registry.snapshot().to_text())?;
     }
-    if let Some(registry) = &registry {
-        if metrics {
-            writeln!(out, "{}", registry.snapshot().to_text())?;
-        }
-        if let Some(path) = prom_path {
-            std::fs::write(path, registry.snapshot().to_prometheus())?;
-        }
-    }
+    telemetry.close()?;
     writeln!(
         out,
         "fuzz: seed {}, {} instances (n ≤ {}) in {:.2?}",
@@ -1214,17 +1174,11 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             other => return Err(CliError::Usage(format!("unknown option --{other}"))),
         }
     }
-    let registry = prom_path.map(|_| MetricsRegistry::new());
-    let registry_obs = registry.as_ref().map(RegistryObserver::new);
-    let report = match &registry_obs {
-        Some(obs) => run_chaos(&config, obs),
-        None => run_chaos(&config, &NoopObserver),
-    }
-    .map_err(CliError::Regression)?;
-    drop(registry_obs);
-    if let (Some(registry), Some(path)) = (registry, prom_path) {
-        std::fs::write(path, registry.snapshot().to_prometheus())?;
-    }
+    let telemetry = Telemetry::new(false, None, prom_path)?;
+    let report = telemetry
+        .observe(|obs| run_chaos(&config, obs))
+        .map_err(CliError::Regression)?;
+    telemetry.close()?;
     write!(out, "{}", report.render())?;
     if let Some(path) = json_path {
         std::fs::write(path, report.to_json())?;
@@ -1439,33 +1393,6 @@ fn render_top(resp: &JsonValue, addr: &str) -> String {
     }
     out.push_str(&t.render());
     out
-}
-
-/// `joinopt flame`: fold a `--trace-json` file into collapsed-stack
-/// lines (`frame;frame;frame count`), the input format of flamegraph
-/// renderers.
-fn cmd_flame(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (positional, options) = split_options(args)?;
-    let [trace_path] = positional.as_slice() else {
-        return Err(CliError::Usage("flame expects one trace file".into()));
-    };
-    let mut out_path: Option<&str> = None;
-    for (key, value) in options {
-        match key {
-            "out" => out_path = Some(value),
-            other => return Err(CliError::Usage(format!("unknown option --{other}"))),
-        }
-    }
-    let text = std::fs::read_to_string(trace_path)?;
-    let folded = collapse_trace(&text).map_err(|e| CliError::Data(format!("{trace_path}: {e}")))?;
-    match out_path {
-        Some(path) => {
-            std::fs::write(path, &folded)?;
-            writeln!(out, "wrote {} stacks to {path}", folded.lines().count())?;
-        }
-        None => write!(out, "{folded}")?,
-    }
-    Ok(())
 }
 
 fn cmd_counters(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {

@@ -1,6 +1,8 @@
 //! End-to-end tests of every CLI command, driven through
 //! [`joinopt_cli::run`] with captured output.
 
+use std::collections::BTreeMap;
+
 use joinopt_cli::{run, CliError};
 
 fn run_ok(args: &[&str]) -> String {
@@ -823,7 +825,7 @@ fn fuzz_rejects_bad_options() {
 }
 
 // ---------------------------------------------------------------------
-// Prometheus export (--prom), perf baselines, flamegraph folding.
+// Prometheus export (--prom), perf baselines.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -877,26 +879,51 @@ fn batch_trace_and_prom_aggregate_all_workers() {
         prom.to_str().unwrap(),
     ]);
     let text = std::fs::read_to_string(&*trace).expect("trace file written");
-    let starts = text
-        .lines()
-        .filter(|l| {
-            JsonValue::parse(l)
-                .ok()
-                .and_then(|v| v.get("event").and_then(|e| e.as_str()).map(String::from))
-                .as_deref()
-                == Some("run_start")
-        })
-        .count();
-    assert_eq!(starts, 2, "{text}");
+    // Interleaved worker lines stay attributable: every run-scoped line
+    // carries the algorithm of the run its thread started, and the
+    // phase spans on the trace add up, per (algorithm, phase), to
+    // exactly what the registry folded from the same events.
+    let mut running: BTreeMap<u64, String> = BTreeMap::new();
+    let mut spans: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let mut starts = 0;
     for line in text.lines() {
         let v = JsonValue::parse(line).expect("parseable line");
-        assert!(v.get("thread_id").and_then(|t| t.as_u64()).is_some());
+        let str_field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
+        let u64_field = |k: &str| v.get(k).and_then(|x| x.as_u64());
+        let tid = u64_field("thread_id").expect("thread_id");
+        let event = str_field("event").expect("event");
+        let algorithm = str_field("algorithm");
+        match event.as_str() {
+            "run_start" => {
+                starts += 1;
+                running.insert(tid, algorithm.expect("run_start algorithm"));
+                continue;
+            }
+            "phase_end" => {
+                let (start, end) = (u64_field("start_ns").unwrap(), u64_field("end_ns").unwrap());
+                assert!(start <= end, "{line}");
+                let key = (algorithm.clone().unwrap(), str_field("phase").unwrap());
+                *spans.entry(key).or_default() += end - start;
+            }
+            _ => {}
+        }
+        if let Some(algorithm) = algorithm {
+            assert_eq!(running.get(&tid), Some(&algorithm), "{line}");
+        }
     }
+    assert_eq!(starts, 2, "{text}");
     let exposition = std::fs::read_to_string(&*prom).expect("prom file written");
     assert!(
         exposition.contains("joinopt_runs_total{algorithm=\"DPccp\"} 2"),
         "{exposition}"
     );
+    assert!(!spans.is_empty(), "{text}");
+    for ((algorithm, phase), total) in &spans {
+        let series = format!(
+            "joinopt_phase_ns_sum{{algorithm=\"{algorithm}\",phase=\"{phase}\"}} {total}\n"
+        );
+        assert!(exposition.contains(&series), "{series} in {exposition}");
+    }
 }
 
 #[test]
@@ -989,57 +1016,6 @@ fn perf_rejects_bad_options_and_garbage_baselines() {
         run_err(&["perf", "--check", garbage.to_str().unwrap()]),
         CliError::Data(_)
     ));
-}
-
-#[test]
-fn flame_folds_a_trace_into_collapsed_stacks() {
-    let query = write_query_file(CHAIN_QUERY);
-    let trace = tempfile::Builder::new()
-        .suffix(".jsonl")
-        .tempfile()
-        .expect("create trace file")
-        .into_temp_path();
-    run_ok(&[
-        "optimize",
-        query.to_str().unwrap(),
-        "--trace-json",
-        trace.to_str().unwrap(),
-    ]);
-    let folded = run_ok(&["flame", trace.to_str().unwrap()]);
-    assert!(folded.contains("DPccp;enumerate "), "{folded}");
-    for line in folded.lines() {
-        let (stack, value) = line.rsplit_once(' ').expect("stack value");
-        assert!(!stack.is_empty(), "{line}");
-        assert!(value.parse::<u64>().is_ok(), "{line}");
-    }
-
-    // --out writes the same folded lines to a file.
-    let out_file = tempfile::Builder::new()
-        .suffix(".folded")
-        .tempfile()
-        .expect("create folded file")
-        .into_temp_path();
-    let msg = run_ok(&[
-        "flame",
-        trace.to_str().unwrap(),
-        "--out",
-        out_file.to_str().unwrap(),
-    ]);
-    assert!(msg.contains("wrote"), "{msg}");
-    assert_eq!(
-        std::fs::read_to_string(&*out_file).expect("folded file"),
-        folded
-    );
-}
-
-#[test]
-fn flame_rejects_garbage_traces() {
-    let garbage = write_query_file("this is not jsonl");
-    assert!(matches!(
-        run_err(&["flame", garbage.to_str().unwrap()]),
-        CliError::Data(_)
-    ));
-    assert!(matches!(run_err(&["flame"]), CliError::Usage(_)));
 }
 
 #[test]

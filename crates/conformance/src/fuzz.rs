@@ -128,7 +128,6 @@ mod tests {
     #[test]
     fn observed_run_reports_reference_work_without_changing_results() {
         use joinopt_telemetry::MetricsRegistry;
-        use joinopt_telemetry::RegistryObserver;
         let config = FuzzConfig {
             seed: 42,
             iters: 6,
@@ -137,8 +136,7 @@ mod tests {
             ..FuzzConfig::default()
         };
         let registry = MetricsRegistry::new();
-        let obs = RegistryObserver::new(&registry);
-        let report = run_fuzz_observed(&config, &obs);
+        let report = run_fuzz_observed(&config, &registry);
         assert_eq!(report.checked, 6);
         assert!(report.is_clean());
         let snap = registry.snapshot();

@@ -51,12 +51,12 @@ use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, Plan
 use joinopt_plan::{PlanArena, PlanId};
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
-use joinopt_telemetry::{Event, Observer};
+use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
 use crate::dpsub::Session;
-use crate::driver::Spans;
+use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::kernel::pair_cost;
@@ -162,7 +162,7 @@ pub(crate) fn run_pooled(
     scratch: &mut DpConvScratch,
 ) -> Result<DpResult, OptimizeError> {
     let n = g.num_relations();
-    let spans = Spans::start(obs, DpConv.name(), n);
+    let mut spans = Spans::start(obs, DpConv.name(), n);
     if n == 0 {
         return Err(OptimizeError::EmptyQuery);
     }
@@ -185,6 +185,7 @@ pub(crate) fn run_pooled(
     let est = CardinalityEstimator::new(g, catalog)?;
 
     spans.begin("init");
+    spans.level(1, n as u64);
     if n == 1 {
         let mut arena = PlanArena::with_capacity(1);
         let id = arena.add_scan(0, est.base_cardinality(0));
@@ -195,9 +196,13 @@ pub(crate) fn run_pooled(
         let tree = arena.extract(id);
         spans.end("extract");
         let counters = Counters::new();
-        spans.table_stats(1, 2, 0, 0);
-        spans.arena_stats(&arena);
-        spans.finish(&counters);
+        let table = TableStats {
+            entries: 1,
+            capacity: 2,
+            probes: 0,
+            hits: 0,
+        };
+        spans.finish(Some(table), &arena, &counters);
         return Ok(DpResult {
             tree,
             cost: 0.0,
@@ -234,8 +239,6 @@ pub(crate) fn run_pooled(
     spans.end("init");
 
     spans.begin("enumerate");
-    let observe = obs.enabled();
-    let provenance = observe && obs.wants_provenance();
     let mut counters = Counters::new();
     for level in 2..=n {
         // Deterministic kernel choice from rank sizes alone, so a given
@@ -255,17 +258,7 @@ pub(crate) fn run_pooled(
                 &mut counters,
                 level,
                 skip_balanced,
-                |s, t, u, cand, accepted| {
-                    if provenance {
-                        obs.on_event(Event::PlanCandidate {
-                            set: s,
-                            left: t,
-                            right: u,
-                            cost: cand,
-                            accepted,
-                        });
-                    }
-                },
+                |s, t, u, cand, accepted| spans.candidate(s, t, u, cand, accepted),
                 ctl,
                 &mut pace,
             )?;
@@ -275,27 +268,12 @@ pub(crate) fn run_pooled(
                 &mut counters,
                 level,
                 skip_balanced,
-                |s, t, u, cand, accepted| {
-                    if provenance {
-                        obs.on_event(Event::PlanCandidate {
-                            set: s,
-                            left: t,
-                            right: u,
-                            cost: cand,
-                            accepted,
-                        });
-                    }
-                },
+                |s, t, u, cand, accepted| spans.candidate(s, t, u, cand, accepted),
                 ctl,
                 &mut pace,
             )?;
         }
-        if observe {
-            obs.on_event(Event::DpLevel {
-                size: level,
-                new_entries: scratch.ranks[level].len() as u64,
-            });
-        }
+        spans.level(level, scratch.ranks[level].len() as u64);
     }
     counters.csg_cmp_pairs = 2 * counters.ono_lohman;
     let full = size - 1;
@@ -313,9 +291,13 @@ pub(crate) fn run_pooled(
     let tree = arena.extract(root);
     spans.end("extract");
     let root_stats = arena.stats(root);
-    spans.table_stats(csgs, size, counters.inner, counters.ono_lohman);
-    spans.arena_stats(&arena);
-    spans.finish(&counters);
+    let table = TableStats {
+        entries: csgs,
+        capacity: size,
+        probes: counters.inner,
+        hits: counters.ono_lohman,
+    };
+    spans.finish(Some(table), &arena, &counters);
     Ok(DpResult {
         tree,
         cost: root_stats.cost,
@@ -637,6 +619,9 @@ mod tests {
         assert_eq!(report.algorithm, "DPconv");
         assert_eq!(report.relations, 7);
         assert!(!report.phases.is_empty());
-        assert!(!report.levels.is_empty());
+        // Every level is tallied, singletons included, as the other
+        // DP engines report them.
+        assert_eq!(report.levels[0].size, 1);
+        assert_eq!(report.level_total(), report.table_entries as u64);
     }
 }

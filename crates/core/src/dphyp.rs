@@ -28,10 +28,10 @@ use joinopt_plan::PlanArena;
 use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::QueryGraphError;
 use joinopt_relset::RelSet;
-use joinopt_telemetry::{Event, NoopObserver, Observer};
+use joinopt_telemetry::{NoopObserver, Observer};
 
 use crate::counters::Counters;
-use crate::driver::Spans;
+use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::kernel::pair_cost;
 use crate::result::DpResult;
@@ -77,7 +77,7 @@ impl DpHyp {
         model: &dyn CostModel,
         obs: &dyn Observer,
     ) -> Result<DpResult, OptimizeError> {
-        let spans = Spans::start(obs, self.name(), h.num_relations());
+        let mut spans = Spans::start(obs, self.name(), h.num_relations());
         spans.begin("init");
         let n = h.num_relations();
         if n == 0 {
@@ -87,7 +87,6 @@ impl DpHyp {
             return Err(OptimizeError::Graph(QueryGraphError::Disconnected));
         }
         let est = CardinalityEstimator::for_hypergraph(h, catalog)?;
-        let observe = obs.enabled();
         let mut state = HypState {
             h,
             est,
@@ -95,10 +94,9 @@ impl DpHyp {
             arena: PlanArena::with_capacity(4 * n),
             table: DpTable::with_capacity(4 * n),
             counters: Counters::new(),
-            observe,
+            spans,
             probes: 0,
             hits: 0,
-            level_new: Vec::new(),
         };
         for i in 0..n {
             let card = state.est.base_cardinality(i);
@@ -114,44 +112,35 @@ impl DpHyp {
                 },
             );
         }
-        if observe {
-            state.level_new = vec![0u64; n + 1];
-            state.level_new[1] = n as u64;
-        }
-        spans.end("init");
+        state.spans.level(1, n as u64);
+        state.spans.end("init");
 
         // Solve: primary connected subsets by descending start vertex.
-        spans.begin("enumerate");
+        state.spans.begin("enumerate");
         for i in (0..n).rev() {
             let v = RelSet::single(i);
             state.emit_csg(v)?;
             state.enumerate_csg_rec(v, RelSet::prefix_through(i))?;
         }
-        spans.end("enumerate");
+        state.spans.end("enumerate");
 
         state.counters.csg_cmp_pairs = 2 * state.counters.ono_lohman;
         let full = h.all_relations();
         let Some(entry) = state.table.get(full) else {
             return Err(OptimizeError::NoPlanWithoutCrossProducts);
         };
-        spans.begin("extract");
+        state.spans.begin("extract");
         let tree = state.arena.extract(entry.plan);
-        spans.end("extract");
-        if observe {
-            for (size, &new_entries) in state.level_new.iter().enumerate() {
-                if new_entries > 0 {
-                    obs.on_event(Event::DpLevel { size, new_entries });
-                }
-            }
-        }
-        spans.table_stats(
-            state.table.len(),
-            state.table.capacity(),
-            state.probes,
-            state.hits,
-        );
-        spans.arena_stats(&state.arena);
-        spans.finish(&state.counters);
+        state.spans.end("extract");
+        let table = TableStats {
+            entries: state.table.len(),
+            capacity: state.table.capacity(),
+            probes: state.probes,
+            hits: state.hits,
+        };
+        state
+            .spans
+            .finish(Some(table), &state.arena, &state.counters);
         Ok(DpResult {
             cost: entry.stats.cost,
             cardinality: entry.stats.cardinality,
@@ -170,10 +159,9 @@ struct HypState<'a> {
     arena: PlanArena,
     table: DpTable,
     counters: Counters,
-    observe: bool,
+    spans: Spans<'a>,
     probes: u64,
     hits: u64,
-    level_new: Vec<u64>,
 }
 
 impl HypState<'_> {
@@ -252,12 +240,12 @@ impl HypState<'_> {
         };
         let union = s1 | s2;
         let incumbent = self.table.get(union).map(|e| e.stats);
-        if self.observe {
+        if self.spans.on() {
             self.probes += 1;
             if incumbent.is_some() {
                 self.hits += 1;
             } else {
-                self.level_new[union.len()] += 1;
+                self.spans.level(union.len(), 1);
             }
         }
         let out_card = match incumbent {

@@ -39,10 +39,11 @@ use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, Plan
 use joinopt_plan::PlanArena;
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
-use joinopt_telemetry::{Event, Observer};
+use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
+use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::failpoint;
 use crate::kernel::pair_cost;
@@ -237,9 +238,6 @@ struct Context<'a> {
     est: &'a CardinalityEstimator,
     model: &'a dyn CostModel,
     variant: Variant,
-    observe: bool,
-    provenance: bool,
-    obs: &'a dyn Observer,
     ctl: &'a CancellationToken,
 }
 
@@ -262,10 +260,12 @@ struct Tally {
 #[inline]
 fn best_split(
     cx: &Context<'_>,
+    spans: &Spans<'_>,
     table: &DenseDpTable,
     s: RelSet,
     t: &mut Tally,
 ) -> Result<Option<(PlanStats, u64)>, OptimizeError> {
+    let observe = spans.on();
     let mut best: Option<(f64, u64)> = None;
     let mut card = 0.0f64;
     for s1 in s.non_empty_proper_subsets() {
@@ -276,7 +276,7 @@ fn best_split(
             Variant::Filtered => {
                 // "connected S1/S2" via table membership, short-circuit.
                 let p1 = table.contains(s1.bits());
-                if cx.observe {
+                if observe {
                     t.probes += 1;
                     t.hits += u64::from(p1);
                 }
@@ -284,7 +284,7 @@ fn best_split(
                     continue;
                 }
                 let p2 = table.contains(s2.bits());
-                if cx.observe {
+                if observe {
                     t.probes += 1;
                     t.hits += u64::from(p2);
                 }
@@ -299,7 +299,7 @@ fn best_split(
                 // The ablation probes both operands unconditionally.
                 let p1 = table.contains(s1.bits());
                 let p2 = table.contains(s2.bits());
-                if cx.observe {
+                if observe {
                     t.probes += 2;
                     t.hits += u64::from(p1) + u64::from(p2);
                 }
@@ -316,7 +316,7 @@ fn best_split(
         }
         t.counters.csg_cmp_pairs += 1;
         // Union probe: a hit once an earlier split registered the set.
-        if cx.observe {
+        if observe {
             t.probes += 1;
             t.hits += u64::from(best.is_some());
         }
@@ -331,15 +331,7 @@ fn best_split(
         if accepted {
             best = Some((cost, s1.bits()));
         }
-        if cx.provenance {
-            cx.obs.on_event(Event::PlanCandidate {
-                set: s.bits(),
-                left: s1.bits(),
-                right: s2.bits(),
-                cost,
-                accepted,
-            });
-        }
+        spans.candidate(s.bits(), s1.bits(), s2.bits(), cost, accepted);
     }
     Ok(best.map(|(cost, s1)| {
         (
@@ -380,17 +372,9 @@ pub(crate) fn run_pooled(
     ctl: &CancellationToken,
     session: &mut Session,
 ) -> Result<DpResult, OptimizeError> {
-    let observe = obs.enabled();
     let n = g.num_relations();
-    if observe {
-        // Emitted before validation so failed runs still leave a
-        // `run_start` in the trace (with no matching `run_end`).
-        obs.on_event(Event::RunStart {
-            algorithm: variant.name(),
-            relations: n,
-        });
-        obs.on_event(Event::PhaseStart { phase: "init" });
-    }
+    let mut spans = Spans::start(obs, variant.name(), n);
+    spans.begin("init");
     if n == 0 {
         return Err(OptimizeError::EmptyQuery);
     }
@@ -417,28 +401,18 @@ pub(crate) fn run_pooled(
         table.insert(1u64 << i, plan, PlanStats::base(card));
     }
     let mut table_entries = n;
-    let mut level_new: Vec<u64> = Vec::new();
-    if observe {
-        level_new = vec![0u64; n + 1];
-        level_new[1] = n as u64;
-        obs.on_event(Event::PhaseEnd { phase: "init" });
-        obs.on_event(Event::PhaseStart { phase: "enumerate" });
-    }
+    spans.level(1, n as u64);
+    spans.end("init");
+    spans.begin("enumerate");
 
     let cx = Context {
         g,
         est: &est,
         model,
         variant,
-        observe,
-        provenance: observe && obs.wants_provenance(),
-        obs,
         ctl,
     };
     let mut t = Tally::default();
-    // (`level_new[k]` counts level `k`'s new entries — the index is the
-    // level itself, not an iteration artifact.)
-    #[allow(clippy::needless_range_loop)]
     for k in 2..=n {
         ctl.check()?;
         for bits in level_sets(n, k) {
@@ -447,15 +421,13 @@ pub(crate) fn run_pooled(
             if variant == Variant::Filtered && !g.is_connected_set(s) {
                 continue;
             }
-            let Some((stats, s1)) = best_split(&cx, table, s, &mut t)? else {
+            let Some((stats, s1)) = best_split(&cx, &spans, table, s, &mut t)? else {
                 continue;
             };
             let plan = arena.add_join(table.plan(s1), table.plan(bits & !s1), stats);
             table.insert(bits, plan, stats);
             table_entries += 1;
-            if observe {
-                level_new[k] += 1;
-            }
+            spans.level(k, 1);
         }
         // Charge the arena growth of this level.
         let now = DenseDpTable::bytes_for(n) + arena_charge(arena.len());
@@ -467,10 +439,8 @@ pub(crate) fn run_pooled(
     let mut counters = t.counters;
     counters.ono_lohman = counters.csg_cmp_pairs / 2;
 
-    if observe {
-        obs.on_event(Event::PhaseEnd { phase: "enumerate" });
-        obs.on_event(Event::PhaseStart { phase: "extract" });
-    }
+    spans.end("enumerate");
+    spans.begin("extract");
     let full = g.all_relations().bits();
     if !table.contains(full) {
         return Err(OptimizeError::Internal(
@@ -479,30 +449,14 @@ pub(crate) fn run_pooled(
     }
     let best = table.stats(full);
     let tree = arena.extract(table.plan(full));
-    if observe {
-        obs.on_event(Event::PhaseEnd { phase: "extract" });
-        for (size, &new_entries) in level_new.iter().enumerate() {
-            if new_entries > 0 {
-                obs.on_event(Event::DpLevel { size, new_entries });
-            }
-        }
-        obs.on_event(Event::TableStats {
-            entries: table_entries,
-            capacity: 1usize << n,
-            probes: t.probes,
-            hits: t.hits,
-        });
-        obs.on_event(Event::ArenaStats {
-            nodes: arena.len(),
-            bytes: arena.bytes(),
-        });
-        obs.on_event(Event::FinalCounters {
-            inner: counters.inner,
-            csg_cmp_pairs: counters.csg_cmp_pairs,
-            ono_lohman: counters.ono_lohman,
-        });
-        obs.on_event(Event::RunEnd);
-    }
+    spans.end("extract");
+    let stats = TableStats {
+        entries: table_entries,
+        capacity: 1usize << n,
+        probes: t.probes,
+        hits: t.hits,
+    };
+    spans.finish(Some(stats), arena, &counters);
     Ok(DpResult {
         cost: best.cost,
         cardinality: best.cardinality,
@@ -519,7 +473,7 @@ mod tests {
     use crate::optimizer::Algorithm;
     use joinopt_cost::{workload, Cout};
     use joinopt_qgraph::{formulas, generators, GraphKind};
-    use joinopt_telemetry::NoopObserver;
+    use joinopt_telemetry::{Event, NoopObserver};
 
     #[test]
     fn inner_counter_matches_figure3_small() {

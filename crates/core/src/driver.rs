@@ -2,6 +2,8 @@
 //! `CreateJoinTree` + `BestPlan` update step, result extraction, and the
 //! telemetry instrumentation every driver-based enumerator shares.
 
+use std::time::Instant;
+
 use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::{PlanArena, PlanId};
 use joinopt_qgraph::QueryGraph;
@@ -17,14 +19,44 @@ use crate::kernel::pair_cost;
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{arena_charge, DenseDpTable, DenseRun, DpTable, PlanTable, TableEntry};
 
-/// Lightweight span emitter for the algorithms that do not run on the
-/// [`Driver`] (heuristics, top-down search, DPhyp): produces the same
+/// The largest relation-set size a run can reach: sets are `u64`
+/// bitmasks.
+const MAX_LEVEL: usize = 64;
+
+/// The `table_stats` payload of a run with memo or DP storage.
+pub(crate) struct TableStats {
+    /// Sets with a registered plan.
+    pub entries: usize,
+    /// Allocated capacity.
+    pub capacity: usize,
+    /// `BestPlan` lookups performed.
+    pub probes: u64,
+    /// Probes that found an existing entry.
+    pub hits: u64,
+}
+
+/// The one emitter of run-scoped events. Every engine builds its
 /// `run_start` → `init`/`enumerate`/`extract` → statistics → `run_end`
-/// skeleton at span granularity. All methods are no-ops when the
-/// observer is disabled.
+/// skeleton, its provenance events and its per-level tally through it.
+///
+/// It stamps each run's context once: every event carries the run's
+/// algorithm, `phase_end` its span and `run_end` the run's total, in
+/// nanoseconds since run start. The clock is read only when observing,
+/// and only at run start, phase boundaries and run end — two reads per
+/// phase plus two, never inside a DP loop. All methods are no-ops when
+/// the observer is disabled, and none allocates.
 pub(crate) struct Spans<'a> {
     obs: &'a dyn Observer,
-    on: bool,
+    algorithm: &'static str,
+    /// When the run started; `None` when not observing.
+    start: Option<Instant>,
+    /// Whether per-candidate provenance events are wanted, read once
+    /// from [`Observer::wants_provenance`].
+    provenance: bool,
+    /// Start of the open phase, in nanoseconds since run start.
+    phase_start_ns: u64,
+    /// New table entries per relation-set size (index = size).
+    levels: [u64; MAX_LEVEL + 1],
 }
 
 impl<'a> Spans<'a> {
@@ -40,55 +72,128 @@ impl<'a> Spans<'a> {
                 relations,
             });
         }
-        Spans { obs, on }
+        Spans {
+            obs,
+            algorithm,
+            start: on.then(Instant::now),
+            provenance: on && obs.wants_provenance(),
+            phase_start_ns: 0,
+            levels: [0; MAX_LEVEL + 1],
+        }
+    }
+
+    /// Whether the observer is enabled.
+    #[inline]
+    pub fn on(&self) -> bool {
+        self.start.is_some()
+    }
+
+    fn elapsed_ns(&self) -> u64 {
+        self.start.map_or(0, |t| {
+            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        })
     }
 
     /// Opens the named phase span.
-    pub fn begin(&self, phase: &'static str) {
-        if self.on {
-            self.obs.on_event(Event::PhaseStart { phase });
+    pub fn begin(&mut self, phase: &'static str) {
+        if self.on() {
+            self.phase_start_ns = self.elapsed_ns();
+            self.obs.on_event(Event::PhaseStart {
+                algorithm: self.algorithm,
+                phase,
+            });
         }
     }
 
-    /// Closes the named phase span.
+    /// Closes the named phase span, stamping it with its start and end.
     pub fn end(&self, phase: &'static str) {
-        if self.on {
-            self.obs.on_event(Event::PhaseEnd { phase });
+        if self.on() {
+            self.obs.on_event(Event::PhaseEnd {
+                algorithm: self.algorithm,
+                phase,
+                start_ns: self.phase_start_ns,
+                end_ns: self.elapsed_ns(),
+            });
         }
     }
 
-    /// Emits `table_stats` for algorithms with memo/DP storage.
-    pub fn table_stats(&self, entries: usize, capacity: usize, probes: u64, hits: u64) {
-        if self.on {
+    /// Tallies `new_entries` table entries of relation-set size `size`,
+    /// reported as `dp_level` events by [`Spans::finish`].
+    #[inline]
+    pub fn level(&mut self, size: usize, new_entries: u64) {
+        if self.on() {
+            self.levels[size] += new_entries;
+        }
+    }
+
+    /// Emits one provenance candidate when the observer opted in.
+    #[inline]
+    pub fn candidate(&self, set: u64, left: u64, right: u64, cost: f64, accepted: bool) {
+        if self.provenance {
+            self.obs.on_event(Event::PlanCandidate {
+                algorithm: self.algorithm,
+                set,
+                left,
+                right,
+                cost,
+                accepted,
+            });
+        }
+    }
+
+    /// Emits `search_pruned` when the observer opted in.
+    pub fn pruned(&self, set: u64, reason: &'static str) {
+        if self.provenance {
+            self.obs.on_event(Event::SearchPruned {
+                algorithm: self.algorithm,
+                set,
+                reason,
+            });
+        }
+    }
+
+    /// Emits the end-of-run statistics — `dp_level` per non-empty
+    /// tallied size, `table_stats` (for engines with a table),
+    /// `arena_stats`, `final_counters` — and `run_end`, so callers
+    /// finalize their counter conventions first.
+    pub fn finish(&self, table: Option<TableStats>, arena: &PlanArena, counters: &Counters) {
+        if !self.on() {
+            return;
+        }
+        let algorithm = self.algorithm;
+        for (size, &new_entries) in self.levels.iter().enumerate() {
+            if new_entries > 0 {
+                self.obs.on_event(Event::DpLevel {
+                    algorithm,
+                    size,
+                    new_entries,
+                });
+            }
+        }
+        if let Some(t) = table {
             self.obs.on_event(Event::TableStats {
-                entries,
-                capacity,
-                probes,
-                hits,
+                algorithm,
+                entries: t.entries,
+                capacity: t.capacity,
+                probes: t.probes,
+                hits: t.hits,
             });
         }
-    }
-
-    /// Emits `arena_stats` for the given arena.
-    pub fn arena_stats(&self, arena: &PlanArena) {
-        if self.on {
-            self.obs.on_event(Event::ArenaStats {
-                nodes: arena.len(),
-                bytes: arena.bytes(),
-            });
-        }
-    }
-
-    /// Emits `final_counters` and `run_end`.
-    pub fn finish(&self, counters: &Counters) {
-        if self.on {
-            self.obs.on_event(Event::FinalCounters {
-                inner: counters.inner,
-                csg_cmp_pairs: counters.csg_cmp_pairs,
-                ono_lohman: counters.ono_lohman,
-            });
-            self.obs.on_event(Event::RunEnd);
-        }
+        self.obs.on_event(Event::ArenaStats {
+            algorithm,
+            nodes: arena.len(),
+            bytes: arena.bytes(),
+        });
+        self.obs.on_event(Event::FinalCounters {
+            algorithm,
+            inner: counters.inner,
+            csg_cmp_pairs: counters.csg_cmp_pairs,
+            ono_lohman: counters.ono_lohman,
+        });
+        self.obs.on_event(Event::RunEnd {
+            algorithm,
+            total_ns: self.elapsed_ns(),
+        });
     }
 }
 
@@ -113,17 +218,9 @@ pub(crate) fn run_pooled<E: Enumerator>(
     ctl: &CancellationToken,
     session: &mut Session,
 ) -> Result<DpResult, OptimizeError> {
-    let observe = obs.enabled();
     let n = g.num_relations();
-    if observe {
-        // Emitted before validation so failed runs still leave a
-        // `run_start` in the trace (with no matching `run_end`).
-        obs.on_event(Event::RunStart {
-            algorithm: engine.name(),
-            relations: n,
-        });
-        obs.on_event(Event::PhaseStart { phase: "init" });
-    }
+    let mut spans = Spans::start(obs, engine.name(), n);
+    spans.begin("init");
     if n == 0 {
         return Err(OptimizeError::EmptyQuery);
     }
@@ -134,22 +231,22 @@ pub(crate) fn run_pooled<E: Enumerator>(
     if n <= DenseDpTable::MAX_DRIVER_RELATIONS {
         let (table, arena) = session.dense_run(n);
         let table = DenseRun::new(table, n);
-        Driver::new(g, est, model, obs, ctl, arena, table)?.run(engine)
+        Driver::new(g, est, model, spans, ctl, arena, table)?.run(engine)
     } else {
         let table = DpTable::with_capacity(4 * n);
-        Driver::new(g, est, model, obs, ctl, session.arena_run(), table)?.run(engine)
+        Driver::new(g, est, model, spans, ctl, session.arena_run(), table)?.run(engine)
     }
 }
 
 /// Mutable state threaded through one optimizer run over a `BestPlan`
 /// table `T` ([`PlanTable`]).
 ///
-/// The driver owns all telemetry emission for the span skeleton
-/// (`init` → `enumerate` → `extract`) and the end-of-run statistics
-/// events. All instrumentation is guarded by `observe`, cached once from
+/// The driver emits the span skeleton (`init` → `enumerate` →
+/// `extract`) and the end-of-run statistics through its [`Spans`]. All
+/// instrumentation is guarded by [`Spans::on`], read once from
 /// [`Observer::enabled`]: with the no-op observer the whole machinery
-/// reduces to one predictable branch per probe and allocates nothing
-/// (`level_new` stays an empty `Vec`).
+/// reduces to one predictable branch per probe, and observed or not it
+/// allocates nothing.
 pub(crate) struct Driver<'a, T> {
     pub g: &'a QueryGraph,
     est: CardinalityEstimator,
@@ -157,11 +254,7 @@ pub(crate) struct Driver<'a, T> {
     arena: &'a mut PlanArena,
     table: T,
     pub counters: Counters,
-    obs: &'a dyn Observer,
-    observe: bool,
-    /// Whether per-candidate provenance events are wanted, cached once
-    /// from [`Observer::wants_provenance`] like `observe`.
-    provenance: bool,
+    spans: Spans<'a>,
     /// Stop conditions polled by every emit call.
     ctl: &'a CancellationToken,
     /// Pacing state for [`CancellationToken::checkpoint`].
@@ -172,9 +265,6 @@ pub(crate) struct Driver<'a, T> {
     probes: u64,
     /// Probes that found an existing entry.
     hits: u64,
-    /// New table entries per relation-set size (index = popcount).
-    /// Empty when not observing.
-    level_new: Vec<u64>,
 }
 
 impl<'a, T: PlanTable> Driver<'a, T> {
@@ -184,12 +274,11 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         g: &'a QueryGraph,
         est: CardinalityEstimator,
         model: &'a dyn CostModel,
-        obs: &'a dyn Observer,
+        mut spans: Spans<'a>,
         ctl: &'a CancellationToken,
         arena: &'a mut PlanArena,
         mut table: T,
     ) -> Result<Driver<'a, T>, OptimizeError> {
-        let observe = obs.enabled();
         let n = g.num_relations();
         for i in 0..n {
             let card = est.base_cardinality(i);
@@ -205,13 +294,9 @@ impl<'a, T: PlanTable> Driver<'a, T> {
                 },
             );
         }
-        let mut level_new = Vec::new();
-        if observe {
-            level_new = vec![0u64; n + 1];
-            level_new[1] = n as u64;
-            obs.on_event(Event::PhaseEnd { phase: "init" });
-            obs.on_event(Event::PhaseStart { phase: "enumerate" });
-        }
+        spans.level(1, n as u64);
+        spans.end("init");
+        spans.begin("enumerate");
         let charged = table.bytes() + arena_charge(arena.len());
         ctl.charge(charged)?;
         Ok(Driver {
@@ -221,15 +306,12 @@ impl<'a, T: PlanTable> Driver<'a, T> {
             arena,
             table,
             counters: Counters::new(),
-            obs,
-            observe,
-            provenance: observe && obs.wants_provenance(),
+            spans,
             ctl,
             pace: 0,
             charged,
             probes: 0,
             hits: 0,
-            level_new,
         })
     }
 
@@ -267,34 +349,13 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     /// set reached for the first time), its size-histogram entry.
     #[inline]
     fn note_union_probe(&mut self, union: RelSet, hit: bool) {
-        if self.observe {
+        if self.spans.on() {
             self.probes += 1;
             if hit {
                 self.hits += 1;
             } else {
-                self.level_new[union.len()] += 1;
+                self.spans.level(union.len(), 1);
             }
-        }
-    }
-
-    /// Emits one provenance candidate when the observer opted in.
-    #[inline]
-    fn note_candidate(
-        &self,
-        union: RelSet,
-        left: RelSet,
-        right: RelSet,
-        cost: f64,
-        accepted: bool,
-    ) {
-        if self.provenance {
-            self.obs.on_event(Event::PlanCandidate {
-                set: union.bits(),
-                left: left.bits(),
-                right: right.bits(),
-                cost,
-                accepted,
-            });
         }
     }
 
@@ -351,7 +412,13 @@ impl<'a, T: PlanTable> Driver<'a, T> {
             ((e1, s1), (e2, s2))
         };
         let accepted = incumbent.is_none_or(|best| cost < best.cost);
-        self.note_candidate(union, left_set, right_set, cost, accepted);
+        self.spans.candidate(
+            union.bits(),
+            left_set.bits(),
+            right_set.bits(),
+            cost,
+            accepted,
+        );
         if accepted {
             let stats = PlanStats {
                 cardinality: out_card,
@@ -368,15 +435,12 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     /// Extracts the final result for the full relation set.
     ///
     /// When observing, closes the `enumerate` span, wraps extraction in
-    /// the `extract` span, then emits the end-of-run statistics events
-    /// (`dp_level` per non-empty size, `table_stats`, `arena_stats`,
-    /// `final_counters`) and `run_end` — so the caller must finalize its
-    /// counter conventions *before* calling this.
-    fn finish(self) -> Result<DpResult, OptimizeError> {
-        if self.observe {
-            self.obs.on_event(Event::PhaseEnd { phase: "enumerate" });
-            self.obs.on_event(Event::PhaseStart { phase: "extract" });
-        }
+    /// the `extract` span, then emits the end-of-run statistics through
+    /// [`Spans::finish`] — so the caller must finalize its counter
+    /// conventions *before* calling this.
+    fn finish(mut self) -> Result<DpResult, OptimizeError> {
+        self.spans.end("enumerate");
+        self.spans.begin("extract");
         let full = self.g.all_relations();
         let Some(entry) = self.table.get(full) else {
             return Err(OptimizeError::Internal(
@@ -384,30 +448,14 @@ impl<'a, T: PlanTable> Driver<'a, T> {
             ));
         };
         let tree = self.arena.extract(entry.plan);
-        if self.observe {
-            self.obs.on_event(Event::PhaseEnd { phase: "extract" });
-            for (size, &new_entries) in self.level_new.iter().enumerate() {
-                if new_entries > 0 {
-                    self.obs.on_event(Event::DpLevel { size, new_entries });
-                }
-            }
-            self.obs.on_event(Event::TableStats {
-                entries: self.table.len(),
-                capacity: self.table.capacity(),
-                probes: self.probes,
-                hits: self.hits,
-            });
-            self.obs.on_event(Event::ArenaStats {
-                nodes: self.arena.len(),
-                bytes: self.arena.bytes(),
-            });
-            self.obs.on_event(Event::FinalCounters {
-                inner: self.counters.inner,
-                csg_cmp_pairs: self.counters.csg_cmp_pairs,
-                ono_lohman: self.counters.ono_lohman,
-            });
-            self.obs.on_event(Event::RunEnd);
-        }
+        self.spans.end("extract");
+        let table = TableStats {
+            entries: self.table.len(),
+            capacity: self.table.capacity(),
+            probes: self.probes,
+            hits: self.hits,
+        };
+        self.spans.finish(Some(table), self.arena, &self.counters);
         Ok(DpResult {
             cost: entry.stats.cost,
             cardinality: entry.stats.cardinality,

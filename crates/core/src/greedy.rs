@@ -10,7 +10,7 @@ use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, Plan
 use joinopt_plan::{PlanArena, PlanId};
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
-use joinopt_telemetry::{Event, Observer};
+use joinopt_telemetry::Observer;
 
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
@@ -38,8 +38,7 @@ impl JoinOrderer for Goo {
         ctl: &CancellationToken,
         _session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        let spans = Spans::start(obs, self.name(), g.num_relations());
-        let provenance = obs.enabled() && obs.wants_provenance();
+        let mut spans = Spans::start(obs, self.name(), g.num_relations());
         spans.begin("init");
         if g.num_relations() == 0 {
             return Err(OptimizeError::EmptyQuery);
@@ -99,18 +98,16 @@ impl JoinOrderer for Goo {
             };
             let (cost, swapped) = pair_cost(model, &comps[i].stats, &comps[j].stats, out, true)?;
             let (left, right) = if swapped { (j, i) } else { (i, j) };
-            if provenance {
-                // Greedy makes exactly one (always accepted) decision
-                // per merged component: the pair with the smallest
-                // intermediate result, oriented by cheaper join cost.
-                obs.on_event(Event::PlanCandidate {
-                    set: (comps[i].set | comps[j].set).bits(),
-                    left: comps[left].set.bits(),
-                    right: comps[right].set.bits(),
-                    cost,
-                    accepted: true,
-                });
-            }
+            // Greedy makes exactly one (always accepted) decision per
+            // merged component: the pair with the smallest intermediate
+            // result, oriented by cheaper join cost.
+            spans.candidate(
+                (comps[i].set | comps[j].set).bits(),
+                comps[left].set.bits(),
+                comps[right].set.bits(),
+                cost,
+                true,
+            );
             let stats = PlanStats {
                 cardinality: out,
                 cost,
@@ -131,8 +128,7 @@ impl JoinOrderer for Goo {
         spans.begin("extract");
         let tree = arena.extract(top.plan);
         spans.end("extract");
-        spans.arena_stats(&arena);
-        spans.finish(&counters);
+        spans.finish(None, &arena, &counters);
         Ok(DpResult {
             tree,
             cost: top.stats.cost,

@@ -78,8 +78,7 @@ impl JoinOrderer for Idp {
         ctl: &CancellationToken,
         _session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        let spans = Spans::start(obs, self.name(), g.num_relations());
-        let provenance = obs.enabled() && obs.wants_provenance();
+        let mut spans = Spans::start(obs, self.name(), g.num_relations());
         spans.begin("init");
         if g.num_relations() == 0 {
             return Err(OptimizeError::EmptyQuery);
@@ -170,17 +169,9 @@ impl JoinOrderer for Idp {
                                 (&e1, &e2, ra, rb)
                             };
                             let accepted = incumbent.is_none_or(|best| cost < best.cost);
-                            if provenance {
-                                // Provenance speaks relation sets, not
-                                // this round's component masks.
-                                obs.on_event(joinopt_telemetry::Event::PlanCandidate {
-                                    set: (ra | rb).bits(),
-                                    left: rl.bits(),
-                                    right: rr.bits(),
-                                    cost,
-                                    accepted,
-                                });
-                            }
+                            // Provenance speaks relation sets, not this
+                            // round's component masks.
+                            spans.candidate((ra | rb).bits(), rl.bits(), rr.bits(), cost, accepted);
                             if accepted {
                                 let stats = PlanStats {
                                     cardinality: out,
@@ -257,8 +248,7 @@ impl JoinOrderer for Idp {
         spans.begin("extract");
         let tree = arena.extract(top.plan);
         spans.end("extract");
-        spans.arena_stats(&arena);
-        spans.finish(&counters);
+        spans.finish(None, &arena, &counters);
         Ok(DpResult {
             tree,
             cost: top.stats.cost,

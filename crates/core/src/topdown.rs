@@ -31,7 +31,7 @@ use joinopt_telemetry::Observer;
 use crate::cancel::CancellationToken;
 use crate::counters::Counters;
 use crate::dpsub::Session;
-use crate::driver::Spans;
+use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::greedy::Goo;
 use crate::kernel::pair_cost;
@@ -78,9 +78,7 @@ struct Search<'a> {
     memo: std::collections::HashMap<RelSet, Memo, crate::table::BuildFxHasher>,
     counters: Counters,
     pruning: bool,
-    obs: &'a dyn Observer,
-    observe: bool,
-    provenance: bool,
+    spans: Spans<'a>,
     probes: u64,
     hits: u64,
     ctl: &'a CancellationToken,
@@ -106,7 +104,7 @@ impl JoinOrderer for TopDown {
         ctl: &CancellationToken,
         _session: &mut Session,
     ) -> Result<DpResult, OptimizeError> {
-        let spans = Spans::start(obs, self.name(), g.num_relations());
+        let mut spans = Spans::start(obs, self.name(), g.num_relations());
         spans.begin("init");
         if g.num_relations() == 0 {
             return Err(OptimizeError::EmptyQuery);
@@ -138,36 +136,35 @@ impl JoinOrderer for TopDown {
             memo: std::collections::HashMap::default(),
             counters: Counters::new(),
             pruning: self.pruning,
-            obs,
-            observe: obs.enabled(),
-            provenance: obs.enabled() && obs.wants_provenance(),
+            spans,
             probes: 0,
             hits: 0,
             ctl,
             pace: 0,
             charged,
         };
-        spans.end("init");
-        spans.begin("enumerate");
+        search.spans.end("init");
+        search.spans.begin("enumerate");
         let full = g.all_relations();
         let Some(result) = search.solve(full, initial_upper)? else {
             return Err(OptimizeError::Internal(
                 "top-down search found no plan under the greedy seed bound".into(),
             ));
         };
-        spans.end("enumerate");
+        search.spans.end("enumerate");
 
-        spans.begin("extract");
+        search.spans.begin("extract");
         let tree = search.arena.extract(result.0);
-        spans.end("extract");
-        spans.table_stats(
-            search.memo.len(),
-            search.memo.capacity(),
-            search.probes,
-            search.hits,
-        );
-        spans.arena_stats(&search.arena);
-        spans.finish(&search.counters);
+        search.spans.end("extract");
+        let table = TableStats {
+            entries: search.memo.len(),
+            capacity: search.memo.capacity(),
+            probes: search.probes,
+            hits: search.hits,
+        };
+        search
+            .spans
+            .finish(Some(table), &search.arena, &search.counters);
         Ok(DpResult {
             cost: result.1.cost,
             cardinality: result.1.cardinality,
@@ -183,7 +180,7 @@ impl Search<'_> {
     /// Memo probe/hit accounting (no-op when not observing).
     #[inline]
     fn note_probe(&mut self, hit: bool) {
-        if self.observe {
+        if self.spans.on() {
             self.probes += 1;
             self.hits += u64::from(hit);
         }
@@ -259,12 +256,7 @@ impl Search<'_> {
             self.ctl.checkpoint(&mut self.pace)?;
             if self.pruning && lb >= bound {
                 // Sorted ascending: everything after is at least as bad.
-                if self.provenance {
-                    self.obs.on_event(joinopt_telemetry::Event::SearchPruned {
-                        set: s.bits(),
-                        reason: "bound",
-                    });
-                }
+                self.spans.pruned(s.bits(), "bound");
                 break;
             }
             self.counters.csg_cmp_pairs += 2;
@@ -299,15 +291,8 @@ impl Search<'_> {
             };
             let accepted =
                 cost < bound || (!self.pruning && best.as_ref().is_none_or(|b| cost < b.1.cost));
-            if self.provenance {
-                self.obs.on_event(joinopt_telemetry::Event::PlanCandidate {
-                    set: s.bits(),
-                    left: left_set.bits(),
-                    right: right_set.bits(),
-                    cost,
-                    accepted,
-                });
-            }
+            self.spans
+                .candidate(s.bits(), left_set.bits(), right_set.bits(), cost, accepted);
             if accepted {
                 let stats = PlanStats {
                     cardinality: out_card,

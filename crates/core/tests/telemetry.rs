@@ -1,16 +1,23 @@
 //! Acceptance tests for the telemetry layer: disabled observers must
 //! not change optimizer behavior (or allocate), enabled observers must
-//! see a well-formed event stream, and [`MetricsCollector`] /
-//! [`TraceWriter`] must report real runs accurately.
+//! see a well-formed event stream stamped with each run's label and
+//! spans, a [`MetricsRegistry`] must observe a warm run without
+//! allocating, and [`MetricsCollector`] / [`TraceWriter`] must report
+//! real runs accurately.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 
-use joinopt_core::{Algorithm, DpCcp, JoinOrderer};
+use std::collections::BTreeMap;
+
+use joinopt_core::{Algorithm, DpCcp, DpHyp, JoinOrderer, OptimizeRequest, Session};
 use joinopt_cost::{workload, Cout};
+use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::GraphKind;
 use joinopt_telemetry::json::JsonValue;
-use joinopt_telemetry::{Event, MetricsCollector, NoopObserver, Observer, TraceWriter};
+use joinopt_telemetry::{
+    Event, Fanout, MetricsCollector, MetricsRegistry, NoopObserver, Observer, TraceWriter,
+};
 
 // ---------------------------------------------------------------------
 // Counting allocator (per-thread, so parallel tests don't interfere).
@@ -73,6 +80,18 @@ struct Sink {
 impl Observer for Sink {
     fn on_event(&self, event: Event) {
         self.names.borrow_mut().push(event.name());
+    }
+}
+
+/// Records every event, in order.
+#[derive(Default)]
+struct Recorder {
+    events: RefCell<Vec<Event>>,
+}
+
+impl Observer for Recorder {
+    fn on_event(&self, event: Event) {
+        self.events.borrow_mut().push(event);
     }
 }
 
@@ -173,8 +192,8 @@ fn disabled_observer_path_emits_nothing_and_allocates_nothing_extra() {
     assert_eq!(a.counters, b.counters);
 
     // Sanity check that the counter instrument actually measures this
-    // thread: an enabled collector must allocate (level vector, report
-    // state).
+    // thread: an enabled collector must allocate (its report's phase
+    // and level vectors).
     let metrics = MetricsCollector::new();
     let before_c = allocs();
     DpCcp
@@ -238,6 +257,192 @@ fn every_algorithm_emits_a_well_formed_event_stream() {
         );
         assert!(names.contains(&"arena_stats"), "{ctx}");
     }
+}
+
+/// Checks one run's event stream against the emitter contract: every
+/// event carries the run's algorithm, and the phase spans are ordered,
+/// disjoint and inside `[0, total_ns]`. Returns the algorithm.
+fn assert_stamped_run(events: &[Event], ctx: &str) -> &'static str {
+    let Some(&Event::RunStart { algorithm, .. }) = events.first() else {
+        panic!("{ctx}: run does not open with run_start: {events:?}");
+    };
+    let Some(&Event::RunEnd { total_ns, .. }) = events.last() else {
+        panic!("{ctx}: run does not close with run_end: {events:?}");
+    };
+    let mut last_end = 0;
+    let mut phases = 0;
+    for event in events {
+        assert_eq!(
+            event.algorithm(),
+            Some(algorithm),
+            "{ctx}: {event:?} lacks its run's label"
+        );
+        if let Event::PhaseEnd {
+            start_ns, end_ns, ..
+        } = *event
+        {
+            assert!(
+                last_end <= start_ns && start_ns <= end_ns && end_ns <= total_ns,
+                "{ctx}: span {start_ns}..{end_ns} after {last_end}, total {total_ns}"
+            );
+            last_end = end_ns;
+            phases += 1;
+        }
+    }
+    assert!(phases >= 3, "{ctx}: {phases} phase spans");
+    algorithm
+}
+
+#[test]
+fn every_engine_stamps_its_label_and_ordered_spans_on_every_event() {
+    for kind in [GraphKind::Chain, GraphKind::Star, GraphKind::Clique] {
+        let w = workload::family_workload(kind, 6, 0);
+        for alg in Algorithm::CONCRETE {
+            let rec = Recorder::default();
+            alg.orderer(&w.graph)
+                .optimize_observed(&w.graph, &w.catalog, &Cout, &rec)
+                .unwrap();
+            let label = assert_stamped_run(&rec.events.borrow(), &format!("{kind} {alg:?}"));
+            assert_eq!(label, alg.orderer(&w.graph).name(), "{kind} {alg:?}");
+        }
+        let rec = Recorder::default();
+        let h = Hypergraph::from_query_graph(&w.graph);
+        DpHyp
+            .optimize_observed(&h, &w.catalog, &Cout, &rec)
+            .unwrap();
+        let label = assert_stamped_run(&rec.events.borrow(), &format!("{kind} DPhyp"));
+        assert_eq!(label, DpHyp.name());
+    }
+}
+
+#[test]
+fn registry_phase_sums_equal_the_traced_spans_exactly() {
+    let w = workload::family_workload(GraphKind::Star, 8, 0);
+    let registry = MetricsRegistry::new();
+    let trace = TraceWriter::new(Vec::new());
+    let fanout = Fanout::new(vec![&trace as &dyn Observer, &registry]);
+    DpCcp
+        .optimize_observed(&w.graph, &w.catalog, &Cout, &fanout)
+        .unwrap();
+    let text = String::from_utf8(trace.finish().unwrap()).unwrap();
+
+    let mut traced: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let mut total = None;
+    for line in text.lines() {
+        let v = JsonValue::parse(line).unwrap();
+        let field = |k: &str| v.get(k).and_then(JsonValue::as_u64);
+        let label = |k: &str| v.get(k).and_then(JsonValue::as_str).unwrap().to_string();
+        match v.get("event").and_then(JsonValue::as_str) {
+            Some("phase_end") => {
+                let span = field("end_ns").unwrap() - field("start_ns").unwrap();
+                *traced
+                    .entry((label("algorithm"), label("phase")))
+                    .or_default() += span;
+            }
+            Some("run_end") => total = field("total_ns"),
+            _ => {}
+        }
+    }
+    assert_eq!(traced.len(), 3, "{text}");
+    let snap = registry.snapshot();
+    for ((algorithm, phase), sum) in &traced {
+        let labels = [("algorithm", algorithm.as_str()), ("phase", phase.as_str())];
+        let folded = snap.histogram("joinopt_phase_ns", &labels).unwrap();
+        assert_eq!((folded.count(), folded.sum()), (1, *sum), "{labels:?}");
+    }
+    let runs = snap
+        .histogram("joinopt_run_duration_ns", &[("algorithm", "DPccp")])
+        .unwrap();
+    assert_eq!(Some(runs.sum()), total);
+}
+
+/// Sizes the registry's duration histograms for `algorithm` far beyond
+/// any real run. A histogram grows its bucket vector only when a sample
+/// lands above every earlier one, which a run's wall time may do at any
+/// repetition; with the buckets in place, allocation counts depend on
+/// the emitter and the registry alone.
+fn presize_durations(registry: &MetricsRegistry, algorithm: &'static str) {
+    const HOUR_NS: u64 = 3_600_000_000_000;
+    for phase in ["init", "enumerate", "extract"] {
+        registry.on_event(Event::PhaseEnd {
+            algorithm,
+            phase,
+            start_ns: 0,
+            end_ns: HOUR_NS,
+        });
+    }
+    registry.on_event(Event::RunEnd {
+        algorithm,
+        total_ns: HOUR_NS,
+    });
+}
+
+#[test]
+fn registry_observed_warm_runs_allocate_exactly_as_unobserved_ones() {
+    let cases = [
+        (Algorithm::DpCcp, GraphKind::Star),
+        (Algorithm::DpSub, GraphKind::Clique),
+        (Algorithm::DpSize, GraphKind::Chain),
+        (Algorithm::DpConv, GraphKind::Clique),
+    ];
+    for (alg, kind) in cases {
+        let w = workload::family_workload(kind, 8, 0);
+        let registry = MetricsRegistry::new();
+        let mut session = Session::new();
+        let run = |obs: &dyn Observer, session: &mut Session| {
+            let before = allocs();
+            OptimizeRequest::new(&w.graph, &w.catalog)
+                .with_algorithm(alg)
+                .with_observer(obs)
+                .run_in(session)
+                .unwrap();
+            allocs() - before
+        };
+        // Warm the session's pools and create every series the run
+        // touches.
+        run(&NoopObserver, &mut session);
+        run(&registry, &mut session);
+        presize_durations(&registry, alg.orderer(&w.graph).name());
+        let unobserved = run(&NoopObserver, &mut session);
+        let observed = run(&registry, &mut session);
+        assert_eq!(
+            observed, unobserved,
+            "{alg:?} on {kind}-8: observed {observed} vs unobserved {unobserved} allocations"
+        );
+    }
+}
+
+#[test]
+fn failed_runs_on_short_lived_threads_leave_only_series_in_the_registry() {
+    // The serve path runs each connection on a new thread, and a run
+    // that fails after `run_start` (here: estimates overflowing f64 at
+    // the first join) emits no `run_end`. The registry's whole state is
+    // its series, so such runs add counts, never entries.
+    let mut w = workload::family_workload(GraphKind::Star, 5, 0);
+    for i in 0..w.graph.num_relations() {
+        w.catalog.set_cardinality(i, 1e200).unwrap();
+    }
+    for e in 0..w.graph.num_edges() {
+        w.catalog.set_selectivity(e, 1.0).unwrap();
+    }
+    let registry = MetricsRegistry::new();
+    for _ in 0..50 {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let run = OptimizeRequest::new(&w.graph, &w.catalog)
+                    .with_algorithm(Algorithm::DpCcp)
+                    .with_observer(&registry)
+                    .run();
+                assert!(run.is_err(), "overflowing statistics must fail");
+            });
+        });
+    }
+    let snap = registry.snapshot();
+    let alg = [("algorithm", "DPccp")];
+    assert_eq!(snap.counter("joinopt_runs_started_total", &alg), Some(50));
+    assert_eq!(snap.counter("joinopt_runs_total", &alg), None);
+    let series: Vec<&str> = snap.metrics.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(series, ["joinopt_phase_ns", "joinopt_runs_started_total"]);
 }
 
 #[test]

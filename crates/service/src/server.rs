@@ -69,8 +69,7 @@ use std::time::Duration;
 use joinopt_core::{Algorithm, Session};
 use joinopt_telemetry::json::{write_escaped, JsonObject, JsonValue};
 use joinopt_telemetry::{
-    MetricsRegistry, Observer, RegistryObserver, RequestTrace, TraceIdMinter, TraceLog,
-    WindowConfig, WindowedMetrics,
+    MetricsRegistry, Observer, RequestTrace, TraceIdMinter, TraceLog, WindowConfig, WindowedMetrics,
 };
 
 use crate::gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats};
@@ -342,7 +341,6 @@ impl Server {
     /// then drains gracefully and returns the summary.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         let registry = MetricsRegistry::new();
-        let obs = RegistryObserver::new(&registry);
         let gateway = &self.gateway;
         let telemetry = &self.telemetry;
         let shutdown = &self.shutdown;
@@ -369,7 +367,7 @@ impl Server {
                             continue;
                         }
                         connections += 1;
-                        let obs = &obs;
+                        let obs = &registry;
                         scope.spawn(move || {
                             let _ = serve_connection(gateway, telemetry, shutdown, stream, obs);
                         });
@@ -401,7 +399,7 @@ impl Server {
         if !gateway.is_draining() {
             gateway.begin_drain();
         }
-        let drained = gateway.await_drained(self.config.drain_timeout, &obs);
+        let drained = gateway.await_drained(self.config.drain_timeout, &registry);
         let mut prometheus = registry.snapshot().to_prometheus();
         if telemetry.enabled {
             // The final flush carries the windowed per-stage series too,

@@ -5,7 +5,7 @@
 use joinopt_cost::workload;
 use joinopt_qgraph::GraphKind;
 use joinopt_service::{OptimizerService, QuerySpec, ServiceConfig, ServiceRequest};
-use joinopt_telemetry::{MetricsRegistry, RegistryObserver};
+use joinopt_telemetry::MetricsRegistry;
 
 fn spec(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
     let w = workload::family_workload(kind, n, seed);
@@ -29,8 +29,7 @@ fn hit_and_miss_counters_fold_into_the_registry_snapshot() {
     ];
 
     let registry = MetricsRegistry::new();
-    let observer = RegistryObserver::new(&registry);
-    let results = service.submit_batch_observed(&requests, &observer);
+    let results = service.submit_batch_observed(&requests, &registry);
     assert!(results.iter().all(|r| r.is_ok()));
 
     let snapshot = registry.snapshot();

@@ -1,10 +1,11 @@
-//! Dependency-free JSON support: a string-escaping writer helper and a
-//! small recursive-descent parser.
+//! Dependency-free JSON support: a string-escaping writer helper, the
+//! [`JsonObject`] builder and a small recursive-descent parser.
 //!
-//! The workspace has no serde; telemetry output is hand-written JSON
-//! (objects of strings and numbers — the writer side is
-//! [`crate::RunReport`] and [`crate::TraceWriter`]), and this module provides the
-//! matching reader so traces and reports can be *round-tripped* by tests
+//! The workspace has no serde. Telemetry lines — the [`crate::TraceWriter`]
+//! event lines, the [`crate::RunReport`] JSON line and the server's
+//! responses — are built with [`JsonObject`] (nested arrays and objects
+//! spliced in with [`JsonObject::raw`]), and [`JsonValue::parse`] is the
+//! matching reader, so traces and reports are *round-tripped* by tests
 //! and tooling rather than grepped.
 
 use core::fmt;
@@ -134,6 +135,11 @@ impl JsonObject {
         self.buf.push('}');
         self.buf
     }
+}
+
+/// A JSON array of pre-serialized values, for [`JsonObject::raw`].
+pub(crate) fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
 }
 
 /// A parsed JSON value.

@@ -14,7 +14,10 @@
 //! * [`Event`] — the vocabulary: run/phase spans (`init`, `enumerate`,
 //!   `extract`), per-size DP-level progress, DP-table statistics
 //!   (entries/capacity/probes/hits), plan-arena accounting, and the
-//!   paper's counters.
+//!   paper's counters. The emitter stamps each run's context once:
+//!   every run-scoped event carries the run's algorithm, `phase_end`
+//!   its span and `run_end` the run's total, so no sink keeps a clock
+//!   or per-run state.
 //! * [`MetricsCollector`] — aggregates a run into a [`RunReport`] with
 //!   `Display`, JSON-line and CSV serializations (no external deps).
 //! * [`TraceWriter`] — streams every event as a JSON line (with
@@ -26,9 +29,11 @@
 //! * [`Fanout`] — fans events out to any number of observers (a
 //!   `Fanout<dyn Observer + Sync>` for sinks shared across threads).
 //! * [`MetricsRegistry`] — fleet-grade aggregation: Counter / Gauge /
-//!   log-linear Histogram (p50/p90/p99/max) metrics fed across runs,
-//!   sessions and batches by a [`RegistryObserver`], exported as
-//!   Prometheus text exposition or a JSON [`Snapshot`].
+//!   log-linear Histogram (p50/p90/p99/max) metrics, itself an
+//!   [`Observer`] fed across runs, sessions and batches, exported as
+//!   Prometheus text exposition or a JSON [`Snapshot`]
+//!   (`joinopt_phase_ns_sum{algorithm,phase}` is the per-phase time
+//!   profile).
 //! * [`RequestTrace`] / [`TraceLog`] — request-scoped flight recording
 //!   for the serve path: ordered stage spans (shed-check, breaker,
 //!   cache-lookup, per-attempt optimize, …) with the resolved
@@ -41,8 +46,6 @@
 //! * [`TenantTable`] — the tenant-keyed table behind the windows and
 //!   the gateway's breakers: lookups never allocate and never compare
 //!   a zero-length string.
-//! * [`collapse_trace`] — folds a JSONL trace into collapsed-stack
-//!   (flamegraph-compatible) lines.
 //! * [`json`] — the dependency-free JSON writer/parser the above use,
 //!   public so tools and tests can round-trip telemetry output.
 //!
@@ -52,22 +55,23 @@
 //! use joinopt_telemetry::{Event, MetricsCollector, Observer};
 //!
 //! let metrics = MetricsCollector::new();
-//! // An optimizer run emits events (normally done by joinopt-core):
-//! metrics.on_event(Event::RunStart { algorithm: "DPccp", relations: 3 });
-//! metrics.on_event(Event::PhaseStart { phase: "enumerate" });
-//! metrics.on_event(Event::PhaseEnd { phase: "enumerate" });
-//! metrics.on_event(Event::RunEnd);
+//! // An optimizer run emits events (normally done by joinopt-core),
+//! // stamped with the run's algorithm and spans:
+//! let algorithm = "DPccp";
+//! metrics.on_event(Event::RunStart { algorithm, relations: 3 });
+//! metrics.on_event(Event::PhaseStart { algorithm, phase: "enumerate" });
+//! metrics.on_event(Event::PhaseEnd { algorithm, phase: "enumerate", start_ns: 10, end_ns: 50 });
+//! metrics.on_event(Event::RunEnd { algorithm, total_ns: 60 });
 //!
 //! let report = metrics.report();
 //! assert_eq!(report.algorithm, "DPccp");
-//! assert!(report.phase("enumerate").is_some());
+//! assert_eq!(report.phase("enumerate").unwrap().duration_ns(), 40);
 //! println!("{report}");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod flame;
 pub mod json;
 mod keys;
 mod metrics;
@@ -78,14 +82,11 @@ pub mod span;
 mod trace;
 pub mod window;
 
-pub use flame::{collapse_trace, FlameError};
 pub use keys::TenantTable;
 pub use metrics::{LevelCount, MetricsCollector, PhaseSpan, RunReport};
 pub use observer::{current_thread_id, Event, Fanout, NoopObserver, Observer};
 pub use provenance::{DecisionRecord, ProvenanceCollector, SplitChoice};
-pub use registry::{
-    Histogram, MetricValue, MetricsRegistry, RegistryObserver, Snapshot, SnapshotEntry,
-};
+pub use registry::{Histogram, MetricValue, MetricsRegistry, Snapshot, SnapshotEntry};
 pub use span::{RequestTrace, StageSpan, TraceIdMinter, TraceLog};
 pub use trace::TraceWriter;
 pub use window::{TimeWindow, WindowConfig, WindowEntry, WindowSnapshot, WindowedMetrics};

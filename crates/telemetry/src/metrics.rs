@@ -2,21 +2,21 @@
 //! [`RunReport`] with human, JSON-line and CSV serializations.
 
 use core::fmt;
-use std::cell::RefCell;
-use std::time::Instant;
+use std::sync::Mutex;
 
-use crate::json::{write_escaped, write_f64};
+use crate::json::{json_array, JsonObject};
 use crate::observer::{Event, Observer};
 
-/// One completed phase span, stamped against the collector's monotonic
-/// clock (nanoseconds since the collector was created).
+/// One completed phase span, as stamped by the emitter (nanoseconds
+/// since the run started).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSpan {
     /// Phase name (`"init"`, `"enumerate"`, `"extract"`, …).
     pub name: &'static str,
     /// Start of the phase.
     pub start_ns: u64,
-    /// End of the phase (`>= start_ns`; the clock is monotonic).
+    /// End of the phase (`>= start_ns`; the emitter's clock is
+    /// monotonic).
     pub end_ns: u64,
 }
 
@@ -75,7 +75,7 @@ pub struct RunReport {
     /// The degradation-ladder rung that produced the plan, if a
     /// `degraded` event was seen.
     pub degraded_rung: Option<&'static str>,
-    /// Nanoseconds from collector creation to the `run_end` event.
+    /// Nanoseconds from run start to run end.
     pub total_ns: u64,
 }
 
@@ -105,58 +105,48 @@ impl RunReport {
     /// Parses back with [`crate::json::JsonValue::parse`]; see
     /// `docs/observability.md` for the schema.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"algorithm\":");
-        write_escaped(&mut s, self.algorithm);
-        s.push_str(&format!(",\"relations\":{}", self.relations));
-        s.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"name\":");
-            write_escaped(&mut s, p.name);
-            s.push_str(&format!(
-                ",\"start_ns\":{},\"end_ns\":{},\"duration_ns\":{}}}",
-                p.start_ns,
-                p.end_ns,
-                p.duration_ns()
-            ));
-        }
-        s.push_str("],\"levels\":[");
-        for (i, l) in self.levels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"size\":{},\"new_entries\":{}}}",
-                l.size, l.new_entries
-            ));
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"table\":{{\"entries\":{},\"capacity\":{},\"probes\":{},\"hits\":{},\"occupancy\":",
-            self.table_entries, self.table_capacity, self.table_probes, self.table_hits
-        ));
-        write_f64(&mut s, self.occupancy());
-        s.push_str(&format!(
-            "}},\"arena\":{{\"nodes\":{},\"bytes\":{}}}",
-            self.arena_nodes, self.arena_bytes
-        ));
-        s.push_str(&format!(
-            ",\"counters\":{{\"inner\":{},\"csg_cmp_pairs\":{},\"ono_lohman\":{}}}",
-            self.counter_inner, self.counter_csg_cmp_pairs, self.counter_ono_lohman
-        ));
-        if let Some(budget) = self.budget_exceeded {
-            s.push_str(",\"budget_exceeded\":");
-            write_escaped(&mut s, budget);
-        }
-        if let Some(rung) = self.degraded_rung {
-            s.push_str(",\"degraded_rung\":");
-            write_escaped(&mut s, rung);
-        }
-        s.push_str(&format!(",\"total_ns\":{}}}", self.total_ns));
-        s
+        let phases = self.phases.iter().map(|p| {
+            JsonObject::new()
+                .str("name", p.name)
+                .u64("start_ns", p.start_ns)
+                .u64("end_ns", p.end_ns)
+                .u64("duration_ns", p.duration_ns())
+                .finish()
+        });
+        let levels = self.levels.iter().map(|l| {
+            JsonObject::new()
+                .u64("size", l.size as u64)
+                .u64("new_entries", l.new_entries)
+                .finish()
+        });
+        let table = JsonObject::new()
+            .u64("entries", self.table_entries as u64)
+            .u64("capacity", self.table_capacity as u64)
+            .u64("probes", self.table_probes)
+            .u64("hits", self.table_hits)
+            .f64("occupancy", self.occupancy())
+            .finish();
+        let arena = JsonObject::new()
+            .u64("nodes", self.arena_nodes as u64)
+            .u64("bytes", self.arena_bytes as u64)
+            .finish();
+        let counters = JsonObject::new()
+            .u64("inner", self.counter_inner)
+            .u64("csg_cmp_pairs", self.counter_csg_cmp_pairs)
+            .u64("ono_lohman", self.counter_ono_lohman)
+            .finish();
+        JsonObject::new()
+            .str("algorithm", self.algorithm)
+            .u64("relations", self.relations as u64)
+            .raw("phases", &json_array(phases))
+            .raw("levels", &json_array(levels))
+            .raw("table", &table)
+            .raw("arena", &arena)
+            .raw("counters", &counters)
+            .opt_str("budget_exceeded", self.budget_exceeded)
+            .opt_str("degraded_rung", self.degraded_rung)
+            .u64("total_ns", self.total_ns)
+            .finish()
     }
 
     /// The fixed CSV column set matching [`RunReport::to_csv_row`].
@@ -252,46 +242,37 @@ impl fmt::Display for RunReport {
 
 /// An [`Observer`] that aggregates a run's events into a [`RunReport`].
 ///
-/// Timestamps are taken on event receipt against a clock started at
-/// construction, so create the collector immediately before the run.
-/// Reusable: a new `run_start` event resets the aggregate state, and
-/// [`MetricsCollector::report`] can be called after each run.
+/// It reads no clock: phase spans and the run's total come stamped on
+/// the events themselves. Reusable: a new `run_start` event resets the
+/// aggregate state, and [`MetricsCollector::report`] can be called after
+/// each run. It is `Sync`, but one collector reports one run at a time,
+/// so share it only across runs that do not overlap.
+#[derive(Debug, Default)]
 pub struct MetricsCollector {
-    start: Instant,
-    state: RefCell<RunReport>,
-    open_phase: RefCell<Option<(&'static str, u64)>>,
+    state: Mutex<RunReport>,
 }
 
 impl MetricsCollector {
-    /// Creates a collector; its clock starts now.
+    /// An empty collector.
     pub fn new() -> MetricsCollector {
-        MetricsCollector {
-            start: Instant::now(),
-            state: RefCell::new(RunReport::default()),
-            open_phase: RefCell::new(None),
-        }
+        MetricsCollector::default()
     }
 
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    fn state(&self) -> std::sync::MutexGuard<'_, RunReport> {
+        // A poisoned lock only means a panic elsewhere; the report is
+        // plain data and always valid.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The aggregated report for the most recent run.
     pub fn report(&self) -> RunReport {
-        self.state.borrow().clone()
-    }
-}
-
-impl Default for MetricsCollector {
-    fn default() -> MetricsCollector {
-        MetricsCollector::new()
+        self.state().clone()
     }
 }
 
 impl Observer for MetricsCollector {
     fn on_event(&self, event: Event) {
-        let now = self.now_ns();
-        let mut r = self.state.borrow_mut();
+        let mut r = self.state();
         match event {
             Event::RunStart {
                 algorithm,
@@ -302,26 +283,22 @@ impl Observer for MetricsCollector {
                     relations,
                     ..RunReport::default()
                 };
-                *self.open_phase.borrow_mut() = None;
             }
-            Event::PhaseStart { phase } => {
-                *self.open_phase.borrow_mut() = Some((phase, now));
-            }
-            Event::PhaseEnd { phase } => {
-                let open = self.open_phase.borrow_mut().take();
-                // Tolerate unmatched ends (start before the collector
-                // attached): fall back to a zero-length span at `now`.
-                let start_ns = match open {
-                    Some((name, t)) if name == phase => t,
-                    _ => now,
-                };
+            Event::PhaseEnd {
+                phase,
+                start_ns,
+                end_ns,
+                ..
+            } => {
                 r.phases.push(PhaseSpan {
                     name: phase,
                     start_ns,
-                    end_ns: now,
+                    end_ns,
                 });
             }
-            Event::DpLevel { size, new_entries } => {
+            Event::DpLevel {
+                size, new_entries, ..
+            } => {
                 r.levels.push(LevelCount { size, new_entries });
             }
             Event::TableStats {
@@ -329,13 +306,14 @@ impl Observer for MetricsCollector {
                 capacity,
                 probes,
                 hits,
+                ..
             } => {
                 r.table_entries = entries;
                 r.table_capacity = capacity;
                 r.table_probes = probes;
                 r.table_hits = hits;
             }
-            Event::ArenaStats { nodes, bytes } => {
+            Event::ArenaStats { nodes, bytes, .. } => {
                 r.arena_nodes = nodes;
                 r.arena_bytes = bytes;
             }
@@ -343,6 +321,7 @@ impl Observer for MetricsCollector {
                 inner,
                 csg_cmp_pairs,
                 ono_lohman,
+                ..
             } => {
                 r.counter_inner = inner;
                 r.counter_csg_cmp_pairs = csg_cmp_pairs;
@@ -354,10 +333,15 @@ impl Observer for MetricsCollector {
             Event::Degraded { rung } => {
                 r.degraded_rung = Some(rung);
             }
-            // Per-candidate detail is for traces and the provenance
-            // collector; cache and serve events are cross-run by nature.
-            // The per-run report keeps rollups only.
-            Event::PlanCandidate { .. }
+            Event::RunEnd { total_ns, .. } => {
+                r.total_ns = total_ns;
+            }
+            // Phase starts carry nothing the end does not; per-candidate
+            // detail is for traces and the provenance collector; cache
+            // and serve events are cross-run by nature. The per-run
+            // report keeps rollups only.
+            Event::PhaseStart { .. }
+            | Event::PlanCandidate { .. }
             | Event::SearchPruned { .. }
             | Event::CacheLookup { .. }
             | Event::CacheStore { .. }
@@ -367,9 +351,6 @@ impl Observer for MetricsCollector {
             | Event::ServeRetried { .. }
             | Event::ServeBreakerOpen
             | Event::ServeDrained { .. } => {}
-            Event::RunEnd => {
-                r.total_ns = now;
-            }
         }
     }
 }
@@ -380,48 +361,51 @@ mod tests {
     use crate::json::JsonValue;
 
     fn sample_events(obs: &dyn Observer) {
+        let algorithm = "DPccp";
         obs.on_event(Event::RunStart {
-            algorithm: "DPccp",
+            algorithm,
             relations: 4,
         });
-        obs.on_event(Event::PhaseStart { phase: "init" });
-        obs.on_event(Event::PhaseEnd { phase: "init" });
-        obs.on_event(Event::PhaseStart { phase: "enumerate" });
-        obs.on_event(Event::PhaseEnd { phase: "enumerate" });
-        obs.on_event(Event::PhaseStart { phase: "extract" });
-        obs.on_event(Event::PhaseEnd { phase: "extract" });
-        obs.on_event(Event::DpLevel {
-            size: 1,
-            new_entries: 4,
-        });
-        obs.on_event(Event::DpLevel {
-            size: 2,
-            new_entries: 3,
-        });
-        obs.on_event(Event::DpLevel {
-            size: 3,
-            new_entries: 2,
-        });
-        obs.on_event(Event::DpLevel {
-            size: 4,
-            new_entries: 1,
-        });
+        for (phase, start_ns, end_ns) in
+            [("init", 10, 20), ("enumerate", 25, 90), ("extract", 95, 99)]
+        {
+            obs.on_event(Event::PhaseStart { algorithm, phase });
+            obs.on_event(Event::PhaseEnd {
+                algorithm,
+                phase,
+                start_ns,
+                end_ns,
+            });
+        }
+        for (size, new_entries) in [(1, 4), (2, 3), (3, 2), (4, 1)] {
+            obs.on_event(Event::DpLevel {
+                algorithm,
+                size,
+                new_entries,
+            });
+        }
         obs.on_event(Event::TableStats {
+            algorithm,
             entries: 10,
             capacity: 16,
             probes: 30,
             hits: 20,
         });
         obs.on_event(Event::ArenaStats {
+            algorithm,
             nodes: 12,
             bytes: 12 * 40,
         });
         obs.on_event(Event::FinalCounters {
+            algorithm,
             inner: 9,
             csg_cmp_pairs: 18,
             ono_lohman: 9,
         });
-        obs.on_event(Event::RunEnd);
+        obs.on_event(Event::RunEnd {
+            algorithm,
+            total_ns: 100,
+        });
     }
 
     #[test]
@@ -432,9 +416,6 @@ mod tests {
         assert_eq!(r.algorithm, "DPccp");
         assert_eq!(r.relations, 4);
         assert_eq!(r.phases.len(), 3);
-        assert!(r.phase("init").is_some());
-        assert!(r.phase("enumerate").is_some());
-        assert!(r.phase("extract").is_some());
         assert!(r.phase("nonexistent").is_none());
         assert_eq!(r.level_total(), 10);
         assert_eq!(r.level_total(), r.table_entries as u64);
@@ -443,14 +424,13 @@ mod tests {
         assert!((r.occupancy() - 10.0 / 16.0).abs() < 1e-12);
         assert_eq!(r.arena_nodes, 12);
         assert_eq!(r.counter_inner, 9);
-        // Monotonic spans ordered by completion.
-        let mut last_end = 0;
-        for p in &r.phases {
-            assert!(p.start_ns <= p.end_ns);
-            assert!(p.end_ns >= last_end);
-            last_end = p.end_ns;
-        }
-        assert!(r.total_ns >= last_end);
+        // Spans and the total are the emitter's stamps, copied verbatim.
+        let enumerate = r.phase("enumerate").unwrap();
+        assert_eq!((enumerate.start_ns, enumerate.end_ns), (25, 90));
+        assert_eq!(enumerate.duration_ns(), 65);
+        assert_eq!(r.phase("init").unwrap().duration_ns(), 10);
+        assert_eq!(r.phase("extract").unwrap().duration_ns(), 4);
+        assert_eq!(r.total_ns, 100);
     }
 
     #[test]
@@ -461,25 +441,16 @@ mod tests {
             algorithm: "DPsize",
             relations: 2,
         });
-        mc.on_event(Event::RunEnd);
+        mc.on_event(Event::RunEnd {
+            algorithm: "DPsize",
+            total_ns: 7,
+        });
         let r = mc.report();
         assert_eq!(r.algorithm, "DPsize");
         assert!(r.phases.is_empty());
         assert!(r.levels.is_empty());
         assert_eq!(r.table_entries, 0);
-    }
-
-    #[test]
-    fn unmatched_phase_end_is_tolerated() {
-        let mc = MetricsCollector::new();
-        mc.on_event(Event::RunStart {
-            algorithm: "X",
-            relations: 1,
-        });
-        mc.on_event(Event::PhaseEnd { phase: "orphan" });
-        let r = mc.report();
-        assert_eq!(r.phases.len(), 1);
-        assert_eq!(r.phases[0].duration_ns(), 0);
+        assert_eq!(r.total_ns, 7);
     }
 
     #[test]
@@ -500,7 +471,9 @@ mod tests {
         assert_eq!(table.get("probes").unwrap().as_u64(), Some(30));
         let counters = v.get("counters").unwrap();
         assert_eq!(counters.get("ono_lohman").unwrap().as_u64(), Some(9));
-        assert!(v.get("total_ns").unwrap().as_u64().is_some());
+        assert_eq!(v.get("total_ns").unwrap().as_u64(), Some(100));
+        let enumerate = &v.get("phases").unwrap().as_array().unwrap()[1];
+        assert_eq!(enumerate.get("duration_ns").unwrap().as_u64(), Some(65));
     }
 
     #[test]

@@ -21,10 +21,16 @@ pub fn current_thread_id() -> u64 {
 ///
 /// Events are plain `Copy` data with `&'static str` labels: constructing
 /// one never allocates, so the *only* cost of an instrumentation point is
-/// the branch on [`Observer::enabled`] guarding it. Timing is the
-/// observer's job — collectors stamp events against their own monotonic
-/// clock on receipt — which keeps `Instant::now()` calls off the
-/// optimizer's hot path entirely.
+/// the branch on [`Observer::enabled`] guarding it.
+///
+/// Each run's context is stamped once, at the emitter: every run-scoped
+/// event carries the run's `algorithm`, every [`Event::PhaseEnd`] its
+/// span (`start_ns`/`end_ns`, nanoseconds since the run started) and
+/// [`Event::RunEnd`] the run's `total_ns`. The emitter reads its
+/// monotonic clock only when observing, and only at run start, phase
+/// boundaries and run end — never inside a DP loop. Sinks therefore
+/// fold events with no clock and no per-run state of their own, so a
+/// run that fails midway leaves nothing for them to clean up.
 ///
 /// The expected sequence for a DP run is:
 ///
@@ -50,19 +56,30 @@ pub enum Event {
     },
     /// A named phase begins. Phases do not nest.
     PhaseStart {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Phase name (`"init"`, `"enumerate"`, `"extract"`, …).
         phase: &'static str,
     },
-    /// The matching phase ends.
+    /// The matching phase ends, carrying its span.
     PhaseEnd {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Phase name.
         phase: &'static str,
+        /// When the phase started, in nanoseconds since run start.
+        start_ns: u64,
+        /// When the phase ended, in nanoseconds since run start
+        /// (`>= start_ns`; the emitter's clock is monotonic).
+        end_ns: u64,
     },
     /// Plans materialized at one DP level: `new_entries` table entries
     /// whose relation sets have exactly `size` elements. Emitted once
     /// per non-empty level after enumeration, smallest size first,
     /// mirroring the paper's size-driven vs. subset-driven structure.
     DpLevel {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Relation-set size (1 = singletons).
         size: usize,
         /// Number of distinct sets of that size entered into the table.
@@ -70,6 +87,8 @@ pub enum Event {
     },
     /// Final DP-table statistics.
     TableStats {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Sets with a registered plan.
         entries: usize,
         /// Allocated capacity (slots for the dense table, bucket
@@ -83,6 +102,8 @@ pub enum Event {
     },
     /// Final plan-arena accounting.
     ArenaStats {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Plan nodes materialized (scans + accepted joins).
         nodes: usize,
         /// Bytes of node storage backing them.
@@ -91,6 +112,8 @@ pub enum Event {
     /// The paper's instrumentation counters, reported at the end of the
     /// run so observers need not understand per-algorithm conventions.
     FinalCounters {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Innermost-loop iterations (`InnerCounter`).
         inner: u64,
         /// Oriented csg-cmp-pairs (`CsgCmpPairCounter`).
@@ -120,6 +143,8 @@ pub enum Event {
     /// them on [`Observer::wants_provenance`]; a metrics-only run never
     /// sees them.
     PlanCandidate {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Bitmask of the joined relation set (`left | right`).
         set: u64,
         /// Bitmask of the left (outer) operand's relation set.
@@ -135,6 +160,8 @@ pub enum Event {
     /// splits (top-down branch-and-bound). Gated on
     /// [`Observer::wants_provenance`] like [`Event::PlanCandidate`].
     SearchPruned {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
         /// Bitmask of the relation set whose remaining splits were cut.
         set: u64,
         /// Why: `"bound"` (lower bound reached the incumbent's cost).
@@ -191,9 +218,14 @@ pub enum Event {
         /// completion during it.
         in_flight: usize,
     },
-    /// The run is complete (successfully or not — emitted on the success
-    /// path only, so its absence in a trace indicates an error).
-    RunEnd,
+    /// The run is complete. Emitted on the success path only, so its
+    /// absence in a trace indicates an error.
+    RunEnd {
+        /// Algorithm of the run, as in its [`Event::RunStart`].
+        algorithm: &'static str,
+        /// Nanoseconds from run start to run end.
+        total_ns: u64,
+    },
 }
 
 impl Event {
@@ -219,7 +251,7 @@ impl Event {
             Event::ServeRetried { .. } => "serve_retried",
             Event::ServeBreakerOpen => "serve_breaker_open",
             Event::ServeDrained { .. } => "serve_drained",
-            Event::RunEnd => "run_end",
+            Event::RunEnd { .. } => "run_end",
         }
     }
 
@@ -231,7 +263,7 @@ impl Event {
     /// events, `"run"` for everything else.
     pub fn phase(&self) -> &'static str {
         match self {
-            Event::PhaseStart { phase } | Event::PhaseEnd { phase } => phase,
+            Event::PhaseStart { phase, .. } | Event::PhaseEnd { phase, .. } => phase,
             Event::PlanCandidate { .. } | Event::SearchPruned { .. } => "enumerate",
             Event::CacheLookup { .. } | Event::CacheStore { .. } | Event::CacheEvict { .. } => {
                 "cache"
@@ -242,6 +274,25 @@ impl Event {
             | Event::ServeBreakerOpen
             | Event::ServeDrained { .. } => "serve",
             _ => "run",
+        }
+    }
+
+    /// The run's algorithm, for run-scoped events (`None` for the
+    /// budget, degradation, cache and serve events, which are emitted
+    /// outside any run).
+    pub fn algorithm(&self) -> Option<&'static str> {
+        match *self {
+            Event::RunStart { algorithm, .. }
+            | Event::PhaseStart { algorithm, .. }
+            | Event::PhaseEnd { algorithm, .. }
+            | Event::DpLevel { algorithm, .. }
+            | Event::TableStats { algorithm, .. }
+            | Event::ArenaStats { algorithm, .. }
+            | Event::FinalCounters { algorithm, .. }
+            | Event::PlanCandidate { algorithm, .. }
+            | Event::SearchPruned { algorithm, .. }
+            | Event::RunEnd { algorithm, .. } => Some(algorithm),
+            _ => None,
         }
     }
 }
@@ -349,7 +400,10 @@ mod tests {
     fn noop_is_disabled() {
         let obs = NoopObserver;
         assert!(!obs.enabled());
-        obs.on_event(Event::RunEnd); // must not panic
+        obs.on_event(Event::RunEnd {
+            algorithm: "DPccp",
+            total_ns: 1,
+        }); // must not panic
     }
 
     #[test]
@@ -369,12 +423,23 @@ mod tests {
             "run_start"
         );
         assert_eq!(
-            Event::PhaseStart { phase: "enumerate" }.phase(),
+            Event::PhaseStart {
+                algorithm: "DPccp",
+                phase: "enumerate"
+            }
+            .phase(),
             "enumerate"
         );
-        assert_eq!(Event::PhaseEnd { phase: "extract" }.phase(), "extract");
+        let end = Event::PhaseEnd {
+            algorithm: "DPccp",
+            phase: "extract",
+            start_ns: 5,
+            end_ns: 9,
+        };
+        assert_eq!((end.phase(), end.algorithm()), ("extract", Some("DPccp")));
         assert_eq!(
             Event::DpLevel {
+                algorithm: "DPccp",
                 size: 2,
                 new_entries: 4
             }
@@ -383,6 +448,7 @@ mod tests {
         );
         assert_eq!(
             Event::TableStats {
+                algorithm: "DPccp",
                 entries: 1,
                 capacity: 2,
                 probes: 3,
@@ -393,6 +459,7 @@ mod tests {
         );
         assert_eq!(
             Event::ArenaStats {
+                algorithm: "DPccp",
                 nodes: 1,
                 bytes: 64
             }
@@ -401,6 +468,7 @@ mod tests {
         );
         assert_eq!(
             Event::FinalCounters {
+                algorithm: "DPccp",
                 inner: 1,
                 csg_cmp_pairs: 2,
                 ono_lohman: 1
@@ -415,6 +483,7 @@ mod tests {
         assert_eq!(Event::BudgetExceeded { budget: "memory" }.phase(), "run");
         assert_eq!(Event::Degraded { rung: "greedy" }.name(), "degraded");
         let cand = Event::PlanCandidate {
+            algorithm: "DPccp",
             set: 0b111,
             left: 0b011,
             right: 0b100,
@@ -424,6 +493,7 @@ mod tests {
         assert_eq!(cand.name(), "plan_candidate");
         assert_eq!(cand.phase(), "enumerate");
         let pruned = Event::SearchPruned {
+            algorithm: "TopDown",
             set: 0b111,
             reason: "bound",
         };
@@ -432,6 +502,7 @@ mod tests {
         let lookup = Event::CacheLookup { hit: true };
         assert_eq!(lookup.name(), "cache_lookup");
         assert_eq!(lookup.phase(), "cache");
+        assert_eq!(lookup.algorithm(), None);
         let store = Event::CacheStore {
             entry_bytes: 128,
             total_bytes: 256,
@@ -458,7 +529,14 @@ mod tests {
         let drained = Event::ServeDrained { in_flight: 2 };
         assert_eq!(drained.name(), "serve_drained");
         assert_eq!(drained.phase(), "serve");
-        assert_eq!(Event::RunEnd.name(), "run_end");
+        assert_eq!(
+            Event::RunEnd {
+                algorithm: "DPccp",
+                total_ns: 1
+            }
+            .name(),
+            "run_end"
+        );
     }
 
     struct ProvenanceWanting;
@@ -522,8 +600,8 @@ mod tests {
             let before = a.seen.get() + b.seen.get();
             let fan = Fanout::new(sinks);
             assert_eq!(fan.enabled(), enabled, "case {i}");
-            fan.on_event(Event::RunEnd);
-            fan.on_event(Event::PhaseStart { phase: "init" });
+            fan.on_event(Event::CacheLookup { hit: true });
+            fan.on_event(Event::ServeBreakerOpen);
             assert_eq!(
                 a.seen.get() + b.seen.get() - before,
                 2 * counting,

@@ -14,11 +14,12 @@
 //!
 //! let prov = ProvenanceCollector::new();
 //! assert!(prov.wants_provenance());
+//! let algorithm = "DPccp";
 //! prov.on_event(Event::PlanCandidate {
-//!     set: 0b011, left: 0b001, right: 0b010, cost: 10.0, accepted: true,
+//!     algorithm, set: 0b011, left: 0b001, right: 0b010, cost: 10.0, accepted: true,
 //! });
 //! prov.on_event(Event::PlanCandidate {
-//!     set: 0b011, left: 0b010, right: 0b001, cost: 14.0, accepted: false,
+//!     algorithm, set: 0b011, left: 0b010, right: 0b001, cost: 14.0, accepted: false,
 //! });
 //! let rec = prov.record(0b011).unwrap();
 //! assert_eq!(rec.winner.unwrap().cost, 10.0);
@@ -179,13 +180,14 @@ impl Observer for ProvenanceCollector {
                 right,
                 cost,
                 accepted,
+                ..
             } => {
                 s.records
                     .entry(set)
                     .or_default()
                     .observe(left, right, cost, accepted);
             }
-            Event::SearchPruned { set, reason } => {
+            Event::SearchPruned { set, reason, .. } => {
                 s.records.entry(set).or_default().pruned = Some(reason);
             }
             _ => {}
@@ -208,6 +210,7 @@ mod tests {
         // runner-up), reject 20 (ignored).
         for (cost, accepted) in [(10.0, true), (5.0, true), (7.0, false), (20.0, false)] {
             prov.on_event(Event::PlanCandidate {
+                algorithm: "DPsize",
                 set: 0b011,
                 left: 0b001,
                 right: 0b010,
@@ -231,6 +234,7 @@ mod tests {
     fn single_candidate_has_no_runner_up_and_pruning_is_recorded() {
         let prov = ProvenanceCollector::new();
         prov.on_event(Event::PlanCandidate {
+            algorithm: "DPsize",
             set: 0b011,
             left: 0b010,
             right: 0b001,
@@ -238,6 +242,7 @@ mod tests {
             accepted: true,
         });
         prov.on_event(Event::SearchPruned {
+            algorithm: "TopDown",
             set: 0b011,
             reason: "bound",
         });
@@ -252,6 +257,7 @@ mod tests {
         let prov = ProvenanceCollector::new();
         for set in [0b110u64, 0b011, 0b101] {
             prov.on_event(Event::PlanCandidate {
+                algorithm: "DPsize",
                 set,
                 left: set & (set - 1),
                 right: set & set.wrapping_neg(),

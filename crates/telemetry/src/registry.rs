@@ -4,20 +4,20 @@
 //! [`MetricsCollector`](crate::MetricsCollector) answers "what did this
 //! one run do"; the [`MetricsRegistry`] answers "what has this *process*
 //! done" — counters, gauges and log-linear histograms keyed by metric
-//! name plus a label set, fed by any number of concurrent
-//! [`RegistryObserver`]s and exported as Prometheus text exposition or a
-//! JSON snapshot (both dependency-free and deterministic for
-//! deterministic inputs).
+//! name plus a label set. The registry is itself an [`Observer`] that
+//! any number of concurrent runs can feed, and it exports Prometheus
+//! text exposition or a JSON snapshot (both dependency-free and
+//! deterministic for deterministic inputs).
 //!
 //! ```
-//! use joinopt_telemetry::{Event, MetricsRegistry, Observer, RegistryObserver};
+//! use joinopt_telemetry::{Event, MetricsRegistry, Observer};
 //!
 //! let registry = MetricsRegistry::new();
-//! let obs = RegistryObserver::new(&registry);
 //! for _ in 0..3 {
-//!     obs.on_event(Event::RunStart { algorithm: "DPccp", relations: 4 });
-//!     obs.on_event(Event::FinalCounters { inner: 9, csg_cmp_pairs: 18, ono_lohman: 9 });
-//!     obs.on_event(Event::RunEnd);
+//!     let algorithm = "DPccp";
+//!     registry.on_event(Event::RunStart { algorithm, relations: 4 });
+//!     registry.on_event(Event::FinalCounters { algorithm, inner: 9, csg_cmp_pairs: 18, ono_lohman: 9 });
+//!     registry.on_event(Event::RunEnd { algorithm, total_ns: 1_000 });
 //! }
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("joinopt_runs_total", &[("algorithm", "DPccp")]), Some(3));
@@ -27,11 +27,10 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::json::write_escaped;
+use crate::json::{json_array, write_escaped, JsonObject};
 use crate::keys::{str_cmp, str_eq};
-use crate::observer::{current_thread_id, Event, Observer};
+use crate::observer::{Event, Observer};
 
 /// Number of linear sub-buckets per power-of-two range (and the count
 /// of the leading exact buckets): the histogram's relative error bound
@@ -376,35 +375,20 @@ pub struct SnapshotEntry {
 }
 
 impl SnapshotEntry {
-    fn render_labels(&self) -> String {
-        if self.labels.is_empty() {
-            return String::new();
-        }
-        let mut s = String::from("{");
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+    /// The `{k="v",…}` label block, with `extra` appended last; empty
+    /// when there are no labels at all.
+    fn render_labels(&self, extra: Option<(&str, &str)>) -> String {
+        let pairs = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let mut s = String::new();
+        for (k, v) in pairs.chain(extra) {
+            s.push(if s.is_empty() { '{' } else { ',' });
             s.push_str(k);
             s.push('=');
             write_escaped(&mut s, v);
         }
-        s.push('}');
-        s
-    }
-
-    fn render_labels_with(&self, extra_key: &str, extra_value: &str) -> String {
-        let mut s = String::from("{");
-        for (k, v) in &self.labels {
-            s.push_str(k);
-            s.push('=');
-            write_escaped(&mut s, v);
-            s.push(',');
+        if !s.is_empty() {
+            s.push('}');
         }
-        s.push_str(extra_key);
-        s.push('=');
-        write_escaped(&mut s, extra_value);
-        s.push('}');
         s
     }
 }
@@ -473,36 +457,36 @@ impl Snapshot {
             }
             match &e.value {
                 MetricValue::Counter(v) => {
-                    out.push_str(&format!("{}{} {v}\n", e.name, e.render_labels()));
+                    out.push_str(&format!("{}{} {v}\n", e.name, e.render_labels(None)));
                 }
                 MetricValue::Gauge(v) => {
-                    out.push_str(&format!("{}{} {v}\n", e.name, e.render_labels()));
+                    out.push_str(&format!("{}{} {v}\n", e.name, e.render_labels(None)));
                 }
                 MetricValue::Histogram(h) => {
                     for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
                         out.push_str(&format!(
                             "{}{} {}\n",
                             e.name,
-                            e.render_labels_with("quantile", label),
+                            e.render_labels(Some(("quantile", label))),
                             h.quantile(q)
                         ));
                     }
                     out.push_str(&format!(
                         "{}{} {}\n",
                         e.name,
-                        e.render_labels_with("quantile", "1"),
+                        e.render_labels(Some(("quantile", "1"))),
                         h.max()
                     ));
                     out.push_str(&format!(
                         "{}_sum{} {}\n",
                         e.name,
-                        e.render_labels(),
+                        e.render_labels(None),
                         h.sum()
                     ));
                     out.push_str(&format!(
                         "{}_count{} {}\n",
                         e.name,
-                        e.render_labels(),
+                        e.render_labels(None),
                         h.count()
                     ));
                 }
@@ -515,44 +499,32 @@ impl Snapshot {
     /// `{"metrics":[{"name","labels","type",…value fields}]}`.
     /// Round-trips through [`crate::json::JsonValue::parse`].
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"metrics\":[");
-        for (i, e) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"name\":");
-            write_escaped(&mut s, &e.name);
-            s.push_str(",\"labels\":{");
-            for (j, (k, v)) in e.labels.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                write_escaped(&mut s, k);
-                s.push(':');
-                write_escaped(&mut s, v);
-            }
-            s.push_str("},\"type\":");
-            write_escaped(&mut s, e.value.type_name());
+        let metrics = self.metrics.iter().map(|e| {
+            let labels = e
+                .labels
+                .iter()
+                .fold(JsonObject::new(), |o, (k, v)| o.str(k, v));
+            let o = JsonObject::new()
+                .str("name", &e.name)
+                .raw("labels", &labels.finish())
+                .str("type", e.value.type_name());
             match &e.value {
-                MetricValue::Counter(v) => s.push_str(&format!(",\"value\":{v}")),
-                MetricValue::Gauge(v) => s.push_str(&format!(",\"value\":{v}")),
-                MetricValue::Histogram(h) => {
-                    s.push_str(&format!(
-                        ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        h.quantile(0.5),
-                        h.quantile(0.9),
-                        h.quantile(0.99)
-                    ));
-                }
+                MetricValue::Counter(v) => o.u64("value", *v),
+                MetricValue::Gauge(v) => o.raw("value", &v.to_string()),
+                MetricValue::Histogram(h) => o
+                    .u64("count", h.count())
+                    .u64("sum", h.sum())
+                    .u64("min", h.min())
+                    .u64("max", h.max())
+                    .u64("p50", h.quantile(0.5))
+                    .u64("p90", h.quantile(0.9))
+                    .u64("p99", h.quantile(0.99)),
             }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+            .finish()
+        });
+        JsonObject::new()
+            .raw("metrics", &json_array(metrics))
+            .finish()
     }
 
     /// A compact human-readable rendering, one line per metric.
@@ -561,16 +533,24 @@ impl Snapshot {
         for e in &self.metrics {
             match &e.value {
                 MetricValue::Counter(v) => {
-                    out.push_str(&format!("counter   {}{} {v}\n", e.name, e.render_labels()));
+                    out.push_str(&format!(
+                        "counter   {}{} {v}\n",
+                        e.name,
+                        e.render_labels(None)
+                    ));
                 }
                 MetricValue::Gauge(v) => {
-                    out.push_str(&format!("gauge     {}{} {v}\n", e.name, e.render_labels()));
+                    out.push_str(&format!(
+                        "gauge     {}{} {v}\n",
+                        e.name,
+                        e.render_labels(None)
+                    ));
                 }
                 MetricValue::Histogram(h) => {
                     out.push_str(&format!(
                         "histogram {}{} count={} p50={} p90={} p99={} max={}\n",
                         e.name,
-                        e.render_labels(),
+                        e.render_labels(None),
                         h.count(),
                         h.quantile(0.5),
                         h.quantile(0.9),
@@ -584,20 +564,10 @@ impl Snapshot {
     }
 }
 
-/// Per-thread state of a run in flight (all of a run's events are
-/// emitted from one thread, but a registry observer may watch many
-/// concurrent runs — e.g. a batch spread over workers).
-#[derive(Debug, Clone, Copy)]
-struct RunState {
-    algorithm: &'static str,
-    run_start_ns: u64,
-    open_phase: Option<(&'static str, u64)>,
-}
-
-/// An [`Observer`] that aggregates events into a [`MetricsRegistry`],
-/// across any number of runs — and, because it is `Sync` and keys its
-/// in-flight state by thread, across concurrently interleaved runs from
-/// batch workers.
+/// The registry is itself an [`Observer`]: it folds each event into its
+/// series using only the labels the event carries, so it keeps no
+/// per-run or per-thread state and any number of concurrent runs — the
+/// workers of a batch, the connections of a server — can share it.
 ///
 /// Metrics produced (all prefixed `joinopt_`):
 ///
@@ -616,144 +586,94 @@ struct RunState {
 /// | `cache_hits_total`, `cache_misses_total` | counter | — |
 /// | `cache_stores_total`, `cache_evictions_total` | counter | — |
 /// | `cache_bytes` | gauge | — |
+/// | `serve_accepted_total`, `serve_shed_total` | counter | `priority` |
+/// | `serve_retried_total`, `serve_breaker_open_total`, `serve_drained_total` | counter | — |
 ///
 /// The provenance counters only move when some sink in the run's
 /// observer chain opted into candidate events via
-/// [`Observer::wants_provenance`]; this observer does not request them
+/// [`Observer::wants_provenance`]; the registry does not request them
 /// itself.
-pub struct RegistryObserver<'a> {
-    registry: &'a MetricsRegistry,
-    start: Instant,
-    runs: Mutex<HashMap<u64, RunState>>,
-}
-
-impl<'a> RegistryObserver<'a> {
-    /// An observer feeding `registry`; its duration clock starts now.
-    pub fn new(registry: &'a MetricsRegistry) -> RegistryObserver<'a> {
-        RegistryObserver {
-            registry,
-            start: Instant::now(),
-            runs: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn with_runs<R>(&self, f: impl FnOnce(&mut HashMap<u64, RunState>) -> R) -> R {
-        let mut guard = match self.runs.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard)
-    }
-
-    /// The algorithm label of this thread's in-flight run.
-    fn algorithm(&self) -> &'static str {
-        let tid = current_thread_id();
-        self.with_runs(|r| r.get(&tid).map(|s| s.algorithm))
-            .unwrap_or("unknown")
-    }
-}
-
-impl Observer for RegistryObserver<'_> {
+impl Observer for MetricsRegistry {
     fn on_event(&self, event: Event) {
-        // The clock and the thread id are read only by the arms that
-        // use them: a cache hit's two events need neither.
-        let reg = self.registry;
         match event {
             Event::RunStart { algorithm, .. } => {
-                let (now, tid) = (self.now_ns(), current_thread_id());
-                self.with_runs(|r| {
-                    r.insert(
-                        tid,
-                        RunState {
-                            algorithm,
-                            run_start_ns: now,
-                            open_phase: None,
-                        },
-                    )
-                });
-                reg.inc("joinopt_runs_started_total", &[("algorithm", algorithm)], 1);
+                self.inc("joinopt_runs_started_total", &[("algorithm", algorithm)], 1);
             }
-            Event::PhaseStart { phase } => {
-                let (now, tid) = (self.now_ns(), current_thread_id());
-                self.with_runs(|r| {
-                    if let Some(s) = r.get_mut(&tid) {
-                        s.open_phase = Some((phase, now));
-                    }
-                });
+            Event::PhaseStart { .. } => {}
+            Event::PhaseEnd {
+                algorithm,
+                phase,
+                start_ns,
+                end_ns,
+            } => {
+                self.record(
+                    "joinopt_phase_ns",
+                    &[("algorithm", algorithm), ("phase", phase)],
+                    end_ns.saturating_sub(start_ns),
+                );
             }
-            Event::PhaseEnd { phase } => {
-                let (now, tid) = (self.now_ns(), current_thread_id());
-                let span = self.with_runs(|r| {
-                    let s = r.get_mut(&tid)?;
-                    match s.open_phase.take() {
-                        Some((name, t)) if name == phase => Some((s.algorithm, now - t)),
-                        _ => None,
-                    }
-                });
-                if let Some((algorithm, duration)) = span {
-                    reg.record(
-                        "joinopt_phase_ns",
-                        &[("algorithm", algorithm), ("phase", phase)],
-                        duration,
-                    );
-                }
-            }
-            Event::DpLevel { new_entries, .. } => {
-                reg.record(
+            Event::DpLevel {
+                algorithm,
+                new_entries,
+                ..
+            } => {
+                self.record(
                     "joinopt_dp_level_entries",
-                    &[("algorithm", self.algorithm())],
+                    &[("algorithm", algorithm)],
                     new_entries,
                 );
             }
             Event::TableStats {
+                algorithm,
                 entries,
                 probes,
                 hits,
                 ..
             } => {
-                let algorithm = self.algorithm();
                 let labels = [("algorithm", algorithm)];
-                reg.inc("joinopt_table_probes_total", &labels, probes);
-                reg.inc("joinopt_table_hits_total", &labels, hits);
-                reg.set_gauge("joinopt_table_entries", &labels, entries as i64);
+                self.inc("joinopt_table_probes_total", &labels, probes);
+                self.inc("joinopt_table_hits_total", &labels, hits);
+                self.set_gauge("joinopt_table_entries", &labels, entries as i64);
             }
-            Event::ArenaStats { bytes, .. } => {
-                reg.set_gauge(
+            Event::ArenaStats {
+                algorithm, bytes, ..
+            } => {
+                self.set_gauge(
                     "joinopt_arena_bytes",
-                    &[("algorithm", self.algorithm())],
+                    &[("algorithm", algorithm)],
                     bytes as i64,
                 );
             }
             Event::FinalCounters {
+                algorithm,
                 inner,
                 csg_cmp_pairs,
                 ono_lohman,
             } => {
-                let algorithm = self.algorithm();
                 let labels = [("algorithm", algorithm)];
-                reg.inc("joinopt_inner_loop_total", &labels, inner);
-                reg.inc("joinopt_csg_cmp_pairs_total", &labels, csg_cmp_pairs);
-                reg.inc("joinopt_ono_lohman_total", &labels, ono_lohman);
+                self.inc("joinopt_inner_loop_total", &labels, inner);
+                self.inc("joinopt_csg_cmp_pairs_total", &labels, csg_cmp_pairs);
+                self.inc("joinopt_ono_lohman_total", &labels, ono_lohman);
             }
             Event::BudgetExceeded { budget } => {
-                reg.inc("joinopt_budget_exceeded_total", &[("budget", budget)], 1);
+                self.inc("joinopt_budget_exceeded_total", &[("budget", budget)], 1);
             }
             Event::Degraded { rung } => {
-                reg.inc("joinopt_degraded_total", &[("rung", rung)], 1);
+                self.inc("joinopt_degraded_total", &[("rung", rung)], 1);
             }
-            Event::PlanCandidate { accepted, .. } => {
-                let labels = [("algorithm", self.algorithm())];
-                reg.inc("joinopt_plan_candidates_total", &labels, 1);
+            Event::PlanCandidate {
+                algorithm,
+                accepted,
+                ..
+            } => {
+                let labels = [("algorithm", algorithm)];
+                self.inc("joinopt_plan_candidates_total", &labels, 1);
                 if accepted {
-                    reg.inc("joinopt_plan_candidates_accepted_total", &labels, 1);
+                    self.inc("joinopt_plan_candidates_accepted_total", &labels, 1);
                 }
             }
             Event::SearchPruned { reason, .. } => {
-                reg.inc("joinopt_search_pruned_total", &[("reason", reason)], 1);
+                self.inc("joinopt_search_pruned_total", &[("reason", reason)], 1);
             }
             Event::CacheLookup { hit } => {
                 let name = if hit {
@@ -761,39 +681,38 @@ impl Observer for RegistryObserver<'_> {
                 } else {
                     "joinopt_cache_misses_total"
                 };
-                reg.inc(name, &[], 1);
+                self.inc(name, &[], 1);
             }
             Event::CacheStore { total_bytes, .. } => {
-                reg.inc("joinopt_cache_stores_total", &[], 1);
-                reg.set_gauge("joinopt_cache_bytes", &[], total_bytes as i64);
+                self.inc("joinopt_cache_stores_total", &[], 1);
+                self.set_gauge("joinopt_cache_bytes", &[], total_bytes as i64);
             }
             Event::CacheEvict { total_bytes, .. } => {
-                reg.inc("joinopt_cache_evictions_total", &[], 1);
-                reg.set_gauge("joinopt_cache_bytes", &[], total_bytes as i64);
+                self.inc("joinopt_cache_evictions_total", &[], 1);
+                self.set_gauge("joinopt_cache_bytes", &[], total_bytes as i64);
             }
             Event::ServeAccepted { priority } => {
-                reg.inc("joinopt_serve_accepted_total", &[("priority", priority)], 1);
+                self.inc("joinopt_serve_accepted_total", &[("priority", priority)], 1);
             }
             Event::ServeShed { priority } => {
-                reg.inc("joinopt_serve_shed_total", &[("priority", priority)], 1);
+                self.inc("joinopt_serve_shed_total", &[("priority", priority)], 1);
             }
             Event::ServeRetried { .. } => {
-                reg.inc("joinopt_serve_retried_total", &[], 1);
+                self.inc("joinopt_serve_retried_total", &[], 1);
             }
             Event::ServeBreakerOpen => {
-                reg.inc("joinopt_serve_breaker_open_total", &[], 1);
+                self.inc("joinopt_serve_breaker_open_total", &[], 1);
             }
             Event::ServeDrained { .. } => {
-                reg.inc("joinopt_serve_drained_total", &[], 1);
+                self.inc("joinopt_serve_drained_total", &[], 1);
             }
-            Event::RunEnd => {
-                let (now, tid) = (self.now_ns(), current_thread_id());
-                let state = self.with_runs(|r| r.remove(&tid));
-                if let Some(s) = state {
-                    let labels = [("algorithm", s.algorithm)];
-                    reg.inc("joinopt_runs_total", &labels, 1);
-                    reg.record("joinopt_run_duration_ns", &labels, now - s.run_start_ns);
-                }
+            Event::RunEnd {
+                algorithm,
+                total_ns,
+            } => {
+                let labels = [("algorithm", algorithm)];
+                self.inc("joinopt_runs_total", &labels, 1);
+                self.record("joinopt_run_duration_ns", &labels, total_ns);
             }
         }
     }
@@ -965,36 +884,52 @@ joinopt_table_entries{algorithm=\"DPccp\"} 10
     #[test]
     fn registry_observer_aggregates_across_runs() {
         let reg = MetricsRegistry::new();
-        let obs = RegistryObserver::new(&reg);
+        let obs: &dyn Observer = &reg;
+        let algorithm = "DPsub";
         for _ in 0..2 {
             obs.on_event(Event::RunStart {
-                algorithm: "DPsub",
+                algorithm,
                 relations: 5,
             });
-            obs.on_event(Event::PhaseStart { phase: "enumerate" });
-            obs.on_event(Event::PhaseEnd { phase: "enumerate" });
+            obs.on_event(Event::PhaseStart {
+                algorithm,
+                phase: "enumerate",
+            });
+            obs.on_event(Event::PhaseEnd {
+                algorithm,
+                phase: "enumerate",
+                start_ns: 100,
+                end_ns: 350,
+            });
             obs.on_event(Event::DpLevel {
+                algorithm,
                 size: 2,
                 new_entries: 4,
             });
             obs.on_event(Event::TableStats {
+                algorithm,
                 entries: 9,
                 capacity: 32,
                 probes: 40,
                 hits: 30,
             });
             obs.on_event(Event::ArenaStats {
+                algorithm,
                 nodes: 11,
                 bytes: 440,
             });
             obs.on_event(Event::FinalCounters {
+                algorithm,
                 inner: 84,
                 csg_cmp_pairs: 14,
                 ono_lohman: 7,
             });
             obs.on_event(Event::BudgetExceeded { budget: "time" });
             obs.on_event(Event::Degraded { rung: "idp" });
-            obs.on_event(Event::RunEnd);
+            obs.on_event(Event::RunEnd {
+                algorithm,
+                total_ns: 400,
+            });
         }
         let snap = reg.snapshot();
         let alg = [("algorithm", "DPsub")];
@@ -1013,21 +948,15 @@ joinopt_table_entries{algorithm=\"DPccp\"} 10
             snap.counter("joinopt_degraded_total", &[("rung", "idp")]),
             Some(2)
         );
-        assert_eq!(
-            snap.histogram("joinopt_run_duration_ns", &alg)
-                .unwrap()
-                .count(),
-            2
-        );
-        assert_eq!(
-            snap.histogram(
+        let runs = snap.histogram("joinopt_run_duration_ns", &alg).unwrap();
+        assert_eq!((runs.count(), runs.sum()), (2, 800));
+        let enumerate = snap
+            .histogram(
                 "joinopt_phase_ns",
-                &[("algorithm", "DPsub"), ("phase", "enumerate")]
+                &[("algorithm", "DPsub"), ("phase", "enumerate")],
             )
-            .unwrap()
-            .count(),
-            2
-        );
+            .unwrap();
+        assert_eq!((enumerate.count(), enumerate.sum()), (2, 500));
         assert_eq!(
             snap.histogram("joinopt_dp_level_entries", &alg)
                 .unwrap()
@@ -1039,10 +968,9 @@ joinopt_table_entries{algorithm=\"DPccp\"} 10
     #[test]
     fn registry_observer_tracks_concurrent_runs_by_thread() {
         let reg = MetricsRegistry::new();
-        let obs = RegistryObserver::new(&reg);
         std::thread::scope(|scope| {
             for algorithm in ["DPsub", "DPccp"] {
-                let obs = &obs;
+                let obs = &reg;
                 scope.spawn(move || {
                     for _ in 0..3 {
                         obs.on_event(Event::RunStart {
@@ -1050,11 +978,15 @@ joinopt_table_entries{algorithm=\"DPccp\"} 10
                             relations: 4,
                         });
                         obs.on_event(Event::FinalCounters {
+                            algorithm,
                             inner: 10,
                             csg_cmp_pairs: 4,
                             ono_lohman: 2,
                         });
-                        obs.on_event(Event::RunEnd);
+                        obs.on_event(Event::RunEnd {
+                            algorithm,
+                            total_ns: 10,
+                        });
                     }
                 });
             }

@@ -4,7 +4,7 @@ use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::json::{write_escaped, write_f64};
+use crate::json::JsonObject;
 use crate::observer::{current_thread_id, Event, Observer};
 
 /// An [`Observer`] that writes one JSON object per event.
@@ -19,8 +19,11 @@ use crate::observer::{current_thread_id, Event, Observer};
 ///   ([`current_thread_id`](crate::current_thread_id)), so interleaved
 ///   lines from batch workers stay attributable —
 ///
-/// plus the event's own payload fields (e.g. `"size"`/`"new_entries"`
-/// for `dp_level`). Lines parse with [`crate::json::JsonValue::parse`].
+/// plus, on run-scoped events, the run's `"algorithm"`, and the event's
+/// own payload fields (e.g. `"size"`/`"new_entries"` for `dp_level`,
+/// the span's `"start_ns"`/`"end_ns"` for `phase_end`, `"total_ns"` for
+/// `run_end` — both counted from run start by the emitter). Lines parse
+/// with [`crate::json::JsonValue::parse`].
 ///
 /// The writer is `Sync` (serialized behind a mutex), so one trace file
 /// can collect events from every worker of a batch
@@ -64,79 +67,69 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn render(&self, event: Event) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"event\":");
-        write_escaped(&mut s, event.name());
-        s.push_str(",\"phase\":");
-        write_escaped(&mut s, event.phase());
-        s.push_str(&format!(
-            ",\"elapsed_ns\":{},\"thread_id\":{}",
-            u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            current_thread_id()
-        ));
-        match event {
-            Event::RunStart {
-                algorithm,
-                relations,
-            } => {
-                s.push_str(",\"algorithm\":");
-                write_escaped(&mut s, algorithm);
-                s.push_str(&format!(",\"relations\":{relations}"));
-            }
-            Event::PhaseStart { .. } | Event::PhaseEnd { .. } | Event::RunEnd => {}
-            Event::DpLevel { size, new_entries } => {
-                s.push_str(&format!(",\"size\":{size},\"new_entries\":{new_entries}"));
-            }
+        let line = JsonObject::new()
+            .str("event", event.name())
+            .str("phase", event.phase())
+            .u64(
+                "elapsed_ns",
+                u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            )
+            .u64("thread_id", current_thread_id());
+        let line = match event.algorithm() {
+            Some(algorithm) => line.str("algorithm", algorithm),
+            None => line,
+        };
+        let line = match event {
+            Event::RunStart { relations, .. } => line.u64("relations", relations as u64),
+            Event::PhaseStart { .. } | Event::ServeBreakerOpen => line,
+            Event::PhaseEnd {
+                start_ns, end_ns, ..
+            } => line.u64("start_ns", start_ns).u64("end_ns", end_ns),
+            Event::DpLevel {
+                size, new_entries, ..
+            } => line
+                .u64("size", size as u64)
+                .u64("new_entries", new_entries),
             Event::TableStats {
                 entries,
                 capacity,
                 probes,
                 hits,
-            } => {
-                s.push_str(&format!(
-                    ",\"entries\":{entries},\"capacity\":{capacity},\"probes\":{probes},\"hits\":{hits}"
-                ));
-            }
-            Event::ArenaStats { nodes, bytes } => {
-                s.push_str(&format!(",\"nodes\":{nodes},\"bytes\":{bytes}"));
+                ..
+            } => line
+                .u64("entries", entries as u64)
+                .u64("capacity", capacity as u64)
+                .u64("probes", probes)
+                .u64("hits", hits),
+            Event::ArenaStats { nodes, bytes, .. } => {
+                line.u64("nodes", nodes as u64).u64("bytes", bytes as u64)
             }
             Event::FinalCounters {
                 inner,
                 csg_cmp_pairs,
                 ono_lohman,
-            } => {
-                s.push_str(&format!(
-                    ",\"inner\":{inner},\"csg_cmp_pairs\":{csg_cmp_pairs},\"ono_lohman\":{ono_lohman}"
-                ));
-            }
-            Event::BudgetExceeded { budget } => {
-                s.push_str(",\"budget\":");
-                write_escaped(&mut s, budget);
-            }
-            Event::Degraded { rung } => {
-                s.push_str(",\"rung\":");
-                write_escaped(&mut s, rung);
-            }
+                ..
+            } => line
+                .u64("inner", inner)
+                .u64("csg_cmp_pairs", csg_cmp_pairs)
+                .u64("ono_lohman", ono_lohman),
+            Event::BudgetExceeded { budget } => line.str("budget", budget),
+            Event::Degraded { rung } => line.str("rung", rung),
             Event::PlanCandidate {
                 set,
                 left,
                 right,
                 cost,
                 accepted,
-            } => {
-                s.push_str(&format!(
-                    ",\"set\":{set},\"left\":{left},\"right\":{right},\"cost\":"
-                ));
-                write_f64(&mut s, cost);
-                s.push_str(&format!(",\"accepted\":{accepted}"));
-            }
-            Event::SearchPruned { set, reason } => {
-                s.push_str(&format!(",\"set\":{set},\"reason\":"));
-                write_escaped(&mut s, reason);
-            }
-            Event::CacheLookup { hit } => {
-                s.push_str(&format!(",\"hit\":{hit}"));
-            }
+                ..
+            } => line
+                .u64("set", set)
+                .u64("left", left)
+                .u64("right", right)
+                .f64("cost", cost)
+                .bool("accepted", accepted),
+            Event::SearchPruned { set, reason, .. } => line.u64("set", set).str("reason", reason),
+            Event::CacheLookup { hit } => line.bool("hit", hit),
             Event::CacheStore {
                 entry_bytes,
                 total_bytes,
@@ -144,24 +137,18 @@ impl<W: Write> TraceWriter<W> {
             | Event::CacheEvict {
                 entry_bytes,
                 total_bytes,
-            } => {
-                s.push_str(&format!(
-                    ",\"entry_bytes\":{entry_bytes},\"total_bytes\":{total_bytes}"
-                ));
-            }
+            } => line
+                .u64("entry_bytes", entry_bytes as u64)
+                .u64("total_bytes", total_bytes as u64),
             Event::ServeAccepted { priority } | Event::ServeShed { priority } => {
-                s.push_str(",\"priority\":");
-                write_escaped(&mut s, priority);
+                line.str("priority", priority)
             }
-            Event::ServeRetried { attempt } => {
-                s.push_str(&format!(",\"attempt\":{attempt}"));
-            }
-            Event::ServeBreakerOpen => {}
-            Event::ServeDrained { in_flight } => {
-                s.push_str(&format!(",\"in_flight\":{in_flight}"));
-            }
-        }
-        s.push_str("}\n");
+            Event::ServeRetried { attempt } => line.u64("attempt", u64::from(attempt)),
+            Event::ServeDrained { in_flight } => line.u64("in_flight", in_flight as u64),
+            Event::RunEnd { total_ns, .. } => line.u64("total_ns", total_ns),
+        };
+        let mut s = line.finish();
+        s.push('\n');
         s
     }
 }
@@ -200,28 +187,43 @@ mod tests {
             algorithm: "DPsub",
             relations: 6,
         });
-        tw.on_event(Event::PhaseStart { phase: "enumerate" });
+        tw.on_event(Event::PhaseStart {
+            algorithm: "DPsub",
+            phase: "enumerate",
+        });
         tw.on_event(Event::DpLevel {
+            algorithm: "DPsub",
             size: 2,
             new_entries: 5,
         });
         tw.on_event(Event::TableStats {
+            algorithm: "DPsub",
             entries: 9,
             capacity: 64,
             probes: 40,
             hits: 31,
         });
         tw.on_event(Event::ArenaStats {
+            algorithm: "DPsub",
             nodes: 11,
             bytes: 440,
         });
         tw.on_event(Event::FinalCounters {
+            algorithm: "DPsub",
             inner: 100,
             csg_cmp_pairs: 10,
             ono_lohman: 5,
         });
-        tw.on_event(Event::PhaseEnd { phase: "enumerate" });
-        tw.on_event(Event::RunEnd);
+        tw.on_event(Event::PhaseEnd {
+            algorithm: "DPsub",
+            phase: "enumerate",
+            start_ns: 40,
+            end_ns: 75,
+        });
+        tw.on_event(Event::RunEnd {
+            algorithm: "DPsub",
+            total_ns: 80,
+        });
         let buf = tw.finish().unwrap();
         let text = String::from_utf8(buf).unwrap();
         let mut last_elapsed = 0u64;
@@ -229,6 +231,15 @@ mod tests {
         for line in text.lines() {
             let v = JsonValue::parse(line).unwrap();
             events.push(v.get("event").unwrap().as_str().unwrap().to_string());
+            assert_eq!(v.get("algorithm").unwrap().as_str(), Some("DPsub"));
+            match events.last().unwrap().as_str() {
+                "phase_end" => {
+                    assert_eq!(v.get("start_ns").unwrap().as_u64(), Some(40));
+                    assert_eq!(v.get("end_ns").unwrap().as_u64(), Some(75));
+                }
+                "run_end" => assert_eq!(v.get("total_ns").unwrap().as_u64(), Some(80)),
+                _ => {}
+            }
             assert!(v.get("phase").unwrap().as_str().is_some());
             let elapsed = v.get("elapsed_ns").unwrap().as_u64().unwrap();
             assert!(elapsed >= last_elapsed, "elapsed_ns must be monotonic");
@@ -253,6 +264,7 @@ mod tests {
     fn lines_carry_a_thread_id() {
         let tw = TraceWriter::new(Vec::new());
         tw.on_event(Event::PlanCandidate {
+            algorithm: "DPccp",
             set: 0b11,
             left: 0b01,
             right: 0b10,
@@ -260,6 +272,7 @@ mod tests {
             accepted: true,
         });
         tw.on_event(Event::SearchPruned {
+            algorithm: "TopDown",
             set: 0b11,
             reason: "bound",
         });
@@ -286,7 +299,7 @@ mod tests {
                 let tw = &tw;
                 scope.spawn(move || {
                     for _ in 0..8 {
-                        tw.on_event(Event::RunEnd);
+                        tw.on_event(Event::CacheLookup { hit: true });
                     }
                 });
             }
@@ -305,6 +318,7 @@ mod tests {
     fn payload_fields_survive_round_trip() {
         let tw = TraceWriter::new(Vec::new());
         tw.on_event(Event::DpLevel {
+            algorithm: "DPsub",
             size: 3,
             new_entries: 7,
         });
@@ -320,6 +334,7 @@ mod tests {
         let tw = TraceWriter::new(Vec::new());
         assert!(tw.wants_provenance());
         tw.on_event(Event::PlanCandidate {
+            algorithm: "DPccp",
             set: 0b0111,
             left: 0b0011,
             right: 0b0100,
@@ -327,6 +342,7 @@ mod tests {
             accepted: true,
         });
         tw.on_event(Event::SearchPruned {
+            algorithm: "TopDown",
             set: 0b0111,
             reason: "bound",
         });
@@ -365,8 +381,8 @@ mod tests {
     #[test]
     fn write_errors_are_sticky_and_reported() {
         let tw = TraceWriter::new(FailingWriter);
-        tw.on_event(Event::RunEnd);
-        tw.on_event(Event::RunEnd); // silently skipped after the failure
+        tw.on_event(Event::ServeBreakerOpen);
+        tw.on_event(Event::ServeBreakerOpen); // silently skipped after the failure
         let err = tw.finish().unwrap_err();
         assert_eq!(err.to_string(), "disk full");
     }

@@ -1,7 +1,7 @@
 //! Pins the steady-state allocation count of the serve path's
 //! per-request telemetry at zero: once a series exists, touching it in
-//! the [`MetricsRegistry`] or filing a trace into [`WindowedMetrics`]
-//! allocates nothing.
+//! the [`MetricsRegistry`], feeding the registry a run's events or
+//! filing a trace into [`WindowedMetrics`] allocates nothing.
 //!
 //! A counting `#[global_allocator]` tallies allocations per thread, so
 //! the tests in this binary may run in parallel without seeing each
@@ -10,7 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use joinopt_telemetry::{MetricsRegistry, RequestTrace, WindowConfig, WindowedMetrics};
+use joinopt_telemetry::{
+    Event, MetricsRegistry, Observer, RequestTrace, WindowConfig, WindowedMetrics,
+};
 
 struct Counting;
 
@@ -91,6 +93,78 @@ fn registry_touches_of_existing_series_allocate_nothing() {
             &[("algorithm", "DPccp"), ("phase", "enumerate")]
         ),
         Some(2)
+    );
+}
+
+/// Feeds `obs` one complete DPccp run, stamped the way the engines stamp
+/// it, followed by the cache hit that would serve its plan next time.
+fn run_and_hit(obs: &dyn Observer) {
+    let algorithm = "DPccp";
+    obs.on_event(Event::RunStart {
+        algorithm,
+        relations: 8,
+    });
+    for (phase, start_ns, end_ns) in [
+        ("init", 100, 900),
+        ("enumerate", 950, 40_000),
+        ("extract", 40_100, 41_000),
+    ] {
+        obs.on_event(Event::PhaseStart { algorithm, phase });
+        obs.on_event(Event::PhaseEnd {
+            algorithm,
+            phase,
+            start_ns,
+            end_ns,
+        });
+    }
+    for size in 1..=8 {
+        obs.on_event(Event::DpLevel {
+            algorithm,
+            size,
+            new_entries: 9 - size as u64,
+        });
+    }
+    obs.on_event(Event::TableStats {
+        algorithm,
+        entries: 36,
+        capacity: 256,
+        probes: 120,
+        hits: 84,
+    });
+    obs.on_event(Event::ArenaStats {
+        algorithm,
+        nodes: 44,
+        bytes: 1_760,
+    });
+    obs.on_event(Event::FinalCounters {
+        algorithm,
+        inner: 84,
+        csg_cmp_pairs: 84,
+        ono_lohman: 42,
+    });
+    obs.on_event(Event::RunEnd {
+        algorithm,
+        total_ns: 41_500,
+    });
+    obs.on_event(Event::CacheLookup { hit: true });
+}
+
+#[test]
+fn observing_a_run_and_a_cache_hit_allocates_nothing_once_warm() {
+    let reg = MetricsRegistry::new();
+    run_and_hit(&reg);
+    assert_eq!(allocations(|| run_and_hit(&reg)), 0);
+    let snap = reg.snapshot();
+    let alg = [("algorithm", "DPccp")];
+    assert_eq!(snap.counter("joinopt_runs_total", &alg), Some(2));
+    assert_eq!(snap.counter("joinopt_cache_hits_total", &[]), Some(2));
+    assert_eq!(
+        snap.histogram(
+            "joinopt_phase_ns",
+            &[("algorithm", "DPccp"), ("phase", "enumerate")]
+        )
+        .map(|h| h.sum()),
+        Some(2 * 39_050)
     );
 }
 

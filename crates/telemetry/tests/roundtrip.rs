@@ -4,41 +4,56 @@
 //! parser with every field intact.
 
 use joinopt_telemetry::json::JsonValue;
-use joinopt_telemetry::{Event, MetricsCollector, MetricsRegistry, Observer, RegistryObserver};
+use joinopt_telemetry::{Event, MetricsCollector, MetricsRegistry, Observer};
 
 /// Drives one synthetic-but-complete run through `obs` — the same event
-/// vocabulary a real DPsub run emits.
+/// vocabulary, stamped the same way, as a real DPsub run.
 fn emit_run(obs: &dyn Observer) {
+    let algorithm = "DPsub";
     obs.on_event(Event::RunStart {
-        algorithm: "DPsub",
+        algorithm,
         relations: 8,
     });
-    obs.on_event(Event::PhaseStart { phase: "init" });
-    obs.on_event(Event::PhaseEnd { phase: "init" });
-    obs.on_event(Event::PhaseStart { phase: "enumerate" });
-    obs.on_event(Event::PhaseEnd { phase: "enumerate" });
-    obs.on_event(Event::PhaseStart { phase: "extract" });
-    obs.on_event(Event::PhaseEnd { phase: "extract" });
+    for (phase, start_ns, end_ns) in [
+        ("init", 5, 20),
+        ("enumerate", 20, 900),
+        ("extract", 900, 950),
+    ] {
+        obs.on_event(Event::PhaseStart { algorithm, phase });
+        obs.on_event(Event::PhaseEnd {
+            algorithm,
+            phase,
+            start_ns,
+            end_ns,
+        });
+    }
     obs.on_event(Event::DpLevel {
+        algorithm,
         size: 2,
         new_entries: 7,
     });
     obs.on_event(Event::TableStats {
+        algorithm,
         entries: 15,
         capacity: 256,
         probes: 99,
         hits: 40,
     });
     obs.on_event(Event::ArenaStats {
+        algorithm,
         nodes: 22,
         bytes: 1056,
     });
     obs.on_event(Event::FinalCounters {
+        algorithm,
         inner: 40,
         csg_cmp_pairs: 26,
         ono_lohman: 13,
     });
-    obs.on_event(Event::RunEnd);
+    obs.on_event(Event::RunEnd {
+        algorithm,
+        total_ns: 960,
+    });
 }
 
 #[test]
@@ -64,9 +79,8 @@ fn run_report_json_line_round_trips() {
 #[test]
 fn registry_snapshot_json_round_trips() {
     let registry = MetricsRegistry::new();
-    let obs = RegistryObserver::new(&registry);
-    emit_run(&obs);
-    emit_run(&obs);
+    emit_run(&registry);
+    emit_run(&registry);
     let snap = registry.snapshot();
     let text = snap.to_json();
 

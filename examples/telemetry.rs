@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", report.to_csv());
 
     // A few lines of the raw JSONL event trace (what `--trace-json`
-    // writes to a file).
+    // writes to a file). The emitter stamps every run-scoped line with
+    // the run's algorithm, and every phase_end with its span.
     let jsonl = String::from_utf8(trace.finish()?)?;
     println!("\nfirst trace events of {} total:", jsonl.lines().count());
     for line in jsonl.lines().take(5) {
@@ -70,13 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // MetricsRegistry accumulates counters, gauges and log-linear
     // histograms across arbitrarily many runs (this is what `--prom`
     // and the fuzz campaign's `--metrics` build on).
-    use joinopt::telemetry::{collapse_trace, MetricsRegistry, RegistryObserver};
+    // The registry is itself an observer and keeps no per-run state.
     let registry = MetricsRegistry::new();
-    let reg_obs = RegistryObserver::new(&registry);
     for alg in [Algorithm::DpSize, Algorithm::DpSub, Algorithm::DpCcp] {
         OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
-            .with_observer(&reg_obs)
+            .with_observer(&registry)
             .run()?;
     }
     let snapshot = registry.snapshot();
@@ -87,18 +87,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(1)
     );
 
-    // The snapshot exports as Prometheus text exposition…
+    // The snapshot exports as Prometheus text exposition. Its
+    // `joinopt_phase_ns_sum{algorithm,phase}` lines are the per-phase
+    // time profile of every run folded in.
     let exposition = snapshot.to_prometheus();
-    println!("\nfirst Prometheus exposition lines:");
-    for line in exposition.lines().take(6) {
-        println!("  {line}");
-    }
-
-    // …and the JSONL trace folds into collapsed-stack lines, the input
-    // format of flamegraph renderers (the `joinopt flame` subcommand).
-    let folded = collapse_trace(&jsonl)?;
-    println!("\ncollapsed stacks:");
-    for line in folded.lines() {
+    println!("\nper-phase time profile (ns):");
+    for line in exposition
+        .lines()
+        .filter(|l| l.starts_with("joinopt_phase_ns_sum"))
+    {
         println!("  {line}");
     }
     Ok(())
