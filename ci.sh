@@ -80,10 +80,11 @@ RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
 
 echo "==> serve smoke: protocol, typed rejections, clean drain (--cfg failpoints)"
 # The scripted self-check drives a live server end-to-end: health/ready,
-# cold+warm optimize, typed parse/invalid/timeout rejections, an
-# injected worker panic the server survives, a cache-poison collision
-# that can only miss, then a graceful drain with a non-empty Prometheus
-# flush.
+# cold+warm optimize, a memoized third send, typed parse/invalid/timeout
+# rejections, an injected worker panic the server survives, a
+# cache-poison collision that can only miss (a memoized text included),
+# then a graceful drain with a non-empty Prometheus flush carrying the
+# memo series.
 RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     cargo run --offline -q -p joinopt-cli --bin joinopt -- \
     serve --smoke --prom /tmp/joinopt-serve-smoke.prom
@@ -91,6 +92,8 @@ grep -q joinopt_serve_accepted_total /tmp/joinopt-serve-smoke.prom \
     || { echo "serve smoke flush missing serve counters"; exit 1; }
 grep -q joinopt_serve_stage_ /tmp/joinopt-serve-smoke.prom \
     || { echo "serve smoke flush missing windowed stage metrics"; exit 1; }
+grep -q joinopt_serve_memo_hits_total /tmp/joinopt-serve-smoke.prom \
+    || { echo "serve smoke flush missing query-text memo series"; exit 1; }
 rm -f /tmp/joinopt-serve-smoke.prom
 
 echo "==> span-timeline golden: traced requests under a manual clock (--cfg failpoints)"

@@ -422,7 +422,7 @@ fn recheck(
     let mut wrong = 0usize;
     for &pick in &picks {
         let (idx, bits) = answered[pick];
-        let req = ServiceRequest::new(stream[idx].spec.clone());
+        let req = ServiceRequest::new(stream[idx].spec().clone());
         match fresh.submit_one(&req, &mut session, &joinopt_telemetry::NoopObserver) {
             Ok(o) if o.result.cost.to_bits() == bits => {}
             // A diverging cost — or a cold run that cannot even
@@ -630,7 +630,7 @@ mod tests {
         stream
             .iter()
             .enumerate()
-            .filter(|(i, r)| stream[..*i].iter().any(|p| p.spec == r.spec))
+            .filter(|(i, r)| stream[..*i].iter().any(|p| p.spec() == r.spec()))
             .count()
     }
 
@@ -641,7 +641,7 @@ mod tests {
         let b = build_stream(&config);
         assert_eq!(a.len(), 40);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.spec, y.spec);
+            assert_eq!(x.spec(), y.spec());
         }
         // Some (but not all) requests repeat an earlier spec.
         let repeats = repeats(&a);

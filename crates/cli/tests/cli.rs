@@ -564,6 +564,25 @@ fn optimize_metrics_appends_human_report() {
 }
 
 #[test]
+fn dpconv_metrics_report_no_table_probes() {
+    // DPconv's table is a dense array; its work counters (301 inner
+    // iterations and 301 csg-cmp pairs on this clique) are not table
+    // lookups and must not be reported as probes and hits.
+    let query = run_ok(&["generate", "clique", "6", "--seed", "1"]);
+    let path = write_query_file(&query);
+    let out = run_ok(&[
+        "optimize",
+        path.to_str().unwrap(),
+        "--algorithm",
+        "dpconv",
+        "--metrics",
+    ]);
+    assert!(out.contains("run:        DPconv on 6 relations"), "{out}");
+    assert!(out.contains(", 0 probes, 0 hits"), "{out}");
+    assert!(!out.contains("301 probes"), "{out}");
+}
+
+#[test]
 fn optimize_trace_json_lines_parse_with_common_fields() {
     use joinopt_telemetry::json::JsonValue;
 

@@ -291,11 +291,14 @@ pub(crate) fn run_pooled(
     let tree = arena.extract(root);
     spans.end("extract");
     let root_stats = arena.stats(root);
+    // The table is a dense array indexed by mask: DPconv reads it
+    // directly and never probes for an entry that may be missing, so
+    // like the n = 1 path it reports no probes and no hits.
     let table = TableStats {
         entries: csgs,
         capacity: size,
-        probes: counters.inner,
-        hits: counters.ono_lohman,
+        probes: 0,
+        hits: 0,
     };
     spans.finish(Some(table), &arena, &counters);
     Ok(DpResult {

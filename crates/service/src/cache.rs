@@ -23,11 +23,12 @@
 //! `total/shards` bytes (the remainder spread one byte each over the
 //! first shards, so shard budgets sum to exactly the configured total),
 //! and an insert evicts least-recently-used entries until its shard is
-//! back under budget. Entry sizes use a deterministic formula, so the
-//! accounting is reproducible across runs and platforms.
+//! back under budget. Each shard is one O(1) `Lru`. Entry sizes use a
+//! deterministic formula, so the accounting is reproducible across runs
+//! and platforms. The resident total is kept in one atomic, updated
+//! under the shard lock, so reading it locks nothing.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use joinopt_core::Algorithm;
@@ -36,6 +37,7 @@ use joinopt_qgraph::RelIdx;
 use joinopt_telemetry::{Event, Observer};
 
 use crate::fingerprint::Fingerprint;
+use crate::lru::Lru;
 
 /// Plan-cache sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,22 +100,17 @@ struct Entry {
     tree: JoinTree,
     cost: f64,
     cardinality: f64,
-    bytes: usize,
-    last_used: u64,
 }
 
-struct Shard {
-    budget: usize,
-    bytes: usize,
-    clock: u64,
-    entries: HashMap<Key, Entry>,
-}
+type Shard = Lru<Key, Entry>;
 
 /// The sharded plan cache. All methods take `&self`; shards are
 /// individually locked and the counters are atomics, so a cache is
 /// shared freely across service workers.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
+    /// Bytes resident across all shards.
+    bytes: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -168,15 +165,9 @@ impl PlanCache {
         let remainder = config.byte_budget % shards;
         PlanCache {
             shards: (0..shards)
-                .map(|i| {
-                    Mutex::new(Shard {
-                        budget: base + usize::from(i < remainder),
-                        bytes: 0,
-                        clock: 0,
-                        entries: HashMap::new(),
-                    })
-                })
+                .map(|i| Mutex::new(Lru::new(base + usize::from(i < remainder))))
                 .collect(),
+            bytes: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -214,21 +205,13 @@ impl PlanCache {
             algorithm,
             model,
         };
-        let mut shard = Self::lock(self.shard_of(fp));
-        shard.clock += 1;
-        let clock = shard.clock;
-        let found = match shard.entries.get_mut(&key) {
-            Some(entry) if entry.encoding == encoding => {
-                entry.last_used = clock;
-                Some(CachedPlan {
-                    tree: remap(&entry.tree, &|p| order[p]),
-                    cost: entry.cost,
-                    cardinality: entry.cardinality,
-                })
-            }
-            _ => None,
-        };
-        drop(shard);
+        let found = Self::lock(self.shard_of(fp))
+            .get_if(&key, |entry| entry.encoding == encoding)
+            .map(|entry| CachedPlan {
+                tree: remap(&entry.tree, &|p| order[p]),
+                cost: entry.cost,
+                cardinality: entry.cardinality,
+            });
         let hit = found.is_some();
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -292,49 +275,28 @@ impl PlanCache {
         let canonical_tree = remap(tree, &|v| pos[v]);
         let bytes = entry_bytes(encoding.len(), &canonical_tree);
 
+        let entry = Entry {
+            encoding: encoding.to_vec(),
+            tree: canonical_tree,
+            cost,
+            cardinality,
+        };
+        let mut evicted: Vec<usize> = Vec::new();
         let mut shard = Self::lock(self.shard_of(fp));
-        if bytes > shard.budget {
+        let before = shard.bytes();
+        if !shard.insert(key, entry, bytes, |b| evicted.push(b)) {
             return; // would never fit; leave the cache untouched
         }
-        shard.clock += 1;
-        let clock = shard.clock;
-        if let Some(old) = shard.entries.remove(&key) {
-            shard.bytes -= old.bytes;
-        }
-        shard.bytes += bytes;
-        shard.entries.insert(
-            key,
-            Entry {
-                encoding: encoding.to_vec(),
-                tree: canonical_tree,
-                cost,
-                cardinality,
-                bytes,
-                last_used: clock,
-            },
-        );
-        let mut evicted: Vec<usize> = Vec::new();
-        while shard.bytes > shard.budget {
-            let victim = shard
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(e) = shard.entries.remove(&victim) {
-                shard.bytes -= e.bytes;
-                evicted.push(e.bytes);
-            }
-        }
+        // Add before subtracting, so the shared total never dips below
+        // what the other shards hold.
+        let after = shard.bytes();
+        self.bytes.fetch_add(after, Ordering::Relaxed);
+        let total_bytes = self.bytes.fetch_sub(before, Ordering::Relaxed) - before;
         drop(shard);
         self.stores.fetch_add(1, Ordering::Relaxed);
         self.evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
         if obs.enabled() {
-            // Global resident total after this shard settled (the shard
-            // lock is released, so this re-locks without deadlock).
-            let total_bytes = self.bytes();
             obs.on_event(Event::CacheStore {
                 entry_bytes: bytes,
                 total_bytes,
@@ -376,15 +338,12 @@ impl PlanCache {
 
     /// Bytes currently resident across all shards.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).bytes).sum()
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Entries currently resident across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock(s).entries.len())
-            .sum()
+        self.shards.iter().map(|s| Self::lock(s).len()).sum()
     }
 
     /// `true` when no entry is resident.
@@ -479,13 +438,145 @@ mod tests {
             .is_some());
     }
 
+    /// The eviction rule the cache had before its O(1) LRU, restated:
+    /// a shard clock ticks on every lookup and every fitting insert, a
+    /// verified hit or an insert stamps its entry with the clock, and
+    /// each eviction removes the entry with the smallest stamp (never
+    /// the one just inserted).
+    #[derive(Default)]
+    struct ReferenceShard {
+        budget: usize,
+        bytes: usize,
+        clock: u64,
+        /// key → (encoding word, charged bytes, last_used).
+        entries: std::collections::HashMap<u64, (u64, usize, u64)>,
+    }
+
+    impl ReferenceShard {
+        fn lookup(&mut self, key: u64, enc: u64) -> bool {
+            self.clock += 1;
+            match self.entries.get_mut(&key) {
+                Some(e) if e.0 == enc => {
+                    e.2 = self.clock;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        /// The evicted entries' bytes, in eviction order.
+        fn insert(&mut self, key: u64, enc: u64, bytes: usize) -> Vec<usize> {
+            if bytes > self.budget {
+                return Vec::new();
+            }
+            self.clock += 1;
+            if let Some(old) = self.entries.remove(&key) {
+                self.bytes -= old.1;
+            }
+            self.bytes += bytes;
+            self.entries.insert(key, (enc, bytes, self.clock));
+            let mut evicted = Vec::new();
+            while self.bytes > self.budget {
+                let victim = self
+                    .entries
+                    .iter()
+                    .filter(|(k, _)| **k != key)
+                    .min_by_key(|(_, e)| e.2)
+                    .map(|(k, _)| *k);
+                let Some(victim) = victim else { break };
+                let e = self.entries.remove(&victim).unwrap();
+                self.bytes -= e.1;
+                evicted.push(e.1);
+            }
+            evicted
+        }
+
+        fn keys_by_recency(&self) -> Vec<u64> {
+            let mut keys: Vec<(u64, u64)> = self.entries.iter().map(|(k, e)| (e.2, *k)).collect();
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            keys.into_iter().map(|(_, k)| k).collect()
+        }
+    }
+
+    /// Records the bytes of every `CacheEvict` event.
+    #[derive(Default)]
+    struct Evictions(std::cell::RefCell<Vec<usize>>);
+
+    impl Observer for Evictions {
+        fn on_event(&self, event: Event) {
+            if let Event::CacheEvict { entry_bytes, .. } = event {
+                self.0.borrow_mut().push(entry_bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_interleaving_evicts_exactly_like_the_min_last_used_scan() {
+        use joinopt_relset::rng::XorShift64;
+        let budget = 2_000;
+        let cache = PlanCache::new(CacheConfig {
+            byte_budget: budget,
+            shards: 1,
+        });
+        let mut reference = ReferenceShard {
+            budget,
+            ..ReferenceShard::default()
+        };
+        let mut rng = XorShift64::seed_from_u64(2006);
+        for op in 0..5_000 {
+            let key = rng.gen_range(0..32) as u64;
+            // One word in ten is stale: the lookup must miss and leave
+            // the recency order alone.
+            let enc = if rng.gen_bool(0.1) { key + 1_000 } else { key };
+            if rng.gen_bool(0.5) {
+                let identity: Vec<usize> = (0..64).collect();
+                let hit = cache
+                    .lookup(fp(key), Algorithm::DpCcp, "cout", &[enc], &identity)
+                    .is_some();
+                assert_eq!(hit, reference.lookup(key, enc), "op {op}: lookup {key}");
+            } else {
+                // 0..=12 joins: 152..=1448 bytes, and one key in 32
+                // never fits at all.
+                let joins = if key == 31 { 40 } else { rng.gen_range(0..13) };
+                let t = tree_with(joins);
+                let order: Vec<usize> = (0..=joins).collect();
+                let seen = Evictions::default();
+                cache.insert_observed(
+                    fp(key),
+                    Algorithm::DpCcp,
+                    "cout",
+                    &[enc],
+                    &order,
+                    &t,
+                    1.0,
+                    1.0,
+                    &seen,
+                );
+                let expect = reference.insert(key, enc, entry_bytes(1, &t));
+                assert_eq!(seen.0.into_inner(), expect, "op {op}: insert {key}");
+            }
+            let resident: Vec<u64> = PlanCache::lock(&cache.shards[0])
+                .keys_by_recency()
+                .into_iter()
+                .map(|k| k.fp.lo)
+                .collect();
+            assert_eq!(resident, reference.keys_by_recency(), "op {op}");
+            assert_eq!(cache.bytes(), reference.bytes, "op {op}");
+        }
+        assert!(cache.stats().evictions > 1_000, "{:?}", cache.stats());
+    }
+
     #[test]
     fn shard_budgets_sum_to_the_total_exactly() {
         let cache = PlanCache::new(CacheConfig {
             byte_budget: 1003,
             shards: 16,
         });
-        let total: usize = cache.shards.iter().map(|s| PlanCache::lock(s).budget).sum();
+        let total: usize = cache
+            .shards
+            .iter()
+            .map(|s| PlanCache::lock(s).budget())
+            .sum();
         assert_eq!(total, 1003);
     }
 

@@ -16,6 +16,9 @@
 //! * [`cache`] — a sharded in-memory [`PlanCache`] keyed by fingerprint
 //!   × algorithm × cost-model id, storing detached plan trees with
 //!   their cost bits under an exact LRU byte budget;
+//! * [`memo`] — the server's bounded query-text memo: a repeated
+//!   `optimize` text reuses its parsed spec and canonical form instead
+//!   of being parsed and canonicalized again;
 //! * [`service`] — [`ServiceRequest`] (owned spec + tenant + priority +
 //!   budgets) and [`OptimizerService`], a batch executor with per-tenant
 //!   admission control riding the core crate's exact → IDP → GOO
@@ -45,6 +48,8 @@ pub mod cache;
 pub mod clock;
 pub mod fingerprint;
 pub mod gateway;
+mod lru;
+pub mod memo;
 pub mod retry;
 pub mod server;
 pub mod service;
@@ -57,8 +62,9 @@ pub use fingerprint::{canonicalize, fingerprints_computed, CanonicalForm, Finger
 pub use gateway::{
     error_kind, Gateway, GatewayConfig, GatewayError, GatewayStats, Rejection, ShedConfig,
 };
+pub use memo::{MemoStats, QueryMemo, MEMO_BYTES};
 pub use retry::{RetryBudget, RetryConfig, RetryPolicy};
-pub use server::{ServeSummary, Server, ServerConfig, TraceConfig};
+pub use server::{Handler, ServeSummary, Server, ServerConfig, TraceConfig};
 pub use service::{
     AttemptTracer, CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome,
     ServiceRequest,

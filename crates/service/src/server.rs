@@ -15,7 +15,7 @@
 //! |------------|-------------------------------------------------------|----------|
 //! | `health`   | —                                                     | `status: ok` (liveness) |
 //! | `ready`    | —                                                     | `ready: true` unless draining |
-//! | `stats`    | —                                                     | gateway + cache counters |
+//! | `stats`    | —                                                     | gateway, plan-cache and memo counters |
 //! | `optimize` | `query` (DSL/SQL text), `id?`, `trace_id?`, `tenant?`, `priority?`, `algorithm?`, `cost_model?`, `deadline_ms?`, `time_budget_ms?`, `cost_budget?`, `memory_budget?`, `degrade?` | plan summary, or a typed rejection/error |
 //! | `metrics`  | `format?` (`"json"` default, `"prometheus"`)          | windowed per-(tenant, verb, stage) p50/p99/rate snapshot |
 //! | `trace`    | `trace_id`                                            | the retained [`RequestTrace`] for that id, or `not-found` |
@@ -73,6 +73,7 @@ use joinopt_telemetry::{
 };
 
 use crate::gateway::{Gateway, GatewayConfig, GatewayError, GatewayStats};
+use crate::memo::QueryMemo;
 use crate::service::{CostModelId, OptimizerService, Priority, ServiceConfig, ServiceRequest};
 use crate::spec::QuerySpec;
 
@@ -283,14 +284,117 @@ impl Write for Stream {
     }
 }
 
+/// Answers request lines: the hardened gateway, the serve telemetry,
+/// the query-text memo in front of the parser, and the shutdown flag.
+/// Every connection thread of one server dispatches through its one
+/// handler.
+pub struct Handler {
+    gateway: Gateway,
+    telemetry: ServeTelemetry,
+    memo: QueryMemo,
+    shutdown: Arc<AtomicBool>,
+}
+
+impl Handler {
+    /// A handler over `gateway` with `trace` telemetry (trace ids minted
+    /// from `seed`) and an empty [`MEMO_BYTES`](crate::memo::MEMO_BYTES)
+    /// memo.
+    pub fn new(gateway: Gateway, trace: &TraceConfig, seed: u64) -> Handler {
+        Handler {
+            gateway,
+            telemetry: ServeTelemetry::new(trace, seed),
+            memo: QueryMemo::new(crate::memo::MEMO_BYTES),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// The query-text memo.
+    pub fn memo(&self) -> &QueryMemo {
+        &self.memo
+    }
+
+    /// Parses one request line and produces the response line. The
+    /// second component is `true` when the verb was `shutdown`.
+    pub fn dispatch(
+        &self,
+        text: &str,
+        session: &mut Option<Session>,
+        obs: &dyn Observer,
+    ) -> (String, bool) {
+        let parsed = match JsonValue::parse(text) {
+            Ok(v) => v,
+            Err(e) => {
+                // The line is not JSON, but correlation ids are often
+                // still recognizable in it; salvage them so even this
+                // error path echoes `id`/`trace_id`.
+                let id = salvage_str_field(text, "id");
+                let trace_id = salvage_str_field(text, "trace_id");
+                let echo = Echo {
+                    id: id.as_deref(),
+                    trace_id: trace_id.as_deref(),
+                };
+                return (
+                    error_response("?", echo, "invalid", &format!("bad request JSON: {e:?}")),
+                    false,
+                );
+            }
+        };
+        let id = parsed
+            .get("id")
+            .and_then(|v| v.as_str())
+            .map(str::to_string);
+        let client_trace = parsed
+            .get("trace_id")
+            .and_then(|v| v.as_str())
+            .map(str::to_string);
+        let echo = Echo {
+            id: id.as_deref(),
+            trace_id: client_trace.as_deref(),
+        };
+        let verb = parsed.get("verb").and_then(|v| v.as_str()).unwrap_or("");
+        let gateway = &self.gateway;
+        match verb {
+            "health" => (simple_ok("health", echo), false),
+            "ready" => (
+                JsonObject::new()
+                    .str("verb", "ready")
+                    .str("status", "ok")
+                    .bool("ready", !gateway.is_draining())
+                    .finish_with(echo),
+                false,
+            ),
+            "stats" => (stats_response(gateway, &self.memo, echo), false),
+            "metrics" => (
+                metrics_response(gateway, &self.telemetry, &parsed, echo),
+                false,
+            ),
+            "trace" => (trace_response(&self.telemetry, &parsed, echo), false),
+            "slow" => (slow_response(&self.telemetry, echo), false),
+            "shutdown" => {
+                // Respond first (the flush happens before the flag is
+                // visible to this connection's loop), then drain.
+                gateway.begin_drain();
+                self.shutdown.store(true, Ordering::SeqCst);
+                (simple_ok("shutdown", echo), true)
+            }
+            "optimize" => (
+                self.optimize_response(&parsed, id.as_deref(), client_trace, session, obs),
+                false,
+            ),
+            other => (
+                error_response("?", echo, "invalid", &format!("unknown verb {other:?}")),
+                false,
+            ),
+        }
+    }
+}
+
 /// The bound-but-not-yet-running server.
 pub struct Server {
     config: ServerConfig,
     listener: Listener,
     local_addr: Option<SocketAddr>,
-    gateway: Gateway,
-    telemetry: ServeTelemetry,
-    shutdown: Arc<AtomicBool>,
+    handler: Handler,
 }
 
 impl Server {
@@ -313,14 +417,12 @@ impl Server {
             OptimizerService::new(config.service.clone()),
             config.gateway.clone(),
         );
-        let telemetry = ServeTelemetry::new(&config.trace, config.gateway.seed);
+        let handler = Handler::new(gateway, &config.trace, config.gateway.seed);
         Ok(Server {
             config,
             listener,
             local_addr,
-            gateway,
-            telemetry,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            handler,
         })
     }
 
@@ -333,7 +435,7 @@ impl Server {
     /// A handle that stops the server from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
-            flag: Arc::clone(&self.shutdown),
+            flag: Arc::clone(&self.handler.shutdown),
         }
     }
 
@@ -341,9 +443,10 @@ impl Server {
     /// then drains gracefully and returns the summary.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         let registry = MetricsRegistry::new();
-        let gateway = &self.gateway;
-        let telemetry = &self.telemetry;
-        let shutdown = &self.shutdown;
+        let handler = &self.handler;
+        let gateway = &handler.gateway;
+        let telemetry = &handler.telemetry;
+        let shutdown = &*handler.shutdown;
         let mut connections = 0u64;
         let mut accept_faults = 0u64;
 
@@ -369,7 +472,7 @@ impl Server {
                         connections += 1;
                         let obs = &registry;
                         scope.spawn(move || {
-                            let _ = serve_connection(gateway, telemetry, shutdown, stream, obs);
+                            let _ = serve_connection(handler, stream, obs);
                         });
                     }
                     Err(e)
@@ -400,6 +503,11 @@ impl Server {
             gateway.begin_drain();
         }
         let drained = gateway.await_drained(self.config.drain_timeout, &registry);
+        let memo = handler.memo.stats();
+        registry.inc("joinopt_serve_memo_hits_total", &[], memo.hits);
+        registry.inc("joinopt_serve_memo_misses_total", &[], memo.misses);
+        registry.inc("joinopt_serve_memo_evictions_total", &[], memo.evictions);
+        registry.set_gauge("joinopt_serve_memo_bytes", &[], memo.bytes as i64);
         let mut prometheus = registry.snapshot().to_prometheus();
         if telemetry.enabled {
             // The final flush carries the windowed per-stage series too,
@@ -483,13 +591,8 @@ fn read_capped_line(
 }
 
 /// One connection's read → dispatch → respond loop.
-fn serve_connection(
-    gateway: &Gateway,
-    telemetry: &ServeTelemetry,
-    shutdown: &AtomicBool,
-    stream: Stream,
-    obs: &dyn Observer,
-) -> std::io::Result<()> {
+fn serve_connection(handler: &Handler, stream: Stream, obs: &dyn Observer) -> std::io::Result<()> {
+    let shutdown = &*handler.shutdown;
     stream.set_read_timeout(Some(POLL))?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
@@ -518,8 +621,9 @@ fn serve_connection(
                 // Blank lines get no reply; `is_empty` settles them
                 // without a zero-length `memcmp`.
                 let reply = match std::str::from_utf8(&line).map(str::trim) {
-                    Ok(text) => (!text.is_empty())
-                        .then(|| dispatch(gateway, telemetry, shutdown, text, &mut session, obs)),
+                    Ok(text) => {
+                        (!text.is_empty()).then(|| handler.dispatch(text, &mut session, obs))
+                    }
                     Err(_) => Some((
                         error_response(
                             "?",
@@ -566,87 +670,6 @@ struct Echo<'a> {
 impl Echo<'_> {
     fn apply(self, o: JsonObject) -> JsonObject {
         o.opt_str("id", self.id).opt_str("trace_id", self.trace_id)
-    }
-}
-
-/// Parses one request line and produces the response line. The second
-/// component is `true` when the verb was `shutdown`.
-fn dispatch(
-    gateway: &Gateway,
-    telemetry: &ServeTelemetry,
-    shutdown: &AtomicBool,
-    text: &str,
-    session: &mut Option<Session>,
-    obs: &dyn Observer,
-) -> (String, bool) {
-    let parsed = match JsonValue::parse(text) {
-        Ok(v) => v,
-        Err(e) => {
-            // The line is not JSON, but correlation ids are often still
-            // recognizable in it; salvage them so even this error path
-            // echoes `id`/`trace_id`.
-            let id = salvage_str_field(text, "id");
-            let trace_id = salvage_str_field(text, "trace_id");
-            let echo = Echo {
-                id: id.as_deref(),
-                trace_id: trace_id.as_deref(),
-            };
-            return (
-                error_response("?", echo, "invalid", &format!("bad request JSON: {e:?}")),
-                false,
-            );
-        }
-    };
-    let id = parsed
-        .get("id")
-        .and_then(|v| v.as_str())
-        .map(str::to_string);
-    let client_trace = parsed
-        .get("trace_id")
-        .and_then(|v| v.as_str())
-        .map(str::to_string);
-    let echo = Echo {
-        id: id.as_deref(),
-        trace_id: client_trace.as_deref(),
-    };
-    let verb = parsed.get("verb").and_then(|v| v.as_str()).unwrap_or("");
-    match verb {
-        "health" => (simple_ok("health", echo), false),
-        "ready" => (
-            JsonObject::new()
-                .str("verb", "ready")
-                .str("status", "ok")
-                .bool("ready", !gateway.is_draining())
-                .finish_with(echo),
-            false,
-        ),
-        "stats" => (stats_response(gateway, echo), false),
-        "metrics" => (metrics_response(gateway, telemetry, &parsed, echo), false),
-        "trace" => (trace_response(telemetry, &parsed, echo), false),
-        "slow" => (slow_response(telemetry, echo), false),
-        "shutdown" => {
-            // Respond first (the flush happens before the flag is
-            // visible to this connection's loop), then drain.
-            gateway.begin_drain();
-            shutdown.store(true, Ordering::SeqCst);
-            (simple_ok("shutdown", echo), true)
-        }
-        "optimize" => (
-            optimize_response(
-                gateway,
-                telemetry,
-                &parsed,
-                id.as_deref(),
-                client_trace,
-                session,
-                obs,
-            ),
-            false,
-        ),
-        other => (
-            error_response("?", echo, "invalid", &format!("unknown verb {other:?}")),
-            false,
-        ),
     }
 }
 
@@ -706,7 +729,7 @@ fn error_response(verb: &str, echo: Echo<'_>, error_type: &str, message: &str) -
         .finish_with(echo)
 }
 
-fn stats_response(gateway: &Gateway, echo: Echo<'_>) -> String {
+fn stats_response(gateway: &Gateway, memo: &QueryMemo, echo: Echo<'_>) -> String {
     let st = gateway.stats();
     let mut o = JsonObject::new()
         .str("verb", "stats")
@@ -726,7 +749,12 @@ fn stats_response(gateway: &Gateway, echo: Echo<'_>) -> String {
             .u64("cache_misses", cs.misses)
             .u64("cache_bytes", cache.bytes() as u64);
     }
-    o.finish_with(echo)
+    let ms = memo.stats();
+    o.u64("memo_hits", ms.hits)
+        .u64("memo_misses", ms.misses)
+        .u64("memo_evictions", ms.evictions)
+        .u64("memo_bytes", ms.bytes as u64)
+        .finish_with(echo)
 }
 
 /// The `metrics` verb: the windowed per-(tenant, verb, stage) snapshot,
@@ -792,114 +820,128 @@ fn slow_response(telemetry: &ServeTelemetry, echo: Echo<'_>) -> String {
         .finish_with(echo)
 }
 
-/// Builds and runs one optimize request through the gateway, recording
-/// a [`RequestTrace`] (accept → lifecycle stages → respond) when
-/// tracing is enabled.
-fn optimize_response(
-    gateway: &Gateway,
-    telemetry: &ServeTelemetry,
-    parsed: &JsonValue,
-    id: Option<&str>,
-    client_trace: Option<String>,
-    session: &mut Option<Session>,
-    obs: &dyn Observer,
-) -> String {
-    // Accept the client's trace_id or mint one; with tracing disabled
-    // nothing is minted and only a client-supplied id is echoed.
-    let trace_id = match client_trace {
-        Some(t) => Some(t),
-        None if telemetry.enabled => Some(telemetry.minter.mint()),
-        None => None,
-    };
-    let echo = Echo {
-        id,
-        trace_id: trace_id.as_deref(),
-    };
+impl Handler {
+    /// Builds and runs one optimize request through the gateway, recording
+    /// a [`RequestTrace`] (accept → lifecycle stages → respond) when
+    /// tracing is enabled.
+    fn optimize_response(
+        &self,
+        parsed: &JsonValue,
+        id: Option<&str>,
+        client_trace: Option<String>,
+        session: &mut Option<Session>,
+        obs: &dyn Observer,
+    ) -> String {
+        let (gateway, telemetry) = (&self.gateway, &self.telemetry);
+        // Accept the client's trace_id or mint one; with tracing disabled
+        // nothing is minted and only a client-supplied id is echoed.
+        let trace_id = match client_trace {
+            Some(t) => Some(t),
+            None if telemetry.enabled => Some(telemetry.minter.mint()),
+            None => None,
+        };
+        let echo = Echo {
+            id,
+            trace_id: trace_id.as_deref(),
+        };
 
-    let accept_start = telemetry.enabled.then(|| gateway.clock().now_ns());
-    let (req, deadline) = match build_request(parsed) {
-        Ok(pair) => pair,
-        Err((error_type, message)) => {
-            return error_response("optimize", echo, error_type, &message)
-        }
-    };
-    let mut trace = match (accept_start, &trace_id) {
-        (Some(t0), Some(tid)) => {
-            let mut tr = RequestTrace::new(tid.clone(), &req.tenant, "optimize", t0);
-            tr.span("accept", t0, gateway.clock().now_ns());
-            Some(tr)
-        }
-        _ => None,
-    };
-
-    let result = gateway.handle_traced(&req, deadline, session, obs, trace.as_mut());
-    let respond_start = trace.as_ref().map(|_| gateway.clock().now_ns());
-
-    let (status, response) = match result {
-        Ok(outcome) => {
-            if let Some(tr) = trace.as_mut() {
-                tr.algorithm = Some(algorithm_name(outcome.algorithm));
-                tr.cache_hit = Some(outcome.cache_hit);
-                tr.degraded = outcome.degradation.as_ref().map(|d| d.rung.as_str());
+        let accept_start = telemetry.enabled.then(|| gateway.clock().now_ns());
+        let query = parsed.get("query").and_then(|v| v.as_str());
+        let (req, deadline) = match build_request(parsed, query, &self.memo) {
+            Ok(pair) => pair,
+            Err((error_type, message)) => {
+                return error_response("optimize", echo, error_type, &message)
             }
-            let mut o = JsonObject::new()
-                .str("verb", "optimize")
-                .str("status", "ok")
-                .f64("cost", outcome.result.cost)
-                .f64("cardinality", outcome.result.cardinality)
-                .u64("relations", outcome.result.tree.num_relations() as u64)
-                .str("algorithm", algorithm_name(outcome.algorithm))
-                .bool("cache_hit", outcome.cache_hit);
-            if let Some(d) = &outcome.degradation {
-                o = o.str("degraded", d.rung.as_str());
+        };
+        let mut trace = match (accept_start, &trace_id) {
+            (Some(t0), Some(tid)) => {
+                let mut tr = RequestTrace::new(tid.clone(), &req.tenant, "optimize", t0);
+                tr.span("accept", t0, gateway.clock().now_ns());
+                Some(tr)
             }
-            let elapsed_us = outcome.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-            ("ok", o.u64("elapsed_us", elapsed_us).finish_with(echo))
+            _ => None,
+        };
+
+        let result = gateway.handle_traced(&req, deadline, session, obs, trace.as_mut());
+        let respond_start = trace.as_ref().map(|_| gateway.clock().now_ns());
+
+        // A freshly parsed text earns a memo entry once the plan cache
+        // answered it; errors, rejections and degraded plans never do.
+        if let (Ok(outcome), Some(text)) = (&result, query) {
+            if outcome.cache_hit && req.canonical().is_none() {
+                self.memo.admit(text, req.spec());
+            }
         }
-        Err(GatewayError::Rejected(r)) => (
-            "rejected",
-            JsonObject::new()
-                .str("verb", "optimize")
-                .str("status", "rejected")
-                .str("error_type", r.kind())
-                .u64(
-                    "retry_after_ms",
-                    r.retry_after().as_millis().max(1).min(u128::from(u64::MAX)) as u64,
-                )
-                .finish_with(echo),
-        ),
-        Err(GatewayError::Failed(e)) => (
-            "error",
-            error_response(
-                "optimize",
-                echo,
-                crate::gateway::error_kind(&e),
-                &e.to_string(),
+
+        let (status, response) = match result {
+            Ok(outcome) => {
+                if let Some(tr) = trace.as_mut() {
+                    tr.algorithm = Some(algorithm_name(outcome.algorithm));
+                    tr.cache_hit = Some(outcome.cache_hit);
+                    tr.degraded = outcome.degradation.as_ref().map(|d| d.rung.as_str());
+                }
+                let mut o = JsonObject::new()
+                    .str("verb", "optimize")
+                    .str("status", "ok")
+                    .f64("cost", outcome.result.cost)
+                    .f64("cardinality", outcome.result.cardinality)
+                    .u64("relations", outcome.result.tree.num_relations() as u64)
+                    .str("algorithm", algorithm_name(outcome.algorithm))
+                    .bool("cache_hit", outcome.cache_hit);
+                if let Some(d) = &outcome.degradation {
+                    o = o.str("degraded", d.rung.as_str());
+                }
+                let elapsed_us = outcome.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+                ("ok", o.u64("elapsed_us", elapsed_us).finish_with(echo))
+            }
+            Err(GatewayError::Rejected(r)) => (
+                "rejected",
+                JsonObject::new()
+                    .str("verb", "optimize")
+                    .str("status", "rejected")
+                    .str("error_type", r.kind())
+                    .u64(
+                        "retry_after_ms",
+                        r.retry_after().as_millis().max(1).min(u128::from(u64::MAX)) as u64,
+                    )
+                    .finish_with(echo),
             ),
-        ),
-    };
+            Err(GatewayError::Failed(e)) => (
+                "error",
+                error_response(
+                    "optimize",
+                    echo,
+                    crate::gateway::error_kind(&e),
+                    &e.to_string(),
+                ),
+            ),
+        };
 
-    if let (Some(mut tr), Some(t_resp)) = (trace, respond_start) {
-        let now = gateway.clock().now_ns();
-        tr.span("respond", t_resp, now);
-        tr.finish(status, now);
-        telemetry.record(tr);
+        if let (Some(mut tr), Some(t_resp)) = (trace, respond_start) {
+            let now = gateway.clock().now_ns();
+            tr.span("respond", t_resp, now);
+            tr.finish(status, now);
+            telemetry.record(tr);
+        }
+        response
     }
-    response
 }
 
 /// Extracts a [`ServiceRequest`] + lifecycle deadline from the JSON
-/// request, or a typed (`error_type`, message) pair.
+/// request (its `query` text looked up in `memo` before it is parsed),
+/// or a typed (`error_type`, message) pair.
 #[allow(clippy::type_complexity)]
 fn build_request(
     parsed: &JsonValue,
+    query: Option<&str>,
+    memo: &QueryMemo,
 ) -> Result<(ServiceRequest, Option<Duration>), (&'static str, String)> {
-    let query = parsed
-        .get("query")
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| ("invalid", "missing \"query\" field".to_string()))?;
-    let spec = parse_query_text(query).map_err(|m| ("parse", m))?;
-    let mut req = ServiceRequest::new(spec);
+    let query = query.ok_or_else(|| ("invalid", "missing \"query\" field".to_string()))?;
+    // A memoized text skips parsing, spec capture and canonicalization.
+    let mut req = match memo.lookup(query) {
+        Some(parsed) => ServiceRequest::from_parsed(parsed),
+        None => ServiceRequest::new(parse_query_text(query).map_err(|m| ("parse", m))?),
+    };
     if let Some(t) = parsed.get("tenant").and_then(|v| v.as_str()) {
         req = req.with_tenant(t);
     }
@@ -1012,6 +1054,11 @@ fn field_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("missing bool field {key:?} in {v:?}"))
 }
 
+/// Convenience for smoke assertions: the bits of a response's `cost`.
+fn cost_bits(v: &JsonValue) -> Option<u64> {
+    v.get("cost").and_then(|c| c.as_f64()).map(f64::to_bits)
+}
+
 /// A fresh chain query whose relation names embed `tag`, so each tag
 /// fingerprints (and caches) independently.
 fn smoke_chain(tag: u32) -> String {
@@ -1043,7 +1090,7 @@ fn smoke_optimize(tag: u32, extra: &str) -> String {
 
 /// The `joinopt serve --smoke` self-check: starts a real TCP server in
 /// this process, scripts a client through the whole protocol surface —
-/// health/ready, cold + warm optimize, typed `parse`/`invalid`/
+/// health/ready, cold + warm + memoized optimize, typed `parse`/`invalid`/
 /// `timeout` errors (including an oversized `deadline_ms`), and, in
 /// `--cfg failpoints` builds, an injected worker panic (typed `panic`
 /// error, accept loop survives) and the `serve-cache-poison` proof
@@ -1095,6 +1142,19 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
         "optimize: cold miss + warm hit agree (algorithm {})",
         field_str(&warm, "algorithm")?
     ));
+
+    // The warm hit admitted the text to the query-text memo, so a third
+    // send skips parsing and canonicalization and must still be served
+    // the cold run's cost bits.
+    let memoized = call(&smoke_optimize(0, ""))?;
+    if !field_bool(&memoized, "cache_hit")? || cost_bits(&memoized) != cost_bits(&cold) {
+        return Err(format!("memoized send diverged: {cold:?} vs {memoized:?}"));
+    }
+    let stats = call("{\"verb\":\"stats\"}")?;
+    if stats.get("memo_hits").and_then(|v| v.as_u64()) != Some(1) {
+        return Err(format!("third send was not a memo hit: {stats:?}"));
+    }
+    log.push("memo: third send is a memo hit, cost bits identical to the cold run".into());
 
     let parse_err = call("{\"verb\":\"optimize\",\"query\":\"gibberish\"}")?;
     if field_str(&parse_err, "error_type")? != "parse" {
@@ -1167,8 +1227,27 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
                 "poisoned repeat cost diverged: {first:?} vs {repeat:?}"
             ));
         }
+        // The poison rewrites only the request's local cache key: a
+        // memoized text misses while it is armed, and hits its own slot
+        // again once it is cleared, so the memoized canonical form kept
+        // its true fingerprint.
+        failpoint::configure(
+            "serve-cache-poison",
+            joinopt_core::failpoint::FailAction::Error,
+        );
+        let poisoned = call(&smoke_optimize(0, ""))?;
+        failpoint::clear("serve-cache-poison");
+        let cleared = call(&smoke_optimize(0, ""))?;
+        if field_bool(&poisoned, "cache_hit")? || cost_bits(&poisoned) != cost_bits(&cold) {
+            return Err(format!("poisoned memo hit must miss: {poisoned:?}"));
+        }
+        if !field_bool(&cleared, "cache_hit")? || cost_bits(&cleared) != cost_bits(&cold) {
+            return Err(format!("memo entry lost its slot: {cleared:?}"));
+        }
         log.push(
-            "failpoint serve-cache-poison: collisions only miss, recomputed cost identical".into(),
+            "failpoint serve-cache-poison: collisions only miss, recomputed cost identical, \
+             memoized fingerprint intact"
+                .into(),
         );
     }
 
@@ -1231,6 +1310,9 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
     if !summary.prometheus.contains("joinopt_serve_stage_") {
         return Err("final Prometheus flush missing windowed stage series".to_string());
     }
+    if !summary.prometheus.contains("joinopt_serve_memo_hits_total") {
+        return Err("final Prometheus flush missing memo series".to_string());
+    }
     if summary.connections < 1 {
         return Err("no connections recorded".to_string());
     }
@@ -1267,12 +1349,12 @@ pub fn span_timeline_demo() -> String {
         config.gateway.clone(),
         crate::clock::Clock::manual(),
     );
-    let telemetry = ServeTelemetry::new(&config.trace, 42);
-    let shutdown = AtomicBool::new(false);
+    let handler = Handler::new(gateway, &config.trace, 42);
+    let (gateway, telemetry) = (&handler.gateway, &handler.telemetry);
     let obs = joinopt_telemetry::NoopObserver;
     let mut session: Option<Session> = None;
     let mut run = |req: &str| {
-        let (response, _) = dispatch(&gateway, &telemetry, &shutdown, req, &mut session, &obs);
+        let (response, _) = handler.dispatch(req, &mut session, &obs);
         response
     };
 
@@ -1570,9 +1652,9 @@ mod tests {
         assert_eq!(algorithm_name(Algorithm::DpCcp), "dpccp");
     }
 
-    /// A socket-less harness: a manual-clock gateway + telemetry pair
-    /// driven straight through [`dispatch`].
-    fn dispatch_harness(trace: TraceConfig) -> (Gateway, ServeTelemetry) {
+    /// A socket-less harness: a manual-clock handler driven straight
+    /// through [`Handler::dispatch`].
+    fn dispatch_harness(trace: TraceConfig) -> Handler {
         let config = ServerConfig {
             trace,
             ..ServerConfig::default()
@@ -1583,21 +1665,12 @@ mod tests {
             config.gateway.clone(),
             crate::clock::Clock::manual(),
         );
-        let telemetry = ServeTelemetry::new(&config.trace, 7);
-        (gateway, telemetry)
+        Handler::new(gateway, &config.trace, 7)
     }
 
-    fn call_dispatch(gateway: &Gateway, telemetry: &ServeTelemetry, req: &str) -> JsonValue {
-        let shutdown = AtomicBool::new(false);
+    fn call_dispatch(h: &Handler, req: &str) -> JsonValue {
         let mut session = None;
-        let (response, _) = dispatch(
-            gateway,
-            telemetry,
-            &shutdown,
-            req,
-            &mut session,
-            &joinopt_telemetry::NoopObserver,
-        );
+        let (response, _) = h.dispatch(req, &mut session, &joinopt_telemetry::NoopObserver);
         JsonValue::parse(&response).unwrap_or_else(|e| panic!("bad response {response:?}: {e:?}"))
     }
 
@@ -1611,7 +1684,7 @@ mod tests {
 
     #[test]
     fn every_error_path_echoes_id() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(TraceConfig::default());
         let expect_id = |resp: &JsonValue, who: &str| {
             assert_eq!(
                 resp.get("id").and_then(|v| v.as_str()),
@@ -1621,11 +1694,7 @@ mod tests {
         };
 
         // Unknown verb.
-        let r = call_dispatch(
-            &gateway,
-            &telemetry,
-            "{\"verb\":\"frobnicate\",\"id\":\"req-9\"}",
-        );
+        let r = call_dispatch(&h, "{\"verb\":\"frobnicate\",\"id\":\"req-9\"}");
         assert_eq!(
             r.get("error_type").and_then(|v| v.as_str()),
             Some("invalid")
@@ -1633,11 +1702,7 @@ mod tests {
         expect_id(&r, "unknown verb");
 
         // Missing query.
-        let r = call_dispatch(
-            &gateway,
-            &telemetry,
-            "{\"verb\":\"optimize\",\"id\":\"req-9\"}",
-        );
+        let r = call_dispatch(&h, "{\"verb\":\"optimize\",\"id\":\"req-9\"}");
         assert_eq!(
             r.get("error_type").and_then(|v| v.as_str()),
             Some("invalid")
@@ -1646,8 +1711,7 @@ mod tests {
 
         // Oversized deadline.
         let r = call_dispatch(
-            &gateway,
-            &telemetry,
+            &h,
             &optimize_req(",\"id\":\"req-9\",\"deadline_ms\":999999999"),
         );
         assert_eq!(
@@ -1658,16 +1722,15 @@ mod tests {
 
         // Parse failure inside the query text.
         let r = call_dispatch(
-            &gateway,
-            &telemetry,
+            &h,
             "{\"verb\":\"optimize\",\"id\":\"req-9\",\"query\":\"gibberish\"}",
         );
         assert_eq!(r.get("error_type").and_then(|v| v.as_str()), Some("parse"));
         expect_id(&r, "parse failure");
 
         // Gateway rejection (draining).
-        gateway.begin_drain();
-        let r = call_dispatch(&gateway, &telemetry, &optimize_req(",\"id\":\"req-9\""));
+        h.gateway.begin_drain();
+        let r = call_dispatch(&h, &optimize_req(",\"id\":\"req-9\""));
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("rejected"));
         assert_eq!(
             r.get("error_type").and_then(|v| v.as_str()),
@@ -1682,29 +1745,24 @@ mod tests {
 
     #[test]
     fn removed_algorithm_name_is_a_typed_invalid_reply() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
-        let r = call_dispatch(
-            &gateway,
-            &telemetry,
-            &optimize_req(",\"id\":\"req-sa\",\"algorithm\":\"sa\""),
-        );
+        let h = dispatch_harness(TraceConfig::default());
+        let r = call_dispatch(&h, &optimize_req(",\"id\":\"req-sa\",\"algorithm\":\"sa\""));
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
         assert_eq!(
             r.get("error_type").and_then(|v| v.as_str()),
             Some("invalid")
         );
         assert_eq!(r.get("id").and_then(|v| v.as_str()), Some("req-sa"));
-        let health = call_dispatch(&gateway, &telemetry, "{\"verb\":\"health\"}");
+        let health = call_dispatch(&h, "{\"verb\":\"health\"}");
         assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
     }
 
     #[test]
     fn unparseable_lines_salvage_id_and_trace_id() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(TraceConfig::default());
         // Truncated JSON — unclosed object — still echoes both ids.
         let r = call_dispatch(
-            &gateway,
-            &telemetry,
+            &h,
             "{\"verb\":\"optimize\",\"id\":\"sal-1\",\"trace_id\":\"tr-1\",\"query\":\"unterminated",
         );
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
@@ -1728,8 +1786,8 @@ mod tests {
 
     #[test]
     fn trace_ids_are_minted_fetched_and_windowed() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
-        let cold = call_dispatch(&gateway, &telemetry, &optimize_req(",\"id\":\"c1\""));
+        let h = dispatch_harness(TraceConfig::default());
+        let cold = call_dispatch(&h, &optimize_req(",\"id\":\"c1\""));
         assert_eq!(cold.get("status").and_then(|v| v.as_str()), Some("ok"));
         let minted = cold
             .get("trace_id")
@@ -1739,8 +1797,7 @@ mod tests {
 
         // The trace verb returns the full span timeline for that id.
         let fetched = call_dispatch(
-            &gateway,
-            &telemetry,
+            &h,
             &format!("{{\"verb\":\"trace\",\"trace_id\":\"{minted}\"}}"),
         );
         assert_eq!(fetched.get("status").and_then(|v| v.as_str()), Some("ok"));
@@ -1769,21 +1826,13 @@ mod tests {
         }
 
         // A warm repeat records cache-lookup but no optimize span.
-        let warm = call_dispatch(
-            &gateway,
-            &telemetry,
-            &optimize_req(",\"trace_id\":\"warm-1\""),
-        );
+        let warm = call_dispatch(&h, &optimize_req(",\"trace_id\":\"warm-1\""));
         assert_eq!(warm.get("cache_hit").and_then(|v| v.as_bool()), Some(true));
         assert_eq!(
             warm.get("trace_id").and_then(|v| v.as_str()),
             Some("warm-1")
         );
-        let warm_trace = call_dispatch(
-            &gateway,
-            &telemetry,
-            "{\"verb\":\"trace\",\"trace_id\":\"warm-1\"}",
-        );
+        let warm_trace = call_dispatch(&h, "{\"verb\":\"trace\",\"trace_id\":\"warm-1\"}");
         let body = warm_trace.get("trace").expect("trace body");
         assert_eq!(body.get("cache_hit").and_then(|v| v.as_bool()), Some(true));
         let warm_stages: Vec<_> = body
@@ -1798,8 +1847,7 @@ mod tests {
 
         // Unknown ids are typed not-found.
         let missing = call_dispatch(
-            &gateway,
-            &telemetry,
+            &h,
             "{\"verb\":\"trace\",\"trace_id\":\"nope\",\"id\":\"t9\"}",
         );
         assert_eq!(
@@ -1809,7 +1857,7 @@ mod tests {
         assert_eq!(missing.get("id").and_then(|v| v.as_str()), Some("t9"));
 
         // The windowed metrics carry per-stage series for the traffic.
-        let metrics = call_dispatch(&gateway, &telemetry, "{\"verb\":\"metrics\"}");
+        let metrics = call_dispatch(&h, "{\"verb\":\"metrics\"}");
         assert_eq!(metrics.get("tracing").and_then(|v| v.as_bool()), Some(true));
         let stages = metrics
             .get("window")
@@ -1817,11 +1865,7 @@ mod tests {
             .and_then(|s| s.as_array().map(<[JsonValue]>::to_vec))
             .expect("windowed stages");
         assert!(!stages.is_empty());
-        let prom = call_dispatch(
-            &gateway,
-            &telemetry,
-            "{\"verb\":\"metrics\",\"format\":\"prometheus\"}",
-        );
+        let prom = call_dispatch(&h, "{\"verb\":\"metrics\",\"format\":\"prometheus\"}");
         assert!(prom
             .get("prometheus")
             .and_then(|v| v.as_str())
@@ -1829,40 +1873,32 @@ mod tests {
             .contains("joinopt_serve_stage_window_count"));
 
         // And the slow list knows about the requests.
-        let slow = call_dispatch(&gateway, &telemetry, "{\"verb\":\"slow\"}");
+        let slow = call_dispatch(&h, "{\"verb\":\"slow\"}");
         assert_eq!(slow.get("count").and_then(|v| v.as_u64()), Some(2));
     }
 
     #[test]
     fn disabled_tracing_mints_nothing_but_echoes_client_ids() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig {
+        let h = dispatch_harness(TraceConfig {
             enabled: false,
             ..TraceConfig::default()
         });
-        let r = call_dispatch(&gateway, &telemetry, &optimize_req(""));
+        let r = call_dispatch(&h, &optimize_req(""));
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("ok"));
         assert!(
             r.get("trace_id").is_none(),
             "disabled tracing must not mint ids: {r:?}"
         );
         // A client-supplied trace_id is still echoed (pure string work).
-        let r = call_dispatch(
-            &gateway,
-            &telemetry,
-            &optimize_req(",\"trace_id\":\"cli-1\""),
-        );
+        let r = call_dispatch(&h, &optimize_req(",\"trace_id\":\"cli-1\""));
         assert_eq!(r.get("trace_id").and_then(|v| v.as_str()), Some("cli-1"));
         // But nothing is recorded behind it.
-        let fetched = call_dispatch(
-            &gateway,
-            &telemetry,
-            "{\"verb\":\"trace\",\"trace_id\":\"cli-1\"}",
-        );
+        let fetched = call_dispatch(&h, "{\"verb\":\"trace\",\"trace_id\":\"cli-1\"}");
         assert_eq!(
             fetched.get("error_type").and_then(|v| v.as_str()),
             Some("not-found")
         );
-        let metrics = call_dispatch(&gateway, &telemetry, "{\"verb\":\"metrics\"}");
+        let metrics = call_dispatch(&h, "{\"verb\":\"metrics\"}");
         assert_eq!(
             metrics.get("tracing").and_then(|v| v.as_bool()),
             Some(false)
@@ -1876,7 +1912,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip_hostile_ids() {
-        let (gateway, telemetry) = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(TraceConfig::default());
         let hostile = "he said \"quote\"\\\n\ttab\u{1}";
         let mut req = String::from("{\"verb\":\"optimize\",\"id\":");
         write_escaped(&mut req, hostile);
@@ -1887,9 +1923,160 @@ mod tests {
         req.push('}');
         // call_dispatch parse-proves the response is valid JSON even
         // with the hostile id spliced in; the fields round-trip exactly.
-        let r = call_dispatch(&gateway, &telemetry, &req);
+        let r = call_dispatch(&h, &req);
         assert_eq!(r.get("id").and_then(|v| v.as_str()), Some(hostile));
         assert_eq!(r.get("trace_id").and_then(|v| v.as_str()), Some(hostile));
+    }
+
+    /// An optimize line carrying `query`, with `extra` fields spliced in.
+    fn optimize_text(query: &str, extra: &str) -> String {
+        let mut req = String::from("{\"verb\":\"optimize\",\"query\":");
+        write_escaped(&mut req, query);
+        req.push_str(extra);
+        req.push('}');
+        req
+    }
+
+    /// A 4-relation chain whose relation names embed `tag` and `pad`
+    /// filler bytes each; every tag is the same query up to names.
+    fn padded_chain(tag: usize, pad: usize) -> String {
+        let names: Vec<String> = (0..4)
+            .map(|i| format!("r{tag}_{i}_{}", "x".repeat(pad)))
+            .collect();
+        let mut q = String::new();
+        for (i, n) in names.iter().enumerate() {
+            q.push_str(&format!("relation {n} {}\n", 100 * (i + 1)));
+        }
+        for w in names.windows(2) {
+            q.push_str(&format!("join {} {} 0.1\n", w[0], w[1]));
+        }
+        q
+    }
+
+    fn cost_of(r: &JsonValue) -> u64 {
+        cost_bits(r).unwrap_or_else(|| panic!("no cost in {r:?}"))
+    }
+
+    #[test]
+    fn memo_admits_a_text_only_after_a_plan_cache_hit() {
+        let h = dispatch_harness(TraceConfig::default());
+        let cold = call_dispatch(&h, &optimize_req(""));
+        assert_eq!(cold.get("cache_hit").unwrap().as_bool(), Some(false));
+        assert_eq!(h.memo.stats().stores, 0, "a plan-cache miss admits nothing");
+
+        // The plan is cached now, yet replies that are not plan-cache
+        // hits never admit the text: a typed error, a timeout and a
+        // gateway rejection.
+        let invalid = call_dispatch(&h, &optimize_req(",\"algorithm\":\"nope\""));
+        assert_eq!(invalid.get("error_type").unwrap().as_str(), Some("invalid"));
+        let expired = call_dispatch(&h, &optimize_req(",\"deadline_ms\":0"));
+        assert_eq!(expired.get("error_type").unwrap().as_str(), Some("timeout"));
+        // A degraded reply is never cached, so its text never hits.
+        let degraded_text = padded_chain(1, 0);
+        for _ in 0..2 {
+            let r = call_dispatch(
+                &h,
+                &optimize_text(&degraded_text, ",\"cost_budget\":0,\"degrade\":true"),
+            );
+            assert!(r.get("degraded").is_some(), "{r:?}");
+        }
+        assert_eq!(h.memo.stats().stores, 0);
+
+        let warm = call_dispatch(&h, &optimize_req(""));
+        assert_eq!(warm.get("cache_hit").unwrap().as_bool(), Some(true));
+        assert_eq!(h.memo.stats().stores, 1, "the first plan-cache hit admits");
+        let memoized = call_dispatch(&h, &optimize_req(""));
+        assert_eq!(memoized.get("cache_hit").unwrap().as_bool(), Some(true));
+        assert_eq!(cost_of(&memoized), cost_of(&cold));
+        let stats = h.memo.stats();
+        assert_eq!((stats.hits, stats.stores, stats.entries), (1, 1, 1));
+
+        // A rejection of a memoized text neither fails nor re-admits.
+        h.gateway.begin_drain();
+        let drained = call_dispatch(&h, &optimize_req(""));
+        assert_eq!(drained.get("status").unwrap().as_str(), Some("rejected"));
+        assert_eq!(h.memo.stats().stores, 1);
+
+        let reported = call_dispatch(&h, "{\"verb\":\"stats\"}");
+        let field = |k: &str| reported.get(k).and_then(|v| v.as_u64());
+        assert_eq!(field("memo_hits"), Some(2));
+        assert_eq!(field("memo_evictions"), Some(0));
+        assert_eq!(field("memo_bytes"), Some(stats.bytes as u64));
+        assert_eq!(
+            field("cache_hits"),
+            Some(2),
+            "memo hits are plan-cache hits too"
+        );
+    }
+
+    #[test]
+    fn differently_labelled_isomorphic_texts_get_their_own_entries() {
+        // The same chain, once with other names and the relations and
+        // joins declared in another order: one canonical query, two
+        // texts.
+        let a = "relation a 100\nrelation b 200\nrelation c 300\nrelation d 50\n\
+                 join a b 0.1\njoin b c 0.05\njoin c d 0.2\n";
+        let b = "relation w 50\nrelation x 300\nrelation y 200\nrelation z 100\n\
+                 join x w 0.2\njoin z y 0.1\njoin y x 0.05\n";
+        let cold = |text: &str| {
+            let fresh = dispatch_harness(TraceConfig::default());
+            cost_of(&call_dispatch(&fresh, &optimize_text(text, "")))
+        };
+        let h = dispatch_harness(TraceConfig::default());
+        for (round, text) in [a, b, a, b, a, b].into_iter().enumerate() {
+            let r = call_dispatch(&h, &optimize_text(text, ""));
+            assert_eq!(cost_of(&r), cold(text), "round {round}");
+            assert_eq!(
+                r.get("cache_hit").unwrap().as_bool(),
+                Some(round > 0),
+                "round {round}: {r:?}"
+            );
+        }
+        let stats = h.memo.stats();
+        // a: miss, miss (admitted), hit; b: miss (admitted), hit, hit.
+        assert_eq!((stats.entries, stats.stores, stats.hits), (2, 2, 3));
+    }
+
+    #[test]
+    fn a_flood_of_repeated_texts_keeps_the_memo_within_its_bytes() {
+        let h = dispatch_harness(TraceConfig {
+            enabled: false,
+            ..TraceConfig::default()
+        });
+        // Every tag is one cached query under other names, so each text
+        // is admitted on its first send (a plan-cache hit) and served
+        // from the memo on its second. ~5 KiB a text: a few hundred
+        // entries overflow the budget.
+        call_dispatch(&h, &optimize_text(&padded_chain(0, 0), ""));
+        let cold = cost_of(&call_dispatch(&h, &optimize_text(&padded_chain(0, 0), "")));
+        for tag in 1..=400 {
+            let line = optimize_text(&padded_chain(tag, 400), "");
+            for _ in 0..2 {
+                assert_eq!(cost_of(&call_dispatch(&h, &line)), cold, "tag {tag}");
+            }
+            assert!(h.memo.stats().bytes <= crate::memo::MEMO_BYTES);
+        }
+        let stats = h.memo.stats();
+        assert_eq!(stats.stores, 401);
+        assert_eq!(stats.hits, 400);
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert_eq!(stats.entries as u64, stats.stores - stats.evictions);
+    }
+
+    #[test]
+    fn a_text_larger_than_the_memo_is_never_admitted() {
+        let h = dispatch_harness(TraceConfig::default());
+        let pad = "y".repeat(crate::memo::MEMO_BYTES / 2);
+        let text = format!("relation a{pad} 100\nrelation b 200\njoin a{pad} b 0.1\n");
+        let line = optimize_text(&text, "");
+        let cold = call_dispatch(&h, &line);
+        for _ in 0..2 {
+            let warm = call_dispatch(&h, &line);
+            assert_eq!(warm.get("cache_hit").unwrap().as_bool(), Some(true));
+            assert_eq!(cost_of(&warm), cost_of(&cold));
+        }
+        let stats = h.memo.stats();
+        assert_eq!((stats.stores, stats.hits, stats.bytes), (0, 0, 0));
     }
 
     #[test]

@@ -21,14 +21,17 @@
 //!
 //! ## Caching
 //!
-//! With a cache configured, each request canonicalizes its spec
-//! ([`crate::fingerprint`]), probes the cache under
+//! With a cache configured, each request takes its spec's canonical
+//! form ([`crate::fingerprint`]) from the request when it carries one
+//! (a query served from the server's [`crate::memo`]) and computes it
+//! otherwise, probes the cache under
 //! (fingerprint, resolved algorithm, cost-model id) and, on a miss
 //! whose run completes exactly (no degradation), stores the resulting
 //! plan. Hits return bit-identical cost bits and plan shape to the cold
 //! run of the same spec. Without a cache the fingerprint path is
 //! skipped entirely — see [`crate::fingerprint::fingerprints_computed`].
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use joinopt_core::{
@@ -39,7 +42,8 @@ use joinopt_telemetry::{NoopObserver, Observer, RequestTrace};
 
 use crate::cache::{CacheConfig, PlanCache};
 use crate::clock::Clock;
-use crate::fingerprint::canonicalize;
+use crate::fingerprint::{canonicalize, CanonicalForm};
+use crate::memo::ParsedQuery;
 use crate::spec::QuerySpec;
 
 /// The gateway's per-attempt tracing hookup: the clock that stamps
@@ -137,11 +141,12 @@ impl Priority {
     }
 }
 
-/// An owned, queueable optimization request.
+/// An owned, queueable optimization request. Cloning it shares the
+/// query instead of copying it.
 #[derive(Debug, Clone)]
 pub struct ServiceRequest {
-    /// The owned query.
-    pub spec: QuerySpec,
+    /// The query, shared with clones (and with the server's memo).
+    query: Arc<ParsedQuery>,
     /// Tenant label for admission accounting.
     pub tenant: String,
     /// Scheduling priority within a batch.
@@ -165,8 +170,15 @@ impl ServiceRequest {
     /// A request for `spec` with default tenant (`""`), normal priority,
     /// `Auto` algorithm, `C_out` and no budgets.
     pub fn new(spec: QuerySpec) -> ServiceRequest {
+        ServiceRequest::from_parsed(Arc::new(ParsedQuery::new(spec)))
+    }
+
+    /// [`ServiceRequest::new`] for an already parsed query; when it
+    /// carries its canonical form, the service uses that instead of
+    /// canonicalizing the spec again.
+    pub(crate) fn from_parsed(query: Arc<ParsedQuery>) -> ServiceRequest {
         ServiceRequest {
-            spec,
+            query,
             tenant: String::new(),
             priority: Priority::Normal,
             algorithm: Algorithm::Auto,
@@ -176,6 +188,16 @@ impl ServiceRequest {
             memory_budget: None,
             degrade: false,
         }
+    }
+
+    /// The owned query.
+    pub fn spec(&self) -> &QuerySpec {
+        self.query.spec()
+    }
+
+    /// The query's canonical form, when the request carries one.
+    pub(crate) fn canonical(&self) -> Option<&CanonicalForm> {
+        self.query.canonical()
     }
 
     /// Sets the tenant label.
@@ -456,9 +478,11 @@ impl OptimizerService {
     /// `docs/robustness.md`): `serve-worker-panic` fires before any
     /// work — its panics are swallowed by the caller's `catch_unwind`
     /// like a real worker bug — and `serve-cache-poison` replaces the
-    /// canonical fingerprint with a constant, forcing every distinct
-    /// query into one cache slot to prove the full-encoding
+    /// request's cache-key fingerprint with a constant, forcing every
+    /// distinct query into one cache slot to prove the full-encoding
     /// verification turns collisions into misses, never wrong plans.
+    /// It rewrites only this request's local key, never a canonical
+    /// form the request carries.
     fn answer(
         &self,
         session: &mut Option<Session>,
@@ -471,35 +495,47 @@ impl OptimizerService {
         let model = req.cost_model.model();
         let model_id = req.cost_model.name();
 
-        // Resolve `Auto` from the spec's density, exactly like the core
-        // policy at one intra-query thread, so the cache key is concrete.
+        // Resolve `Auto` from the spec's density (the service's rule,
+        // see `resolve_auto`), so the cache key is concrete.
         let algorithm = if req.algorithm == Algorithm::Auto {
-            resolve_auto(&req.spec)
+            resolve_auto(req.spec())
         } else {
             req.algorithm
         };
 
         // Probe the cache (fingerprinting is skipped entirely when no
-        // cache is configured). The canonicalization is billed to the
+        // cache is configured). A canonical form the request carries is
+        // used as is; otherwise it is computed here, billed to the
         // cache-lookup span: it exists only to produce the cache key.
         if let Some((clock, attempt, tr)) = tracer.as_mut() {
             tr.begin_attempt("cache-lookup", *attempt, clock.now_ns());
         }
-        let mut canon = self.cache.as_ref().map(|_| canonicalize(&req.spec));
-        if let Some(c) = canon.as_mut() {
-            if joinopt_core::failpoint::flag("serve-cache-poison") {
-                // Simulate the worst-case fingerprint collision: every
-                // query maps to the same slot. Correctness must now rest
-                // entirely on the cache's word-for-word encoding check.
-                c.fingerprint = crate::Fingerprint {
+        let computed;
+        let canon = match (&self.cache, req.canonical()) {
+            (None, _) => None,
+            (Some(_), Some(carried)) => Some(carried),
+            (Some(_), None) => {
+                computed = canonicalize(req.spec());
+                Some(&computed)
+            }
+        };
+        let key = canon.map(|c| {
+            // Simulate the worst-case fingerprint collision: every query
+            // maps to the same slot. Correctness must now rest entirely
+            // on the cache's word-for-word encoding check.
+            let fingerprint = if joinopt_core::failpoint::flag("serve-cache-poison") {
+                crate::Fingerprint {
                     hi: 0xdead_beef_dead_beef,
                     lo: 0xfeed_face_feed_face,
-                };
-            }
-        }
-        if let (Some(cache), Some(canon)) = (&self.cache, &canon) {
+                }
+            } else {
+                c.fingerprint
+            };
+            (fingerprint, c)
+        });
+        if let (Some(cache), Some((fingerprint, canon))) = (&self.cache, key) {
             if let Some(hit) = cache.lookup_observed(
-                canon.fingerprint,
+                fingerprint,
                 algorithm,
                 model_id,
                 &canon.encoding,
@@ -533,7 +569,7 @@ impl OptimizerService {
             tr.end(t);
             tr.begin_attempt("optimize", *attempt, t);
         }
-        let (graph, catalog) = req.spec.instantiate()?;
+        let (graph, catalog) = req.spec().instantiate()?;
         let mut s = session.take().unwrap_or_default();
         let mut request = OptimizeRequest::new(&graph, &catalog)
             .with_algorithm(algorithm)
@@ -557,10 +593,10 @@ impl OptimizerService {
 
         // Only exact plans are worth remembering: a degraded plan is an
         // artifact of this request's budgets, not of the query.
-        if let (Some(cache), Some(canon)) = (&self.cache, &canon) {
+        if let (Some(cache), Some((fingerprint, canon))) = (&self.cache, key) {
             if outcome.degradation.is_none() {
                 cache.insert_observed(
-                    canon.fingerprint,
+                    fingerprint,
                     algorithm,
                     model_id,
                     &canon.encoding,
