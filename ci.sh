@@ -97,11 +97,12 @@ grep -q joinopt_serve_memo_hits_total /tmp/joinopt-serve-smoke.prom \
 rm -f /tmp/joinopt-serve-smoke.prom
 
 echo "==> span-timeline golden: traced requests under a manual clock (--cfg failpoints)"
-# Replays three requests (cold, warm, retry-after-injected-panic) through
-# the traced dispatch path on a manual clock and diffs the resulting
-# span-timeline JSON byte-for-byte against the committed golden. The
-# retry leg arms failpoints, so this gate only exists in the failpoints
-# build. Re-generate with the same command after an intended change.
+# Replays three requests (cold, warm, one failed by an injected panic)
+# through the traced dispatch path on a manual clock and diffs the
+# resulting span-timeline JSON byte-for-byte against the committed
+# golden. The panic leg arms failpoints, so this gate only exists in the
+# failpoints build. Re-generate with the same command after an intended
+# change.
 RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     cargo run --offline -q -p joinopt-cli --bin joinopt -- \
     serve --span-timeline /tmp/joinopt-serve-span.json

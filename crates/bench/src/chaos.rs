@@ -6,9 +6,9 @@
 //! plan cache exists for) and otherwise a fresh query. A fault burst is
 //! injected mid-run (the `serve-worker-panic` failpoint, so the run
 //! needs a `--cfg failpoints` build): a warmup third must run
-//! error-free, the burst third panics every attempt until the breaker
-//! opens, and the recovery third — after the faults clear and the
-//! breaker recloses — must return to a healthy hit rate and p99. A
+//! error-free, the burst third panics every request it runs until the
+//! breaker opens, and the recovery third — after the faults clear and
+//! the breaker recloses — must return to a healthy hit rate and p99. A
 //! seeded sample of distinct answered requests is differentially
 //! re-checked against a fresh sequential cold run: chaos may slow
 //! requests down or fail them, but it must never change a plan.
@@ -54,7 +54,7 @@ pub struct ChaosConfig {
     /// Concurrent client driver threads.
     pub drivers: usize,
     /// `serve-worker-panic` triggers armed at the start of the burst
-    /// third (each failing request consumes one per attempt).
+    /// third (each failing request consumes one).
     pub burst_faults: usize,
     /// Distinct answered requests to differentially re-check against a
     /// fresh sequential cold run.
@@ -183,7 +183,6 @@ fn chaos_gateway(config: &ChaosConfig, requests: usize) -> Gateway {
                 cooldown: Duration::from_millis(100),
                 success_threshold: 1,
             },
-            seed: config.seed,
             ..GatewayConfig::default()
         },
     )
@@ -556,11 +555,10 @@ impl ChaosReport {
         ));
         s.push_str(&format!(
             ",\n  \"gateway\": {{\"accepted\": {}, \"shed\": {}, \"breaker_rejected\": {}, \
-             \"retried\": {}, \"completed\": {}, \"failed\": {}}}\n}}\n",
+             \"completed\": {}, \"failed\": {}}}\n}}\n",
             self.gateway.accepted,
             self.gateway.shed,
             self.gateway.breaker_rejected,
-            self.gateway.retried,
             self.gateway.completed,
             self.gateway.failed
         ));
@@ -599,12 +597,11 @@ impl ChaosReport {
         }
         let mut out = t.render();
         out.push_str(&format!(
-            "breaker: opened {}x, reclosed: {}; re-checked {} answers, {} wrong; retried {}; drained: {}\n",
+            "breaker: opened {}x, reclosed: {}; re-checked {} answers, {} wrong; drained: {}\n",
             self.breaker_opens,
             self.breaker_reclosed,
             self.rechecked,
             self.wrong_plans,
-            self.gateway.retried,
             self.drained
         ));
         out

@@ -144,10 +144,11 @@ USAGE:
   joinopt help
 
 ALGORITHMS:  auto (default), dpsize, dpsize-naive, dpsub, dpsub-nofilter,
-             dpsub-cp, dpccp, dpconv, topdown, dpsize-leftdeep, idp, goo
+             dpsub-cp, dpccp, dpconv, topdown, dpsize-leftdeep, goo
              (dpconv is exact for the cout model only and refuses
-             other models with a typed error; dpsize-leftdeep, idp and
-             goo are baselines that need not reach the bushy optimum)
+             other models with a typed error; dpsize-leftdeep and goo
+             are baselines that need not reach the bushy optimum; IDP
+             runs only as the --degrade ladder's middle rung)
 COST MODELS: cout (default), nlj, hash, smj, min
 FAMILIES:    chain, cycle, star, clique
 PARALLELISM: every query runs on one thread. --batch optimizes many
@@ -225,10 +226,10 @@ SERVE:       serve runs the optimizer as a long-lived server speaking
              --drain-timeout-ms bounds the wait). Every response echoes
              the client's id and the request's trace_id (client-
              supplied or server-minted). Requests pass watermark load
-             shedding, per-tenant circuit breakers, deadline
-             propagation and jittered retries; refusals and failures
-             come back typed with Retry-After hints. --no-trace turns
-             request tracing off entirely: zero extra clock reads,
+             shedding, per-tenant circuit breakers and deadline
+             propagation, then run once; refusals and failures come
+             back typed, refusals with Retry-After hints. --no-trace
+             turns request tracing off entirely: zero extra clock reads,
              bit-identical plans, and the introspection verbs answer
              from empty stores. --smoke runs the
              self-check: a scripted client drives the protocol (plus
@@ -1195,8 +1196,8 @@ fn cmd_load(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `joinopt serve`: run the optimizer as a long-lived newline-JSON
 /// server (TCP or unix socket) with the hardened gateway lifecycle —
-/// load shedding, per-tenant breakers, deadline propagation, retries
-/// and graceful drain. `--smoke` runs the scripted protocol self-check
+/// load shedding, per-tenant breakers, deadline propagation and
+/// graceful drain. `--smoke` runs the scripted protocol self-check
 /// instead and fails on any deviation.
 fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (positional, options) = split_options(args)?;

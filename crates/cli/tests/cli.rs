@@ -166,10 +166,12 @@ fn optimize_with_explicit_algorithm_and_model() {
 #[test]
 fn optimize_rejects_unknowns() {
     let path = write_query_file(CHAIN_QUERY);
-    assert!(matches!(
-        run_err(&["optimize", path.to_str().unwrap(), "--algorithm", "magic"]),
-        CliError::Usage(_)
-    ));
+    for algorithm in ["magic", "idp"] {
+        assert!(matches!(
+            run_err(&["optimize", path.to_str().unwrap(), "--algorithm", algorithm]),
+            CliError::Usage(m) if m.contains("unknown algorithm")
+        ));
+    }
     assert!(matches!(
         run_err(&["optimize", path.to_str().unwrap(), "--cost-model", "magic"]),
         CliError::Usage(_)

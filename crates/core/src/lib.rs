@@ -35,8 +35,9 @@
 //!   suite, and [`greedy`] — a GOO baseline for plan-quality context;
 //! * [`DpConv`] — the subset-convolution formulation of the DP over the
 //!   popcount-ranked lattice (Stoian & Kipf, arXiv 2409.08013) for
-//!   `C_out`-shaped cost models, backed by the fast zeta/Möbius
-//!   [`transform`] module.
+//!   `C_out`-shaped cost models, run as an exact `Θ(3ⁿ)` layered
+//!   enumeration; the zeta/Möbius [`transform`] module serves the
+//!   conformance oracle's `#ccp` cross-check.
 //!
 //! # Example
 //!

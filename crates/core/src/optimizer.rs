@@ -35,8 +35,12 @@ pub enum Algorithm {
     DpConv,
     /// Size-driven DP restricted to left-deep trees (Selinger space).
     DpSizeLeftDeep,
-    /// Iterative DP (IDP-1, Kossmann & Stocker): near-optimal plans for
-    /// queries too large for exact DP.
+    /// Iterative DP (IDP-1, Kossmann & Stocker) at block size 10:
+    /// near-optimal plans for queries too large for exact DP. Not in
+    /// [`Algorithm::CONCRETE`], so [`Algorithm::parse`] refuses `idp`:
+    /// its rounds have no work bound, and on cliques it is slower than
+    /// the fastest exact engine. IDP runs as the degradation ladder's
+    /// block-4 rung and in the conformance oracle's heuristic leg.
     Idp,
     /// Top-down memoized partitioning with branch-and-bound pruning.
     TopDown,
@@ -48,8 +52,9 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// All concrete (non-`Auto`) algorithms.
-    pub const CONCRETE: [Algorithm; 11] = [
+    /// The concrete (non-`Auto`) algorithms a caller can name: every
+    /// variant except `Auto` and [`Algorithm::Idp`].
+    pub const CONCRETE: [Algorithm; 10] = [
         Algorithm::DpSize,
         Algorithm::DpSizeNaive,
         Algorithm::DpSub,
@@ -59,7 +64,6 @@ impl Algorithm {
         Algorithm::DpConv,
         Algorithm::TopDown,
         Algorithm::DpSizeLeftDeep,
-        Algorithm::Idp,
         Algorithm::Goo,
     ];
 
@@ -320,6 +324,7 @@ mod tests {
         }
         assert_eq!(Algorithm::parse("AUTO"), Some(Algorithm::Auto));
         assert_eq!(Algorithm::parse("sa"), None);
+        assert_eq!(Algorithm::parse("idp"), None);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Fast zeta/Möbius transforms and subset convolution over the
-//! `2^n` subset lattice — the algebraic core behind [`crate::DpConv`].
+//! Fast zeta/Möbius transforms and ranked subset convolution over the
+//! `2^n` subset lattice, the integer-ring machinery behind the
+//! conformance oracle's `#ccp` cross-check.
 //!
 //! All functions operate on dense arrays indexed by bitmask: index `S`
 //! holds the value for the relation set whose bits are `S`. Array
 //! lengths must be powers of two (`2^n` for an `n`-element universe).
-//!
-//! Three layers, from rings down to min-plus:
 //!
 //! * [`zeta_in_place`] / [`mobius_in_place`] — the textbook
 //!   `O(2^n · n)` transforms over `(+, ·)`; exact inverses of each
@@ -13,24 +12,15 @@
 //! * [`ranked_subset_convolution`] — exact subset convolution
 //!   `h(S) = Σ_{T ⊆ S} f(T) · g(S \ T)` in `O(2^n · n²)` via the
 //!   rank-indexed zeta trick: convolve rank slices pointwise in zeta
-//!   space, invert once per rank. This is the genuinely
-//!   sub-`3^n` machinery; the conformance oracle uses it to re-derive
-//!   `#ccp` from the connectivity indicator, independently of every
-//!   enumeration algorithm.
-//! * [`min_plus_subset_convolution`] — the `(min, +)` semiring
-//!   analogue the join-ordering DP actually needs. Over the tropical
-//!   semiring the rank trick does not apply (there is no additive
-//!   inverse, so the Möbius step is unavailable); for *exact* `f64`
-//!   costs the best known general algorithm remains the per-set
-//!   subset enumeration at `Θ(3^n)` total. DPconv therefore runs the
-//!   layered enumeration with the convolution *structure* (per-set
-//!   cardinality term added once per set, splits relaxed per rank
-//!   layer) and reserves the `O(2^n · n²)` ring transform for
-//!   integer-valued cross-checks; see `docs/ALGORITHMS.md` §7.
-//! * [`min_plus_subset_convolution_naive`] — an all-pairs `O(4^n)`
-//!   reference with a structurally different traversal, kept as the
-//!   differential anchor for the property tests in
-//!   `crates/core/tests/transform_props.rs`.
+//!   space, invert once per rank. The conformance oracle uses it to
+//!   re-derive `#ccp` from the connectivity indicator, independently of
+//!   every enumeration algorithm.
+//!
+//! [`crate::DpConv`] uses none of this. It is an exact `Θ(3^n)` layered
+//! enumeration with an array-indexed inner loop: the rank trick needs
+//! an additive inverse, which the `(min, +)` semiring of exact `f64`
+//! costs lacks. The sub-`3^n` instantiations of arXiv 2409.08013 are
+//! not implemented; see `docs/ALGORITHMS.md` §7.
 
 /// Asserts `f.len()` is a power of two and returns `n = log2(len)`.
 fn universe_bits(len: usize) -> u32 {
@@ -137,63 +127,6 @@ pub fn ranked_subset_convolution(f: &[i64], g: &[i64]) -> Vec<i64> {
     out
 }
 
-/// Min-plus (tropical) subset convolution:
-/// `h[S] = min_{T ⊆ S} (f[T] + g[S \ T])`, including the trivial
-/// decompositions `T = ∅` and `T = S`. `Θ(3^n)` total via the
-/// standard descending-submask enumeration; see the module docs for
-/// why no exact sub-`3^n` algorithm is used.
-///
-/// # Panics
-///
-/// Panics if the inputs differ in length or are not powers of two.
-pub fn min_plus_subset_convolution(f: &[f64], g: &[f64]) -> Vec<f64> {
-    assert_eq!(f.len(), g.len(), "operands must share one lattice");
-    universe_bits(f.len());
-    let size = f.len();
-    let mut out = vec![f64::INFINITY; size];
-    for (s, out_s) in out.iter_mut().enumerate() {
-        let mut best = f[0] + g[s]; // T = ∅
-        let mut t = s;
-        while t != 0 {
-            let cand = f[t] + g[s ^ t];
-            if cand < best {
-                best = cand;
-            }
-            t = (t - 1) & s;
-        }
-        *out_s = best;
-    }
-    out
-}
-
-/// Reference min-plus subset convolution with an all-pairs `O(4^n)`
-/// traversal: relaxes every *disjoint* pair `(A, B)` into `A ∪ B`.
-/// Structurally independent of [`min_plus_subset_convolution`]'s
-/// per-set submask walk, so the two implementations make a meaningful
-/// differential pair for property testing.
-///
-/// # Panics
-///
-/// Panics if the inputs differ in length or are not powers of two.
-pub fn min_plus_subset_convolution_naive(f: &[f64], g: &[f64]) -> Vec<f64> {
-    assert_eq!(f.len(), g.len(), "operands must share one lattice");
-    universe_bits(f.len());
-    let size = f.len();
-    let mut out = vec![f64::INFINITY; size];
-    for a in 0..size {
-        for b in 0..size {
-            if a & b == 0 {
-                let cand = f[a] + g[b];
-                let slot = &mut out[a | b];
-                if cand < *slot {
-                    *slot = cand;
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,15 +167,6 @@ mod tests {
             }
             assert_eq!(h[s], want, "S = {s:#b}");
         }
-    }
-
-    #[test]
-    fn min_plus_agrees_with_naive_on_a_small_lattice() {
-        let f: Vec<f64> = (0..32).map(|s| ((s * 7) % 13) as f64).collect();
-        let g: Vec<f64> = (0..32).map(|s| ((s * 5) % 11) as f64 * 1.5).collect();
-        let fast = min_plus_subset_convolution(&f, &g);
-        let naive = min_plus_subset_convolution_naive(&f, &g);
-        assert_eq!(fast, naive);
     }
 
     #[test]

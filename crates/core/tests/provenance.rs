@@ -48,7 +48,7 @@ fn tree_splits(tree: &JoinTree, out: &mut Vec<(u64, u64, u64)>) {
 #[test]
 fn enabled_observers_without_the_opt_in_see_no_provenance_events() {
     let w = workload::random_workload(7, 0.5, 11);
-    for alg in Algorithm::CONCRETE {
+    for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
         let baseline = alg
             .orderer(&w.graph)
             .optimize(&w.graph, &w.catalog, &Cout)

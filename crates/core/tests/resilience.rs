@@ -30,6 +30,12 @@ fn serial() -> MutexGuard<'static, ()> {
     FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Every algorithm a request runs: the ones a caller can name plus IDP,
+/// which runs as the degradation ladder's middle rung.
+fn runnable() -> impl Iterator<Item = Algorithm> {
+    Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp])
+}
+
 fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
     assert_eq!(outcome.result.tree.relations(), w.graph.all_relations());
     assert_eq!(outcome.result.tree.num_joins(), w.graph.num_relations() - 1);
@@ -40,7 +46,7 @@ fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
 fn every_algorithm_honours_a_zero_time_budget() {
     let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 10, 0);
-    for alg in Algorithm::CONCRETE {
+    for alg in runnable() {
         let err = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
             .with_time_budget(Duration::ZERO)
@@ -57,7 +63,7 @@ fn every_algorithm_honours_a_zero_time_budget() {
 fn every_algorithm_honours_a_preset_cancel_flag() {
     let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 10, 0);
-    for alg in Algorithm::CONCRETE {
+    for alg in runnable() {
         let flag = CancelFlag::new();
         flag.cancel();
         let err = OptimizeRequest::new(&w.graph, &w.catalog)
@@ -75,7 +81,7 @@ fn memory_accounted_algorithms_honour_a_tiny_budget() {
     // Every algorithm builds a DP table or grows a plan arena, charges
     // the shared token and must trip.
     let w = workload::family_workload(GraphKind::Clique, 12, 0);
-    for alg in Algorithm::CONCRETE {
+    for alg in runnable() {
         let err = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
             .with_memory_budget(16)
@@ -271,8 +277,7 @@ fn overflowing_statistics_are_a_typed_error_in_every_engine() {
         for e in 0..g.num_edges() {
             catalog.set_selectivity(e, 1.0).unwrap();
         }
-        let mut outcomes: Vec<(String, Result<f64, OptimizeError>)> = Algorithm::CONCRETE
-            .into_iter()
+        let mut outcomes: Vec<(String, Result<f64, OptimizeError>)> = runnable()
             .map(|alg| {
                 let r = OptimizeRequest::new(&g, &catalog).with_algorithm(alg).run();
                 (format!("{alg:?}"), r.map(|o| o.result.cost))

@@ -213,7 +213,7 @@ fn disabled_observer_path_emits_nothing_and_allocates_nothing_extra() {
 #[test]
 fn every_algorithm_emits_a_well_formed_event_stream() {
     let w = workload::random_workload(7, 0.5, 11);
-    for alg in Algorithm::CONCRETE {
+    for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
         let sink = Sink::default();
         alg.orderer(&w.graph)
             .optimize_observed(&w.graph, &w.catalog, &Cout, &sink)
@@ -297,7 +297,7 @@ fn assert_stamped_run(events: &[Event], ctx: &str) -> &'static str {
 fn every_engine_stamps_its_label_and_ordered_spans_on_every_event() {
     for kind in [GraphKind::Chain, GraphKind::Star, GraphKind::Clique] {
         let w = workload::family_workload(kind, 6, 0);
-        for alg in Algorithm::CONCRETE {
+        for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
             let rec = Recorder::default();
             alg.orderer(&w.graph)
                 .optimize_observed(&w.graph, &w.catalog, &Cout, &rec)

@@ -1,20 +1,15 @@
-//! Seeded property tests for the subset-lattice transform core behind
-//! DPconv (`joinopt_core::transform`).
+//! Seeded property tests for the subset-lattice transforms behind the
+//! conformance oracle's `#ccp` cross-check (`joinopt_core::transform`).
 //!
 //! Dependency-free: randomness comes from an inline SplitMix64, so
-//! every run replays the identical lattices. Three properties:
+//! every run replays the identical lattices. Two properties:
 //!
 //! 1. fast zeta and Möbius are exact inverses over random `i64`
 //!    lattices (both compositions, in wrapping arithmetic);
 //! 2. the `O(2^n · n²)` ranked subset convolution equals the direct
-//!    `Σ_{T ⊆ S} f(T)·g(S\T)` definition;
-//! 3. min-plus subset convolution agrees with the structurally
-//!    independent all-pairs reference for every `n ≤ 12`.
+//!    `Σ_{T ⊆ S} f(T)·g(S\T)` definition.
 
-use joinopt_core::transform::{
-    min_plus_subset_convolution, min_plus_subset_convolution_naive, mobius_in_place,
-    ranked_subset_convolution, zeta_in_place,
-};
+use joinopt_core::transform::{mobius_in_place, ranked_subset_convolution, zeta_in_place};
 
 /// SplitMix64 (Steele et al.): tiny, seedable, good enough to fill
 /// lattices with adversarially unstructured values.
@@ -32,13 +27,6 @@ impl SplitMix64 {
     fn lattice_i64(&mut self, n: usize, magnitude: i64) -> Vec<i64> {
         (0..1usize << n)
             .map(|_| (self.next() as i64) % magnitude)
-            .collect()
-    }
-
-    fn lattice_f64(&mut self, n: usize) -> Vec<f64> {
-        // Mix of scales plus exact ties to stress min-plus comparisons.
-        (0..1usize << n)
-            .map(|_| (self.next() % 1_000_000) as f64 / 8.0)
             .collect()
     }
 }
@@ -120,53 +108,6 @@ fn ranked_convolution_of_indicators_counts_disjoint_covers() {
 }
 
 #[test]
-fn min_plus_convolution_agrees_with_naive_up_to_n_12() {
-    let mut rng = SplitMix64(0x5eed_0004);
-    for n in 0..=12 {
-        let f = rng.lattice_f64(n);
-        let g = rng.lattice_f64(n);
-        let fast = min_plus_subset_convolution(&f, &g);
-        let naive = min_plus_subset_convolution_naive(&f, &g);
-        // Both pick minima of exact two-term sums of the same values:
-        // results must be bit-identical, not merely close.
-        for s in 0..f.len() {
-            assert_eq!(
-                fast[s].to_bits(),
-                naive[s].to_bits(),
-                "n={n} S={s:#b}: {} vs {}",
-                fast[s],
-                naive[s]
-            );
-        }
-    }
-}
-
-#[test]
-fn min_plus_convolution_handles_infinities_like_the_naive_reference() {
-    // ∞ marks "no plan" entries in DP usage; the two traversals must
-    // treat them identically (never produce NaN via ∞ − ∞ tricks).
-    let mut rng = SplitMix64(0x5eed_0005);
-    for n in 2..=8 {
-        let mut f = rng.lattice_f64(n);
-        let mut g = rng.lattice_f64(n);
-        for s in 0..f.len() {
-            if rng.next().is_multiple_of(3) {
-                f[s] = f64::INFINITY;
-            }
-            if rng.next().is_multiple_of(3) {
-                g[s] = f64::INFINITY;
-            }
-        }
-        let fast = min_plus_subset_convolution(&f, &g);
-        let naive = min_plus_subset_convolution_naive(&f, &g);
-        for s in 0..f.len() {
-            assert!(!fast[s].is_nan(), "n={n} S={s:#b}");
-            assert_eq!(fast[s].to_bits(), naive[s].to_bits(), "n={n} S={s:#b}");
-        }
-    }
-}
-
-#[test]
 fn convolution_is_commutative_and_has_the_delta_identity() {
     let mut rng = SplitMix64(0x5eed_0006);
     let n = 7;
@@ -180,12 +121,4 @@ fn convolution_is_commutative_and_has_the_delta_identity() {
     let mut delta = vec![0i64; 1 << n];
     delta[0] = 1;
     assert_eq!(ranked_subset_convolution(&f, &delta), f);
-    // 0.0 at ∅, ∞ elsewhere is the min-plus identity.
-    let fh = rng.lattice_f64(n);
-    let mut tropical_delta = vec![f64::INFINITY; 1 << n];
-    tropical_delta[0] = 0.0;
-    let id = min_plus_subset_convolution(&fh, &tropical_delta);
-    for s in 0..fh.len() {
-        assert_eq!(id[s].to_bits(), fh[s].to_bits(), "S={s:#b}");
-    }
 }

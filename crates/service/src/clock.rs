@@ -1,4 +1,4 @@
-//! An injectable clock for the server's retry, backoff and breaker
+//! An injectable clock for the server's deadline, breaker and tracing
 //! logic.
 //!
 //! Everything in the gateway that measures or waits for time goes
@@ -6,7 +6,7 @@
 //! (monotonic [`Instant`] reads, real [`std::thread::sleep`]s), unit
 //! tests use [`Clock::manual`] — a virtual clock whose `sleep` advances
 //! time instantly and whose `advance` moves it explicitly. That keeps
-//! every backoff schedule and breaker cooldown in `cargo test -q`
+//! every deadline and breaker cooldown in `cargo test -q`
 //! deterministic and free of real sleeps: a test that "waits" 300ms of
 //! cooldown runs in nanoseconds and can pin exact expected timings.
 //!

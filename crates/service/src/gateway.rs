@@ -17,22 +17,22 @@
 //!    fast while the tenant's requests reliably die (see
 //!    [`crate::breaker`]).
 //! 4. **Deadline propagation** — the request's lifecycle deadline is
-//!    measured from admission; each attempt's remaining slice becomes
-//!    the optimizer's time budget and flows into the core
+//!    measured from admission; the remaining slice becomes the
+//!    optimizer's time budget and flows into the core
 //!    `CancellationToken`, so a request never outlives its deadline by
 //!    more than one checkpoint interval.
-//! 5. **Retry** — transient failures (worker panics, isolated internal
-//!    errors) retry under the seeded jittered backoff of
-//!    [`crate::retry`], bounded per request by
-//!    [`RetryConfig::max_retries`] and per tenant by the retry budget.
+//!
+//! An admitted request runs exactly once. Every engine is a
+//! deterministic function of the graph, the catalog and the cost model,
+//! so running a failed request again repeats the same failure: its
+//! error goes straight back to the client.
 //!
 //! All sleeps and time reads go through the injectable [`Clock`], so
-//! the unit tests below pin exact schedules with zero real sleeps. The
-//! lifecycle emits the `serve` telemetry vocabulary
+//! the unit tests below pin exact breaker timings with zero real
+//! sleeps. The lifecycle emits the `serve` telemetry vocabulary
 //! ([`Event::ServeAccepted`], [`Event::ServeShed`],
-//! [`Event::ServeRetried`], [`Event::ServeBreakerOpen`],
-//! [`Event::ServeDrained`]), which the registry folds into the
-//! `joinopt_serve_*_total` series.
+//! [`Event::ServeBreakerOpen`], [`Event::ServeDrained`]), which the
+//! registry folds into the `joinopt_serve_*_total` series.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -43,7 +43,6 @@ use joinopt_telemetry::{Event, Observer, RequestTrace, TenantTable};
 
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 use crate::clock::Clock;
-use crate::retry::{RetryBudget, RetryConfig, RetryPolicy};
 use crate::service::{OptimizerService, Priority, ServiceOutcome, ServiceRequest};
 
 /// Load-shedding watermarks over the gateway's in-flight count.
@@ -70,32 +69,23 @@ impl Default for ShedConfig {
     }
 }
 
-/// Gateway tuning: shedding, retry, breaker and the failpoint-driven
-/// slow-request stall.
+/// Gateway tuning: shedding and the per-tenant breaker.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Shedding watermarks.
     pub shed: ShedConfig,
-    /// Retry/backoff policy (shared jitter stream, per-tenant budgets).
-    pub retry: RetryConfig,
     /// Per-tenant breaker tuning.
     pub breaker: BreakerConfig,
-    /// Seed for the backoff jitter stream.
+    /// Seed of the server's trace-id minter.
     pub seed: u64,
-    /// Stall injected per attempt while the `serve-slow-request`
-    /// failpoint flag is armed (models a wedged worker; drives
-    /// deadline-propagation tests).
-    pub slow_request_delay: Duration,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             shed: ShedConfig::default(),
-            retry: RetryConfig::default(),
             breaker: BreakerConfig::default(),
             seed: 2006,
-            slow_request_delay: Duration::from_millis(25),
         }
     }
 }
@@ -151,7 +141,7 @@ impl Rejection {
 pub enum GatewayError {
     /// Refused before any optimizer work.
     Rejected(Rejection),
-    /// Ran (possibly with retries) and failed.
+    /// Ran and failed.
     Failed(OptimizeError),
 }
 
@@ -189,21 +179,14 @@ pub struct GatewayStats {
     pub shed: u64,
     /// Requests rejected by an open breaker.
     pub breaker_rejected: u64,
-    /// Retry attempts performed.
-    pub retried: u64,
     /// Closed→open (and half-open→open) breaker transitions.
     pub breaker_opens: u64,
     /// Admitted requests that returned a plan.
     pub completed: u64,
-    /// Admitted requests that failed after all retries.
+    /// Admitted requests that failed.
     pub failed: u64,
     /// Requests currently executing.
     pub in_flight: usize,
-}
-
-struct TenantState {
-    breaker: CircuitBreaker,
-    budget: RetryBudget,
 }
 
 /// The hardened request lifecycle around an [`OptimizerService`].
@@ -213,8 +196,7 @@ pub struct Gateway {
     service: OptimizerService,
     config: GatewayConfig,
     clock: Clock,
-    tenants: Mutex<TenantTable<TenantState>>,
-    policy: Mutex<RetryPolicy>,
+    breakers: Mutex<TenantTable<CircuitBreaker>>,
     in_flight: Mutex<usize>,
     idle: Condvar,
     draining: AtomicBool,
@@ -222,7 +204,6 @@ pub struct Gateway {
     accepted: AtomicU64,
     shed: AtomicU64,
     breaker_rejected: AtomicU64,
-    retried: AtomicU64,
     breaker_opens: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -236,13 +217,11 @@ impl Gateway {
 
     /// A gateway on an explicit (possibly manual) clock.
     pub fn with_clock(service: OptimizerService, config: GatewayConfig, clock: Clock) -> Gateway {
-        let policy = RetryPolicy::new(config.retry.clone(), config.seed);
         Gateway {
             service,
             config,
             clock,
-            tenants: Mutex::new(TenantTable::new()),
-            policy: Mutex::new(policy),
+            breakers: Mutex::new(TenantTable::new()),
             in_flight: Mutex::new(0),
             idle: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -250,7 +229,6 @@ impl Gateway {
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             breaker_rejected: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
             breaker_opens: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -278,7 +256,6 @@ impl Gateway {
             accepted: self.accepted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             breaker_rejected: self.breaker_rejected.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
             breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
@@ -289,9 +266,9 @@ impl Gateway {
     /// The named tenant's current breaker state (`Closed` when the
     /// tenant has never been seen).
     pub fn breaker_state(&self, tenant: &str) -> BreakerState {
-        lock(&self.tenants)
+        lock(&self.breakers)
             .get(tenant)
-            .map_or(BreakerState::Closed, |t| t.breaker.state())
+            .map_or(BreakerState::Closed, CircuitBreaker::state)
     }
 
     /// Whether new requests are being refused for shutdown.
@@ -348,9 +325,8 @@ impl Gateway {
 
     /// [`Gateway::handle`] with an optional flight recorder: when
     /// `trace` is `Some`, each lifecycle stage (shed-check, breaker,
-    /// per-attempt cache-lookup/optimize, retry backoffs) lands as a
-    /// [`RequestTrace`] span and rejections/failures stamp their kind
-    /// on the trace. When `trace` is `None` this path performs exactly
+    /// cache-lookup, optimize) lands as a [`RequestTrace`] span and
+    /// rejections/failures stamp their kind on the trace. When `trace` is `None` this path performs exactly
     /// the clock reads of the untraced lifecycle — every span timestamp
     /// below is gated on the trace — which the pinned test in
     /// `tests/trace_overhead.rs` holds it to via [`crate::clock_reads`].
@@ -422,12 +398,12 @@ impl Gateway {
         // Per-tenant breaker admission. A breaker rejection releases
         // the just-reserved in-flight slot via the guard's drop.
         {
-            let mut tenants = lock(&self.tenants);
-            let tenant = tenants.get_or_insert_with(&req.tenant, || self.tenant_state());
-            if let BreakerDecision::Reject { retry_after } =
-                tenant.breaker.admit(self.clock.now_ns())
-            {
-                drop(tenants);
+            let mut breakers = lock(&self.breakers);
+            let breaker = breakers.get_or_insert_with(&req.tenant, || {
+                CircuitBreaker::new(self.config.breaker.clone())
+            });
+            if let BreakerDecision::Reject { retry_after } = breaker.admit(self.clock.now_ns()) {
+                drop(breakers);
                 self.breaker_rejected.fetch_add(1, Ordering::Relaxed);
                 if let Some(tr) = trace.as_mut() {
                     tr.close_open(self.clock.now_ns());
@@ -449,19 +425,21 @@ impl Gateway {
             });
         }
 
-        let mut attempt: u32 = 0;
-        loop {
-            // A wedged worker, when injected: each attempt stalls before
-            // it runs, eating into the deadline below.
-            if joinopt_core::failpoint::flag("serve-slow-request") {
-                self.clock.sleep(self.config.slow_request_delay);
-            }
+        // A wedged worker, when injected: the request stalls before it
+        // runs, eating into the deadline below.
+        const SLOW_REQUEST_DELAY: Duration = Duration::from_millis(25);
+        if joinopt_core::failpoint::flag("serve-slow-request") {
+            self.clock.sleep(SLOW_REQUEST_DELAY);
+        }
 
-            // Deadline propagation: the remaining end-to-end allowance
-            // caps this attempt's optimizer time budget (and with it the
-            // core CancellationToken's deadline).
-            let mut effective = req.clone();
-            if let Some(d) = deadline {
+        // Deadline propagation: the remaining end-to-end allowance caps
+        // the optimizer time budget (and with it the core
+        // CancellationToken's deadline). Without a deadline the request
+        // runs as it came.
+        let mut capped;
+        let effective = match deadline {
+            None => req,
+            Some(d) => {
                 let elapsed = Duration::from_nanos(self.clock.now_ns().saturating_sub(admitted_ns));
                 let Some(remaining) = d.checked_sub(elapsed).filter(|r| !r.is_zero()) else {
                     if let Some(tr) = trace.as_mut() {
@@ -474,70 +452,33 @@ impl Gateway {
                         obs,
                     ));
                 };
-                effective.time_budget = Some(match req.time_budget {
-                    Some(b) => b.min(remaining),
-                    None => remaining,
-                });
+                capped = req.clone();
+                capped.time_budget = Some(req.time_budget.map_or(remaining, |b| b.min(remaining)));
+                &capped
             }
+        };
 
-            let tracer = trace
-                .as_mut()
-                .map(|tr| (&self.clock, attempt, &mut **tr) as crate::service::AttemptTracer<'_>);
-            match self
-                .service
-                .submit_one_traced(&effective, session, obs, tracer)
-            {
-                Ok(outcome) => {
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    let mut tenants = lock(&self.tenants);
-                    if let Some(t) = tenants.get_mut(&req.tenant) {
-                        t.breaker.on_success();
-                        t.budget.deposit();
-                    }
-                    return Ok(outcome);
+        let tracer = trace.as_deref_mut().map(|tr| (&self.clock, tr));
+        match self
+            .service
+            .submit_one_traced(effective, session, obs, tracer)
+        {
+            Ok(outcome) => {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                if let Some(b) = lock(&self.breakers).get_mut(&req.tenant) {
+                    b.on_success();
                 }
-                Err(e) if is_transient(&e) && self.may_retry(req, attempt) => {
-                    attempt += 1;
-                    self.retried.fetch_add(1, Ordering::Relaxed);
-                    if obs.enabled() {
-                        obs.on_event(Event::ServeRetried { attempt });
-                    }
-                    // A panicking attempt unwound past its span closes;
-                    // close them here and time the backoff sleep itself.
-                    if let Some(tr) = trace.as_mut() {
-                        let t = self.clock.now_ns();
-                        tr.close_open(t);
-                        tr.begin_attempt("retry-backoff", attempt, t);
-                    }
-                    let delay = lock(&self.policy).backoff(attempt - 1);
-                    self.clock.sleep(delay);
-                    if let Some(tr) = trace.as_mut() {
-                        tr.end(self.clock.now_ns());
-                    }
+                Ok(outcome)
+            }
+            Err(e) => {
+                // A panicking run unwinds past its span closes.
+                if let Some(tr) = trace.as_mut() {
+                    tr.close_open(self.clock.now_ns());
+                    tr.error_kind = Some(error_kind(&e));
                 }
-                Err(e) => {
-                    if let Some(tr) = trace.as_mut() {
-                        tr.close_open(self.clock.now_ns());
-                        tr.error_kind = Some(error_kind(&e));
-                    }
-                    return Err(self.finish_failed(req, e, obs));
-                }
+                Err(self.finish_failed(req, e, obs))
             }
         }
-    }
-
-    /// Whether a transient failure on 0-based `attempt` may retry:
-    /// policy allows it and the tenant's budget covers it (withdrawing
-    /// the token when so).
-    fn may_retry(&self, req: &ServiceRequest, attempt: u32) -> bool {
-        if !lock(&self.policy).allows(attempt) {
-            return false;
-        }
-        let mut tenants = lock(&self.tenants);
-        tenants
-            .get_or_insert_with(&req.tenant, || self.tenant_state())
-            .budget
-            .try_withdraw()
     }
 
     /// Books a terminal failure: feeds the tenant's breaker (emitting
@@ -553,26 +494,19 @@ impl Gateway {
     ) -> GatewayError {
         self.failed.fetch_add(1, Ordering::Relaxed);
         if counts_for_breaker(&e) {
-            let opened = lock(&self.tenants)
+            let opened = lock(&self.breakers)
                 .get_mut(&req.tenant)
-                .is_some_and(|t| t.breaker.on_failure(self.clock.now_ns()));
+                .is_some_and(|b| b.on_failure(self.clock.now_ns()));
             if opened {
                 self.breaker_opens.fetch_add(1, Ordering::Relaxed);
                 if obs.enabled() {
                     obs.on_event(Event::ServeBreakerOpen);
                 }
             }
-        } else if let Some(t) = lock(&self.tenants).get_mut(&req.tenant) {
-            t.breaker.on_neutral();
+        } else if let Some(b) = lock(&self.breakers).get_mut(&req.tenant) {
+            b.on_neutral();
         }
         GatewayError::Failed(e)
-    }
-
-    fn tenant_state(&self) -> TenantState {
-        TenantState {
-            breaker: CircuitBreaker::new(self.config.breaker.clone()),
-            budget: RetryBudget::new(&self.config.retry),
-        }
     }
 }
 
@@ -642,13 +576,6 @@ fn counts_for_breaker(e: &OptimizeError) -> bool {
     )
 }
 
-/// Failures worth retrying: isolated internal errors and panics. A
-/// deadline blowout is not — the deadline covers retries too, and a
-/// parse error will parse no better the second time.
-fn is_transient(e: &OptimizeError) -> bool {
-    matches!(e, OptimizeError::Internal(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,7 +618,7 @@ mod tests {
         assert_eq!(stats.accepted, 2);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.in_flight, 0);
-        assert_eq!((stats.shed, stats.failed, stats.retried), (0, 0, 0));
+        assert_eq!((stats.shed, stats.failed), (0, 0));
     }
 
     #[test]
@@ -774,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_caps_the_attempt_time_budget() {
+    fn deadline_caps_the_time_budget() {
         let gw = gateway(GatewayConfig::default());
         let mut session = None;
         // A generous explicit budget is clamped to the small remaining

@@ -23,12 +23,12 @@
 //!   budgets) and [`OptimizerService`], a batch executor with per-tenant
 //!   admission control riding the core crate's exact → IDP → GOO
 //!   degradation ladder;
-//! * [`clock`] / [`retry`] / [`breaker`] — the injectable clock,
-//!   jittered-backoff retry policy with per-tenant budgets, and the
-//!   per-tenant circuit breaker behind the server;
+//! * [`clock`] / [`breaker`] — the injectable clock and the per-tenant
+//!   circuit breaker behind the server;
 //! * [`gateway`] — [`Gateway`], the hardened request lifecycle
-//!   (shedding watermarks, breaker, deadline propagation, retries,
-//!   graceful drain) shared by the TCP server and the chaos harness;
+//!   (shedding watermarks, breaker, deadline propagation, graceful
+//!   drain) shared by the TCP server and the chaos harness; each
+//!   admitted request runs exactly once;
 //! * [`server`] — `joinopt serve`: a dependency-free TCP/unix-socket
 //!   server speaking newline-delimited JSON.
 //!
@@ -50,7 +50,6 @@ pub mod fingerprint;
 pub mod gateway;
 mod lru;
 pub mod memo;
-pub mod retry;
 pub mod server;
 pub mod service;
 pub mod spec;
@@ -63,10 +62,9 @@ pub use gateway::{
     error_kind, Gateway, GatewayConfig, GatewayError, GatewayStats, Rejection, ShedConfig,
 };
 pub use memo::{MemoStats, QueryMemo, MEMO_BYTES};
-pub use retry::{RetryBudget, RetryConfig, RetryPolicy};
 pub use server::{Handler, ServeSummary, Server, ServerConfig, TraceConfig};
 pub use service::{
-    AttemptTracer, CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome,
-    ServiceRequest,
+    CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome, ServiceRequest,
+    StageTracer,
 };
 pub use spec::{CatalogSpec, QuerySpec};

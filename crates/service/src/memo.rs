@@ -17,11 +17,14 @@
 //!
 //! A memoized parsed query (spec plus canonical form) is shared by `Arc`
 //! with every request built from it, so a memo hit copies no spec and no
-//! canonical form.
+//! canonical form. Admission stores the canonical form the service
+//! computed for the admitting request's cache probe (handed back in its
+//! outcome), so a text is canonicalized once, and the spec moved out of
+//! the finished request, so it is not copied either.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::fingerprint::{canonicalize, CanonicalForm};
+use crate::fingerprint::CanonicalForm;
 use crate::lru::Lru;
 use crate::spec::QuerySpec;
 
@@ -52,15 +55,14 @@ impl ParsedQuery {
         }
     }
 
-    /// A spec together with its canonical form (computed here, once).
-    pub(crate) fn canonicalized(spec: QuerySpec) -> ParsedQuery {
-        let canonical = Some(canonicalize(&spec));
-        ParsedQuery { spec, canonical }
-    }
-
     /// The owned query.
     pub(crate) fn spec(&self) -> &QuerySpec {
         &self.spec
+    }
+
+    /// The owned query, taken apart.
+    pub(crate) fn into_spec(self) -> QuerySpec {
+        self.spec
     }
 
     /// The canonical form, when it was computed up front.
@@ -143,17 +145,20 @@ impl QueryMemo {
         found
     }
 
-    /// Memoizes `spec` (with its canonical form) under `text`. Call it
-    /// only for a text whose request was answered from the plan cache.
-    /// Returns `false` when the entry is larger than the whole budget
-    /// and was not stored.
-    pub(crate) fn admit(&self, text: &str, spec: &QuerySpec) -> bool {
-        let bytes = entry_bytes(text.len(), spec);
-        if bytes > self.lock().lru.budget() {
+    /// Memoizes `spec` with its `canonical` form under `text`. Call it
+    /// only for a text whose request was answered from the plan cache,
+    /// with the form that answer computed. Returns `false` when the entry
+    /// is larger than the whole budget and was not stored.
+    pub(crate) fn admit(&self, text: &str, spec: QuerySpec, canonical: CanonicalForm) -> bool {
+        let bytes = entry_bytes(text.len(), &spec);
+        let mut inner = self.lock();
+        if bytes > inner.lru.budget() {
             return false;
         }
-        let parsed = Arc::new(ParsedQuery::canonicalized(spec.clone()));
-        let mut inner = self.lock();
+        let parsed = Arc::new(ParsedQuery {
+            spec,
+            canonical: Some(canonical),
+        });
         let mut evicted = 0;
         let stored = inner
             .lru
@@ -180,6 +185,7 @@ impl QueryMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::canonicalize;
     use joinopt_cost::workload;
     use joinopt_qgraph::GraphKind;
 
@@ -188,11 +194,14 @@ mod tests {
         QuerySpec::capture(&w.graph, &w.catalog).unwrap()
     }
 
+    fn admit(memo: &QueryMemo, text: &str, spec: &QuerySpec) -> bool {
+        memo.admit(text, spec.clone(), canonicalize(spec))
+    }
+
     #[test]
     fn charge_counts_text_spec_and_canonical_words() {
         let spec = chain(4, 1); // n = 4, m = 3
-        let parsed = ParsedQuery::canonicalized(spec.clone());
-        let canon = parsed.canonical().unwrap();
+        let canon = canonicalize(&spec);
         let words =
             spec.num_relations() + 3 * spec.num_edges() + canon.encoding.len() + canon.order.len();
         assert_eq!(entry_bytes(100, &spec), ENTRY_OVERHEAD + 100 + 8 * words);
@@ -202,7 +211,7 @@ mod tests {
     fn lookups_count_and_hits_share_one_parsed_query() {
         let memo = QueryMemo::new(MEMO_BYTES);
         assert!(memo.lookup("q").is_none());
-        assert!(memo.admit("q", &chain(5, 2)));
+        assert!(admit(&memo, "q", &chain(5, 2)));
         let a = memo.lookup("q").unwrap();
         let b = memo.lookup("q").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -219,7 +228,7 @@ mod tests {
         let one = entry_bytes(12, &spec);
         let memo = QueryMemo::new(10 * one + one / 2);
         for i in 0..100 {
-            assert!(memo.admit(&format!("query {i:06}"), &spec));
+            assert!(admit(&memo, &format!("query {i:06}"), &spec));
             let stats = memo.stats();
             assert!(stats.bytes <= 10 * one + one / 2, "{stats:?}");
         }
@@ -236,7 +245,7 @@ mod tests {
         let spec = chain(4, 4);
         let text = "x".repeat(1000);
         let memo = QueryMemo::new(entry_bytes(text.len(), &spec) - 1);
-        assert!(!memo.admit(&text, &spec));
+        assert!(!admit(&memo, &text, &spec));
         assert!(memo.lookup(&text).is_none());
         assert_eq!(memo.stats().bytes, 0);
     }

@@ -6,8 +6,8 @@
 //! response object per line, in order, per connection. Each connection
 //! gets its own thread and its own pooled optimizer
 //! [`Session`]; every optimize request runs the
-//! gateway's full hardened lifecycle (shedding → breaker → deadline
-//! propagation → retries; see [`crate::gateway`]).
+//! gateway's full hardened lifecycle once (shedding → breaker →
+//! deadline propagation; see [`crate::gateway`]).
 //!
 //! ## Protocol verbs
 //!
@@ -39,10 +39,10 @@
 //! carry a `trace_id`: accepted verbatim from the client or minted from
 //! a seeded per-server counter, echoed in the response, and usable with
 //! the `trace` verb to fetch the request's full stage-span timeline
-//! (accept → shed-check → breaker → cache-lookup/optimize per attempt →
-//! retry-backoff → respond). Tracing is on by default and tunable via
-//! [`TraceConfig`]; disabling it restores the untraced fast path with
-//! zero extra clock reads (pinned by `tests/trace_overhead.rs`).
+//! (accept → shed-check → breaker → cache-lookup → optimize → respond).
+//! Tracing is on by default and tunable via [`TraceConfig`]; disabling
+//! it restores the untraced fast path with zero extra clock reads
+//! (pinned by `tests/trace_overhead.rs`).
 //!
 //! ## Shutdown
 //!
@@ -135,7 +135,7 @@ pub struct ServerConfig {
     pub listen: Listen,
     /// Sizing of the underlying [`OptimizerService`] (cache, limits).
     pub service: ServiceConfig,
-    /// Gateway hardening (shedding, retries, breaker).
+    /// Gateway hardening (shedding, breaker).
     pub gateway: GatewayConfig,
     /// Request tracing and windowed metrics.
     pub trace: TraceConfig,
@@ -739,7 +739,6 @@ fn stats_response(gateway: &Gateway, memo: &QueryMemo, echo: Echo<'_>) -> String
         .u64("failed", st.failed)
         .u64("shed", st.shed)
         .u64("breaker_rejected", st.breaker_rejected)
-        .u64("retried", st.retried)
         .u64("breaker_opens", st.breaker_opens)
         .u64("in_flight", st.in_flight as u64);
     if let Some(cache) = gateway.service().cache() {
@@ -862,14 +861,16 @@ impl Handler {
             _ => None,
         };
 
-        let result = gateway.handle_traced(&req, deadline, session, obs, trace.as_mut());
+        let mut result = gateway.handle_traced(&req, deadline, session, obs, trace.as_mut());
         let respond_start = trace.as_ref().map(|_| gateway.clock().now_ns());
 
         // A freshly parsed text earns a memo entry once the plan cache
-        // answered it; errors, rejections and degraded plans never do.
-        if let (Ok(outcome), Some(text)) = (&result, query) {
-            if outcome.cache_hit && req.canonical().is_none() {
-                self.memo.admit(text, req.spec());
+        // answered it, with the canonical form that answer computed (a
+        // memoized text carried its form, so none comes back); errors,
+        // rejections and degraded plans never do.
+        if let (Ok(outcome), Some(text)) = (&mut result, query) {
+            if let Some(canonical) = outcome.canonical.take() {
+                self.memo.admit(text, req.into_spec(), canonical);
             }
         }
 
@@ -1180,13 +1181,13 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
     {
         use joinopt_core::failpoint;
 
-        // One injected worker panic per attempt: the request exhausts
-        // its retries, surfaces as a typed `panic` error, and the
-        // server (catch_unwind isolation) keeps serving.
+        // One injected worker panic: the request surfaces as a typed
+        // `panic` error, and the server (catch_unwind isolation) keeps
+        // serving.
         failpoint::configure_times(
             "serve-worker-panic",
             joinopt_core::failpoint::FailAction::Panic,
-            16,
+            1,
         );
         let panicked = call(&smoke_optimize(1, ""))?;
         failpoint::clear("serve-worker-panic");
@@ -1334,10 +1335,10 @@ pub fn smoke(prom_path: Option<&std::path::Path>) -> Result<Vec<String>, String>
 /// 1. a **cold** optimize with a server-minted trace id,
 /// 2. a **warm** repeat (cache hit) with a client-supplied id,
 /// 3. in `--cfg failpoints` builds only — which is what the committed
-///    golden is generated from — a request whose first attempt is an
-///    injected worker panic, exercising the `retry-backoff` span with
-///    the seeded jitter stream while the `serve-slow-request` stall
-///    advances the virtual clock per attempt.
+///    golden is generated from — a request that fails with a typed
+///    `panic` from an injected worker panic, after the
+///    `serve-slow-request` stall advanced the virtual clock before it
+///    ran.
 ///
 /// The document ends with the windowed-metrics snapshot aggregated from
 /// those traces, pinning the whole trace → window pipeline in one diff.
@@ -1377,7 +1378,7 @@ pub fn span_timeline_demo() -> String {
             "serve-slow-request",
             joinopt_core::failpoint::FailAction::Error,
         );
-        run(&smoke_optimize(1, ",\"trace_id\":\"demo-retry\""));
+        run(&smoke_optimize(1, ",\"trace_id\":\"demo-panic\""));
         failpoint::clear("serve-slow-request");
         failpoint::clear("serve-worker-panic");
     }
@@ -1755,6 +1756,25 @@ mod tests {
         assert_eq!(r.get("id").and_then(|v| v.as_str()), Some("req-sa"));
         let health = call_dispatch(&h, "{\"verb\":\"health\"}");
         assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
+    }
+
+    #[test]
+    fn idp_is_not_a_wire_algorithm() {
+        let h = dispatch_harness(TraceConfig::default());
+        let r = call_dispatch(
+            &h,
+            &optimize_req(",\"id\":\"req-idp\",\"algorithm\":\"idp\""),
+        );
+        assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
+        assert_eq!(
+            r.get("error_type").and_then(|v| v.as_str()),
+            Some("invalid")
+        );
+        assert_eq!(
+            r.get("message").and_then(|v| v.as_str()),
+            Some("unknown algorithm \"idp\"")
+        );
+        assert_eq!(r.get("id").and_then(|v| v.as_str()), Some("req-idp"));
     }
 
     #[test]

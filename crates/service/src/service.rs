@@ -24,7 +24,8 @@
 //! With a cache configured, each request takes its spec's canonical
 //! form ([`crate::fingerprint`]) from the request when it carries one
 //! (a query served from the server's [`crate::memo`]) and computes it
-//! otherwise, probes the cache under
+//! otherwise (handing it back on a hit, so the memo can store it),
+//! probes the cache under
 //! (fingerprint, resolved algorithm, cost-model id) and, on a miss
 //! whose run completes exactly (no degradation), stores the resulting
 //! plan. Hits return bit-identical cost bits and plan shape to the cold
@@ -46,11 +47,10 @@ use crate::fingerprint::{canonicalize, CanonicalForm};
 use crate::memo::ParsedQuery;
 use crate::spec::QuerySpec;
 
-/// The gateway's per-attempt tracing hookup: the clock that stamps
-/// span boundaries, the 0-based retry attempt, and the request's
-/// flight record. Bundled as a tuple so the untraced path stays a
-/// single `None`.
-pub type AttemptTracer<'a> = (&'a Clock, u32, &'a mut RequestTrace);
+/// The gateway's tracing hookup: the clock that stamps span boundaries
+/// and the request's flight record. Bundled as a tuple so the untraced
+/// path stays a single `None`.
+pub type StageTracer<'a> = (&'a Clock, &'a mut RequestTrace);
 
 /// The cost models the service can name — a closed, hashable id so the
 /// cache key stays `Copy` and model identity is never a dangling
@@ -200,6 +200,11 @@ impl ServiceRequest {
         self.query.canonical()
     }
 
+    /// The owned query, moved out unless a clone still shares it.
+    pub(crate) fn into_spec(self) -> QuerySpec {
+        Arc::try_unwrap(self.query).map_or_else(|q| q.spec().clone(), ParsedQuery::into_spec)
+    }
+
     /// Sets the tenant label.
     #[must_use]
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
@@ -299,6 +304,9 @@ pub struct ServiceOutcome {
     pub degradation: Option<DegradationInfo>,
     /// Wall-clock time spent answering this request (lookup or run).
     pub elapsed: Duration,
+    /// On a cache hit, the canonical form computed for the probe (`None`
+    /// when the request carried one), for the server's memo to store.
+    pub(crate) canonical: Option<CanonicalForm>,
 }
 
 /// The optimizer service: a plan cache plus a batch executor with
@@ -449,7 +457,7 @@ impl OptimizerService {
     /// [`OptimizerService::submit_one`] with the gateway's flight
     /// recorder: when `tracer` is `Some`, the cache probe and the
     /// engine run land as `cache-lookup` / `optimize` spans stamped
-    /// from the gateway's clock and tagged with the retry attempt.
+    /// from the gateway's clock.
     /// `None` keeps this path free of clock reads entirely (the
     /// zero-overhead contract pinned in `tests/trace_overhead.rs`).
     pub fn submit_one_traced(
@@ -457,7 +465,7 @@ impl OptimizerService {
         req: &ServiceRequest,
         session: &mut Option<Session>,
         obs: &dyn Observer,
-        tracer: Option<AttemptTracer<'_>>,
+        tracer: Option<StageTracer<'_>>,
     ) -> Result<ServiceOutcome, OptimizeError> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.answer(session, req, obs, tracer)
@@ -488,7 +496,7 @@ impl OptimizerService {
         session: &mut Option<Session>,
         req: &ServiceRequest,
         obs: &dyn Observer,
-        mut tracer: Option<AttemptTracer<'_>>,
+        mut tracer: Option<StageTracer<'_>>,
     ) -> Result<ServiceOutcome, OptimizeError> {
         joinopt_core::failpoint::check("serve-worker-panic")?;
         let started = Instant::now();
@@ -507,18 +515,17 @@ impl OptimizerService {
         // cache is configured). A canonical form the request carries is
         // used as is; otherwise it is computed here, billed to the
         // cache-lookup span: it exists only to produce the cache key.
-        if let Some((clock, attempt, tr)) = tracer.as_mut() {
-            tr.begin_attempt("cache-lookup", *attempt, clock.now_ns());
+        if let Some((clock, tr)) = tracer.as_mut() {
+            tr.begin("cache-lookup", clock.now_ns());
         }
-        let computed;
-        let canon = match (&self.cache, req.canonical()) {
-            (None, _) => None,
-            (Some(_), Some(carried)) => Some(carried),
-            (Some(_), None) => {
-                computed = canonicalize(req.spec());
-                Some(&computed)
-            }
+        let computed = match (&self.cache, req.canonical()) {
+            (Some(_), None) => Some(canonicalize(req.spec())),
+            _ => None,
         };
+        let canon = self
+            .cache
+            .as_ref()
+            .and(req.canonical().or(computed.as_ref()));
         let key = canon.map(|c| {
             // Simulate the worst-case fingerprint collision: every query
             // maps to the same slot. Correctness must now rest entirely
@@ -542,7 +549,7 @@ impl OptimizerService {
                 &canon.order,
                 obs,
             ) {
-                if let Some((clock, _, tr)) = tracer.as_mut() {
+                if let Some((clock, tr)) = tracer.as_mut() {
                     tr.end(clock.now_ns());
                 }
                 return Ok(ServiceOutcome {
@@ -558,16 +565,17 @@ impl OptimizerService {
                     cache_hit: true,
                     degradation: None,
                     elapsed: started.elapsed(),
+                    canonical: computed,
                 });
             }
         }
 
         // Miss (or no cache): the optimize span covers graph
         // instantiation, the engine run and the post-run cache store.
-        if let Some((clock, attempt, tr)) = tracer.as_mut() {
+        if let Some((clock, tr)) = tracer.as_mut() {
             let t = clock.now_ns();
             tr.end(t);
-            tr.begin_attempt("optimize", *attempt, t);
+            tr.begin("optimize", t);
         }
         let (graph, catalog) = req.spec().instantiate()?;
         let mut s = session.take().unwrap_or_default();
@@ -608,7 +616,7 @@ impl OptimizerService {
                 );
             }
         }
-        if let Some((clock, _, tr)) = tracer.as_mut() {
+        if let Some((clock, tr)) = tracer.as_mut() {
             tr.end(clock.now_ns());
         }
         Ok(ServiceOutcome {
@@ -617,6 +625,7 @@ impl OptimizerService {
             cache_hit: false,
             degradation: outcome.degradation,
             elapsed: started.elapsed(),
+            canonical: None,
         })
     }
 }

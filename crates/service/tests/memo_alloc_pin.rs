@@ -3,6 +3,8 @@
 //! is found in the memo, the plan cache answers from the memoized
 //! canonical form, and the reply is written. No query parse, no spec
 //! capture and no canonicalization run, so no fingerprint is computed.
+//! The line that admitted the text computed exactly one: the memo
+//! stores the form the request was answered with.
 //!
 //! A counting `#[global_allocator]` tallies allocations per thread; the
 //! handler answers on the calling thread. This is its own test binary
@@ -79,11 +81,24 @@ fn a_memo_hit_optimize_allocates_exactly_as_pinned() {
     );
     line.push('}');
     let mut session = None;
-    // Cold (plan-cache miss), warm (plan-cache hit: admitted), then one
-    // memo hit so every lazily grown structure has its steady size.
-    for _ in 0..3 {
-        handler.dispatch(&line, &mut session, &NoopObserver);
-    }
+    // Cold: a plan-cache miss, which admits nothing.
+    handler.dispatch(&line, &mut session, &NoopObserver);
+    assert_eq!(handler.memo().stats().stores, 0);
+
+    // Warm: a plan-cache hit that admits its text. The line is
+    // canonicalized once, and the memo stores that same form.
+    let fingerprints = fingerprints_computed();
+    let (reply, _) = handler.dispatch(&line, &mut session, &NoopObserver);
+    assert!(reply.contains("\"cache_hit\":true"), "{reply}");
+    assert_eq!(handler.memo().stats().stores, 1);
+    assert_eq!(
+        fingerprints_computed() - fingerprints,
+        1,
+        "the admitting line canonicalizes exactly once"
+    );
+
+    // One memo hit so every lazily grown structure has its steady size.
+    handler.dispatch(&line, &mut session, &NoopObserver);
     assert_eq!(handler.memo().stats().hits, 1);
 
     let fingerprints = fingerprints_computed();
@@ -93,6 +108,6 @@ fn a_memo_hit_optimize_allocates_exactly_as_pinned() {
     assert_eq!(fingerprints_computed(), fingerprints, "no canonicalization");
     // The request JSON, the remapped plan tree and the reply line. The
     // same line through the parser (a plan-cache hit that admits its
-    // text) costs 106 allocations on this query.
+    // text) costs 79 allocations on this query.
     assert_eq!(allocs, 28, "memo-hit optimize line");
 }

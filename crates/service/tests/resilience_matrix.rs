@@ -1,8 +1,9 @@
 //! The service-level resilience matrix under injected faults: a fault
 //! burst opens the tenant's circuit breaker, the breaker recloses after
 //! the cooldown, and a drain started with requests still in flight
-//! completes cleanly; and a batch isolates every panicking request to
-//! its own slot, whether one request panics or all of them do.
+//! completes cleanly; a failed request is not run again; and a batch
+//! isolates every panicking request to its own slot, whether one
+//! request panics or all of them do.
 //!
 //! Lives in its own integration binary (own process), and its tests
 //! serialize on one lock: the failpoint registry is process-global, so
@@ -20,7 +21,7 @@ use joinopt_core::{Algorithm, OptimizeError};
 use joinopt_qgraph::GraphKind;
 use joinopt_service::{
     BreakerConfig, BreakerState, Clock, Gateway, GatewayConfig, GatewayError, OptimizerService,
-    QuerySpec, RetryConfig, ServiceConfig, ServiceOutcome, ServiceRequest,
+    QuerySpec, ServiceConfig, ServiceOutcome, ServiceRequest,
 };
 use joinopt_telemetry::NoopObserver;
 
@@ -65,12 +66,6 @@ fn fault_burst_opens_breaker_and_drain_completes() {
                 failure_threshold: 3,
                 cooldown: Duration::from_millis(250),
                 success_threshold: 1,
-            },
-            // No retries: each injected panic is a terminal failure, so
-            // the breaker accounting below is exact.
-            retry: RetryConfig {
-                max_retries: 0,
-                ..RetryConfig::default()
             },
             ..GatewayConfig::default()
         },
@@ -149,6 +144,39 @@ fn fault_burst_opens_breaker_and_drain_completes() {
         .expect("background thread exits")
         .expect("in-flight request completes during the drain");
     assert_eq!(gw.stats().in_flight, 0);
+}
+
+#[test]
+fn an_internal_failure_is_terminal() {
+    let _serial = serial();
+    let gw = Gateway::with_clock(
+        OptimizerService::new(ServiceConfig::default()),
+        GatewayConfig::default(),
+        Clock::manual(),
+    );
+    let mut session = None;
+    let req = ServiceRequest::new(spec(6, 11)).with_tenant("acme");
+
+    // One injected worker panic: the request that hits it fails typed,
+    // and the gateway does not run it a second time.
+    failpoint::configure_times("serve-worker-panic", FailAction::Panic, 1);
+    let first = gw.handle(&req, None, &mut session, &NoopObserver);
+    failpoint::clear("serve-worker-panic");
+    match first {
+        Err(GatewayError::Failed(OptimizeError::Internal(m))) => {
+            assert!(m.contains("panic"), "{m}");
+        }
+        other => panic!("the panicked request must fail: {other:?}"),
+    }
+
+    // The identical request then runs on a fresh session and succeeds.
+    assert!(session.is_none(), "a panicked run leaves no session behind");
+    let second = gw
+        .handle(&req, None, &mut session, &NoopObserver)
+        .expect("the repeat succeeds once the fault is gone");
+    assert!(!second.cache_hit);
+    let stats = gw.stats();
+    assert_eq!((stats.failed, stats.completed), (1, 1));
 }
 
 #[test]

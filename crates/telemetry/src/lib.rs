@@ -36,7 +36,7 @@
 //!   profile).
 //! * [`RequestTrace`] / [`TraceLog`] — request-scoped flight recording
 //!   for the serve path: ordered stage spans (shed-check, breaker,
-//!   cache-lookup, per-attempt optimize, …) with the resolved
+//!   cache-lookup, optimize, …) with the resolved
 //!   algorithm, cache hit and error kind, retained bounded (recent ring
 //!   + worst-K slowest) behind the server's `trace`/`slow` verbs.
 //! * [`WindowedMetrics`] — rolling time-window aggregation: a ring of

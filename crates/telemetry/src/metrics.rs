@@ -348,7 +348,6 @@ impl Observer for MetricsCollector {
             | Event::CacheEvict { .. }
             | Event::ServeAccepted { .. }
             | Event::ServeShed { .. }
-            | Event::ServeRetried { .. }
             | Event::ServeBreakerOpen
             | Event::ServeDrained { .. } => {}
         }

@@ -199,13 +199,6 @@ pub enum Event {
         /// Priority of the shed request.
         priority: &'static str,
     },
-    /// The server gateway is retrying a transiently failed request
-    /// after a jittered backoff sleep.
-    ServeRetried {
-        /// 1-based retry attempt (1 = first retry after the initial
-        /// attempt failed).
-        attempt: u32,
-    },
     /// A per-tenant circuit breaker transitioned to open: subsequent
     /// requests from that tenant fail fast until the cooldown elapses
     /// and a half-open probe succeeds.
@@ -248,7 +241,6 @@ impl Event {
             Event::CacheEvict { .. } => "cache_evict",
             Event::ServeAccepted { .. } => "serve_accepted",
             Event::ServeShed { .. } => "serve_shed",
-            Event::ServeRetried { .. } => "serve_retried",
             Event::ServeBreakerOpen => "serve_breaker_open",
             Event::ServeDrained { .. } => "serve_drained",
             Event::RunEnd { .. } => "run_end",
@@ -270,7 +262,6 @@ impl Event {
             }
             Event::ServeAccepted { .. }
             | Event::ServeShed { .. }
-            | Event::ServeRetried { .. }
             | Event::ServeBreakerOpen
             | Event::ServeDrained { .. } => "serve",
             _ => "run",
@@ -521,9 +512,6 @@ mod tests {
         let shed = Event::ServeShed { priority: "low" };
         assert_eq!(shed.name(), "serve_shed");
         assert_eq!(shed.phase(), "serve");
-        let retried = Event::ServeRetried { attempt: 1 };
-        assert_eq!(retried.name(), "serve_retried");
-        assert_eq!(retried.phase(), "serve");
         assert_eq!(Event::ServeBreakerOpen.name(), "serve_breaker_open");
         assert_eq!(Event::ServeBreakerOpen.phase(), "serve");
         let drained = Event::ServeDrained { in_flight: 2 };

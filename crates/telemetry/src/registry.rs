@@ -587,7 +587,7 @@ impl Snapshot {
 /// | `cache_stores_total`, `cache_evictions_total` | counter | — |
 /// | `cache_bytes` | gauge | — |
 /// | `serve_accepted_total`, `serve_shed_total` | counter | `priority` |
-/// | `serve_retried_total`, `serve_breaker_open_total`, `serve_drained_total` | counter | — |
+/// | `serve_breaker_open_total`, `serve_drained_total` | counter | — |
 ///
 /// The provenance counters only move when some sink in the run's
 /// observer chain opted into candidate events via
@@ -696,9 +696,6 @@ impl Observer for MetricsRegistry {
             }
             Event::ServeShed { priority } => {
                 self.inc("joinopt_serve_shed_total", &[("priority", priority)], 1);
-            }
-            Event::ServeRetried { .. } => {
-                self.inc("joinopt_serve_retried_total", &[], 1);
             }
             Event::ServeBreakerOpen => {
                 self.inc("joinopt_serve_breaker_open_total", &[], 1);

@@ -2,9 +2,9 @@
 //! remembers, per request, which lifecycle stage ate the latency.
 //!
 //! A [`RequestTrace`] is an ordered list of [`StageSpan`]s — accept,
-//! shed-check, breaker, cache-lookup, one optimize span per retry
-//! attempt, respond — plus the facts a postmortem needs: the resolved
-//! algorithm, cache hit/miss, degradation rung and error kind. Like
+//! shed-check, breaker, cache-lookup, optimize, respond — plus the
+//! facts a postmortem needs: the resolved algorithm, cache hit/miss,
+//! degradation rung and error kind. Like
 //! [`crate::window`], nothing here reads a clock: every timestamp is a
 //! `now_ns` handed in by the caller (the service layer's injectable
 //! `Clock`), so traces are byte-deterministic under a manual clock.
@@ -24,11 +24,8 @@ use crate::json::write_escaped;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSpan {
     /// Stage name (`accept`, `shed-check`, `breaker`, `cache-lookup`,
-    /// `optimize`, `retry-backoff`, `respond`).
+    /// `optimize`, `respond`).
     pub stage: &'static str,
-    /// Retry attempt this span belongs to (0 for the first attempt and
-    /// for stages outside the retry loop).
-    pub attempt: u32,
     /// Stage start, in the clock's nanoseconds.
     pub start_ns: u64,
     /// Stage end; `end_ns - start_ns` is the duration.
@@ -93,20 +90,10 @@ impl RequestTrace {
         }
     }
 
-    /// Opens a stage span at `now_ns` (attempt 0).
+    /// Opens a stage span at `now_ns`.
     pub fn begin(&mut self, stage: &'static str, now_ns: u64) {
-        self.begin_attempt(stage, 0, now_ns);
-    }
-
-    /// Opens a stage span tagged with a retry attempt.
-    pub fn begin_attempt(&mut self, stage: &'static str, attempt: u32, now_ns: u64) {
         self.open.push(self.spans.len());
-        self.spans.push(StageSpan {
-            stage,
-            attempt,
-            start_ns: now_ns,
-            end_ns: now_ns,
-        });
+        self.span(stage, now_ns, now_ns);
     }
 
     /// Closes the most recently opened span at `now_ns`. A close with
@@ -130,11 +117,10 @@ impl RequestTrace {
         }
     }
 
-    /// Records an already-delimited span (attempt 0).
+    /// Records an already-delimited span.
     pub fn span(&mut self, stage: &'static str, start_ns: u64, end_ns: u64) {
         self.spans.push(StageSpan {
             stage,
-            attempt: 0,
             start_ns,
             end_ns,
         });
@@ -191,9 +177,8 @@ impl RequestTrace {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"stage\":\"{}\",\"attempt\":{},\"start_ns\":{},\"duration_ns\":{}}}",
+                "{{\"stage\":\"{}\",\"start_ns\":{},\"duration_ns\":{}}}",
                 sp.stage,
-                sp.attempt,
                 sp.start_ns,
                 sp.duration_ns()
             ));
@@ -319,9 +304,9 @@ mod tests {
         let mut t = RequestTrace::new("t-1".into(), "acme", "optimize", 100);
         t.begin("shed-check", 100);
         t.end(110);
-        t.begin_attempt("optimize", 0, 110);
+        t.begin("optimize", 110);
         t.end(150);
-        t.begin_attempt("retry-backoff", 1, 150);
+        t.begin("respond", 150);
         t.end(170);
         t.algorithm = Some("dpccp");
         t.cache_hit = Some(false);
@@ -334,9 +319,7 @@ mod tests {
         assert!(json.starts_with("{\"trace_id\":\"t-1\""));
         assert!(json.contains("\"algorithm\":\"dpccp\""));
         assert!(json.contains("\"cache_hit\":false"));
-        assert!(json.contains(
-            "{\"stage\":\"retry-backoff\",\"attempt\":1,\"start_ns\":150,\"duration_ns\":20}"
-        ));
+        assert!(json.contains("{\"stage\":\"respond\",\"start_ns\":150,\"duration_ns\":20}"));
     }
 
     #[test]

@@ -143,7 +143,6 @@ impl<W: Write> TraceWriter<W> {
             Event::ServeAccepted { priority } | Event::ServeShed { priority } => {
                 line.str("priority", priority)
             }
-            Event::ServeRetried { attempt } => line.u64("attempt", u64::from(attempt)),
             Event::ServeDrained { in_flight } => line.u64("in_flight", in_flight as u64),
             Event::RunEnd { total_ns, .. } => line.u64("total_ns", total_ns),
         };

@@ -39,7 +39,7 @@ fn traces() -> Vec<RequestTrace> {
     let mut t = RequestTrace::new("t5".into(), "a", "optimize", SEC + 5);
     t.span("breaker", SEC + 300, SEC + 800);
     t.span("accept", SEC + 5, SEC + 300);
-    t.begin_attempt("optimize", 1, SEC + 900);
+    t.begin("optimize", SEC + 900);
     t.end(SEC + 40_000);
     t.finish("ok", SEC + 41_000);
     out.push(t);

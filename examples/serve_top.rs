@@ -61,9 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         for span in trace.spans() {
             println!(
-                "  {:>12}  attempt {}  start {:>10} ns  {:>8} ns",
+                "  {:>12}  start {:>10} ns  {:>8} ns",
                 span.stage,
-                span.attempt,
                 span.start_ns,
                 span.duration_ns()
             );

@@ -34,7 +34,7 @@ fn strategy_cost_ordering_holds() {
 fn request_dispatches_every_algorithm() {
     let w = workload::family_workload(GraphKind::Cycle, 8, 5);
     let optimal = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap().cost;
-    for alg in Algorithm::CONCRETE {
+    for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
         let r = OptimizeRequest::new(&w.graph, &w.catalog)
             .with_algorithm(alg)
             .run()

@@ -179,7 +179,7 @@ fn every_plan_recosts_to_its_own_cost_bit_for_bit() {
         let w = workload::random_workload(9, 0.3, seed);
         let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
         for model in models {
-            for alg in Algorithm::CONCRETE {
+            for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
                 let Ok(r) = alg.orderer(&w.graph).optimize(&w.graph, &w.catalog, model) else {
                     assert_eq!(alg, Algorithm::DpConv, "only DPconv refuses a model");
                     continue;
