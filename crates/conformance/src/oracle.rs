@@ -31,7 +31,10 @@ use joinopt_core::formulas::{
     dpsize_inner_from_profile, dpsize_naive_inner_from_profile, dpsub_inner_from_profile,
     dpsub_unfiltered_inner,
 };
-use joinopt_core::{exhaustive, Algorithm, DpHyp, DpResult, OptimizeError};
+use joinopt_core::greedy::Goo;
+use joinopt_core::{
+    exhaustive, Algorithm, DpHyp, DpResult, DpSizeLeftDeep, Idp, JoinOrderer, OptimizeError,
+};
 use joinopt_cost::{CardinalityEstimator, CostModel, Cout, HashJoin, PlanStats};
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::hypergraph::Hypergraph;
@@ -109,10 +112,10 @@ pub(crate) const EXACT: [(Algorithm, &str); 7] = [
 
 /// The heuristics: valid plans that re-cost exactly, never below the
 /// optimum.
-const HEURISTIC: [(Algorithm, &str); 3] = [
-    (Algorithm::Goo, "GOO"),
-    (Algorithm::Idp, "IDP"),
-    (Algorithm::DpSizeLeftDeep, "DPsize-leftdeep"),
+const HEURISTIC: [(&dyn JoinOrderer, &str); 3] = [
+    (&Goo, "GOO"),
+    (&Idp::with_block_size(10), "IDP"),
+    (&DpSizeLeftDeep, "DPsize-leftdeep"),
 ];
 
 /// Largest instance the `O(2^n · n²)` ranked-subset-convolution counter
@@ -161,15 +164,13 @@ pub fn check_instance_observed(
             format!("{}: the estimator rejected the catalog: {e}", inst.name),
         )
     })?;
-    let run = |alg: Algorithm, label: &str, model: &dyn CostModel| {
-        alg.orderer(g)
-            .optimize(g, &inst.catalog, model)
-            .map_err(|e| {
-                diverge(
-                    "optimizer-error",
-                    format!("{}: {label} failed on a connected instance: {e}", inst.name),
-                )
-            })
+    let run = |orderer: &dyn JoinOrderer, label: &str, model: &dyn CostModel| {
+        orderer.optimize(g, &inst.catalog, model).map_err(|e| {
+            diverge(
+                "optimizer-error",
+                format!("{}: {label} failed on a connected instance: {e}", inst.name),
+            )
+        })
     };
 
     // 1. Every exact algorithm finds the same optimal cost bits and
@@ -190,7 +191,7 @@ pub fn check_instance_observed(
         let r = if alg == Algorithm::DpCcp {
             reference.clone()
         } else {
-            let r = run(alg, label, &Cout)?;
+            let r = run(alg.orderer(g), label, &Cout)?;
             validate(inst, &est, &Cout, &r, label, true)?;
             same_cost("optimal-cost", inst, (label, r.cost), optimum)?;
             r
@@ -200,7 +201,7 @@ pub fn check_instance_observed(
 
     // 2. The cross-product variant may only improve on the constrained
     //    optimum, and its plan must still cover every relation.
-    let cp = run(Algorithm::DpSubCrossProducts, "DPsub-cp", &Cout)?;
+    let cp = run(Algorithm::DpSubCrossProducts.orderer(g), "DPsub-cp", &Cout)?;
     validate(inst, &est, &Cout, &cp, "DPsub-cp", false)?;
     if cp.cost > reference.cost {
         return Err(diverge(
@@ -270,13 +271,13 @@ pub fn check_instance_observed(
 
     // 6. Under the asymmetric hash-join model orientation matters; every
     //    exact engine that accepts the model still agrees bit for bit.
-    let hash_reference = run(Algorithm::DpCcp, "DPccp", &HashJoin)?;
+    let hash_reference = run(Algorithm::DpCcp.orderer(g), "DPccp", &HashJoin)?;
     validate(inst, &est, &HashJoin, &hash_reference, "DPccp", true)?;
     for (alg, label) in EXACT {
         if alg == Algorithm::DpCcp || alg == Algorithm::DpConv {
             continue;
         }
-        let r = run(alg, label, &HashJoin)?;
+        let r = run(alg.orderer(g), label, &HashJoin)?;
         validate(inst, &est, &HashJoin, &r, label, true)?;
         same_cost(
             "asymmetric-cost",

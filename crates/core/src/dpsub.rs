@@ -10,13 +10,39 @@
 //! so the outer loop visits the subsets level by level — all sets of
 //! size `k` in ascending numeric order (Gosper's hack), then size
 //! `k + 1` — which is a valid DP order just like Fig. 2's integer loop
-//! `i = 1 … 2ⁿ−1`. For each set the inner loop replays the
-//! Vance/Maier subset enumeration and keeps one best `(cost, S₁)`;
-//! ties keep the first, canonically smallest `S₁` (strict `<`). Only
-//! the winner is materialized, so the arena holds exactly one node per
-//! table entry and `plans_built == table_size`.
+//! `i = 1 … 2ⁿ−1`. Only each set's winning split is materialized, so
+//! the arena holds exactly one node per table entry and
+//! `plans_built == table_size`.
 //!
-//! Two implementation notes, both verified by the counter tests:
+//! Fig. 2's inner loop lets `S₁` range over every non-empty proper
+//! subset of `S`, so it meets each split twice, as `(A, B)` and later
+//! as `(B, A)`. The inner loop here meets it once: `A` runs in
+//! ascending masked-increment order over the non-empty subsets of `S`
+//! without its highest relation, and `B = S ∖ A`. Each pair is:
+//!
+//! * **counted as both orientations** — `InnerCounter` grows by 2 per
+//!   pair, `#ccp` by 2 per valid pair, and the table probes and hits by
+//!   what the two ordered visits would have made — so every counter is
+//!   Fig. 2's;
+//! * **priced once under a symmetric model** (both orientations cost
+//!   the same bits) and in both orientations otherwise;
+//! * **decided by the `(cost, S₁)` order**: a candidate wins when its
+//!   cost is smaller, or equal with a smaller `S₁`. That is exactly
+//!   "the first `S₁` in ascending order with the least cost", the
+//!   winner of Fig. 2's loop with strict `<`, so trees and cost bits
+//!   are Fig. 2's under every model;
+//! * **reported as both orientations**: provenance gets one candidate
+//!   event for `(A, B)` and one for `(B, A)`, so each set's candidate
+//!   count and winner are Fig. 2's. An event is accepted when it beats
+//!   the candidates met before it in this walk. Under a symmetric model
+//!   that matches Fig. 2's order flag for flag; under an asymmetric one
+//!   a losing candidate's flag can differ, since `(B, A)` is now met
+//!   before the splits Fig. 2 visits between the two orientations.
+//!
+//! The loop is one source compiled per variant and per model symmetry,
+//! so neither choice is a branch inside it.
+//!
+//! Implementation notes, all verified by the counter tests:
 //!
 //! * Fig. 2 prints the outer loop bound as `i < 2ⁿ − 1`, which would
 //!   skip the full relation set and never build the final plan; the
@@ -237,7 +263,6 @@ struct Context<'a> {
     g: &'a QueryGraph,
     est: &'a CardinalityEstimator,
     model: &'a dyn CostModel,
-    variant: Variant,
     ctl: &'a CancellationToken,
 }
 
@@ -253,12 +278,69 @@ struct Tally {
     pace: u32,
 }
 
-/// DPsub's inner loop for the set `s`: the cheapest valid split as
-/// `(stats, S₁)`, or `None` if `s` has none. Polls the token on every
-/// iteration (paced), so a tripped budget or a flipped cancel flag stops
-/// a run inside a set, not only between levels.
+/// A [`Variant`] as a type, so the inner loop is compiled once per
+/// variant with its split test fixed.
+trait Rule {
+    const VARIANT: Variant;
+}
+
+struct Filtered;
+struct Unfiltered;
+struct CrossProducts;
+
+impl Rule for Filtered {
+    const VARIANT: Variant = Variant::Filtered;
+}
+
+impl Rule for Unfiltered {
+    const VARIANT: Variant = Variant::Unfiltered;
+}
+
+impl Rule for CrossProducts {
+    const VARIANT: Variant = Variant::CrossProducts;
+}
+
+/// An inner loop: the cheapest valid split of a set as `(stats, S₁)`,
+/// or `None` if the set has none.
+type SplitFn = fn(
+    &Context<'_>,
+    &Spans<'_>,
+    &DenseDpTable,
+    RelSet,
+    &mut Tally,
+) -> Result<Option<(PlanStats, u64)>, OptimizeError>;
+
+/// The inner loop for `variant` under a model that is (or is not)
+/// symmetric.
+fn split_fn(variant: Variant, symmetric: bool) -> SplitFn {
+    match (variant, symmetric) {
+        (Variant::Filtered, true) => best_split::<Filtered, true>,
+        (Variant::Filtered, false) => best_split::<Filtered, false>,
+        (Variant::Unfiltered, true) => best_split::<Unfiltered, true>,
+        (Variant::Unfiltered, false) => best_split::<Unfiltered, false>,
+        (Variant::CrossProducts, true) => best_split::<CrossProducts, true>,
+        (Variant::CrossProducts, false) => best_split::<CrossProducts, false>,
+    }
+}
+
+/// Whether the candidate `(cost, s1)` beats `best` in the `(cost, S₁)`
+/// order: the least cost, ties to the smallest `S₁`.
 #[inline]
-fn best_split(
+fn beats(cost: f64, s1: u64, best: Option<(f64, u64)>) -> bool {
+    best.is_none_or(|(best_cost, best_s1)| cost < best_cost || (cost == best_cost && s1 < best_s1))
+}
+
+/// DPsub's inner loop for the set `s`, visiting each complementary
+/// split once: `A` runs in ascending masked-increment order over the
+/// non-empty subsets of `s` without its highest relation, and
+/// `B = s ∖ A`. The pair stands for Fig. 2's two ordered splits
+/// `(A, B)` and `(B, A)`, so the counters, probes and hits grow by what
+/// both would have added. A `SYMMETRIC` model is priced once per pair,
+/// any other in both orientations. Polls the token once per pair
+/// (paced), so a tripped budget or a flipped cancel flag stops a run
+/// inside a set, not only between levels.
+#[inline]
+fn best_split<R: Rule, const SYMMETRIC: bool>(
     cx: &Context<'_>,
     spans: &Spans<'_>,
     table: &DenseDpTable,
@@ -266,29 +348,32 @@ fn best_split(
     t: &mut Tally,
 ) -> Result<Option<(PlanStats, u64)>, OptimizeError> {
     let observe = spans.on();
+    let set = s.bits();
+    let rest = set & !(1u64 << (63 - set.leading_zeros()));
     let mut best: Option<(f64, u64)> = None;
     let mut card = 0.0f64;
-    for s1 in s.non_empty_proper_subsets() {
-        t.counters.inner += 1;
+    let mut a = 0u64;
+    loop {
+        a = a.wrapping_sub(rest) & rest;
+        if a == 0 {
+            break;
+        }
+        let b = set ^ a;
+        t.counters.inner += 2;
         cx.ctl.checkpoint(&mut t.pace)?;
-        let s2 = s - s1;
-        match cx.variant {
+        match R::VARIANT {
             Variant::Filtered => {
-                // "connected S1/S2" via table membership, short-circuit.
-                let p1 = table.contains(s1.bits());
+                // "connected S1/S2" via table membership. Each ordered
+                // split probes its left operand and, on a hit, its
+                // right one.
+                let pa = table.contains(a);
+                let pb = table.contains(b);
                 if observe {
-                    t.probes += 1;
-                    t.hits += u64::from(p1);
+                    let (pa, pb) = (u64::from(pa), u64::from(pb));
+                    t.probes += 2 + pa + pb;
+                    t.hits += pa + pb + 2 * pa * pb;
                 }
-                if !p1 {
-                    continue;
-                }
-                let p2 = table.contains(s2.bits());
-                if observe {
-                    t.probes += 1;
-                    t.hits += u64::from(p2);
-                }
-                if !p2 {
+                if !(pa && pb) {
                     continue;
                 }
                 // No `S₁`–`S₂` edge test: the `*` check proved `S`
@@ -297,16 +382,19 @@ fn best_split(
             }
             Variant::Unfiltered => {
                 // The ablation probes both operands unconditionally.
-                let p1 = table.contains(s1.bits());
-                let p2 = table.contains(s2.bits());
+                let pa = table.contains(a);
+                let pb = table.contains(b);
                 if observe {
-                    t.probes += 2;
-                    t.hits += u64::from(p1) + u64::from(p2);
+                    t.probes += 4;
+                    t.hits += 2 * (u64::from(pa) + u64::from(pb));
                 }
-                if !(p1 && p2) {
+                if !(pa && pb) {
                     continue;
                 }
-                if !cx.g.sets_connected(s1, s2) {
+                if !cx
+                    .g
+                    .sets_connected(RelSet::from_bits(a), RelSet::from_bits(b))
+                {
                     continue;
                 }
             }
@@ -314,24 +402,36 @@ fn best_split(
                 // Every split is valid; all smaller sets have plans.
             }
         }
-        t.counters.csg_cmp_pairs += 1;
-        // Union probe: a hit once an earlier split registered the set.
+        t.counters.csg_cmp_pairs += 2;
+        // Union probes: the first hits once an earlier split registered
+        // the set, the second always.
         if observe {
-            t.probes += 1;
-            t.hits += u64::from(best.is_some());
+            t.probes += 2;
+            t.hits += u64::from(best.is_some()) + 1;
         }
-        let st1 = table.stats(s1.bits());
-        let st2 = table.stats(s2.bits());
+        let sa = table.stats(a);
+        let sb = table.stats(b);
         if best.is_none() {
             card = ensure_finite("cardinality", cx.est.set_cardinality(s))?;
         }
-        // Both orders of every split are visited, so one orientation.
-        let (cost, _) = pair_cost(cx.model, &st1, &st2, card, false)?;
-        let accepted = best.is_none_or(|(best_cost, _)| cost < best_cost);
+        let (cost_ab, _) = pair_cost(cx.model, &sa, &sb, card, false)?;
+        let accepted = beats(cost_ab, a, best);
         if accepted {
-            best = Some((cost, s1.bits()));
+            best = Some((cost_ab, a));
         }
-        spans.candidate(s.bits(), s1.bits(), s2.bits(), cost, accepted);
+        spans.candidate(set, a, b, cost_ab, accepted);
+        // `(B, A)` of a symmetric model costs the same bits as `(A, B)`
+        // with a larger `S₁`, so it never wins.
+        let (cost_ba, accepted) = if SYMMETRIC {
+            (cost_ab, false)
+        } else {
+            let (cost_ba, _) = pair_cost(cx.model, &sb, &sa, card, false)?;
+            (cost_ba, beats(cost_ba, b, best))
+        };
+        if accepted {
+            best = Some((cost_ba, b));
+        }
+        spans.candidate(set, b, a, cost_ba, accepted);
     }
     Ok(best.map(|(cost, s1)| {
         (
@@ -368,6 +468,22 @@ pub(crate) fn run_pooled(
     catalog: &Catalog,
     model: &dyn CostModel,
     variant: Variant,
+    obs: &dyn Observer,
+    ctl: &CancellationToken,
+    session: &mut Session,
+) -> Result<DpResult, OptimizeError> {
+    let split = split_fn(variant, model.is_symmetric());
+    run(g, catalog, model, variant, split, obs, ctl, session)
+}
+
+/// [`run_pooled`] with the inner loop `split`.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    g: &QueryGraph,
+    catalog: &Catalog,
+    model: &dyn CostModel,
+    variant: Variant,
+    split: SplitFn,
     obs: &dyn Observer,
     ctl: &CancellationToken,
     session: &mut Session,
@@ -409,7 +525,6 @@ pub(crate) fn run_pooled(
         g,
         est: &est,
         model,
-        variant,
         ctl,
     };
     let mut t = Tally::default();
@@ -421,7 +536,7 @@ pub(crate) fn run_pooled(
             if variant == Variant::Filtered && !g.is_connected_set(s) {
                 continue;
             }
-            let Some((stats, s1)) = best_split(&cx, &spans, table, s, &mut t)? else {
+            let Some((stats, s1)) = split(&cx, &spans, table, s, &mut t)? else {
                 continue;
             };
             let plan = arena.add_join(table.plan(s1), table.plan(bits & !s1), stats);
@@ -655,6 +770,151 @@ mod tests {
         }
     }
 
+    /// Fig. 2's inner loop as it ran before the complementary-pair
+    /// walk: every non-empty proper subset `S₁` in ascending order, one
+    /// orientation per visit, the first cheapest `S₁` kept by strict
+    /// `<`.
+    fn ordered_split<R: Rule>(
+        cx: &Context<'_>,
+        spans: &Spans<'_>,
+        table: &DenseDpTable,
+        s: RelSet,
+        t: &mut Tally,
+    ) -> Result<Option<(PlanStats, u64)>, OptimizeError> {
+        let observe = spans.on();
+        let mut best: Option<(f64, u64)> = None;
+        let mut card = 0.0f64;
+        for s1 in s.non_empty_proper_subsets() {
+            t.counters.inner += 1;
+            cx.ctl.checkpoint(&mut t.pace)?;
+            let s2 = s - s1;
+            match R::VARIANT {
+                Variant::Filtered => {
+                    let p1 = table.contains(s1.bits());
+                    if observe {
+                        t.probes += 1;
+                        t.hits += u64::from(p1);
+                    }
+                    if !p1 {
+                        continue;
+                    }
+                    let p2 = table.contains(s2.bits());
+                    if observe {
+                        t.probes += 1;
+                        t.hits += u64::from(p2);
+                    }
+                    if !p2 {
+                        continue;
+                    }
+                }
+                Variant::Unfiltered => {
+                    let p1 = table.contains(s1.bits());
+                    let p2 = table.contains(s2.bits());
+                    if observe {
+                        t.probes += 2;
+                        t.hits += u64::from(p1) + u64::from(p2);
+                    }
+                    if !(p1 && p2 && cx.g.sets_connected(s1, s2)) {
+                        continue;
+                    }
+                }
+                Variant::CrossProducts => {}
+            }
+            t.counters.csg_cmp_pairs += 1;
+            if observe {
+                t.probes += 1;
+                t.hits += u64::from(best.is_some());
+            }
+            let st1 = table.stats(s1.bits());
+            let st2 = table.stats(s2.bits());
+            if best.is_none() {
+                card = ensure_finite("cardinality", cx.est.set_cardinality(s))?;
+            }
+            let (cost, _) = pair_cost(cx.model, &st1, &st2, card, false)?;
+            let accepted = best.is_none_or(|(best_cost, _)| cost < best_cost);
+            if accepted {
+                best = Some((cost, s1.bits()));
+            }
+            spans.candidate(s.bits(), s1.bits(), s2.bits(), cost, accepted);
+        }
+        Ok(best.map(|(cost, s1)| {
+            (
+                PlanStats {
+                    cardinality: card,
+                    cost,
+                },
+                s1,
+            )
+        }))
+    }
+
+    #[test]
+    fn complementary_pairs_reproduce_the_ordered_split_loop() {
+        use joinopt_cost::{HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin};
+        use joinopt_telemetry::{Fanout, MetricsCollector, ProvenanceCollector};
+
+        let models: [&dyn CostModel; 5] = [
+            &Cout,
+            &NestedLoopJoin,
+            &HashJoin,
+            &SortMergeJoin,
+            &MinOverPhysical,
+        ];
+        let rules: [(Variant, SplitFn); 3] = [
+            (Variant::Filtered, ordered_split::<Filtered>),
+            (Variant::Unfiltered, ordered_split::<Unfiltered>),
+            (Variant::CrossProducts, ordered_split::<CrossProducts>),
+        ];
+        let ctl = CancellationToken::unlimited();
+        for n in 3..=10 {
+            // Sparse trees through near-cliques.
+            for density in [0.0, 0.3, 0.6, 0.95] {
+                let seed = n as u64;
+                let w = workload::random_workload(n, density, seed);
+                for (variant, reference) in rules {
+                    for model in models {
+                        let ctx =
+                            format!("n={n} p={density} seed={seed} {variant:?} {}", model.name());
+                        let observe = |split: SplitFn| {
+                            let metrics = MetricsCollector::new();
+                            let prov = ProvenanceCollector::new();
+                            let fanout = Fanout::new(vec![&metrics as &dyn Observer, &prov]);
+                            let r = run(
+                                &w.graph,
+                                &w.catalog,
+                                model,
+                                variant,
+                                split,
+                                &fanout,
+                                &ctl,
+                                &mut Session::new(),
+                            )
+                            .unwrap();
+                            let decisions: Vec<_> = prov
+                                .records()
+                                .into_iter()
+                                .map(|(set, rec)| (set, rec.winner, rec.candidates))
+                                .collect();
+                            (r, metrics.report(), decisions)
+                        };
+                        let (want, want_report, want_decisions) = observe(reference);
+                        let (got, got_report, got_decisions) =
+                            observe(split_fn(variant, model.is_symmetric()));
+                        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{ctx}");
+                        assert_eq!(got.tree, want.tree, "{ctx}");
+                        assert_eq!(got.counters, want.counters, "{ctx}");
+                        assert_eq!(got.table_size, want.table_size, "{ctx}");
+                        assert_eq!(got_report.table_probes, want_report.table_probes, "{ctx}");
+                        assert_eq!(got_report.table_hits, want_report.table_hits, "{ctx}");
+                        // Per set: the same winning split and the same
+                        // number of candidates.
+                        assert_eq!(got_decisions, want_decisions, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn above_the_dense_cap_is_a_typed_refusal_without_degradation() {
         use crate::degrade::BudgetAction;
@@ -761,7 +1021,7 @@ mod tests {
     #[test]
     fn cancel_flag_stops_the_inner_loop() {
         use crate::cancel::CancelFlag;
-        use std::cell::Cell;
+        use std::cell::RefCell;
 
         /// Flips the cancel flag at the first candidate split of the
         /// full set: no level check follows, so only the inner loop's
@@ -769,16 +1029,19 @@ mod tests {
         struct CancelAtFullSet {
             full: u64,
             flag: CancelFlag,
-            seen: Cell<u64>,
+            seen: RefCell<Vec<(u64, u64)>>,
         }
         impl Observer for CancelAtFullSet {
             fn wants_provenance(&self) -> bool {
                 true
             }
             fn on_event(&self, event: Event) {
-                if let Event::PlanCandidate { set, .. } = event {
+                if let Event::PlanCandidate {
+                    set, left, right, ..
+                } = event
+                {
                     if set == self.full {
-                        self.seen.set(self.seen.get() + 1);
+                        self.seen.borrow_mut().push((left, right));
                         self.flag.cancel();
                     }
                 }
@@ -790,7 +1053,7 @@ mod tests {
         let obs = CancelAtFullSet {
             full: w.graph.all_relations().bits(),
             flag: flag.clone(),
-            seen: Cell::new(0),
+            seen: RefCell::new(Vec::new()),
         };
         let ctl = CancellationToken::new(Some(flag), None, None);
         let err = run_pooled(
@@ -804,8 +1067,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, OptimizeError::Cancelled);
-        // The full set has 2⁸ − 2 splits; the run stopped after one.
-        assert_eq!(obs.seen.get(), 1);
+        // The full set has 2⁷ − 1 complementary splits; the run stopped
+        // after the first, whose one iteration reports both orientations.
+        let seen = obs.seen.borrow();
+        let (a, b) = seen[0];
+        assert_eq!(*seen, [(a, b), (b, a)]);
     }
 
     #[test]

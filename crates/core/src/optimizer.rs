@@ -9,7 +9,6 @@ use crate::dpconv::DpConv;
 use crate::dpsize::{DpSize, DpSizeNaive};
 use crate::dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered};
 use crate::greedy::Goo;
-use crate::idp::Idp;
 use crate::leftdeep::DpSizeLeftDeep;
 use crate::result::JoinOrderer;
 use crate::table::DenseDpTable;
@@ -35,13 +34,6 @@ pub enum Algorithm {
     DpConv,
     /// Size-driven DP restricted to left-deep trees (Selinger space).
     DpSizeLeftDeep,
-    /// Iterative DP (IDP-1, Kossmann & Stocker) at block size 10:
-    /// near-optimal plans for queries too large for exact DP. Not in
-    /// [`Algorithm::CONCRETE`], so [`Algorithm::parse`] refuses `idp`:
-    /// its rounds have no work bound, and on cliques it is slower than
-    /// the fastest exact engine. IDP runs as the degradation ladder's
-    /// block-4 rung and in the conformance oracle's heuristic leg.
-    Idp,
     /// Top-down memoized partitioning with branch-and-bound pruning.
     TopDown,
     /// Greedy Operator Ordering (non-optimal baseline).
@@ -53,7 +45,11 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// The concrete (non-`Auto`) algorithms a caller can name: every
-    /// variant except `Auto` and [`Algorithm::Idp`].
+    /// variant except `Auto`. IDP ([`Idp`](crate::Idp)) is no algorithm
+    /// a caller can name: its rounds have no work bound, and on cliques
+    /// it is slower than the fastest exact engine. It runs as the
+    /// degradation ladder's block-4 rung and in the conformance
+    /// oracle's heuristic leg.
     pub const CONCRETE: [Algorithm; 10] = [
         Algorithm::DpSize,
         Algorithm::DpSizeNaive,
@@ -70,12 +66,12 @@ impl Algorithm {
     /// Smallest query size at which `Auto` prefers [`DpConv`] over the
     /// DPsub/DPccp pair on dense `C_out` queries.
     ///
-    /// Measured on the `joinopt perf` clique matrix: DPconv and DPsub
-    /// relax the same `Θ(3ⁿ)` candidate space on a clique, but DPconv's
-    /// per-*set* cardinality term and witness-only table make its inner
-    /// loop three array reads and one compare, with no hash-table or
-    /// per-split estimator work — it wins at *every* measured clique
-    /// size (2–4× from n = 4 up), so this floor is not a performance
+    /// DPconv and DPsub meet the same unordered splits of a clique once
+    /// each, but DPconv's split is two `f64` reads, an add of the set's
+    /// precomputed `|S|` and a compare, where DPsub reads two
+    /// `PlanStats` and calls the cost model. Measured on cliques under
+    /// `C_out`, DPconv wins at *every* size, by 1.1× at n = 4 and
+    /// 1.5–2.2× from n = 6 to 14, so this floor is not a performance
     /// crossover. Below it every exact algorithm finishes in tens of
     /// microseconds and `Auto` keeps the longest-validated DPsub; from
     /// 12 relations the absolute gap turns material (milliseconds) and
@@ -150,10 +146,6 @@ impl Algorithm {
             Algorithm::DpCcp => &DpCcp,
             Algorithm::DpConv => &DpConv,
             Algorithm::DpSizeLeftDeep => &DpSizeLeftDeep,
-            Algorithm::Idp => {
-                const DEFAULT_IDP: Idp = Idp::with_block_size(10);
-                &DEFAULT_IDP
-            }
             Algorithm::TopDown => {
                 const DEFAULT_TD: TopDown = TopDown { pruning: true };
                 &DEFAULT_TD
@@ -175,7 +167,6 @@ impl Algorithm {
             Algorithm::DpCcp => "dpccp",
             Algorithm::DpConv => "dpconv",
             Algorithm::DpSizeLeftDeep => "dpsize-leftdeep",
-            Algorithm::Idp => "idp",
             Algorithm::TopDown => "topdown",
             Algorithm::Goo => "goo",
             Algorithm::Auto => "auto",

@@ -5,7 +5,7 @@
 
 use std::cell::Cell;
 
-use joinopt_core::{Algorithm, OptimizeRequest};
+use joinopt_core::{Algorithm, Idp, JoinOrderer, OptimizeRequest};
 use joinopt_cost::{workload, Cout};
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::GraphKind;
@@ -48,26 +48,25 @@ fn tree_splits(tree: &JoinTree, out: &mut Vec<(u64, u64, u64)>) {
 #[test]
 fn enabled_observers_without_the_opt_in_see_no_provenance_events() {
     let w = workload::random_workload(7, 0.5, 11);
-    for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
-        let baseline = alg
-            .orderer(&w.graph)
-            .optimize(&w.graph, &w.catalog, &Cout)
-            .unwrap();
+    let idp = Idp::with_block_size(10);
+    let orderers = Algorithm::CONCRETE.map(|alg| alg.orderer(&w.graph));
+    for orderer in orderers.into_iter().chain([&idp as &dyn JoinOrderer]) {
+        let alg = orderer.name();
+        let baseline = orderer.optimize(&w.graph, &w.catalog, &Cout).unwrap();
         let sink = NoProvenancePlease::default();
-        let observed = alg
-            .orderer(&w.graph)
+        let observed = orderer
             .optimize_observed(&w.graph, &w.catalog, &Cout, &sink)
             .unwrap();
         // The regular stream still flows, and nothing observed changes
         // what is computed.
-        assert!(sink.events.get() > 0, "{alg:?} emitted no events");
+        assert!(sink.events.get() > 0, "{alg} emitted no events");
         assert_eq!(
             baseline.cost.to_bits(),
             observed.cost.to_bits(),
-            "{alg:?} cost"
+            "{alg} cost"
         );
-        assert_eq!(baseline.tree, observed.tree, "{alg:?} plan");
-        assert_eq!(baseline.counters, observed.counters, "{alg:?} counters");
+        assert_eq!(baseline.tree, observed.tree, "{alg} plan");
+        assert_eq!(baseline.counters, observed.counters, "{alg} counters");
     }
 }
 

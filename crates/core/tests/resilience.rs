@@ -12,13 +12,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{
-    Algorithm, BudgetAction, CancelFlag, DegradationRung, DpHyp, OptimizeError, OptimizeOutcome,
-    OptimizeRequest, Session, TripKind,
+    Algorithm, BudgetAction, CancelFlag, CancellationToken, DegradationRung, DpHyp, DpResult, Idp,
+    JoinOrderer, OptimizeError, OptimizeOutcome, OptimizeRequest, Session, TripKind,
 };
 use joinopt_cost::workload::{self, Workload};
 use joinopt_cost::{Catalog, CostError, Cout};
 use joinopt_qgraph::generators::generate;
-use joinopt_qgraph::{GraphKind, Hypergraph};
+use joinopt_qgraph::{GraphKind, Hypergraph, QueryGraph};
+use joinopt_telemetry::NoopObserver;
 
 /// The failpoint registry is process-global, so every test here
 /// serializes on this lock: under `--cfg failpoints` a site armed by one
@@ -30,10 +31,27 @@ fn serial() -> MutexGuard<'static, ()> {
     FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Every algorithm a request runs: the ones a caller can name plus IDP,
-/// which runs as the degradation ladder's middle rung.
-fn runnable() -> impl Iterator<Item = Algorithm> {
-    Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp])
+/// Every engine a request runs: the algorithms a caller can name plus
+/// IDP, which runs as the degradation ladder's middle rung.
+fn runnable(g: &QueryGraph) -> impl Iterator<Item = &'static dyn JoinOrderer> {
+    const IDP: Idp = Idp::with_block_size(10);
+    Algorithm::CONCRETE
+        .map(|alg| alg.orderer(g))
+        .into_iter()
+        .chain([&IDP as &dyn JoinOrderer])
+}
+
+/// Runs `orderer` on `w` under the stop conditions a request without
+/// degradation builds its token from.
+fn run_controlled(
+    orderer: &dyn JoinOrderer,
+    w: &Workload,
+    flag: Option<CancelFlag>,
+    time_budget: Option<Duration>,
+    memory_budget: Option<usize>,
+) -> Result<DpResult, OptimizeError> {
+    let ctl = CancellationToken::new(flag, time_budget, memory_budget);
+    orderer.optimize_controlled(&w.graph, &w.catalog, &Cout, &NoopObserver, &ctl)
 }
 
 fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
@@ -46,15 +64,12 @@ fn assert_complete_plan(outcome: &OptimizeOutcome, w: &Workload) {
 fn every_algorithm_honours_a_zero_time_budget() {
     let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 10, 0);
-    for alg in runnable() {
-        let err = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(alg)
-            .with_time_budget(Duration::ZERO)
-            .run()
-            .unwrap_err();
+    for orderer in runnable(&w.graph) {
+        let err = run_controlled(orderer, &w, None, Some(Duration::ZERO), None).unwrap_err();
         assert!(
             matches!(err, OptimizeError::TimeBudgetExceeded { .. }),
-            "{alg:?}: {err}"
+            "{}: {err}",
+            orderer.name()
         );
     }
 }
@@ -63,15 +78,15 @@ fn every_algorithm_honours_a_zero_time_budget() {
 fn every_algorithm_honours_a_preset_cancel_flag() {
     let _serial = serial();
     let w = workload::family_workload(GraphKind::Clique, 10, 0);
-    for alg in runnable() {
+    for orderer in runnable(&w.graph) {
         let flag = CancelFlag::new();
         flag.cancel();
-        let err = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(alg)
-            .with_cancel_flag(flag)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, OptimizeError::Cancelled), "{alg:?}: {err}");
+        let err = run_controlled(orderer, &w, Some(flag), None, None).unwrap_err();
+        assert!(
+            matches!(err, OptimizeError::Cancelled),
+            "{}: {err}",
+            orderer.name()
+        );
     }
 }
 
@@ -81,15 +96,12 @@ fn memory_accounted_algorithms_honour_a_tiny_budget() {
     // Every algorithm builds a DP table or grows a plan arena, charges
     // the shared token and must trip.
     let w = workload::family_workload(GraphKind::Clique, 12, 0);
-    for alg in runnable() {
-        let err = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(alg)
-            .with_memory_budget(16)
-            .run()
-            .unwrap_err();
+    for orderer in runnable(&w.graph) {
+        let err = run_controlled(orderer, &w, None, None, Some(16)).unwrap_err();
         assert!(
             matches!(err, OptimizeError::MemoryBudgetExceeded { .. }),
-            "{alg:?}: {err}"
+            "{}: {err}",
+            orderer.name()
         );
     }
 }
@@ -277,17 +289,14 @@ fn overflowing_statistics_are_a_typed_error_in_every_engine() {
         for e in 0..g.num_edges() {
             catalog.set_selectivity(e, 1.0).unwrap();
         }
-        let mut outcomes: Vec<(String, Result<f64, OptimizeError>)> = runnable()
-            .map(|alg| {
-                let r = OptimizeRequest::new(&g, &catalog).with_algorithm(alg).run();
-                (format!("{alg:?}"), r.map(|o| o.result.cost))
+        let mut outcomes: Vec<(&str, Result<f64, OptimizeError>)> = runnable(&g)
+            .map(|orderer| {
+                let r = orderer.optimize(&g, &catalog, &Cout);
+                (orderer.name(), r.map(|r| r.cost))
             })
             .collect();
         let h = Hypergraph::from_query_graph(&g);
-        outcomes.push((
-            "DpHyp".into(),
-            DpHyp.optimize(&h, &catalog, &Cout).map(|r| r.cost),
-        ));
+        outcomes.push(("DPhyp", DpHyp.optimize(&h, &catalog, &Cout).map(|r| r.cost)));
         for (name, r) in outcomes {
             assert!(
                 matches!(

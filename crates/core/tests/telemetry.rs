@@ -10,10 +10,10 @@ use std::cell::{Cell, RefCell};
 
 use std::collections::BTreeMap;
 
-use joinopt_core::{Algorithm, DpCcp, DpHyp, JoinOrderer, OptimizeRequest, Session};
+use joinopt_core::{Algorithm, DpCcp, DpHyp, Idp, JoinOrderer, OptimizeRequest, Session};
 use joinopt_cost::{workload, Cout};
 use joinopt_qgraph::hypergraph::Hypergraph;
-use joinopt_qgraph::GraphKind;
+use joinopt_qgraph::{GraphKind, QueryGraph};
 use joinopt_telemetry::json::JsonValue;
 use joinopt_telemetry::{
     Event, Fanout, MetricsCollector, MetricsRegistry, NoopObserver, Observer, TraceWriter,
@@ -210,16 +210,26 @@ fn disabled_observer_path_emits_nothing_and_allocates_nothing_extra() {
 // Event-stream shape.
 // ---------------------------------------------------------------------
 
+/// Every engine a request runs: the algorithms a caller can name plus
+/// IDP, which runs as the degradation ladder's middle rung.
+fn orderers(g: &QueryGraph) -> impl Iterator<Item = &'static dyn JoinOrderer> {
+    const IDP: Idp = Idp::with_block_size(10);
+    Algorithm::CONCRETE
+        .map(|alg| alg.orderer(g))
+        .into_iter()
+        .chain([&IDP as &dyn JoinOrderer])
+}
+
 #[test]
 fn every_algorithm_emits_a_well_formed_event_stream() {
     let w = workload::random_workload(7, 0.5, 11);
-    for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
+    for orderer in orderers(&w.graph) {
         let sink = Sink::default();
-        alg.orderer(&w.graph)
+        orderer
             .optimize_observed(&w.graph, &w.catalog, &Cout, &sink)
             .unwrap();
         let names = sink.names.borrow();
-        let ctx = format!("{alg:?}: {names:?}");
+        let ctx = format!("{}: {names:?}", orderer.name());
 
         assert_eq!(names.first(), Some(&"run_start"), "{ctx}");
         assert_eq!(names.last(), Some(&"run_end"), "{ctx}");
@@ -297,13 +307,14 @@ fn assert_stamped_run(events: &[Event], ctx: &str) -> &'static str {
 fn every_engine_stamps_its_label_and_ordered_spans_on_every_event() {
     for kind in [GraphKind::Chain, GraphKind::Star, GraphKind::Clique] {
         let w = workload::family_workload(kind, 6, 0);
-        for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
+        for orderer in orderers(&w.graph) {
             let rec = Recorder::default();
-            alg.orderer(&w.graph)
+            orderer
                 .optimize_observed(&w.graph, &w.catalog, &Cout, &rec)
                 .unwrap();
-            let label = assert_stamped_run(&rec.events.borrow(), &format!("{kind} {alg:?}"));
-            assert_eq!(label, alg.orderer(&w.graph).name(), "{kind} {alg:?}");
+            let ctx = format!("{kind} {}", orderer.name());
+            let label = assert_stamped_run(&rec.events.borrow(), &ctx);
+            assert_eq!(label, orderer.name(), "{ctx}");
         }
         let rec = Recorder::default();
         let h = Hypergraph::from_query_graph(&w.graph);

@@ -3,7 +3,7 @@
 //! cost model, and agree with the independent top-down oracle.
 
 use joinopt::core::exhaustive;
-use joinopt::core::{DpSizeNaive, DpSubUnfiltered};
+use joinopt::core::{DpSizeNaive, DpSubUnfiltered, Idp};
 use joinopt::prelude::*;
 use joinopt_cost::workload;
 
@@ -179,13 +179,15 @@ fn every_plan_recosts_to_its_own_cost_bit_for_bit() {
         let w = workload::random_workload(9, 0.3, seed);
         let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
         for model in models {
-            for alg in Algorithm::CONCRETE.into_iter().chain([Algorithm::Idp]) {
-                let Ok(r) = alg.orderer(&w.graph).optimize(&w.graph, &w.catalog, model) else {
-                    assert_eq!(alg, Algorithm::DpConv, "only DPconv refuses a model");
+            let idp = Idp::with_block_size(10);
+            let orderers = Algorithm::CONCRETE.map(|alg| alg.orderer(&w.graph));
+            for orderer in orderers.into_iter().chain([&idp as &dyn JoinOrderer]) {
+                let Ok(r) = orderer.optimize(&w.graph, &w.catalog, model) else {
+                    assert_eq!(orderer.name(), "DPconv", "only DPconv refuses a model");
                     continue;
                 };
                 let re = recost(&est, model, &r.tree);
-                let ctx = format!("{alg:?} under {} seed={seed}", model.name());
+                let ctx = format!("{} under {} seed={seed}", orderer.name(), model.name());
                 assert_same_cost(r.cost, re.cost, &ctx);
                 assert_eq!(r.cardinality.to_bits(), re.cardinality.to_bits(), "{ctx}");
             }
