@@ -90,7 +90,7 @@ pub struct ErrorBreakdown {
     pub panic: usize,
     /// Rejected by an open circuit breaker.
     pub breaker_open: usize,
-    /// Everything else (parse, admission, internal).
+    /// Everything else (parse, internal).
     pub other: usize,
 }
 
@@ -161,14 +161,11 @@ fn build_stream(config: &ChaosConfig) -> Vec<ServiceRequest> {
 /// The hardened gateway the chaos run drives: one service worker with a
 /// plan cache, a low watermark of 3 (so low-priority requests shed under
 /// concurrency) and a breaker that opens after 3 consecutive failures.
-fn chaos_gateway(config: &ChaosConfig, requests: usize) -> Gateway {
+fn chaos_gateway(config: &ChaosConfig) -> Gateway {
     let service = OptimizerService::new(ServiceConfig {
         worker_threads: 1,
-        queue_capacity: requests.max(1),
-        tenant_limit: requests.max(1),
         cache: Some(CacheConfig {
             byte_budget: config.cache_bytes,
-            ..CacheConfig::default()
         }),
     });
     Gateway::new(
@@ -276,7 +273,7 @@ pub fn run_chaos(
         *req = req.clone().with_priority(priority);
     }
 
-    let gateway = chaos_gateway(config, stream.len());
+    let gateway = chaos_gateway(config);
 
     let third = stream.len() / 3;
     let (warm_reqs, rest) = stream.split_at(third);
@@ -412,8 +409,6 @@ fn recheck(
     }
     let fresh = OptimizerService::new(ServiceConfig {
         worker_threads: 1,
-        queue_capacity: 1,
-        tenant_limit: samples.max(1),
         cache: None,
     });
     let picks = distinct_sample(answered.len(), samples, seed);
@@ -652,7 +647,7 @@ mod tests {
         // its repeat arrives — the hit count is exact, not a floor.
         let config = small_config();
         let stream = build_stream(&config);
-        let gateway = chaos_gateway(&config, stream.len());
+        let gateway = chaos_gateway(&config);
         let (stats, answered) = run_phase(&gateway, &stream, 0, 1, &NoopObserver);
         assert_eq!(stats.errors.total(), 0, "{stats:?}");
         assert_eq!(stats.completed, stream.len());

@@ -4,24 +4,18 @@
 //! DPconv and DPsub — and records, per cell, the paper's counters, the
 //! DP-table and arena footprint, the optimal cost's exact bit pattern
 //! and the median-of-k wall time. The result serializes to
-//! `BENCH_joinopt.json` (schema `joinopt-perf-v1`, documented in
+//! `BENCH_joinopt.json` (schema `joinopt-perf-v2`, documented in
 //! `docs/observability.md`) and [`PerfBaseline::check`] diffs a fresh
-//! run against a committed baseline:
-//!
-//! * **counters, table entries and cost bits are exact** — they are
-//!   deterministic functions of the workload, so *any* drift is a
-//!   regression (or an intended change that must re-pin the baseline);
-//! * **arena bytes are exact in full mode** — deterministic too, but
-//!   only meaningful when both sides ran the same engine path;
-//! * **wall time is noise-gated in full mode** — a cell fails only when
-//!   it is slower than `baseline × (1 + noise)`;
-//! * **counters-only mode skips both time and bytes**, making the check
-//!   hardware-independent — this is the CI smoke gate.
+//! run against a committed baseline on the exact quantities only:
+//! counters, table entries, arena bytes and cost bits are deterministic
+//! functions of the workload, so *any* drift is a regression (or an
+//! intended change that must re-pin the baseline), on any hardware.
+//! The median wall time is recorded for people to read and never gated.
 
 use joinopt_core::{Algorithm, OptimizeRequest};
 use joinopt_cost::workload::family_workload;
 use joinopt_qgraph::GraphKind;
-use joinopt_telemetry::json::{write_escaped, write_f64, JsonValue};
+use joinopt_telemetry::json::{write_escaped, JsonValue};
 use joinopt_telemetry::{Fanout, MetricsCollector, NoopObserver, Observer};
 
 /// The pinned graph families of the matrix (the paper's structural
@@ -29,7 +23,7 @@ use joinopt_telemetry::{Fanout, MetricsCollector, NoopObserver, Observer};
 pub const PERF_FAMILIES: [GraphKind; 3] = [GraphKind::Chain, GraphKind::Star, GraphKind::Clique];
 
 /// Current baseline schema identifier.
-pub const SCHEMA: &str = "joinopt-perf-v1";
+pub const SCHEMA: &str = "joinopt-perf-v2";
 
 /// Configuration of a perf-baseline run — embedded in the baseline
 /// file, so `--check` replays exactly what was pinned.
@@ -42,9 +36,6 @@ pub struct PerfConfig {
     pub reps: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Allowed relative wall-time regression in full-mode checks
-    /// (0.5 = 50% slower still passes).
-    pub noise: f64,
 }
 
 impl Default for PerfConfig {
@@ -53,21 +44,17 @@ impl Default for PerfConfig {
             n: 10,
             reps: 5,
             seed: 2006,
-            noise: 0.5,
         }
     }
 }
 
 /// One measured cell of the matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfCell {
     /// Graph family name (`"chain"`, `"star"`, `"clique"`).
     pub family: String,
     /// Algorithm name (`"DPsize"`, `"DPsub"`, `"DPccp"`).
     pub algorithm: String,
-    /// Worker threads the cell ran with: always 1, since every run is
-    /// single-threaded (kept so baseline files keep their schema).
-    pub threads: usize,
     /// `InnerCounter`.
     pub inner: u64,
     /// `CsgCmpPairCounter`.
@@ -85,8 +72,8 @@ pub struct PerfCell {
 }
 
 impl PerfCell {
-    fn key(&self) -> (String, String, usize) {
-        (self.family.clone(), self.algorithm.clone(), self.threads)
+    fn key(&self) -> (&str, &str) {
+        (&self.family, &self.algorithm)
     }
 }
 
@@ -156,7 +143,6 @@ pub fn run_matrix_observed(
             let cell = PerfCell {
                 family: kind.name().to_string(),
                 algorithm: alg_name.to_string(),
-                threads: 1,
                 inner: result.counters.inner,
                 csg_cmp_pairs: result.counters.csg_cmp_pairs,
                 ono_lohman: result.counters.ono_lohman,
@@ -198,23 +184,6 @@ pub fn run_matrix_observed(
     })
 }
 
-impl Default for PerfCell {
-    fn default() -> Self {
-        PerfCell {
-            family: String::new(),
-            algorithm: String::new(),
-            threads: 1,
-            inner: 0,
-            csg_cmp_pairs: 0,
-            ono_lohman: 0,
-            table_entries: 0,
-            arena_bytes: 0,
-            cost_bits: 0,
-            wall_ns: 0,
-        }
-    }
-}
-
 impl PerfBaseline {
     /// Serializes the baseline as pretty-stable JSON (one cell per
     /// line). `cost_bits` is written as a hex *string* because the
@@ -225,11 +194,9 @@ impl PerfBaseline {
         let mut s = String::from("{\n  \"schema\": ");
         write_escaped(&mut s, SCHEMA);
         s.push_str(&format!(
-            ",\n  \"config\": {{\"n\": {}, \"reps\": {}, \"seed\": {}, \"noise\": ",
+            ",\n  \"config\": {{\"n\": {}, \"reps\": {}, \"seed\": {}}},\n  \"cells\": [\n",
             c.n, c.reps, c.seed
         ));
-        write_f64(&mut s, c.noise);
-        s.push_str("},\n  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             if i > 0 {
                 s.push_str(",\n");
@@ -239,10 +206,9 @@ impl PerfBaseline {
             s.push_str(", \"algorithm\": ");
             write_escaped(&mut s, &cell.algorithm);
             s.push_str(&format!(
-                ", \"threads\": {}, \"inner\": {}, \"csg_cmp_pairs\": {}, \"ono_lohman\": {}, \
+                ", \"inner\": {}, \"csg_cmp_pairs\": {}, \"ono_lohman\": {}, \
                  \"table_entries\": {}, \"arena_bytes\": {}, \"cost_bits\": \"{:016x}\", \
                  \"wall_ns\": {}",
-                cell.threads,
                 cell.inner,
                 cell.csg_cmp_pairs,
                 cell.ono_lohman,
@@ -282,10 +248,6 @@ impl PerfBaseline {
             n: field_u64(cfg, "n")? as usize,
             reps: field_u64(cfg, "reps")? as usize,
             seed: field_u64(cfg, "seed")?,
-            noise: cfg
-                .get("noise")
-                .and_then(JsonValue::as_f64)
-                .ok_or("baseline: missing \"noise\"")?,
         };
         let mut cells = Vec::new();
         for cell in v
@@ -303,7 +265,6 @@ impl PerfBaseline {
             cells.push(PerfCell {
                 family: text_field("family")?,
                 algorithm: text_field("algorithm")?,
-                threads: field_u64(cell, "threads")? as usize,
                 inner: field_u64(cell, "inner")?,
                 csg_cmp_pairs: field_u64(cell, "csg_cmp_pairs")?,
                 ono_lohman: field_u64(cell, "ono_lohman")?,
@@ -317,33 +278,27 @@ impl PerfBaseline {
         Ok(PerfBaseline { config, cells })
     }
 
-    /// Diffs `self` (a fresh run) against `baseline`.
-    ///
-    /// Counters, table entries and cost bits must match exactly. In
-    /// full mode (`counters_only == false`) arena bytes must match too
-    /// and each cell's wall time may exceed the baseline's by at most
-    /// the baseline's configured noise factor. Missing or extra cells
-    /// are failures in both modes.
+    /// Diffs `self` (a fresh run) against `baseline`: counters, table
+    /// entries, arena bytes and cost bits must match exactly, and a
+    /// missing or extra cell is a failure. Wall time is not compared.
     ///
     /// # Errors
     ///
     /// Returns one human-readable line per failed comparison.
-    pub fn check(&self, baseline: &PerfBaseline, counters_only: bool) -> Result<(), Vec<String>> {
+    pub fn check(&self, baseline: &PerfBaseline) -> Result<(), Vec<String>> {
         let mut diffs = Vec::new();
         for base in &baseline.cells {
+            let label = format!("{}/{}", base.family, base.algorithm);
             let Some(cur) = self.cells.iter().find(|c| c.key() == base.key()) else {
-                diffs.push(format!(
-                    "{}/{} t={}: cell missing from this run",
-                    base.family, base.algorithm, base.threads
-                ));
+                diffs.push(format!("{label}: cell missing from this run"));
                 continue;
             };
-            let label = format!("{}/{} t={}", base.family, base.algorithm, base.threads);
-            let exact: [(&str, u64, u64); 5] = [
+            let exact: [(&str, u64, u64); 6] = [
                 ("inner", cur.inner, base.inner),
                 ("csg_cmp_pairs", cur.csg_cmp_pairs, base.csg_cmp_pairs),
                 ("ono_lohman", cur.ono_lohman, base.ono_lohman),
                 ("table_entries", cur.table_entries, base.table_entries),
+                ("arena_bytes", cur.arena_bytes, base.arena_bytes),
                 ("cost_bits", cur.cost_bits, base.cost_bits),
             ];
             for (name, got, want) in exact {
@@ -353,31 +308,12 @@ impl PerfBaseline {
                     ));
                 }
             }
-            if !counters_only {
-                if cur.arena_bytes != base.arena_bytes {
-                    diffs.push(format!(
-                        "{label}: arena_bytes changed: {} != baseline {}",
-                        cur.arena_bytes, base.arena_bytes
-                    ));
-                }
-                let limit = base.wall_ns as f64 * (1.0 + baseline.config.noise);
-                if cur.wall_ns as f64 > limit {
-                    diffs.push(format!(
-                        "{label}: wall time regressed: {} ns > {:.0} ns \
-                         (baseline {} ns + {:.0}% noise)",
-                        cur.wall_ns,
-                        limit,
-                        base.wall_ns,
-                        100.0 * baseline.config.noise
-                    ));
-                }
-            }
         }
         for cur in &self.cells {
             if !baseline.cells.iter().any(|b| b.key() == cur.key()) {
                 diffs.push(format!(
-                    "{}/{} t={}: cell not present in the baseline",
-                    cur.family, cur.algorithm, cur.threads
+                    "{}/{}: cell not present in the baseline",
+                    cur.family, cur.algorithm
                 ));
             }
         }
@@ -424,7 +360,6 @@ mod tests {
             n: 7,
             reps: 2,
             seed: 2006,
-            noise: 0.5,
         }
     }
 
@@ -459,9 +394,8 @@ mod tests {
         let text = baseline.to_json();
         let parsed = PerfBaseline::parse(&text).unwrap();
         assert_eq!(parsed, baseline);
-        // And a check against itself passes in both modes.
-        baseline.check(&baseline, true).unwrap();
-        baseline.check(&baseline, false).unwrap();
+        // And a check against itself passes.
+        baseline.check(&baseline).unwrap();
     }
 
     #[test]
@@ -469,22 +403,26 @@ mod tests {
         let baseline = run_matrix(&small_config()).unwrap();
         let mut bad = baseline.clone();
         bad.cells[0].inner += 1;
-        let diffs = bad.check(&baseline, true).unwrap_err();
+        let diffs = bad.check(&baseline).unwrap_err();
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].contains("inner regressed"), "{}", diffs[0]);
 
+        let mut fat = baseline.clone();
+        fat.cells[1].arena_bytes += 8;
+        let diffs = fat.check(&baseline).unwrap_err();
+        assert_eq!(diffs.len(), 1);
+        assert!(diffs[0].contains("arena_bytes regressed"), "{}", diffs[0]);
+
         let mut missing = baseline.clone();
         let dropped = missing.cells.pop().unwrap();
-        let diffs = missing.check(&baseline, true).unwrap_err();
+        let diffs = missing.check(&baseline).unwrap_err();
         assert!(diffs[0].contains("missing from this run"));
         assert!(diffs[0].contains(&dropped.family));
 
-        // Wall-time regressions only matter in full mode.
+        // Wall time is recorded, never gated.
         let mut slow = baseline.clone();
         slow.cells[0].wall_ns = baseline.cells[0].wall_ns * 1000 + 1_000_000_000;
-        slow.check(&baseline, true).unwrap();
-        let diffs = slow.check(&baseline, false).unwrap_err();
-        assert!(diffs[0].contains("wall time regressed"), "{}", diffs[0]);
+        slow.check(&baseline).unwrap();
     }
 
     #[test]
@@ -494,7 +432,6 @@ mod tests {
             n: 6,
             reps: 1,
             seed: 2006,
-            noise: 0.5,
         };
         let registry = MetricsRegistry::new();
         let observed = run_matrix_observed(&config, &registry).unwrap();
@@ -530,7 +467,6 @@ mod tests {
             n: 6,
             reps: 1,
             seed: 2006,
-            noise: 0.5,
         })
         .unwrap();
         let table = baseline.render_table();

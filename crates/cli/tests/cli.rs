@@ -968,18 +968,10 @@ fn perf_writes_baseline_and_check_passes_against_itself() {
     // 3 families × (DPsize + DPccp + DPconv + DPsub).
     assert!(out.contains("wrote 12 cells"), "{out}");
     let text = std::fs::read_to_string(&*baseline_path).expect("baseline written");
-    assert!(text.contains("\"schema\": \"joinopt-perf-v1\""), "{text}");
+    assert!(text.contains("\"schema\": \"joinopt-perf-v2\""), "{text}");
 
-    let check = run_ok(&[
-        "perf",
-        "--check",
-        baseline_path.to_str().unwrap(),
-        "--counters-only",
-    ]);
-    assert!(
-        check.contains("perf check passed (counters-only): 12 cells"),
-        "{check}"
-    );
+    let check = run_ok(&["perf", "--check", baseline_path.to_str().unwrap()]);
+    assert!(check.contains("perf check passed: 12 cells"), "{check}");
 }
 
 #[test]
@@ -1005,12 +997,7 @@ fn perf_check_fails_on_counter_drift() {
     tampered.cells[0].inner += 1;
     std::fs::write(&*baseline_path, tampered.to_json()).expect("rewrite baseline");
 
-    let err = run_err(&[
-        "perf",
-        "--check",
-        baseline_path.to_str().unwrap(),
-        "--counters-only",
-    ]);
+    let err = run_err(&["perf", "--check", baseline_path.to_str().unwrap()]);
     assert!(matches!(err, CliError::Regression(_)), "{err:?}");
 }
 
@@ -1029,7 +1016,11 @@ fn perf_rejects_bad_options_and_garbage_baselines() {
         CliError::Usage(_)
     ));
     assert!(matches!(
-        run_err(&["perf", "--noise", "-1"]),
+        run_err(&["perf", "--noise", "0.5"]),
+        CliError::Usage(_)
+    ));
+    assert!(matches!(
+        run_err(&["perf", "--check", "BENCH_joinopt.json", "--counters-only"]),
         CliError::Usage(_)
     ));
     let garbage = write_query_file("not json at all");

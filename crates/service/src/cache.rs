@@ -19,9 +19,10 @@
 //! multiplies the same factors in a different order; see the
 //! conformance crate's renumbering tolerance).
 //!
-//! Eviction is LRU under an **exact** byte budget: each shard owns
-//! `total/shards` bytes (the remainder spread one byte each over the
-//! first shards, so shard budgets sum to exactly the configured total),
+//! Eviction is LRU under an **exact** byte budget: each of the
+//! [`CACHE_SHARDS`] shards owns `total/shards` bytes (the remainder
+//! spread one byte each over the first shards, so shard budgets sum to
+//! exactly the configured total),
 //! and an insert evicts least-recently-used entries until its shard is
 //! back under budget. Each shard is one O(1) `Lru`. Entry sizes use a
 //! deterministic formula, so the accounting is reproducible across runs
@@ -39,20 +40,20 @@ use joinopt_telemetry::{Event, Observer};
 use crate::fingerprint::Fingerprint;
 use crate::lru::Lru;
 
+/// Number of independently locked shards of every [`PlanCache`].
+pub const CACHE_SHARDS: usize = 16;
+
 /// Plan-cache sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total byte budget across all shards (exact; see module docs).
     pub byte_budget: usize,
-    /// Number of independently locked shards.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             byte_budget: 8 << 20, // 8 MiB
-            shards: 16,
         }
     }
 }
@@ -155,14 +156,18 @@ fn remap(tree: &JoinTree, map: &dyn Fn(RelIdx) -> RelIdx) -> JoinTree {
 }
 
 impl PlanCache {
-    /// An empty cache. Shard count is clamped to at least 1; each shard
-    /// gets `byte_budget / shards` bytes with the remainder spread one
-    /// byte each over the first shards, so the shard budgets sum to
-    /// exactly `byte_budget`.
+    /// An empty cache of [`CACHE_SHARDS`] shards.
     pub fn new(config: CacheConfig) -> PlanCache {
-        let shards = config.shards.max(1);
-        let base = config.byte_budget / shards;
-        let remainder = config.byte_budget % shards;
+        PlanCache::with_shards(config.byte_budget, CACHE_SHARDS)
+    }
+
+    /// An empty cache of `shards` shards. Each gets
+    /// `byte_budget / shards` bytes with the remainder spread one byte
+    /// each over the first shards, so the shard budgets sum to exactly
+    /// `byte_budget`.
+    pub(crate) fn with_shards(byte_budget: usize, shards: usize) -> PlanCache {
+        let base = byte_budget / shards;
+        let remainder = byte_budget % shards;
         PlanCache {
             shards: (0..shards)
                 .map(|i| Mutex::new(Lru::new(base + usize::from(i < remainder))))
@@ -406,10 +411,7 @@ mod tests {
         let one = entry_bytes(enc.len(), &t); // 152
                                               // Budget fits exactly two entries; the third insert must evict
                                               // the least recently used and land exactly back at 2×.
-        let cache = PlanCache::new(CacheConfig {
-            byte_budget: 2 * one,
-            shards: 1,
-        });
+        let cache = PlanCache::with_shards(2 * one, 1);
         let order = [0usize];
         cache.insert(fp(1), Algorithm::DpCcp, "cout", &enc, &order, &t, 1.0, 1.0);
         assert_eq!(cache.bytes(), one);
@@ -514,10 +516,7 @@ mod tests {
     fn seeded_interleaving_evicts_exactly_like_the_min_last_used_scan() {
         use joinopt_relset::rng::XorShift64;
         let budget = 2_000;
-        let cache = PlanCache::new(CacheConfig {
-            byte_budget: budget,
-            shards: 1,
-        });
+        let cache = PlanCache::with_shards(budget, 1);
         let mut reference = ReferenceShard {
             budget,
             ..ReferenceShard::default()
@@ -568,10 +567,8 @@ mod tests {
 
     #[test]
     fn shard_budgets_sum_to_the_total_exactly() {
-        let cache = PlanCache::new(CacheConfig {
-            byte_budget: 1003,
-            shards: 16,
-        });
+        let cache = PlanCache::new(CacheConfig { byte_budget: 1003 });
+        assert_eq!(cache.shards.len(), CACHE_SHARDS);
         let total: usize = cache
             .shards
             .iter()
@@ -582,10 +579,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_rejected_outright() {
-        let cache = PlanCache::new(CacheConfig {
-            byte_budget: 10,
-            shards: 1,
-        });
+        let cache = PlanCache::with_shards(10, 1);
         let t = tree_with(1);
         cache.insert(fp(1), Algorithm::DpCcp, "cout", &[1], &[0, 1], &t, 1.0, 1.0);
         assert_eq!(cache.bytes(), 0);

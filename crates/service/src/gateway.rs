@@ -554,13 +554,12 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 /// The reporting label an optimizer error rolls up under in serve
 /// responses and the load report's per-type error breakdown:
-/// `timeout`, `memory`, `panic`, `parse`, `admission` or `other`.
+/// `timeout`, `memory`, `panic`, `parse` or `other`.
 pub fn error_kind(e: &OptimizeError) -> &'static str {
     match e {
         OptimizeError::TimeBudgetExceeded { .. } => "timeout",
         OptimizeError::MemoryBudgetExceeded { .. } => "memory",
         OptimizeError::Parse(_) | OptimizeError::Sql(_) => "parse",
-        OptimizeError::QueueFull { .. } | OptimizeError::TenantLimitExceeded { .. } => "admission",
         OptimizeError::Internal(msg) if msg.contains("panic") => "panic",
         _ => "other",
     }
@@ -568,7 +567,7 @@ pub fn error_kind(e: &OptimizeError) -> &'static str {
 
 /// Failures that feed the circuit breaker: service-side malfunction
 /// (panics surface as `Internal`) and deadline blowouts — not
-/// per-query client errors (parse, shape, admission).
+/// per-query client errors (parse, shape).
 fn counts_for_breaker(e: &OptimizeError) -> bool {
     matches!(
         e,

@@ -1,5 +1,5 @@
 //! Optimizer-as-a-service: the owned request API, the canonical plan
-//! cache and batched admission on top of `joinopt-core`.
+//! cache and the batch executor on top of `joinopt-core`.
 //!
 //! The core crate's [`OptimizeRequest`](joinopt_core::OptimizeRequest)
 //! is a borrowed, zero-cost builder: perfect for embedding, useless for
@@ -20,9 +20,8 @@
 //!   `optimize` text reuses its parsed spec and canonical form instead
 //!   of being parsed and canonicalized again;
 //! * [`service`] — [`ServiceRequest`] (owned spec + tenant + priority +
-//!   budgets) and [`OptimizerService`], a batch executor with per-tenant
-//!   admission control riding the core crate's exact → IDP → GOO
-//!   degradation ladder;
+//!   budgets) and [`OptimizerService`], a batch executor riding the
+//!   core crate's exact → IDP → GOO degradation ladder;
 //! * [`clock`] / [`breaker`] — the injectable clock and the per-tenant
 //!   circuit breaker behind the server;
 //! * [`gateway`] — [`Gateway`], the hardened request lifecycle
@@ -62,7 +61,7 @@ pub use gateway::{
     error_kind, Gateway, GatewayConfig, GatewayError, GatewayStats, Rejection, ShedConfig,
 };
 pub use memo::{MemoStats, QueryMemo, MEMO_BYTES};
-pub use server::{Handler, ServeSummary, Server, ServerConfig, TraceConfig};
+pub use server::{Handler, ServeSummary, Server, ServerConfig};
 pub use service::{
     CostModelId, OptimizerService, Priority, ServiceConfig, ServiceOutcome, ServiceRequest,
     StageTracer,

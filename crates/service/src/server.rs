@@ -40,9 +40,10 @@
 //! a seeded per-server counter, echoed in the response, and usable with
 //! the `trace` verb to fetch the request's full stage-span timeline
 //! (accept → shed-check → breaker → cache-lookup → optimize → respond).
-//! Tracing is on by default and tunable via [`TraceConfig`]; disabling
-//! it restores the untraced fast path with zero extra clock reads
-//! (pinned by `tests/trace_overhead.rs`).
+//! Tracing is on by default ([`ServerConfig::trace`]); disabling it
+//! restores the untraced fast path with zero extra clock reads (pinned
+//! by `tests/trace_overhead.rs`). The trace stores have fixed sizes:
+//! [`TRACE_WINDOW`], [`RECENT_TRACES`] and [`SLOW_TRACES`].
 //!
 //! ## Shutdown
 //!
@@ -95,39 +96,6 @@ pub enum Listen {
     Unix(PathBuf),
 }
 
-/// Request-tracing and windowed-metrics tuning for the serve path.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Master switch. Off, the request path performs zero extra clock
-    /// reads and produces bit-identical plans (pinned in
-    /// `tests/trace_overhead.rs`); the `metrics`/`trace`/`slow` verbs
-    /// then answer from empty stores.
-    pub enabled: bool,
-    /// Sizing of the rolling per-(tenant, verb, stage) latency windows
-    /// behind the `metrics` verb and `joinopt top`.
-    pub window: WindowConfig,
-    /// How many finished traces the `trace` verb can look up by id.
-    pub recent_capacity: usize,
-    /// Worst-K bound of the `slow` verb's slowest-request ring.
-    pub slow_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    /// Tracing on, a 60-second window of one-second buckets, 256 recent
-    /// traces, worst 16 slow requests.
-    fn default() -> Self {
-        TraceConfig {
-            enabled: true,
-            window: WindowConfig {
-                bucket_width_ns: 1_000_000_000,
-                buckets: 60,
-            },
-            recent_capacity: 256,
-            slow_capacity: 16,
-        }
-    }
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -137,8 +105,11 @@ pub struct ServerConfig {
     pub service: ServiceConfig,
     /// Gateway hardening (shedding, breaker).
     pub gateway: GatewayConfig,
-    /// Request tracing and windowed metrics.
-    pub trace: TraceConfig,
+    /// Request tracing and windowed metrics. Off, the request path
+    /// performs zero extra clock reads and produces bit-identical plans
+    /// (pinned in `tests/trace_overhead.rs`); the `metrics`/`trace`/
+    /// `slow` verbs then answer from empty stores.
+    pub trace: bool,
     /// How long the final drain may wait for in-flight requests.
     pub drain_timeout: Duration,
     /// When set, the final metrics snapshot is written here in
@@ -152,7 +123,7 @@ impl Default for ServerConfig {
             listen: Listen::Tcp("127.0.0.1:0".into()),
             service: ServiceConfig::default(),
             gateway: GatewayConfig::default(),
-            trace: TraceConfig::default(),
+            trace: true,
             drain_timeout: Duration::from_secs(30),
             prom_path: None,
         }
@@ -170,15 +141,12 @@ struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    fn new(config: &TraceConfig, seed: u64) -> ServeTelemetry {
+    fn new(enabled: bool, seed: u64) -> ServeTelemetry {
         ServeTelemetry {
-            enabled: config.enabled,
+            enabled,
             minter: TraceIdMinter::new(seed),
-            windows: std::sync::Mutex::new(WindowedMetrics::new(config.window)),
-            traces: std::sync::Mutex::new(TraceLog::new(
-                config.recent_capacity,
-                config.slow_capacity,
-            )),
+            windows: std::sync::Mutex::new(WindowedMetrics::new(TRACE_WINDOW)),
+            traces: std::sync::Mutex::new(TraceLog::new(RECENT_TRACES, SLOW_TRACES)),
         }
     }
 
@@ -296,10 +264,10 @@ pub struct Handler {
 }
 
 impl Handler {
-    /// A handler over `gateway` with `trace` telemetry (trace ids minted
-    /// from `seed`) and an empty [`MEMO_BYTES`](crate::memo::MEMO_BYTES)
-    /// memo.
-    pub fn new(gateway: Gateway, trace: &TraceConfig, seed: u64) -> Handler {
+    /// A handler over `gateway`, tracing when `trace` is set (trace ids
+    /// minted from `seed`), with an empty
+    /// [`MEMO_BYTES`](crate::memo::MEMO_BYTES) memo.
+    pub fn new(gateway: Gateway, trace: bool, seed: u64) -> Handler {
         Handler {
             gateway,
             telemetry: ServeTelemetry::new(trace, seed),
@@ -417,7 +385,7 @@ impl Server {
             OptimizerService::new(config.service.clone()),
             config.gateway.clone(),
         );
-        let handler = Handler::new(gateway, &config.trace, config.gateway.seed);
+        let handler = Handler::new(gateway, config.trace, config.gateway.seed);
         Ok(Server {
             config,
             listener,
@@ -537,6 +505,19 @@ impl Server {
 /// crosses the cap; the rest of it is skipped up to the next newline,
 /// where reading resyncs.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The rolling per-(tenant, verb, stage) latency windows behind the
+/// `metrics` verb and `joinopt top`: 60 one-second buckets.
+pub const TRACE_WINDOW: WindowConfig = WindowConfig {
+    bucket_width_ns: 1_000_000_000,
+    buckets: 60,
+};
+
+/// How many finished traces the `trace` verb can look up by id.
+pub const RECENT_TRACES: usize = 256;
+
+/// Worst-K bound of the `slow` verb's slowest-request ring.
+pub const SLOW_TRACES: usize = 16;
 
 /// What [`read_capped_line`] found.
 enum LineRead {
@@ -1350,7 +1331,7 @@ pub fn span_timeline_demo() -> String {
         config.gateway.clone(),
         crate::clock::Clock::manual(),
     );
-    let handler = Handler::new(gateway, &config.trace, 42);
+    let handler = Handler::new(gateway, config.trace, 42);
     let (gateway, telemetry) = (&handler.gateway, &handler.telemetry);
     let obs = joinopt_telemetry::NoopObserver;
     let mut session: Option<Session> = None;
@@ -1655,18 +1636,15 @@ mod tests {
 
     /// A socket-less harness: a manual-clock handler driven straight
     /// through [`Handler::dispatch`].
-    fn dispatch_harness(trace: TraceConfig) -> Handler {
-        let config = ServerConfig {
-            trace,
-            ..ServerConfig::default()
-        };
+    fn dispatch_harness(trace: bool) -> Handler {
+        let config = ServerConfig::default();
         let service = OptimizerService::new(config.service.clone());
         let gateway = Gateway::with_clock(
             service,
             config.gateway.clone(),
             crate::clock::Clock::manual(),
         );
-        Handler::new(gateway, &config.trace, 7)
+        Handler::new(gateway, trace, 7)
     }
 
     fn call_dispatch(h: &Handler, req: &str) -> JsonValue {
@@ -1685,7 +1663,7 @@ mod tests {
 
     #[test]
     fn every_error_path_echoes_id() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let expect_id = |resp: &JsonValue, who: &str| {
             assert_eq!(
                 resp.get("id").and_then(|v| v.as_str()),
@@ -1746,7 +1724,7 @@ mod tests {
 
     #[test]
     fn removed_algorithm_name_is_a_typed_invalid_reply() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let r = call_dispatch(&h, &optimize_req(",\"id\":\"req-sa\",\"algorithm\":\"sa\""));
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
         assert_eq!(
@@ -1760,7 +1738,7 @@ mod tests {
 
     #[test]
     fn idp_is_not_a_wire_algorithm() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let r = call_dispatch(
             &h,
             &optimize_req(",\"id\":\"req-idp\",\"algorithm\":\"idp\""),
@@ -1779,7 +1757,7 @@ mod tests {
 
     #[test]
     fn unparseable_lines_salvage_id_and_trace_id() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         // Truncated JSON — unclosed object — still echoes both ids.
         let r = call_dispatch(
             &h,
@@ -1806,7 +1784,7 @@ mod tests {
 
     #[test]
     fn trace_ids_are_minted_fetched_and_windowed() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let cold = call_dispatch(&h, &optimize_req(",\"id\":\"c1\""));
         assert_eq!(cold.get("status").and_then(|v| v.as_str()), Some("ok"));
         let minted = cold
@@ -1899,10 +1877,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_mints_nothing_but_echoes_client_ids() {
-        let h = dispatch_harness(TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        });
+        let h = dispatch_harness(false);
         let r = call_dispatch(&h, &optimize_req(""));
         assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("ok"));
         assert!(
@@ -1932,7 +1907,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip_hostile_ids() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let hostile = "he said \"quote\"\\\n\ttab\u{1}";
         let mut req = String::from("{\"verb\":\"optimize\",\"id\":");
         write_escaped(&mut req, hostile);
@@ -1979,7 +1954,7 @@ mod tests {
 
     #[test]
     fn memo_admits_a_text_only_after_a_plan_cache_hit() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let cold = call_dispatch(&h, &optimize_req(""));
         assert_eq!(cold.get("cache_hit").unwrap().as_bool(), Some(false));
         assert_eq!(h.memo.stats().stores, 0, "a plan-cache miss admits nothing");
@@ -2039,10 +2014,10 @@ mod tests {
         let b = "relation w 50\nrelation x 300\nrelation y 200\nrelation z 100\n\
                  join x w 0.2\njoin z y 0.1\njoin y x 0.05\n";
         let cold = |text: &str| {
-            let fresh = dispatch_harness(TraceConfig::default());
+            let fresh = dispatch_harness(true);
             cost_of(&call_dispatch(&fresh, &optimize_text(text, "")))
         };
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         for (round, text) in [a, b, a, b, a, b].into_iter().enumerate() {
             let r = call_dispatch(&h, &optimize_text(text, ""));
             assert_eq!(cost_of(&r), cold(text), "round {round}");
@@ -2059,10 +2034,7 @@ mod tests {
 
     #[test]
     fn a_flood_of_repeated_texts_keeps_the_memo_within_its_bytes() {
-        let h = dispatch_harness(TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        });
+        let h = dispatch_harness(false);
         // Every tag is one cached query under other names, so each text
         // is admitted on its first send (a plan-cache hit) and served
         // from the memo on its second. ~5 KiB a text: a few hundred
@@ -2085,7 +2057,7 @@ mod tests {
 
     #[test]
     fn a_text_larger_than_the_memo_is_never_admitted() {
-        let h = dispatch_harness(TraceConfig::default());
+        let h = dispatch_harness(true);
         let pad = "y".repeat(crate::memo::MEMO_BYTES / 2);
         let text = format!("relation a{pad} 100\nrelation b 200\njoin a{pad} b 0.1\n");
         let line = optimize_text(&text, "");

@@ -1,23 +1,23 @@
-//! [`ServiceRequest`], admission control and the batch executor.
+//! [`ServiceRequest`] and the batch executor.
 //!
 //! The service is the one blessed entry point for *owned* work: a
 //! [`ServiceRequest`] carries its [`QuerySpec`], a tenant label, a
-//! priority and per-request budgets, so it can sit in a queue, be
-//! rejected with a typed error, or be answered straight from the plan
-//! cache. Execution rides the core crate end to end: each worker pools
-//! a [`Session`] across the queries it claims,
-//! budget trips walk the exact → IDP → GOO degradation ladder when the
-//! request opted in, and panics are isolated per request.
+//! priority and per-request budgets, so it can sit in a queue or be
+//! answered straight from the plan cache. Execution rides the core
+//! crate end to end: each worker pools a [`Session`] across the queries
+//! it claims, budget trips walk the exact → IDP → GOO degradation
+//! ladder when the request opted in, and panics are isolated per
+//! request.
 //!
-//! ## Admission
+//! ## Batches and admission
 //!
-//! A submitted batch is admitted in arrival order under two limits:
-//! per-tenant concurrency (`tenant_limit` requests of one tenant in
-//! flight per batch) and total queue capacity. Rejected slots come back
-//! immediately as [`OptimizeError::TenantLimitExceeded`] /
-//! [`OptimizeError::QueueFull`] without disturbing their neighbours.
-//! Admitted requests execute highest [`Priority`] first (stable within
-//! a priority class), spread across the worker pool.
+//! [`OptimizerService::submit_batch`] runs every request of a batch on
+//! the worker pool and returns the results in input order; a failing
+//! request fails in its own slot without disturbing its neighbours.
+//! The batch path has no admission step of its own: the only admission
+//! is the server's [`Gateway`](crate::Gateway), whose watermarks shed
+//! by [`Priority`] and cap in-flight requests before
+//! [`OptimizerService::submit_one`] runs.
 //!
 //! ## Caching
 //!
@@ -39,7 +39,7 @@ use joinopt_core::{
     Algorithm, BudgetAction, DegradationInfo, DpResult, OptimizeError, OptimizeRequest, Session,
 };
 use joinopt_cost::{CostModel, Cout, HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin};
-use joinopt_telemetry::{NoopObserver, Observer, RequestTrace};
+use joinopt_telemetry::{Observer, RequestTrace};
 
 use crate::cache::{CacheConfig, PlanCache};
 use crate::clock::Clock;
@@ -106,16 +106,16 @@ impl CostModelId {
     }
 }
 
-/// Request priority: higher executes earlier within a batch, and the
-/// server's load shedding drops lower priorities first.
+/// Request priority: the server's load shedding drops lower priorities
+/// first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
-    /// Background work; runs after everything else.
+    /// Background work; shed first.
     Low,
     /// The default.
     #[default]
     Normal,
-    /// Latency-sensitive; runs first.
+    /// Latency-sensitive; shed last.
     High,
 }
 
@@ -147,9 +147,9 @@ impl Priority {
 pub struct ServiceRequest {
     /// The query, shared with clones (and with the server's memo).
     query: Arc<ParsedQuery>,
-    /// Tenant label for admission accounting.
+    /// Tenant label for the gateway's breaker and metrics.
     pub tenant: String,
-    /// Scheduling priority within a batch.
+    /// Priority for the gateway's load shedding.
     pub priority: Priority,
     /// Algorithm (possibly `Auto`, resolved per query).
     pub algorithm: Algorithm,
@@ -263,16 +263,12 @@ impl ServiceRequest {
     }
 }
 
-/// Service sizing and policy.
+/// Service sizing.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads for batch execution. `0` = the machine's
     /// available parallelism.
     pub worker_threads: usize,
-    /// Maximum requests admitted per batch.
-    pub queue_capacity: usize,
-    /// Maximum requests of one tenant in flight per batch.
-    pub tenant_limit: usize,
     /// Plan-cache sizing; `None` disables caching entirely (and with it
     /// the whole fingerprint path).
     pub cache: Option<CacheConfig>,
@@ -282,8 +278,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             worker_threads: 0,
-            queue_capacity: 1024,
-            tenant_limit: 256,
             cache: Some(CacheConfig::default()),
         }
     }
@@ -309,9 +303,8 @@ pub struct ServiceOutcome {
     pub(crate) canonical: Option<CanonicalForm>,
 }
 
-/// The optimizer service: a plan cache plus a batch executor with
-/// admission control. Methods take `&self`; one service is shared
-/// across submitting threads.
+/// The optimizer service: a plan cache plus a batch executor. Methods
+/// take `&self`; one service is shared across submitting threads.
 pub struct OptimizerService {
     config: ServiceConfig,
     cache: Option<PlanCache>,
@@ -335,62 +328,24 @@ impl OptimizerService {
         self.cache.as_ref()
     }
 
-    /// Submits a batch. Results come back in input order; admission
-    /// rejections occupy their slots as typed errors.
+    /// Submits a batch: every request runs on the worker pool, and the
+    /// results come back in input order. Every run and every cache
+    /// lookup/store/evict reports to `obs` (which must be `Sync`;
+    /// workers emit concurrently, tagged by thread id).
     pub fn submit_batch(
-        &self,
-        requests: &[ServiceRequest],
-    ) -> Vec<Result<ServiceOutcome, OptimizeError>> {
-        self.submit_batch_observed(requests, &NoopObserver)
-    }
-
-    /// [`OptimizerService::submit_batch`] with telemetry: every run and
-    /// every cache lookup/store/evict reports to `obs` (which must be
-    /// `Sync`; workers emit concurrently, tagged by thread id).
-    pub fn submit_batch_observed(
         &self,
         requests: &[ServiceRequest],
         obs: &(dyn Observer + Sync),
     ) -> Vec<Result<ServiceOutcome, OptimizeError>> {
-        use std::collections::HashMap;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
-
-        let mut results: Vec<Option<Result<ServiceOutcome, OptimizeError>>> =
-            (0..requests.len()).map(|_| None).collect();
-
-        // Admission in arrival order: tenant caps first, then capacity.
-        let mut in_flight: HashMap<&str, usize> = HashMap::new();
-        let mut admitted: Vec<usize> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let tenant_count = in_flight.entry(req.tenant.as_str()).or_insert(0);
-            if *tenant_count >= self.config.tenant_limit {
-                results[i] = Some(Err(OptimizeError::TenantLimitExceeded {
-                    tenant: req.tenant.clone(),
-                    in_flight: *tenant_count,
-                    limit: self.config.tenant_limit,
-                }));
-                continue;
-            }
-            if admitted.len() >= self.config.queue_capacity {
-                results[i] = Some(Err(OptimizeError::QueueFull {
-                    queued: admitted.len(),
-                    capacity: self.config.queue_capacity,
-                }));
-                continue;
-            }
-            *tenant_count += 1;
-            admitted.push(i);
-        }
-        // Highest priority first; stable, so arrival order breaks ties.
-        admitted.sort_by_key(|&i| std::cmp::Reverse(requests[i].priority));
 
         let workers = if self.config.worker_threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
             self.config.worker_threads
         }
-        .min(admitted.len())
+        .min(requests.len())
         .max(1);
 
         let run_one = |session: &mut Option<Session>, req: &ServiceRequest| {
@@ -399,35 +354,36 @@ impl OptimizerService {
 
         if workers == 1 {
             let mut session = None;
-            for &i in &admitted {
-                results[i] = Some(run_one(&mut session, &requests[i]));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let run_one = &run_one;
-                    let admitted = &admitted;
-                    scope.spawn(move || {
-                        let mut session = None;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = admitted.get(k) else { break };
-                            if tx.send((i, run_one(&mut session, &requests[i]))).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, r) in rx {
-                    results[i] = Some(r);
-                }
-            });
+            return requests
+                .iter()
+                .map(|req| run_one(&mut session, req))
+                .collect();
         }
+        let mut results: Vec<Option<Result<ServiceOutcome, OptimizeError>>> =
+            (0..requests.len()).map(|_| None).collect();
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let next = &next;
+                let run_one = &run_one;
+                scope.spawn(move || {
+                    let mut session = None;
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(req) = requests.get(i) else { break };
+                        if tx.send((i, run_one(&mut session, req))).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for (i, r) in rx {
+                results[i] = Some(r);
+            }
+        });
         results
             .into_iter()
             .map(|r| {
@@ -440,9 +396,9 @@ impl OptimizerService {
             .collect()
     }
 
-    /// Answers one request outside a batch — the `joinopt serve` path.
-    /// Skips batch admission (the server gateway does its own shedding
-    /// and breaker checks before calling this), shares the plan cache,
+    /// Answers one request outside a batch — the `joinopt serve` path
+    /// (the server gateway does its shedding and breaker checks before
+    /// calling this). Shares the plan cache,
     /// isolates panics exactly like a batch worker, and reuses the
     /// caller's pooled session across calls.
     pub fn submit_one(
@@ -479,7 +435,7 @@ impl OptimizerService {
         }
     }
 
-    /// Answers one admitted request: cache probe, then (on a miss) a
+    /// Answers one request: cache probe, then (on a miss) a
     /// full optimization, then (when exact) a cache store.
     ///
     /// Two service-level failpoint sites live here (cfg-gated, see
@@ -653,6 +609,7 @@ mod tests {
     use super::*;
     use joinopt_cost::workload;
     use joinopt_qgraph::GraphKind;
+    use joinopt_telemetry::NoopObserver;
 
     fn spec(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
         let w = workload::family_workload(kind, n, seed);
@@ -704,11 +661,9 @@ mod tests {
     fn warm_hit_is_bit_identical_to_the_cold_run() {
         let service = OptimizerService::default();
         let req = ServiceRequest::new(spec(GraphKind::Chain, 7, 11));
-        let cold = &service.submit_batch(std::slice::from_ref(&req))[0];
-        let cold = cold.as_ref().unwrap();
+        let cold = service.submit_one(&req, &mut None, &NoopObserver).unwrap();
         assert!(!cold.cache_hit);
-        let warm = &service.submit_batch(std::slice::from_ref(&req))[0];
-        let warm = warm.as_ref().unwrap();
+        let warm = service.submit_one(&req, &mut None, &NoopObserver).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.result.cost.to_bits(), cold.result.cost.to_bits());
         assert_eq!(warm.result.tree, cold.result.tree);
@@ -717,51 +672,10 @@ mod tests {
     }
 
     #[test]
-    fn tenant_limit_rejects_in_place() {
-        let service = OptimizerService::new(ServiceConfig {
-            tenant_limit: 2,
-            ..ServiceConfig::default()
-        });
-        let reqs: Vec<_> = (0..4)
-            .map(|i| ServiceRequest::new(spec(GraphKind::Star, 5, i)).with_tenant("acme"))
-            .collect();
-        let results = service.submit_batch(&reqs);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_ok());
-        for r in &results[2..] {
-            assert!(matches!(
-                r,
-                Err(OptimizeError::TenantLimitExceeded { tenant, limit: 2, .. })
-                    if tenant == "acme"
-            ));
-        }
-    }
-
-    #[test]
-    fn queue_capacity_rejects_the_overflow() {
-        let service = OptimizerService::new(ServiceConfig {
-            queue_capacity: 1,
-            ..ServiceConfig::default()
-        });
-        let reqs: Vec<_> = (0..3)
-            .map(|i| ServiceRequest::new(spec(GraphKind::Chain, 4, i)))
-            .collect();
-        let results = service.submit_batch(&reqs);
-        assert!(results[0].is_ok());
-        for r in &results[1..] {
-            assert!(matches!(
-                r,
-                Err(OptimizeError::QueueFull { capacity: 1, .. })
-            ));
-        }
-    }
-
-    #[test]
     fn batch_matches_individual_requests_and_preserves_errors() {
         let service = OptimizerService::new(ServiceConfig {
-            cache: None,
             worker_threads: 3,
-            ..ServiceConfig::default()
+            cache: None,
         });
         let mut reqs: Vec<_> = (0..5u64)
             .map(|i| {
@@ -778,7 +692,7 @@ mod tests {
         // Twice on the same service: isolation must hold on a fresh pool
         // and on a reused one alike.
         for _ in 0..2 {
-            let results = service.submit_batch(&reqs);
+            let results = service.submit_batch(&reqs, &NoopObserver);
             assert_eq!(results.len(), 7);
             assert!(
                 matches!(results[2], Err(OptimizeError::Graph(_))),
@@ -795,14 +709,13 @@ mod tests {
                     continue;
                 }
                 let batch = results[i].as_ref().unwrap();
-                let single = &service.submit_batch(std::slice::from_ref(req))[0];
-                let single = single.as_ref().unwrap();
+                let single = service.submit_one(req, &mut None, &NoopObserver).unwrap();
                 assert_eq!(batch.result.cost.to_bits(), single.result.cost.to_bits());
                 assert_eq!(batch.result.tree, single.result.tree);
             }
         }
         // Empty batches are fine.
-        assert!(service.submit_batch(&[]).is_empty());
+        assert!(service.submit_batch(&[], &NoopObserver).is_empty());
     }
 
     #[test]
@@ -810,16 +723,15 @@ mod tests {
         use joinopt_telemetry::json::JsonValue;
         use joinopt_telemetry::{current_thread_id, TraceWriter};
         let service = OptimizerService::new(ServiceConfig {
-            cache: None,
             worker_threads: 2,
-            ..ServiceConfig::default()
+            cache: None,
         });
         let reqs: Vec<_> = [(6, 0), (7, 1), (8, 2), (6, 3)]
             .into_iter()
             .map(|(n, seed)| ServiceRequest::new(spec(GraphKind::Chain, n, seed)))
             .collect();
         let trace = TraceWriter::new(Vec::new());
-        let results = service.submit_batch_observed(&reqs, &trace);
+        let results = service.submit_batch(&reqs, &trace);
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(Result::is_ok));
         let text = String::from_utf8(trace.finish().unwrap()).unwrap();
@@ -845,17 +757,37 @@ mod tests {
     }
 
     #[test]
-    fn priorities_only_reorder_execution_not_results() {
+    fn every_slot_of_a_large_single_tenant_batch_answers_in_input_order() {
+        // One tenant, mixed priorities, more requests than any per-tenant
+        // or per-batch limit the service once had: every slot answers,
+        // in input order, with the cost bits of a cold single run.
         let service = OptimizerService::default();
-        let reqs = vec![
-            ServiceRequest::new(spec(GraphKind::Chain, 5, 0)).with_priority(Priority::Low),
-            ServiceRequest::new(spec(GraphKind::Star, 5, 1)).with_priority(Priority::High),
-        ];
-        let results = service.submit_batch(&reqs);
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(Result::is_ok));
-        // Slot 0 is still the chain (5 relations, 4 edges).
-        assert_eq!(results[0].as_ref().unwrap().result.tree.num_relations(), 5);
+        let cold = OptimizerService::new(ServiceConfig {
+            cache: None,
+            ..ServiceConfig::default()
+        });
+        let priorities = [Priority::Low, Priority::Normal, Priority::High];
+        let reqs: Vec<_> = (0..300u64)
+            .map(|i| {
+                let kind = GraphKind::ALL[i as usize % 4];
+                ServiceRequest::new(spec(kind, 4 + i as usize % 3, i))
+                    .with_tenant("acme")
+                    .with_priority(priorities[i as usize % 3])
+            })
+            .collect();
+        let results = service.submit_batch(&reqs, &NoopObserver);
+        assert_eq!(results.len(), reqs.len());
+        for (i, (req, r)) in reqs.iter().zip(&results).enumerate() {
+            let batch = r.as_ref().unwrap_or_else(|e| panic!("slot {}: {e}", i + 1));
+            let single = cold.submit_one(req, &mut None, &NoopObserver).unwrap();
+            assert_eq!(
+                batch.result.cost.to_bits(),
+                single.result.cost.to_bits(),
+                "slot {}",
+                i + 1
+            );
+            assert_eq!(batch.result.tree, single.result.tree, "slot {}", i + 1);
+        }
     }
 
     #[test]
@@ -866,8 +798,7 @@ mod tests {
         let req = ServiceRequest::new(spec(GraphKind::Clique, 7, 3))
             .with_cost_budget(0.0)
             .with_degradation();
-        let r = &service.submit_batch(std::slice::from_ref(&req))[0];
-        let r = r.as_ref().unwrap();
+        let r = service.submit_one(&req, &mut None, &NoopObserver).unwrap();
         assert!(r.degradation.is_some());
         assert_eq!(service.cache().unwrap().stats().stores, 0);
     }

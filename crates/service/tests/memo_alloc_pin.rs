@@ -16,7 +16,6 @@ use std::cell::Cell;
 
 use joinopt_service::{
     fingerprints_computed, Gateway, GatewayConfig, Handler, OptimizerService, ServiceConfig,
-    TraceConfig,
 };
 use joinopt_telemetry::json::write_escaped;
 use joinopt_telemetry::NoopObserver;
@@ -67,10 +66,7 @@ fn a_memo_hit_optimize_allocates_exactly_as_pinned() {
             OptimizerService::new(ServiceConfig::default()),
             GatewayConfig::default(),
         ),
-        &TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        },
+        false,
         7,
     );
     let mut line = String::from("{\"verb\":\"optimize\",\"id\":\"q\",\"query\":");

@@ -29,7 +29,7 @@ fn hit_and_miss_counters_fold_into_the_registry_snapshot() {
     ];
 
     let registry = MetricsRegistry::new();
-    let results = service.submit_batch_observed(&requests, &registry);
+    let results = service.submit_batch(&requests, &registry);
     assert!(results.iter().all(|r| r.is_ok()));
 
     let snapshot = registry.snapshot();

@@ -191,7 +191,7 @@ fn injected_panic_is_isolated_to_one_batch_query() {
     // a table insert first consumes the trigger) and the rest must
     // complete on their workers' sessions.
     failpoint::configure_times("table-insert", FailAction::Panic, 1);
-    let results = uncached().submit_batch(&reqs);
+    let results = uncached().submit_batch(&reqs, &NoopObserver);
     failpoint::clear_all();
     assert_eq!(results.len(), 3);
     let mut panicked = 0;
@@ -221,13 +221,13 @@ fn batch_survives_every_query_panicking() {
         .collect();
     let service = uncached();
     failpoint::configure("table-insert", FailAction::Panic);
-    let results = service.submit_batch(&reqs);
+    let results = service.submit_batch(&reqs, &NoopObserver);
     failpoint::clear_all();
     assert_eq!(results.len(), 4);
     for (i, r) in results.iter().enumerate() {
         assert_panicked(r, i);
     }
-    let recovered = service.submit_batch(&reqs);
+    let recovered = service.submit_batch(&reqs, &NoopObserver);
     for (i, r) in recovered.iter().enumerate() {
         let ok = r
             .as_ref()

@@ -10,9 +10,9 @@ thread_local! {
 
 /// A small, portable thread identifier: dense `u64`s handed out in
 /// first-use order (the std `ThreadId` has no stable integer form).
-/// Used to attribute telemetry emitted from parallel-engine workers and
-/// batch threads — ids are process-unique but *assignment* depends on
-/// scheduling, so treat them as labels, not stable keys.
+/// Used to attribute telemetry emitted from batch worker threads — ids
+/// are process-unique but *assignment* depends on scheduling, so treat
+/// them as labels, not stable keys.
 pub fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }

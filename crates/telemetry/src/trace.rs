@@ -27,7 +27,7 @@ use crate::observer::{current_thread_id, Event, Observer};
 ///
 /// The writer is `Sync` (serialized behind a mutex), so one trace file
 /// can collect events from every worker of a batch
-/// (`OptimizerService::submit_batch_observed` in the service crate).
+/// (`OptimizerService::submit_batch` in the service crate).
 ///
 /// I/O errors are sticky: the first failure stops further writing and is
 /// surfaced by [`TraceWriter::finish`].

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Hypergraph queries run on DPhyp directly: `OptimizeRequest` (the
     // session API) covers binary query graphs, where the DP table can be
-    // direct-addressed and the DPsub family has its parallel path.
+    // direct-addressed.
     let result = DpHyp.optimize(&h, &catalog, &Cout)?;
 
     println!("query hypergraph: {h}");

@@ -1,14 +1,12 @@
 //! The optimizer service, end to end:
 //!
 //! 1. capture borrowed graphs + catalogs into owned, hashable
-//!    [`QuerySpec`]s and submit them as a prioritized, multi-tenant
-//!    batch;
+//!    [`QuerySpec`]s and submit them as one batch, answered in input
+//!    order;
 //! 2. watch the plan cache work — the same logical query relabeled and
 //!    resubmitted is answered from the cache, bit-identical to its cold
 //!    run, because cache keys are *canonical fingerprints*, not raw
-//!    specs;
-//! 3. admission control — a tenant over its concurrency limit gets a
-//!    typed rejection while its neighbours' requests still run.
+//!    specs.
 //!
 //! Run with: `cargo run --release --example optimizer_service`
 
@@ -17,44 +15,35 @@ use joinopt_cost::workload;
 use joinopt_qgraph::bfs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- 1. A mixed, multi-tenant batch. ------------------------------
-    let service = OptimizerService::new(ServiceConfig {
-        tenant_limit: 2,
-        ..ServiceConfig::default()
-    });
+    // --- 1. A mixed batch. --------------------------------------------
+    let service = OptimizerService::default();
     let workloads: Vec<_> = (0..4)
         .map(|i| workload::family_workload(GraphKind::ALL[i % 4], 7 + i % 2, i as u64))
         .collect();
-    let mut requests: Vec<ServiceRequest> = workloads
+    let requests: Vec<ServiceRequest> = workloads
         .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            Ok(
-                ServiceRequest::new(QuerySpec::capture(&w.graph, &w.catalog)?)
-                    .with_tenant(if i % 2 == 0 { "alice" } else { "bob" })
-                    .with_priority(if i == 3 {
-                        Priority::High
-                    } else {
-                        Priority::Normal
-                    }),
-            )
+        .map(|w| {
+            Ok(ServiceRequest::new(QuerySpec::capture(
+                &w.graph, &w.catalog,
+            )?))
         })
         .collect::<Result<_, OptimizeError>>()?;
-    let results = service.submit_batch(&requests);
-    println!("batch of {} requests across two tenants:", results.len());
+    let results = service.submit_batch(&requests, &NoopObserver);
+    println!("batch of {} requests:", results.len());
     for (i, r) in results.iter().enumerate() {
-        let r = r.as_ref().expect("all within limits");
+        let r = r.as_ref().expect("connected workloads optimize");
         println!(
-            "  #{i}  tenant={}  algorithm={:?}  cost={:.6e}",
-            requests[i].tenant, r.algorithm, r.result.cost
+            "  #{i}  relations={}  algorithm={:?}  cost={:.6e}",
+            requests[i].spec().num_relations(),
+            r.algorithm,
+            r.result.cost
         );
     }
 
     // --- 2. The cache sees through relabeling. ------------------------
     let w = workload::family_workload(GraphKind::Star, 7, 42);
     let spec = QuerySpec::capture(&w.graph, &w.catalog)?;
-    let cold = &service.submit_batch(&[ServiceRequest::new(spec.clone())])[0];
-    let cold = cold.as_ref().expect("star optimizes");
+    let cold = service.submit_one(&ServiceRequest::new(spec.clone()), &mut None, &NoopObserver)?;
 
     // The same query with its relations renumbered: a different spec,
     // the same canonical fingerprint.
@@ -69,8 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let relabeled = QuerySpec::capture(&renumbered, &catalog)?;
     assert_ne!(spec, relabeled, "different specs…");
-    let warm = &service.submit_batch(&[ServiceRequest::new(relabeled)])[0];
-    let warm = warm.as_ref().expect("relabeled star optimizes");
+    let warm = service.submit_one(&ServiceRequest::new(relabeled), &mut None, &NoopObserver)?;
     assert!(warm.cache_hit, "…but the same canonical query");
     println!(
         "\nrelabeled resubmission: cache_hit={} cost={:.6e} (cold {:.6e})",
@@ -81,27 +69,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "cache: {} hits / {} misses / {} stores, {} bytes in {} entries",
         stats.hits, stats.misses, stats.stores, stats.bytes, stats.entries
     );
-
-    // --- 3. Admission control rejects in place. -----------------------
-    for _ in 0..3 {
-        requests.push(ServiceRequest::new(spec.clone()).with_tenant("alice"));
-    }
-    let alice: Vec<_> = requests
-        .iter()
-        .filter(|r| r.tenant == "alice")
-        .cloned()
-        .collect();
-    let results = service.submit_batch(&alice);
-    let rejected = results
-        .iter()
-        .filter(|r| matches!(r, Err(OptimizeError::TenantLimitExceeded { .. })))
-        .count();
-    println!(
-        "\ntenant `alice` sent {} requests against a limit of 2: {} rejected, {} answered",
-        alice.len(),
-        rejected,
-        alice.len() - rejected
-    );
-    assert_eq!(rejected, alice.len() - 2);
     Ok(())
 }

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )?))
         })
         .collect::<Result<Vec<_>, OptimizeError>>()?;
-    let results = OptimizerService::default().submit_batch(&requests);
+    let results = OptimizerService::default().submit_batch(&requests, &NoopObserver);
     println!("batch of {} queries:", results.len());
     for (i, r) in results.iter().enumerate() {
         let r = r.as_ref().expect("connected workloads optimize");

@@ -20,7 +20,7 @@
 //! | [`core`] | DPsize / DPsub / DPccp / DPconv / DPhyp, counters, counter formulas, oracle, GOO, the [`OptimizeRequest`](crate::prelude::OptimizeRequest) entry point with pooled sessions |
 //! | [`query`] | textual query-description format and SQL frontend |
 //! | [`telemetry`] | zero-overhead observer API; events stamped once at the emitter and folded by stateless sinks: run metrics, the metrics registry, JSONL tracing |
-//! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache, and [`OptimizerService`](crate::prelude::OptimizerService), the batch entry point with admission and a worker pool |
+//! | [`service`] | optimizer-as-a-service: owned [`QuerySpec`](crate::prelude::QuerySpec)s, canonical query fingerprints, the sharded plan cache, and [`OptimizerService`](crate::prelude::OptimizerService), the batch entry point over a worker pool |
 //!
 //! # Quickstart
 //!
