@@ -78,6 +78,18 @@ echo "==> service resilience matrix: breaker trips and drain completes (--cfg fa
 RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
     cargo test -p joinopt-service --test resilience_matrix --offline -q
 
+echo "==> accept-error gate: an injected EMFILE backs off, the server keeps serving (--cfg failpoints)"
+# Also part of the resilience matrix above; the named run fails loudly
+# under its own heading, and the grep fails the step if the name filter
+# stops matching the test.
+accept_gate="$(RUSTFLAGS="--cfg failpoints" CARGO_TARGET_DIR=target/failpoints \
+    cargo test -p joinopt-service --test resilience_matrix --offline -q -- \
+    --exact an_accept_error_backs_off_and_the_server_keeps_serving 2>&1)" \
+    || { echo "$accept_gate"; exit 1; }
+echo "$accept_gate"
+grep -q " 1 passed" <<<"$accept_gate" \
+    || { echo "accept-error gate test did not run"; exit 1; }
+
 echo "==> serve smoke: protocol, typed rejections, clean drain (--cfg failpoints)"
 # The scripted self-check drives a live server end-to-end: health/ready,
 # cold+warm optimize, a memoized third send, typed parse/invalid/timeout

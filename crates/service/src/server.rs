@@ -45,6 +45,19 @@
 //! by `tests/trace_overhead.rs`). The trace stores have fixed sizes:
 //! [`TRACE_WINDOW`], [`RECENT_TRACES`] and [`SLOW_TRACES`].
 //!
+//! ## Accepting connections
+//!
+//! The accept loop blocks in `accept()`, so a new connection is served
+//! as soon as it arrives. At most [`MAX_CONNECTIONS`] connections are
+//! served at once; one more is answered with a single typed `shed`
+//! rejection (`"connection limit"`) and closed, and so is a connection
+//! the OS refuses a thread for. Both count in
+//! [`ServeSummary::connections_refused`] and the
+//! `joinopt_serve_connections_refused_total` series. When the process
+//! or the kernel runs out of descriptors, buffers or memory (`EMFILE`,
+//! `ENFILE`, `ENOBUFS`, `ENOMEM`), the loop waits `ACCEPT_BACKOFF`
+//! (50 ms) and accepts again; any other accept error ends the server.
+//!
 //! ## Shutdown
 //!
 //! On the `shutdown` verb (or [`ShutdownHandle::shutdown`]) the server
@@ -55,15 +68,24 @@
 //! flushed to the configured Prometheus path and returned in the
 //! [`ServeSummary`].
 //!
+//! Shutdown wakes the blocked accept by raising the flag and then
+//! opening one connection to the server's own address (the unix path,
+//! or the bound TCP address); the loop sees the flag once that accept
+//! returns, and neither counts nor serves the wake connection. The wake
+//! is best effort: if its connect fails, the loop exits at the next
+//! accepted connection or accept backoff.
+//!
 //! The `serve-accept` failpoint site fires per accepted connection
 //! (when armed the connection is dropped before any read — clients see
-//! a reset, the accept loop survives). See `docs/robustness.md`.
+//! a reset, the accept loop survives); `serve-accept-error` turns the
+//! next accept into an `EMFILE` error, driving the backoff. See
+//! `docs/robustness.md`.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,9 +105,22 @@ use crate::spec::QuerySpec;
 /// admitting it would pin queue slots for an absurd window.
 pub const MAX_DEADLINE_MS: u64 = 3_600_000;
 
-/// How often blocked reads and the accept loop re-check the shutdown
-/// flag.
+/// How often a connection's blocked read re-checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(10);
+
+/// Most connections served at once. One more is answered with a typed
+/// `shed` rejection and closed, so a client that opens connections
+/// without end cannot exhaust the server's threads or descriptors.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// How long the accept loop waits before accepting again after the
+/// process or the kernel ran out of descriptors, buffers or memory.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Accept errors that a freed resource cures, so the loop backs off
+/// and accepts again: `ENOMEM`, `ENFILE`, `EMFILE`, `ENOBUFS` (Linux
+/// numbering).
+const RESOURCE_ERRNOS: [i32; 4] = [12, 23, 24, 105];
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,8 +215,11 @@ pub struct ServeSummary {
     pub drained: bool,
     /// In-flight requests that completed during the drain.
     pub drained_in_flight: usize,
-    /// Connections accepted over the server's lifetime.
+    /// Client connections served over the server's lifetime.
     pub connections: u64,
+    /// Client connections answered with a typed `shed` rejection and
+    /// closed: over [`MAX_CONNECTIONS`], or refused a thread by the OS.
+    pub connections_refused: u64,
     /// Connections dropped by the `serve-accept` failpoint.
     pub accept_faults: u64,
     /// The final metrics flush in Prometheus exposition format.
@@ -191,13 +229,55 @@ pub struct ServeSummary {
 /// Requests the accept loop to stop; usable from any thread.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
+    signal: Arc<ShutdownSignal>,
 }
 
 impl ShutdownHandle {
     /// Signals the server to drain and exit.
     pub fn shutdown(&self) {
+        self.signal.raise();
+    }
+}
+
+/// The shutdown flag, and where to connect to wake an accept loop
+/// blocked on it.
+#[derive(Debug)]
+struct ShutdownSignal {
+    flag: AtomicBool,
+    /// The server's own listening address; `None` for a handler that
+    /// has no listener.
+    wake: Option<Wake>,
+}
+
+#[derive(Debug, Clone)]
+enum Wake {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl ShutdownSignal {
+    fn new(wake: Option<Wake>) -> ShutdownSignal {
+        ShutdownSignal {
+            flag: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn is_raised(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Raises the flag, then opens and drops one connection to the
+    /// server's own listener so a blocked `accept` returns and sees it.
+    /// Best effort: a failed connect leaves the loop to notice the flag
+    /// at its next accepted connection or backoff.
+    fn raise(&self) {
         self.flag.store(true, Ordering::SeqCst);
+        let _ = match &self.wake {
+            Some(Wake::Tcp(addr)) => TcpStream::connect(addr).map(drop),
+            Some(Wake::Unix(path)) => UnixStream::connect(path).map(drop),
+            None => Ok(()),
+        };
     }
 }
 
@@ -218,36 +298,33 @@ impl Stream {
             Stream::Unix(s) => s.set_read_timeout(d),
         }
     }
-
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
 }
 
-impl Read for Stream {
+// Reads and writes go through shared references, as `&TcpStream` and
+// `&UnixStream` allow, so one stream serves a connection's reader and
+// writer, and the accept loop can still answer a connection whose
+// thread failed to start.
+impl Read for &Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => (&*s).read(buf),
+            Stream::Unix(s) => (&*s).read(buf),
         }
     }
 }
 
-impl Write for Stream {
+impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
+            Stream::Unix(s) => (&*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => (&*s).flush(),
+            Stream::Unix(s) => (&*s).flush(),
         }
     }
 }
@@ -260,7 +337,7 @@ pub struct Handler {
     gateway: Gateway,
     telemetry: ServeTelemetry,
     memo: QueryMemo,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownSignal>,
 }
 
 impl Handler {
@@ -268,11 +345,15 @@ impl Handler {
     /// minted from `seed`), with an empty
     /// [`MEMO_BYTES`](crate::memo::MEMO_BYTES) memo.
     pub fn new(gateway: Gateway, trace: bool, seed: u64) -> Handler {
+        Handler::with_wake(gateway, trace, seed, None)
+    }
+
+    fn with_wake(gateway: Gateway, trace: bool, seed: u64, wake: Option<Wake>) -> Handler {
         Handler {
             gateway,
             telemetry: ServeTelemetry::new(trace, seed),
             memo: QueryMemo::new(crate::memo::MEMO_BYTES),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::new(ShutdownSignal::new(wake)),
         }
     }
 
@@ -342,7 +423,7 @@ impl Handler {
                 // Respond first (the flush happens before the flag is
                 // visible to this connection's loop), then drain.
                 gateway.begin_drain();
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.shutdown.raise();
                 (simple_ok("shutdown", echo), true)
             }
             "optimize" => (
@@ -381,11 +462,24 @@ impl Server {
             Listener::Tcp(l) => l.local_addr().ok(),
             Listener::Unix(_) => None,
         };
+        let wake = match &config.listen {
+            Listen::Tcp(_) => local_addr.map(|mut addr| {
+                // A wildcard bind is reached through the loopback.
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Wake::Tcp(addr)
+            }),
+            Listen::Unix(path) => Some(Wake::Unix(path.clone())),
+        };
         let gateway = Gateway::new(
             OptimizerService::new(config.service.clone()),
             config.gateway.clone(),
         );
-        let handler = Handler::new(gateway, config.trace, config.gateway.seed);
+        let handler = Handler::with_wake(gateway, config.trace, config.gateway.seed, wake);
         Ok(Server {
             config,
             listener,
@@ -403,7 +497,7 @@ impl Server {
     /// A handle that stops the server from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
-            flag: Arc::clone(&self.handler.shutdown),
+            signal: Arc::clone(&self.handler.shutdown),
         }
     }
 
@@ -415,48 +509,82 @@ impl Server {
         let gateway = &handler.gateway;
         let telemetry = &handler.telemetry;
         let shutdown = &*handler.shutdown;
+        let retry_after = self.config.gateway.shed.retry_after;
+        let live = AtomicUsize::new(0);
         let mut connections = 0u64;
+        let mut connections_refused = 0u64;
         let mut accept_faults = 0u64;
 
-        match &self.listener {
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-            Listener::Unix(l) => l.set_nonblocking(true)?,
-        }
-
         std::thread::scope(|scope| -> std::io::Result<()> {
-            while !shutdown.load(Ordering::SeqCst) {
-                let accepted = match &self.listener {
-                    Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-                    Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            let (live, obs) = (&live, &registry);
+            while !shutdown.is_raised() {
+                let accepted = if joinopt_core::failpoint::check("serve-accept-error").is_err() {
+                    // Injected: the process is out of descriptors. The
+                    // pending connection stays queued, as with a real
+                    // EMFILE.
+                    Err(std::io::Error::from_raw_os_error(24))
+                } else {
+                    match &self.listener {
+                        Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                        Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+                    }
                 };
-                match accepted {
-                    Ok(stream) => {
-                        if joinopt_core::failpoint::check("serve-accept").is_err() {
-                            // Injected accept failure: the connection is
-                            // dropped before any read, the loop lives on.
-                            accept_faults += 1;
-                            continue;
-                        }
-                        connections += 1;
-                        let obs = &registry;
-                        scope.spawn(move || {
-                            let _ = serve_connection(handler, stream, obs);
-                        });
+                let stream = match accepted {
+                    Ok(stream) => stream,
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::Interrupted
+                            || e.kind() == std::io::ErrorKind::ConnectionAborted =>
+                    {
+                        continue
                     }
                     Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                        if e.raw_os_error()
+                            .is_some_and(|n| RESOURCE_ERRNOS.contains(&n)) =>
                     {
-                        std::thread::sleep(POLL);
+                        // Closing connections free descriptors and
+                        // memory; the pending ones wait in the backlog.
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => {
-                        // A fatal accept error (e.g. EMFILE) ends the
-                        // listen loop; raise the shutdown flag first so
+                        // Any other error means the listener itself is
+                        // broken; raise the shutdown flag first so
                         // connection threads wind down and the scope's
                         // implicit join cannot hang on a live client.
-                        shutdown.store(true, Ordering::SeqCst);
+                        // No wake: this loop is the one it would wake.
+                        shutdown.flag.store(true, Ordering::SeqCst);
                         return Err(e);
+                    }
+                };
+                if shutdown.is_raised() {
+                    // The wake connection, or a client racing the
+                    // shutdown: neither is served.
+                    break;
+                }
+                if joinopt_core::failpoint::check("serve-accept").is_err() {
+                    // Injected accept failure: the connection is
+                    // dropped before any read, the loop lives on.
+                    accept_faults += 1;
+                    continue;
+                }
+                if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                    refuse(&stream, "connection limit", retry_after);
+                    connections_refused += 1;
+                    continue;
+                }
+                live.fetch_add(1, Ordering::Relaxed);
+                let stream = Arc::new(stream);
+                let conn = Arc::clone(&stream);
+                let spawned = std::thread::Builder::new().spawn_scoped(scope, move || {
+                    let _ = serve_connection(handler, &conn, obs);
+                    live.fetch_sub(1, Ordering::Relaxed);
+                });
+                match spawned {
+                    Ok(_) => connections += 1,
+                    Err(_) => {
+                        live.fetch_sub(1, Ordering::Relaxed);
+                        refuse(&stream, "no thread for the connection", retry_after);
+                        connections_refused += 1;
                     }
                 }
             }
@@ -471,6 +599,11 @@ impl Server {
             gateway.begin_drain();
         }
         let drained = gateway.await_drained(self.config.drain_timeout, &registry);
+        registry.inc(
+            "joinopt_serve_connections_refused_total",
+            &[],
+            connections_refused,
+        );
         let memo = handler.memo.stats();
         registry.inc("joinopt_serve_memo_hits_total", &[], memo.hits);
         registry.inc("joinopt_serve_memo_misses_total", &[], memo.misses);
@@ -494,10 +627,32 @@ impl Server {
             drained: drained.is_ok(),
             drained_in_flight: drained.unwrap_or(0),
             connections,
+            connections_refused,
             accept_faults,
             prometheus,
         })
     }
+}
+
+/// A rejection's `retry_after_ms` hint: whole milliseconds, at least 1.
+fn retry_after_ms(d: Duration) -> u64 {
+    d.as_millis().max(1).min(u128::from(u64::MAX)) as u64
+}
+
+/// Answers a connection the server will not serve with one typed `shed`
+/// rejection; the caller then closes it.
+fn refuse(mut stream: &Stream, message: &str, retry_after: Duration) {
+    let mut line = JsonObject::new()
+        .str("verb", "?")
+        .str("status", "rejected")
+        .str("error_type", "shed")
+        .u64("retry_after_ms", retry_after_ms(retry_after))
+        .str("message", message)
+        .finish_with(Echo::default());
+    line.push('\n');
+    // A fresh socket's send buffer is empty, so this write cannot block;
+    // a client that is already gone has nothing left to tell.
+    let _ = stream.write_all(line.as_bytes());
 }
 
 /// Longest request line the server accepts, in bytes, newline excluded.
@@ -572,10 +727,10 @@ fn read_capped_line(
 }
 
 /// One connection's read → dispatch → respond loop.
-fn serve_connection(handler: &Handler, stream: Stream, obs: &dyn Observer) -> std::io::Result<()> {
+fn serve_connection(handler: &Handler, stream: &Stream, obs: &dyn Observer) -> std::io::Result<()> {
     let shutdown = &*handler.shutdown;
     stream.set_read_timeout(Some(POLL))?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
     let mut reader = BufReader::new(stream);
     let mut session: Option<Session> = None;
     let mut line = Vec::new();
@@ -583,7 +738,7 @@ fn serve_connection(handler: &Handler, stream: Stream, obs: &dyn Observer) -> st
     loop {
         // Close idle connections once draining; a partially read
         // request (non-empty buffer) is always completed and answered.
-        if shutdown.load(Ordering::SeqCst) && line.is_empty() {
+        if shutdown.is_raised() && line.is_empty() {
             return Ok(());
         }
         let (response, is_shutdown) = match read_capped_line(&mut reader, &mut line, &mut skipping)
@@ -882,10 +1037,7 @@ impl Handler {
                     .str("verb", "optimize")
                     .str("status", "rejected")
                     .str("error_type", r.kind())
-                    .u64(
-                        "retry_after_ms",
-                        r.retry_after().as_millis().max(1).min(u128::from(u64::MAX)) as u64,
-                    )
+                    .u64("retry_after_ms", retry_after_ms(r.retry_after()))
                     .finish_with(echo),
             ),
             Err(GatewayError::Failed(e)) => (
@@ -1620,6 +1772,171 @@ mod tests {
         assert!(summary.drained);
         assert!(!sock.exists(), "socket file cleaned up");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A TCP and a unix listener; the socket file is named after `tag`
+    /// so tests running at once never share one.
+    fn both_listens(tag: &str) -> [Listen; 2] {
+        let sock =
+            std::env::temp_dir().join(format!("joinopt-serve-{}-{tag}.sock", std::process::id()));
+        [Listen::Tcp("127.0.0.1:0".into()), Listen::Unix(sock)]
+    }
+
+    /// Runs a default server on `listen`; returns a channel that carries
+    /// `run()`'s result, its shutdown handle and the address to dial.
+    fn spawn_server(
+        listen: Listen,
+    ) -> (
+        std::sync::mpsc::Receiver<std::io::Result<ServeSummary>>,
+        ShutdownHandle,
+        Wake,
+    ) {
+        let server = Server::bind(ServerConfig {
+            listen,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let shutdown = server.shutdown_handle();
+        let target = server.handler.shutdown.wake.clone().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.run()));
+        (rx, shutdown, target)
+    }
+
+    fn dial(target: &Wake) -> Stream {
+        let stream = match target {
+            Wake::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr).unwrap()),
+            Wake::Unix(path) => Stream::Unix(UnixStream::connect(path).unwrap()),
+        };
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    }
+
+    /// Sends one request line and reads one reply line.
+    fn try_call(mut stream: &Stream, request: &str) -> std::io::Result<JsonValue> {
+        stream.write_all(format!("{request}\n").as_bytes())?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line)?;
+        JsonValue::parse(line.trim())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))
+    }
+
+    fn status_of(reply: &JsonValue) -> Option<&str> {
+        reply.get("status").and_then(|v| v.as_str())
+    }
+
+    const HEALTH: &str = "{\"verb\":\"health\"}";
+    const RUN_RETURNS: Duration = Duration::from_secs(1);
+
+    #[test]
+    fn a_new_connection_is_served_at_once() {
+        for listen in both_listens("at-once") {
+            let (done, shutdown, target) = spawn_server(listen);
+            // An accept loop that slept 10 ms whenever it found no
+            // connection waiting took about 500 ms for every round; the
+            // best of three keeps one descheduled round from failing.
+            let best = (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    for _ in 0..100 {
+                        let reply = try_call(&dial(&target), HEALTH).unwrap();
+                        assert_eq!(status_of(&reply), Some("ok"));
+                    }
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(
+                best < Duration::from_millis(200),
+                "{target:?}: 100 connect-health-close round trips took {best:?}"
+            );
+            shutdown.shutdown();
+            let summary = done.recv_timeout(RUN_RETURNS).unwrap().unwrap();
+            assert_eq!(summary.connections, 300, "{target:?}");
+        }
+    }
+
+    #[test]
+    fn run_returns_promptly_after_shutdown_beside_an_idle_client() {
+        for listen in both_listens("prompt") {
+            for by_verb in [false, true] {
+                let (done, shutdown, target) = spawn_server(listen.clone());
+                let idle = dial(&target);
+                assert_eq!(status_of(&try_call(&idle, HEALTH).unwrap()), Some("ok"));
+                if by_verb {
+                    let bye = try_call(&dial(&target), "{\"verb\":\"shutdown\"}").unwrap();
+                    assert_eq!(status_of(&bye), Some("ok"));
+                } else {
+                    shutdown.shutdown();
+                }
+                let summary = done
+                    .recv_timeout(RUN_RETURNS)
+                    .unwrap_or_else(|e| panic!("{target:?}, by verb {by_verb}: {e}"))
+                    .unwrap();
+                assert!(summary.drained);
+                assert_eq!(summary.connections, 1 + u64::from(by_verb));
+                drop(idle);
+            }
+        }
+    }
+
+    #[test]
+    fn a_connection_over_the_cap_gets_a_typed_refusal() {
+        let (done, shutdown, target) = spawn_server(Listen::Tcp("127.0.0.1:0".into()));
+        let mut served: Vec<Stream> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let stream = dial(&target);
+                assert_eq!(status_of(&try_call(&stream, HEALTH).unwrap()), Some("ok"));
+                stream
+            })
+            .collect();
+
+        // The next connection is answered once, typed, and closed.
+        let over = dial(&target);
+        let mut reader = BufReader::new(&over);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let refusal = JsonValue::parse(line.trim()).unwrap();
+        assert_eq!(status_of(&refusal), Some("rejected"), "{refusal:?}");
+        assert_eq!(
+            refusal.get("error_type").and_then(|v| v.as_str()),
+            Some("shed")
+        );
+        assert_eq!(
+            refusal.get("message").and_then(|v| v.as_str()),
+            Some("connection limit")
+        );
+        assert!(refusal.get("retry_after_ms").and_then(|v| v.as_u64()) >= Some(1));
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "closed after it");
+
+        // Once a served connection closes, a fresh one is served. Its
+        // thread notices the close a moment later, so a fresh
+        // connection that still finds the cap full is refused and
+        // retried.
+        drop(served.pop());
+        let mut attempts = 0u64;
+        loop {
+            attempts += 1;
+            let reply = try_call(&dial(&target), HEALTH);
+            if reply.as_ref().is_ok_and(|r| status_of(r) == Some("ok")) {
+                break;
+            }
+            assert!(attempts < 200, "no slot freed: {reply:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        shutdown.shutdown();
+        let summary = done.recv_timeout(RUN_RETURNS).unwrap().unwrap();
+        assert_eq!(summary.connections, MAX_CONNECTIONS as u64 + 1);
+        // The over-cap connection, plus every retry that found the cap
+        // still full.
+        assert_eq!(summary.connections_refused, attempts);
+        assert!(summary.prometheus.contains(&format!(
+            "joinopt_serve_connections_refused_total {attempts}"
+        )));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the cooldown, and a drain started with requests still in flight
 //! completes cleanly; a failed request is not run again; and a batch
 //! isolates every panicking request to its own slot, whether one
-//! request panics or all of them do.
+//! request panics or all of them do; and a server whose accept fails
+//! with `EMFILE` backs off and keeps serving.
 //!
 //! Lives in its own integration binary (own process), and its tests
 //! serialize on one lock: the failpoint registry is process-global, so
@@ -19,9 +20,10 @@ use std::time::Duration;
 use joinopt_core::failpoint::{self, FailAction};
 use joinopt_core::{Algorithm, OptimizeError};
 use joinopt_qgraph::GraphKind;
+use joinopt_service::server::LineClient;
 use joinopt_service::{
     BreakerConfig, BreakerState, Clock, Gateway, GatewayConfig, GatewayError, OptimizerService,
-    QuerySpec, ServiceConfig, ServiceOutcome, ServiceRequest,
+    QuerySpec, ServerConfig, ServiceConfig, ServiceOutcome, ServiceRequest,
 };
 use joinopt_telemetry::NoopObserver;
 
@@ -234,4 +236,33 @@ fn batch_survives_every_query_panicking() {
             .unwrap_or_else(|e| panic!("request {i} after recovery: {e}"));
         assert_eq!(ok.result.tree.num_relations(), 6);
     }
+}
+
+#[test]
+fn an_accept_error_backs_off_and_the_server_keeps_serving() {
+    let _serial = serial();
+    // The first accept fails with EMFILE before the listener is asked,
+    // so the client's connection waits in the backlog meanwhile.
+    failpoint::configure_times("serve-accept-error", FailAction::Error, 1);
+    let server = joinopt_service::Server::bind(ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr().expect("a TCP server has an address");
+    let run = std::thread::spawn(move || server.run());
+    let mut client = LineClient::connect(addr).expect("connect");
+    let health = client
+        .call("{\"verb\":\"health\"}")
+        .expect("the server still answers");
+    assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
+    assert!(
+        !failpoint::flag("serve-accept-error"),
+        "the injected accept error fired before the connection was served"
+    );
+    client
+        .call("{\"verb\":\"shutdown\"}")
+        .expect("shutdown is acknowledged");
+    let summary = run
+        .join()
+        .expect("the server thread does not panic")
+        .expect("an accept error does not end the server");
+    assert!(summary.drained);
+    assert_eq!(summary.connections, 1);
 }
