@@ -68,6 +68,20 @@ echo "$hit_gate"
 grep -q " 1 passed" <<<"$hit_gate" \
     || { echo "plan-cache hit gate test did not run"; exit 1; }
 
+echo "==> complementary-pair gate (DPsub's loop reproduces Fig. 2's ordered split loop)"
+# Also part of the workspace test run above. The test runs DPsub's
+# one-visit pair loop, with its scalar best split and inline C_out
+# price, beside Fig. 2's ordered loop on random graphs (n = 3-10) under
+# every cost model and variant, and requires the same cost bits, trees,
+# counters, probes, hits and per-set winners. The grep fails the step
+# if the name filter stops matching the test.
+pair_gate="$(cargo test --offline -q -p joinopt-core --lib -- \
+    --exact dpsub::tests::complementary_pairs_reproduce_the_ordered_split_loop 2>&1)" \
+    || { echo "$pair_gate"; exit 1; }
+echo "$pair_gate"
+grep -q " 1 passed" <<<"$pair_gate" \
+    || { echo "complementary-pair gate test did not run"; exit 1; }
+
 echo "==> resilience matrix with fault injection (--cfg failpoints)"
 # Separate target dir: the flag changes the crate's cfg set, and sharing
 # target/ would force a full rebuild on every alternation.

@@ -1255,9 +1255,10 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let summary = server.run().map_err(CliError::Io)?;
     writeln!(
         out,
-        "serve done: {} connection(s), {} accepted, {} completed, {} failed, {} shed, \
-         {} breaker-rejected, drained: {}",
+        "serve done: {} connection(s), {} refused, {} accepted, {} completed, {} failed, \
+         {} shed, {} breaker-rejected, drained: {}",
         summary.connections,
+        summary.connections_refused,
         summary.stats.accepted,
         summary.stats.completed,
         summary.stats.failed,

@@ -1291,6 +1291,40 @@ fn serve_span_timeline_is_byte_deterministic() {
 }
 
 #[test]
+fn serve_done_prints_the_summary_with_the_refused_count() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let sock = std::env::temp_dir().join(format!("joinopt-serve-done-{}.sock", std::process::id()));
+    let args = ["serve", "--unix", sock.to_str().expect("utf8 temp path")];
+    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    let server = std::thread::spawn(move || {
+        let mut out = Vec::new();
+        run(&args, &mut out).map(|()| String::from_utf8(out).expect("utf8 output"))
+    });
+    let mut stream = (0..500)
+        .find_map(|_| {
+            UnixStream::connect(&sock)
+                .inspect_err(|_| std::thread::sleep(std::time::Duration::from_millis(10)))
+                .ok()
+        })
+        .expect("server listening");
+    stream.write_all(b"{\"verb\":\"shutdown\"}\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+    let out = server.join().unwrap().expect("serve run");
+    std::fs::remove_file(&sock).ok();
+    let done = out.lines().last().unwrap_or_default();
+    assert_eq!(
+        done,
+        "serve done: 1 connection(s), 0 refused, 0 accepted, 0 completed, 0 failed, 0 shed, \
+         0 breaker-rejected, drained: true",
+        "{out}"
+    );
+}
+
+#[test]
 fn top_once_renders_the_windowed_latency_table() {
     use joinopt_service::server::LineClient;
     use joinopt_service::{Server, ServerConfig};

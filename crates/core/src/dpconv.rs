@@ -37,15 +37,20 @@
 //! instantiation — and the ring transform independently cross-checks
 //! the candidate-count accounting in the conformance oracle.
 //!
-//! Candidates are summed as `(dp(T) + dp(S \ T)) + card(S)` — the
-//! pair-cost kernel's order — over the estimator's set-only
-//! cardinalities, so DPconv's optimum is the other exact engines' f64
-//! bit for bit. Plan reconstruction never trusts the float min-plus
-//! alone: each recorded witness split is re-validated against the DP
-//! table (disjointness, connectivity of both halves, and an exact
-//! re-derivation of `dp(S)` through the kernel) before a join node is
-//! materialized, so a corrupted witness surfaces as
-//! [`OptimizeError::Internal`] instead of a silently wrong tree.
+//! Candidates are priced by the kernel's inline `C_out` price
+//! ([`cout_cost`]): `(dp(T) + dp(S \ T)) + card(S)`, the pair-cost
+//! kernel's order, over the estimator's set-only cardinalities, so
+//! DPconv's optimum is the other exact engines' f64 bit for bit. The
+//! largest candidate of each set (half-subset kernel) or layer
+//! (rank-pair kernel) goes through [`finite_cost`], so a candidate that
+//! overflows fails the run with the typed error the other engines
+//! return, even when it would have lost. Plan reconstruction never
+//! trusts the float min-plus alone: each recorded witness split is
+//! re-validated against the DP table (disjointness, connectivity of
+//! both halves, and an exact re-derivation of `dp(S)` through the
+//! kernel) before a join node is materialized, so a corrupted witness
+//! surfaces as [`OptimizeError::Internal`] instead of a silently wrong
+//! tree.
 
 use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::{PlanArena, PlanId};
@@ -59,7 +64,7 @@ use crate::dpsub::Session;
 use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::kernel::pair_cost;
+use crate::kernel::{cout_cost, finite_cost};
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::DenseDpTable;
 
@@ -286,7 +291,7 @@ pub(crate) fn run_pooled(
 
     spans.begin("extract");
     let mut arena = PlanArena::with_capacity(2 * n);
-    let (root, _) = build_tree(full as u64, scratch, model, &mut arena)?;
+    let (root, _) = build_tree(full as u64, scratch, &mut arena)?;
     ctl.charge(arena.bytes())?;
     let tree = arena.extract(root);
     spans.end("extract");
@@ -329,6 +334,7 @@ fn relax_half_subsets(
         let s = scratch.ranks[level][idx] as usize;
         let base = scratch.card[s];
         let rest = s & (s - 1); // drop lowest(S): canonical orientation
+        let mut worst = 0.0f64;
         let mut t = rest;
         while t != 0 {
             ctl.checkpoint(pace)?;
@@ -338,7 +344,8 @@ fn relax_half_subsets(
                 let u = s ^ t;
                 if scratch.conn[t] && scratch.conn[u] {
                     counters.ono_lohman += 1;
-                    let cand = (scratch.dp[t] + scratch.dp[u]) + base;
+                    let cand = cout_cost(scratch.dp[t], scratch.dp[u], base);
+                    worst = if cand > worst { cand } else { worst };
                     let accepted = cand < scratch.dp[s];
                     candidate(s as u64, t as u64, u as u64, cand, accepted);
                     if accepted {
@@ -349,6 +356,7 @@ fn relax_half_subsets(
             }
             t = (t - 1) & rest;
         }
+        finite_cost(worst)?;
     }
     Ok(())
 }
@@ -366,6 +374,7 @@ fn relax_rank_pairs(
     ctl: &CancellationToken,
     pace: &mut u32,
 ) -> Result<(), OptimizeError> {
+    let mut worst = 0.0f64;
     for k in 1..=level / 2 {
         if skip_balanced && k == level / 2 {
             continue;
@@ -384,7 +393,8 @@ fn relax_rank_pairs(
                     continue;
                 }
                 counters.ono_lohman += 1;
-                let cand = (scratch.dp[a] + scratch.dp[b]) + scratch.card[s];
+                let cand = cout_cost(scratch.dp[a], scratch.dp[b], scratch.card[s]);
+                worst = if cand > worst { cand } else { worst };
                 let accepted = cand < scratch.dp[s];
                 candidate(s as u64, a as u64, b as u64, cand, accepted);
                 if accepted {
@@ -394,6 +404,7 @@ fn relax_rank_pairs(
             }
         }
     }
+    finite_cost(worst)?;
     Ok(())
 }
 
@@ -402,7 +413,6 @@ fn relax_rank_pairs(
 fn build_tree(
     s: u64,
     scratch: &DpConvScratch,
-    model: &dyn CostModel,
     arena: &mut PlanArena,
 ) -> Result<(PlanId, PlanStats), OptimizeError> {
     let set = RelSet::from_bits(s);
@@ -427,12 +437,12 @@ fn build_tree(
     if !scratch.conn[t as usize] || !scratch.conn[u as usize] {
         return Err(corrupt("disconnected half"));
     }
-    let (left, lstats) = build_tree(t, scratch, model, arena)?;
-    let (right, rstats) = build_tree(u, scratch, model, arena)?;
+    let (left, lstats) = build_tree(t, scratch, arena)?;
+    let (right, rstats) = build_tree(u, scratch, arena)?;
     let out_card = scratch.card[idx];
-    // The relaxation summed `(dp(T) + dp(S∖T)) + |S|`, the kernel's
-    // order, so a sound witness re-derives `dp(S)` bit for bit.
-    let (cost, _) = pair_cost(model, &lstats, &rstats, out_card, false)?;
+    // The relaxation priced `(dp(T) + dp(S∖T)) + |S|` the same way, so
+    // a sound witness re-derives `dp(S)` bit for bit.
+    let cost = finite_cost(cout_cost(lstats.cost, rstats.cost, out_card))?;
     if cost.to_bits() != scratch.dp[idx].to_bits() {
         return Err(corrupt("cost does not re-derive from the table"));
     }
@@ -450,7 +460,7 @@ mod tests {
     use super::*;
     use crate::dpccp::DpCcp;
     use crate::dpsub::DpSub;
-    use joinopt_cost::{workload, Cout, HashJoin, SortMergeJoin};
+    use joinopt_cost::{workload, CostError, Cout, HashJoin, SortMergeJoin};
     use joinopt_qgraph::{GraphKind, QueryGraph};
 
     #[test]
@@ -583,6 +593,46 @@ mod tests {
             let sub = DpSub.optimize(&w.graph, &w.catalog, &Cout).unwrap();
             assert_eq!(conv.cost.to_bits(), sub.cost.to_bits(), "{kind}");
             assert_eq!(conv.counters.ono_lohman, sub.counters.ono_lohman, "{kind}");
+        }
+    }
+
+    #[test]
+    fn both_kernels_refuse_an_overflowing_candidate() {
+        // Two relations whose plans cost 1e308 each: the only split of
+        // their union overflows. An infinite candidate never beats the
+        // initial `∞`, so only the check fails the run, as every other
+        // exact engine fails.
+        for relax in [relax_half_subsets, relax_rank_pairs] {
+            let mut scratch = DpConvScratch::default();
+            scratch.prepare(2);
+            for s in [0b01, 0b10, 0b11] {
+                scratch.conn[s] = true;
+                scratch.card[s] = 1.0;
+                scratch.ranks[s.count_ones() as usize].push(s as u64);
+            }
+            scratch.dp[0b01] = 1e308;
+            scratch.dp[0b10] = 1e308;
+            let ctl = CancellationToken::unlimited();
+            let noop = |_, _, _, _, _| {};
+            let err = relax(
+                &mut scratch,
+                &mut Counters::new(),
+                2,
+                false,
+                noop,
+                &ctl,
+                &mut 0,
+            );
+            assert!(
+                matches!(
+                    err,
+                    Err(OptimizeError::Cost(CostError::NonFiniteEstimate {
+                        what: "cost",
+                        ..
+                    }))
+                ),
+                "{err:?}"
+            );
         }
     }
 

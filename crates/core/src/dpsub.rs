@@ -25,12 +25,18 @@
 //!   what the two ordered visits would have made — so every counter is
 //!   Fig. 2's;
 //! * **priced once under a symmetric model** (both orientations cost
-//!   the same bits) and in both orientations otherwise;
+//!   the same bits) and in both orientations otherwise. A `C_out`-shaped
+//!   model is priced inline ([`cout_cost`]), not through the trait
+//!   object: the same sum in the same order, so the same bits. Its
+//!   finiteness is checked once per set, on the largest price, which
+//!   overflows exactly when one of them does;
 //! * **decided by the `(cost, S₁)` order**: a candidate wins when its
 //!   cost is smaller, or equal with a smaller `S₁`. That is exactly
 //!   "the first `S₁` in ascending order with the least cost", the
 //!   winner of Fig. 2's loop with strict `<`, so trees and cost bits
-//!   are Fig. 2's under every model;
+//!   are Fig. 2's under every model. Under a symmetric model the order
+//!   is a plain `<`: `A` ascends, so an equal cost never comes with a
+//!   smaller `S₁`, and `(B, A)` never wins;
 //! * **reported as both orientations**: provenance gets one candidate
 //!   event for `(A, B)` and one for `(B, A)`, so each set's candidate
 //!   count and winner are Fig. 2's. An event is accepted when it beats
@@ -39,8 +45,9 @@
 //!   a losing candidate's flag can differ, since `(B, A)` is now met
 //!   before the splits Fig. 2 visits between the two orientations.
 //!
-//! The loop is one source compiled per variant and per model symmetry,
-//! so neither choice is a branch inside it.
+//! The loop is one source compiled per variant, per model symmetry and
+//! for inline `C_out` pricing, so none of these choices is a branch
+//! inside it.
 //!
 //! Implementation notes, all verified by the counter tests:
 //!
@@ -72,7 +79,7 @@ use crate::counters::Counters;
 use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::kernel::pair_cost;
+use crate::kernel::{cout_cost, finite_cost, pair_cost};
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{arena_charge, DenseDpTable};
 
@@ -229,8 +236,8 @@ impl Session {
         self.runs
     }
 
-    /// Bytes currently held by the pooled buffers (tables, bitmap,
-    /// arena) — the allocation a fresh run gets for free.
+    /// Bytes currently held by the pooled buffers (dense table, DPconv
+    /// scratch, arena) — the allocation a fresh run gets for free.
     pub fn pooled_bytes(&self) -> usize {
         self.table.bytes() + self.arena.bytes() + self.dpconv.bytes()
     }
@@ -263,6 +270,8 @@ struct Context<'a> {
     g: &'a QueryGraph,
     est: &'a CardinalityEstimator,
     model: &'a dyn CostModel,
+    /// `model` is `C_out`-shaped, so a symmetric loop prices inline.
+    cout: bool,
     ctl: &'a CancellationToken,
 }
 
@@ -311,7 +320,8 @@ type SplitFn = fn(
 ) -> Result<Option<(PlanStats, u64)>, OptimizeError>;
 
 /// The inner loop for `variant` under a model that is (or is not)
-/// symmetric.
+/// symmetric. The symmetric loop prices a `C_out`-shaped model inline;
+/// [`best_split`] reads that from the run's [`Context`].
 fn split_fn(variant: Variant, symmetric: bool) -> SplitFn {
     match (variant, symmetric) {
         (Variant::Filtered, true) => best_split::<Filtered, true>,
@@ -323,24 +333,34 @@ fn split_fn(variant: Variant, symmetric: bool) -> SplitFn {
     }
 }
 
-/// Whether the candidate `(cost, s1)` beats `best` in the `(cost, S₁)`
-/// order: the least cost, ties to the smallest `S₁`.
-#[inline]
-fn beats(cost: f64, s1: u64, best: Option<(f64, u64)>) -> bool {
-    best.is_none_or(|(best_cost, best_s1)| cost < best_cost || (cost == best_cost && s1 < best_s1))
-}
-
 /// DPsub's inner loop for the set `s`, visiting each complementary
 /// split once: `A` runs in ascending masked-increment order over the
 /// non-empty subsets of `s` without its highest relation, and
 /// `B = s ∖ A`. The pair stands for Fig. 2's two ordered splits
 /// `(A, B)` and `(B, A)`, so the counters, probes and hits grow by what
 /// both would have added. A `SYMMETRIC` model is priced once per pair,
-/// any other in both orientations. Polls the token once per pair
-/// (paced), so a tripped budget or a flipped cancel flag stops a run
-/// inside a set, not only between levels.
-#[inline]
+/// inline when it is `C_out`-shaped, any other in both orientations.
+/// Polls the token once per pair (paced), so a tripped budget or a
+/// flipped cancel flag stops a run inside a set, not only between
+/// levels.
 fn best_split<R: Rule, const SYMMETRIC: bool>(
+    cx: &Context<'_>,
+    spans: &Spans<'_>,
+    table: &DenseDpTable,
+    s: RelSet,
+    t: &mut Tally,
+) -> Result<Option<(PlanStats, u64)>, OptimizeError> {
+    if SYMMETRIC && cx.cout {
+        complementary_pairs::<R, true, true>(cx, spans, table, s, t)
+    } else {
+        complementary_pairs::<R, SYMMETRIC, false>(cx, spans, table, s, t)
+    }
+}
+
+/// [`best_split`]'s loop, with inline `C_out` pricing fixed by `COUT`
+/// (which implies `SYMMETRIC`).
+#[inline(always)]
+fn complementary_pairs<R: Rule, const SYMMETRIC: bool, const COUT: bool>(
     cx: &Context<'_>,
     spans: &Spans<'_>,
     table: &DenseDpTable,
@@ -350,8 +370,14 @@ fn best_split<R: Rule, const SYMMETRIC: bool>(
     let observe = spans.on();
     let set = s.bits();
     let rest = set & !(1u64 << (63 - set.leading_zeros()));
-    let mut best: Option<(f64, u64)> = None;
+    // The running best in the `(cost, S₁)` order. No split has an empty
+    // side, so `best_s1 == 0` means no valid split yet, and every
+    // (finite) first candidate is below `best_cost`.
+    let mut best_cost = f64::INFINITY;
+    let mut best_s1 = 0u64;
     let mut card = 0.0f64;
+    // The largest inline `C_out` price, checked after the loop.
+    let mut worst = 0.0f64;
     let mut a = 0u64;
     loop {
         a = a.wrapping_sub(rest) & rest;
@@ -407,17 +433,25 @@ fn best_split<R: Rule, const SYMMETRIC: bool>(
         // the set, the second always.
         if observe {
             t.probes += 2;
-            t.hits += u64::from(best.is_some()) + 1;
+            t.hits += u64::from(best_s1 != 0) + 1;
         }
         let sa = table.stats(a);
         let sb = table.stats(b);
-        if best.is_none() {
+        if best_s1 == 0 {
             card = ensure_finite("cardinality", cx.est.set_cardinality(s))?;
         }
-        let (cost_ab, _) = pair_cost(cx.model, &sa, &sb, card, false)?;
-        let accepted = beats(cost_ab, a, best);
+        let cost_ab = if COUT {
+            let cost = cout_cost(sa.cost, sb.cost, card);
+            worst = if cost > worst { cost } else { worst };
+            cost
+        } else {
+            pair_cost(cx.model, &sa, &sb, card, false)?.0
+        };
+        // An earlier `B` may be the best `S₁` and exceed `A` only when
+        // the model is asymmetric.
+        let accepted = cost_ab < best_cost || (!SYMMETRIC && cost_ab == best_cost && a < best_s1);
         if accepted {
-            best = Some((cost_ab, a));
+            (best_cost, best_s1) = (cost_ab, a);
         }
         spans.candidate(set, a, b, cost_ab, accepted);
         // `(B, A)` of a symmetric model costs the same bits as `(A, B)`
@@ -426,22 +460,26 @@ fn best_split<R: Rule, const SYMMETRIC: bool>(
             (cost_ab, false)
         } else {
             let (cost_ba, _) = pair_cost(cx.model, &sb, &sa, card, false)?;
-            (cost_ba, beats(cost_ba, b, best))
+            (
+                cost_ba,
+                cost_ba < best_cost || (cost_ba == best_cost && b < best_s1),
+            )
         };
         if accepted {
-            best = Some((cost_ba, b));
+            (best_cost, best_s1) = (cost_ba, b);
         }
         spans.candidate(set, b, a, cost_ba, accepted);
     }
-    Ok(best.map(|(cost, s1)| {
-        (
-            PlanStats {
-                cardinality: card,
-                cost,
-            },
-            s1,
-        )
-    }))
+    if COUT {
+        finite_cost(worst)?;
+    }
+    Ok((best_s1 != 0).then_some((
+        PlanStats {
+            cardinality: card,
+            cost: best_cost,
+        },
+        best_s1,
+    )))
 }
 
 /// The size-`k` subsets of an `n`-relation universe (`k ≤ n < 64`),
@@ -525,6 +563,7 @@ fn run(
         g,
         est: &est,
         model,
+        cout: model.is_cout_shaped(),
         ctl,
     };
     let mut t = Tally::default();

@@ -67,15 +67,16 @@ impl Algorithm {
     /// DPsub/DPccp pair on dense `C_out` queries.
     ///
     /// DPconv and DPsub meet the same unordered splits of a clique once
-    /// each, but DPconv's split is two `f64` reads, an add of the set's
-    /// precomputed `|S|` and a compare, where DPsub reads two
-    /// `PlanStats` and calls the cost model. Measured on cliques under
-    /// `C_out`, DPconv wins at *every* size, by 1.1× at n = 4 and
-    /// 1.5–2.2× from n = 6 to 14, so this floor is not a performance
-    /// crossover. Below it every exact algorithm finishes in tens of
-    /// microseconds and `Auto` keeps the longest-validated DPsub; from
-    /// 12 relations the absolute gap turns material (milliseconds) and
-    /// the lighter loop is worth the engine switch (see
+    /// each, and under `C_out` both test presence with one byte load,
+    /// keep a scalar running best and price a split inline as
+    /// `(cost(A) + cost(B)) + |S|`. What DPsub still does on top is
+    /// read 16-byte `PlanStats` where DPconv reads an 8-byte cost, and
+    /// store an arena node per set where DPconv builds the tree once at
+    /// the end. Measured on cliques under `C_out`, DPsub is level with
+    /// DPconv or ahead of it up to n = 10, and DPconv leads by 1.2× at
+    /// n = 12 and 14. So below this floor `Auto` keeps the
+    /// longest-validated DPsub, and from 12 relations the gap, which
+    /// grows with `3ⁿ`, pays for the engine switch (see
     /// `docs/ALGORITHMS.md` §7 for the measured data).
     pub const DPCONV_MIN_RELATIONS: usize = 12;
 

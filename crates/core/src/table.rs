@@ -183,15 +183,17 @@ impl PlanTable for DpTable {
 /// loop a handful of instructions on dense search spaces — no hashing,
 /// no probing.
 ///
-/// The slots are split into a presence bitmap, the statistics the inner
-/// loop reads, and the plan ids only materialization touches. The table
-/// lives in a [`Session`](crate::Session) and is reset, never shrunk,
-/// between runs, so repeated queries reuse its `Θ(2ⁿ)` allocation.
+/// The slots are split into one presence byte per set (like DPconv's
+/// connectivity array: a membership test is one load and no shift or
+/// mask), the statistics the inner loop reads, and the plan ids only
+/// materialization touches. The table lives in a
+/// [`Session`](crate::Session) and is reset, never shrunk, between runs,
+/// so repeated queries reuse its `Θ(2ⁿ)` allocation.
 #[derive(Debug, Default)]
 pub struct DenseDpTable {
     stats: Vec<PlanStats>,
     plans: Vec<PlanId>,
-    present: Vec<u64>,
+    present: Vec<bool>,
 }
 
 impl DenseDpTable {
@@ -208,13 +210,14 @@ impl DenseDpTable {
     /// (EXPERIMENTS.md, "Exact engines on the serve path").
     pub const MAX_DRIVER_RELATIONS: usize = 16;
 
-    /// Bytes the slots and presence words for `n` relations occupy —
+    /// Bytes the slots and presence bytes for `n` relations occupy —
     /// what one run on the table is charged, whatever capacity earlier
     /// runs left behind.
     pub(crate) fn bytes_for(n: usize) -> usize {
-        let size = 1usize << n;
-        size * (std::mem::size_of::<PlanStats>() + std::mem::size_of::<PlanId>())
-            + size.div_ceil(64) * std::mem::size_of::<u64>()
+        (1usize << n)
+            * (std::mem::size_of::<PlanStats>()
+                + std::mem::size_of::<PlanId>()
+                + std::mem::size_of::<bool>())
     }
 
     /// Readies the table for subsets of `n ≤` [`Self::MAX_RELATIONS`]
@@ -225,19 +228,15 @@ impl DenseDpTable {
         if self.stats.len() < size {
             self.stats.resize(size, PlanStats::base(0.0));
             self.plans.resize(size, PlanId::SENTINEL);
+            self.present.resize(size, false);
         }
-        let words = size.div_ceil(64);
-        if self.present.len() < words {
-            self.present.resize(words, 0);
-        }
-        self.present[..words].fill(0);
+        self.present[..size].fill(false);
     }
 
     /// `true` iff a plan for the set `bits` is registered.
     #[inline]
     pub(crate) fn contains(&self, bits: u64) -> bool {
-        let idx = bits as usize;
-        (self.present[idx >> 6] >> (idx & 63)) & 1 == 1
+        self.present[bits as usize]
     }
 
     /// Statistics of the registered plan for `bits`.
@@ -258,14 +257,14 @@ impl DenseDpTable {
         let idx = bits as usize;
         self.stats[idx] = stats;
         self.plans[idx] = plan;
-        self.present[idx >> 6] |= 1u64 << (idx & 63);
+        self.present[idx] = true;
     }
 
     /// Bytes of allocated storage (capacity, not occupancy).
     pub fn bytes(&self) -> usize {
         self.stats.capacity() * std::mem::size_of::<PlanStats>()
             + self.plans.capacity() * std::mem::size_of::<PlanId>()
-            + self.present.capacity() * std::mem::size_of::<u64>()
+            + self.present.capacity() * std::mem::size_of::<bool>()
     }
 }
 
@@ -385,11 +384,7 @@ mod tests {
         assert!(t.bytes() >= 16 * std::mem::size_of::<(RelSet, TableEntry)>());
         let mut d = DenseDpTable::default();
         d.reset(6);
-        assert!(
-            d.bytes()
-                >= 64 * (std::mem::size_of::<PlanStats>() + std::mem::size_of::<PlanId>())
-                    + std::mem::size_of::<u64>()
-        );
+        assert!(d.bytes() >= DenseDpTable::bytes_for(6));
         // Footprint is a function of capacity, not occupancy.
         let bytes = d.bytes();
         let e = entry(1.0);
@@ -400,6 +395,29 @@ mod tests {
         d.reset(6);
         assert!(!d.contains(1));
         assert_eq!(d.bytes(), bytes);
+    }
+
+    #[test]
+    fn dense_charge_and_reset_follow_the_layout() {
+        // On a fresh table the allocation is exactly what a run is
+        // charged, so a layout change that forgets either one fails.
+        for n in [8, 16] {
+            let mut d = DenseDpTable::default();
+            d.reset(n);
+            assert_eq!(d.bytes(), DenseDpTable::bytes_for(n), "n={n}");
+        }
+        // After a larger run, a smaller reset forgets every slot it
+        // covers, including the ones the larger run filled.
+        let mut d = DenseDpTable::default();
+        d.reset(10);
+        let e = entry(1.0);
+        for bits in 1..1u64 << 10 {
+            d.insert(bits, e.plan, e.stats);
+        }
+        for n in [8, 4] {
+            d.reset(n);
+            assert!((0..1u64 << n).all(|bits| !d.contains(bits)), "n={n}");
+        }
     }
 
     #[test]
