@@ -82,6 +82,37 @@ echo "$pair_gate"
 grep -q " 1 passed" <<<"$pair_gate" \
     || { echo "complementary-pair gate test did not run"; exit 1; }
 
+# Runs one named unit test of a package's library alone and fails the
+# step if the test fails or if the name filter stops matching it.
+exact_lib_test() {
+    local package=$1 test=$2 out
+    out="$(cargo test --offline -q -p "$package" --lib -- --exact "$test" 2>&1)" \
+        || { echo "$out"; exit 1; }
+    echo "$out"
+    grep -q " 1 passed" <<<"$out" \
+        || { echo "$test did not run"; exit 1; }
+}
+
+echo "==> fold identity gate (one extension step continues the cardinality fold bit for bit)"
+# Also part of the workspace test run above. On random graphs and
+# hypergraphs with complex predicates (n <= 12), every set's fold
+# equals the documented product, and one extend_cardinality step from
+# the fold of the set without its highest relation gives the same bits.
+# DPsub, the driver and DPconv's init rely on it.
+exact_lib_test joinopt-cost estimator::tests::one_extension_step_continues_the_fold
+
+echo "==> DPsub stop gate (a raised cancel flag stops the pair walk inside the set)"
+# Also part of the workspace test run above. The flag goes up at the
+# first split of a 12-clique's full set, which no level check follows;
+# the run must fail Cancelled within 2 * POLL_PERIOD of its 2,047 splits.
+exact_lib_test joinopt-core dpsub::tests::cancel_flag_stops_the_inner_loop
+
+echo "==> DPccp stop gate (the driver's poll stops the enumeration mid-run)"
+exact_lib_test joinopt-core dpccp::tests::cancel_flag_stops_the_enumeration
+
+echo "==> DPconv stop gate (the kernels' block polls stop the last rank mid-set)"
+exact_lib_test joinopt-core dpconv::tests::cancel_flag_stops_the_inner_loop
+
 echo "==> resilience matrix with fault injection (--cfg failpoints)"
 # Separate target dir: the flag changes the crate's cfg set, and sharing
 # target/ would force a full rebuild on every alternation.

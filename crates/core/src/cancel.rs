@@ -8,11 +8,20 @@
 //! * [`CancellationToken::check`] consults everything including the
 //!   clock; call it at coarse boundaries (level barriers, per-query
 //!   setup).
-//! * [`CancellationToken::checkpoint`] is the fine-grained form for
-//!   inner DP loops: it always observes an already-tripped token and
-//!   the atomic flag (one relaxed load each), but only reads the
-//!   monotonic clock every [`TIME_CHECK_PERIOD`] calls, so the cost per
-//!   inner iteration stays at a couple of predictable branches.
+//! * [`CancellationToken::poll`] is the form for inner DP loops: the
+//!   caller reports the splits it does before its next poll, and once
+//!   they add up to [`POLL_PERIOD`] the poll runs the full `check`.
+//!   Below that it is one add and one compare on a caller-local
+//!   counter: no atomic load and no clock read. A dense loop runs in
+//!   counted blocks of at most `POLL_PERIOD` splits with one poll
+//!   before each, so it holds no cancellation code at all; a loop
+//!   that does one split per step polls with `work = 1`.
+//!
+//! Between two full checks a loop therefore does fewer than
+//! `2 · POLL_PERIOD` splits, and the clock is read at most once per
+//! `POLL_PERIOD` of them: a raised flag, a passed deadline or a trip
+//! latched elsewhere stops the run within `2 · POLL_PERIOD` splits, not
+//! at the very next one.
 //!
 //! Memory is accounted by the *consumers* (DP table, plan arena)
 //! calling [`CancellationToken::charge`] with byte deltas as their
@@ -29,9 +38,9 @@ use std::time::{Duration, Instant};
 
 use crate::error::OptimizeError;
 
-/// [`CancellationToken::checkpoint`] reads the clock once per this many
-/// calls (must be a power of two).
-pub const TIME_CHECK_PERIOD: u32 = 256;
+/// [`CancellationToken::poll`] runs the full check once this many
+/// splits have been reported since the last one.
+pub(crate) const POLL_PERIOD: u32 = 256;
 
 const TRIP_NONE: u8 = 0;
 const TRIP_TIME: u8 = 1;
@@ -40,7 +49,7 @@ const TRIP_CANCELLED: u8 = 3;
 
 /// A shareable cancel switch: clone it, hand one copy to the optimizer
 /// via [`OptimizeRequest::with_cancel_flag`](crate::OptimizeRequest::with_cancel_flag),
-/// and flip it from any thread to abort the run at its next checkpoint.
+/// and flip it from any thread to abort the run at its next full check.
 #[derive(Debug, Clone, Default)]
 pub struct CancelFlag {
     inner: Arc<AtomicBool>,
@@ -64,7 +73,7 @@ impl CancelFlag {
 }
 
 /// The per-run bundle of stop conditions threaded through the DP loops.
-/// See the module docs for the check/checkpoint split.
+/// See the module docs for the check/poll split.
 #[derive(Debug)]
 pub struct CancellationToken {
     flag: Option<CancelFlag>,
@@ -174,20 +183,24 @@ impl CancellationToken {
         self.check_deadline()
     }
 
-    /// The paced check for inner loops. `counter` is caller-local
-    /// pacing state (one per loop, initialized to 0); the deadline is
-    /// only consulted every `TIME_CHECK_PERIOD` (256) calls.
+    /// The paced check for inner loops. `pace` is caller-local state
+    /// (one per run, initialized to 0) and `work` the splits the caller
+    /// does between this poll and its next, at most `POLL_PERIOD`
+    /// (256). Once the splits add up to `POLL_PERIOD`, the full
+    /// [`check`](Self::check) runs and the count starts over; below
+    /// that nothing is loaded and the clock is not read. So with a
+    /// deadline set, the clock is read at most once per `POLL_PERIOD`
+    /// splits, and a trip is seen fewer than `2 · POLL_PERIOD` splits
+    /// after it happens.
     #[inline]
-    pub fn checkpoint(&self, counter: &mut u32) -> Result<(), OptimizeError> {
-        if let Some(e) = self.trip_error() {
-            return Err(e);
+    pub(crate) fn poll(&self, pace: &mut u32, work: u32) -> Result<(), OptimizeError> {
+        debug_assert!(work <= POLL_PERIOD);
+        *pace += work;
+        if *pace < POLL_PERIOD {
+            return Ok(());
         }
-        self.check_flag()?;
-        *counter = counter.wrapping_add(1);
-        if *counter & (TIME_CHECK_PERIOD - 1) == 0 {
-            self.check_deadline()?;
-        }
-        Ok(())
+        *pace = 0;
+        self.check()
     }
 
     /// Charges `delta` bytes against the memory budget, tripping the
@@ -208,6 +221,64 @@ impl CancellationToken {
     }
 }
 
+/// Test support for the engines' mid-run stop tests.
+#[cfg(test)]
+pub(crate) mod stop_probe {
+    use std::cell::Cell;
+
+    use joinopt_cost::{workload::Workload, Cout};
+    use joinopt_telemetry::{Event, Observer};
+
+    use super::{CancelFlag, CancellationToken};
+    use crate::dpsub::Session;
+    use crate::error::OptimizeError;
+    use crate::result::JoinOrderer;
+
+    /// Raises the cancel flag at the first candidate split of `full`
+    /// and counts the candidates reported from then on, that one
+    /// included.
+    struct CancelAtSet {
+        full: u64,
+        flag: CancelFlag,
+        after: Cell<u64>,
+    }
+
+    impl Observer for CancelAtSet {
+        fn wants_provenance(&self) -> bool {
+            true
+        }
+
+        fn on_event(&self, event: Event) {
+            if let Event::PlanCandidate { set, .. } = event {
+                if set == self.full {
+                    self.flag.cancel();
+                }
+                if self.flag.is_cancelled() {
+                    self.after.set(self.after.get() + 1);
+                }
+            }
+        }
+    }
+
+    /// Runs `orderer` on `w` under `C_out`, raising a cancel flag at the
+    /// first candidate split of the full relation set: the run's error
+    /// and the candidates reported from the raise on. Only the engine's
+    /// inner-loop polls can see the flag once it is up.
+    pub(crate) fn cancel_at_the_full_set(
+        orderer: &dyn JoinOrderer,
+        w: &Workload,
+    ) -> (Result<(), OptimizeError>, u64) {
+        let obs = CancelAtSet {
+            full: w.graph.all_relations().bits(),
+            flag: CancelFlag::new(),
+            after: Cell::new(0),
+        };
+        let ctl = CancellationToken::new(Some(obs.flag.clone()), None, None);
+        let run = orderer.optimize_in(&w.graph, &w.catalog, &Cout, &obs, &ctl, &mut Session::new());
+        (run.map(|_| ()), obs.after.get())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +288,7 @@ mod tests {
         let ctl = CancellationToken::unlimited();
         let mut pace = 0u32;
         for _ in 0..10_000 {
-            ctl.checkpoint(&mut pace).unwrap();
+            ctl.poll(&mut pace, 1).unwrap();
         }
         ctl.check().unwrap();
         ctl.charge(usize::MAX / 2).unwrap();
@@ -237,22 +308,75 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_trips_via_paced_checkpoint() {
-        let ctl = CancellationToken::new(None, Some(Duration::ZERO), None);
+    fn zero_time_budget_trips_when_the_work_crosses_the_period() {
+        let budget = Duration::ZERO;
+        // One split at a time: the first POLL_PERIOD − 1 polls pass.
+        let ctl = CancellationToken::new(None, Some(budget), None);
         let mut pace = 0u32;
-        let mut err = None;
-        for _ in 0..=TIME_CHECK_PERIOD {
-            if let Err(e) = ctl.checkpoint(&mut pace) {
-                err = Some(e);
-                break;
-            }
+        for _ in 1..POLL_PERIOD {
+            ctl.poll(&mut pace, 1).unwrap();
         }
         assert_eq!(
-            err,
-            Some(OptimizeError::TimeBudgetExceeded {
-                budget: Duration::ZERO
-            })
+            ctl.poll(&mut pace, 1),
+            Err(OptimizeError::TimeBudgetExceeded { budget })
         );
+        // Blocks: the poll whose work reaches the period trips.
+        let ctl = CancellationToken::new(None, Some(budget), None);
+        let mut pace = 0u32;
+        ctl.poll(&mut pace, 100).unwrap();
+        ctl.poll(&mut pace, POLL_PERIOD - 101).unwrap();
+        assert_eq!(
+            ctl.poll(&mut pace, 2),
+            Err(OptimizeError::TimeBudgetExceeded { budget })
+        );
+    }
+
+    #[test]
+    fn a_full_block_polls_at_once_and_the_count_starts_over() {
+        let budget = Duration::ZERO;
+        let ctl = CancellationToken::new(None, Some(budget), None);
+        let mut pace = 0u32;
+        assert!(ctl.poll(&mut pace, POLL_PERIOD).is_err());
+        assert_eq!(pace, 0);
+        // Unlimited: the count wraps at the period and never trips.
+        let ctl = CancellationToken::unlimited();
+        for work in [POLL_PERIOD, 7, POLL_PERIOD - 7, 3] {
+            ctl.poll(&mut pace, work).unwrap();
+        }
+        assert_eq!(pace, 3);
+    }
+
+    #[test]
+    fn a_raised_flag_is_seen_at_the_next_period_boundary() {
+        let flag = CancelFlag::new();
+        let ctl = CancellationToken::new(Some(flag.clone()), None, None);
+        let mut pace = 0u32;
+        ctl.poll(&mut pace, 10).unwrap();
+        flag.cancel();
+        for _ in 10..POLL_PERIOD - 1 {
+            ctl.poll(&mut pace, 1).unwrap();
+        }
+        assert_eq!(ctl.poll(&mut pace, 1), Err(OptimizeError::Cancelled));
+        assert_eq!(ctl.trip_error(), Some(OptimizeError::Cancelled));
+    }
+
+    #[test]
+    fn a_memory_trip_is_reported_at_the_next_period_boundary() {
+        let ctl = CancellationToken::new(None, None, Some(100));
+        let mut pace = 0u32;
+        ctl.poll(&mut pace, POLL_PERIOD - 1).unwrap();
+        // A trip latched elsewhere (another consumer's charge).
+        let _ = ctl.charge(200).unwrap_err();
+        assert!(matches!(
+            ctl.poll(&mut pace, 1),
+            Err(OptimizeError::MemoryBudgetExceeded {
+                used: 200,
+                budget: 100
+            })
+        ));
+        // Inside the next period the poll does not look.
+        ctl.poll(&mut pace, POLL_PERIOD - 1).unwrap();
+        assert!(ctl.poll(&mut pace, 1).is_err());
     }
 
     #[test]
@@ -268,9 +392,8 @@ mod tests {
             }
         );
         assert_eq!(ctl.memory_used(), 120);
-        // Latched: subsequent checkpoints fail immediately.
-        let mut pace = 0u32;
-        assert!(ctl.checkpoint(&mut pace).is_err());
+        // Latched: every later full check fails.
+        assert!(ctl.check().is_err());
     }
 
     #[test]

@@ -168,6 +168,23 @@ mod tests {
     }
 
     #[test]
+    fn cancel_flag_stops_the_enumeration() {
+        use crate::cancel::{stop_probe::cancel_at_the_full_set, POLL_PERIOD};
+
+        // DPccp meets the full set of a 12-clique in its last round,
+        // among 2,047 of its pairs, and checks no level barrier: the
+        // driver's poll, one split per emitted pair, must stop the run
+        // within 2 · `POLL_PERIOD` pairs of the raise.
+        let w = workload::family_workload(GraphKind::Clique, 12, 0);
+        let (run, splits) = cancel_at_the_full_set(&DpCcp, &w);
+        assert_eq!(run, Err(OptimizeError::Cancelled));
+        assert!(
+            (1..=2 * u64::from(POLL_PERIOD)).contains(&splits),
+            "{splits} splits after the raise"
+        );
+    }
+
+    #[test]
     fn plan_tree_is_consistent() {
         let w = workload::family_workload(GraphKind::Cycle, 9, 4);
         let r = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap();

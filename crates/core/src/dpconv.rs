@@ -51,20 +51,29 @@
 //! kernel) before a join node is materialized, so a corrupted witness
 //! surfaces as [`OptimizeError::Internal`] instead of a silently wrong
 //! tree.
+//!
+//! The init loop and both kernels run in counted blocks of at most
+//! `POLL_PERIOD` (256) sets or splits with one
+//! [`poll`](CancellationToken::poll) of the token before each, so their
+//! bodies hold no cancellation code. The init loop folds a connected
+//! set's cardinality by continuing the fold of the set without its
+//! highest relation when that set is connected (one
+//! [`extend_cardinality`](CardinalityEstimator::extend_cardinality)
+//! step, the same bits), and from scratch otherwise.
 
-use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
+use joinopt_cost::{CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::{PlanArena, PlanId};
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
 use joinopt_telemetry::Observer;
 
-use crate::cancel::CancellationToken;
+use crate::cancel::{CancellationToken, POLL_PERIOD};
 use crate::counters::Counters;
 use crate::dpsub::Session;
 use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::kernel::{cout_cost, finite_cost};
+use crate::kernel::{cardinality, cout_cost, finite_cost};
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::DenseDpTable;
 
@@ -225,16 +234,26 @@ pub(crate) fn run_pooled(
 
     // Connectivity bitmap + ranked connected-set lists + per-set
     // cardinalities, all from the existing graph/estimator machinery.
+    // A set's cardinality continues the fold of the set without its
+    // highest relation when that set is connected (so already filled:
+    // it is numerically smaller), and folds from scratch otherwise.
     let mut csgs = 0usize;
-    for s in 1..size {
-        ctl.checkpoint(&mut pace)?;
-        let set = RelSet::from_bits(s as u64);
-        if g.is_connected_set(set) {
-            scratch.conn[s] = true;
-            scratch.ranks[set.len()].push(s as u64);
-            scratch.card[s] = ensure_finite("cardinality", est.set_cardinality(set))?;
-            csgs += 1;
+    let mut s = 1usize;
+    while s < size {
+        let block = (size - s).min(POLL_PERIOD as usize);
+        ctl.poll(&mut pace, block as u32)?;
+        for s in s..s + block {
+            let set = RelSet::from_bits(s as u64);
+            if g.is_connected_set(set) {
+                scratch.conn[s] = true;
+                scratch.ranks[set.len()].push(s as u64);
+                let below = s & !(1usize << (usize::BITS - 1 - s.leading_zeros()));
+                let below = scratch.conn[below].then(|| scratch.card[below]);
+                scratch.card[s] = cardinality(&est, set, below)?;
+                csgs += 1;
+            }
         }
+        s += block;
     }
     // The rank lists hold one mask per connected set.
     ctl.charge(csgs * std::mem::size_of::<u64>())?;
@@ -330,31 +349,40 @@ fn relax_half_subsets(
     pace: &mut u32,
 ) -> Result<(), OptimizeError> {
     let balanced = level / 2;
+    // `t` walks the non-empty submasks of `S ∖ lowest(S)`.
+    let splits = (1u32 << (level - 1)) - 1;
     for idx in 0..scratch.ranks[level].len() {
         let s = scratch.ranks[level][idx] as usize;
         let base = scratch.card[s];
         let rest = s & (s - 1); // drop lowest(S): canonical orientation
+        counters.inner += u64::from(splits);
         let mut worst = 0.0f64;
         let mut t = rest;
-        while t != 0 {
-            ctl.checkpoint(pace)?;
-            counters.inner += 1;
-            let halves = (t.count_ones() as usize).min(level - t.count_ones() as usize);
-            if !(skip_balanced && halves == balanced) {
-                let u = s ^ t;
-                if scratch.conn[t] && scratch.conn[u] {
-                    counters.ono_lohman += 1;
-                    let cand = cout_cost(scratch.dp[t], scratch.dp[u], base);
-                    worst = if cand > worst { cand } else { worst };
-                    let accepted = cand < scratch.dp[s];
-                    candidate(s as u64, t as u64, u as u64, cand, accepted);
-                    if accepted {
-                        scratch.dp[s] = cand;
-                        scratch.witness[s] = t as u64;
+        // Counted blocks of at most `POLL_PERIOD` splits, one poll
+        // before each, so the walk holds no cancellation code.
+        let mut left = splits;
+        while left != 0 {
+            let block = left.min(POLL_PERIOD);
+            left -= block;
+            ctl.poll(pace, block)?;
+            for _ in 0..block {
+                let halves = (t.count_ones() as usize).min(level - t.count_ones() as usize);
+                if !(skip_balanced && halves == balanced) {
+                    let u = s ^ t;
+                    if scratch.conn[t] && scratch.conn[u] {
+                        counters.ono_lohman += 1;
+                        let cand = cout_cost(scratch.dp[t], scratch.dp[u], base);
+                        worst = if cand > worst { cand } else { worst };
+                        let accepted = cand < scratch.dp[s];
+                        candidate(s as u64, t as u64, u as u64, cand, accepted);
+                        if accepted {
+                            scratch.dp[s] = cand;
+                            scratch.witness[s] = t as u64;
+                        }
                     }
                 }
+                t = (t - 1) & rest;
             }
-            t = (t - 1) & rest;
         }
         finite_cost(worst)?;
     }
@@ -379,28 +407,36 @@ fn relax_rank_pairs(
         if skip_balanced && k == level / 2 {
             continue;
         }
+        let partners = scratch.ranks[level - k].len();
         for ai in 0..scratch.ranks[k].len() {
             let a = scratch.ranks[k][ai] as usize;
-            for bi in 0..scratch.ranks[level - k].len() {
-                ctl.checkpoint(pace)?;
-                counters.inner += 1;
-                let b = scratch.ranks[level - k][bi] as usize;
-                if a & b != 0 || (2 * k == level && a > b) {
-                    continue;
+            counters.inner += partners as u64;
+            // Counted blocks of at most `POLL_PERIOD` partners, one
+            // poll before each.
+            let mut from = 0;
+            while from < partners {
+                let to = partners.min(from + POLL_PERIOD as usize);
+                ctl.poll(pace, (to - from) as u32)?;
+                for bi in from..to {
+                    let b = scratch.ranks[level - k][bi] as usize;
+                    if a & b != 0 || (2 * k == level && a > b) {
+                        continue;
+                    }
+                    let s = a | b;
+                    if !scratch.conn[s] {
+                        continue;
+                    }
+                    counters.ono_lohman += 1;
+                    let cand = cout_cost(scratch.dp[a], scratch.dp[b], scratch.card[s]);
+                    worst = if cand > worst { cand } else { worst };
+                    let accepted = cand < scratch.dp[s];
+                    candidate(s as u64, a as u64, b as u64, cand, accepted);
+                    if accepted {
+                        scratch.dp[s] = cand;
+                        scratch.witness[s] = a as u64;
+                    }
                 }
-                let s = a | b;
-                if !scratch.conn[s] {
-                    continue;
-                }
-                counters.ono_lohman += 1;
-                let cand = cout_cost(scratch.dp[a], scratch.dp[b], scratch.card[s]);
-                worst = if cand > worst { cand } else { worst };
-                let accepted = cand < scratch.dp[s];
-                candidate(s as u64, a as u64, b as u64, cand, accepted);
-                if accepted {
-                    scratch.dp[s] = cand;
-                    scratch.witness[s] = a as u64;
-                }
+                from = to;
             }
         }
     }
@@ -653,6 +689,23 @@ mod tests {
             .optimize_controlled(&w.graph, &w.catalog, &Cout, &NoopObserver, &tiny)
             .unwrap_err();
         assert!(matches!(err, OptimizeError::MemoryBudgetExceeded { .. }));
+    }
+
+    #[test]
+    fn cancel_flag_stops_the_inner_loop() {
+        use crate::cancel::stop_probe::cancel_at_the_full_set;
+
+        // The full set of a 12-clique is the last rank's only set, run
+        // by the half-subset kernel over its 2,047 splits with no check
+        // between ranks: the kernel's block polls must stop the run
+        // within 2 · `POLL_PERIOD` splits of the raise.
+        let w = workload::family_workload(GraphKind::Clique, 12, 0);
+        let (run, splits) = cancel_at_the_full_set(&DpConv, &w);
+        assert_eq!(run, Err(OptimizeError::Cancelled));
+        assert!(
+            (1..=2 * u64::from(POLL_PERIOD)).contains(&splits),
+            "{splits} splits after the raise"
+        );
     }
 
     #[test]

@@ -66,20 +66,31 @@
 //!
 //! The union's output cardinality is the estimator's set-only fold,
 //! computed once per set (at its first valid split) and reused for
-//! every later split of the set.
+//! every later split of the set. When the table holds `S` without its
+//! highest relation, the fold continues from that set's stored
+//! cardinality with one
+//! [`extend_cardinality`](CardinalityEstimator::extend_cardinality)
+//! step instead of starting over: the same multiplications in the same
+//! order, so the same bits.
+//!
+//! The walk over a set's pairs runs in counted blocks of at most
+//! `POLL_PERIOD` (256) pairs with one
+//! [`poll`](CancellationToken::poll) of the token before each, so the
+//! loop body holds no cancellation code, and a raised flag or a passed
+//! deadline stops the run within two blocks, inside the set.
 
-use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
+use joinopt_cost::{CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::PlanArena;
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
 use joinopt_telemetry::Observer;
 
-use crate::cancel::CancellationToken;
+use crate::cancel::{CancellationToken, POLL_PERIOD};
 use crate::counters::Counters;
 use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::kernel::{cout_cost, finite_cost, pair_cost};
+use crate::kernel::{cardinality, cout_cost, finite_cost, pair_cost};
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{arena_charge, DenseDpTable};
 
@@ -283,7 +294,7 @@ struct Tally {
     probes: u64,
     /// Probes that found an entry, when observing.
     hits: u64,
-    /// Pacing state for [`CancellationToken::checkpoint`].
+    /// Pacing state for [`CancellationToken::poll`].
     pace: u32,
 }
 
@@ -340,9 +351,10 @@ fn split_fn(variant: Variant, symmetric: bool) -> SplitFn {
 /// `(A, B)` and `(B, A)`, so the counters, probes and hits grow by what
 /// both would have added. A `SYMMETRIC` model is priced once per pair,
 /// inline when it is `C_out`-shaped, any other in both orientations.
-/// Polls the token once per pair (paced), so a tripped budget or a
-/// flipped cancel flag stops a run inside a set, not only between
-/// levels.
+/// The walk runs in counted blocks of at most [`POLL_PERIOD`] pairs
+/// with one poll of the token before each, so a tripped budget or a
+/// flipped cancel flag stops a run inside a set, within two blocks,
+/// not only between levels.
 fn best_split<R: Rule, const SYMMETRIC: bool>(
     cx: &Context<'_>,
     spans: &Spans<'_>,
@@ -370,6 +382,10 @@ fn complementary_pairs<R: Rule, const SYMMETRIC: bool, const COUT: bool>(
     let observe = spans.on();
     let set = s.bits();
     let rest = set & !(1u64 << (63 - set.leading_zeros()));
+    // `A` walks the non-empty subsets of `rest`: `2^|rest| − 1` pairs,
+    // each standing for two ordered splits.
+    let pairs = (1u64 << rest.count_ones()) - 1;
+    t.counters.inner += 2 * pairs;
     // The running best in the `(cost, S₁)` order. No split has an empty
     // side, so `best_s1 == 0` means no valid split yet, and every
     // (finite) first candidate is below `best_cost`.
@@ -379,96 +395,102 @@ fn complementary_pairs<R: Rule, const SYMMETRIC: bool, const COUT: bool>(
     // The largest inline `C_out` price, checked after the loop.
     let mut worst = 0.0f64;
     let mut a = 0u64;
-    loop {
-        a = a.wrapping_sub(rest) & rest;
-        if a == 0 {
-            break;
-        }
-        let b = set ^ a;
-        t.counters.inner += 2;
-        cx.ctl.checkpoint(&mut t.pace)?;
-        match R::VARIANT {
-            Variant::Filtered => {
-                // "connected S1/S2" via table membership. Each ordered
-                // split probes its left operand and, on a hit, its
-                // right one.
-                let pa = table.contains(a);
-                let pb = table.contains(b);
-                if observe {
-                    let (pa, pb) = (u64::from(pa), u64::from(pb));
-                    t.probes += 2 + pa + pb;
-                    t.hits += pa + pb + 2 * pa * pb;
+    // Counted blocks of at most `POLL_PERIOD` pairs, one poll before
+    // each, so the walk itself holds no cancellation code.
+    let mut left = pairs;
+    while left != 0 {
+        let block = left.min(u64::from(POLL_PERIOD));
+        left -= block;
+        cx.ctl.poll(&mut t.pace, block as u32)?;
+        for _ in 0..block {
+            a = a.wrapping_sub(rest) & rest;
+            let b = set ^ a;
+            match R::VARIANT {
+                Variant::Filtered => {
+                    // "connected S1/S2" via table membership. Each
+                    // ordered split probes its left operand and, on a
+                    // hit, its right one.
+                    let pa = table.contains(a);
+                    let pb = table.contains(b);
+                    if observe {
+                        let (pa, pb) = (u64::from(pa), u64::from(pb));
+                        t.probes += 2 + pa + pb;
+                        t.hits += pa + pb + 2 * pa * pb;
+                    }
+                    if !(pa && pb) {
+                        continue;
+                    }
+                    // No `S₁`–`S₂` edge test: the `*` check proved `S`
+                    // connected, and a connected set split into two
+                    // non-empty parts always has an edge crossing the
+                    // cut.
                 }
-                if !(pa && pb) {
-                    continue;
+                Variant::Unfiltered => {
+                    // The ablation probes both operands unconditionally.
+                    let pa = table.contains(a);
+                    let pb = table.contains(b);
+                    if observe {
+                        t.probes += 4;
+                        t.hits += 2 * (u64::from(pa) + u64::from(pb));
+                    }
+                    if !(pa && pb) {
+                        continue;
+                    }
+                    if !cx
+                        .g
+                        .sets_connected(RelSet::from_bits(a), RelSet::from_bits(b))
+                    {
+                        continue;
+                    }
                 }
-                // No `S₁`–`S₂` edge test: the `*` check proved `S`
-                // connected, and a connected set split into two
-                // non-empty parts always has an edge crossing the cut.
+                Variant::CrossProducts => {
+                    // Every split is valid; all smaller sets have plans.
+                }
             }
-            Variant::Unfiltered => {
-                // The ablation probes both operands unconditionally.
-                let pa = table.contains(a);
-                let pb = table.contains(b);
-                if observe {
-                    t.probes += 4;
-                    t.hits += 2 * (u64::from(pa) + u64::from(pb));
-                }
-                if !(pa && pb) {
-                    continue;
-                }
-                if !cx
-                    .g
-                    .sets_connected(RelSet::from_bits(a), RelSet::from_bits(b))
-                {
-                    continue;
-                }
+            t.counters.csg_cmp_pairs += 2;
+            // Union probes: the first hits once an earlier split
+            // registered the set, the second always.
+            if observe {
+                t.probes += 2;
+                t.hits += u64::from(best_s1 != 0) + 1;
             }
-            Variant::CrossProducts => {
-                // Every split is valid; all smaller sets have plans.
+            let sa = table.stats(a);
+            let sb = table.stats(b);
+            if best_s1 == 0 {
+                let below = table.contains(rest).then(|| table.stats(rest).cardinality);
+                card = cardinality(cx.est, s, below)?;
             }
+            let cost_ab = if COUT {
+                let cost = cout_cost(sa.cost, sb.cost, card);
+                worst = if cost > worst { cost } else { worst };
+                cost
+            } else {
+                pair_cost(cx.model, &sa, &sb, card, false)?.0
+            };
+            // An earlier `B` may be the best `S₁` and exceed `A` only
+            // when the model is asymmetric.
+            let accepted =
+                cost_ab < best_cost || (!SYMMETRIC && cost_ab == best_cost && a < best_s1);
+            if accepted {
+                (best_cost, best_s1) = (cost_ab, a);
+            }
+            spans.candidate(set, a, b, cost_ab, accepted);
+            // `(B, A)` of a symmetric model costs the same bits as
+            // `(A, B)` with a larger `S₁`, so it never wins.
+            let (cost_ba, accepted) = if SYMMETRIC {
+                (cost_ab, false)
+            } else {
+                let (cost_ba, _) = pair_cost(cx.model, &sb, &sa, card, false)?;
+                (
+                    cost_ba,
+                    cost_ba < best_cost || (cost_ba == best_cost && b < best_s1),
+                )
+            };
+            if accepted {
+                (best_cost, best_s1) = (cost_ba, b);
+            }
+            spans.candidate(set, b, a, cost_ba, accepted);
         }
-        t.counters.csg_cmp_pairs += 2;
-        // Union probes: the first hits once an earlier split registered
-        // the set, the second always.
-        if observe {
-            t.probes += 2;
-            t.hits += u64::from(best_s1 != 0) + 1;
-        }
-        let sa = table.stats(a);
-        let sb = table.stats(b);
-        if best_s1 == 0 {
-            card = ensure_finite("cardinality", cx.est.set_cardinality(s))?;
-        }
-        let cost_ab = if COUT {
-            let cost = cout_cost(sa.cost, sb.cost, card);
-            worst = if cost > worst { cost } else { worst };
-            cost
-        } else {
-            pair_cost(cx.model, &sa, &sb, card, false)?.0
-        };
-        // An earlier `B` may be the best `S₁` and exceed `A` only when
-        // the model is asymmetric.
-        let accepted = cost_ab < best_cost || (!SYMMETRIC && cost_ab == best_cost && a < best_s1);
-        if accepted {
-            (best_cost, best_s1) = (cost_ab, a);
-        }
-        spans.candidate(set, a, b, cost_ab, accepted);
-        // `(B, A)` of a symmetric model costs the same bits as `(A, B)`
-        // with a larger `S₁`, so it never wins.
-        let (cost_ba, accepted) = if SYMMETRIC {
-            (cost_ab, false)
-        } else {
-            let (cost_ba, _) = pair_cost(cx.model, &sb, &sa, card, false)?;
-            (
-                cost_ba,
-                cost_ba < best_cost || (cost_ba == best_cost && b < best_s1),
-            )
-        };
-        if accepted {
-            (best_cost, best_s1) = (cost_ba, b);
-        }
-        spans.candidate(set, b, a, cost_ba, accepted);
     }
     if COUT {
         finite_cost(worst)?;
@@ -627,7 +649,7 @@ mod tests {
     use crate::optimizer::Algorithm;
     use joinopt_cost::{workload, Cout};
     use joinopt_qgraph::{formulas, generators, GraphKind};
-    use joinopt_telemetry::{Event, NoopObserver};
+    use joinopt_telemetry::NoopObserver;
 
     #[test]
     fn inner_counter_matches_figure3_small() {
@@ -825,7 +847,7 @@ mod tests {
         let mut card = 0.0f64;
         for s1 in s.non_empty_proper_subsets() {
             t.counters.inner += 1;
-            cx.ctl.checkpoint(&mut t.pace)?;
+            cx.ctl.poll(&mut t.pace, 1)?;
             let s2 = s - s1;
             match R::VARIANT {
                 Variant::Filtered => {
@@ -867,7 +889,7 @@ mod tests {
             let st1 = table.stats(s1.bits());
             let st2 = table.stats(s2.bits());
             if best.is_none() {
-                card = ensure_finite("cardinality", cx.est.set_cardinality(s))?;
+                card = cardinality(cx.est, s, None)?;
             }
             let (cost, _) = pair_cost(cx.model, &st1, &st2, card, false)?;
             let accepted = best.is_none_or(|(best_cost, _)| cost < best_cost);
@@ -1059,58 +1081,23 @@ mod tests {
 
     #[test]
     fn cancel_flag_stops_the_inner_loop() {
-        use crate::cancel::CancelFlag;
-        use std::cell::RefCell;
+        use crate::cancel::stop_probe::cancel_at_the_full_set;
 
-        /// Flips the cancel flag at the first candidate split of the
-        /// full set: no level check follows, so only the inner loop's
-        /// own poll can stop the run.
-        struct CancelAtFullSet {
-            full: u64,
-            flag: CancelFlag,
-            seen: RefCell<Vec<(u64, u64)>>,
-        }
-        impl Observer for CancelAtFullSet {
-            fn wants_provenance(&self) -> bool {
-                true
-            }
-            fn on_event(&self, event: Event) {
-                if let Event::PlanCandidate {
-                    set, left, right, ..
-                } = event
-                {
-                    if set == self.full {
-                        self.seen.borrow_mut().push((left, right));
-                        self.flag.cancel();
-                    }
-                }
-            }
-        }
-
-        let w = workload::family_workload(GraphKind::Clique, 8, 0);
-        let flag = CancelFlag::new();
-        let obs = CancelAtFullSet {
-            full: w.graph.all_relations().bits(),
-            flag: flag.clone(),
-            seen: RefCell::new(Vec::new()),
-        };
-        let ctl = CancellationToken::new(Some(flag), None, None);
-        let err = run_pooled(
-            &w.graph,
-            &w.catalog,
-            &Cout,
-            Variant::Filtered,
-            &obs,
-            &ctl,
-            &mut Session::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err, OptimizeError::Cancelled);
-        // The full set has 2⁷ − 1 complementary splits; the run stopped
-        // after the first, whose one iteration reports both orientations.
-        let seen = obs.seen.borrow();
-        let (a, b) = seen[0];
-        assert_eq!(*seen, [(a, b), (b, a)]);
+        // The full set of a 12-clique is the only set of the last
+        // level, so no level check follows the raise: the walk's own
+        // polls must stop the run inside the set's 2¹¹ − 1 = 2,047
+        // complementary splits. A poll runs the full check once per
+        // `POLL_PERIOD` splits, so at most 2 · `POLL_PERIOD` are
+        // reported, each as both orientations.
+        let w = workload::family_workload(GraphKind::Clique, 12, 0);
+        let (run, candidates) = cancel_at_the_full_set(&DpSub, &w);
+        assert_eq!(run, Err(OptimizeError::Cancelled));
+        assert_eq!(candidates % 2, 0, "a split reports both orientations");
+        let splits = candidates / 2;
+        assert!(
+            (1..=2 * u64::from(POLL_PERIOD)).contains(&splits),
+            "{splits} splits after the raise"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
+use joinopt_cost::{CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::{PlanArena, PlanId};
 use joinopt_qgraph::QueryGraph;
 use joinopt_relset::RelSet;
@@ -15,7 +15,7 @@ use crate::counters::Counters;
 use crate::dpsub::Session;
 use crate::error::OptimizeError;
 use crate::failpoint;
-use crate::kernel::pair_cost;
+use crate::kernel::{cardinality, cout_cost, finite_cost, pair_cost};
 use crate::result::{DpResult, JoinOrderer};
 use crate::table::{arena_charge, DenseDpTable, DenseRun, DpTable, PlanTable, TableEntry};
 
@@ -257,7 +257,10 @@ pub(crate) struct Driver<'a, T> {
     spans: Spans<'a>,
     /// Stop conditions polled by every emit call.
     ctl: &'a CancellationToken,
-    /// Pacing state for [`CancellationToken::checkpoint`].
+    /// `model` is symmetric and `C_out`-shaped, so a pair is priced
+    /// inline.
+    cout: bool,
+    /// Pacing state for [`CancellationToken::poll`].
     pace: u32,
     /// Table + arena bytes already charged against the memory budget.
     charged: usize,
@@ -308,6 +311,7 @@ impl<'a, T: PlanTable> Driver<'a, T> {
             counters: Counters::new(),
             spans,
             ctl,
+            cout: model.is_symmetric() && model.is_cout_shaped(),
             pace: 0,
             charged,
             probes: 0,
@@ -384,10 +388,13 @@ impl<'a, T: PlanTable> Driver<'a, T> {
     /// ones).
     ///
     /// Both operands must already have table entries. Every call polls
-    /// the cancellation token (paced) and charges table/arena growth
-    /// against the memory budget. The union's cardinality is the
-    /// estimator's set-only fold, computed the first time the set is
-    /// reached and cached in its table slot.
+    /// the cancellation token with one split of work and charges
+    /// table/arena growth against the memory budget. The union's
+    /// cardinality is the estimator's set-only fold, computed the first
+    /// time the set is reached and cached in its table slot. A
+    /// symmetric `C_out`-shaped model is priced inline ([`cout_cost`]),
+    /// not through the trait object: the same sum, so the same bits,
+    /// and never swapped.
     #[inline]
     pub fn emit_pair(
         &mut self,
@@ -395,7 +402,7 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         s2: RelSet,
         commute: bool,
     ) -> Result<bool, OptimizeError> {
-        self.ctl.checkpoint(&mut self.pace)?;
+        self.ctl.poll(&mut self.pace, 1)?;
         let e1 = self.operand(s1)?;
         let e2 = self.operand(s2)?;
         let union = s1 | s2;
@@ -403,9 +410,18 @@ impl<'a, T: PlanTable> Driver<'a, T> {
         self.note_union_probe(union, incumbent.is_some());
         let out_card = match incumbent {
             Some(existing) => existing.cardinality,
-            None => ensure_finite("cardinality", self.est.set_cardinality(union))?,
+            None => {
+                let below = union.without(union.max_index().unwrap_or(0));
+                let below = self.table.get(below).map(|e| e.stats.cardinality);
+                cardinality(&self.est, union, below)?
+            }
         };
-        let (cost, swapped) = pair_cost(self.model, &e1.stats, &e2.stats, out_card, commute)?;
+        let (cost, swapped) = if self.cout {
+            let cost = cout_cost(e1.stats.cost, e2.stats.cost, out_card);
+            (finite_cost(cost)?, false)
+        } else {
+            pair_cost(self.model, &e1.stats, &e2.stats, out_card, commute)?
+        };
         let ((left, left_set), (right, right_set)) = if swapped {
             ((e2, s2), (e1, s1))
         } else {

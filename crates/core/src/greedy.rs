@@ -78,7 +78,7 @@ impl JoinOrderer for Goo {
             for i in 0..comps.len() {
                 for j in i + 1..comps.len() {
                     counters.inner += 1;
-                    ctl.checkpoint(&mut pace)?;
+                    ctl.poll(&mut pace, 1)?;
                     if !g.sets_connected(comps[i].set, comps[j].set) {
                         continue;
                     }

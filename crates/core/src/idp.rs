@@ -139,7 +139,7 @@ impl JoinOrderer for Idp {
                         for j in j0..by_size[s2].len() {
                             let (b, rb) = by_size[s2][j];
                             counters.inner += 1;
-                            ctl.checkpoint(&mut pace)?;
+                            ctl.poll(&mut pace, 1)?;
                             if a.overlaps(b) {
                                 continue;
                             }

@@ -9,9 +9,32 @@
 //! the same sum in the same order, so the same bits, checked by
 //! [`finite_cost`] once per set.
 
-use joinopt_cost::{ensure_finite, CostModel, PlanStats};
+use joinopt_cost::{ensure_finite, CardinalityEstimator, CostModel, PlanStats};
+use joinopt_relset::RelSet;
 
 use crate::error::OptimizeError;
+
+/// The estimator's cardinality of `s` (at least two relations), given
+/// `below`, the cardinality an engine stored for `s ∖ {max s}` if it
+/// holds that set: one [`CardinalityEstimator::extend_cardinality`]
+/// step from it, else the whole fold. Both give the fold's bits, so an
+/// engine may hold any subset of the sets it reached.
+///
+/// # Errors
+///
+/// [`OptimizeError::Cost`] when the cardinality is not finite.
+#[inline]
+pub(crate) fn cardinality(
+    est: &CardinalityEstimator,
+    s: RelSet,
+    below: Option<f64>,
+) -> Result<f64, OptimizeError> {
+    let card = match below {
+        Some(below) => est.extend_cardinality(below, s),
+        None => est.set_cardinality(s),
+    };
+    Ok(ensure_finite("cardinality", card)?)
+}
 
 /// The cost of joining two operands into a set of `out_card` rows, in
 /// the cheaper orientation: `(cost, swapped)`, where `swapped` means

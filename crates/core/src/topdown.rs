@@ -253,7 +253,7 @@ impl Search<'_> {
         }
         for (s1, s2, lb) in splits {
             self.counters.inner += 1;
-            self.ctl.checkpoint(&mut self.pace)?;
+            self.ctl.poll(&mut self.pace, 1)?;
             if self.pruning && lb >= bound {
                 // Sorted ascending: everything after is at least as bad.
                 self.spans.pruned(s.bits(), "bound");

@@ -46,6 +46,13 @@ pub fn ensure_finite(what: &'static str, value: f64) -> Result<f64, CostError> {
 /// fold to identical bits. Simple predicates are walked as bitmasks of
 /// lower neighbours, so a set costs `O(|S| + predicates inside S)`
 /// multiplications and no allocation.
+///
+/// Steps 2–4 for one relation `v` are
+/// [`CardinalityEstimator::extend_cardinality`], and the fold is the
+/// chain of those steps over the prefixes of `S`. An engine that
+/// already holds the fold of `S ∖ {max S}` finishes the fold of `S` in
+/// one step, `O(|S|)` instead of `O(|S|²)` on a dense graph, with the
+/// same bits.
 #[derive(Debug, Clone)]
 pub struct CardinalityEstimator {
     cards: Vec<f64>,
@@ -147,37 +154,59 @@ impl CardinalityEstimator {
     }
 
     /// Estimated cardinality of the set `s`: the fold in the order the
-    /// type documents. A singleton folds to its base cardinality.
+    /// type documents, as one [`extend_cardinality`] step per relation
+    /// of `s` in ascending order. A singleton folds to its base
+    /// cardinality, the empty set to `1.0`.
+    ///
+    /// [`extend_cardinality`]: CardinalityEstimator::extend_cardinality
     ///
     /// # Panics
     ///
     /// Panics if `s` names a relation out of range.
     pub fn set_cardinality(&self, s: RelSet) -> f64 {
+        let mut card = 1.0;
+        let mut prefix = 0u64;
+        let mut rest = s.bits();
+        while rest != 0 {
+            prefix |= rest & rest.wrapping_neg();
+            rest &= rest - 1;
+            card = self.extend_cardinality(card, RelSet::from_bits(prefix));
+        }
+        card
+    }
+
+    /// The last step of [`set_cardinality`]'s fold for the non-empty set
+    /// `s`: `below`, the fold of `s ∖ {max s}`, times `|max s|` and the
+    /// selectivities of the predicates whose highest relation is
+    /// `max s` and which lie inside `s`, in the documented order. So
+    /// `extend_cardinality(set_cardinality(s ∖ {max s}), s)` is
+    /// `set_cardinality(s)` bit for bit.
+    ///
+    /// [`set_cardinality`]: CardinalityEstimator::set_cardinality
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is empty or names a relation out of range.
+    #[inline]
+    pub fn extend_cardinality(&self, below: f64, s: RelSet) -> f64 {
         let n = self.cards.len();
         let bits = s.bits();
-        let mut card = 1.0;
-        let mut next_complex = 0;
-        let mut rest = bits;
-        while rest != 0 {
-            let v = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            card *= self.cards[v];
-            let row = &self.sel[v * n..v * n + v];
-            let mut below = self.lower[v] & bits;
-            while below != 0 {
-                card *= row[below.trailing_zeros() as usize];
-                below &= below - 1;
+        let v = 63 - bits.leading_zeros() as usize;
+        let mut card = below * self.cards[v];
+        let row = &self.sel[v * n..v * n + v];
+        let mut lower = self.lower[v] & bits;
+        while lower != 0 {
+            card *= row[lower.trailing_zeros() as usize];
+            lower &= lower - 1;
+        }
+        // A graph has no complex predicates, so this is an empty search.
+        let first = self.complex.partition_point(|&(hi, _, _)| hi < v);
+        for &(hi, refs, f) in &self.complex[first..] {
+            if hi > v {
+                break;
             }
-            // A predicate whose highest relation is not in `s` cannot
-            // lie inside `s`, so skipped entries never match.
-            while let Some(&(hi, refs, f)) = self.complex.get(next_complex) {
-                if hi > v {
-                    break;
-                }
-                if refs.is_subset(s) {
-                    card *= f;
-                }
-                next_complex += 1;
+            if refs.is_subset(s) {
+                card *= f;
             }
         }
         card
@@ -292,6 +321,128 @@ mod tests {
         assert_eq!(est.set_cardinality(set([0, 2])), 5_000.0);
         // Full: 100·200·50·0.01·0.1 = 1000
         assert_eq!(est.set_cardinality(set([0, 1, 2])), 1_000.0);
+    }
+
+    /// The documented fold written out over `(side, side, selectivity)`
+    /// predicates in edge-id order: relations ascending and, per
+    /// relation `v`, `|v|`, the simple predicates `(u, v)` with `u < v`
+    /// in ascending `u`, then the complex predicates whose highest
+    /// relation is `v`, in edge-id order.
+    fn reference_fold(cards: &[f64], preds: &[(RelSet, RelSet, f64)], s: RelSet) -> f64 {
+        let n = cards.len();
+        let mut simple = vec![None; n * n];
+        let mut complex = Vec::new();
+        for &(a, b, f) in preds {
+            let refs = a | b;
+            let (lo, hi) = (refs.min_index().unwrap(), refs.max_index().unwrap());
+            if a.is_singleton() && b.is_singleton() {
+                simple[hi * n + lo] = Some(f);
+            } else {
+                complex.push((hi, refs, f));
+            }
+        }
+        let mut card = 1.0;
+        for v in s.iter() {
+            card *= cards[v];
+            for u in (0..v).filter(|&u| s.contains(u)) {
+                if let Some(f) = simple[v * n + u] {
+                    card *= f;
+                }
+            }
+            for &(hi, refs, f) in &complex {
+                if hi == v && refs.is_subset(s) {
+                    card *= f;
+                }
+            }
+        }
+        card
+    }
+
+    /// Every set of at least two relations: one extension step from the
+    /// fold of `S ∖ {max S}` is the fold of `S`, and both are the
+    /// documented fold, bit for bit.
+    fn assert_fold_identity(
+        est: &CardinalityEstimator,
+        preds: &[(RelSet, RelSet, f64)],
+        ctx: &str,
+    ) {
+        let cards: Vec<f64> = (0..est.num_relations())
+            .map(|i| est.base_cardinality(i))
+            .collect();
+        for s in RelSet::full(cards.len()).non_empty_subsets() {
+            let want = reference_fold(&cards, preds, s);
+            assert_eq!(
+                est.set_cardinality(s).to_bits(),
+                want.to_bits(),
+                "{ctx} {s}"
+            );
+            if s.len() < 2 {
+                continue;
+            }
+            let below = s.without(s.max_index().unwrap());
+            let extended = est.extend_cardinality(est.set_cardinality(below), s);
+            assert_eq!(extended.to_bits(), want.to_bits(), "{ctx} {s}");
+        }
+    }
+
+    #[test]
+    fn one_extension_step_continues_the_fold() {
+        use crate::workload::random_workload;
+        use joinopt_relset::XorShift64;
+
+        for n in 2..=12 {
+            for (i, density) in [0.0, 0.3, 0.7, 1.0].into_iter().enumerate() {
+                let seed = (n * 4 + i) as u64;
+                let w = random_workload(n, density, seed);
+                let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
+                let preds: Vec<_> = w
+                    .graph
+                    .edges()
+                    .iter()
+                    .enumerate()
+                    .map(|(id, e)| {
+                        let (u, v) = (RelSet::single(e.u), RelSet::single(e.v));
+                        (u, v, w.catalog.selectivity(id))
+                    })
+                    .collect();
+                assert_fold_identity(&est, &preds, &format!("graph n={n} p={density}"));
+            }
+        }
+
+        // Hypergraphs: a spanning chain of simple predicates plus
+        // complex ones between random disjoint sides.
+        for n in 3..=12 {
+            let mut rng = XorShift64::seed_from_u64(n as u64);
+            let mut h = Hypergraph::new(n).unwrap();
+            for v in 1..n {
+                h.add_edge(set([rng.gen_range(0..v)]), set([v])).unwrap();
+            }
+            h.add_edge(set([0, 1]), set([n - 1])).unwrap();
+            for _ in 0..n {
+                let a = RelSet::from_bits(rng.next_u64() & RelSet::full(n).bits());
+                let b = RelSet::from_bits(rng.next_u64() & RelSet::full(n).bits()) - a;
+                // Both sides non-empty, at least one of two relations.
+                if !a.is_empty() && !b.is_empty() && a.len() + b.len() > 2 {
+                    // Exact duplicates are refused; skip them.
+                    let _ = h.add_edge(a, b);
+                }
+            }
+            let mut cat = Catalog::with_shape(n, h.num_edges());
+            for i in 0..n {
+                cat.set_cardinality(i, 1.0 + 1e5 * rng.next_f64()).unwrap();
+            }
+            for e in 0..h.num_edges() {
+                cat.set_selectivity(e, 0.05 + 0.9 * rng.next_f64()).unwrap();
+            }
+            let est = CardinalityEstimator::for_hypergraph(&h, &cat).unwrap();
+            let preds: Vec<_> = h
+                .edges()
+                .iter()
+                .enumerate()
+                .map(|(id, e)| (e.u, e.v, cat.selectivity(id)))
+                .collect();
+            assert_fold_identity(&est, &preds, &format!("hypergraph n={n}"));
+        }
     }
 
     #[test]

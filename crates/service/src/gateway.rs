@@ -20,7 +20,7 @@
 //!    measured from admission; the remaining slice becomes the
 //!    optimizer's time budget and flows into the core
 //!    `CancellationToken`, so a request never outlives its deadline by
-//!    more than one checkpoint interval.
+//!    more than the few hundred splits between two of its full checks.
 //!
 //! An admitted request runs exactly once. Every engine is a
 //! deterministic function of the graph, the catalog and the cost model,
