@@ -101,17 +101,38 @@ echo "==> fold identity gate (one extension step continues the cardinality fold 
 # DPsub, the driver and DPconv's init rely on it.
 exact_lib_test joinopt-cost estimator::tests::one_extension_step_continues_the_fold
 
+echo "==> price-walk gate (DPsub's provenance-free C_out walk reproduces Fig. 2's ordered split loop)"
+# Also part of the workspace test run above. Without provenance a
+# filtered C_out run prices absent sets at +inf and derives #ccp, probes
+# and hits from its count of invalid pairs; the test runs it beside the
+# ordered loop on the complementary-pair gate's graphs with an enabled
+# metrics observer, and on two chains whose per-set overflow bound
+# fails (one answers through the checked loop, one overflows), and
+# requires the same cost bits, trees, counters, probes and hits.
+exact_lib_test joinopt-core dpsub::tests::price_walk_reproduces_the_ordered_split_loop
+
 echo "==> DPsub stop gate (a raised cancel flag stops the pair walk inside the set)"
 # Also part of the workspace test run above. The flag goes up at the
 # first split of a 12-clique's full set, which no level check follows;
 # the run must fail Cancelled within 2 * POLL_PERIOD of its 2,047 splits.
 exact_lib_test joinopt-core dpsub::tests::cancel_flag_stops_the_inner_loop
 
+echo "==> DPsub price-walk stop gate (the provenance-free C_out walk polls per block)"
+# Also part of the workspace test run above. The stop gate above raises
+# the flag from a provenance observer, so it runs the pair loop; this
+# one walks a 12-clique's full set with the price walk the server runs
+# and requires Cancelled before the first block, and a paced check on
+# a set smaller than a block.
+exact_lib_test joinopt-core dpsub::tests::a_raised_flag_stops_the_price_walk
+
 echo "==> DPccp stop gate (the driver's poll stops the enumeration mid-run)"
 exact_lib_test joinopt-core dpccp::tests::cancel_flag_stops_the_enumeration
 
 echo "==> DPconv stop gate (the kernels' block polls stop the last rank mid-set)"
 exact_lib_test joinopt-core dpconv::tests::cancel_flag_stops_the_inner_loop
+
+echo "==> DPhyp stop gate (the per-pair poll stops a hypergraph run mid-enumeration)"
+exact_lib_test joinopt-core dphyp::tests::cancel_flag_stops_the_enumeration
 
 echo "==> resilience matrix with fault injection (--cfg failpoints)"
 # Separate target dir: the flag changes the crate's cfg set, and sharing

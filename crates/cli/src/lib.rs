@@ -527,7 +527,7 @@ fn cmd_optimize(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             // algorithm.
             if !matches!(algorithm, Algorithm::Auto) {
                 return Err(CliError::Usage(
-                    "this query has complex (multi-relation) predicates; only DPhyp                      applies — drop --algorithm"
+                    "this query has complex (multi-relation) predicates; only DPhyp applies — drop --algorithm"
                         .into(),
                 ));
             }

@@ -288,6 +288,21 @@ fn optimize_routes_complex_queries_to_dphyp() {
 }
 
 #[test]
+fn complex_query_refusal_names_dphyp_in_one_line() {
+    let path = write_query_file(
+        "relation a 100\nrelation b 200\nrelation c 50\njoin a b 0.01\njoin a,b c 0.05\n",
+    );
+    let err = run_err(&["optimize", path.to_str().unwrap(), "--algorithm", "dpccp"]);
+    let CliError::Usage(msg) = err else {
+        panic!("expected a usage error, got {err:?}");
+    };
+    assert_eq!(
+        msg,
+        "this query has complex (multi-relation) predicates; only DPhyp applies — drop --algorithm"
+    );
+}
+
+#[test]
 fn compare_runs_dphyp_for_complex_queries() {
     let path = write_query_file(
         "relation a 100\nrelation b 200\nrelation c 50\njoin a b 0.01\njoin a,b c 0.05\n",

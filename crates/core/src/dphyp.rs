@@ -22,6 +22,12 @@
 //! hypergraph may still admit **no** cross-product-free bushy tree (see
 //! the hypergraph module docs); [`DpHyp::optimize`] reports
 //! [`OptimizeError::NoPlanWithoutCrossProducts`] in that case.
+//!
+//! [`DpHyp::optimize_in`] runs under a [`CancellationToken`]: checked
+//! at run start and polled once per emitted pair, as the driver
+//! engines do, so a raised flag or a passed deadline stops the run
+//! within `2 · POLL_PERIOD` (512) pairs. DPhyp charges no memory
+//! against the token's budget.
 
 use joinopt_cost::{ensure_finite, CardinalityEstimator, Catalog, CostModel, PlanStats};
 use joinopt_plan::PlanArena;
@@ -30,6 +36,7 @@ use joinopt_qgraph::QueryGraphError;
 use joinopt_relset::RelSet;
 use joinopt_telemetry::{NoopObserver, Observer};
 
+use crate::cancel::CancellationToken;
 use crate::counters::Counters;
 use crate::driver::{Spans, TableStats};
 use crate::error::OptimizeError;
@@ -77,6 +84,25 @@ impl DpHyp {
         model: &dyn CostModel,
         obs: &dyn Observer,
     ) -> Result<DpResult, OptimizeError> {
+        self.optimize_in(h, catalog, model, obs, &CancellationToken::unlimited())
+    }
+
+    /// [`DpHyp::optimize_observed`] under the stop conditions of `ctl`:
+    /// checked before the enumeration and polled once per emitted pair.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`DpHyp::optimize`], and
+    /// [`OptimizeError::Cancelled`] or
+    /// [`OptimizeError::TimeBudgetExceeded`] when `ctl` trips.
+    pub fn optimize_in(
+        &self,
+        h: &Hypergraph,
+        catalog: &Catalog,
+        model: &dyn CostModel,
+        obs: &dyn Observer,
+        ctl: &CancellationToken,
+    ) -> Result<DpResult, OptimizeError> {
         let mut spans = Spans::start(obs, self.name(), h.num_relations());
         spans.begin("init");
         let n = h.num_relations();
@@ -86,6 +112,7 @@ impl DpHyp {
         if !h.is_connected() {
             return Err(OptimizeError::Graph(QueryGraphError::Disconnected));
         }
+        ctl.check()?;
         let est = CardinalityEstimator::for_hypergraph(h, catalog)?;
         let mut state = HypState {
             h,
@@ -97,6 +124,8 @@ impl DpHyp {
             spans,
             probes: 0,
             hits: 0,
+            ctl,
+            pace: 0,
         };
         for i in 0..n {
             let card = state.est.base_cardinality(i);
@@ -162,6 +191,10 @@ struct HypState<'a> {
     spans: Spans<'a>,
     probes: u64,
     hits: u64,
+    /// Stop conditions polled by every emitted pair.
+    ctl: &'a CancellationToken,
+    /// Pacing state for [`CancellationToken::poll`].
+    pace: u32,
 }
 
 impl HypState<'_> {
@@ -231,8 +264,10 @@ impl HypState<'_> {
 
     /// `EmitCsgCmp`: the DP step — cost both operand orders, update
     /// `BestPlan(s1 ∪ s2)`. An overflowing estimate is a typed
-    /// [`OptimizeError::Cost`], as in every other engine.
+    /// [`OptimizeError::Cost`], as in every other engine. Every call
+    /// polls the token with one split of work.
     fn emit_csg_cmp(&mut self, s1: RelSet, s2: RelSet) -> Result<(), OptimizeError> {
+        self.ctl.poll(&mut self.pace, 1)?;
         self.counters.inner += 1;
         self.counters.ono_lohman += 1;
         let (Some(&e1), Some(&e2)) = (self.table.get(s1), self.table.get(s2)) else {
@@ -391,6 +426,70 @@ mod tests {
             }
         }
         check_r3_join(&r.tree);
+    }
+
+    /// `C_out` that raises `flag` at its `at`-th price and counts the
+    /// prices from then on, that one included.
+    struct RaiseAtPrice {
+        at: u64,
+        flag: crate::CancelFlag,
+        prices: std::sync::atomic::AtomicU64,
+    }
+
+    impl CostModel for RaiseAtPrice {
+        fn operator_cost(&self, _: &PlanStats, _: &PlanStats, out_card: f64) -> f64 {
+            use std::sync::atomic::Ordering;
+            if self.prices.fetch_add(1, Ordering::Relaxed) + 1 == self.at {
+                self.flag.cancel();
+            }
+            out_card
+        }
+
+        fn name(&self) -> &'static str {
+            "raise-at-price"
+        }
+
+        fn is_symmetric(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn cancel_flag_stops_the_enumeration() {
+        use crate::cancel::POLL_PERIOD;
+
+        // A 12-clique has 261,625 csg-cmp-pairs, each priced once under
+        // a symmetric model. The flag goes up at the 1,000th price; the
+        // poll, one split per emitted pair, must stop the run within
+        // 2 · `POLL_PERIOD` pairs of the raise.
+        let w = workload::family_workload(GraphKind::Clique, 12, 0);
+        let h = Hypergraph::from_query_graph(&w.graph);
+        let model = RaiseAtPrice {
+            at: 1_000,
+            flag: crate::CancelFlag::new(),
+            prices: 0.into(),
+        };
+        let ctl = CancellationToken::new(Some(model.flag.clone()), None, None);
+        let run = DpHyp.optimize_in(&h, &w.catalog, &model, &NoopObserver, &ctl);
+        assert_eq!(run.map(|_| ()), Err(OptimizeError::Cancelled));
+        let after = model.prices.into_inner() - (model.at - 1);
+        assert!(
+            (1..=2 * u64::from(POLL_PERIOD)).contains(&after),
+            "{after} pairs after the raise"
+        );
+
+        // A flag raised before the run stops it at the start check,
+        // before any pair is priced (`at: 0` never raises).
+        let model = RaiseAtPrice {
+            at: 0,
+            flag: crate::CancelFlag::new(),
+            prices: 0.into(),
+        };
+        model.flag.cancel();
+        let ctl = CancellationToken::new(Some(model.flag.clone()), None, None);
+        let run = DpHyp.optimize_in(&h, &w.catalog, &model, &NoopObserver, &ctl);
+        assert_eq!(run.map(|_| ()), Err(OptimizeError::Cancelled));
+        assert_eq!(model.prices.into_inner(), 0);
     }
 
     #[test]

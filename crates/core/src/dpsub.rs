@@ -49,6 +49,19 @@
 //! for inline `C_out` pricing, so none of these choices is a branch
 //! inside it.
 //!
+//! DPsub's own run — the `*` check, a symmetric `C_out`-shaped model and
+//! no provenance, which is every DPsub run the server makes — takes a
+//! shorter walk ([`priced_pairs`]). The table prices a set with no plan
+//! at `+∞`, so under `C_out` a split's validity is part of its price:
+//! `dp(S) = |S| + min(dp(A) + dp(S ∖ A))`, DPconv's min-plus step. Per
+//! pair the walk adds two costs and the cardinality, keeps the first
+//! cheapest `A` and counts the pairs priced at `+∞`; it tests no
+//! presence and counts no probe. `|S|` is folded before the walk, the
+//! overflow check is one bound per set on the largest cost registered
+//! so far, and `#ccp` and the table probes and hits follow in closed
+//! form from the count of invalid pairs. A set whose bound overflows
+//! takes the checked pair loop.
+//!
 //! Implementation notes, all verified by the counter tests:
 //!
 //! * Fig. 2 prints the outer loop bound as `i < 2ⁿ − 1`, which would
@@ -296,6 +309,9 @@ struct Tally {
     hits: u64,
     /// Pacing state for [`CancellationToken::poll`].
     pace: u32,
+    /// The largest cost registered in the table so far (scans cost 0),
+    /// which bounds every price [`priced_pairs`] can form.
+    max_cost: f64,
 }
 
 /// A [`Variant`] as a type, so the inner loop is compiled once per
@@ -363,10 +379,118 @@ fn best_split<R: Rule, const SYMMETRIC: bool>(
     t: &mut Tally,
 ) -> Result<Option<(PlanStats, u64)>, OptimizeError> {
     if SYMMETRIC && cx.cout {
-        complementary_pairs::<R, true, true>(cx, spans, table, s, t)
+        if R::VARIANT == Variant::Filtered && !spans.provenance() {
+            priced_pairs(cx, spans, table, s, t)
+        } else {
+            complementary_pairs::<R, true, true>(cx, spans, table, s, t)
+        }
     } else {
         complementary_pairs::<R, SYMMETRIC, false>(cx, spans, table, s, t)
     }
+}
+
+/// [`best_split`]'s filtered, symmetric `C_out` walk when no
+/// provenance is wanted: DPconv's min-plus step
+/// `dp(S) = |S| + min(dp(A) + dp(S ∖ A))`, where an absent set costs
+/// `+∞` in the table, so a pair's validity is part of its price and
+/// the walk tests no presence. Per pair it prices, keeps the first
+/// cheapest `A` by strict `<` and counts the pairs priced at `+∞`;
+/// everything else is per set:
+///
+/// * `|S|` is folded before the walk (`S` is connected, so it has a
+///   valid split);
+/// * the overflow check is one bound: every registered cost is at most
+///   [`Tally::max_cost`] `M`, and rounding is monotone, so when
+///   `(M + M) + |S|` is finite no valid pair overflows and a price is
+///   `+∞` exactly when a side is absent. Otherwise the set takes the
+///   checked [`complementary_pairs`] loop;
+/// * `#ccp` and the table probes and hits come from the count of
+///   invalid pairs: every valid pair found both sides, and an invalid
+///   one (when observing) the sides it did find. The closed forms are
+///   what the ordered walk adds, pair by pair.
+fn priced_pairs(
+    cx: &Context<'_>,
+    spans: &Spans<'_>,
+    table: &DenseDpTable,
+    s: RelSet,
+    t: &mut Tally,
+) -> Result<Option<(PlanStats, u64)>, OptimizeError> {
+    let set = s.bits();
+    let rest = set & !(1u64 << (63 - set.leading_zeros()));
+    let below = table.contains(rest).then(|| table.stats(rest).cardinality);
+    let card = cardinality(cx.est, s, below)?;
+    if !cout_cost(t.max_cost, t.max_cost, card).is_finite() {
+        return complementary_pairs::<Filtered, true, true>(cx, spans, table, s, t);
+    }
+    let pairs = (1u64 << rest.count_ones()) - 1;
+    t.counters.inner += 2 * pairs;
+    let walk = if spans.on() {
+        walk_prices::<true>
+    } else {
+        walk_prices::<false>
+    };
+    let (best_cost, best_s1, invalid, seen_invalid) =
+        walk(cx.ctl, &mut t.pace, table.costs(), set, rest, pairs, card)?;
+    let valid = pairs - invalid;
+    t.counters.csg_cmp_pairs += 2 * valid;
+    if spans.on() {
+        // A valid pair's two ordered splits find both operands, probe
+        // the union twice and find it from the second probe on (the
+        // first probe of the first valid split misses); an invalid
+        // pair's two splits probe once each and find what is present.
+        let seen = 2 * valid + seen_invalid;
+        t.probes += 2 * pairs + seen + 2 * valid;
+        t.hits += seen + 4 * valid - u64::from(valid != 0);
+    }
+    Ok((best_s1 != 0).then_some((
+        PlanStats {
+            cardinality: card,
+            cost: best_cost,
+        },
+        best_s1,
+    )))
+}
+
+/// [`priced_pairs`]'s walk over the `pairs` complementary pairs
+/// `(A, set ∖ A)`, `A` ranging over the non-empty subsets of `rest`, in
+/// counted blocks with one poll before each: the cheapest price and
+/// its `A`, the pairs priced at `+∞` and, when `OBSERVE`, the operands
+/// those pairs found present.
+fn walk_prices<const OBSERVE: bool>(
+    ctl: &CancellationToken,
+    pace: &mut u32,
+    costs: &[f64],
+    set: u64,
+    rest: u64,
+    pairs: u64,
+    card: f64,
+) -> Result<(f64, u64, u64, u64), OptimizeError> {
+    let mut best_cost = f64::INFINITY;
+    let mut best_s1 = 0u64;
+    let mut invalid = 0u64;
+    let mut seen = 0u64;
+    let mut a = 0u64;
+    let mut left = pairs;
+    while left != 0 {
+        let block = left.min(u64::from(POLL_PERIOD));
+        left -= block;
+        ctl.poll(pace, block as u32)?;
+        for _ in 0..block {
+            a = a.wrapping_sub(rest) & rest;
+            let (ca, cb) = (costs[a as usize], costs[(set ^ a) as usize]);
+            let cost = cout_cost(ca, cb, card);
+            if cost < best_cost {
+                (best_cost, best_s1) = (cost, a);
+            }
+            if cost == f64::INFINITY {
+                invalid += 1;
+                if OBSERVE {
+                    seen += u64::from(ca < f64::INFINITY) + u64::from(cb < f64::INFINITY);
+                }
+            }
+        }
+    }
+    Ok((best_cost, best_s1, invalid, seen))
 }
 
 /// [`best_split`]'s loop, with inline `C_out` pricing fixed by `COUT`
@@ -602,6 +726,7 @@ fn run(
             };
             let plan = arena.add_join(table.plan(s1), table.plan(bits & !s1), stats);
             table.insert(bits, plan, stats);
+            t.max_cost = t.max_cost.max(stats.cost);
             table_entries += 1;
             spans.level(k, 1);
         }
@@ -909,10 +1034,99 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn complementary_pairs_reproduce_the_ordered_split_loop() {
-        use joinopt_cost::{HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin};
+    /// Each set's winner and candidate count, by set.
+    type Decisions = Vec<(u64, Option<joinopt_telemetry::SplitChoice>, u64)>;
+
+    /// Runs `split` for `variant` and `model` on `w` with an enabled
+    /// metrics observer, with provenance recorded or not: the result,
+    /// the table probes and hits, and each set's winner and candidate
+    /// count (empty without provenance).
+    fn observed_run(
+        w: &workload::Workload,
+        model: &dyn CostModel,
+        variant: Variant,
+        split: SplitFn,
+        provenance: bool,
+        session: &mut Session,
+    ) -> Result<(DpResult, u64, u64, Decisions), OptimizeError> {
         use joinopt_telemetry::{Fanout, MetricsCollector, ProvenanceCollector};
+
+        let metrics = MetricsCollector::new();
+        let prov = ProvenanceCollector::new();
+        let observers: Vec<&dyn Observer> = if provenance {
+            vec![&metrics, &prov]
+        } else {
+            vec![&metrics]
+        };
+        let fanout = Fanout::new(observers);
+        let ctl = CancellationToken::unlimited();
+        let r = run(
+            &w.graph, &w.catalog, model, variant, split, &fanout, &ctl, session,
+        )?;
+        let decisions = prov
+            .records()
+            .into_iter()
+            .map(|(set, rec)| (set, rec.winner, rec.candidates))
+            .collect();
+        let report = metrics.report();
+        Ok((r, report.table_probes, report.table_hits, decisions))
+    }
+
+    /// Asserts that the production inner loop for `variant` and `model`
+    /// reproduces `reference` on `w`, with or without provenance. When
+    /// `answers`, both runs must answer with the same cost bits, tree,
+    /// counters, table size, probes and hits, and with provenance each
+    /// set's winner and candidate count; otherwise both must fail with
+    /// the same error.
+    fn assert_reproduces(
+        w: &workload::Workload,
+        model: &dyn CostModel,
+        variant: Variant,
+        reference: SplitFn,
+        provenance: bool,
+        answers: bool,
+        ctx: &str,
+    ) {
+        let split = split_fn(variant, model.is_symmetric());
+        let want = observed_run(
+            w,
+            model,
+            variant,
+            reference,
+            provenance,
+            &mut Session::new(),
+        );
+        let got = observed_run(w, model, variant, split, provenance, &mut Session::new());
+        if !answers {
+            let want = want.expect_err(&format!("{ctx}: the reference loop answered"));
+            return assert_eq!(got.err(), Some(want), "{ctx}");
+        }
+        let (want, want_probes, want_hits, want_decisions) =
+            want.unwrap_or_else(|e| panic!("{ctx}: the reference loop failed: {e}"));
+        let (got, probes, hits, decisions) = got.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{ctx}");
+        assert_eq!(got.tree, want.tree, "{ctx}");
+        assert_eq!(got.counters, want.counters, "{ctx}");
+        assert_eq!(got.table_size, want.table_size, "{ctx}");
+        assert_eq!(probes, want_probes, "{ctx}");
+        assert_eq!(hits, want_hits, "{ctx}");
+        // Per set: the same winning split and the same number of
+        // candidates.
+        assert_eq!(decisions, want_decisions, "{ctx}");
+    }
+
+    /// The three variants with their ordered reference loops.
+    const RULES: [(Variant, SplitFn); 3] = [
+        (Variant::Filtered, ordered_split::<Filtered>),
+        (Variant::Unfiltered, ordered_split::<Unfiltered>),
+        (Variant::CrossProducts, ordered_split::<CrossProducts>),
+    ];
+
+    /// Runs [`assert_reproduces`] on random graphs from sparse trees
+    /// through near-cliques (n = 3–10), for every variant under every
+    /// cost model.
+    fn assert_reproduces_on_random_graphs(provenance: bool) {
+        use joinopt_cost::{HashJoin, MinOverPhysical, NestedLoopJoin, SortMergeJoin};
 
         let models: [&dyn CostModel; 5] = [
             &Cout,
@@ -921,57 +1135,85 @@ mod tests {
             &SortMergeJoin,
             &MinOverPhysical,
         ];
-        let rules: [(Variant, SplitFn); 3] = [
-            (Variant::Filtered, ordered_split::<Filtered>),
-            (Variant::Unfiltered, ordered_split::<Unfiltered>),
-            (Variant::CrossProducts, ordered_split::<CrossProducts>),
-        ];
-        let ctl = CancellationToken::unlimited();
         for n in 3..=10 {
-            // Sparse trees through near-cliques.
             for density in [0.0, 0.3, 0.6, 0.95] {
                 let seed = n as u64;
                 let w = workload::random_workload(n, density, seed);
-                for (variant, reference) in rules {
+                for (variant, reference) in RULES {
                     for model in models {
                         let ctx =
                             format!("n={n} p={density} seed={seed} {variant:?} {}", model.name());
-                        let observe = |split: SplitFn| {
-                            let metrics = MetricsCollector::new();
-                            let prov = ProvenanceCollector::new();
-                            let fanout = Fanout::new(vec![&metrics as &dyn Observer, &prov]);
-                            let r = run(
-                                &w.graph,
-                                &w.catalog,
-                                model,
-                                variant,
-                                split,
-                                &fanout,
-                                &ctl,
-                                &mut Session::new(),
-                            )
-                            .unwrap();
-                            let decisions: Vec<_> = prov
-                                .records()
-                                .into_iter()
-                                .map(|(set, rec)| (set, rec.winner, rec.candidates))
-                                .collect();
-                            (r, metrics.report(), decisions)
-                        };
-                        let (want, want_report, want_decisions) = observe(reference);
-                        let (got, got_report, got_decisions) =
-                            observe(split_fn(variant, model.is_symmetric()));
-                        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{ctx}");
-                        assert_eq!(got.tree, want.tree, "{ctx}");
-                        assert_eq!(got.counters, want.counters, "{ctx}");
-                        assert_eq!(got.table_size, want.table_size, "{ctx}");
-                        assert_eq!(got_report.table_probes, want_report.table_probes, "{ctx}");
-                        assert_eq!(got_report.table_hits, want_report.table_hits, "{ctx}");
-                        // Per set: the same winning split and the same
-                        // number of candidates.
-                        assert_eq!(got_decisions, want_decisions, "{ctx}");
+                        assert_reproduces(&w, model, variant, reference, provenance, true, &ctx);
                     }
                 }
+            }
+        }
+    }
+
+    /// An `n`-chain whose first pair `{0, 1}` costs `1e308` (two
+    /// relations of `1e154` rows joined with selectivity 1), so every
+    /// set registered after it has an overflowing `(M + M) + |S|`
+    /// bound. `sel_12` is the selectivity of the edge `(1, 2)`.
+    fn chain_with_a_costly_pair(n: usize, sel_12: f64) -> workload::Workload {
+        let graph = QueryGraph::from_edges(n, (1..n).map(|i| (i - 1, i))).unwrap();
+        let mut catalog = Catalog::new(&graph);
+        for i in 0..n {
+            let card = match i {
+                0 | 1 => 1e154,
+                2 => 1.0,
+                _ => 10.0,
+            };
+            catalog.set_cardinality(i, card).unwrap();
+        }
+        for i in 1..n {
+            let sel = match i {
+                1 => 1.0,
+                2 => sel_12,
+                _ => 0.5,
+            };
+            let e = graph.edge_between(i - 1, i).unwrap();
+            catalog.set_selectivity(e, sel).unwrap();
+        }
+        workload::Workload { graph, catalog }
+    }
+
+    #[test]
+    fn complementary_pairs_reproduce_the_ordered_split_loop() {
+        assert_reproduces_on_random_graphs(true);
+    }
+
+    #[test]
+    fn price_walk_reproduces_the_ordered_split_loop() {
+        // Without provenance a filtered `C_out` run takes the price walk
+        // (`priced_pairs`); every other run takes the pair loop, as
+        // with provenance.
+        assert_reproduces_on_random_graphs(false);
+
+        // The per-set overflow bound of the provenance-free `C_out`
+        // walk. `{0, 1}` costs 1e308, so every later set's bound
+        // `(M + M) + |S|` overflows and the set takes the checked loop.
+        // With `sel(1, 2) = 1e-300` no price does: the run answers, the
+        // same as the ordered loop. With 1, `({0, 1}, {2})` costs
+        // `1e308 + 1e308`: the run fails the same way.
+        for (sel_12, answers) in [(1e-300, true), (1.0, false)] {
+            let w = chain_with_a_costly_pair(6, sel_12);
+            let ctx = format!("costly pair, sel(1, 2) = {sel_12:e}");
+            for (variant, reference) in RULES {
+                // Cross products put `{0, 1}` beside a 10-row relation:
+                // a `1e309`-row set, which fails in either loop.
+                let answers = answers && variant != Variant::CrossProducts;
+                assert_reproduces(&w, &Cout, variant, reference, false, answers, &ctx);
+            }
+            if answers {
+                let mut session = Session::new();
+                let split = split_fn(Variant::Filtered, true);
+                observed_run(&w, &Cout, Variant::Filtered, split, false, &mut session).unwrap();
+                let max = (0..1u64 << 6)
+                    .filter(|&bits| session.table.contains(bits))
+                    .map(|bits| session.table.stats(bits).cost)
+                    .fold(0.0, f64::max);
+                assert_eq!(max, 1e308, "{ctx}");
+                assert!(cout_cost(max, max, 1.0).is_infinite(), "{ctx}");
             }
         }
     }
@@ -1098,6 +1340,47 @@ mod tests {
             (1..=2 * u64::from(POLL_PERIOD)).contains(&splits),
             "{splits} splits after the raise"
         );
+    }
+
+    #[test]
+    fn a_raised_flag_stops_the_price_walk() {
+        // `cancel_flag_stops_the_inner_loop` raises the flag from a
+        // provenance observer, so its run takes the pair loop; this
+        // test covers the provenance-free `C_out` walk every served
+        // DPsub run takes. It walks the full set of a finished
+        // 12-clique run: 2¹¹ − 1 = 2,047 pairs, which no level check
+        // follows, so only the walk's own polls can stop it.
+        let w = workload::family_workload(GraphKind::Clique, 12, 0);
+        let mut session = Session::new();
+        let done = run_in(&w, &mut session, &CancellationToken::unlimited()).unwrap();
+        let costs = session.table.costs();
+        let set = w.graph.all_relations().bits();
+        let rest = set & !(1 << 11);
+        let card = session.table.stats(set).cardinality;
+        let free = CancellationToken::unlimited();
+        let (cost, _, invalid, _) =
+            walk_prices::<false>(&free, &mut 0, costs, set, rest, 2047, card).unwrap();
+        assert_eq!((cost.to_bits(), invalid), (done.cost.to_bits(), 0));
+
+        let flag = crate::CancelFlag::new();
+        flag.cancel();
+        let raised = CancellationToken::new(Some(flag), None, None);
+        // A full block of `POLL_PERIOD` pairs runs the full check
+        // before it, so the walk stops before its first pair.
+        for walk in [walk_prices::<false>, walk_prices::<true>] {
+            let run = walk(&raised, &mut 0, costs, set, rest, 2047, card);
+            assert_eq!(run.err(), Some(OptimizeError::Cancelled));
+        }
+        // A set of fewer pairs than a block adds them to the pace: the
+        // check waits for the pace to reach `POLL_PERIOD`, so a raised
+        // flag is seen within two blocks.
+        let (set, rest, pairs) = (0xff, 0x7f, 127);
+        let card = session.table.stats(set).cardinality;
+        let early = walk_prices::<false>(&raised, &mut 0, costs, set, rest, pairs, card);
+        assert!(early.is_ok());
+        let mut pace = POLL_PERIOD - pairs as u32;
+        let late = walk_prices::<false>(&raised, &mut pace, costs, set, rest, pairs, card);
+        assert_eq!(late.err(), Some(OptimizeError::Cancelled));
     }
 
     #[test]

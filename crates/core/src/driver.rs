@@ -88,6 +88,12 @@ impl<'a> Spans<'a> {
         self.start.is_some()
     }
 
+    /// Whether per-candidate provenance events are wanted.
+    #[inline]
+    pub fn provenance(&self) -> bool {
+        self.provenance
+    }
+
     fn elapsed_ns(&self) -> u64 {
         self.start.map_or(0, |t| {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)

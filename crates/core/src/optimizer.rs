@@ -64,23 +64,9 @@ impl Algorithm {
     ];
 
     /// Smallest query size at which `Auto` prefers [`DpConv`] over the
-    /// DPsub/DPccp pair on dense `C_out` queries.
-    ///
-    /// DPconv and DPsub meet the same unordered splits of a clique once
-    /// each, and under `C_out` both test presence with one byte load,
-    /// keep a scalar running best, price a split inline as
-    /// `(cost(A) + cost(B)) + |S|`, poll the cancellation token once
-    /// per block of splits and continue a set's cardinality fold from
-    /// the set without its highest relation. What DPsub still does on
-    /// top is read 16-byte `PlanStats` where DPconv reads an 8-byte
-    /// cost, and store an arena node per set where DPconv builds the
-    /// tree once at the end. Measured on cliques under `C_out`, DPsub
-    /// is level with DPconv up to n = 8 and within 1.1× of it at
-    /// n = 10, and DPconv leads by 1.3× at n = 12 and 1.4× at n = 14.
-    /// So below this floor `Auto` keeps the longest-validated DPsub,
-    /// and from 12 relations the gap, which grows with `3ⁿ`, pays for
-    /// the engine switch (see `docs/ALGORITHMS.md` §7 for the measured
-    /// data).
+    /// DPsub/DPccp pair on dense `C_out` queries. The value is not
+    /// derived from the current engines' timings
+    /// (`docs/ALGORITHMS.md` §7); ROADMAP item 3 re-derives the choice.
     pub const DPCONV_MIN_RELATIONS: usize = 12;
 
     /// Resolves `Auto` for a given graph — the same answer on every

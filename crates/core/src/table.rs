@@ -7,7 +7,10 @@
 //! far and its statistics. DPsub instead indexes a dense array by the
 //! subset integer ([`DenseDpTable`]), and the other exact engines run on
 //! that dense array too for queries of up to
-//! [`DenseDpTable::MAX_DRIVER_RELATIONS`] relations.
+//! [`DenseDpTable::MAX_DRIVER_RELATIONS`] relations. The dense table
+//! keeps costs, cardinalities and plan ids in three columns and prices
+//! a set with no plan at `+∞`, so its cost column is also its presence
+//! test.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -183,17 +186,22 @@ impl PlanTable for DpTable {
 /// loop a handful of instructions on dense search spaces — no hashing,
 /// no probing.
 ///
-/// The slots are split into one presence byte per set (like DPconv's
-/// connectivity array: a membership test is one load and no shift or
-/// mask), the statistics the inner loop reads, and the plan ids only
-/// materialization touches. The table lives in a
-/// [`Session`](crate::Session) and is reset, never shrunk, between runs,
-/// so repeated queries reuse its `Θ(2ⁿ)` allocation.
+/// The slots are split into three columns: the costs, the
+/// cardinalities and the plan ids only materialization touches. A set
+/// with no plan costs `+∞`, so the cost column is also the presence
+/// test (`contains` is `cost < ∞`). That is sound because every
+/// registered cost is finite (scans cost 0, and every engine refuses a
+/// join price that is not finite), and under `C_out` it is the
+/// recurrence `dp(S) = |S| + min(dp(T) + dp(S ∖ T))` with `dp = ∞` for
+/// a set that is not connected, so a split's price carries its
+/// validity. The table lives in a [`Session`](crate::Session) and is
+/// reset, never shrunk, between runs, so repeated queries reuse its
+/// `Θ(2ⁿ)` allocation.
 #[derive(Debug, Default)]
 pub struct DenseDpTable {
-    stats: Vec<PlanStats>,
+    costs: Vec<f64>,
+    cards: Vec<f64>,
     plans: Vec<PlanId>,
-    present: Vec<bool>,
 }
 
 impl DenseDpTable {
@@ -210,39 +218,49 @@ impl DenseDpTable {
     /// (EXPERIMENTS.md, "Exact engines on the serve path").
     pub const MAX_DRIVER_RELATIONS: usize = 16;
 
-    /// Bytes the slots and presence bytes for `n` relations occupy —
-    /// what one run on the table is charged, whatever capacity earlier
-    /// runs left behind.
+    /// Bytes the three columns for `n` relations occupy — what one run
+    /// on the table is charged, whatever capacity earlier runs left
+    /// behind.
     pub(crate) fn bytes_for(n: usize) -> usize {
-        (1usize << n)
-            * (std::mem::size_of::<PlanStats>()
-                + std::mem::size_of::<PlanId>()
-                + std::mem::size_of::<bool>())
+        (1usize << n) * (2 * std::mem::size_of::<f64>() + std::mem::size_of::<PlanId>())
     }
 
     /// Readies the table for subsets of `n ≤` [`Self::MAX_RELATIONS`]
-    /// relations: grows the slots if needed and clears presence.
+    /// relations: grows the columns if needed and prices every slot it
+    /// covers at `+∞`.
     pub(crate) fn reset(&mut self, n: usize) {
         debug_assert!(n <= Self::MAX_RELATIONS);
         let size = 1usize << n;
-        if self.stats.len() < size {
-            self.stats.resize(size, PlanStats::base(0.0));
+        if self.costs.len() < size {
+            self.costs.resize(size, f64::INFINITY);
+            self.cards.resize(size, 0.0);
             self.plans.resize(size, PlanId::SENTINEL);
-            self.present.resize(size, false);
         }
-        self.present[..size].fill(false);
+        self.costs[..size].fill(f64::INFINITY);
     }
 
     /// `true` iff a plan for the set `bits` is registered.
     #[inline]
     pub(crate) fn contains(&self, bits: u64) -> bool {
-        self.present[bits as usize]
+        self.costs[bits as usize] < f64::INFINITY
+    }
+
+    /// The cost column, indexed by set: a registered plan's cost, `+∞`
+    /// for a set with none. Only the slots the last reset covered are
+    /// meaningful.
+    #[inline]
+    pub(crate) fn costs(&self) -> &[f64] {
+        &self.costs
     }
 
     /// Statistics of the registered plan for `bits`.
     #[inline]
     pub(crate) fn stats(&self, bits: u64) -> PlanStats {
-        self.stats[bits as usize]
+        let idx = bits as usize;
+        PlanStats {
+            cardinality: self.cards[idx],
+            cost: self.costs[idx],
+        }
     }
 
     /// Arena id of the registered plan for `bits`.
@@ -251,20 +269,21 @@ impl DenseDpTable {
         self.plans[bits as usize]
     }
 
-    /// Registers `plan` with `stats` as the plan for `bits`.
+    /// Registers `plan` with `stats` as the plan for `bits`. The cost
+    /// must be finite: `+∞` marks an absent set.
     #[inline]
     pub(crate) fn insert(&mut self, bits: u64, plan: PlanId, stats: PlanStats) {
+        debug_assert!(stats.cost.is_finite());
         let idx = bits as usize;
-        self.stats[idx] = stats;
+        self.costs[idx] = stats.cost;
+        self.cards[idx] = stats.cardinality;
         self.plans[idx] = plan;
-        self.present[idx] = true;
     }
 
     /// Bytes of allocated storage (capacity, not occupancy).
     pub fn bytes(&self) -> usize {
-        self.stats.capacity() * std::mem::size_of::<PlanStats>()
+        (self.costs.capacity() + self.cards.capacity()) * std::mem::size_of::<f64>()
             + self.plans.capacity() * std::mem::size_of::<PlanId>()
-            + self.present.capacity() * std::mem::size_of::<bool>()
     }
 }
 
@@ -418,6 +437,25 @@ mod tests {
             d.reset(n);
             assert!((0..1u64 << n).all(|bits| !d.contains(bits)), "n={n}");
         }
+    }
+
+    #[test]
+    fn an_absent_set_costs_infinity() {
+        let mut d = DenseDpTable::default();
+        d.reset(4);
+        assert!(d.costs()[..16].iter().all(|&c| c == f64::INFINITY));
+        let plan = entry(0.0).plan;
+        let stats = PlanStats {
+            cardinality: 5.0,
+            cost: 2.0,
+        };
+        d.insert(0b0011, plan, stats);
+        assert!(d.contains(0b0011) && !d.contains(0b0101));
+        assert_eq!(d.stats(0b0011), stats);
+        assert_eq!(d.plan(0b0011), plan);
+        // A split with an absent side prices at `+∞` under `C_out`.
+        let (a, b) = (d.costs()[0b0011], d.costs()[0b0101]);
+        assert_eq!(crate::kernel::cout_cost(a, b, 1.0), f64::INFINITY);
     }
 
     #[test]
