@@ -142,12 +142,11 @@ USAGE:
   joinopt top      [--addr HOST:PORT] [--interval-ms N] [--once]
   joinopt help
 
-ALGORITHMS:  auto (default), dpsize, dpsize-naive, dpsub, dpsub-nofilter,
-             dpsub-cp, dpccp, dpconv, topdown, dpsize-leftdeep, goo
+ALGORITHMS:  auto (default), dpsize, dpsub, dpccp, dpconv, goo
              (dpconv is exact for the cout model only and refuses
-             other models with a typed error; dpsize-leftdeep and goo
-             are baselines that need not reach the bushy optimum; IDP
-             runs only as the --degrade ladder's middle rung)
+             other models with a typed error; goo is a heuristic that
+             need not reach the bushy optimum; IDP runs only as the
+             --degrade ladder's middle rung)
 COST MODELS: cout (default), nlj, hash, smj, min
 FAMILIES:    chain, cycle, star, clique
 PARALLELISM: every query runs on one thread. --batch optimizes many
@@ -795,8 +794,8 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "--format dot renders one plan; it does not combine with --compare".into(),
             ));
         }
-        let ea = Explanation::capture(graph, &q.catalog, model.as_ref(), a)?;
-        let eb = Explanation::capture(graph, &q.catalog, model.as_ref(), b)?;
+        let ea = Explanation::capture(graph, &q.catalog, model.as_ref(), a.orderer(graph))?;
+        let eb = Explanation::capture(graph, &q.catalog, model.as_ref(), b.orderer(graph))?;
         let diff = compare(&ea, &eb);
         match format {
             "json" => writeln!(out, "{}", diff.to_json(&name_of))?,
@@ -805,7 +804,7 @@ fn cmd_explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let e = Explanation::capture(graph, &q.catalog, model.as_ref(), algorithm)?;
+    let e = Explanation::capture(graph, &q.catalog, model.as_ref(), algorithm.orderer(graph))?;
     match format {
         "json" => writeln!(out, "{}", e.to_json(&name_of))?,
         "dot" => write!(out, "{}", e.render_dot(&name_of))?,

@@ -166,7 +166,15 @@ fn optimize_with_explicit_algorithm_and_model() {
 #[test]
 fn optimize_rejects_unknowns() {
     let path = write_query_file(CHAIN_QUERY);
-    for algorithm in ["magic", "idp"] {
+    for algorithm in [
+        "magic",
+        "idp",
+        "dpsize-naive",
+        "dpsub-nofilter",
+        "dpsub-cp",
+        "topdown",
+        "dpsize-leftdeep",
+    ] {
         assert!(matches!(
             run_err(&["optimize", path.to_str().unwrap(), "--algorithm", algorithm]),
             CliError::Usage(m) if m.contains("unknown algorithm")

@@ -10,7 +10,7 @@
 //! with its root-cause attribution already printed.
 
 use joinopt_core::explain::{compare, Explanation};
-use joinopt_core::Algorithm;
+use joinopt_core::DpCcp;
 use joinopt_cost::Cout;
 
 use crate::fuzz::Failure;
@@ -44,12 +44,11 @@ fn explain_vs_reference(inst: &Instance, detail: &str) -> Option<String> {
         .strip_prefix(": ")?;
     let word = rest.split(' ').next()?;
     let (alg, label) = EXACT.into_iter().find(|&(_, label)| label == word)?;
-    if alg == Algorithm::DpCcp {
+    if label == "DPccp" {
         return None;
     }
     let suspect = Explanation::capture(&inst.graph, &inst.catalog, &Cout, alg).ok()?;
-    let reference =
-        Explanation::capture(&inst.graph, &inst.catalog, &Cout, Algorithm::DpCcp).ok()?;
+    let reference = Explanation::capture(&inst.graph, &inst.catalog, &Cout, &DpCcp).ok()?;
     let diff = compare(&suspect, &reference);
     if diff.same_plan && diff.divergences.is_empty() {
         return None;

@@ -33,7 +33,8 @@ use joinopt_core::formulas::{
 };
 use joinopt_core::greedy::Goo;
 use joinopt_core::{
-    exhaustive, Algorithm, DpHyp, DpResult, DpSizeLeftDeep, Idp, JoinOrderer, OptimizeError,
+    exhaustive, DpCcp, DpConv, DpHyp, DpResult, DpSize, DpSizeLeftDeep, DpSizeNaive, DpSub,
+    DpSubCrossProducts, DpSubUnfiltered, Idp, JoinOrderer, OptimizeError, TopDown,
 };
 use joinopt_cost::{CardinalityEstimator, CostModel, Cout, HashJoin, PlanStats};
 use joinopt_plan::JoinTree;
@@ -100,14 +101,14 @@ fn shape(t: &JoinTree) -> String {
 
 /// The exact cross-product-free algorithms the oracle differentials,
 /// with their report names.
-pub(crate) const EXACT: [(Algorithm, &str); 7] = [
-    (Algorithm::DpSize, "DPsize"),
-    (Algorithm::DpSizeNaive, "DPsize-naive"),
-    (Algorithm::DpSub, "DPsub"),
-    (Algorithm::DpSubUnfiltered, "DPsub-nofilter"),
-    (Algorithm::DpCcp, "DPccp"),
-    (Algorithm::DpConv, "DPconv"),
-    (Algorithm::TopDown, "top-down"),
+pub(crate) const EXACT: [(&dyn JoinOrderer, &str); 7] = [
+    (&DpSize, "DPsize"),
+    (&DpSizeNaive, "DPsize-naive"),
+    (&DpSub, "DPsub"),
+    (&DpSubUnfiltered, "DPsub-nofilter"),
+    (&DpCcp, "DPccp"),
+    (&DpConv, "DPconv"),
+    (&TopDown { pruning: true }, "top-down"),
 ];
 
 /// The heuristics: valid plans that re-cost exactly, never below the
@@ -175,8 +176,7 @@ pub fn check_instance_observed(
 
     // 1. Every exact algorithm finds the same optimal cost bits and
     //    returns a valid, cross-product-free plan of that cost.
-    let reference = Algorithm::DpCcp
-        .orderer(g)
+    let reference = DpCcp
         .optimize_observed(g, &inst.catalog, &Cout, obs)
         .map_err(|e| {
             diverge(
@@ -188,10 +188,10 @@ pub fn check_instance_observed(
     let optimum = ("DPccp", reference.cost);
     let mut results: Vec<(&str, DpResult)> = Vec::new();
     for (alg, label) in EXACT {
-        let r = if alg == Algorithm::DpCcp {
+        let r = if label == "DPccp" {
             reference.clone()
         } else {
-            let r = run(alg.orderer(g), label, &Cout)?;
+            let r = run(alg, label, &Cout)?;
             validate(inst, &est, &Cout, &r, label, true)?;
             same_cost("optimal-cost", inst, (label, r.cost), optimum)?;
             r
@@ -201,7 +201,7 @@ pub fn check_instance_observed(
 
     // 2. The cross-product variant may only improve on the constrained
     //    optimum, and its plan must still cover every relation.
-    let cp = run(Algorithm::DpSubCrossProducts.orderer(g), "DPsub-cp", &Cout)?;
+    let cp = run(&DpSubCrossProducts, "DPsub-cp", &Cout)?;
     validate(inst, &est, &Cout, &cp, "DPsub-cp", false)?;
     if cp.cost > reference.cost {
         return Err(diverge(
@@ -271,13 +271,13 @@ pub fn check_instance_observed(
 
     // 6. Under the asymmetric hash-join model orientation matters; every
     //    exact engine that accepts the model still agrees bit for bit.
-    let hash_reference = run(Algorithm::DpCcp.orderer(g), "DPccp", &HashJoin)?;
+    let hash_reference = run(&DpCcp, "DPccp", &HashJoin)?;
     validate(inst, &est, &HashJoin, &hash_reference, "DPccp", true)?;
     for (alg, label) in EXACT {
-        if alg == Algorithm::DpCcp || alg == Algorithm::DpConv {
+        if label == "DPccp" || label == "DPconv" {
             continue;
         }
-        let r = run(alg.orderer(g), label, &HashJoin)?;
+        let r = run(alg, label, &HashJoin)?;
         validate(inst, &est, &HashJoin, &r, label, true)?;
         same_cost(
             "asymmetric-cost",
@@ -296,15 +296,12 @@ fn check_singleton(inst: &Instance) -> Result<(), Divergence> {
     let g = &inst.graph;
     let card = inst.catalog.cardinality(0);
     for (alg, label) in EXACT {
-        let r = alg
-            .orderer(g)
-            .optimize(g, &inst.catalog, &Cout)
-            .map_err(|e| {
-                diverge(
-                    "singleton",
-                    format!("{}: {label} failed on a single relation: {e}", inst.name),
-                )
-            })?;
+        let r = alg.optimize(g, &inst.catalog, &Cout).map_err(|e| {
+            diverge(
+                "singleton",
+                format!("{}: {label} failed on a single relation: {e}", inst.name),
+            )
+        })?;
         let ok = matches!(
             r.tree,
             JoinTree::Scan { relation: 0, cardinality } if cardinality.to_bits() == card.to_bits()
@@ -330,7 +327,7 @@ fn check_singleton(inst: &Instance) -> Result<(), Divergence> {
 fn check_disconnected(inst: &Instance) -> Result<(), Divergence> {
     let g = &inst.graph;
     for (alg, label) in EXACT {
-        match alg.orderer(g).optimize(g, &inst.catalog, &Cout) {
+        match alg.optimize(g, &inst.catalog, &Cout) {
             Err(OptimizeError::NoPlanWithoutCrossProducts | OptimizeError::Graph(_)) => {}
             Err(e) => {
                 return Err(diverge(
@@ -353,8 +350,7 @@ fn check_disconnected(inst: &Instance) -> Result<(), Divergence> {
             }
         }
     }
-    let cp = Algorithm::DpSubCrossProducts
-        .orderer(g)
+    let cp = DpSubCrossProducts
         .optimize(g, &inst.catalog, &Cout)
         .map_err(|e| {
             diverge(
@@ -655,8 +651,7 @@ mod tests {
         // of divergence the plan-validity check exists for; simulate it
         // by validating a plan against a different catalog.
         let inst = generator::tie_rich_chain(4);
-        let r = Algorithm::DpCcp
-            .orderer(&inst.graph)
+        let r = DpCcp
             .optimize(&inst.graph, &inst.catalog, &Cout)
             .expect("chain-4 optimizes");
         let mut other = inst.clone();

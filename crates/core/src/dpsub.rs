@@ -935,25 +935,41 @@ mod tests {
     fn plans_built_equals_table_size_for_every_variant() {
         use crate::request::OptimizeRequest;
         let w = workload::family_workload(GraphKind::Cycle, 8, 5);
-        let orderers: [(&dyn JoinOrderer, Algorithm); 3] = [
-            (&DpSub, Algorithm::DpSub),
-            (&DpSubUnfiltered, Algorithm::DpSubUnfiltered),
-            (&DpSubCrossProducts, Algorithm::DpSubCrossProducts),
-        ];
-        for (orderer, alg) in orderers {
+        let orderers: [&dyn JoinOrderer; 3] = [&DpSub, &DpSubUnfiltered, &DpSubCrossProducts];
+        // One session for every run: a pooled table left by the previous
+        // variant must not change the next one's run.
+        let mut session = Session::new();
+        for orderer in orderers {
+            let name = orderer.name();
             let direct = orderer.optimize(&w.graph, &w.catalog, &Cout).unwrap();
-            assert_eq!(direct.plans_built, direct.table_size, "{alg:?} direct");
-            let requested = OptimizeRequest::new(&w.graph, &w.catalog)
-                .with_algorithm(alg)
-                .run()
-                .unwrap()
-                .into_result();
-            assert_eq!(requested.plans_built, requested.table_size, "{alg:?}");
+            assert_eq!(direct.plans_built, direct.table_size, "{name} direct");
+            let pooled = orderer
+                .optimize_in(
+                    &w.graph,
+                    &w.catalog,
+                    &Cout,
+                    &NoopObserver,
+                    &CancellationToken::unlimited(),
+                    &mut session,
+                )
+                .unwrap();
+            assert_eq!(pooled.plans_built, pooled.table_size, "{name}");
             // One loop behind both entry points: identical runs.
-            assert_eq!(requested.cost.to_bits(), direct.cost.to_bits(), "{alg:?}");
-            assert_eq!(requested.tree, direct.tree, "{alg:?}");
-            assert_eq!(requested.counters, direct.counters, "{alg:?}");
+            assert_eq!(pooled.cost.to_bits(), direct.cost.to_bits(), "{name}");
+            assert_eq!(pooled.tree, direct.tree, "{name}");
+            assert_eq!(pooled.counters, direct.counters, "{name}");
         }
+        // The request layer runs the served variant through the same loop.
+        let requested = OptimizeRequest::new(&w.graph, &w.catalog)
+            .with_algorithm(Algorithm::DpSub)
+            .run_in(&mut session)
+            .unwrap()
+            .into_result();
+        let direct = DpSub.optimize(&w.graph, &w.catalog, &Cout).unwrap();
+        assert_eq!(requested.plans_built, requested.table_size);
+        assert_eq!(requested.cost.to_bits(), direct.cost.to_bits());
+        assert_eq!(requested.tree, direct.tree);
+        assert_eq!(requested.counters, direct.counters);
     }
 
     /// Fig. 2's inner loop as it ran before the complementary-pair

@@ -6,7 +6,7 @@
 //!
 //! The DP algorithms make exactly one decision per connected relation
 //! set: which split of the set to keep. [`Explanation::capture`] runs
-//! an algorithm with a [`ProvenanceCollector`] attached and packages
+//! an orderer with a [`ProvenanceCollector`] attached and packages
 //! the result together with that decision table; [`compare`] lines two
 //! explanations up and pinpoints the *first* (smallest-set) decision
 //! where they part ways — which, for equal-cost plans, is always a tie
@@ -14,13 +14,13 @@
 //!
 //! ```
 //! use joinopt_core::explain::{compare, Explanation};
-//! use joinopt_core::Algorithm;
+//! use joinopt_core::{DpCcp, DpSize};
 //! use joinopt_cost::{workload, Cout};
 //! use joinopt_qgraph::GraphKind;
 //!
 //! let w = workload::family_workload(GraphKind::Star, 5, 0);
-//! let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
-//! let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
+//! let a = Explanation::capture(&w.graph, &w.catalog, &Cout, &DpSize).unwrap();
+//! let b = Explanation::capture(&w.graph, &w.catalog, &Cout, &DpCcp).unwrap();
 //! let diff = compare(&a, &b);
 //! assert_eq!(a.result.cost.to_bits(), b.result.cost.to_bits());
 //! println!("{}", diff.render_text());
@@ -37,9 +37,7 @@ use joinopt_telemetry::json::{write_escaped, write_f64};
 use joinopt_telemetry::{DecisionRecord, ProvenanceCollector, SplitChoice};
 
 use crate::error::OptimizeError;
-use crate::optimizer::Algorithm;
-use crate::request::OptimizeRequest;
-use crate::result::DpResult;
+use crate::result::{DpResult, JoinOrderer};
 
 /// Names relations `R0`, `R1`, … — the default when the caller has no
 /// catalog of real names.
@@ -64,8 +62,9 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Runs `algorithm` through the session API ([`OptimizeRequest`])
-    /// with provenance collection attached.
+    /// Runs `orderer` with provenance collection attached. A served
+    /// algorithm, `Auto` included, passes
+    /// [`Algorithm::orderer`](crate::Algorithm::orderer).
     ///
     /// # Errors
     ///
@@ -74,19 +73,15 @@ impl Explanation {
         graph: &QueryGraph,
         catalog: &Catalog,
         model: &dyn CostModel,
-        algorithm: Algorithm,
+        orderer: &dyn JoinOrderer,
     ) -> Result<Explanation, OptimizeError> {
         let prov = ProvenanceCollector::new();
-        let outcome = OptimizeRequest::new(graph, catalog)
-            .with_algorithm(algorithm)
-            .with_cost_model(model)
-            .with_observer(&prov)
-            .run()?;
+        let result = orderer.optimize_observed(graph, catalog, model, &prov)?;
         Ok(Explanation {
-            algorithm: outcome.algorithm.orderer(graph).name(),
+            algorithm: orderer.name(),
             cost_model: model.name(),
             relations: graph.num_relations(),
-            result: outcome.result,
+            result,
             records: prov.records(),
         })
     }
@@ -537,7 +532,7 @@ mod tests {
     #[test]
     fn capture_explains_a_run_and_serializes_deterministically() {
         let w = workload::family_workload(GraphKind::Star, 6, 0);
-        let e = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
+        let e = Explanation::capture(&w.graph, &w.catalog, &Cout, &crate::DpCcp).unwrap();
         assert_eq!(e.algorithm, "DPccp");
         assert_eq!(e.relations, 6);
         assert!(!e.records.is_empty());
@@ -554,7 +549,7 @@ mod tests {
             e.records.len()
         );
         // Byte-equal on a second capture: the document is stable.
-        let again = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp).unwrap();
+        let again = Explanation::capture(&w.graph, &w.catalog, &Cout, &crate::DpCcp).unwrap();
         assert_eq!(json, again.to_json(&default_namer));
 
         let dot = e.render_dot(&default_namer);
@@ -564,8 +559,8 @@ mod tests {
     #[test]
     fn identical_runs_compare_clean() {
         let w = workload::family_workload(GraphKind::Chain, 6, 1);
-        let a = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
-        let b = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize).unwrap();
+        let a = Explanation::capture(&w.graph, &w.catalog, &Cout, &crate::DpSize).unwrap();
+        let b = Explanation::capture(&w.graph, &w.catalog, &Cout, &crate::DpSize).unwrap();
         let diff = compare(&a, &b);
         assert!(diff.same_plan);
         assert!(diff.divergences.is_empty());
@@ -587,8 +582,8 @@ mod tests {
         }
         let q = joinopt_query::parse(&src).unwrap();
         let g = q.graph().unwrap();
-        let a = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpSize).unwrap();
-        let b = Explanation::capture(g, &q.catalog, &Cout, Algorithm::DpCcp).unwrap();
+        let a = Explanation::capture(g, &q.catalog, &Cout, &crate::DpSize).unwrap();
+        let b = Explanation::capture(g, &q.catalog, &Cout, &crate::DpCcp).unwrap();
         assert_eq!(a.result.cost.to_bits(), b.result.cost.to_bits());
         let diff = compare(&a, &b);
         if let Some(d) = diff.first_divergence() {

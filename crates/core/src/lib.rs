@@ -22,9 +22,10 @@
 //! * [`formulas`] — closed forms for the counters (Sections 2.1–2.2,
 //!   with the published typos corrected) plus profile-based predictions
 //!   that work for arbitrary query graphs;
-//! * [`Algorithm`] — one table naming every engine, with an `Auto` mode
-//!   that adapts to the query graph's density (the paper's concluding
-//!   recommendation);
+//! * [`Algorithm`] — one table naming every engine the system serves,
+//!   with an `Auto` mode that adapts to the query graph's density (the
+//!   paper's concluding recommendation); the ablations are orderers
+//!   callers build directly;
 //! * [`OptimizeRequest`] — the one entry point for a query: algorithm,
 //!   cost model, time/cost/memory budgets, cooperative cancellation and
 //!   telemetry in one builder, with pooled allocations via [`Session`]

@@ -1,41 +1,34 @@
 //! The [`Algorithm`] table: names, the engine behind each algorithm,
 //! and adaptive (`Auto`) selection.
 
-use joinopt_cost::CostModel;
 use joinopt_qgraph::QueryGraph;
 
 use crate::dpccp::DpCcp;
 use crate::dpconv::DpConv;
-use crate::dpsize::{DpSize, DpSizeNaive};
-use crate::dpsub::{DpSub, DpSubCrossProducts, DpSubUnfiltered};
+use crate::dpsize::DpSize;
+use crate::dpsub::DpSub;
 use crate::greedy::Goo;
-use crate::leftdeep::DpSizeLeftDeep;
 use crate::result::JoinOrderer;
 use crate::table::DenseDpTable;
-use crate::topdown::TopDown;
 
-/// Selects which join-ordering algorithm runs.
+/// Selects which join-ordering algorithm runs: the engines the system
+/// serves. The ablations and baselines ([`DpSizeNaive`](crate::DpSizeNaive),
+/// [`DpSubUnfiltered`](crate::DpSubUnfiltered),
+/// [`DpSubCrossProducts`](crate::DpSubCrossProducts),
+/// [`TopDown`](crate::TopDown), [`DpSizeLeftDeep`](crate::DpSizeLeftDeep))
+/// are orderers that the oracle, the tests and the benchmarks build
+/// directly; no caller can name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
     /// Size-driven DP (optimized variant).
     DpSize,
-    /// Literal Fig. 1 pseudocode (ablation).
-    DpSizeNaive,
     /// Subset-driven DP with the `*` pre-check.
     DpSub,
-    /// Subset-driven DP without the pre-check (ablation).
-    DpSubUnfiltered,
-    /// Vance/Maier with cross products.
-    DpSubCrossProducts,
     /// csg-cmp-pair driven DP (the paper's new algorithm).
     DpCcp,
     /// Subset-convolution DP over the popcount-ranked lattice (DPconv);
     /// exact, but only for `C_out`-shaped cost models.
     DpConv,
-    /// Size-driven DP restricted to left-deep trees (Selinger space).
-    DpSizeLeftDeep,
-    /// Top-down memoized partitioning with branch-and-bound pruning.
-    TopDown,
     /// Greedy Operator Ordering (non-optimal baseline).
     Goo,
     /// Adapt to the query graph (see [`Algorithm::select_auto`]).
@@ -44,33 +37,23 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// The concrete (non-`Auto`) algorithms a caller can name: every
-    /// variant except `Auto`. IDP ([`Idp`](crate::Idp)) is no algorithm
-    /// a caller can name: its rounds have no work bound, and on cliques
-    /// it is slower than the fastest exact engine. It runs as the
-    /// degradation ladder's block-4 rung and in the conformance
-    /// oracle's heuristic leg.
-    pub const CONCRETE: [Algorithm; 10] = [
+    /// The concrete (non-`Auto`) algorithms a caller can name: the
+    /// paper's three DPs, DPconv and GOO, the degradation ladder's last
+    /// rung. IDP ([`Idp`](crate::Idp)) is no algorithm a caller can
+    /// name: its rounds have no work bound, and on cliques it is slower
+    /// than the fastest exact engine. It runs as the degradation
+    /// ladder's block-4 rung and in the conformance oracle's heuristic
+    /// leg.
+    pub const CONCRETE: [Algorithm; 5] = [
         Algorithm::DpSize,
-        Algorithm::DpSizeNaive,
         Algorithm::DpSub,
-        Algorithm::DpSubUnfiltered,
-        Algorithm::DpSubCrossProducts,
         Algorithm::DpCcp,
         Algorithm::DpConv,
-        Algorithm::TopDown,
-        Algorithm::DpSizeLeftDeep,
         Algorithm::Goo,
     ];
 
-    /// Smallest query size at which `Auto` prefers [`DpConv`] over the
-    /// DPsub/DPccp pair on dense `C_out` queries. The value is not
-    /// derived from the current engines' timings
-    /// (`docs/ALGORITHMS.md` §7); ROADMAP item 3 re-derives the choice.
-    pub const DPCONV_MIN_RELATIONS: usize = 12;
-
     /// Resolves `Auto` for a given graph — the same answer on every
-    /// machine.
+    /// machine and under every cost model.
     ///
     /// See [`Algorithm::select_by_density`] for the policy.
     pub fn select_auto(g: &QueryGraph) -> Algorithm {
@@ -90,6 +73,12 @@ impl Algorithm {
     /// Queries too large for DPsub's direct-addressed table
     /// (`n >` [`DenseDpTable::MAX_RELATIONS`]) always resolve to DPccp —
     /// at that size DPsub's `Θ(3ⁿ)` enumeration is hopeless.
+    ///
+    /// The rule never picks [`DpConv`]: on cliques from 8 to 20
+    /// relations, DPsub is the faster engine (`docs/ALGORITHMS.md` §7).
+    /// It is `Auto`'s one rule: the request layer, [`Algorithm::orderer`]
+    /// and the service, which counts a spec's relations and edges without
+    /// building its graph, all call it.
     pub fn select_by_density(n: usize, edges: usize) -> Algorithm {
         if (2..=DenseDpTable::MAX_RELATIONS).contains(&n) {
             let max_edges = n * (n - 1) / 2;
@@ -100,46 +89,16 @@ impl Algorithm {
         Algorithm::DpCcp
     }
 
-    /// Resolves `Auto` for a given graph *and* cost model — the
-    /// resolution the request layer uses.
-    ///
-    /// Extends [`Algorithm::select_auto`] with the one choice that
-    /// depends on the cost model: on dense graphs of
-    /// [`Algorithm::DPCONV_MIN_RELATIONS`] or more relations where the
-    /// model is `C_out`-shaped ([`CostModel::is_cout_shaped`]), the
-    /// subset-convolution engine [`DpConv`] replaces the DPsub/DPccp
-    /// pair. The guard on the model is load-bearing: DPconv refuses
-    /// non-`C_out` models with a typed error, so `Auto` must never route
-    /// a `HashJoin`-costed query to it.
-    pub fn select_auto_with_model(g: &QueryGraph, model: &dyn CostModel) -> Algorithm {
-        let picked = Algorithm::select_auto(g);
-        if picked == Algorithm::DpSub
-            && g.num_relations() >= Algorithm::DPCONV_MIN_RELATIONS
-            && model.is_cout_shaped()
-        {
-            return Algorithm::DpConv;
-        }
-        picked
-    }
-
     /// The engine behind `self` — the one table from algorithm to code:
     /// [`OptimizeRequest`](crate::OptimizeRequest) runs every algorithm
-    /// through it. `Auto` resolves by [`Algorithm::select_auto`] here;
-    /// the request layer resolves it with the cost model first.
+    /// through it. `Auto` resolves by [`Algorithm::select_auto`], as it
+    /// does everywhere.
     pub fn orderer(self, g: &QueryGraph) -> &'static dyn JoinOrderer {
         match self {
             Algorithm::DpSize => &DpSize,
-            Algorithm::DpSizeNaive => &DpSizeNaive,
             Algorithm::DpSub => &DpSub,
-            Algorithm::DpSubUnfiltered => &DpSubUnfiltered,
-            Algorithm::DpSubCrossProducts => &DpSubCrossProducts,
             Algorithm::DpCcp => &DpCcp,
             Algorithm::DpConv => &DpConv,
-            Algorithm::DpSizeLeftDeep => &DpSizeLeftDeep,
-            Algorithm::TopDown => {
-                const DEFAULT_TD: TopDown = TopDown { pruning: true };
-                &DEFAULT_TD
-            }
             Algorithm::Goo => &Goo,
             Algorithm::Auto => Algorithm::select_auto(g).orderer(g),
         }
@@ -150,14 +109,9 @@ impl Algorithm {
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::DpSize => "dpsize",
-            Algorithm::DpSizeNaive => "dpsize-naive",
             Algorithm::DpSub => "dpsub",
-            Algorithm::DpSubUnfiltered => "dpsub-nofilter",
-            Algorithm::DpSubCrossProducts => "dpsub-cp",
             Algorithm::DpCcp => "dpccp",
             Algorithm::DpConv => "dpconv",
-            Algorithm::DpSizeLeftDeep => "dpsize-leftdeep",
-            Algorithm::TopDown => "topdown",
             Algorithm::Goo => "goo",
             Algorithm::Auto => "auto",
         }
@@ -176,7 +130,7 @@ impl Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinopt_cost::{workload, Cout, HashJoin};
+    use joinopt_cost::{workload, Cout};
     use joinopt_qgraph::{generators, GraphKind};
 
     #[test]
@@ -249,40 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_dense_cout_queries_to_dpconv_but_guards_the_model() {
-        let big = generators::clique(Algorithm::DPCONV_MIN_RELATIONS).unwrap();
-        // C_out-shaped model on a crossover-sized clique: DPconv.
-        assert_eq!(
-            Algorithm::select_auto_with_model(&big, &Cout),
-            Algorithm::DpConv
-        );
-        // The model guard: DPconv would refuse HashJoin with a typed
-        // error, so Auto must fall back to DPsub on the same graph.
-        assert_eq!(
-            Algorithm::select_auto_with_model(&big, &HashJoin),
-            Algorithm::DpSub
-        );
-        // Below the measured crossover the DPsub choice stands even for
-        // C_out, and sparse graphs stay with DPccp at any size.
-        let small = generators::clique(Algorithm::DPCONV_MIN_RELATIONS - 1).unwrap();
-        assert_eq!(
-            Algorithm::select_auto_with_model(&small, &Cout),
-            Algorithm::DpSub
-        );
-        let sparse = generators::chain(Algorithm::DPCONV_MIN_RELATIONS + 2).unwrap();
-        assert_eq!(
-            Algorithm::select_auto_with_model(&sparse, &Cout),
-            Algorithm::DpCcp
-        );
-        // Past the dense-table cap nothing dense-table-backed is viable.
-        let huge = generators::clique(DenseDpTable::MAX_RELATIONS + 1).unwrap();
-        assert_eq!(
-            Algorithm::select_auto_with_model(&huge, &Cout),
-            Algorithm::DpCcp
-        );
-    }
-
-    #[test]
     fn auto_handles_tiny_graphs() {
         assert_eq!(
             Algorithm::select_auto(&generators::chain(1).unwrap()),
@@ -305,21 +225,24 @@ mod tests {
         }
         assert_eq!(Algorithm::parse("AUTO"), Some(Algorithm::Auto));
         assert_eq!(Algorithm::parse("sa"), None);
-        assert_eq!(Algorithm::parse("idp"), None);
+        for gone in [
+            "idp",
+            "dpsize-naive",
+            "dpsub-nofilter",
+            "dpsub-cp",
+            "topdown",
+            "dpsize-leftdeep",
+        ] {
+            assert_eq!(Algorithm::parse(gone), None, "{gone}");
+        }
     }
 
     #[test]
     fn all_concrete_algorithms_agree_on_optimal_cost() {
-        // Except GOO (heuristic), every algorithm is exact; cross-product
-        // DP can only be ≤.
+        // Except GOO (heuristic), every algorithm is exact.
         let w = workload::random_workload(7, 0.5, 33);
         let reference = DpCcp.optimize(&w.graph, &w.catalog, &Cout).unwrap().cost;
-        for alg in [
-            Algorithm::DpSize,
-            Algorithm::DpSizeNaive,
-            Algorithm::DpSub,
-            Algorithm::DpSubUnfiltered,
-        ] {
+        for alg in [Algorithm::DpSize, Algorithm::DpSub] {
             let r = alg
                 .orderer(&w.graph)
                 .optimize(&w.graph, &w.catalog, &Cout)
@@ -332,11 +255,6 @@ mod tests {
                 reference
             );
         }
-        let cp = Algorithm::DpSubCrossProducts
-            .orderer(&w.graph)
-            .optimize(&w.graph, &w.catalog, &Cout)
-            .unwrap();
-        assert!(cp.cost <= reference);
         let goo = Algorithm::Goo
             .orderer(&w.graph)
             .optimize(&w.graph, &w.catalog, &Cout)

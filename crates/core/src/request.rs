@@ -51,7 +51,7 @@ use crate::result::{DpResult, JoinOrderer};
 ///
 /// Defaults: [`Algorithm::Auto`], the `C_out` cost model, no budgets,
 /// no telemetry. Every run uses the calling thread only; the exact
-/// engines (DPsize and its variants, DPsub, DPccp, DPconv) run on the
+/// engines (DPsize, DPsub, DPccp, DPconv) run on the
 /// session's pooled buffers.
 #[must_use = "an OptimizeRequest does nothing until run"]
 pub struct OptimizeRequest<'a> {
@@ -184,7 +184,7 @@ impl<'a> OptimizeRequest<'a> {
     pub fn run_in(self, session: &mut Session) -> Result<OptimizeOutcome, OptimizeError> {
         let start = Instant::now();
         let algorithm = match self.algorithm {
-            Algorithm::Auto => Algorithm::select_auto_with_model(self.graph, self.model),
+            Algorithm::Auto => Algorithm::select_auto(self.graph),
             concrete => concrete,
         };
         let ctl = CancellationToken::new(self.cancel.clone(), self.time_budget, self.memory_budget);
@@ -431,24 +431,48 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolution_is_model_aware() {
-        // A crossover-sized C_out clique resolves Auto to DPconv; the
-        // same query under HashJoin must not (DPconv would refuse it).
-        let w = workload::family_workload(GraphKind::Clique, Algorithm::DPCONV_MIN_RELATIONS, 0);
-        let cout = OptimizeRequest::new(&w.graph, &w.catalog).run().unwrap();
-        assert_eq!(cout.algorithm, Algorithm::DpConv);
-        let hash = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_cost_model(&HashJoin)
-            .run()
-            .unwrap();
-        assert_ne!(hash.algorithm, Algorithm::DpConv);
-        // And the two exact engines agree with each other where both
-        // apply: the Auto hand-off cannot change the optimum.
-        let pinned = OptimizeRequest::new(&w.graph, &w.catalog)
-            .with_algorithm(Algorithm::DpCcp)
-            .run()
-            .unwrap();
-        assert_eq!(cout.result.cost.to_bits(), pinned.result.cost.to_bits());
+    fn auto_is_one_rule_and_never_picks_dpconv() {
+        // Cliques, near-cliques (one edge short) and the four families,
+        // up to DPconv's and DPsub's dense-table cap of 22 relations and
+        // one past it. A zero time budget with the ladder keeps each run
+        // cheap: the resolved engine trips at its first poll, and the
+        // degraded outcome still names it.
+        use joinopt_cost::{Catalog, CostModel, Cout};
+        use joinopt_qgraph::QueryGraph;
+        let mut queries = Vec::new();
+        let cap = crate::table::DenseDpTable::MAX_RELATIONS;
+        for n in (2..=17).chain([cap, cap + 1]) {
+            for kind in GraphKind::ALL {
+                let w = workload::family_workload(kind, n, n as u64);
+                queries.push((w.graph, w.catalog));
+            }
+            if n >= 3 {
+                let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+                let near = QueryGraph::from_edges(n, pairs.filter(|&p| p != (0, n - 1))).unwrap();
+                let catalog = Catalog::new(&near);
+                queries.push((near, catalog));
+            }
+        }
+        let models: [&dyn CostModel; 2] = [&Cout, &HashJoin];
+        for (g, catalog) in &queries {
+            let rule = Algorithm::select_auto(g);
+            let ctx = format!("n={} edges={}", g.num_relations(), g.num_edges());
+            assert_ne!(rule, Algorithm::DpConv, "{ctx}");
+            assert_eq!(
+                Algorithm::Auto.orderer(g).name(),
+                rule.orderer(g).name(),
+                "{ctx}"
+            );
+            for model in models {
+                let outcome = OptimizeRequest::new(g, catalog)
+                    .with_cost_model(model)
+                    .with_time_budget(Duration::ZERO)
+                    .on_budget_exceeded(BudgetAction::Degrade)
+                    .run()
+                    .unwrap();
+                assert_eq!(outcome.algorithm, rule, "{ctx} {}", model.name());
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 
 use std::cell::Cell;
 
-use joinopt_core::{Algorithm, Idp, JoinOrderer, OptimizeRequest};
+use joinopt_core::{
+    Algorithm, DpCcp, DpSize, DpSizeLeftDeep, DpSizeNaive, DpSub, DpSubCrossProducts,
+    DpSubUnfiltered, Idp, JoinOrderer, OptimizeRequest, TopDown,
+};
 use joinopt_cost::{workload, Cout};
 use joinopt_plan::JoinTree;
 use joinopt_qgraph::GraphKind;
@@ -48,9 +51,18 @@ fn tree_splits(tree: &JoinTree, out: &mut Vec<(u64, u64, u64)>) {
 #[test]
 fn enabled_observers_without_the_opt_in_see_no_provenance_events() {
     let w = workload::random_workload(7, 0.5, 11);
-    let idp = Idp::with_block_size(10);
+    // The served algorithms, then the ablations and IDP, which run
+    // through their orderers.
+    let others: [&dyn JoinOrderer; 6] = [
+        &DpSizeNaive,
+        &DpSubUnfiltered,
+        &DpSubCrossProducts,
+        &TopDown { pruning: true },
+        &DpSizeLeftDeep,
+        &Idp::with_block_size(10),
+    ];
     let orderers = Algorithm::CONCRETE.map(|alg| alg.orderer(&w.graph));
-    for orderer in orderers.into_iter().chain([&idp as &dyn JoinOrderer]) {
+    for orderer in orderers.into_iter().chain(others) {
         let alg = orderer.name();
         let baseline = orderer.optimize(&w.graph, &w.catalog, &Cout).unwrap();
         let sink = NoProvenancePlease::default();
@@ -72,41 +84,38 @@ fn enabled_observers_without_the_opt_in_see_no_provenance_events() {
 
 #[test]
 fn collector_reconstructs_every_decision_the_winning_plan_made() {
-    for (kind, alg) in [
-        (GraphKind::Star, Algorithm::DpSize),
-        (GraphKind::Chain, Algorithm::DpSub),
-        (GraphKind::Cycle, Algorithm::DpCcp),
-        (GraphKind::Star, Algorithm::TopDown),
-    ] {
+    let cases: [(GraphKind, &dyn JoinOrderer); 4] = [
+        (GraphKind::Star, &DpSize),
+        (GraphKind::Chain, &DpSub),
+        (GraphKind::Cycle, &DpCcp),
+        (GraphKind::Star, &TopDown { pruning: true }),
+    ];
+    for (kind, orderer) in cases {
+        let alg = orderer.name();
         let w = workload::family_workload(kind, 8, 0);
         let prov = ProvenanceCollector::new();
-        let result = alg
-            .orderer(&w.graph)
+        let result = orderer
             .optimize_observed(&w.graph, &w.catalog, &Cout, &prov)
             .unwrap();
 
         assert_eq!(prov.relations(), 8);
-        assert!(prov.total_candidates() > 0, "{alg:?}");
+        assert!(prov.total_candidates() > 0, "{alg}");
 
         // Every join in the winning tree must be the recorded winner
         // for its relation set, with the same operand orientation.
         let mut splits = Vec::new();
         tree_splits(&result.tree, &mut splits);
-        assert_eq!(splits.len(), 7, "{alg:?}");
+        assert_eq!(splits.len(), 7, "{alg}");
         for (set, left, right) in splits {
             let rec = prov
                 .record(set)
-                .unwrap_or_else(|| panic!("{alg:?}: no record for set {set:#b}"));
+                .unwrap_or_else(|| panic!("{alg}: no record for set {set:#b}"));
             let winner = rec.winner.expect("winner");
-            assert_eq!(
-                (winner.left, winner.right),
-                (left, right),
-                "{alg:?} {set:#b}"
-            );
+            assert_eq!((winner.left, winner.right), (left, right), "{alg} {set:#b}");
             assert!(winner.cost.is_finite());
             // The runner-up never beats the winner.
             if let Some(delta) = rec.cost_delta() {
-                assert!(delta >= 0.0, "{alg:?} {set:#b}: negative delta {delta}");
+                assert!(delta >= 0.0, "{alg} {set:#b}: negative delta {delta}");
             }
             assert!(rec.candidates >= 1);
         }

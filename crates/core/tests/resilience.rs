@@ -12,8 +12,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use joinopt_core::{
-    Algorithm, BudgetAction, CancelFlag, CancellationToken, DegradationRung, DpHyp, DpResult, Idp,
-    JoinOrderer, OptimizeError, OptimizeOutcome, OptimizeRequest, Session, TripKind,
+    Algorithm, BudgetAction, CancelFlag, CancellationToken, DegradationRung, DpHyp, DpResult,
+    DpSizeLeftDeep, DpSizeNaive, DpSubCrossProducts, DpSubUnfiltered, Idp, JoinOrderer,
+    OptimizeError, OptimizeOutcome, OptimizeRequest, Session, TopDown, TripKind,
 };
 use joinopt_cost::workload::{self, Workload};
 use joinopt_cost::{Catalog, CostError, Cout};
@@ -31,14 +32,23 @@ fn serial() -> MutexGuard<'static, ()> {
     FP_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Every engine a request runs: the algorithms a caller can name plus
-/// IDP, which runs as the degradation ladder's middle rung.
+/// Every engine: the algorithms a caller can name, the ablations the
+/// oracle and benchmarks build directly, and IDP, which runs as the
+/// degradation ladder's middle rung.
 fn runnable(g: &QueryGraph) -> impl Iterator<Item = &'static dyn JoinOrderer> {
     const IDP: Idp = Idp::with_block_size(10);
+    let others: [&'static dyn JoinOrderer; 6] = [
+        &DpSizeNaive,
+        &DpSubUnfiltered,
+        &DpSubCrossProducts,
+        &TopDown { pruning: true },
+        &DpSizeLeftDeep,
+        &IDP,
+    ];
     Algorithm::CONCRETE
         .map(|alg| alg.orderer(g))
         .into_iter()
-        .chain([&IDP as &dyn JoinOrderer])
+        .chain(others)
 }
 
 /// Runs `orderer` on `w` under the stop conditions a request without

@@ -10,7 +10,10 @@ use std::cell::{Cell, RefCell};
 
 use std::collections::BTreeMap;
 
-use joinopt_core::{Algorithm, DpCcp, DpHyp, Idp, JoinOrderer, OptimizeRequest, Session};
+use joinopt_core::{
+    Algorithm, DpCcp, DpHyp, DpSizeLeftDeep, DpSizeNaive, DpSubCrossProducts, DpSubUnfiltered, Idp,
+    JoinOrderer, OptimizeRequest, Session, TopDown,
+};
 use joinopt_cost::{workload, Cout};
 use joinopt_qgraph::hypergraph::Hypergraph;
 use joinopt_qgraph::{GraphKind, QueryGraph};
@@ -210,14 +213,23 @@ fn disabled_observer_path_emits_nothing_and_allocates_nothing_extra() {
 // Event-stream shape.
 // ---------------------------------------------------------------------
 
-/// Every engine a request runs: the algorithms a caller can name plus
-/// IDP, which runs as the degradation ladder's middle rung.
+/// Every engine: the algorithms a caller can name, the ablations the
+/// oracle and benchmarks build directly, and IDP, which runs as the
+/// degradation ladder's middle rung.
 fn orderers(g: &QueryGraph) -> impl Iterator<Item = &'static dyn JoinOrderer> {
     const IDP: Idp = Idp::with_block_size(10);
+    let others: [&'static dyn JoinOrderer; 6] = [
+        &DpSizeNaive,
+        &DpSubUnfiltered,
+        &DpSubCrossProducts,
+        &TopDown { pruning: true },
+        &DpSizeLeftDeep,
+        &IDP,
+    ];
     Algorithm::CONCRETE
         .map(|alg| alg.orderer(g))
         .into_iter()
-        .chain([&IDP as &dyn JoinOrderer])
+        .chain(others)
 }
 
 #[test]

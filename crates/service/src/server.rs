@@ -2054,22 +2054,34 @@ mod tests {
     }
 
     #[test]
-    fn idp_is_not_a_wire_algorithm() {
+    fn unserved_engines_are_not_wire_algorithms() {
+        // IDP and the ablations run only through their orderers.
         let h = dispatch_harness(true);
-        let r = call_dispatch(
-            &h,
-            &optimize_req(",\"id\":\"req-idp\",\"algorithm\":\"idp\""),
-        );
-        assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
-        assert_eq!(
-            r.get("error_type").and_then(|v| v.as_str()),
-            Some("invalid")
-        );
-        assert_eq!(
-            r.get("message").and_then(|v| v.as_str()),
-            Some("unknown algorithm \"idp\"")
-        );
-        assert_eq!(r.get("id").and_then(|v| v.as_str()), Some("req-idp"));
+        for name in [
+            "idp",
+            "dpsize-naive",
+            "dpsub-nofilter",
+            "dpsub-cp",
+            "topdown",
+            "dpsize-leftdeep",
+        ] {
+            let id = format!("req-{name}");
+            let r = call_dispatch(
+                &h,
+                &optimize_req(&format!(",\"id\":\"{id}\",\"algorithm\":\"{name}\"")),
+            );
+            assert_eq!(r.get("status").and_then(|v| v.as_str()), Some("error"));
+            assert_eq!(
+                r.get("error_type").and_then(|v| v.as_str()),
+                Some("invalid"),
+                "{name}"
+            );
+            assert_eq!(
+                r.get("message").and_then(|v| v.as_str()),
+                Some(format!("unknown algorithm {name:?}").as_str())
+            );
+            assert_eq!(r.get("id").and_then(|v| v.as_str()), Some(id.as_str()));
+        }
     }
 
     #[test]

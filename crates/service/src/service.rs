@@ -459,10 +459,10 @@ impl OptimizerService {
         let model = req.cost_model.model();
         let model_id = req.cost_model.name();
 
-        // Resolve `Auto` from the spec's density (the service's rule,
-        // see `resolve_auto`), so the cache key is concrete.
+        // Resolve `Auto` by the one density rule, from the spec's counts
+        // without instantiating the graph, so the cache key is concrete.
         let algorithm = if req.algorithm == Algorithm::Auto {
-            resolve_auto(req.spec())
+            Algorithm::select_by_density(req.spec().num_relations(), req.spec().num_edges())
         } else {
             req.algorithm
         };
@@ -586,13 +586,6 @@ impl OptimizerService {
     }
 }
 
-/// Resolves `Auto` from an owned spec without instantiating the graph:
-/// [`Algorithm::select_auto`]'s density rule, so the service picks DPsub
-/// or DPccp and never DPconv.
-fn resolve_auto(spec: &QuerySpec) -> Algorithm {
-    Algorithm::select_by_density(spec.num_relations(), spec.num_edges())
-}
-
 /// Renders a caught panic payload for [`OptimizeError::Internal`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -614,33 +607,6 @@ mod tests {
     fn spec(kind: GraphKind, n: usize, seed: u64) -> QuerySpec {
         let w = workload::family_workload(kind, n, seed);
         QuerySpec::capture(&w.graph, &w.catalog).unwrap()
-    }
-
-    #[test]
-    fn resolve_auto_is_the_core_density_rule() {
-        use joinopt_cost::Catalog;
-        use joinopt_qgraph::QueryGraph;
-        for n in 6..=14 {
-            // A chain backbone keeps every graph connected; the other
-            // pairs follow in lexicographic order.
-            let mut pairs: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-            for i in 0..n {
-                for j in i + 2..n {
-                    pairs.push((i, j));
-                }
-            }
-            let max_edges = pairs.len();
-            for edges in max_edges / 2..=max_edges {
-                let g = QueryGraph::from_edges(n, pairs[..edges].iter().copied()).unwrap();
-                let spec = QuerySpec::capture(&g, &Catalog::new(&g)).unwrap();
-                let picked = resolve_auto(&spec);
-                assert_eq!(picked, Algorithm::select_auto(&g), "n={n} edges={edges}");
-                assert!(
-                    matches!(picked, Algorithm::DpSub | Algorithm::DpCcp),
-                    "n={n} edges={edges}: {picked:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -147,6 +147,9 @@ mod tests {
     fn capture_round_trips_bit_exactly() {
         let w = workload::family_workload(GraphKind::Star, 6, 7);
         let spec = QuerySpec::capture(&w.graph, &w.catalog).unwrap();
+        // The service resolves `Auto` from these two counts.
+        assert_eq!(spec.num_relations(), w.graph.num_relations());
+        assert_eq!(spec.num_edges(), w.graph.num_edges());
         let (graph, catalog) = spec.instantiate().unwrap();
         assert_eq!(graph.num_relations(), w.graph.num_relations());
         assert_eq!(graph.edges(), w.graph.edges());

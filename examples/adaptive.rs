@@ -1,8 +1,8 @@
 //! Adaptive algorithm selection — the paper's concluding recommendation
 //! operationalized: `Algorithm::Auto` inspects the query graph's
-//! density and picks DPsub for (near-)cliques and DPccp everywhere else
-//! (the request layer hands dense `C_out` queries of 12 or more
-//! relations to DPconv instead).
+//! density and picks DPsub for (near-)cliques and DPccp everywhere else,
+//! under every cost model. The library, the CLI and the server resolve
+//! it by the same rule.
 //!
 //! Run with: `cargo run --release --example adaptive`
 
@@ -18,9 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let n = 13;
         let w = workload::family_workload(kind, n, 7);
 
-        // The same rule on every machine: DPsub at ≥ 90% of all
-        // possible edges, DPccp below — and DPconv for a dense C_out
-        // query of 12 or more relations.
+        // The same rule on every machine and under every cost model:
+        // DPsub at ≥ 90% of all possible edges, DPccp below.
         let density = w.graph.num_edges() as f64 / (n * (n - 1) / 2) as f64;
         let outcome = OptimizeRequest::new(&w.graph, &w.catalog).run()?;
 
@@ -48,9 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nAuto resolves to DPsub only on dense graphs (≥90% complete), \
          where subset enumeration's trivial inner loop beats the csg \
-         machinery, and hands dense C_out queries of 12+ relations to \
-         DPconv; everywhere else DPccp is chosen (it meets the \
-         Ono/Lohman lower bound)."
+         machinery (and, under C_out, DPconv's convolution); everywhere \
+         else DPccp is chosen (it meets the Ono/Lohman lower bound)."
     );
     Ok(())
 }

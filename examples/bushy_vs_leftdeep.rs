@@ -28,7 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(OptimizeOutcome::into_result)
         };
         let bushy = run(Algorithm::DpCcp)?;
-        let ld = run(Algorithm::DpSizeLeftDeep)?;
+        // Left-deep DP is a baseline, not a served algorithm: it runs
+        // through its orderer.
+        let ld = DpSizeLeftDeep.optimize(&w.graph, &w.catalog, &Cout)?;
         let goo = run(Algorithm::Goo)?;
         ld_ratios.push(ld.cost / bushy.cost);
         goo_ratios.push(goo.cost / bushy.cost);

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Capture a DPccp run with provenance collection attached. The
     // observer records one PlanCandidate event per considered split;
     // the collector folds them into one DecisionRecord per set.
-    let e = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpCcp)?;
+    let e = Explanation::capture(&w.graph, &w.catalog, &Cout, &DpCcp)?;
     println!(
         "{} on a {}-relation star: {} decision sets, {} candidates considered\n",
         e.algorithm,
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Diff against DPsize: both are exact, so they agree on cost; on a
     // tie-rich instance they may still commit different equal-cost
     // splits, which compare() pinpoints decision by decision.
-    let other = Explanation::capture(&w.graph, &w.catalog, &Cout, Algorithm::DpSize)?;
+    let other = Explanation::capture(&w.graph, &w.catalog, &Cout, &DpSize)?;
     let diff = compare(&e, &other);
     println!("{}", diff.render_text());
     Ok(())

@@ -1,9 +1,9 @@
 //! Integration tests for the baseline strategies and the request API:
-//! left-deep DP, IDP, GOO and `Algorithm` dispatch through
-//! `OptimizeRequest`.
+//! left-deep DP, IDP, GOO, the ablations, and `Algorithm` dispatch
+//! through `OptimizeRequest`.
 
 use joinopt::core::greedy::Goo;
-use joinopt::core::Idp;
+use joinopt::core::{DpSizeNaive, DpSubCrossProducts, DpSubUnfiltered, Idp, TopDown};
 use joinopt::prelude::*;
 use joinopt_cost::workload;
 use joinopt_relset::XorShift64;
@@ -41,18 +41,11 @@ fn request_dispatches_every_algorithm() {
             .map(OptimizeOutcome::into_result)
             .unwrap_or_else(|e| panic!("{alg:?} failed: {e}"));
         assert_eq!(r.tree.relations(), w.graph.all_relations(), "{alg:?}");
-        // Exact algorithms hit the optimum; cross-product DP may beat it;
-        // heuristics may exceed it — but nothing beats cross-product DP's
-        // floor or produces nonsense.
+        // Exact algorithms hit the optimum; GOO may exceed it, but
+        // nothing produces nonsense.
         assert!(r.cost.is_finite() && r.cost > 0.0, "{alg:?}");
         match alg {
-            Algorithm::DpSize
-            | Algorithm::DpSizeNaive
-            | Algorithm::DpSub
-            | Algorithm::DpSubUnfiltered
-            | Algorithm::TopDown
-            | Algorithm::DpCcp
-            | Algorithm::DpConv => {
+            Algorithm::DpSize | Algorithm::DpSub | Algorithm::DpCcp | Algorithm::DpConv => {
                 assert_eq!(
                     r.cost.to_bits(),
                     optimal.to_bits(),
@@ -61,13 +54,27 @@ fn request_dispatches_every_algorithm() {
                     optimal
                 );
             }
-            Algorithm::DpSubCrossProducts => assert!(r.cost <= optimal),
-            Algorithm::DpSizeLeftDeep | Algorithm::Goo => {
-                assert!(r.cost >= optimal - 1e-9 * optimal)
-            }
+            Algorithm::Goo => assert!(r.cost >= optimal - 1e-9 * optimal),
             Algorithm::Auto => unreachable!("CONCRETE excludes Auto"),
         }
     }
+    // The ablations are no algorithms a request names; they run through
+    // their orderers. Exact ones hit the optimum, cross-product DP may
+    // beat it, and left-deep DP may exceed it.
+    let exact: [&dyn JoinOrderer; 3] = [&DpSizeNaive, &DpSubUnfiltered, &TopDown { pruning: true }];
+    for orderer in exact {
+        let r = orderer.optimize(&w.graph, &w.catalog, &Cout).unwrap();
+        assert_eq!(r.cost.to_bits(), optimal.to_bits(), "{}", orderer.name());
+    }
+    let cp = DpSubCrossProducts
+        .optimize(&w.graph, &w.catalog, &Cout)
+        .unwrap();
+    assert!(cp.cost <= optimal);
+    let ld = DpSizeLeftDeep
+        .optimize(&w.graph, &w.catalog, &Cout)
+        .unwrap();
+    assert_eq!(ld.tree.relations(), w.graph.all_relations());
+    assert!(ld.cost >= optimal - 1e-9 * optimal);
     // IDP is no algorithm a request names; it runs as the degradation
     // ladder's middle rung, through its orderer.
     let idp = Idp::with_block_size(10)

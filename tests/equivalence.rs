@@ -3,7 +3,7 @@
 //! cost model, and agree with the independent top-down oracle.
 
 use joinopt::core::exhaustive;
-use joinopt::core::{DpSizeNaive, DpSubUnfiltered, Idp};
+use joinopt::core::{DpSizeNaive, DpSubCrossProducts, DpSubUnfiltered, Idp, TopDown};
 use joinopt::prelude::*;
 use joinopt_cost::workload;
 
@@ -179,9 +179,16 @@ fn every_plan_recosts_to_its_own_cost_bit_for_bit() {
         let w = workload::random_workload(9, 0.3, seed);
         let est = CardinalityEstimator::new(&w.graph, &w.catalog).unwrap();
         for model in models {
-            let idp = Idp::with_block_size(10);
+            let others: [&dyn JoinOrderer; 6] = [
+                &DpSizeNaive,
+                &DpSubUnfiltered,
+                &DpSubCrossProducts,
+                &TopDown { pruning: true },
+                &DpSizeLeftDeep,
+                &Idp::with_block_size(10),
+            ];
             let orderers = Algorithm::CONCRETE.map(|alg| alg.orderer(&w.graph));
-            for orderer in orderers.into_iter().chain([&idp as &dyn JoinOrderer]) {
+            for orderer in orderers.into_iter().chain(others) {
                 let Ok(r) = orderer.optimize(&w.graph, &w.catalog, model) else {
                     assert_eq!(orderer.name(), "DPconv", "only DPconv refuses a model");
                     continue;
